@@ -6,7 +6,7 @@ GO ?= go
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
 # build under GOARCH=arm64, so amd64-only CI would never parse them), the
 # tier-1 test suite, the race detector over the packages that own the
-# parallel GEMM backend and the serving/scenario/fleet pipelines, the
+# sharded GEMM engine and the serving/scenario/fleet pipelines, the
 # real-daemon e2e suite (short-mode capped), and the scenario + fleet
 # smoke grids.
 ci: vet build build-arm64 test race e2e scenarios-smoke fleet-smoke
@@ -48,11 +48,12 @@ bench:
 	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col' -benchmem ./internal/tensor/ ./internal/nn/
 
 # bench-gemm reproduces the GEMM rows recorded in BENCH_gemm.json: the
-# naive-vs-blocked serial pairs (acceptance shape VGG_conv2_1), the
-# pool-sharded blocked backend, the int8 forward path, and the fused
-# im2col→pack conv comparison.
+# naive-oracle-vs-blocked serial pairs (acceptance shape VGG_conv2_1), the
+# pool-sharded blocked backend, the default engine (the same path under
+# its other name), the int8 forward path, and the fused im2col→pack conv
+# comparison.
 bench-gemm:
-	$(GO) test -run='^$$' -bench='GEMMSerial|GEMMBlocked|GEMMBlockedParallel|GEMMInt8' -benchmem -benchtime=5x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='GEMMSerial|GEMMBlocked|GEMMBlockedParallel|GEMMDefault|GEMMInt8' -benchmem -benchtime=5x ./internal/tensor/
 	$(GO) test -run='^$$' -bench='ConvFusedPack' -benchmem -benchtime=5x ./internal/nn/
 
 fuzz:
@@ -84,13 +85,14 @@ fuzz-mmpp:
 
 # chaos runs the seeded fault-injection suite — deterministic injector
 # streams, the serve-level chaos scenarios, and the hardening regressions
-# (drain-on-Close, breaker lifecycle, soak conservation) — under the race
-# detector.
+# (drain-on-Close, breaker lifecycle, soak conservation, submit accounting
+# at one and two Ps) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ \
 		-run 'TestChaos|TestDeterministicStreams|TestStreamIndependence'
 	$(GO) test -race -count=1 ./internal/serve/ \
 		-run 'TestNoResolutionAfterCloseDrain|TestBreakerLifecycleServing|TestSoakConservation|TestExecTimeoutFailsAttempt'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ -run 'TestSubmitAccountingRace'
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator
 # must serve every accepted request with positive SoC, and the virtual-clock

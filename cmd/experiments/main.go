@@ -31,9 +31,10 @@ func main() {
 		fig15  = flag.Bool("fig15", false, "SoC per scheduler")
 		fig16  = flag.Bool("fig16", false, "entropy-based vs accuracy-based tuning")
 		seed   = flag.Int64("seed", 1, "lab dataset seed")
-		// Serial and parallel GEMM execution are bit-for-bit identical, so
-		// the backend never changes a summary — only how fast it appears.
-		backend = flag.String("backend", "", "host GEMM backend: auto, serial, parallel or blocked (default $PCNN_GEMM_BACKEND or auto)")
+		// Sharding a GEMM across cores never changes a bit of its result;
+		// the naive serial oracle rounds differently from the blocked
+		// kernels, so -backend serial may move a summary's last digits.
+		backend = flag.String("backend", "", "host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default $PCNN_GEMM_BACKEND or auto)")
 		// Reduced precision DOES change the numbers — it is the experiment:
 		// rerun a figure at int8 to see how the quantized host path shifts
 		// the accuracy/entropy trade against the fp32 baseline.

@@ -86,7 +86,7 @@ func main() {
 		tune    = flag.Bool("tune", false, "train the scaled analogue and attach the accuracy tuner (slow)")
 		seed    = flag.Int64("seed", 1, "load generator seed")
 		backend = flag.String("backend", "",
-			"host GEMM backend: auto, serial, parallel or blocked (default $PCNN_GEMM_BACKEND or auto)")
+			"host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default $PCNN_GEMM_BACKEND or auto)")
 		precision = flag.String("precision", "",
 			"arm the quantization rung at this precision (fp16 or int8); escalation may then quantize host GEMMs before perforating")
 

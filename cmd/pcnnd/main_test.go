@@ -68,7 +68,8 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 		"pcnn_serve_escalations_total",
 		"pcnn_serve_calibrations_total",
 		"pcnn_serve_throughput_rps",
-		"pcnn_gemm_backend_active{backend=",
+		`pcnn_gemm_backend_active{backend="blocked"}`,
+		`pcnn_gemm_backend_active{backend="serial"}`,
 		"pcnn_gemm_tile_mc",
 		"pcnn_gemm_tile_nr",
 		"pcnn_gemm_workers",

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"pcnn/internal/gpu"
-	"pcnn/internal/tensor"
 )
 
 func TestStandardTilesValid(t *testing.T) {
@@ -224,30 +223,6 @@ func TestSelectReturnsLaunchableKernel(t *testing.T) {
 		}
 		if c.TLP < 1 || c.Grid < 1 {
 			t.Fatalf("%s: bad choice %+v", dev.Name, c)
-		}
-	}
-}
-
-// TestSelectRecordsHostBackend checks the host-side tuning dimension: the
-// choice carries a resolved serial/parallel decision consistent with what
-// the reference engine would actually do for that GEMM shape.
-func TestSelectRecordsHostBackend(t *testing.T) {
-	dev := gpu.K20c()
-	for _, shape := range [][3]int{{128, 729, 1200}, {32, 96, 1200}, {64, 8, 64}} {
-		m, n, k := shape[0], shape[1], shape[2]
-		c, err := Select("host", m, n, k, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.HostBackend == tensor.Auto {
-			t.Fatalf("%v: host backend unresolved", shape)
-		}
-		wantB, wantW := tensor.Default().PlanGEMM(m, n, k)
-		if c.HostBackend != wantB || c.HostWorkers != wantW {
-			t.Fatalf("%v: host plan %v/%d, want %v/%d", shape, c.HostBackend, c.HostWorkers, wantB, wantW)
-		}
-		if c.HostWorkers < 1 {
-			t.Fatalf("%v: host workers %d", shape, c.HostWorkers)
 		}
 	}
 }

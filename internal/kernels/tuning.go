@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pcnn/internal/gpu"
-	"pcnn/internal/tensor"
 )
 
 // Coordinated fine-tuning of sub-matrix size and registers per thread
@@ -109,18 +108,6 @@ type Choice struct {
 	Score  float64 // S_kernel of the winning point
 	Kernel gpu.Kernel
 	Spill  SpillPlan
-
-	// HostBackend/HostWorkers/HostPrecision record the host-side dimension
-	// of the choice: how internal/tensor will execute this layer's lowered
-	// GEMM when the plan is run on the reference engine — serial for small
-	// probes (dispatch overhead dominates), row-sharded parallel above the
-	// engine's FLOP threshold — and at which forward-GEMM precision the
-	// default engine is configured (fp32 unless PCNN_GEMM_PRECISION or the
-	// serving quantization rung lowered it). Backend is resolved (never
-	// Auto).
-	HostBackend   tensor.Backend
-	HostWorkers   int
-	HostPrecision tensor.Precision
 }
 
 // String summarizes the choice.
@@ -132,8 +119,6 @@ func (c Choice) String() string {
 // tiles × pruned register candidates, rank by S_kernel, return the best
 // launchable design point. name labels the produced kernel.
 func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
-	hostBackend, hostWorkers := tensor.Default().PlanGEMM(m, n, k)
-	hostPrecision := tensor.Default().Precision()
 	if n < GEMVThreshold {
 		kern := BuildGEMV(name, m, n, k, dev)
 		tlp := dev.OccupancyFor(kern).CTAs
@@ -141,15 +126,11 @@ func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 			return Choice{}, fmt.Errorf("kernels: vector kernel unlaunchable for %dx%dx%d on %s", m, n, k, dev.Name)
 		}
 		return Choice{
-			Tile:        TileConfig{M: gemvBlock, N: n, BlockSize: gemvBlock, BaseRegs: kern.RegsPerThread, SharedMem: kern.SharedMemPerBlock},
-			Regs:        kern.RegsPerThread,
-			TLP:         tlp,
-			Grid:        kern.GridSize,
-			Kernel:      kern,
-			HostBackend: hostBackend,
-			HostWorkers: hostWorkers,
-
-			HostPrecision: hostPrecision,
+			Tile:   TileConfig{M: gemvBlock, N: n, BlockSize: gemvBlock, BaseRegs: kern.RegsPerThread, SharedMem: kern.SharedMemPerBlock},
+			Regs:   kern.RegsPerThread,
+			TLP:    tlp,
+			Grid:   kern.GridSize,
+			Kernel: kern,
 		}, nil
 	}
 	var best Choice
@@ -163,17 +144,13 @@ func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 			if !found || score < best.Score {
 				kern := Build(name, tile, m, n, k, cand.Regs, dev)
 				best = Choice{
-					Tile:        tile,
-					Regs:        cand.Regs,
-					TLP:         cand.TLP,
-					Grid:        kern.GridSize,
-					Score:       score,
-					Kernel:      kern,
-					Spill:       PlanSpill(tile, cand.Regs, k, dev),
-					HostBackend: hostBackend,
-					HostWorkers: hostWorkers,
-
-					HostPrecision: hostPrecision,
+					Tile:   tile,
+					Regs:   cand.Regs,
+					TLP:    cand.TLP,
+					Grid:   kern.GridSize,
+					Score:  score,
+					Kernel: kern,
+					Spill:  PlanSpill(tile, cand.Regs, k, dev),
 				}
 				found = true
 			}

@@ -126,11 +126,11 @@ func BenchmarkConvForwardPerforated(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForwardBackend compares the serial and parallel GEMM
-// backends on the same convolution (VGG-ish full-size geometry so the
-// GEMM clears the Auto threshold).
+// BenchmarkConvForwardBackend compares the default engine with the naive
+// serial oracle on the same convolution (VGG-ish full-size geometry so the
+// GEMM clears the sharding threshold).
 func BenchmarkConvForwardBackend(b *testing.B) {
-	for _, bk := range []tensor.Backend{tensor.Serial, tensor.Parallel} {
+	for _, bk := range []tensor.Backend{tensor.Auto, tensor.Serial} {
 		b.Run(bk.String(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			conv := NewConv("b", 64, 28, 28, 64, 3, 1, 1, rng)
@@ -148,9 +148,9 @@ func BenchmarkConvForwardBackend(b *testing.B) {
 }
 
 // BenchmarkAlexNetSInferenceBackend measures the scaled network end to end
-// under each backend.
+// under the default engine and the naive serial oracle.
 func BenchmarkAlexNetSInferenceBackend(b *testing.B) {
-	for _, bk := range []tensor.Backend{tensor.Serial, tensor.Parallel} {
+	for _, bk := range []tensor.Backend{tensor.Auto, tensor.Serial} {
 		b.Run(bk.String(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			net := AlexNetS(rng)

@@ -46,8 +46,8 @@ type Conv struct {
 // im2col lowering.
 var conv1x1Fast = true
 
-// convFusedPack gates the fused im2col→pack-B path on the blocked
-// backend: GEMM panels are packed straight from the input image, so
+// convFusedPack gates the fused im2col→pack-B path of the blocked
+// kernels: GEMM panels are packed straight from the input image, so
 // inference forward never materializes the column matrix. Tests flip it
 // to prove the fused path is bit-identical to the two-step lowering.
 var convFusedPack = true
@@ -154,12 +154,14 @@ func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// GEMM can read the input directly instead of copying it through
 	// im2col. Perforation still needs the sampled column matrix.
 	fast1x1 := conv1x1Fast && c.k == 1 && c.stride == 1 && c.pad == 0 && !perforated
-	// On the blocked backend, unperforated inference packs GEMM panels
-	// straight from the input image (fused im2col→pack-B) — the column
-	// matrix is never materialized and the fanIn×nPos scratch buffer, the
-	// largest in conv forward, is never taken.
+	// Whenever the engine resolves to the blocked kernels (the default),
+	// unperforated inference packs GEMM panels straight from the input
+	// image (fused im2col→pack-B) — the column matrix is never materialized
+	// and the fanIn×nPos scratch buffer, the largest in conv forward, is
+	// never taken. The fused packer is fp32-only; reduced precision keeps
+	// the two-step lowering and its fast im2col.
 	fusedPack := convFusedPack && !train && !perforated && !fast1x1 &&
-		eng.Backend() == tensor.Blocked
+		eng.Backend().Resolved() == tensor.Blocked && eng.Precision() == tensor.FP32
 	geom := tensor.Im2colGeom{
 		C: c.inC, H: c.inH, W: c.inW, K: c.k,
 		Stride: c.stride, Pad: c.pad, HO: ho, WO: wo,

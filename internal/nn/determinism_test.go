@@ -7,11 +7,24 @@ import (
 	"pcnn/internal/tensor"
 )
 
-// Backend-invariance: the serial and parallel engines run the same row
-// kernels in the same per-row order, so every quantity the experiments
-// report — training loss trajectories, predictions, accuracies — must be
-// bit-for-bit identical whichever backend is active. This is what keeps
-// `cmd/experiments -backend parallel` summaries identical to serial runs.
+// Worker-count invariance: the blocked kernels compute every C tile with
+// the same micro-kernel calls in the same order however the work items are
+// sharded, so every quantity the experiments report — training loss
+// trajectories, predictions, accuracies — must be bit-for-bit identical
+// whether a GEMM runs on one goroutine or across a pool. This is what keeps
+// `cmd/experiments` summaries identical across hosts with different core
+// counts.
+
+// unshardedEngine and shardedEngine are the default (Auto = blocked)
+// engine on one goroutine and on a private 4-worker pool with a zero
+// threshold, so even the tiny test GEMMs shard on a single-CPU host.
+func unshardedEngine() *tensor.Engine { return tensor.NewEngine(tensor.Auto, 1) }
+
+func shardedEngine() *tensor.Engine {
+	eng := tensor.NewEngine(tensor.Auto, 4)
+	eng.SetParallelThreshold(0)
+	return eng
+}
 
 // trainTrajectory trains a fresh tinyNet under eng and returns the
 // per-epoch losses plus the final flattened parameters.
@@ -32,12 +45,12 @@ func trainTrajectory(eng *tensor.Engine, epochs int) ([]float64, []float32) {
 	return losses, params
 }
 
-func TestTrainLossTrajectoryBackendInvariant(t *testing.T) {
-	serLosses, serParams := trainTrajectory(tensor.NewEngine(tensor.Serial, 1), 6)
-	parLosses, parParams := trainTrajectory(tensor.NewEngine(tensor.Parallel, 4), 6)
+func TestTrainLossTrajectoryWorkerInvariant(t *testing.T) {
+	serLosses, serParams := trainTrajectory(unshardedEngine(), 6)
+	parLosses, parParams := trainTrajectory(shardedEngine(), 6)
 	for e := range serLosses {
 		if serLosses[e] != parLosses[e] {
-			t.Fatalf("epoch %d: serial loss %v != parallel loss %v", e, serLosses[e], parLosses[e])
+			t.Fatalf("epoch %d: unsharded loss %v != sharded loss %v", e, serLosses[e], parLosses[e])
 		}
 	}
 	for i := range serParams {
@@ -47,9 +60,9 @@ func TestTrainLossTrajectoryBackendInvariant(t *testing.T) {
 	}
 }
 
-func TestScaledNetworkSummaryBackendInvariant(t *testing.T) {
+func TestScaledNetworkSummaryWorkerInvariant(t *testing.T) {
 	// The experiments' Table I / Fig 16 summaries reduce to trained-network
-	// accuracies and predictions; compare those across backends on a
+	// accuracies and predictions; compare those across worker counts on a
 	// scaled network, including training through Conv backward.
 	run := func(eng *tensor.Engine) (float64, [][]float32) {
 		rng := rand.New(rand.NewSource(31))
@@ -70,10 +83,10 @@ func TestScaledNetworkSummaryBackendInvariant(t *testing.T) {
 		TrainEpoch(net, data, 8, opt)
 		return net.Accuracy(x, labels), net.Predict(x)
 	}
-	serAcc, serProbs := run(tensor.NewEngine(tensor.Serial, 1))
-	parAcc, parProbs := run(tensor.NewEngine(tensor.Parallel, 4))
+	serAcc, serProbs := run(unshardedEngine())
+	parAcc, parProbs := run(shardedEngine())
 	if serAcc != parAcc {
-		t.Fatalf("accuracy %v (serial) != %v (parallel)", serAcc, parAcc)
+		t.Fatalf("accuracy %v (unsharded) != %v (sharded)", serAcc, parAcc)
 	}
 	for i := range serProbs {
 		for j := range serProbs[i] {
@@ -84,10 +97,10 @@ func TestScaledNetworkSummaryBackendInvariant(t *testing.T) {
 	}
 }
 
-func TestPerforatedForwardBackendInvariant(t *testing.T) {
+func TestPerforatedForwardWorkerInvariant(t *testing.T) {
 	// Perforated inference shrinks the GEMM's N dimension; the sampled
 	// column matrix now comes from pooled scratch, which must not change
-	// results under either backend.
+	// results at either worker count.
 	run := func(eng *tensor.Engine) *tensor.Tensor {
 		rng := rand.New(rand.NewSource(41))
 		conv := NewConv("p", 3, 8, 8, 4, 3, 1, 1, rng)
@@ -100,8 +113,8 @@ func TestPerforatedForwardBackendInvariant(t *testing.T) {
 		}
 		return conv.Forward(x, false)
 	}
-	ser := run(tensor.NewEngine(tensor.Serial, 1))
-	par := run(tensor.NewEngine(tensor.Parallel, 4))
+	ser := run(unshardedEngine())
+	par := run(shardedEngine())
 	for i := range ser.Data {
 		if ser.Data[i] != par.Data[i] {
 			t.Fatalf("perforated output diverges at %d", i)

@@ -30,11 +30,11 @@ type EngineSetter interface {
 	SetEngine(*tensor.Engine)
 }
 
-// SetEngine directs every layer's GEMMs at eng — serial, parallel or auto,
-// see tensor.NewEngine — descending into composite layers. nil restores
-// the package default (tensor.Default(), configurable via
-// $PCNN_GEMM_BACKEND), keeping experiment runs reproducible: serial and
-// parallel engines produce bit-for-bit identical results.
+// SetEngine directs every layer's GEMMs at eng — see tensor.NewEngine —
+// descending into composite layers. nil restores the package default
+// (tensor.Default(), configurable via $PCNN_GEMM_BACKEND). Experiment runs
+// stay reproducible across hosts: an engine produces bit-for-bit identical
+// results at every worker count.
 func (s *Sequential) SetEngine(eng *tensor.Engine) {
 	for _, l := range s.Layers {
 		if es, ok := l.(EngineSetter); ok {

@@ -8,23 +8,23 @@ import (
 	"pcnn/internal/tensor"
 )
 
-// Concurrency stress for the parallel backend: independent networks share
+// Concurrency stress for the sharded GEMM path: independent networks share
 // the process-wide scratch pool and (here) one private 4-worker GEMM pool.
 // Run under -race this guards the worker pool and sync.Pool reuse against
 // data races and buffer aliasing — a pooled im2col or GEMM buffer leaking
 // between two in-flight forwards would corrupt outputs.
 
 // referenceLogits computes the expected logits for a fresh tinyNet(seed)
-// on data, serially.
+// on data, unsharded.
 func referenceLogits(seed int64, data *Dataset) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	net := tinyNet(rng)
-	net.SetEngine(tensor.NewEngine(tensor.Serial, 1))
+	net.SetEngine(unshardedEngine())
 	return net.Forward(data.X, false)
 }
 
 func TestConcurrentForwardSharedPools(t *testing.T) {
-	eng := tensor.NewEngine(tensor.Parallel, 4)
+	eng := shardedEngine()
 	dataRng := rand.New(rand.NewSource(99))
 	data := tinyData(12, dataRng)
 
@@ -55,12 +55,12 @@ func TestConcurrentForwardSharedPools(t *testing.T) {
 }
 
 func TestConcurrentTrainingIndependentNetworks(t *testing.T) {
-	eng := tensor.NewEngine(tensor.Parallel, 4)
+	eng := shardedEngine()
 
-	// Serial reference trajectory.
+	// Unsharded reference trajectory.
 	refRng := rand.New(rand.NewSource(11))
 	refNet := tinyNet(refRng)
-	refNet.SetEngine(tensor.NewEngine(tensor.Serial, 1))
+	refNet.SetEngine(unshardedEngine())
 	refData := tinyData(18, rand.New(rand.NewSource(12)))
 	refOpt := NewSGD(0.05, 0.9)
 	var refLosses []float64

@@ -465,7 +465,7 @@ func (e *PlanExecutor) Profile(level, batch int) ([]compile.LayerProfile, error)
 // Execute implements Executor: the GPU simulator supplies the batch's time
 // and energy at the level's perforation, and — when an executable network
 // is attached — the scaled analogue classifies the inputs for real (through
-// the parallel GEMM engine), supplying softmax rows and measured entropy
+// the default GEMM engine), supplying softmax rows and measured entropy
 // for calibration.
 func (e *PlanExecutor) Execute(level, batch int, inputs *tensor.Tensor) (BatchResult, error) {
 	if batch < 1 {

@@ -371,3 +371,66 @@ func BenchmarkExecuteBatchClean(b *testing.B) {
 		}
 	}
 }
+
+// TestSubmitAccountingRace is the regression for the phantom queued
+// request: with singleton batches and no linger a worker can resolve a
+// request before its submitter runs again, so a count taken after the
+// hand-off could land behind its own decrement. Conservation must hold on
+// every concurrent snapshot, and the queue must read empty at quiescence —
+// each round, not just at the end. Run with -race -cpu 1,2.
+func TestSubmitAccountingRace(t *testing.T) {
+	rounds := 4000
+	if testing.Short() {
+		rounds = 1000
+	}
+	ex := &fakeExec{maxBatch: 1, msPerImage: []float64{0.001}, entropies: []float64{0.1}}
+	s, err := NewServer(ex, satisfaction.ImageTagging(), Config{Workers: 2, MaxBatch: 1, LingerMS: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conserved := func(when string) {
+		snap := s.Stats()
+		if snap.Submitted != snap.Completed+snap.Failed+uint64(snap.QueueDepth) {
+			t.Errorf("%s: submitted %d != completed %d + failed %d + queued %d",
+				when, snap.Submitted, snap.Completed, snap.Failed, snap.QueueDepth)
+		}
+	}
+	stop := make(chan struct{})
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				conserved("concurrent snapshot")
+				time.Sleep(50 * time.Microsecond) // a snapshot sorts the latency sample
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		f, err := s.Submit()
+		if err != nil {
+			t.Fatalf("round %d: submit: %v", i, err)
+		}
+		if _, err := f.Wait(ctx); err != nil {
+			t.Fatalf("round %d: wait: %v", i, err)
+		}
+		// The only request ever outstanding has resolved.
+		if d := s.st.queueDepth(); d != 0 {
+			t.Fatalf("round %d: queue depth %d at quiescence, want 0", i, d)
+		}
+	}
+	close(stop)
+	sampler.Wait()
+	closeServer(t, s)
+	conserved("after close")
+	if snap := s.Stats(); snap.Completed != uint64(rounds) || snap.QueueDepth != 0 {
+		t.Fatalf("completed %d of %d, queue depth %d", snap.Completed, rounds, snap.QueueDepth)
+	}
+}

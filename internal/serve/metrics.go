@@ -132,17 +132,19 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	reg.CounterFunc("pcnn_serve_exec_timeouts_total",
 		"Batch execution attempts cut off by the per-attempt timeout.",
 		s.st.counterFn(func(st *stats) uint64 { return st.timeouts }))
-	// Host GEMM engine state: which backend serves the layer GEMMs and the
-	// blocked tile that most recently ran — the host-side half of the
-	// paper's per-layer kernel choice, surfaced so a deployment dashboard
-	// can see which kernel actually handles traffic.
+	// Host GEMM engine state: which kernels serve the layer GEMMs — the
+	// resolved backend, so the default reads "blocked" rather than an
+	// uninformative "auto" — and the blocked tile that most recently ran:
+	// the host-side half of the paper's per-layer kernel choice, surfaced
+	// so a deployment dashboard can see which kernel actually handles
+	// traffic.
 	eng := tensor.Default()
-	for _, bk := range []tensor.Backend{tensor.Auto, tensor.Serial, tensor.Parallel, tensor.Blocked} {
+	for _, bk := range []tensor.Backend{tensor.Blocked, tensor.Serial} {
 		bk := bk
 		reg.GaugeFunc("pcnn_gemm_backend_active",
-			"1 for the default engine's selected GEMM backend, 0 for the others.",
+			"1 for the GEMM kernels the default engine resolves to, 0 for the others.",
 			func() float64 {
-				if eng.Backend() == bk {
+				if eng.Backend().Resolved() == bk {
 					return 1
 				}
 				return 0

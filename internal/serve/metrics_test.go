@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"pcnn/internal/satisfaction"
+	"pcnn/internal/tensor"
 )
 
 // serveBurst runs n background requests through a fresh server and
@@ -63,8 +65,8 @@ func TestMetricsExposition(t *testing.T) {
 		"pcnn_serve_lifetime_rps",
 		"pcnn_serve_level",
 		"# TYPE pcnn_gemm_backend_active gauge",
-		`pcnn_gemm_backend_active{backend="blocked"}`,
-		`pcnn_gemm_backend_active{backend="serial"}`,
+		gemmBackendLine(tensor.Blocked),
+		gemmBackendLine(tensor.Serial),
 		"pcnn_gemm_workers",
 		"pcnn_gemm_tile_mc",
 		"pcnn_gemm_tile_kc",
@@ -76,6 +78,14 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
+	// The gauge names resolved kernels only: never the "auto" alias, nor
+	// the retired row-sharded backend.
+	for _, gone := range []string{`backend="auto"`, `backend="parallel"`} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %s", gone)
+		}
+	}
+
 	// Per-level response histograms observed exactly the completed count.
 	total := 0
 	for _, h := range s.met.response {
@@ -84,6 +94,16 @@ func TestMetricsExposition(t *testing.T) {
 	if total != 32 {
 		t.Errorf("response histogram observations = %d, want 32", total)
 	}
+}
+
+// gemmBackendLine is the exposition line for one resolved backend: 1 for
+// the kernels the default engine runs, 0 for the other.
+func gemmBackendLine(bk tensor.Backend) string {
+	v := 0
+	if tensor.Default().Backend().Resolved() == bk {
+		v = 1
+	}
+	return fmt.Sprintf("pcnn_gemm_backend_active{backend=%q} %d", bk.String(), v)
 }
 
 // TestTraceLifecycle: every served request leaves a finished trace in the

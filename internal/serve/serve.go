@@ -497,12 +497,15 @@ func (s *Server) SubmitWith(opts SubmitOptions) (*Future, error) {
 	// Mark before the send: the channel hand-off transfers trace
 	// ownership to the batcher, so no mark may follow it here.
 	r.tr.Mark("submit")
+	// Count before the hand-off: once r is in the channel a worker may
+	// resolve it before this goroutine runs again, and a decrement landing
+	// ahead of its increment would be a request resolved but never queued.
+	s.st.submittedInc()
 	select {
 	case s.submitCh <- r:
-		s.st.submittedInc()
 		return r.fut, nil
 	default:
-		s.st.rejectedInc(rejectQueueFull)
+		s.st.submitRejectedFull()
 		return nil, ErrQueueFull
 	}
 }

@@ -89,10 +89,26 @@ func newStatsClock(now func() time.Time) *stats {
 	}
 }
 
+// submittedInc counts one request as accepted and queued. Submit calls it
+// before the channel hand-off: a worker may resolve the request before the
+// submitter runs again, and its decrement must never land ahead of this
+// increment (TestSubmitAccountingRace).
 func (s *stats) submittedInc() {
 	s.mu.Lock()
 	s.submitted++
 	s.inQueue++
+	s.mu.Unlock()
+}
+
+// submitRejectedFull takes back the submittedInc of a request the full
+// queue turned away and counts the rejection in the same critical section,
+// so no snapshot sees the request as neither queued nor rejected.
+func (s *stats) submitRejectedFull() {
+	s.mu.Lock()
+	s.submitted--
+	s.inQueue--
+	s.rejected++
+	s.rejects[rejectQueueFull]++
 	s.mu.Unlock()
 }
 
@@ -145,9 +161,7 @@ func (s *stats) record(r Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.completed++
-	if s.inQueue > 0 {
-		s.inQueue--
-	}
+	s.inQueue-- // submittedInc came first; an underflow wraps, loudly
 	s.win.Add(1)
 	if !r.DeadlineMet {
 		s.missed++
@@ -187,11 +201,7 @@ func (s *stats) batchCount() uint64 {
 func (s *stats) failBatch(n int) {
 	s.mu.Lock()
 	s.failed += uint64(n)
-	if s.inQueue >= uint64(n) {
-		s.inQueue -= uint64(n)
-	} else {
-		s.inQueue = 0
-	}
+	s.inQueue -= uint64(n)
 	s.mu.Unlock()
 }
 

@@ -221,25 +221,23 @@ func probeTiles(m, k, n int, pool *workerPool, workers int) TileConfig {
 	if n < 1 {
 		n = 1
 	}
-	a := getPanel(m * k)
-	b := getPanel(k * n)
-	c := getPanel(m * n)
-	defer putPanel(a)
-	defer putPanel(b)
-	defer putPanel(c)
-	fillProbe(a.data)
-	fillProbe(b.data)
+	a, b, c := GetScratch(m*k), GetScratch(k*n), GetScratch(m*n)
+	defer PutScratch(a)
+	defer PutScratch(b)
+	defer PutScratch(c)
+	fillProbe(a)
+	fillProbe(b)
 
 	best := DefaultTile
 	bestNS := int64(1<<63 - 1)
 	for _, cand := range tileCandidates(workers) {
 		// One warm-up pass (packs the panels, faults the buffers), then
 		// best-of-two timed passes.
-		blockedGEMM(c.data, a.data, b.data, m, n, k, false, false, cand, pool, parallel)
+		blockedGEMM(c, a, b, m, n, k, false, false, cand, pool, parallel)
 		var elapsed int64 = 1<<63 - 1
 		for rep := 0; rep < 2; rep++ {
 			start := time.Now()
-			blockedGEMM(c.data, a.data, b.data, m, n, k, false, false, cand, pool, parallel)
+			blockedGEMM(c, a, b, m, n, k, false, false, cand, pool, parallel)
 			if ns := time.Since(start).Nanoseconds(); ns < elapsed {
 				elapsed = ns
 			}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Serial-vs-parallel GEMM benchmarks at the shapes the CNN layers actually
+// Oracle-vs-production GEMM benchmarks at the shapes the CNN layers actually
 // lower to (im2col GEMMs of AlexNet and VGG-16 conv layers, plus an FC
 // tail). Results are recorded in BENCH_gemm.json at the repo root; the
 // acceptance shape is VGG conv2_1 (M=64, K=4608, N=3025).
@@ -54,10 +54,8 @@ func BenchmarkGEMMBlocked(b *testing.B) {
 
 // BenchmarkGEMMBlockedParallel runs the blocked backend with the shared
 // worker pool, so its jc/ic macro-loops shard (MC block × NR panel group)
-// work items across every core. On a multi-core host compare against
-// BenchmarkGEMMBlocked for the macro-loop sharding speedup; on the 1-CPU
-// CI host the pool time-shares one core and the pair instead bounds the
-// sharding dispatch overhead (recorded in BENCH_gemm.json).
+// work items across every core; compare against BenchmarkGEMMBlocked for
+// the macro-loop sharding speedup (recorded in BENCH_gemm.json).
 func BenchmarkGEMMBlockedParallel(b *testing.B) {
 	eng := NewEngine(Blocked, 0)
 	b.Run(fmt.Sprintf("tile=%s/workers=%d", eng.Tile(), eng.Workers()), func(b *testing.B) {
@@ -84,9 +82,12 @@ func BenchmarkGEMMInt8(b *testing.B) {
 	})
 }
 
-func BenchmarkGEMMParallel(b *testing.B) {
-	eng := NewEngine(Parallel, 0) // shared pool, sized by GOMAXPROCS
-	b.Run(fmt.Sprintf("workers=%d", eng.Workers()), func(b *testing.B) {
+// BenchmarkGEMMDefault runs the engine every nn layer gets when nothing is
+// configured — Auto on the shared pool — which must track
+// BenchmarkGEMMBlockedParallel: "auto" and "blocked" are one path.
+func BenchmarkGEMMDefault(b *testing.B) {
+	eng := NewEngine(Auto, 0)
+	b.Run(fmt.Sprintf("tile=%s/workers=%d", eng.Tile(), eng.Workers()), func(b *testing.B) {
 		for _, s := range gemmShapes {
 			b.Run(s.name, func(b *testing.B) { benchGEMM(b, eng, s.m, s.k, s.n) })
 		}

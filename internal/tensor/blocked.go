@@ -30,7 +30,7 @@ import (
 // order — and each C tile is computed by exactly one micro-kernel call
 // per KC step whatever the item grouping — which is what makes
 // blocked-serial and blocked-parallel bit-for-bit identical regardless of
-// worker count, the same guarantee the row-sharded naive backend gives.
+// worker count.
 // Relative to the naive kernel the accumulation *tree* differs (per-panel
 // register sums are added to C once per KC step), so naive-vs-blocked
 // agreement is tolerance-based, not exact.
@@ -138,10 +138,15 @@ func microKernelNames() string {
 // allocations — guarded by TestBlockedZeroAlloc.
 type panelBuf struct{ data []float32 }
 
-var panelPool sync.Pool
+// Packed-A blocks (MC×KC, ≤128 KB at the default tile, one per worker
+// chunk) and packed-B slabs (KC×N, megabytes for a conv-lowered GEMM, one
+// per GEMM) come from separate pools: getPanel grows a too-small buffer to
+// the request, so in one shared pool every A buffer would converge on the
+// largest B slab ever seen.
+var packAPool, packBPool sync.Pool
 
-func getPanel(n int) *panelBuf {
-	pb, _ := panelPool.Get().(*panelBuf)
+func getPanel(pool *sync.Pool, n int) *panelBuf {
+	pb, _ := pool.Get().(*panelBuf)
 	if pb == nil {
 		pb = &panelBuf{}
 	}
@@ -151,8 +156,6 @@ func getPanel(n int) *panelBuf {
 	pb.data = pb.data[:n]
 	return pb
 }
-
-func putPanel(pb *panelBuf) { panelPool.Put(pb) }
 
 // packA packs the mc×kc block of A starting at (ic, pc) into MR-row
 // panels: dst[panel][kk*mr+i] = A[ic+panel*mr+i][pc+kk], zero-padding
@@ -253,9 +256,9 @@ type blockedArgs struct {
 	bTrans      bool
 	tile        TileConfig
 	kern        microKernel
-	apPerBlk    int // packed-A floats needed per MC block
-	nGroups     int // NR-panel groups per MC block (work-item minor axis)
-	groupCols   int // C columns per panel group (multiple of NR)
+	apPerBlk    int        // packed-A floats needed per MC block
+	nGroups     int        // NR-panel groups per MC block (work-item minor axis)
+	groupCols   int        // C columns per panel group (multiple of NR)
 	fused       bool       // pack B straight from an image plane
 	geom        Im2colGeom // fused-path geometry (b holds the image)
 }
@@ -274,14 +277,15 @@ func (g *blockedArgs) packPanels(lo, hi int) {
 
 // runItems packs and multiplies flattened (MC block × NR panel group) work
 // items [lo, hi); item = block*nGroups + group. Each invocation owns one
-// pooled packed-A buffer and packs a block's A panels lazily on first
-// entering the block, so a chunk spanning several blocks packs each once
-// and parallel chunks that split a block pay at most one redundant pack
-// per chunk. The packed-B slab is shared read-only.
+// pooled packed-A buffer (with the edge-tile staging area at its tail) and
+// packs a block's A panels lazily on first entering the block, so a chunk
+// spanning several blocks packs each once and parallel chunks that split a
+// block pay at most one redundant pack per chunk. The packed-B slab is
+// shared read-only.
 func (g *blockedArgs) runItems(lo, hi int) {
 	mc, mr, nr := g.tile.MC, g.tile.MR, g.tile.NR
-	apb := getPanel(g.apPerBlk)
-	ap := apb.data
+	apb := getPanel(&packAPool, g.apPerBlk+maxMR*maxNR)
+	ap, stage := apb.data[:g.apPerBlk], apb.data[g.apPerBlk:]
 	lastBlk := -1
 	mcur := 0
 	for item := lo; item < hi; item++ {
@@ -317,15 +321,26 @@ func (g *blockedArgs) runItems(lo, hi int) {
 					g.kern(g.kc, apPanel, bpPanel, g.c[cOff:], g.ldc, g.first)
 					continue
 				}
-				// Edge tile: a generic partial-width kernel with the same
-				// accumulation tree as the register kernels (sum a full
-				// k-panel from zero, then one store/add into C), so edge
-				// values match the full-tile path bit-for-bit.
-				kernEdge(g.kc, mr, nr, mrcur, ncur, apPanel, bpPanel, g.c[cOff:], g.ldc, g.first)
+				// Edge tile: the panels are zero-padded to full MR×NR groups,
+				// so the register kernel runs at full width into the staging
+				// tile and only the valid corner reaches C — the same
+				// accumulation tree as a full tile (sum a k-panel from zero,
+				// then one store/add into C), at the same speed.
+				g.kern(g.kc, apPanel, bpPanel, stage, nr, true)
+				for i := 0; i < mrcur; i++ {
+					crow, srow := g.c[cOff+i*g.ldc:][:ncur], stage[i*nr:][:ncur]
+					if g.first {
+						copy(crow, srow)
+						continue
+					}
+					for j, v := range srow {
+						crow[j] += v
+					}
+				}
 			}
 		}
 	}
-	putPanel(apb)
+	packAPool.Put(apb)
 }
 
 // blockedGEMM runs one cache-blocked GEMM. pool may be nil (serial);
@@ -397,7 +412,7 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	}
 	nItems := nBlocks * nGroups
 
-	bpb := getPanel(kc0 * nPanelsB * t.NR)
+	bpb := getPanel(&packBPool, kc0*nPanelsB*t.NR)
 	g, _ := argsPool.Get().(*blockedArgs)
 	if g == nil {
 		g = &blockedArgs{}
@@ -433,31 +448,10 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	}
 	*g = blockedArgs{} // drop the operand references before pooling
 	argsPool.Put(g)
-	putPanel(bpb)
+	packBPool.Put(bpb)
 }
 
 var argsPool sync.Pool
-
-// kernEdge handles partial micro-tiles at the M/N fringes: mrcur×ncur
-// elements of C at stride ldc, from panels packed with full mr/nr
-// groups. It is a direct call (no function-value indirection), keeping
-// the blocked hot path allocation-free.
-func kernEdge(kc, mr, nr, mrcur, ncur int, ap, bp, c []float32, ldc int, first bool) {
-	for i := 0; i < mrcur; i++ {
-		crow := c[i*ldc : i*ldc+ncur]
-		for j := 0; j < ncur; j++ {
-			var s float32
-			for kk := 0; kk < kc; kk++ {
-				s += ap[kk*mr+i] * bp[kk*nr+j]
-			}
-			if first {
-				crow[j] = s
-			} else {
-				crow[j] += s
-			}
-		}
-	}
-}
 
 // The register micro-kernels. Each accumulates an MR×NR tile over the kc
 // packed groups in ascending k order, then stores (first) or adds
@@ -632,11 +626,24 @@ func kern8x4(kc int, ap, bp, c []float32, ldc int, first bool) {
 }
 
 // kern8x8go is the portable 8×8 path: 64 scalar accumulators exceed the
-// register file, so it reuses the generic edge kernel, which has the
-// identical accumulation tree. The SIMD build (kern8x8_amd64.s) replaces
-// it wherever AVX2+FMA is available.
+// register file, so it sums one C element at a time — the identical
+// accumulation tree, a k-panel from zero then one store/add into C. The
+// SIMD build (kern8x8_amd64.s) replaces it wherever AVX2+FMA is available.
 func kern8x8go(kc int, ap, bp, c []float32, ldc int, first bool) {
-	kernEdge(kc, 8, 8, 8, 8, ap, bp, c, ldc, first)
+	for i := 0; i < 8; i++ {
+		crow := c[i*ldc : i*ldc+8]
+		for j := range crow {
+			var s float32
+			for kk := 0; kk < kc; kk++ {
+				s += ap[kk*8+i] * bp[kk*8+j]
+			}
+			if first {
+				crow[j] = s
+			} else {
+				crow[j] += s
+			}
+		}
+	}
 }
 
 func kern4x8(kc int, ap, bp, c []float32, ldc int, first bool) {

@@ -17,6 +17,14 @@ func blockedEngines() (naive, blkSerial, blkParallel *Engine) {
 	return naive, blkSerial, blkParallel
 }
 
+// runBlocked runs one GEMM straight on the blocked kernels — no engine, so
+// single-row shapes are not rerouted to the matrix–vector path and the
+// kernels' M == 1 edge handling stays covered — unsharded for one worker,
+// otherwise sharded across a private pool of that size.
+func runBlocked(workers int, tile TileConfig, c, a, b *Tensor, m, n, k int, aTrans, bTrans bool) {
+	blockedGEMM(c.Data, a.Data, b.Data, m, n, k, aTrans, bTrans, tile, newWorkerPool(workers), workers > 1)
+}
+
 // testTile is a deliberately small, non-round tiling (MC not a multiple
 // of MR, small KC) so modest test shapes cross every blocking boundary:
 // partial MR/NR micro-tiles, partial MC blocks and partial KC panels.
@@ -48,27 +56,25 @@ func checkTensorsClose(t *testing.T, what string, got, want *Tensor, tol float32
 // serial vs blocked parallel bit-for-bit.
 func checkBlockedShape(t *testing.T, m, k, n int, seed int64, tile TileConfig) {
 	t.Helper()
-	naive, bs, bp := blockedEngines()
-	if err := bs.SetTile(tile); err != nil {
-		t.Fatalf("SetTile(%v): %v", tile, err)
+	if err := tile.Validate(); err != nil {
+		t.Fatalf("tile %v: %v", tile, err)
 	}
-	if err := bp.SetTile(tile); err != nil {
-		t.Fatalf("SetTile(%v): %v", tile, err)
-	}
+	naive := NewEngine(Serial, 1)
 	rng := rand.New(rand.NewSource(seed))
 	a := randTensor(rng, m, k)
 	b := randTensor(rng, k, n)
 	at := randTensor(rng, k, m) // stored transposed for TransA
 	bt := randTensor(rng, n, k) // stored transposed for TransB
 
-	type variant struct {
-		name string
-		run  func(e *Engine, c *Tensor)
-	}
-	variants := []variant{
-		{"MatMulInto", func(e *Engine, c *Tensor) { e.MatMulInto(c, a, b) }},
-		{"MatMulTransAInto", func(e *Engine, c *Tensor) { e.MatMulTransAInto(c, at, b) }},
-		{"MatMulTransBInto", func(e *Engine, c *Tensor) { e.MatMulTransBInto(c, a, bt) }},
+	variants := []struct {
+		name           string
+		oracle         func(c *Tensor)
+		a, b           *Tensor
+		aTrans, bTrans bool
+	}{
+		{"MatMulInto", func(c *Tensor) { naive.MatMulInto(c, a, b) }, a, b, false, false},
+		{"MatMulTransAInto", func(c *Tensor) { naive.MatMulTransAInto(c, at, b) }, at, b, true, false},
+		{"MatMulTransBInto", func(c *Tensor) { naive.MatMulTransBInto(c, a, bt) }, a, bt, false, true},
 	}
 	for _, v := range variants {
 		want := New(m, n)
@@ -79,9 +85,9 @@ func checkBlockedShape(t *testing.T, m, k, n int, seed int64, tile TileConfig) {
 			gotS.Data[i] = 999
 			gotP.Data[i] = -999
 		}
-		v.run(naive, want)
-		v.run(bs, gotS)
-		v.run(bp, gotP)
+		v.oracle(want)
+		runBlocked(1, tile, gotS, v.a, v.b, m, n, k, v.aTrans, v.bTrans)
+		runBlocked(4, tile, gotP, v.a, v.b, m, n, k, v.aTrans, v.bTrans)
 		checkTensorsClose(t, v.name+" blocked-vs-naive", gotS, want, 1e-4)
 		if !bitIdentical(gotS, gotP) {
 			t.Fatalf("%s %dx%dx%d tile %v: blocked parallel diverges bit-for-bit from blocked serial",
@@ -164,23 +170,14 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		rng := rand.New(rand.NewSource(int64(900 + si)))
 		a, b := randTensor(rng, m, k), randTensor(rng, k, n)
-		serial := NewEngine(Blocked, 1)
-		if err := serial.SetTile(testTile); err != nil {
-			t.Fatal(err)
-		}
 		ref := New(m, n)
-		serial.MatMulInto(ref, a, b)
+		runBlocked(1, testTile, ref, a, b, m, n, k, false, false)
 		for _, w := range []int{2, 3, 4, 7} {
-			e := NewEngine(Blocked, w)
-			e.SetParallelThreshold(0)
-			if err := e.SetTile(testTile); err != nil {
-				t.Fatal(err)
-			}
 			got := New(m, n)
 			for i := range got.Data {
 				got.Data[i] = -1
 			}
-			e.MatMulInto(got, a, b)
+			runBlocked(w, testTile, got, a, b, m, n, k, false, false)
 			if !bitIdentical(got, ref) {
 				t.Fatalf("%dx%dx%d: %d-worker blocked GEMM diverges bit-for-bit from serial", m, k, n, w)
 			}
@@ -290,24 +287,9 @@ func TestTileConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockedEngineKnobs covers the Blocked additions to the backend
-// surface: parsing, PlanGEMM resolution and the tile accessors.
-func TestBlockedEngineKnobs(t *testing.T) {
-	if b, err := ParseBackend(" Blocked "); err != nil || b != Blocked {
-		t.Fatalf("ParseBackend(blocked) = %v, %v", b, err)
-	}
-	if Blocked.String() != "blocked" {
-		t.Fatalf("Blocked.String() = %q", Blocked.String())
-	}
-
+// TestBlockedTileKnobs covers the tile accessors.
+func TestBlockedTileKnobs(t *testing.T) {
 	e := NewEngine(Blocked, 4)
-	if b, w := e.PlanGEMM(256, 256, 256); b != Blocked || w != 4 {
-		t.Fatalf("above-threshold blocked PlanGEMM = %v/%d, want blocked/4", b, w)
-	}
-	if b, w := e.PlanGEMM(2, 2, 2); b != Blocked || w != 1 {
-		t.Fatalf("below-threshold blocked PlanGEMM = %v/%d, want blocked/1", b, w)
-	}
-
 	if e.Tile() != DefaultTile {
 		t.Fatalf("unpinned Tile() = %v, want DefaultTile", e.Tile())
 	}
@@ -349,12 +331,85 @@ func TestEngineFromEnvKnobs(t *testing.T) {
 	if !e.Autotune() {
 		t.Fatal("autotune not enabled")
 	}
-	// A bad tile string is ignored, not fatal; defaults survive.
+	// Bad tile and backend strings (the retired "parallel" included) are
+	// ignored, not fatal; the defaults survive, and the default backend
+	// resolves to the blocked kernels.
 	e2 := engineFromEnv(func(k string) string {
-		return map[string]string{"PCNN_GEMM_TILE": "nonsense"}[k]
+		return map[string]string{"PCNN_GEMM_TILE": "nonsense", "PCNN_GEMM_BACKEND": "parallel"}[k]
 	})
-	if e2.Tile() != DefaultTile || e2.Backend() != Auto {
-		t.Fatalf("bad-env engine = %v/%v", e2.Backend(), e2.Tile())
+	if e2.Tile() != DefaultTile || e2.Backend() != Auto || e2.Backend().Resolved() != Blocked {
+		t.Fatalf("bad-env engine = %v (resolved %v) / %v", e2.Backend(), e2.Backend().Resolved(), e2.Tile())
+	}
+	if e3 := engineFromEnv(func(string) string { return "" }); e3.Backend().Resolved() != Blocked {
+		t.Fatalf("empty-env engine resolves to %v, want blocked", e3.Backend().Resolved())
+	}
+}
+
+// maxClose reports max|got−want| ≤ tol·max|want|, the oracle form the
+// benchmark's conv check uses.
+func maxClose(got, want *Tensor, tol float64) (diff, scale float64, ok bool) {
+	for i, v := range want.Data {
+		diff = math.Max(diff, math.Abs(float64(got.Data[i]-v)))
+		scale = math.Max(scale, math.Abs(float64(v)))
+	}
+	return diff, scale, diff <= tol*scale && !math.IsNaN(diff)
+}
+
+// TestDefaultEngineMatchesOracleLayerShapes holds the production path — a
+// default-constructed engine at the production tile, sharded and not — to
+// the naive Serial oracle within 1e-3 of the largest output on the GEMMs
+// the networks actually run: the five full-size AlexNet conv layers
+// (ungrouped, batch 1), the AlexNet-S conv and FC shapes, and the edge
+// cases blocking has to pad for.
+func TestDefaultEngineMatchesOracleLayerShapes(t *testing.T) {
+	shapes := []struct {
+		name    string
+		m, k, n int
+		large   bool
+	}{
+		{"AlexNet_conv1", 96, 363, 3025, true},
+		{"AlexNet_conv2", 256, 2400, 729, true},
+		{"AlexNet_conv3", 384, 2304, 169, true},
+		{"AlexNet_conv4", 384, 3456, 169, true},
+		{"AlexNet_conv5", 256, 3456, 169, true},
+		{"AlexNetS_conv1", 12, 27, 256, false},
+		{"AlexNetS_conv2", 24, 108, 64, false},
+		{"AlexNetS_conv3", 32, 216, 16, false},
+		{"AlexNetS_conv4", 32, 288, 16, false},
+		{"AlexNetS_conv5", 24, 288, 16, false},
+		{"AlexNetS_fc6_b32", 32, 96, 48, false},
+		{"AlexNetS_fc8_b32", 32, 48, 8, false},
+		{"M1", 1, 300, 77, false},
+		{"N1", 77, 300, 1, false},
+		{"K_lt_KC", 40, DefaultTile.KC - 1, 50, false},
+		{"N_not_multiple_of_NR", 40, 2*DefaultTile.KC + 3, 8*7 + 3, false},
+	}
+	oracle := NewEngine(Serial, 1)
+	def, sharded := NewEngine(Auto, 1), NewEngine(Auto, 4)
+	sharded.SetParallelThreshold(0)
+	for si, s := range shapes {
+		if s.large && (testing.Short() || raceEnabled) {
+			continue // seconds of naive oracle; the race detector learns nothing new from them
+		}
+		rng := rand.New(rand.NewSource(int64(700 + si)))
+		a, b := randTensor(rng, s.m, s.k), randTensor(rng, s.k, s.n)
+		at, bt := randTensor(rng, s.k, s.m), randTensor(rng, s.n, s.k)
+		for _, v := range []struct {
+			name string
+			run  func(e *Engine) *Tensor
+		}{
+			{"MatMul", func(e *Engine) *Tensor { return e.MatMul(a, b) }},
+			{"MatMulTransA", func(e *Engine) *Tensor { return e.MatMulTransA(at, b) }},
+			{"MatMulTransB", func(e *Engine) *Tensor { return e.MatMulTransB(a, bt) }},
+		} {
+			want, got := v.run(oracle), v.run(def)
+			if diff, scale, ok := maxClose(got, want, 1e-3); !ok {
+				t.Fatalf("%s %s: max difference %g exceeds 1e-3 of max magnitude %g", s.name, v.name, diff, scale)
+			}
+			if !bitIdentical(v.run(sharded), got) {
+				t.Fatalf("%s %s: 4-worker result diverges bit-for-bit from unsharded", s.name, v.name)
+			}
+		}
 	}
 }
 

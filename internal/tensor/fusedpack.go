@@ -159,7 +159,8 @@ func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, nr, plo, phi int) {
 
 // im2colGeomInto materializes the dense column matrix (Rows()×Cols(),
 // row-major) — the slow reference the fused path is tested against, and
-// the fallback MatMulIm2colInto uses on non-blocked backends.
+// the fallback MatMulIm2colInto uses on the serial oracle and at reduced
+// precision.
 func im2colGeomInto(dst, x []float32, g Im2colGeom) {
 	n := g.Cols()
 	row := 0
@@ -189,9 +190,9 @@ func im2colGeomInto(dst, x []float32, g Im2colGeom) {
 
 // MatMulIm2colInto computes C = A·B where B is the implicit im2col column
 // matrix of image plane x under geometry g — Rows()×Cols(), never
-// materialized on the blocked backend, whose KC×NR panels are packed
-// straight from the image. Other backends materialize B into pooled
-// scratch and run the ordinary GEMM, so the call is valid (if not faster)
+// materialized by the blocked kernels, whose KC×NR panels are packed
+// straight from the image. The serial oracle materializes B into pooled
+// scratch and runs the ordinary GEMM, so the call is valid (if not faster)
 // on every backend. A is M×Rows(); C must be M×Cols().
 func (e *Engine) MatMulIm2colInto(c, a *Tensor, x []float32, g Im2colGeom) {
 	if err := g.Validate(); err != nil {
@@ -207,13 +208,9 @@ func (e *Engine) MatMulIm2colInto(c, a *Tensor, x []float32, g Im2colGeom) {
 	requireOut("MatMulIm2colInto", c, m, n)
 	// Reduced precision materializes and delegates: the fused packer is
 	// fp32-only, and the quantized paths need the dense operand anyway.
-	if e.Backend() == Blocked && e.Precision() == FP32 {
-		t := e.tileFor(m, k, n)
-		if cur := e.lastTile.Load(); cur == nil || *cur != t {
-			record := t
-			e.lastTile.Store(&record)
-		}
-		blockedGEMMIm2col(c.Data, a.Data, x, m, g, t, e.pool, e.shouldParallel(m, n, k))
+	if e.usesBlocked(m) && e.Precision() == FP32 {
+		t, parallel := e.planBlocked(m, k, n)
+		blockedGEMMIm2col(c.Data, a.Data, x, m, g, t, e.pool, parallel)
 		return
 	}
 	cols, release := NewScratch(k, n)

@@ -28,17 +28,12 @@ func geomFrom(c8, hw8, k8, s8, p8 uint8) (Im2colGeom, bool) {
 }
 
 // checkFusedShape runs one (geometry, filter count) case through the
-// fused path on blocked-serial and blocked-parallel engines and asserts
+// fused kernel, unsharded and sharded across a 4-worker pool, and asserts
 // both are bit-identical to the two-step im2col + blocked GEMM reference.
+// It drives the kernels directly (see runBlocked) so a single-filter case
+// still exercises the fused packer.
 func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileConfig) {
 	t.Helper()
-	_, bs, bp := blockedEngines()
-	if err := bs.SetTile(tile); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.SetTile(tile); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(seed))
 	k, n := g.Rows(), g.Cols()
 	a := randTensor(rng, m, k)
@@ -50,17 +45,17 @@ func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileCon
 	cols := New(k, n)
 	im2colGeomInto(cols.Data, x.Data, g)
 	want := New(m, n)
-	bs.MatMulInto(want, a, cols)
+	runBlocked(1, tile, want, a, cols, m, n, k, false, false)
 
-	for name, e := range map[string]*Engine{"serial": bs, "parallel": bp} {
+	for _, workers := range []int{1, 4} {
 		got := New(m, n)
 		for i := range got.Data {
 			got.Data[i] = -999
 		}
-		e.MatMulIm2colInto(got, a, x.Data, g)
+		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, tile, newWorkerPool(workers), workers > 1)
 		if !bitIdentical(got, want) {
-			t.Fatalf("fused %s geom %+v m=%d tile %v: diverges bit-for-bit from two-step im2col+packB",
-				name, g, m, tile)
+			t.Fatalf("fused %d-worker geom %+v m=%d tile %v: diverges bit-for-bit from two-step im2col+packB",
+				workers, g, m, tile)
 		}
 	}
 }
@@ -87,24 +82,32 @@ func TestFusedPackKnownShapes(t *testing.T) {
 	}
 }
 
-// TestFusedPackFallbackBackends covers MatMulIm2colInto on non-blocked
-// engines: the materializing fallback must agree with the naive GEMM over
-// the materialized column matrix.
-func TestFusedPackFallbackBackends(t *testing.T) {
+// TestFusedPackEveryBackend covers MatMulIm2colInto across the backend
+// names: the serial oracle's materializing fallback must agree exactly
+// with the naive GEMM over the materialized column matrix, and Auto must
+// take the fused path — bit-identical to explicit Blocked, sharded or not.
+func TestFusedPackEveryBackend(t *testing.T) {
 	g := Im2colGeom{C: 2, H: 7, W: 7, K: 3, Stride: 2, Pad: 1, HO: 4, WO: 4}
 	rng := rand.New(rand.NewSource(9))
 	a := randTensor(rng, 6, g.Rows())
 	x := randTensor(rng, g.C, g.H, g.W)
 	cols := New(g.Rows(), g.Cols())
 	im2colGeomInto(cols.Data, x.Data, g)
-	want := New(6, g.Cols())
-	NewEngine(Serial, 1).MatMulInto(want, a, cols)
-	for _, e := range []*Engine{NewEngine(Serial, 1), NewEngine(Parallel, 2), NewEngine(Auto, 1)} {
+	run := func(e *Engine) *Tensor {
 		got := New(6, g.Cols())
 		e.MatMulIm2colInto(got, a, x.Data, g)
-		if !bitIdentical(got, want) {
-			t.Fatalf("backend %v fallback diverges from serial reference", e.Backend())
-		}
+		return got
+	}
+	if !bitIdentical(run(NewEngine(Serial, 1)), NewEngine(Serial, 1).MatMul(a, cols)) {
+		t.Fatal("serial fallback diverges from the naive GEMM over the materialized columns")
+	}
+	auto, blk, ref := testEngines()
+	want := run(ref)
+	if !bitIdentical(run(auto), want) || !bitIdentical(run(blk), want) {
+		t.Fatal("auto / blocked / unsharded blocked fused GEMMs are not bit-identical")
+	}
+	if !bitIdentical(want, ref.MatMul(a, cols)) {
+		t.Fatal("fused GEMM diverges from the blocked GEMM over the materialized columns")
 	}
 }
 

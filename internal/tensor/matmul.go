@@ -5,9 +5,9 @@ import "fmt"
 // The three GEMM variants the CNN engine lowers to (forward, and the two
 // transposed forms the backward passes need) each come as an allocating
 // form and an Into form writing a caller-owned output, all with uniform
-// shape checks. Execution — serial or sharded across the worker pool — is
-// decided by the Engine in parallel.go; the package-level functions
-// delegate to Default().
+// shape checks. Execution — the blocked kernels, serial or sharded across
+// the worker pool — is decided by the Engine in parallel.go; the
+// package-level functions delegate to Default().
 
 // require2D panics unless both operands are rank-2.
 func require2D(op string, a, b *Tensor) {
@@ -37,7 +37,6 @@ func requireOut(op string, c *Tensor, m, n int) {
 func MatMul(a, b *Tensor) *Tensor { return Default().MatMul(a, b) }
 
 // MatMulInto computes C = A·B into an existing C, which must be M×N.
-// The loop order (i,k,j) streams B and C rows for cache friendliness.
 func MatMulInto(c, a, b *Tensor) { Default().MatMulInto(c, a, b) }
 
 // MatMulTransA computes C = Aᵀ·B where A is K×M and B is K×N, producing
@@ -89,11 +88,11 @@ func (e *Engine) matMulInto(op string, c, a, b *Tensor) {
 // engine ran before the precision axis, and the core the FP16 mode
 // reuses on its rounded operand copies.
 func (e *Engine) matMulFP32(cd, ad, bd []float32, m, k, n int) {
-	if e.Backend() == Blocked {
-		e.blockedInto(cd, ad, bd, m, n, k, false, false)
+	if !e.usesBlocked(m) {
+		matMulNaive(cd, ad, bd, m, k, n)
 		return
 	}
-	e.dispatch(m, n, k, func(lo, hi int) { matMulRows(cd, ad, bd, lo, hi, k, n) })
+	e.blockedInto(cd, ad, bd, m, n, k, false, false)
 }
 
 // MatMulTransA computes C = Aᵀ·B into a freshly allocated M×N tensor.
@@ -113,12 +112,11 @@ func (e *Engine) matMulTransAInto(op string, c, a, b *Tensor) {
 	requireInner(op, a.Dim(0), b.Dim(0))
 	k, m, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	requireOut(op, c, m, n)
-	cd, ad, bd := c.Data, a.Data, b.Data
-	if e.Backend() == Blocked {
-		e.blockedInto(cd, ad, bd, m, n, k, true, false)
+	if !e.usesBlocked(m) {
+		matMulTransANaive(c.Data, a.Data, b.Data, m, k, n)
 		return
 	}
-	e.dispatch(m, n, k, func(lo, hi int) { matMulTransARows(cd, ad, bd, lo, hi, k, m, n) })
+	e.blockedInto(c.Data, a.Data, b.Data, m, n, k, true, false)
 }
 
 // MatMulTransB computes C = A·Bᵀ into a freshly allocated M×N tensor.
@@ -138,22 +136,21 @@ func (e *Engine) matMulTransBInto(op string, c, a, b *Tensor) {
 	requireInner(op, a.Dim(1), b.Dim(1))
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
 	requireOut(op, c, m, n)
-	cd, ad, bd := c.Data, a.Data, b.Data
-	if e.Backend() == Blocked {
-		e.blockedInto(cd, ad, bd, m, n, k, false, true)
+	if !e.usesBlocked(m) {
+		matMulTransBNaive(c.Data, a.Data, b.Data, m, k, n)
 		return
 	}
-	e.dispatch(m, n, k, func(lo, hi int) { matMulTransBRows(cd, ad, bd, lo, hi, k, n) })
+	e.blockedInto(c.Data, a.Data, b.Data, m, n, k, false, true)
 }
 
-// The row kernels below compute output rows [lo, hi) and are shared by the
-// serial and parallel paths. Each output row's additions happen in the
-// same order regardless of chunking, which is what makes the two paths
-// bit-for-bit equivalent.
+// The naive kernels below are the Serial backend — the seed's triple loops,
+// kept as the oracle the blocked kernels are tested against — and the
+// matrix–vector path of every backend (usesBlocked).
 
-// matMulRows computes rows of C = A·B; A is M×K, B is K×N.
-func matMulRows(cd, ad, bd []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
+// matMulNaive computes C = A·B; A is M×K, B is K×N. The loop order
+// (i,k,j) streams B and C rows.
+func matMulNaive(cd, ad, bd []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		crow := cd[i*n : (i+1)*n]
 		for j := range crow {
 			crow[j] = 0
@@ -172,9 +169,9 @@ func matMulRows(cd, ad, bd []float32, lo, hi, k, n int) {
 	}
 }
 
-// matMulTransARows computes rows of C = Aᵀ·B; A is K×M, B is K×N.
-func matMulTransARows(cd, ad, bd []float32, lo, hi, k, m, n int) {
-	for i := lo; i < hi; i++ {
+// matMulTransANaive computes C = Aᵀ·B; A is K×M, B is K×N.
+func matMulTransANaive(cd, ad, bd []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		crow := cd[i*n : (i+1)*n]
 		for j := range crow {
 			crow[j] = 0
@@ -192,9 +189,9 @@ func matMulTransARows(cd, ad, bd []float32, lo, hi, k, m, n int) {
 	}
 }
 
-// matMulTransBRows computes rows of C = A·Bᵀ; A is M×K, B is N×K.
-func matMulTransBRows(cd, ad, bd []float32, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
+// matMulTransBNaive computes C = A·Bᵀ; A is M×K, B is N×K.
+func matMulTransBNaive(cd, ad, bd []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {

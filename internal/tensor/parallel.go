@@ -11,28 +11,30 @@ import (
 )
 
 // This file is the host-side compute backend: a persistent worker pool and
-// an Engine that decides, per GEMM, whether to run the row-blocked kernels
-// serially or sharded across the pool. The split mirrors the paper's view
-// that the parallelization strategy of a lowered SGEMM is itself a tunable
-// dimension of the per-layer kernel choice (Section IV.B) — here the
-// tunable is serial-vs-parallel on the host, selected by a FLOP threshold
-// so that small tuner probes never pay goroutine dispatch overhead.
+// an Engine that runs every GEMM on the cache-blocked packed-panel kernels
+// (blocked.go), serially below a FLOP threshold and sharded across the pool
+// above it. The split mirrors the paper's view that the parallelization
+// strategy of a lowered SGEMM is itself a tunable dimension of the
+// per-layer kernel choice (Section IV.B) — here the tunable is
+// serial-vs-sharded on the host, selected by a FLOP threshold so that small
+// tuner probes never pay the pool's wake-up and barrier cost.
 //
-// Both paths run the identical row kernels in the identical per-row order,
-// so serial and parallel execution are bit-for-bit equivalent; tests in
-// parallel_test.go and nn's determinism tests rely on this.
+// Sharding never changes a result: every C tile is computed by one
+// micro-kernel call per KC step whatever the worker count, so serial and
+// sharded execution are bit-for-bit equivalent; tests in parallel_test.go,
+// blocked_test.go and nn's determinism tests rely on this.
 
-// Backend selects how the engine executes GEMM kernels.
+// Backend selects which GEMM kernels the engine runs.
 type Backend int32
 
 const (
-	// Auto runs serially below the FLOP threshold and in parallel above
-	// it (and only when more than one worker is available).
+	// Auto is the default and means Blocked: the routine the measurements
+	// selected (BENCH_gemm.json) is the one that serves traffic.
 	Auto Backend = iota
-	// Serial always runs on the calling goroutine.
+	// Serial runs the naive row kernels on the calling goroutine. It is the
+	// oracle the fuzz/equivalence tests and bench/ compare against, not a
+	// production path.
 	Serial
-	// Parallel always shards rows across the worker pool.
-	Parallel
 	// Blocked runs the cache-blocked packed-panel kernels (blocked.go),
 	// sharding (MC block × NR panel group) work items across the pool
 	// above the FLOP threshold.
@@ -46,52 +48,66 @@ func (b Backend) String() string {
 		return "auto"
 	case Serial:
 		return "serial"
-	case Parallel:
-		return "parallel"
 	case Blocked:
 		return "blocked"
 	}
 	return fmt.Sprintf("Backend(%d)", int32(b))
 }
 
-// ParseBackend converts a name ("auto", "serial", "parallel", "blocked")
-// to a Backend.
+// Resolved returns the kernel family the backend actually runs: Auto is
+// Blocked, the other two are themselves.
+func (b Backend) Resolved() Backend {
+	if b == Auto {
+		return Blocked
+	}
+	return b
+}
+
+// ParseBackend converts a name ("auto", "blocked", "serial") to a Backend.
 func ParseBackend(s string) (Backend, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "auto", "":
 		return Auto, nil
 	case "serial":
 		return Serial, nil
-	case "parallel":
-		return Parallel, nil
 	case "blocked":
 		return Blocked, nil
 	}
-	return Auto, fmt.Errorf("tensor: unknown backend %q (want auto, serial, parallel or blocked)", s)
+	return Auto, fmt.Errorf("tensor: unknown backend %q (want auto, blocked or serial)", s)
 }
 
 // GEMMFlops returns the multiply-add FLOP count 2·M·N·K of one GEMM, the
-// quantity the Auto backend thresholds on.
+// quantity the engine thresholds on.
 func GEMMFlops(m, n, k int) int64 {
 	return 2 * int64(m) * int64(n) * int64(k)
 }
 
-// DefaultParallelThreshold is the Auto backend's default minimum GEMM FLOP
-// count for parallel dispatch. Below it a single goroutine finishes before
-// the pool could even be woken; the value corresponds roughly to a
-// 64×64×32 multiply.
-const DefaultParallelThreshold = 1 << 18
+// DefaultParallelThreshold is the default minimum FLOP count of one sharded
+// step. A blocked GEMM pays two pool barriers (pack B, then the work items)
+// per KC-deep slice, so the quantity thresholded is the slice's
+// 2·M·N·min(K, KC), not the whole GEMM's FLOPs — a deep, narrow product
+// (32×4096×1000) is many cheap slices, not one expensive GEMM. A barrier
+// that finds its worker parked costs a thread wake-up, which on a
+// virtualized host is an exit to the hypervisor — tens of microseconds or
+// more, twice per slice. Measured on the 2-vCPU reference host, median
+// unsharded → sharded by slice size: 4.2 MFLOP (128³) 112 → 165 µs;
+// 8.2 (32×1024×500) 1.9 → 2.1 ms; 16.4 (32×4096×1000) 10.5 → 18.8 ms;
+// 22.2 (AlexNet conv5, 256×3456×169) 10.1 → 7.5 ms; 33.2 (conv3,
+// 384×2304×169) 9.2 → 6.6 ms; 65.5 (128×1024×1000) 6.6 → 4.2 ms. Sharding
+// loses through 16 MFLOP per slice and wins from 22, so the default sits
+// between them: 2²⁴ is M·N = 32768 at KC = 256, ≈0.35 ms unsharded.
+const DefaultParallelThreshold = 1 << 24
 
-// poolTask is one row chunk queued on the worker pool.
+// poolTask is one index chunk queued on the worker pool.
 type poolTask struct {
 	fn     func(lo, hi int)
 	lo, hi int
 	wg     *sync.WaitGroup
 }
 
-// workerPool is a persistent set of goroutines consuming row chunks. It
+// workerPool is a persistent set of goroutines consuming index chunks. It
 // starts lazily on first use so that importing the package (or running
-// with a serial backend) never spawns goroutines.
+// below the threshold) never spawns goroutines.
 type workerPool struct {
 	once  sync.Once
 	size  int // requested; resolved to GOMAXPROCS at start when <= 0
@@ -127,7 +143,7 @@ func (p *workerPool) workers() int {
 
 // parallelFor splits [0, n) into one chunk per worker and runs fn over the
 // chunks, executing the first chunk on the calling goroutine. Chunks are
-// row-disjoint, so the only synchronization is the final wait. Tasks never
+// disjoint, so the only synchronization is the final wait. Tasks never
 // block inside fn, so queueing from several concurrent callers is safe.
 func (p *workerPool) parallelFor(n int, fn func(lo, hi int)) {
 	p.once.Do(p.start)
@@ -189,9 +205,9 @@ func NewEngine(b Backend, workers int) *Engine {
 // defaultEngine serves every package-level MatMul* call. Its knobs come
 // from the environment:
 //
-//	PCNN_GEMM_BACKEND     auto | serial | parallel | blocked  (default auto)
-//	PCNN_GEMM_WORKERS     worker-pool size                    (default GOMAXPROCS)
-//	PCNN_GEMM_THRESHOLD   min FLOPs for Auto/Blocked to go parallel
+//	PCNN_GEMM_BACKEND     auto | blocked | serial   (default auto = blocked)
+//	PCNN_GEMM_WORKERS     worker-pool size          (default GOMAXPROCS)
+//	PCNN_GEMM_THRESHOLD   min FLOPs of one KC-deep slice for it to shard
 //	PCNN_GEMM_PRECISION   fp32 | fp16 | int8 forward-GEMM precision
 //	PCNN_GEMM_TUNE        1/on = lazy per-shape-class tile autotuning
 //	PCNN_GEMM_TILE        pinned blocked tile, MCxKCxMRxNR
@@ -249,75 +265,50 @@ func (e *Engine) SetBackend(b Backend) { e.backend.Store(int32(b)) }
 // Backend returns the engine's current backend.
 func (e *Engine) Backend() Backend { return Backend(e.backend.Load()) }
 
-// SetParallelThreshold sets the Auto backend's minimum GEMM FLOP count
-// (2·M·N·K) for parallel dispatch. Safe for concurrent use.
+// SetParallelThreshold sets the minimum FLOP count of one sharded step
+// (see DefaultParallelThreshold). Safe for concurrent use.
 func (e *Engine) SetParallelThreshold(flops int64) { e.threshold.Store(flops) }
 
-// ParallelThreshold returns the Auto backend's FLOP threshold.
+// ParallelThreshold returns the sharding FLOP threshold.
 func (e *Engine) ParallelThreshold() int64 { return e.threshold.Load() }
 
 // Workers returns the size of the engine's worker pool.
 func (e *Engine) Workers() int { return e.pool.workers() }
 
-// shouldParallel decides the execution strategy for an M×N×K GEMM. For
-// the Blocked backend "parallel" means sharding (MC block × NR panel
-// group) work items rather than raw rows, so it can go wide even at
-// M == 1 (the N dimension shards); the threshold logic is the same as
-// Auto's.
+// usesBlocked reports whether a GEMM with M output rows runs on the
+// blocked kernels. The Serial oracle never does, and neither does M == 1:
+// a matrix–vector product touches every B element once, so packing B costs
+// as much as the multiply and the MR-row register tile is 7/8 padding —
+// measured 1.6–2.6× slower than the naive row kernel on all three forms
+// (1×96×48 2.3 vs 4.3 µs, 1×4096×1000 1.7 vs 4.6 ms), while M ≥ 2 is at
+// parity or better.
+func (e *Engine) usesBlocked(m int) bool { return e.Backend() != Serial && m != 1 }
+
+// shouldParallel reports whether one sharded step of M×N×K multiply-adds —
+// a whole int8 GEMM, or one KC-deep slice of a blocked GEMM — is worth the
+// pool's barriers. The blocked shard unit is an (MC block × NR panel group)
+// work item rather than a row, so a GEMM can go wide even when M fits one
+// block (the N dimension shards).
 func (e *Engine) shouldParallel(m, n, k int) bool {
-	switch e.Backend() {
-	case Serial:
-		return false
-	case Parallel:
-		return m > 1
-	case Blocked:
-		return m*n > 1 && GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
-	default: // Auto
-		return m > 1 && GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
-	}
+	return e.Backend() != Serial && m*n > 1 &&
+		GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
 }
 
-// PlanGEMM reports how the engine would execute an M×N×K GEMM: the
-// resolved backend (never Auto) and the number of workers it would use.
-// The per-layer kernel tuner records this as the host-side dimension of
-// its kernel choice.
-func (e *Engine) PlanGEMM(m, n, k int) (Backend, int) {
-	par := e.shouldParallel(m, n, k)
-	if e.Backend() == Blocked {
-		if par {
-			return Blocked, e.pool.workers()
-		}
-		return Blocked, 1
-	}
-	if par {
-		return Parallel, e.pool.workers()
-	}
-	return Serial, 1
-}
-
-// blockedInto runs one blocked GEMM under the engine's resolved tile and
-// parallel decision, recording the tile that served it for ActiveTile.
-// The record is skipped when the tile is unchanged so the steady-state
-// path stays allocation-free.
-func (e *Engine) blockedInto(c, a, b []float32, m, n, k int, aTrans, bTrans bool) {
+// planBlocked resolves one blocked GEMM: its tile, recorded for ActiveTile
+// (skipped when unchanged so the steady-state path stays allocation-free),
+// and whether its KC-deep slices shard across the pool.
+func (e *Engine) planBlocked(m, k, n int) (TileConfig, bool) {
 	t := e.tileFor(m, k, n)
 	if cur := e.lastTile.Load(); cur == nil || *cur != t {
 		record := t // copy in the cold branch only, so t itself stays off the heap
 		e.lastTile.Store(&record)
 	}
-	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, t, e.pool, e.shouldParallel(m, n, k))
+	return t, e.shouldParallel(m, n, min(k, t.KC))
 }
 
-// dispatch runs the row kernel over [0, m), sharded when the backend says
-// so. Both paths invoke the same kernel with the same per-row order, so
-// results are bit-for-bit identical either way.
-func (e *Engine) dispatch(m, n, k int, rows func(lo, hi int)) {
-	if m == 0 {
-		return
-	}
-	if e.shouldParallel(m, n, k) {
-		e.pool.parallelFor(m, rows)
-		return
-	}
-	rows(0, m)
+// blockedInto runs one blocked GEMM under the engine's resolved tile and
+// sharding decision.
+func (e *Engine) blockedInto(c, a, b []float32, m, n, k int, aTrans, bTrans bool) {
+	t, parallel := e.planBlocked(m, k, n)
+	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, t, e.pool, parallel)
 }

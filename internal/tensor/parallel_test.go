@@ -8,16 +8,20 @@ import (
 	"testing"
 )
 
-// Engines under test: a pure-serial reference and a forced-parallel engine
-// with a private 4-worker pool, so row sharding is exercised even on a
-// single-CPU host.
-func testEngines() (serial, parallel *Engine) {
-	return NewEngine(Serial, 1), NewEngine(Parallel, 4)
+// Engines under test: the default-constructed Auto engine and an explicit
+// Blocked one, both with a private 4-worker pool and a zero threshold so
+// every GEMM shards even on a single-CPU host, plus the unsharded blocked
+// reference.
+func testEngines() (auto, blocked, unsharded *Engine) {
+	auto, blocked = NewEngine(Auto, 4), NewEngine(Blocked, 4)
+	auto.SetParallelThreshold(0)
+	blocked.SetParallelThreshold(0)
+	return auto, blocked, NewEngine(Blocked, 1)
 }
 
 // bitIdentical reports whether two tensors are exactly equal, bit for bit
-// (no tolerance — the parallel backend must reproduce serial results
-// exactly, since both run the same row kernel in the same order).
+// (no tolerance — sharding must reproduce unsharded results exactly, since
+// every C tile sees the same micro-kernel calls in the same order).
 func bitIdentical(a, b *Tensor) bool {
 	if len(a.Data) != len(b.Data) {
 		return false
@@ -31,11 +35,12 @@ func bitIdentical(a, b *Tensor) bool {
 }
 
 // checkAllVariantsEquivalent runs the three GEMM variants for one (m,k,n)
-// shape under the serial and parallel engines and fails on any bit
-// difference.
+// shape at the production tile and fails unless Auto ≡ explicit Blocked ≡
+// unsharded blocked bit for bit — "auto" and "blocked" are two names for
+// one path, whatever the worker count.
 func checkAllVariantsEquivalent(t *testing.T, m, k, n int, seed int64) {
 	t.Helper()
-	ser, par := testEngines()
+	auto, blk, ref := testEngines()
 	rng := rand.New(rand.NewSource(seed))
 
 	a := randTensor(rng, m, k)
@@ -43,48 +48,38 @@ func checkAllVariantsEquivalent(t *testing.T, m, k, n int, seed int64) {
 	at := randTensor(rng, k, m) // stored transposed for TransA
 	bt := randTensor(rng, n, k) // stored transposed for TransB
 
-	if got, want := par.MatMul(a, b), ser.MatMul(a, b); !bitIdentical(got, want) {
-		t.Fatalf("MatMul %dx%dx%d: parallel diverges from serial", m, k, n)
+	same := func(op string, run func(e *Engine) *Tensor) {
+		t.Helper()
+		want := run(ref)
+		if !bitIdentical(run(auto), want) || !bitIdentical(run(blk), want) {
+			t.Fatalf("%s %dx%dx%d: auto / blocked / unsharded blocked are not bit-identical", op, m, k, n)
+		}
 	}
-	if got, want := par.MatMulTransA(at, b), ser.MatMulTransA(at, b); !bitIdentical(got, want) {
-		t.Fatalf("MatMulTransA %dx%dx%d: parallel diverges from serial", m, k, n)
-	}
-	if got, want := par.MatMulTransB(a, bt), ser.MatMulTransB(a, bt); !bitIdentical(got, want) {
-		t.Fatalf("MatMulTransB %dx%dx%d: parallel diverges from serial", m, k, n)
-	}
+	same("MatMul", func(e *Engine) *Tensor { return e.MatMul(a, b) })
+	same("MatMulTransA", func(e *Engine) *Tensor { return e.MatMulTransA(at, b) })
+	same("MatMulTransB", func(e *Engine) *Tensor { return e.MatMulTransB(a, bt) })
 
 	// Into forms over pooled scratch must agree too (and fully overwrite:
 	// scratch arrives with arbitrary contents).
-	cp, relP := NewScratch(m, n)
-	cs, relS := NewScratch(m, n)
-	defer relP()
-	defer relS()
-	for i := range cp.Data {
-		cp.Data[i] = 999
+	into := func(fill float32, run func(e *Engine, c *Tensor)) func(e *Engine) *Tensor {
+		return func(e *Engine) *Tensor {
+			c, release := NewScratch(m, n)
+			defer release()
+			for i := range c.Data {
+				c.Data[i] = fill
+			}
+			run(e, c)
+			return c.Clone()
+		}
 	}
-	for i := range cs.Data {
-		cs.Data[i] = -999
-	}
-	par.MatMulInto(cp, a, b)
-	ser.MatMulInto(cs, a, b)
-	if !bitIdentical(cp, cs) {
-		t.Fatalf("MatMulInto %dx%dx%d: parallel diverges from serial", m, k, n)
-	}
-	par.MatMulTransAInto(cp, at, b)
-	ser.MatMulTransAInto(cs, at, b)
-	if !bitIdentical(cp, cs) {
-		t.Fatalf("MatMulTransAInto %dx%dx%d: parallel diverges from serial", m, k, n)
-	}
-	par.MatMulTransBInto(cp, a, bt)
-	ser.MatMulTransBInto(cs, a, bt)
-	if !bitIdentical(cp, cs) {
-		t.Fatalf("MatMulTransBInto %dx%dx%d: parallel diverges from serial", m, k, n)
-	}
+	same("MatMulInto", into(999, func(e *Engine, c *Tensor) { e.MatMulInto(c, a, b) }))
+	same("MatMulTransAInto", into(-999, func(e *Engine, c *Tensor) { e.MatMulTransAInto(c, at, b) }))
+	same("MatMulTransBInto", into(7, func(e *Engine, c *Tensor) { e.MatMulTransBInto(c, a, bt) }))
 }
 
-// TestParallelMatchesSerialRandomShapes is the property-style equivalence
-// sweep: ragged sizes around chunk boundaries, plus many random shapes.
-func TestParallelMatchesSerialRandomShapes(t *testing.T) {
+// TestAutoMatchesBlockedRandomShapes is the property-style equivalence
+// sweep: ragged sizes around micro-tile boundaries, plus many random shapes.
+func TestAutoMatchesBlockedRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 31, 33, 64}
 	for trial := 0; trial < 60; trial++ {
@@ -95,9 +90,9 @@ func TestParallelMatchesSerialRandomShapes(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialDegenerateShapes pins the edge cases: empty M,
-// N or K, and single-row outputs that cannot be sharded.
-func TestParallelMatchesSerialDegenerateShapes(t *testing.T) {
+// TestAutoMatchesBlockedDegenerateShapes pins the edge cases: empty M,
+// N or K, and single-row outputs that shard along N only.
+func TestAutoMatchesBlockedDegenerateShapes(t *testing.T) {
 	shapes := [][3]int{
 		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {0, 0, 0},
 		{1, 5, 7}, {1, 1, 1}, {2, 1, 1}, {5, 1, 9},
@@ -107,77 +102,80 @@ func TestParallelMatchesSerialDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialVGGShape exercises the acceptance-criterion
+// TestAutoMatchesBlockedVGGShape exercises the acceptance-criterion
 // geometry (a VGG conv lowered to GEMM) once at full size.
-func TestParallelMatchesSerialVGGShape(t *testing.T) {
+func TestAutoMatchesBlockedVGGShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large GEMM in -short mode")
 	}
 	checkAllVariantsEquivalent(t, 64, 512, 256, 7)
 }
 
-// TestAutoBackendMatchesSerial checks the threshold path: an Auto engine
-// must agree with serial both below and above its FLOP threshold.
-func TestAutoBackendMatchesSerial(t *testing.T) {
+// TestAutoThresholdBitIdentical checks the threshold path: a default
+// engine must agree with the unsharded blocked kernels both below and
+// above its FLOP threshold.
+func TestAutoThresholdBitIdentical(t *testing.T) {
 	auto := NewEngine(Auto, 4)
 	auto.SetParallelThreshold(1000)
-	ser := NewEngine(Serial, 1)
+	ref := NewEngine(Blocked, 1)
 	rng := rand.New(rand.NewSource(3))
 	for _, shape := range [][3]int{{2, 3, 4}, {32, 16, 32}} {
 		a := randTensor(rng, shape[0], shape[1])
 		b := randTensor(rng, shape[1], shape[2])
-		if !bitIdentical(auto.MatMul(a, b), ser.MatMul(a, b)) {
+		if !bitIdentical(auto.MatMul(a, b), ref.MatMul(a, b)) {
 			t.Fatalf("auto engine diverges at shape %v", shape)
 		}
 	}
 }
 
-// TestEngineKnobs covers backend/threshold accessors and PlanGEMM's
-// serial-vs-parallel resolution.
+// TestEngineKnobs covers the backend/threshold accessors and the
+// serial-vs-sharded decision.
 func TestEngineKnobs(t *testing.T) {
 	e := NewEngine(Auto, 4)
-	if e.Backend() != Auto {
-		t.Fatalf("Backend = %v, want auto", e.Backend())
-	}
-	e.SetBackend(Parallel)
-	if e.Backend() != Parallel {
-		t.Fatalf("Backend = %v after SetBackend", e.Backend())
+	if e.Backend() != Auto || e.Backend().Resolved() != Blocked {
+		t.Fatalf("Backend = %v resolving to %v, want auto resolving to blocked", e.Backend(), e.Backend().Resolved())
 	}
 	if e.Workers() != 4 {
 		t.Fatalf("Workers = %d, want 4", e.Workers())
 	}
-	if b, w := e.PlanGEMM(64, 64, 64); b != Parallel || w != 4 {
-		t.Fatalf("forced-parallel PlanGEMM = %v/%d", b, w)
+	if e.ParallelThreshold() != DefaultParallelThreshold {
+		t.Fatalf("ParallelThreshold = %d, want the default %d", e.ParallelThreshold(), DefaultParallelThreshold)
 	}
-	e.SetBackend(Serial)
-	if b, w := e.PlanGEMM(64, 64, 64); b != Serial || w != 1 {
-		t.Fatalf("forced-serial PlanGEMM = %v/%d", b, w)
-	}
-	e.SetBackend(Auto)
 	e.SetParallelThreshold(GEMMFlops(64, 64, 64) + 1)
-	if b, _ := e.PlanGEMM(64, 64, 64); b != Serial {
-		t.Fatalf("below-threshold PlanGEMM = %v, want serial", b)
+	if e.shouldParallel(64, 64, 64) {
+		t.Fatal("a GEMM below the threshold shards")
 	}
 	e.SetParallelThreshold(GEMMFlops(64, 64, 64))
-	if b, _ := e.PlanGEMM(64, 64, 64); b != Parallel {
-		t.Fatalf("at-threshold PlanGEMM = %v, want parallel", b)
+	if !e.shouldParallel(64, 64, 64) {
+		t.Fatal("a GEMM at the threshold does not shard")
 	}
-	if e.ParallelThreshold() != GEMMFlops(64, 64, 64) {
-		t.Fatalf("ParallelThreshold round-trip failed")
+	if !e.shouldParallel(1, 64*64, 64) {
+		t.Fatal("a single-row GEMM cannot shard along N")
+	}
+	e.SetBackend(Serial)
+	if e.Backend() != Serial || e.Backend().Resolved() != Serial || e.shouldParallel(64, 64, 64) {
+		t.Fatalf("the serial oracle shards (backend %v)", e.Backend())
+	}
+	if NewEngine(Auto, 1).shouldParallel(512, 512, 512) {
+		t.Fatal("a one-worker engine shards")
 	}
 }
 
 func TestParseBackendRoundTrip(t *testing.T) {
-	for _, b := range []Backend{Auto, Serial, Parallel} {
+	for _, b := range []Backend{Auto, Serial, Blocked} {
 		got, err := ParseBackend(b.String())
 		if err != nil || got != b {
 			t.Fatalf("ParseBackend(%q) = %v, %v", b.String(), got, err)
 		}
 	}
-	if _, err := ParseBackend("gpu"); err == nil {
-		t.Fatalf("ParseBackend accepted unknown backend")
+	// The retired row-sharded spelling gets the standard unknown-backend
+	// error, like any other name the engine never had.
+	for _, name := range []string{"gpu", "parallel"} {
+		if _, err := ParseBackend(name); err == nil || !strings.Contains(err.Error(), "want auto, blocked or serial") {
+			t.Fatalf("ParseBackend(%q) error = %v", name, err)
+		}
 	}
-	if b, err := ParseBackend(" Parallel "); err != nil || b != Parallel {
+	if b, err := ParseBackend(" Blocked "); err != nil || b != Blocked {
 		t.Fatalf("ParseBackend is not case/space tolerant: %v, %v", b, err)
 	}
 }
@@ -263,8 +261,7 @@ func TestIntoFormsWriteCallerBuffer(t *testing.T) {
 // goroutines issuing sharded GEMMs at once must neither race nor corrupt
 // each other's outputs. Run under -race in CI.
 func TestConcurrentParallelGEMM(t *testing.T) {
-	_, par := testEngines()
-	ser := NewEngine(Serial, 1)
+	par, _, ser := testEngines()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
@@ -350,8 +347,8 @@ func TestScratchConcurrent(t *testing.T) {
 }
 
 // FuzzMatMulShapes fuzzes shape handling: any small (m,k,n) must give
-// bit-identical serial and parallel results for all three variants, with
-// no panics on degenerate dimensions.
+// bit-identical default, blocked and unsharded results for all three
+// variants, with no panics on degenerate dimensions.
 func FuzzMatMulShapes(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint8(5), int64(1))
 	f.Add(uint8(0), uint8(1), uint8(2), int64(2))

@@ -269,8 +269,10 @@ func grow32(s []float32, n int) []float32 {
 }
 
 // matMulInt8 computes C = A·B in symmetric int8: quantize, accumulate
-// exactly in int32 row kernels (sharded like the fp32 rows when the
-// backend would go parallel), dequantize with sa[i]·sb[j] on store.
+// exactly in int32 row kernels (rows sharded across the pool when the
+// whole product clears the sharding threshold — integer sums are
+// order-independent, so sharding cannot change them), dequantize with
+// sa[i]·sb[j] on store.
 func (e *Engine) matMulInt8(cd, ad, bd []float32, m, k, n int) {
 	buf := int8Scratch.Get().(*int8Buffers)
 	buf.a8 = grow8(buf.a8, m*k)
@@ -280,7 +282,7 @@ func (e *Engine) matMulInt8(cd, ad, bd []float32, m, k, n int) {
 	quantizeRowsInt8(buf.a8, buf.sa, ad, m, k)
 	quantizeColsInt8(buf.b8, buf.sb, bd, k, n)
 	a8, b8, sa, sb := buf.a8, buf.b8, buf.sa, buf.sb
-	e.dispatch(m, n, k, func(lo, hi int) {
+	rows := func(lo, hi int) {
 		acc := make([]int32, n)
 		for i := lo; i < hi; i++ {
 			for j := range acc {
@@ -303,6 +305,11 @@ func (e *Engine) matMulInt8(cd, ad, bd []float32, m, k, n int) {
 				crow[j] = float32(v) * si * sb[j]
 			}
 		}
-	})
+	}
+	if e.shouldParallel(m, n, k) {
+		e.pool.parallelFor(m, rows)
+	} else {
+		rows(0, m)
+	}
 	int8Scratch.Put(buf)
 }

@@ -39,7 +39,7 @@ func TestF16RoundProperties(t *testing.T) {
 	// Exact fixtures spanning the format's edges.
 	fixtures := []struct{ in, want float32 }{
 		{0, 0}, {1, 1}, {-1, -1}, {0.5, 0.5}, {65504, 65504},
-		{1e-8, 0},                // below half the smallest subnormal
+		{1e-8, 0},                        // below half the smallest subnormal
 		{100000, float32(math.Inf(1))},   // overflow saturates
 		{-100000, float32(math.Inf(-1))}, // ...on both sides
 	}
@@ -119,12 +119,13 @@ func TestMatMulInt8(t *testing.T) {
 		a, b := randTensor(rng, m, k), randTensor(rng, k, n)
 		want := int8Ref(a.Data, b.Data, m, k, n)
 
-		// Serial, parallel and blocked engines agree exactly: integer
-		// accumulation is order-free per row and rows are disjoint.
+		// The serial oracle and the row-sharded default engines agree
+		// exactly: integer accumulation is order-free per row and rows
+		// are disjoint.
 		for _, mk := range []struct {
 			backend Backend
 			workers int
-		}{{Serial, 1}, {Parallel, 4}, {Blocked, 4}} {
+		}{{Serial, 1}, {Auto, 4}, {Blocked, 4}} {
 			eng := NewEngine(mk.backend, mk.workers)
 			eng.SetParallelThreshold(0)
 			eng.SetPrecision(Int8)
