@@ -1,15 +1,19 @@
 GO ?= go
+# OUT is the directory the BENCH_*.json generators (bench-serve, scenarios,
+# soak-fleet) write into; bench-verify points it at a temp dir.
+OUT ?= .
 
-.PHONY: ci vet build build-arm64 test test-short race e2e soak-fleet bench bench-gemm bench-serve bench-fleet fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-bench test test-short race e2e soak-fleet bench bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
 # build under GOARCH=arm64, so amd64-only CI would never parse them), the
-# tier-1 test suite, the race detector over the packages that own the
-# sharded GEMM engine and the serving/scenario/fleet pipelines, the
-# real-daemon e2e suite (short-mode capped), and the scenario + fleet
-# smoke grids.
-ci: vet build build-arm64 test race e2e scenarios-smoke fleet-smoke
+# benchmark module's vet + build against this tree's API, the tier-1 test
+# suite, the race detector over the packages that own the sharded GEMM
+# engine and the serving/scenario/fleet pipelines, the real-daemon e2e
+# suite (short-mode capped), the scenario + fleet smoke grids, and the
+# byte-for-byte regeneration of the two sub-second committed bench files.
+ci: vet build build-arm64 build-bench test race e2e scenarios-smoke fleet-smoke bench-verify-fast
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +28,12 @@ build:
 build-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
+# build-bench vets and builds the benchmark module (bench/, its own go.mod
+# with `replace pcnn => ../`) against this tree, so an API break against
+# the frozen benchmark sources fails here instead of in the pipeline.
+build-bench:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
 test:
 	$(GO) test ./...
 
@@ -33,7 +43,9 @@ test-short:
 race:
 	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/serve/ ./internal/obs/ \
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
-		./internal/fleet/e2e/
+		./internal/fleet/e2e/ ./internal/simdrive/
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ \
+		-run 'TestMatrixSameSeedByteIdentical|TestSoakDeterministic|TestSoakChunkedMatchesMonolithic'
 
 # e2e runs the real-daemon end-to-end suite: N pcnnd-equivalent HTTP
 # daemons on loopback, an outer fleet of HTTPReplicas routing mixed-model
@@ -86,13 +98,14 @@ fuzz-mmpp:
 # chaos runs the seeded fault-injection suite — deterministic injector
 # streams, the serve-level chaos scenarios, and the hardening regressions
 # (drain-on-Close, breaker lifecycle, soak conservation, submit accounting
-# at one and two Ps) — under the race detector.
+# and the future-completion contract at one and two Ps) — under the race
+# detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ \
 		-run 'TestChaos|TestDeterministicStreams|TestStreamIndependence'
 	$(GO) test -race -count=1 ./internal/serve/ \
 		-run 'TestNoResolutionAfterCloseDrain|TestBreakerLifecycleServing|TestSoakConservation|TestExecTimeoutFailsAttempt'
-	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ -run 'TestSubmitAccountingRace'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ -run 'TestSubmitAccountingRace|TestCompletionContract'
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator
 # must serve every accepted request with positive SoC, and the virtual-clock
@@ -109,15 +122,31 @@ serve-smoke:
 # server's steady-state capacity, byte-reproducible at the fixed seed.
 bench-serve:
 	$(GO) run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance \
-		-n 300 -seed 42 -bench BENCH_serve.json
+		-n 300 -seed 42 -bench $(OUT)/BENCH_serve.json
+
+# bench-verify-fast reruns the two sub-second virtual-clock generators
+# (bench-serve, scenarios) into a temp dir and requires BENCH_serve.json and
+# BENCH_scenarios.{json,prom} byte-identical to the committed files;
+# bench-verify adds the full 1,000,000-request soak-fleet (~1 min), which
+# is why only the fast half rides in ci.
+bench-verify-fast:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
+	$(MAKE) --no-print-directory bench-serve scenarios OUT=$$tmp && \
+	for f in BENCH_serve.json BENCH_scenarios.json BENCH_scenarios.prom; do \
+		cmp $$tmp/$$f $$f; done && echo "bench-verify-fast: 3 files byte-identical"
+
+bench-verify: bench-verify-fast
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
+	$(MAKE) --no-print-directory soak-fleet OUT=$$tmp && \
+	cmp $$tmp/BENCH_fleet.json BENCH_fleet.json && echo "bench-verify: BENCH_fleet.json byte-identical"
 
 # scenarios regenerates the committed heterogeneous-fleet matrix
 # (BENCH_scenarios.json + BENCH_scenarios.prom): platforms × arrival
 # processes × chaos, mixed archetypes, bit-for-bit reproducible at the
 # fixed seed.
 scenarios:
-	$(GO) run ./cmd/pcnnd -scenarios BENCH_scenarios.json \
-		-scenarios-prom BENCH_scenarios.prom -seed 42
+	$(GO) run ./cmd/pcnnd -scenarios $(OUT)/BENCH_scenarios.json \
+		-scenarios-prom $(OUT)/BENCH_scenarios.prom -seed 42
 
 # scenarios-smoke runs the small scenario grid to stdout as a CI gate.
 scenarios-smoke:
@@ -129,7 +158,7 @@ scenarios-smoke:
 # hedging {off,on} over a mixed AlexNet+VGG+GoogLeNet trace with a
 # mid-soak hot-swap, byte-for-byte reproducible at the fixed seed.
 soak-fleet:
-	$(GO) run ./cmd/pcnnd -fleet-bench BENCH_fleet.json -requests 1000000 -seed 42
+	$(GO) run ./cmd/pcnnd -fleet-bench $(OUT)/BENCH_fleet.json -requests 1000000 -seed 42
 
 # bench-fleet is the historical name for the BENCH_fleet.json refresh; it
 # now delegates to the million-request soak so the committed file always

@@ -3,11 +3,11 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
+	"pcnn/internal/simdrive"
 	"pcnn/internal/workload"
 )
 
@@ -23,10 +23,6 @@ const SoakSchema = "pcnn-bench-fleet/v2"
 func soakTimeoutFor(requests int) time.Duration {
 	return 5*time.Minute + time.Duration(requests)*500*time.Microsecond
 }
-
-// soakEpoch anchors the virtual clock; a fixed origin keeps the committed
-// benchmark byte-reproducible.
-func soakEpoch() time.Time { return time.Unix(1_700_000_000, 0).UTC() }
 
 // soakModel is one model in the soak's fixed mixed-archetype deployment
 // set: the Section V.C pairing of networks to application archetypes.
@@ -232,29 +228,6 @@ type SoakReport struct {
 	Rows   []SoakRow `json:"rows"`
 }
 
-// soakBaseLevel mirrors serve's operating-point pick: the most aggressive
-// level whose recorded entropy stays inside the task's threshold.
-func soakBaseLevel(ex serve.Executor, task satisfaction.Task) int {
-	base := 0
-	for l := 0; l < ex.Levels(); l++ {
-		if ex.Entropy(l) <= task.EntropyThreshold {
-			base = l
-		}
-	}
-	return base
-}
-
-// soakCapacityRPS prices one executor's steady-state single-worker rate at
-// its base operating point — the same Eq 12 arithmetic as
-// Server.CapacityRPS, computable before any server exists.
-func soakCapacityRPS(ex serve.Executor, task satisfaction.Task) float64 {
-	pred := ex.PredictMS(soakBaseLevel(ex, task), ex.MaxBatch())
-	if pred <= 0 {
-		return 0
-	}
-	return float64(ex.MaxBatch()) * 1000 / pred
-}
-
 // RunSoak executes the full grid — every replica count with hedging off
 // and on, same offered trace — and assembles the report. Everything runs
 // on a virtual clock: the report is byte-reproducible.
@@ -284,7 +257,8 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	for i, m := range models {
 		cap := 0.0
 		for r := 0; r < spec.ReferenceN; r++ {
-			cap += soakCapacityRPS(exV1[i][spec.Platforms[r%len(spec.Platforms)]], m.task)
+			ex := exV1[i][spec.Platforms[r%len(spec.Platforms)]]
+			cap += serve.CapacityRPS(ex, m.task, ex.MaxBatch())
 		}
 		offered[i] = spec.Load * cap
 	}
@@ -350,20 +324,11 @@ func soakStreams(spec SoakSpec, models []soakModel, offered []float64) ([]worklo
 	return arrs, counts
 }
 
-// srvSoak is the driver's view of one serve.Server: the open batch
-// window, the single worker's busy horizon, and the prediction material
-// for composing windows the way the autonomous batcher would.
+// srvSoak is the driver's view of one serve.Server: the server and its
+// batch window, which owns the single worker's busy horizon.
 type srvSoak struct {
-	srv      *serve.Server
-	task     satisfaction.Task
-	ex       serve.Executor
-	maxBatch int
-	retired  bool // v1 server replaced by a hot-swap
-
-	pending     []*Ticket
-	windowClose time.Time
-	workerFree  time.Time
-	batches     uint64
+	srv *serve.Server
+	win *simdrive.Window
 }
 
 // pendingReq tracks one routed arrival until its last leg's batch
@@ -384,9 +349,8 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		soakTimeoutFor(spec.RequestsPerModel*len(models)))
 	defer cancel()
 
-	clk := workload.NewVirtualClock(soakEpoch())
+	clk := workload.NewVirtualClock(workload.Epoch())
 	reg := NewRegistry()
-	exByModel := make([]map[string]serve.Executor, len(models))
 	for i, m := range models {
 		d, err := NewDeployment(m.name, m.task, exV1[i])
 		if err != nil {
@@ -395,7 +359,6 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		if err := reg.Register(d); err != nil {
 			return SoakRow{}, err
 		}
-		exByModel[i] = exV1[i]
 	}
 	fl := New(reg, Config{Hedge: hedge, Clock: clk.Now})
 
@@ -424,20 +387,6 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	for _, o := range offered {
 		row.OfferedRPS += o
 	}
-	modelIdx := map[string]int{}
-	for i, m := range models {
-		modelIdx[m.name] = i
-	}
-
-	// exFor resolves the deployment executor a ticket's server runs, for
-	// window-hold prediction (v2 exists only for models[0]).
-	exFor := func(model string, version int, platform string) serve.Executor {
-		if version >= 2 && model == models[0].name {
-			return exV2[platform]
-		}
-		return exV1[modelIdx[model]][platform]
-	}
-
 	sched := workload.NewScheduleStream(soakStreams(spec, models, offered))
 	total := sched.Total()
 
@@ -469,45 +418,18 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	}
 
 	flush := func(st *srvSoak) error {
-		execStart := st.windowClose
-		if st.workerFree.After(execStart) {
-			execStart = st.workerFree
+		outs, err := st.win.Flush(ctx)
+		if err != nil {
+			return err
 		}
-		clk.Set(execStart)
-		moved := st.srv.Flush()
-		if moved != len(st.pending) {
-			return fmt.Errorf("flush moved %d of %d pending requests", moved, len(st.pending))
-		}
-		busyMS := 0.0
-		failed := false
-		for _, leg := range st.pending {
-			res, err := leg.Wait(ctx)
-			if err != nil {
-				failed = true
-				continue
-			}
-			busyMS = res.ExecMS
-		}
-		if !failed {
-			st.batches++
-			// The controller observes the batch after its futures resolve;
-			// wait for that observation so the next Level() read is
-			// deterministic.
-			if err := waitServeBatches(ctx, st.srv, st.batches); err != nil {
-				return err
-			}
-		}
-		if failed && busyMS == 0 {
-			busyMS = st.ex.PredictMS(st.srv.Level(), len(st.pending))
-		}
-		st.workerFree = execStart.Add(time.Duration(busyMS * float64(time.Millisecond)))
 		// Declare the simulated busy horizon: the driver resolves batches
 		// eagerly in wall-clock terms, so without this the backlog would be
 		// invisible to admission rejection and hedging predictions.
-		st.srv.SetBusyUntil(st.workerFree)
+		st.srv.SetBusyUntil(st.win.BusyUntil())
 		// Requests whose last leg just flushed resolve now and fold into
 		// the chunk aggregate.
-		for _, leg := range st.pending {
+		for _, o := range outs {
+			leg := o.Leg.(*Ticket)
 			pr := owners[leg]
 			if pr == nil {
 				continue
@@ -518,7 +440,6 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 				resolve(pr)
 			}
 		}
-		st.pending = nil
 		return nil
 	}
 
@@ -530,16 +451,21 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	i := 0
 	var lastAt time.Duration
 	next, hasNext := sched.Next()
-	for hasNext || anyPending(order) {
+	for {
+		// The open window closing first is the next flush; an arrival at or
+		// before that instant comes first.
 		var due *srvSoak
 		for _, st := range order {
-			if len(st.pending) > 0 && (due == nil || st.windowClose.Before(due.windowClose)) {
+			if st.win.Open() && (due == nil || st.win.CloseAt().Before(due.win.CloseAt())) {
 				due = st
 			}
 		}
+		if !hasNext && due == nil {
+			break
+		}
 		if hasNext {
-			t := soakEpoch().Add(next.At)
-			if due == nil || !t.After(due.windowClose) {
+			t := workload.Epoch().Add(next.At)
+			if due == nil || !t.After(due.win.CloseAt()) {
 				if !swapped && swapIdx >= 0 && i >= swapIdx {
 					// Hot-swap AlexNet's v2 (DVFS-scaled) deployment in
 					// mid-trace; v1 servers retire copy-on-write as each
@@ -576,38 +502,23 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 					srv := leg.Server()
 					st := states[srv]
 					if st == nil {
+						// Windows fill at the plan's compiled batch (the
+						// server's own cap is the wider deadline-aware one)
+						// and count accepted legs only.
 						platform := nodes[leg.Replica()].Platform()
-						ex := exFor(leg.Model(), leg.Version(), platform)
-						st = &srvSoak{
-							srv:      srv,
-							task:     models[modelIdx[leg.Model()]].task,
-							ex:       ex,
-							maxBatch: ex.MaxBatch(),
+						ex := exV1[mIdx][platform]
+						if leg.Version() >= 2 { // only models[0] is ever hot-swapped
+							ex = exV2[platform]
 						}
+						st = &srvSoak{srv: srv, win: simdrive.NewWindow(srv, ex, clk, ex.MaxBatch(), spec.LingerMS)}
 						states[srv] = st
 						order = append(order, st)
 					}
-					if len(st.pending) == 0 {
-						// Open the window the way the autonomous batcher
-						// would: hold for the first request's slack at the
-						// current level, capped by the linger.
-						pred := st.ex.PredictMS(st.srv.Level(), st.maxBatch)
-						hold := st.task.SlackMS(0, pred)
-						if hold < 0 {
-							hold = 0
-						}
-						if math.IsInf(hold, 1) || hold > spec.LingerMS {
-							hold = spec.LingerMS
-						}
-						st.windowClose = t.Add(time.Duration(hold * float64(time.Millisecond)))
-					}
-					st.pending = append(st.pending, leg)
-					if len(st.pending) >= st.maxBatch {
-						// A filled window flushes immediately, like the
-						// autonomous batcher's batch-full trigger; deferring
-						// could let a same-timestamp arrival overfill the
-						// window into a chunked flush.
-						st.windowClose = t
+					// A filled window flushes immediately, like the autonomous
+					// batcher's batch-full trigger; deferring could let a
+					// same-timestamp arrival overfill the window into a
+					// chunked flush.
+					if st.win.Add(t, leg) {
 						if err := flush(st); err != nil {
 							return SoakRow{}, err
 						}
@@ -626,12 +537,10 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	for _, id := range nodeIDs {
 		for _, srv := range nodes[id].TakeRetired() {
 			row.SwapDrained++
-			if st := states[srv]; st != nil {
-				st.retired = true
-			}
 			if err := srv.Close(ctx); err != nil {
 				return SoakRow{}, err
 			}
+			row.SwapFailed += srv.Stats().Failed
 		}
 	}
 
@@ -650,7 +559,7 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	row.FailedRequests = rowAgg.failed
 
 	// Fleet-wide serve totals over every server that took traffic.
-	makespan := soakEpoch().Add(lastAt)
+	makespan := workload.Epoch().Add(lastAt)
 	for _, st := range order {
 		snap := st.srv.Stats()
 		row.Submitted += snap.Submitted
@@ -659,9 +568,6 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		row.Rejected += snap.Rejected
 		row.RejectedUnmeetable += snap.RejectedUnmeetable
 		row.RejectedQueueFull += snap.RejectedQueueFull
-		if st.retired {
-			row.SwapFailed += snap.Failed
-		}
 		if snap.QueueDepth != 0 {
 			return SoakRow{}, fmt.Errorf("server drained with queue depth %d", snap.QueueDepth)
 		}
@@ -669,11 +575,11 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 			return SoakRow{}, fmt.Errorf("conservation violated: %d submitted != %d completed + %d failed",
 				snap.Submitted, snap.Completed, snap.Failed)
 		}
-		if st.workerFree.After(makespan) {
-			makespan = st.workerFree
+		if st.win.BusyUntil().After(makespan) {
+			makespan = st.win.BusyUntil()
 		}
 	}
-	row.MakespanMS = float64(makespan.Sub(soakEpoch())) / float64(time.Millisecond)
+	row.MakespanMS = float64(makespan.Sub(workload.Epoch())) / float64(time.Millisecond)
 	if row.MakespanMS > 0 {
 		row.ThroughputRPS = float64(row.Served) / (row.MakespanMS / 1000)
 	}
@@ -710,30 +616,4 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		return SoakRow{}, err
 	}
 	return row, nil
-}
-
-// anyPending reports whether any server still holds an open batch window.
-func anyPending(order []*srvSoak) bool {
-	for _, st := range order {
-		if len(st.pending) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// waitServeBatches spins (yielding) until the server's executed-batch
-// count reaches want, bounding the wait by ctx. BatchCount reads one
-// counter under the stats mutex — unlike Stats(), which sorts the whole
-// latency reservoir and made this poll quadratic at soak scale.
-func waitServeBatches(ctx context.Context, srv *serve.Server, want uint64) error {
-	for srv.BatchCount() < want {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("waiting for batch %d: %w", want, ctx.Err())
-		default:
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	return nil
 }

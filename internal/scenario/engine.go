@@ -12,6 +12,7 @@ import (
 	"pcnn/internal/nn"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
+	"pcnn/internal/simdrive"
 	"pcnn/internal/tensor"
 	"pcnn/internal/workload"
 )
@@ -197,19 +198,6 @@ func (e *Engine) executorFor(sp Spec, st StreamSpec, task satisfaction.Task) (se
 	return ex, plan, factor, nil
 }
 
-// baseLevel mirrors serve's operating-point pick: the most aggressive
-// level whose recorded entropy stays inside the task's threshold. The
-// engine uses it only to price capacity when deriving load-based rates.
-func baseLevel(ex serve.Executor, task satisfaction.Task) int {
-	base := 0
-	for l := 0; l < ex.Levels(); l++ {
-		if ex.Entropy(l) <= task.EntropyThreshold {
-			base = l
-		}
-	}
-	return base
-}
-
 // streamRate resolves a stream's mean arrival rate: explicit RateRPS, or
 // Load × the executor's serving capacity at its base operating point.
 func streamRate(st StreamSpec, task satisfaction.Task, ex serve.Executor, maxBatch int) float64 {
@@ -219,7 +207,9 @@ func streamRate(st StreamSpec, task satisfaction.Task, ex serve.Executor, maxBat
 	if st.RateRPS > 0 {
 		return st.RateRPS
 	}
-	pred := ex.PredictMS(baseLevel(ex, task), maxBatch)
+	// serve.CapacityRPS's arithmetic with Load multiplied in first: the
+	// product order is one ulp of the committed rate_rps values.
+	pred := ex.PredictMS(serve.BaseLevel(ex, task), maxBatch)
 	if pred <= 0 {
 		return st.Load * 100
 	}
@@ -274,10 +264,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	cap := serve.BatchCap(ex, task)
 	maxBatch := sp.MaxBatch
 	if maxBatch <= 0 || maxBatch > cap {
-		maxBatch = cap
-	}
-	if maxBatch < 1 {
-		maxBatch = 1
+		maxBatch = cap // BatchCap is at least 1
 	}
 
 	var inj *fault.Injector
@@ -294,7 +281,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 		}
 	}
 
-	clk := workload.NewVirtualClock(epoch())
+	clk := workload.NewVirtualClock(workload.Epoch())
 	cfg := serve.Config{
 		Workers:          1,
 		MaxBatch:         maxBatch,
@@ -323,83 +310,45 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 
 	rate := streamRate(st, task, ex, maxBatch)
 	arr, arrivalKind := arrivalsFor(st, task, rate, sp.Seed+int64(idx+1)*7919)
-	at := make([]time.Time, st.Requests)
-	cur := epoch()
-	for i := range at {
-		cur = cur.Add(arr.Next())
-		at[i] = cur
-	}
 
-	var results []serve.Result
-	workerFree := epoch()
-	var successBatches uint64
-	for i := 0; i < len(at); {
-		// Compose the batch the way the autonomous batcher would have: hold
-		// the window open for the oldest request's slack at the current
-		// level (capped by the linger), or until the batch fills.
-		level := srv.Level()
-		pred := ex.PredictMS(level, maxBatch)
-		hold := task.SlackMS(0, pred)
-		if hold < 0 {
-			hold = 0
-		}
-		if hold > cfg.LingerMS {
-			hold = cfg.LingerMS
-		}
-		closeAt := at[i].Add(time.Duration(hold * float64(time.Millisecond)))
-		j := i + 1
-		for j < len(at) && j-i < maxBatch && !at[j].After(closeAt) {
-			j++
-		}
-		var futs []*serve.Future
-		for k := i; k < j; k++ {
-			clk.Set(at[k])
-			f, err := srv.Submit()
-			if err != nil {
-				continue // injected admission saturation; tallied in the snapshot
+	// Every arrival occupies a window slot whether admission accepts it or
+	// not, and a refused one can open a window — the convention the
+	// committed matrix was generated under (the fleet soak counts accepted
+	// legs only).
+	win := simdrive.NewWindow(srv, ex, clk, maxBatch, sp.LingerMS)
+	var lats []float64
+	flush := func() error {
+		outs, err := win.Flush(ctx)
+		for _, o := range outs {
+			if o.Err == nil {
+				lats = append(lats, o.Res.ResponseMS)
 			}
-			futs = append(futs, f)
 		}
-		// The batch executes when its window closes (early if it filled) or
-		// when the single worker frees up, whichever is later.
-		flushAt := closeAt
-		if j-i >= maxBatch {
-			flushAt = at[j-1]
-		}
-		execStart := flushAt
-		if workerFree.After(execStart) {
-			execStart = workerFree
-		}
-		clk.Set(execStart)
-		moved := srv.Flush()
-		if moved != len(futs) {
-			return StreamRow{}, nil, fmt.Errorf("flush moved %d of %d pending requests", moved, len(futs))
-		}
-		busyMS := 0.0
-		failed := false
-		for _, f := range futs {
-			res, err := f.Wait(ctx)
-			if err != nil {
-				failed = true
-				continue
-			}
-			results = append(results, res)
-			busyMS = res.ExecMS
-		}
-		if len(futs) > 0 && !failed {
-			successBatches++
-			// The controller observes the batch after its futures resolve;
-			// wait for that observation (batchDone follows it) so the next
-			// round's Level() read is deterministic.
-			if err := waitBatches(ctx, srv, successBatches); err != nil {
+		return err
+	}
+	at := workload.Epoch()
+	for i := 0; i < st.Requests; i++ {
+		at = at.Add(arr.Next())
+		if win.Open() && at.After(win.CloseAt()) {
+			if err := flush(); err != nil {
 				return StreamRow{}, nil, err
 			}
 		}
-		if failed && busyMS == 0 {
-			busyMS = pred // failed batches still occupied the worker
+		clk.Set(at)
+		var leg simdrive.Leg
+		if f, err := srv.Submit(); err == nil {
+			leg = f
+		} // else refused (early rejection, injected saturation); tallied in the snapshot
+		if win.Add(at, leg) {
+			if err := flush(); err != nil {
+				return StreamRow{}, nil, err
+			}
 		}
-		workerFree = execStart.Add(time.Duration(busyMS * float64(time.Millisecond)))
-		i = j
+	}
+	if win.Open() {
+		if err := flush(); err != nil {
+			return StreamRow{}, nil, err
+		}
 	}
 	if err := srv.Close(ctx); err != nil {
 		return StreamRow{}, nil, err
@@ -438,25 +387,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 		FinalLevel:      snap.Level,
 		Faults:          counts,
 	}
-	lats := make([]float64, 0, len(results))
-	for _, r := range results {
-		lats = append(lats, r.ResponseMS)
-	}
 	return srow, lats, nil
-}
-
-// waitBatches spins (yielding) until the server's executed-batch count
-// reaches want, bounding the wait by ctx.
-func waitBatches(ctx context.Context, srv *serve.Server, want uint64) error {
-	for srv.Stats().Batches < want {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("waiting for batch %d: %w", want, ctx.Err())
-		default:
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	return nil
 }
 
 // RunMatrix runs every spec and assembles the matrix. progress, when
@@ -474,13 +405,4 @@ func (e *Engine) RunMatrix(specs []Spec, progress func(i int, name string)) (Mat
 		m.Rows = append(m.Rows, row)
 	}
 	return m, nil
-}
-
-// workloadArrivals is a compile-time check that every process the grammar
-// hands out satisfies the workload interface.
-var _ = []workload.Arrivals{
-	(*workload.OpenArrivals)(nil),
-	(*workload.PeriodicArrivals)(nil),
-	(*workload.MMPPArrivals)(nil),
-	(*workload.TraceArrivals)(nil),
 }

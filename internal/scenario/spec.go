@@ -9,16 +9,18 @@
 //
 // The virtual-time trick is what makes that possible: the engine owns a
 // settable clock the server reads (serve.Config.Clock), composes each
-// batch itself (serve.Config.ManualFlush + Server.Flush), and advances
-// time to each request's arrival instant before submitting it and to the
-// batch's execution instant before flushing it. Queueing delay,
-// escalation slack, deadline checks and recovery all run through serve's
-// own code paths — but on a clock with no jitter in it.
+// batch window through simdrive.Window (serve.Config.ManualFlush +
+// Server.Flush), and advances time to each request's arrival instant
+// before submitting it and to the batch's execution instant before
+// flushing it. It then waits on the batch's futures and nothing else:
+// serve resolves them only after the batch is accounted and the
+// controller has observed it, so no step of a run polls or sleeps.
+// Queueing delay, escalation slack, deadline checks and recovery all run
+// through serve's own code paths — but on a clock with no jitter in it.
 package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"pcnn/internal/fault"
 	"pcnn/internal/gpu"
@@ -193,9 +195,3 @@ func arrivalsFor(st StreamSpec, task satisfaction.Task, rate float64, seed int64
 		return workload.NewOpenArrivals(rate, seed), ArrivalPoisson
 	}
 }
-
-// epoch is the fixed instant every scenario's virtual clock starts at.
-// Nothing downstream depends on the calendar value — only on differences —
-// but fixing it keeps whole-run state (timestamps in traces, skewed
-// stamps) identical across processes and machines.
-func epoch() time.Time { return time.Unix(1_700_000_000, 0).UTC() }

@@ -6,6 +6,7 @@ import (
 
 	"pcnn/internal/fault"
 	"pcnn/internal/satisfaction"
+	"pcnn/internal/serve"
 	"pcnn/internal/workload"
 )
 
@@ -123,7 +124,7 @@ func TestStreamRate(t *testing.T) {
 	// Load-derived: 0.5 × capacity, capacity = batch·1000/PredictMS(base).
 	// goldenExec entropies are 0.3+0.2l; age detection's threshold admits
 	// level 1, where a 4-batch predicts 4·7 = 28 ms.
-	base := baseLevel(ex, age)
+	base := serve.BaseLevel(ex, age)
 	want := 0.5 * 4 * 1000 / ex.PredictMS(base, 4)
 	if r := streamRate(StreamSpec{Task: "age", Load: 0.5}, age, ex, 4); r != want {
 		t.Errorf("load-derived rate = %v, want %v (base level %d)", r, want, base)

@@ -332,12 +332,17 @@ func gatherInputs(reqs []*request) (batch *tensor.Tensor, demoted bool) {
 	return batch, false
 }
 
-// runBatch executes one batch, resolves its futures, and feeds the
-// entropy/slack signals back into the controller. Execution runs through
-// the hardening stack — circuit breaker, per-attempt timeout, bounded
-// retry with backoff — and only this worker resolves the batch's futures,
-// which is what keeps drain-on-Close exact: Close waits for the workers,
-// and no orphaned attempt can resolve anything after that.
+// runBatch executes one batch, feeds the entropy/slack signals back into
+// the controller, and resolves the batch's futures — in that order. The
+// completion contract: a resolved future implies its batch is fully
+// accounted (Stats, metrics — not the wall-clock trace ring) and the
+// controller has observed it, so a driver that waited on a batch's futures reads the next Level()
+// and Stats() deterministically without polling. The futures are buffered
+// and never block the worker. Execution runs through the hardening stack —
+// circuit breaker, per-attempt timeout, bounded retry with backoff — and
+// only this worker resolves the batch's futures, which is what keeps
+// drain-on-Close exact: Close waits for the workers, and no orphaned
+// attempt can resolve anything after that.
 func (s *Server) runBatch(job *batchJob) {
 	n := len(job.reqs)
 	start := s.stamp()
@@ -366,6 +371,7 @@ func (s *Server) runBatch(job *batchJob) {
 	perImageJ := res.EnergyJ / float64(n)
 	comfortable := true
 	sawDeadline := false
+	outs := make([]Result, n)
 	for i, r := range job.reqs {
 		queueMS := float64(start.Sub(r.at)) / float64(time.Millisecond)
 		if queueMS < 0 {
@@ -398,8 +404,7 @@ func (s *Server) runBatch(job *batchJob) {
 		r.tr.Mark("execute")
 		s.st.record(out)
 		s.met.observeResponse(job.level, responseMS)
-		r.fut.ch <- outcome{res: out}
-		s.finishTrace(r, n, job.level, demoted, nil)
+		outs[i] = out
 	}
 
 	// Comfortable means every deadline-bearing request in the batch
@@ -407,6 +412,14 @@ func (s *Server) runBatch(job *batchJob) {
 	// ease an escalated level back down.
 	s.ctrl.observe(res.Entropy > s.task.EntropyThreshold, sawDeadline && comfortable)
 	s.st.batchDone(n, job.quant)
+
+	// Futures last: everything above is what a resolved future promises.
+	// Parking the wall-clock traces is not part of that promise, so it
+	// overlaps with the waiter waking up.
+	for i, r := range job.reqs {
+		r.fut.ch <- outcome{res: outs[i]}
+		s.finishTrace(r, n, job.level, demoted, nil)
+	}
 }
 
 // finishTrace closes a request's trace (resolve stage), folds its stage

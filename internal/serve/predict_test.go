@@ -60,36 +60,3 @@ func TestPredictExportsRoutingState(t *testing.T) {
 		t.Errorf("loaded PredictMS %.3f != PredictCompletionMS %.3f", p.PredictMS, srv.PredictCompletionMS())
 	}
 }
-
-// TestBatchCountTracksStats pins the cheap accessor against the full
-// snapshot's batch tally.
-func TestBatchCountTracksStats(t *testing.T) {
-	ex := &fakeExec{maxBatch: 2, msPerImage: []float64{1}, entropies: []float64{0.1}}
-	srv, err := NewServer(ex, satisfaction.ImageTagging(), Config{Workers: 1, ManualFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	defer srv.Close(ctx)
-
-	if got := srv.BatchCount(); got != 0 {
-		t.Fatalf("idle BatchCount = %d, want 0", got)
-	}
-	var futs []*Future
-	for i := 0; i < 4; i++ {
-		f, err := srv.Submit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
-	}
-	srv.Flush()
-	waitAll(t, futs)
-	for srv.BatchCount() < 2 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if got, want := srv.BatchCount(), srv.Stats().Batches; got != want {
-		t.Errorf("BatchCount %d != Stats().Batches %d", got, want)
-	}
-}

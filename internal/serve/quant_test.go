@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"pcnn/internal/compile"
 	"pcnn/internal/nn"
@@ -58,20 +57,6 @@ func (q *quantExec) quantRecorded() ([]batchRecord, []tensor.Precision) {
 		append([]tensor.Precision(nil), q.quantPrec...)
 }
 
-// waitBatches blocks until n batches have finished end-to-end (including
-// the controller observe that runs after futures resolve), so sequential
-// flush tests see each batch's calibration effect before the next flush.
-func waitBatches(t *testing.T, s *Server, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for s.BatchCount() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d batches (have %d)", n, s.BatchCount())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestQuantRungEscalation: a deadline no fp32 flush can meet but the
 // quantized one can must ride the quant rung at the base level — the
 // quantize-before-perforate ordering — and surface that everywhere:
@@ -96,7 +81,6 @@ func TestQuantRungEscalation(t *testing.T) {
 	}
 	s.Flush()
 	res := waitAll(t, []*Future{f})[0]
-	waitBatches(t, s, 1)
 
 	if !res.Quantized || res.Level != 0 {
 		t.Fatalf("result quantized=%v level=%d, want quantized at level 0", res.Quantized, res.Level)
@@ -169,7 +153,6 @@ func TestQuantVetoAtServer(t *testing.T) {
 		}
 		s.Flush()
 		res := waitAll(t, []*Future{f})[0]
-		waitBatches(t, s, uint64(i+1))
 		if res.Quantized != w {
 			t.Fatalf("batch %d quantized = %v, want %v", i+1, res.Quantized, w)
 		}
@@ -216,7 +199,6 @@ func TestQuantGateNoHeadroom(t *testing.T) {
 	}
 	s.Flush()
 	res := waitAll(t, []*Future{f})[0]
-	waitBatches(t, s, 1)
 
 	if res.Quantized {
 		t.Fatal("batch quantized despite no entropy headroom")

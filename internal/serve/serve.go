@@ -215,7 +215,10 @@ type outcome struct {
 }
 
 // Future resolves to one request's Result once its batch executed. Wait
-// may be called once.
+// may be called once. Resolution is the last thing a batch does: by the
+// time Wait returns, the batch is fully accounted in Stats and the
+// degradation controller has observed it, so Level() already reflects any
+// calibration or recovery the batch caused.
 type Future struct{ ch chan outcome }
 
 // Wait blocks until the request is served, the server fails its batch, or
@@ -323,7 +326,7 @@ func newServer(ex Executor, task satisfaction.Task, cfg Config, timerHook func()
 		return nil, err
 	}
 	cfg = cfg.withDefaults(BatchCap(ex, task))
-	base := baseLevel(ex, task)
+	base := BaseLevel(ex, task)
 	// The entropy gate on the quantization rung: it arms only when the
 	// executor can actually run the configured precision and the base
 	// level's recorded entropy plus the mode's documented premium still
@@ -373,10 +376,10 @@ func newServer(ex Executor, task satisfaction.Task, cfg Config, timerHook func()
 	return s, nil
 }
 
-// baseLevel picks the preferred operating point the way the P-CNN
+// BaseLevel picks the preferred operating point the way the P-CNN
 // scheduler does: the most aggressive level whose recorded entropy stays
 // inside the task's threshold (level 0 when none does).
-func baseLevel(ex Executor, task satisfaction.Task) int {
+func BaseLevel(ex Executor, task satisfaction.Task) int {
 	base := 0
 	for l := 0; l < ex.Levels(); l++ {
 		if ex.Entropy(l) <= task.EntropyThreshold {
@@ -421,7 +424,7 @@ func BatchCap(ex Executor, task satisfaction.Task) int {
 			limit = l
 		}
 	}
-	base := baseLevel(ex, task)
+	base := BaseLevel(ex, task)
 	best := cap
 	for b := cap + 1; b <= limit; b++ {
 		if ex.PredictMS(base, b) > deadline {
@@ -630,15 +633,24 @@ func (s *Server) admitPredictMS() float64 {
 	return s.predictQueueMS(level, quant)
 }
 
+// CapacityRPS is one worker's steady-state serving rate at an executor's
+// base operating point: full batches of the given size at the Eq 12
+// predicted rate (0 when the prediction is degenerate). It is computable
+// before any server exists, which is how load-relative drivers derive
+// their offered rates.
+func CapacityRPS(ex Executor, task satisfaction.Task, batch int) float64 {
+	pred := ex.PredictMS(BaseLevel(ex, task), batch)
+	if pred <= 0 {
+		return 0
+	}
+	return float64(batch) * 1000 / pred
+}
+
 // CapacityRPS is the replica's steady-state serving capacity at its base
 // operating point: full batches at the Eq 12 predicted rate across the
 // worker pool. Fleet routing derives ring weights from it.
 func (s *Server) CapacityRPS() float64 {
-	pred := s.ex.PredictMS(s.ctrl.Base(), s.cfg.MaxBatch)
-	if pred <= 0 {
-		return 0
-	}
-	return float64(s.cfg.MaxBatch) * 1000 / pred * float64(s.cfg.Workers)
+	return CapacityRPS(s.ex, s.task, s.cfg.MaxBatch) * float64(s.cfg.Workers)
 }
 
 // stamp reads the configured clock, shifted by the injector's clock skew
@@ -663,15 +675,21 @@ func (s *Server) sinceMS(t time.Time) float64 {
 // immediately, in admission order, chunked to MaxBatch. It blocks until
 // the hand-off happened and returns how many requests were flushed (0
 // when nothing was pending or the server is draining). Flush is how a
-// ManualFlush driver closes each batch it composed; it is also safe, if
-// rarely useful, on an autonomously flushing server.
-func (s *Server) Flush() int {
-	done := make(chan int, 1)
+// ManualFlush driver closes each batch it composed: the driver then waits
+// on that batch's futures, and the completion contract (see Future) makes
+// the next Level() and Stats() read deterministic — no polling. It is also
+// safe, if rarely useful, on an autonomously flushing server.
+func (s *Server) Flush() int { return askBatcher(s, s.flushReqCh, 0) }
+
+// askBatcher hands the batcher loop one request and returns its reply, or
+// idle when the server is draining and the loop has exited.
+func askBatcher[T any](s *Server, req chan chan T, idle T) T {
+	done := make(chan T, 1)
 	select {
-	case s.flushReqCh <- done:
+	case req <- done:
 		return <-done
 	case <-s.batcherDone:
-		return 0
+		return idle
 	}
 }
 
@@ -682,30 +700,14 @@ func (s *Server) Flush() int {
 // draining). Virtual-time drivers use it to execute one batch per step
 // while leaving the rest of the backlog queued — the composition the
 // autonomous batcher would have produced.
-func (s *Server) FlushOne() int {
-	done := make(chan int, 1)
-	select {
-	case s.flushOneReqCh <- done:
-		return <-done
-	case <-s.batcherDone:
-		return 0
-	}
-}
+func (s *Server) FlushOne() int { return askBatcher(s, s.flushOneReqCh, 0) }
 
 // NextFlushDelayMS reports how much longer the batching policy would hold
 // the current pending batch open: the tightest pending head's remaining
 // slack, capped by the linger window (≤ 0 means due now). It returns +Inf
 // when nothing is pending or the server is draining. Virtual-time drivers
 // use it to place the flush instant on their own clock.
-func (s *Server) NextFlushDelayMS() float64 {
-	done := make(chan float64, 1)
-	select {
-	case s.delayReqCh <- done:
-		return <-done
-	case <-s.batcherDone:
-		return math.Inf(1)
-	}
-}
+func (s *Server) NextFlushDelayMS() float64 { return askBatcher(s, s.delayReqCh, math.Inf(1)) }
 
 // Close stops admission, drains every accepted request through the worker
 // pool, and waits for the pipeline to exit (bounded by ctx). Every future
@@ -746,12 +748,6 @@ func (s *Server) Stats() Snapshot {
 	snap.QuantEscalations, snap.QuantCalibrations = qesc, qcal
 	return snap
 }
-
-// BatchCount returns how many batches the server has executed. Unlike
-// Stats — which sorts the latency reservoir to report percentiles — it
-// costs one lock, so deterministic drivers can spin on it per batch
-// without the snapshot tax.
-func (s *Server) BatchCount() uint64 { return s.st.batchCount() }
 
 // BreakerState returns the circuit breaker's current position (closed
 // when no breaker is configured).

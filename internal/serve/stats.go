@@ -189,14 +189,6 @@ func (s *stats) batchDone(n int, quant bool) {
 	s.mu.Unlock()
 }
 
-// batchCount reads the executed-batch tally alone — the cheap accessor
-// behind Server.BatchCount.
-func (s *stats) batchCount() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches
-}
-
 // failBatch records n requests whose batch execution errored.
 func (s *stats) failBatch(n int) {
 	s.mu.Lock()

@@ -1,15 +1,15 @@
 package workload
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
 // VirtualClock is a mutex-guarded settable time source. Deterministic
-// drivers (the scenario engine, the fleet soak) inject Now into
-// serve.Config.Clock and advance the clock themselves, which is what makes
-// whole-run queueing, batching and latency bit-reproducible.
+// drivers (the scenario engine, the fleet soak, pcnnd's bench sweep)
+// inject Now into serve.Config.Clock and advance the clock themselves,
+// which is what makes whole-run queueing, batching and latency
+// bit-reproducible.
 type VirtualClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -32,6 +32,13 @@ func (c *VirtualClock) Set(t time.Time) {
 	c.mu.Unlock()
 }
 
+// Epoch is the fixed instant every deterministic driver's virtual clock
+// starts at. Nothing downstream depends on the calendar value — only on
+// differences — but fixing it keeps whole-run state (trace timestamps,
+// skewed stamps) and the committed BENCH_*.json files identical across
+// processes and machines.
+func Epoch() time.Time { return time.Unix(1_700_000_000, 0).UTC() }
+
 // Event is one arrival in a merged multi-stream schedule: the offset from
 // the schedule's origin and the index of the stream it belongs to.
 type Event struct {
@@ -39,46 +46,16 @@ type Event struct {
 	Stream int
 }
 
-// BuildSchedule draws counts[i] arrivals from arrivals[i] (each stream's
-// first arrival lands after its first gap) and merges every stream into
-// one global timeline, sorted by time with the stream index breaking ties
-// — the open-loop trace a fleet router serves. The result is fully
+// ScheduleStream lazily merges multi-stream arrivals — counts[i] drawn
+// from arrivals[i], each stream's first arrival landing after its first
+// gap — into one global timeline ordered by time with the stream index
+// breaking ties: the open-loop trace a fleet router serves. It holds
+// O(streams) state instead of the whole trace, which is how
+// million-request soaks iterate a schedule with flat memory. Arrival gaps
+// are non-negative, so each stream's events are non-decreasing in time and
+// a head-per-stream merge reproduces the globally sorted order (the tests
+// pin it against a materialize-and-sort oracle). The result is fully
 // deterministic given deterministic arrival processes.
-func BuildSchedule(arrivals []Arrivals, counts []int) []Event {
-	total := 0
-	for _, n := range counts {
-		if n > 0 {
-			total += n
-		}
-	}
-	events := make([]Event, 0, total)
-	for s, arr := range arrivals {
-		n := 0
-		if s < len(counts) {
-			n = counts[s]
-		}
-		var at time.Duration
-		for i := 0; i < n; i++ {
-			at += arr.Next()
-			events = append(events, Event{At: at, Stream: s})
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].At != events[j].At {
-			return events[i].At < events[j].At
-		}
-		return events[i].Stream < events[j].Stream
-	})
-	return events
-}
-
-// ScheduleStream lazily merges multi-stream arrivals into the exact
-// (At, then Stream) order BuildSchedule materializes, holding O(streams)
-// state instead of the whole trace — how million-request soaks iterate a
-// schedule with flat memory. Arrival gaps are non-negative, so each
-// stream's events are non-decreasing in time and a head-per-stream merge
-// reproduces the globally sorted order; ties break toward the lower
-// stream index, matching BuildSchedule's comparator.
 type ScheduleStream struct {
 	arrs   []Arrivals
 	remain []int

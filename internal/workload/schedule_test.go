@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -27,13 +28,33 @@ func mkStreams(seed int64) ([]Arrivals, []int) {
 	return arrs, counts
 }
 
+// buildSchedule is the merge oracle: it materializes every stream's
+// arrivals and stable-sorts them by time, stream index breaking ties.
+func buildSchedule(arrivals []Arrivals, counts []int) []Event {
+	var events []Event
+	for s, arr := range arrivals {
+		var at time.Duration
+		for i := 0; i < counts[s]; i++ {
+			at += arr.Next()
+			events = append(events, Event{At: at, Stream: s})
+		}
+	}
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].At != events[j].At {
+			return events[i].At < events[j].At
+		}
+		return events[i].Stream < events[j].Stream
+	})
+	return events
+}
+
 // TestScheduleStreamMatchesBuildSchedule pins the lazy merge against the
-// materializing path event for event: the million-request soak consumes
-// ScheduleStream assuming it reproduces BuildSchedule's exact order.
+// materialize-and-sort oracle event for event: the million-request soak
+// consumes ScheduleStream assuming exactly that order.
 func TestScheduleStreamMatchesBuildSchedule(t *testing.T) {
 	arrsA, counts := mkStreams(42)
 	arrsB, _ := mkStreams(42)
-	want := BuildSchedule(arrsA, counts)
+	want := buildSchedule(arrsA, counts)
 	s := NewScheduleStream(arrsB, counts)
 	if s.Total() != len(want) {
 		t.Fatalf("Total = %d, want %d", s.Total(), len(want))
@@ -62,7 +83,7 @@ func TestScheduleStreamTieBreak(t *testing.T) {
 		NewPeriodicArrivals(100),
 	}
 	counts := []int{3, 3, 3}
-	want := BuildSchedule([]Arrivals{
+	want := buildSchedule([]Arrivals{
 		NewPeriodicArrivals(100), NewPeriodicArrivals(100), NewPeriodicArrivals(100),
 	}, counts)
 	s := NewScheduleStream(arrs, counts)
