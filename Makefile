@@ -3,17 +3,17 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-bench test test-short race e2e soak-fleet bench bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
 # build under GOARCH=arm64, so amd64-only CI would never parse them), the
-# benchmark module's vet + build against this tree's API, the tier-1 test
+# riscv64 cross-compile (the no-SIMD configuration), the benchmark module's vet + build against this tree's API, the tier-1 test
 # suite, the race detector over the packages that own the sharded GEMM
 # engine and the serving/scenario/fleet pipelines, the real-daemon e2e
 # suite (short-mode capped), the scenario + fleet smoke grids, and the
 # byte-for-byte regeneration of the two sub-second committed bench files.
-ci: vet build build-arm64 build-bench test race e2e scenarios-smoke fleet-smoke bench-verify-fast
+ci: vet build build-arm64 build-portable build-bench test race e2e scenarios-smoke fleet-smoke bench-verify-fast
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +27,13 @@ build:
 # surface only on real arm64 hardware.
 build-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+
+# build-portable cross-compiles and vets the configuration with no SIMD
+# 8x8 kernel (kern8x8_other.go, `!amd64 && !arm64`): the scalar 8x4
+# DefaultTile is the only blocked path there and the reason kern8x4 is
+# kept, and no other gate parses it.
+build-portable:
+	GOOS=linux GOARCH=riscv64 $(GO) build ./... && GOOS=linux GOARCH=riscv64 $(GO) vet ./internal/tensor/
 
 # build-bench vets and builds the benchmark module (bench/, its own go.mod
 # with `replace pcnn => ../`) against this tree, so an API break against
@@ -97,15 +104,15 @@ fuzz-mmpp:
 
 # chaos runs the seeded fault-injection suite — deterministic injector
 # streams, the serve-level chaos scenarios, and the hardening regressions
-# (drain-on-Close, breaker lifecycle, soak conservation, submit accounting
-# and the future-completion contract at one and two Ps) — under the race
-# detector.
+# (drain-on-Close, breaker lifecycle, soak conservation, submit accounting,
+# the future-completion contract and untorn operating-point reads at one
+# and two Ps) — under the race detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ \
 		-run 'TestChaos|TestDeterministicStreams|TestStreamIndependence'
 	$(GO) test -race -count=1 ./internal/serve/ \
 		-run 'TestNoResolutionAfterCloseDrain|TestBreakerLifecycleServing|TestSoakConservation|TestExecTimeoutFailsAttempt'
-	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ -run 'TestSubmitAccountingRace|TestCompletionContract'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ -run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerPointNeverTorn'
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator
 # must serve every accepted request with positive SoC, and the virtual-clock

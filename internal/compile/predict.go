@@ -71,16 +71,3 @@ const (
 	// inference over fp32 at the same perforation level.
 	FP16GEMMSpeedup = 1.4
 )
-
-// PredictMSQuant is the quantized twin of PredictMS: the Eq 12 estimate
-// at a level's keep fractions, rescaled by a reduced-precision throughput
-// factor. Every term of Eq 12 is linear in per-layer issue cost, so a
-// uniform precision speedup divides the whole sum; factor <= 0 is treated
-// as full precision.
-func PredictMSQuant(p *Plan, batch int, keep map[string]float64, factor float64) float64 {
-	ms := PredictMS(p, batch, keep)
-	if factor > 0 {
-		ms /= factor
-	}
-	return ms
-}

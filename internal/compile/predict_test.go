@@ -180,23 +180,11 @@ func FuzzPredictMS(f *testing.F) {
 	})
 }
 
-// TestPredictMSQuant pins the quantized cost hook to the fp32 model: the
-// whole-plan speedup divides every Eq 12 term linearly, so the quantized
-// prediction is exactly PredictMS/factor, a non-positive factor is a
-// no-op, and the modeled int8/fp16 factors stay inside (1, arithmetic
-// peak) — faster than fp32, slower than the 4×/2× GEMM-only bound.
+// TestPredictMSQuant pins the modeled int8/fp16 whole-plan throughput
+// factors (the serving quant rung divides the Eq 12 estimate by them)
+// inside (1, arithmetic peak) — faster than fp32, slower than the 4×/2×
+// GEMM-only bound.
 func TestPredictMSQuant(t *testing.T) {
-	p := planForFuzz(t, 0, 0)
-	base := PredictMS(p, p.Batch, nil)
-	if got, want := PredictMSQuant(p, p.Batch, nil, Int8GEMMSpeedup), base/Int8GEMMSpeedup; got != want {
-		t.Errorf("int8 prediction = %v, want %v", got, want)
-	}
-	if got, want := PredictMSQuant(p, p.Batch, nil, FP16GEMMSpeedup), base/FP16GEMMSpeedup; got != want {
-		t.Errorf("fp16 prediction = %v, want %v", got, want)
-	}
-	if got := PredictMSQuant(p, p.Batch, nil, 0); got != base {
-		t.Errorf("zero factor = %v, want untouched %v", got, base)
-	}
 	if Int8GEMMSpeedup <= 1 || Int8GEMMSpeedup >= 4 {
 		t.Errorf("Int8GEMMSpeedup %v outside (1, 4)", Int8GEMMSpeedup)
 	}

@@ -241,7 +241,8 @@ func (s *Server) flushDelayMS(q *prioQueues) float64 {
 	if n > s.cfg.MaxBatch {
 		n = s.cfg.MaxBatch
 	}
-	pred := s.queuePredictMS(s.ctrl.Level(), s.ctrl.Quant(), n)
+	level, quant, _ := s.ctrl.point()
+	pred := s.queuePredictMS(level, quant, n)
 	guard := slackGuardFrac * pred
 	d := linger
 	q.heads(func(r *request) {
@@ -270,7 +271,7 @@ func (s *Server) flush(reqs []*request) {
 	for _, r := range reqs {
 		r.tr.Mark("coalesce")
 	}
-	level, quant := s.ctrl.Level(), s.ctrl.Quant()
+	level, quant, _ := s.ctrl.point()
 	if !s.cfg.DisableDegrade {
 		level, quant = s.ctrl.escalate(func(l int, q bool) bool {
 			pred := s.queuePredictMS(l, q, n)

@@ -32,6 +32,13 @@ type controller struct {
 	quant        bool
 	quantVeto    bool
 
+	ctrlCounts
+}
+
+// ctrlCounts are the controller's lifetime tallies: level escalations,
+// entropy calibrations and recoveries, and the quant rung's own
+// escalations and calibrations.
+type ctrlCounts struct {
 	escalations  uint64
 	calibrations uint64
 	recoveries   uint64
@@ -68,19 +75,15 @@ func (c *controller) Level() int {
 	return c.level
 }
 
-// Base returns the preferred operating point the controller recovers
-// toward.
-func (c *controller) Base() int {
+// point returns the operating point — level, whether batches execute
+// quantized — and the base level recovery heads for, under one lock. Two
+// observes can land between separate reads, (k,q) → (k−1,q) → (k−1,fp32),
+// and hand the reader (k, fp32), a point the controller was never at; every
+// caller that prices or exports more than the level reads it here.
+func (c *controller) point() (level int, quant bool, base int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.base
-}
-
-// Quant reports whether batches currently execute quantized.
-func (c *controller) Quant() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quant
+	return c.level, c.quant, c.base
 }
 
 // reachable returns the deepest operating point escalation can currently
@@ -172,17 +175,9 @@ func (c *controller) observe(entropyExceeded, comfortable bool) {
 	}
 }
 
-// counts returns the lifetime escalation / calibration / recovery tallies.
-func (c *controller) counts() (escalations, calibrations, recoveries uint64) {
+// counts returns the lifetime tallies, all read under one lock.
+func (c *controller) counts() ctrlCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.escalations, c.calibrations, c.recoveries
-}
-
-// quantCounts returns the quant rung's lifetime escalation / calibration
-// tallies.
-func (c *controller) quantCounts() (escalations, calibrations uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quantEscalations, c.quantCalibrations
+	return c.ctrlCounts
 }

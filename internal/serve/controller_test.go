@@ -19,9 +19,9 @@ func TestNewControllerClamps(t *testing.T) {
 	}
 	for _, c := range cases {
 		ctl := newController(c.levels, c.base, 4, false)
-		if ctl.Level() != c.wantLevel || ctl.Base() != c.wantLevel || ctl.max != c.wantMax {
+		if level, _, base := ctl.point(); level != c.wantLevel || base != c.wantLevel || ctl.max != c.wantMax {
 			t.Errorf("newController(%d, %d): level %d base %d max %d, want level/base %d max %d",
-				c.levels, c.base, ctl.Level(), ctl.Base(), ctl.max, c.wantLevel, c.wantMax)
+				c.levels, c.base, level, base, ctl.max, c.wantLevel, c.wantMax)
 		}
 	}
 }
@@ -35,7 +35,7 @@ func TestControllerEscalateWalksToFit(t *testing.T) {
 	if quant {
 		t.Fatal("quant-disabled controller escalated the quant rung")
 	}
-	if esc, _, _ := ctl.counts(); esc != 3 {
+	if esc := ctl.counts().escalations; esc != 3 {
 		t.Fatalf("escalations = %d, want 3", esc)
 	}
 	// Already fitting: no movement.
@@ -61,7 +61,7 @@ func TestControllerCalibrationPinsCeiling(t *testing.T) {
 	if ctl.Level() != 2 {
 		t.Fatalf("level after calibration = %d, want 2", ctl.Level())
 	}
-	if _, cal, _ := ctl.counts(); cal != 1 {
+	if cal := ctl.counts().calibrations; cal != 1 {
 		t.Fatalf("calibrations = %d, want 1", cal)
 	}
 
@@ -112,7 +112,7 @@ func TestControllerCalibrationAtLevelZero(t *testing.T) {
 	if ctl.Level() != 0 {
 		t.Fatalf("level = %d, want 0", ctl.Level())
 	}
-	if _, cal, _ := ctl.counts(); cal != 0 {
+	if cal := ctl.counts().calibrations; cal != 0 {
 		t.Fatalf("level-0 crossings counted %d calibrations, want 0", cal)
 	}
 	// The un-backtrackable crossing must not leave a stale ceiling.
@@ -139,7 +139,7 @@ func TestControllerRecoveryStreak(t *testing.T) {
 	if ctl.Level() != 3 {
 		t.Fatalf("level = %d after full streak, want 3", ctl.Level())
 	}
-	if _, _, rec := ctl.counts(); rec != 1 {
+	if rec := ctl.counts().recoveries; rec != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec)
 	}
 	// Recovery walks toward base and stops there, never below.
@@ -163,10 +163,10 @@ func TestControllerQuantBeforePerforate(t *testing.T) {
 	if level != 0 || !quant {
 		t.Fatalf("escalate = (%d, %v), want quant at level 0", level, quant)
 	}
-	if esc, _, _ := ctl.counts(); esc != 0 {
+	if esc := ctl.counts().escalations; esc != 0 {
 		t.Fatalf("perforation escalations = %d, want 0", esc)
 	}
-	if qesc, _ := ctl.quantCounts(); qesc != 1 {
+	if qesc := ctl.counts().quantEscalations; qesc != 1 {
 		t.Fatalf("quant escalations = %d, want 1", qesc)
 	}
 
@@ -175,7 +175,7 @@ func TestControllerQuantBeforePerforate(t *testing.T) {
 	if level != 2 || !quant {
 		t.Fatalf("escalate = (%d, %v), want quant at level 2", level, quant)
 	}
-	if esc, _, _ := ctl.counts(); esc != 2 {
+	if esc := ctl.counts().escalations; esc != 2 {
 		t.Fatalf("perforation escalations = %d, want 2", esc)
 	}
 }
@@ -192,13 +192,13 @@ func TestControllerQuantVeto(t *testing.T) {
 	}
 
 	ctl.observe(true, false) // entropy crossed while quantized
-	if ctl.Quant() {
+	if _, quant, _ := ctl.point(); quant {
 		t.Fatal("quant still on after a quantized entropy crossing")
 	}
-	if _, qcal := ctl.quantCounts(); qcal != 1 {
+	if qcal := ctl.counts().quantCalibrations; qcal != 1 {
 		t.Fatalf("quant calibrations = %d, want 1", qcal)
 	}
-	if _, cal, _ := ctl.counts(); cal != 0 {
+	if cal := ctl.counts().calibrations; cal != 0 {
 		t.Fatalf("the quantized crossing charged %d perforation calibrations, want 0", cal)
 	}
 	if _, q := ctl.reachable(); q {
@@ -233,22 +233,61 @@ func TestControllerQuantRecoveryOrder(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ctl.observe(false, true)
 	}
-	if ctl.Level() != 1 || !ctl.Quant() {
-		t.Fatalf("after streak 1: level %d quant %v, want level 1 quantized", ctl.Level(), ctl.Quant())
+	if level, quant, _ := ctl.point(); level != 1 || !quant {
+		t.Fatalf("after streak 1: level %d quant %v, want level 1 quantized", level, quant)
 	}
 	for i := 0; i < 2; i++ {
 		ctl.observe(false, true)
 	}
-	if ctl.Level() != 0 || !ctl.Quant() {
-		t.Fatalf("after streak 2: level %d quant %v, want level 0 quantized", ctl.Level(), ctl.Quant())
+	if level, quant, _ := ctl.point(); level != 0 || !quant {
+		t.Fatalf("after streak 2: level %d quant %v, want level 0 quantized", level, quant)
 	}
 	for i := 0; i < 2; i++ {
 		ctl.observe(false, true)
 	}
-	if ctl.Level() != 0 || ctl.Quant() {
-		t.Fatalf("after streak 3: level %d quant %v, want full precision at base", ctl.Level(), ctl.Quant())
+	if level, quant, _ := ctl.point(); level != 0 || quant {
+		t.Fatalf("after streak 3: level %d quant %v, want full precision at base", level, quant)
 	}
-	if _, _, rec := ctl.counts(); rec != 3 {
+	if rec := ctl.counts().recoveries; rec != 3 {
 		t.Fatalf("recoveries = %d, want 3", rec)
+	}
+}
+
+// TestControllerPointNeverTorn: a writer walks the controller round a fixed
+// cycle — escalate to (2, quant), then three recoveries (1, quant) →
+// (0, quant) → (0, fp32) — while a reader takes point() as fast as it can.
+// Every pair it sees must be a state on the walk: level and quant read
+// under separate locks let two observes land in between and return
+// (1, fp32) or (2, fp32), operating points the controller was never at.
+// Run under -race -cpu 1,2 by `make chaos`.
+func TestControllerPointNeverTorn(t *testing.T) {
+	type pt struct {
+		level int
+		quant bool
+	}
+	onWalk := map[pt]bool{{0, false}: true, {2, true}: true, {1, true}: true, {0, true}: true}
+	ctl := newController(4, 0, 1, true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			ctl.escalate(func(level int, quant bool) bool { return quant && level >= 2 })
+			for j := 0; j < 3; j++ {
+				ctl.observe(false, true)
+			}
+		}
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			if level, quant, _ := ctl.point(); level != 0 || quant {
+				t.Fatalf("walk ended at (%d, %v), want (0, fp32)", level, quant)
+			}
+			return
+		default:
+		}
+		if level, quant, base := ctl.point(); !onWalk[pt{level, quant}] || base != 0 {
+			t.Fatalf("read %d: point() = (%d, %v, base %d), a state the controller was never at", reads, level, quant, base)
+		}
 	}
 }

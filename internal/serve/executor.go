@@ -95,9 +95,6 @@ type QuantExecutor interface {
 	// QuantSpec reports whether the executor supports reduced precision p
 	// and, if so, its modeled cost/uncertainty profile.
 	QuantSpec(p tensor.Precision) (QuantSpec, bool)
-	// PredictQuantMS is PredictMS for a batch whose host GEMMs run at
-	// precision p. Like PredictMS it must be cheap.
-	PredictQuantMS(p tensor.Precision, level, batch int) float64
 	// ExecuteQuant runs one batch with host GEMMs at precision p.
 	ExecuteQuant(p tensor.Precision, level, batch int, inputs *tensor.Tensor) (BatchResult, error)
 }
@@ -534,18 +531,6 @@ func (e *PlanExecutor) QuantSpec(p tensor.Precision) (QuantSpec, bool) {
 		return QuantSpec{Speedup: compile.FP16GEMMSpeedup, EntropyDelta: FP16EntropyDelta}, true
 	}
 	return QuantSpec{}, false
-}
-
-// PredictQuantMS implements QuantExecutor. Every Eq 12 term is linear in
-// per-layer issue cost, so dividing the cached fp32 estimate by the
-// mode's throughput factor equals compile.PredictMSQuant on the
-// underlying plan — without a second (level, batch, precision) cache.
-func (e *PlanExecutor) PredictQuantMS(p tensor.Precision, level, batch int) float64 {
-	spec, ok := e.QuantSpec(p)
-	if !ok || spec.Speedup <= 0 {
-		return e.PredictMS(level, batch)
-	}
-	return e.PredictMS(level, batch) / spec.Speedup
 }
 
 // quantEngine returns (building lazily) the shared-pool GEMM engine for

@@ -88,13 +88,13 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 
 	reg.CounterFunc("pcnn_serve_escalations_total",
 		"Perforation-level escalations under deadline pressure.",
-		func() float64 { esc, _, _ := s.ctrl.counts(); return float64(esc) })
+		func() float64 { return float64(s.ctrl.counts().escalations) })
 	reg.CounterFunc("pcnn_serve_calibrations_total",
 		"Entropy-triggered calibration backtracks.",
-		func() float64 { _, cal, _ := s.ctrl.counts(); return float64(cal) })
+		func() float64 { return float64(s.ctrl.counts().calibrations) })
 	reg.CounterFunc("pcnn_serve_recoveries_total",
 		"Comfortable-slack recoveries easing the level back down.",
-		func() float64 { _, _, rec := s.ctrl.counts(); return float64(rec) })
+		func() float64 { return float64(s.ctrl.counts().recoveries) })
 
 	// The quantization rung: whether reduced-precision GEMM is serving
 	// right now, how many batches rode the rung, and its escalation /
@@ -102,7 +102,7 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	reg.GaugeFunc("pcnn_serve_quantized",
 		"1 while the quantization rung serves (host GEMMs at reduced precision).",
 		func() float64 {
-			if s.ctrl.Quant() {
+			if s.Quantized() {
 				return 1
 			}
 			return 0
@@ -112,10 +112,10 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 		s.st.counterFn(func(st *stats) uint64 { return st.quantized }))
 	reg.CounterFunc("pcnn_serve_quant_escalations_total",
 		"Escalations onto the quantization rung under deadline pressure.",
-		func() float64 { qesc, _ := s.ctrl.quantCounts(); return float64(qesc) })
+		func() float64 { return float64(s.ctrl.counts().quantEscalations) })
 	reg.CounterFunc("pcnn_serve_quant_calibrations_total",
 		"Entropy-triggered calibration vetoes of the quantization rung.",
-		func() float64 { _, qcal := s.ctrl.quantCounts(); return float64(qcal) })
+		func() float64 { return float64(s.ctrl.counts().quantCalibrations) })
 
 	reg.GaugeFunc("pcnn_serve_breaker_state",
 		"Circuit breaker position: 0 closed, 1 half-open, 2 open.",
@@ -134,10 +134,9 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 		s.st.counterFn(func(st *stats) uint64 { return st.timeouts }))
 	// Host GEMM engine state: which kernels serve the layer GEMMs — the
 	// resolved backend, so the default reads "blocked" rather than an
-	// uninformative "auto" — and the blocked tile that most recently ran:
-	// the host-side half of the paper's per-layer kernel choice, surfaced
-	// so a deployment dashboard can see which kernel actually handles
-	// traffic.
+	// uninformative "auto" — and the blocked tile this build runs (one per
+	// ISA, fixed at init), so a deployment dashboard can tell a SIMD 8×8
+	// host from a scalar 8×4 one.
 	eng := tensor.Default()
 	for _, bk := range []tensor.Backend{tensor.Blocked, tensor.Serial} {
 		bk := bk
@@ -154,18 +153,15 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	reg.GaugeFunc("pcnn_gemm_workers",
 		"Worker-pool size available to the default GEMM engine.",
 		func() float64 { return float64(eng.Workers()) })
-	reg.GaugeFunc("pcnn_gemm_tile_mc",
-		"Blocked-backend cache tile: A-block rows (MC) of the last tile used.",
-		func() float64 { return float64(eng.ActiveTile().MC) })
-	reg.GaugeFunc("pcnn_gemm_tile_kc",
-		"Blocked-backend cache tile: block depth (KC) of the last tile used.",
-		func() float64 { return float64(eng.ActiveTile().KC) })
-	reg.GaugeFunc("pcnn_gemm_tile_mr",
-		"Blocked-backend register tile rows (MR) of the last tile used.",
-		func() float64 { return float64(eng.ActiveTile().MR) })
-	reg.GaugeFunc("pcnn_gemm_tile_nr",
-		"Blocked-backend register tile columns (NR) of the last tile used.",
-		func() float64 { return float64(eng.ActiveTile().NR) })
+	tile := tensor.DefaultTile
+	reg.Gauge("pcnn_gemm_tile_mc",
+		"Blocked-backend cache tile of this build: A-block rows (MC).").Set(float64(tile.MC))
+	reg.Gauge("pcnn_gemm_tile_kc",
+		"Blocked-backend cache tile of this build: block depth (KC).").Set(float64(tile.KC))
+	reg.Gauge("pcnn_gemm_tile_mr",
+		"Blocked-backend register tile of this build: rows (MR).").Set(float64(tile.MR))
+	reg.Gauge("pcnn_gemm_tile_nr",
+		"Blocked-backend register tile of this build: columns (NR).").Set(float64(tile.NR))
 
 	if s.faults != nil {
 		for _, k := range fault.Kinds() {

@@ -34,17 +34,13 @@ func (q *quantExec) QuantSpec(p tensor.Precision) (QuantSpec, bool) {
 	return q.spec, true
 }
 
-func (q *quantExec) PredictQuantMS(p tensor.Precision, l, n int) float64 {
-	return q.PredictMS(l, n) / q.spec.Speedup
-}
-
 func (q *quantExec) ExecuteQuant(p tensor.Precision, l, n int, _ *tensor.Tensor) (BatchResult, error) {
 	q.qmu.Lock()
 	q.quantBatch = append(q.quantBatch, batchRecord{l, n})
 	q.quantPrec = append(q.quantPrec, p)
 	q.qmu.Unlock()
 	return BatchResult{
-		TimeMS:  q.PredictQuantMS(p, l, n),
+		TimeMS:  q.PredictMS(l, n) / q.spec.Speedup,
 		EnergyJ: 0.25 * float64(n),
 		Entropy: q.quantEntropy,
 	}, nil
@@ -108,8 +104,12 @@ func TestQuantRungEscalation(t *testing.T) {
 	if !s.Quantized() {
 		t.Error("Server.Quantized() = false while the rung serves")
 	}
-	if p := s.Predict(1); !p.Quantized {
+	p := s.Predict(4)
+	if !p.Quantized {
 		t.Error("Prediction.Quantized = false while the rung serves")
+	}
+	if want := ex.PredictMS(0, 4) / ex.spec.Speedup; p.BatchMS != want {
+		t.Errorf("quantized Prediction.BatchMS = %v, want PredictMS/speedup = %v", p.BatchMS, want)
 	}
 	h := s.Health()
 	if !h.Degraded || !h.Quantized {
@@ -258,9 +258,6 @@ func TestPlanExecutorQuant(t *testing.T) {
 	spec, ok := ex.QuantSpec(tensor.Int8)
 	if !ok || spec.Speedup != compile.Int8GEMMSpeedup || spec.EntropyDelta != Int8EntropyDelta {
 		t.Fatalf("QuantSpec(Int8) = %+v ok=%v, want the compile-modeled profile", spec, ok)
-	}
-	if got, want := ex.PredictQuantMS(tensor.Int8, 0, 4), ex.PredictMS(0, 4)/spec.Speedup; got != want {
-		t.Fatalf("PredictQuantMS = %v, want PredictMS/speedup = %v", got, want)
 	}
 
 	const batch = 8

@@ -514,13 +514,15 @@ func (s *Server) SubmitWith(opts SubmitOptions) (*Future, error) {
 }
 
 // predictMS prices one batch at an operating point: the executor's Eq 12
-// estimate, through the quantized model when the quant rung serves the
-// flush.
+// estimate, divided by the armed mode's throughput factor when the quant
+// rung serves the flush — every Eq 12 term is linear in per-layer issue
+// cost, so a uniform precision speedup divides the whole sum.
 func (s *Server) predictMS(level int, quant bool, batch int) float64 {
-	if quant && s.quantEx != nil {
-		return s.quantEx.PredictQuantMS(s.cfg.Quantize, level, batch)
+	ms := s.ex.PredictMS(level, batch)
+	if quant && s.quantEx != nil && s.quantSpec.Speedup > 0 {
+		return ms / s.quantSpec.Speedup
 	}
-	return s.ex.PredictMS(level, batch)
+	return ms
 }
 
 // predictQueueMS estimates how long a request submitted right now would
@@ -564,7 +566,8 @@ func (s *Server) busyMS() float64 {
 // submitted now at the current degradation level — the routing signal a
 // fleet load balancer compares across replicas (and hedges on).
 func (s *Server) PredictCompletionMS() float64 {
-	return s.predictQueueMS(s.ctrl.Level(), s.ctrl.Quant())
+	level, quant, _ := s.ctrl.point()
+	return s.predictQueueMS(level, quant)
 }
 
 // Prediction is the serving-side prediction state one replica exports to
@@ -600,13 +603,12 @@ type Prediction struct {
 // Predict assembles the exported prediction state. batch > 0 additionally
 // prices executing that batch size at the current level.
 func (s *Server) Predict(batch int) Prediction {
-	level := s.ctrl.Level()
-	quant := s.ctrl.Quant()
+	level, quant, base := s.ctrl.point()
 	p := Prediction{
 		PredictMS:   s.predictQueueMS(level, quant),
 		CapacityRPS: s.CapacityRPS(),
 		Level:       level,
-		BaseLevel:   s.ctrl.Base(),
+		BaseLevel:   base,
 		Quantized:   quant,
 		QueueDepth:  s.st.queueDepth(),
 		BusyMS:      s.busyMS(),
@@ -740,12 +742,12 @@ func (s *Server) Close(ctx context.Context) error {
 // invariant Submitted == Completed + Failed + QueueDepth holds exactly in
 // every snapshot, concurrent traffic included.
 func (s *Server) Stats() Snapshot {
-	esc, cal, rec := s.ctrl.counts()
-	qesc, qcal := s.ctrl.quantCounts()
+	n := s.ctrl.counts()
+	level, quant, _ := s.ctrl.point()
 	st, trips, resets := s.brk.snapshot()
-	snap := s.st.snapshot(s.task, s.ctrl.Level(), esc, cal, rec, st, trips, resets)
-	snap.Quantized = s.ctrl.Quant()
-	snap.QuantEscalations, snap.QuantCalibrations = qesc, qcal
+	snap := s.st.snapshot(s.task, level, n.escalations, n.calibrations, n.recoveries, st, trips, resets)
+	snap.Quantized = quant
+	snap.QuantEscalations, snap.QuantCalibrations = n.quantEscalations, n.quantCalibrations
 	return snap
 }
 
@@ -781,11 +783,12 @@ type Health struct {
 // reasons), or closed.
 func (s *Server) Health() Health {
 	st, _, _ := s.brk.snapshot()
+	level, quant, base := s.ctrl.point()
 	h := Health{
 		Breaker:    st.String(),
-		Level:      s.ctrl.Level(),
-		BaseLevel:  s.ctrl.Base(),
-		Quantized:  s.ctrl.Quant(),
+		Level:      level,
+		BaseLevel:  base,
+		Quantized:  quant,
 		QueueDepth: s.st.queueDepth(),
 	}
 	s.mu.RLock()
@@ -827,7 +830,10 @@ func (s *Server) Level() int { return s.ctrl.Level() }
 
 // Quantized reports whether the quantization rung is currently serving
 // (host GEMMs at the configured reduced precision).
-func (s *Server) Quantized() bool { return s.ctrl.Quant() }
+func (s *Server) Quantized() bool {
+	_, quant, _ := s.ctrl.point()
+	return quant
+}
 
 // MaxBatch returns the effective batch cap the server coalesces to, after
 // defaulting: the configured cap, or the deadline-aware BatchCap when the

@@ -45,7 +45,7 @@ func BenchmarkGEMMSerial(b *testing.B) {
 // comparison against BenchmarkGEMMSerial in BENCH_gemm.json.
 func BenchmarkGEMMBlocked(b *testing.B) {
 	eng := NewEngine(Blocked, 1)
-	b.Run(fmt.Sprintf("tile=%s", eng.Tile()), func(b *testing.B) {
+	b.Run(fmt.Sprintf("tile=%s", DefaultTile), func(b *testing.B) {
 		for _, s := range gemmShapes {
 			b.Run(s.name, func(b *testing.B) { benchGEMM(b, eng, s.m, s.k, s.n) })
 		}
@@ -58,7 +58,7 @@ func BenchmarkGEMMBlocked(b *testing.B) {
 // the macro-loop sharding speedup (recorded in BENCH_gemm.json).
 func BenchmarkGEMMBlockedParallel(b *testing.B) {
 	eng := NewEngine(Blocked, 0)
-	b.Run(fmt.Sprintf("tile=%s/workers=%d", eng.Tile(), eng.Workers()), func(b *testing.B) {
+	b.Run(fmt.Sprintf("tile=%s/workers=%d", DefaultTile, eng.Workers()), func(b *testing.B) {
 		for _, s := range gemmShapes {
 			b.Run(s.name, func(b *testing.B) { benchGEMM(b, eng, s.m, s.k, s.n) })
 		}
@@ -75,7 +75,7 @@ func BenchmarkGEMMBlockedParallel(b *testing.B) {
 func BenchmarkGEMMInt8(b *testing.B) {
 	eng := NewEngine(Blocked, 1)
 	eng.SetPrecision(Int8)
-	b.Run(fmt.Sprintf("tile=%s", eng.Tile()), func(b *testing.B) {
+	b.Run(fmt.Sprintf("tile=%s", DefaultTile), func(b *testing.B) {
 		for _, s := range gemmShapes {
 			b.Run(s.name, func(b *testing.B) { benchGEMM(b, eng, s.m, s.k, s.n) })
 		}
@@ -87,7 +87,7 @@ func BenchmarkGEMMInt8(b *testing.B) {
 // BenchmarkGEMMBlockedParallel: "auto" and "blocked" are one path.
 func BenchmarkGEMMDefault(b *testing.B) {
 	eng := NewEngine(Auto, 0)
-	b.Run(fmt.Sprintf("tile=%s/workers=%d", eng.Tile(), eng.Workers()), func(b *testing.B) {
+	b.Run(fmt.Sprintf("tile=%s/workers=%d", DefaultTile, eng.Workers()), func(b *testing.B) {
 		for _, s := range gemmShapes {
 			b.Run(s.name, func(b *testing.B) { benchGEMM(b, eng, s.m, s.k, s.n) })
 		}

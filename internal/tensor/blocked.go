@@ -2,13 +2,11 @@ package tensor
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 )
 
-// The blocked backend is the host-side mirror of the paper's per-layer
-// SGEMM tile tuning (Section IV.B): a BLIS/Goto-style cache-blocked GEMM.
+// The blocked backend is a BLIS/Goto-style cache-blocked GEMM, the host
+// counterpart of the tiled SGEMM the paper lowers every layer to.
 // A is packed into MC×KC row blocks laid out as MR-row panels, B into
 // KC-deep panels of NR columns, and an MR×NR register-accumulating
 // micro-kernel sweeps the packed panels. The loop nest is
@@ -37,8 +35,7 @@ import (
 
 // TileConfig is one blocked-GEMM cache/register tiling: MC×KC A blocks,
 // and an MR×NR micro-kernel (MR, NR must name a built-in kernel, see
-// MicroKernels). It is the host analogue of the paper's per-layer
-// (tile, regs) kernel choice.
+// kernelFor).
 type TileConfig struct {
 	MC int // A block rows (shard unit; sized for L2 residency)
 	KC int // A/B block depth (sized so a KC×NR B panel stays in L1)
@@ -53,51 +50,21 @@ const (
 	maxNR = 8
 )
 
-// DefaultTile is the tile used when neither the autotuner nor an explicit
-// SetTile has chosen one. Chosen by sweeping the candidate grid on the
-// recorded BENCH_gemm layer shapes: MC×KC = 128×256 (128 KiB of packed A)
-// sits in L2 on both hosts probed, 8×4 is the widest tile whose scalar
-// accumulators stay in registers, and hosts with the AVX2+FMA kernel
-// switch to the 8×8 SIMD tile at init (kern8x8_amd64.go).
+// DefaultTile is the tile every blocked GEMM of this build runs: one per
+// ISA, fixed at init, with nothing at run time to override it. Chosen by
+// sweeping cache/register blockings on the recorded BENCH_gemm layer
+// shapes: MC×KC = 128×256 (128 KiB of packed A) sits in L2 on both hosts
+// probed, 8×4 is the widest tile whose scalar accumulators stay in
+// registers, and hosts with a SIMD 8×8 kernel switch to that tile at init
+// (kern8x8_amd64.go: AVX2+FMA; kern8x8_arm64.go: NEON). The one measured
+// improvement still open, KC = 512, re-rounds training and is recorded in
+// ROADMAP.md beside the Fig 16 recalibration it has to land with.
 var DefaultTile = TileConfig{MC: 128, KC: 256, MR: 8, NR: 4}
 
-// String renders the tile in the MCxKCxMRxNR form ParseTile accepts.
+// String renders the tile as MCxKCxMRxNR, the form the benchmark
+// sub-names in BENCH_gemm.json quote.
 func (t TileConfig) String() string {
 	return fmt.Sprintf("%dx%dx%dx%d", t.MC, t.KC, t.MR, t.NR)
-}
-
-// Validate reports whether the tile is usable: positive cache blocks no
-// smaller than the register tile, and an MR×NR pairing with a built-in
-// micro-kernel.
-func (t TileConfig) Validate() error {
-	if kernelFor(t.MR, t.NR) == nil {
-		return fmt.Errorf("tensor: no %dx%d micro-kernel (have %s)", t.MR, t.NR, microKernelNames())
-	}
-	if t.MC < t.MR || t.KC < 1 {
-		return fmt.Errorf("tensor: invalid tile %s: need MC >= MR and KC >= 1", t)
-	}
-	return nil
-}
-
-// ParseTile parses the MCxKCxMRxNR form, e.g. "128x256x8x4".
-func ParseTile(s string) (TileConfig, error) {
-	parts := strings.Split(strings.TrimSpace(strings.ToLower(s)), "x")
-	if len(parts) != 4 {
-		return TileConfig{}, fmt.Errorf("tensor: tile %q not of the form MCxKCxMRxNR", s)
-	}
-	var v [4]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return TileConfig{}, fmt.Errorf("tensor: tile %q: %v", s, err)
-		}
-		v[i] = n
-	}
-	t := TileConfig{MC: v[0], KC: v[1], MR: v[2], NR: v[3]}
-	if err := t.Validate(); err != nil {
-		return TileConfig{}, err
-	}
-	return t, nil
 }
 
 // microKernel computes one MR×NR tile: C[0:MR, 0:NR] (at stride ldc)
@@ -106,31 +73,17 @@ func ParseTile(s string) (TileConfig, error) {
 // of NR.
 type microKernel func(kc int, ap, bp, c []float32, ldc int, first bool)
 
-// kernelFor returns the micro-kernel for an MR×NR register tile, or nil.
+// kernelFor returns the micro-kernel for an MR×NR register tile, or nil:
+// the scalar 8×4 (the blocked path of every build without a SIMD 8×8) and
+// the 8×8 the amd64/arm64 assembly kernels implement.
 func kernelFor(mr, nr int) microKernel {
 	switch {
-	case mr == 4 && nr == 4:
-		return kern4x4
 	case mr == 8 && nr == 4:
 		return kern8x4
-	case mr == 4 && nr == 8:
-		return kern4x8
 	case mr == 8 && nr == 8:
 		return kern8x8
 	}
 	return nil
-}
-
-// MicroKernels lists the built-in MR×NR register tiles the autotuner may
-// probe.
-func MicroKernels() [][2]int { return [][2]int{{4, 4}, {8, 4}, {4, 8}, {8, 8}} }
-
-func microKernelNames() string {
-	names := make([]string, 0, 4)
-	for _, k := range MicroKernels() {
-		names = append(names, fmt.Sprintf("%dx%d", k[0], k[1]))
-	}
-	return strings.Join(names, ", ")
 }
 
 // panelBuf is a pooled packing buffer. Pooling the struct pointer (not the
@@ -458,64 +411,6 @@ var argsPool sync.Pool
 // (otherwise) into C — one memory pass per KC panel instead of the naive
 // kernel's load+store per FMA, which is where the speedup comes from.
 
-func kern4x4(kc int, ap, bp, c []float32, ldc int, first bool) {
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	ap = ap[: 4*kc : 4*kc]
-	bp = bp[: 4*kc : 4*kc]
-	for len(ap) >= 4 && len(bp) >= 4 {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		ap = ap[4:]
-		bp = bp[4:]
-	}
-	r0 := c[0*ldc : 0*ldc+4]
-	r1 := c[1*ldc : 1*ldc+4]
-	r2 := c[2*ldc : 2*ldc+4]
-	r3 := c[3*ldc : 3*ldc+4]
-	if first {
-		r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
-		r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
-		r2[0], r2[1], r2[2], r2[3] = c20, c21, c22, c23
-		r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
-		return
-	}
-	r0[0] += c00
-	r0[1] += c01
-	r0[2] += c02
-	r0[3] += c03
-	r1[0] += c10
-	r1[1] += c11
-	r1[2] += c12
-	r1[3] += c13
-	r2[0] += c20
-	r2[1] += c21
-	r2[2] += c22
-	r2[3] += c23
-	r3[0] += c30
-	r3[1] += c31
-	r3[2] += c32
-	r3[3] += c33
-}
-
 func kern8x4(kc int, ap, bp, c []float32, ldc int, first bool) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32
@@ -644,98 +539,4 @@ func kern8x8go(kc int, ap, bp, c []float32, ldc int, first bool) {
 			}
 		}
 	}
-}
-
-func kern4x8(kc int, ap, bp, c []float32, ldc int, first bool) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 float32
-	var c10, c11, c12, c13, c14, c15, c16, c17 float32
-	var c20, c21, c22, c23, c24, c25, c26, c27 float32
-	var c30, c31, c32, c33, c34, c35, c36, c37 float32
-	ap = ap[: 4*kc : 4*kc]
-	bp = bp[: 8*kc : 8*kc]
-	for len(ap) >= 4 && len(bp) >= 8 {
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		b4, b5, b6, b7 := bp[4], bp[5], bp[6], bp[7]
-		a := ap[0]
-		c00 += a * b0
-		c01 += a * b1
-		c02 += a * b2
-		c03 += a * b3
-		c04 += a * b4
-		c05 += a * b5
-		c06 += a * b6
-		c07 += a * b7
-		a = ap[1]
-		c10 += a * b0
-		c11 += a * b1
-		c12 += a * b2
-		c13 += a * b3
-		c14 += a * b4
-		c15 += a * b5
-		c16 += a * b6
-		c17 += a * b7
-		a = ap[2]
-		c20 += a * b0
-		c21 += a * b1
-		c22 += a * b2
-		c23 += a * b3
-		c24 += a * b4
-		c25 += a * b5
-		c26 += a * b6
-		c27 += a * b7
-		a = ap[3]
-		c30 += a * b0
-		c31 += a * b1
-		c32 += a * b2
-		c33 += a * b3
-		c34 += a * b4
-		c35 += a * b5
-		c36 += a * b6
-		c37 += a * b7
-		ap = ap[4:]
-		bp = bp[8:]
-	}
-	r0 := c[0*ldc : 0*ldc+8]
-	r1 := c[1*ldc : 1*ldc+8]
-	r2 := c[2*ldc : 2*ldc+8]
-	r3 := c[3*ldc : 3*ldc+8]
-	if first {
-		r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7] = c00, c01, c02, c03, c04, c05, c06, c07
-		r1[0], r1[1], r1[2], r1[3], r1[4], r1[5], r1[6], r1[7] = c10, c11, c12, c13, c14, c15, c16, c17
-		r2[0], r2[1], r2[2], r2[3], r2[4], r2[5], r2[6], r2[7] = c20, c21, c22, c23, c24, c25, c26, c27
-		r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7] = c30, c31, c32, c33, c34, c35, c36, c37
-		return
-	}
-	r0[0] += c00
-	r0[1] += c01
-	r0[2] += c02
-	r0[3] += c03
-	r0[4] += c04
-	r0[5] += c05
-	r0[6] += c06
-	r0[7] += c07
-	r1[0] += c10
-	r1[1] += c11
-	r1[2] += c12
-	r1[3] += c13
-	r1[4] += c14
-	r1[5] += c15
-	r1[6] += c16
-	r1[7] += c17
-	r2[0] += c20
-	r2[1] += c21
-	r2[2] += c22
-	r2[3] += c23
-	r2[4] += c24
-	r2[5] += c25
-	r2[6] += c26
-	r2[7] += c27
-	r3[0] += c30
-	r3[1] += c31
-	r3[2] += c32
-	r3[3] += c33
-	r3[4] += c34
-	r3[5] += c35
-	r3[6] += c36
-	r3[7] += c37
 }

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -28,7 +30,7 @@ func runBlocked(workers int, tile TileConfig, c, a, b *Tensor, m, n, k int, aTra
 // testTile is a deliberately small, non-round tiling (MC not a multiple
 // of MR, small KC) so modest test shapes cross every blocking boundary:
 // partial MR/NR micro-tiles, partial MC blocks and partial KC panels.
-var testTile = TileConfig{MC: 10, KC: 6, MR: 4, NR: 4}
+var testTile = TileConfig{MC: 10, KC: 6, MR: 8, NR: 4}
 
 // relClose reports |got-want| <= tol·max(1, |want|), the tolerance form
 // the blocked backend is held to against the naive kernel (blocking
@@ -56,8 +58,8 @@ func checkTensorsClose(t *testing.T, what string, got, want *Tensor, tol float32
 // serial vs blocked parallel bit-for-bit.
 func checkBlockedShape(t *testing.T, m, k, n int, seed int64, tile TileConfig) {
 	t.Helper()
-	if err := tile.Validate(); err != nil {
-		t.Fatalf("tile %v: %v", tile, err)
+	if kernelFor(tile.MR, tile.NR) == nil {
+		t.Fatalf("tile %v: no %dx%d micro-kernel", tile, tile.MR, tile.NR)
 	}
 	naive := NewEngine(Serial, 1)
 	rng := rand.New(rand.NewSource(seed))
@@ -124,9 +126,11 @@ func TestBlockedDegenerateShapes(t *testing.T) {
 }
 
 // TestBlockedAllMicroKernels runs the boundary check once per built-in
-// MR×NR register tile, so every kernel's edge handling is exercised.
+// MR×NR register tile — the scalar 8×4 and the 8×8 (SIMD where the host
+// has it; kern8x8_*_test.go compares it against the portable kern8x8go) —
+// so every kernel's edge handling is exercised.
 func TestBlockedAllMicroKernels(t *testing.T) {
-	for i, mk := range MicroKernels() {
+	for i, mk := range [][2]int{{8, 4}, {8, 8}} {
 		tile := TileConfig{MC: 3*mk[0] + 1, KC: 7, MR: mk[0], NR: mk[1]}
 		checkBlockedShape(t, 2*tile.MC+3, 2*tile.KC+1, 3*tile.NR+2, int64(300+i), tile)
 	}
@@ -226,7 +230,7 @@ func TestBlockedZeroAlloc(t *testing.T) {
 		bs.MatMulTransAInto(c, at, b)
 		bs.MatMulTransBInto(c, a, bt)
 	}
-	run() // warm the panel pool and the lastTile record
+	run() // warm the panel pools
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("steady-state blocked GEMM allocates %.1f objects/op, want 0", allocs)
 	}
@@ -271,77 +275,45 @@ func (e concErr) Error() string {
 	return "blocked concurrent GEMM corrupted result"
 }
 
-// TestTileConfigRoundTrip covers the MCxKCxMRxNR string form and the
-// validation ParseTile applies.
-func TestTileConfigRoundTrip(t *testing.T) {
-	for _, tile := range []TileConfig{DefaultTile, {MC: 64, KC: 128, MR: 4, NR: 8}} {
-		got, err := ParseTile(tile.String())
-		if err != nil || got != tile {
-			t.Fatalf("ParseTile(%q) = %v, %v", tile.String(), got, err)
-		}
-	}
-	for _, bad := range []string{"", "128x256x8", "axbxcxd", "128x256x3x3", "2x256x8x4", "128x0x8x4"} {
-		if _, err := ParseTile(bad); err == nil {
-			t.Fatalf("ParseTile(%q) accepted an invalid tile", bad)
-		}
-	}
-}
-
-// TestBlockedTileKnobs covers the tile accessors.
-func TestBlockedTileKnobs(t *testing.T) {
-	e := NewEngine(Blocked, 4)
-	if e.Tile() != DefaultTile {
-		t.Fatalf("unpinned Tile() = %v, want DefaultTile", e.Tile())
-	}
-	want := TileConfig{MC: 64, KC: 128, MR: 4, NR: 4}
-	if err := e.SetTile(want); err != nil {
-		t.Fatalf("SetTile: %v", err)
-	}
-	if e.Tile() != want || e.ActiveTile() != want {
-		t.Fatalf("Tile/ActiveTile after SetTile = %v/%v", e.Tile(), e.ActiveTile())
-	}
-	if err := e.SetTile(TileConfig{MC: 1, KC: 1, MR: 3, NR: 3}); err == nil {
-		t.Fatal("SetTile accepted a tile with no micro-kernel")
-	}
-
-	// ActiveTile reflects the tile a blocked GEMM actually used.
-	rng := rand.New(rand.NewSource(8))
-	c, a, b := New(6, 6), randTensor(rng, 6, 4), randTensor(rng, 4, 6)
-	e.MatMulInto(c, a, b)
-	if e.ActiveTile() != want {
-		t.Fatalf("ActiveTile after GEMM = %v, want %v", e.ActiveTile(), want)
-	}
-}
-
-// TestEngineFromEnvKnobs drives the injectable env parsing: backend,
-// tile pin and autotune switch.
+// TestEngineFromEnvKnobs drives the injectable env parsing: the backend
+// knob is honoured, unknown values (the retired "parallel" included) fall
+// back to the default, and the three retired tile knobs are inert — an
+// engine built with them set is the empty-env engine, computes the same
+// bits, and writes nothing to the old cache path.
 func TestEngineFromEnvKnobs(t *testing.T) {
-	env := map[string]string{
-		"PCNN_GEMM_BACKEND": "blocked",
-		"PCNN_GEMM_TILE":    "64x128x4x8",
-		"PCNN_GEMM_TUNE":    "on",
-	}
-	e := engineFromEnv(func(k string) string { return env[k] })
-	if e.Backend() != Blocked {
+	if e := engineFromEnv(func(k string) string {
+		return map[string]string{"PCNN_GEMM_BACKEND": "blocked"}[k]
+	}); e.Backend() != Blocked {
 		t.Fatalf("backend = %v, want blocked", e.Backend())
 	}
-	if got := e.Tile(); got != (TileConfig{MC: 64, KC: 128, MR: 4, NR: 8}) {
-		t.Fatalf("tile = %v", got)
+	if e := engineFromEnv(func(k string) string {
+		return map[string]string{"PCNN_GEMM_BACKEND": "parallel"}[k]
+	}); e.Backend() != Auto || e.Backend().Resolved() != Blocked {
+		t.Fatalf("bad-env engine = %v (resolved %v)", e.Backend(), e.Backend().Resolved())
 	}
-	if !e.Autotune() {
-		t.Fatal("autotune not enabled")
+
+	cache := filepath.Join(t.TempDir(), "c.json")
+	retired := map[string]string{
+		"PCNN_GEMM_TUNE":       "1",
+		"PCNN_GEMM_TILE":       "64x128x4x8",
+		"PCNN_GEMM_TUNE_CACHE": cache,
 	}
-	// Bad tile and backend strings (the retired "parallel" included) are
-	// ignored, not fatal; the defaults survive, and the default backend
-	// resolves to the blocked kernels.
-	e2 := engineFromEnv(func(k string) string {
-		return map[string]string{"PCNN_GEMM_TILE": "nonsense", "PCNN_GEMM_BACKEND": "parallel"}[k]
-	})
-	if e2.Tile() != DefaultTile || e2.Backend() != Auto || e2.Backend().Resolved() != Blocked {
-		t.Fatalf("bad-env engine = %v (resolved %v) / %v", e2.Backend(), e2.Backend().Resolved(), e2.Tile())
+	empty := engineFromEnv(func(string) string { return "" })
+	e := engineFromEnv(func(k string) string { return retired[k] })
+	if e.Backend() != empty.Backend() || e.Backend().Resolved() != Blocked ||
+		e.ParallelThreshold() != empty.ParallelThreshold() ||
+		e.Precision() != empty.Precision() || e.pool != empty.pool {
+		t.Fatalf("retired knobs changed the engine: %v/%d/%v vs empty-env %v/%d/%v",
+			e.Backend(), e.ParallelThreshold(), e.Precision(),
+			empty.Backend(), empty.ParallelThreshold(), empty.Precision())
 	}
-	if e3 := engineFromEnv(func(string) string { return "" }); e3.Backend().Resolved() != Blocked {
-		t.Fatalf("empty-env engine resolves to %v, want blocked", e3.Backend().Resolved())
+	rng := rand.New(rand.NewSource(8))
+	a, b := randTensor(rng, 40, 300), randTensor(rng, 300, 50)
+	if !bitIdentical(e.MatMul(a, b), empty.MatMul(a, b)) {
+		t.Fatal("engine built with the retired tile knobs computes different bits")
+	}
+	if _, err := os.Stat(cache); !os.IsNotExist(err) {
+		t.Fatalf("a file appeared at the retired cache path (stat err = %v)", err)
 	}
 }
 

@@ -209,8 +209,8 @@ func (e *Engine) MatMulIm2colInto(c, a *Tensor, x []float32, g Im2colGeom) {
 	// Reduced precision materializes and delegates: the fused packer is
 	// fp32-only, and the quantized paths need the dense operand anyway.
 	if e.usesBlocked(m) && e.Precision() == FP32 {
-		t, parallel := e.planBlocked(m, k, n)
-		blockedGEMMIm2col(c.Data, a.Data, x, m, g, t, e.pool, parallel)
+		parallel := e.shouldParallel(m, n, min(k, DefaultTile.KC))
+		blockedGEMMIm2col(c.Data, a.Data, x, m, g, DefaultTile, e.pool, parallel)
 		return
 	}
 	cols, release := NewScratch(k, n)

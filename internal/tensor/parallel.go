@@ -179,13 +179,6 @@ type Engine struct {
 	threshold atomic.Int64
 	precision atomic.Int32
 	pool      *workerPool
-
-	// Blocked-backend state: an explicitly pinned tile, the tile the most
-	// recent blocked GEMM actually used (exported to metrics), and the
-	// lazy-autotune switch. All accessed atomically; see autotune.go.
-	tile     atomic.Pointer[TileConfig]
-	lastTile atomic.Pointer[TileConfig]
-	autotune atomic.Bool
 }
 
 // NewEngine creates an engine with the given backend. workers <= 0 shares
@@ -209,9 +202,6 @@ func NewEngine(b Backend, workers int) *Engine {
 //	PCNN_GEMM_WORKERS     worker-pool size          (default GOMAXPROCS)
 //	PCNN_GEMM_THRESHOLD   min FLOPs of one KC-deep slice for it to shard
 //	PCNN_GEMM_PRECISION   fp32 | fp16 | int8 forward-GEMM precision
-//	PCNN_GEMM_TUNE        1/on = lazy per-shape-class tile autotuning
-//	PCNN_GEMM_TILE        pinned blocked tile, MCxKCxMRxNR
-//	PCNN_GEMM_TUNE_CACHE  JSON file persisting probed tile winners
 var defaultEngine = engineFromEnv(os.Getenv)
 
 // engineFromEnv builds an engine from a getenv-shaped lookup; tests
@@ -239,18 +229,6 @@ func engineFromEnv(getenv func(string) string) *Engine {
 	if s := getenv("PCNN_GEMM_PRECISION"); s != "" {
 		if p, err := ParsePrecision(s); err == nil {
 			e.SetPrecision(p)
-		}
-	}
-	if s := getenv("PCNN_GEMM_TUNE_CACHE"); s != "" {
-		_ = SetTuneCachePath(s) // unreadable cache = cold start, not fatal
-	}
-	switch strings.ToLower(strings.TrimSpace(getenv("PCNN_GEMM_TUNE"))) {
-	case "1", "on", "true", "yes":
-		e.SetAutotune(true)
-	}
-	if s := getenv("PCNN_GEMM_TILE"); s != "" {
-		if t, err := ParseTile(s); err == nil {
-			_ = e.SetTile(t) // ParseTile already validated
 		}
 	}
 	return e
@@ -294,21 +272,9 @@ func (e *Engine) shouldParallel(m, n, k int) bool {
 		GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
 }
 
-// planBlocked resolves one blocked GEMM: its tile, recorded for ActiveTile
-// (skipped when unchanged so the steady-state path stays allocation-free),
-// and whether its KC-deep slices shard across the pool.
-func (e *Engine) planBlocked(m, k, n int) (TileConfig, bool) {
-	t := e.tileFor(m, k, n)
-	if cur := e.lastTile.Load(); cur == nil || *cur != t {
-		record := t // copy in the cold branch only, so t itself stays off the heap
-		e.lastTile.Store(&record)
-	}
-	return t, e.shouldParallel(m, n, min(k, t.KC))
-}
-
-// blockedInto runs one blocked GEMM under the engine's resolved tile and
-// sharding decision.
+// blockedInto runs one blocked GEMM at the build's tile, sharding its
+// KC-deep slices across the pool when one slice clears the threshold.
 func (e *Engine) blockedInto(c, a, b []float32, m, n, k int, aTrans, bTrans bool) {
-	t, parallel := e.planBlocked(m, k, n)
-	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, t, e.pool, parallel)
+	parallel := e.shouldParallel(m, n, min(k, DefaultTile.KC))
+	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, DefaultTile, e.pool, parallel)
 }
