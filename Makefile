@@ -53,6 +53,8 @@ race:
 		./internal/fleet/e2e/ ./internal/simdrive/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ \
 		-run 'TestMatrixSameSeedByteIdentical|TestSoakDeterministic|TestSoakChunkedMatchesMonolithic'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
+		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
 
 # e2e runs the real-daemon end-to-end suite: N pcnnd-equivalent HTTP
 # daemons on loopback, an outer fleet of HTTPReplicas routing mixed-model
@@ -69,10 +71,12 @@ bench:
 # bench-gemm reproduces the GEMM rows recorded in BENCH_gemm.json: the
 # naive-oracle-vs-blocked serial pairs (acceptance shape VGG_conv2_1), the
 # pool-sharded blocked backend, the default engine (the same path under
-# its other name), the int8 forward path, and the fused im2col→pack conv
-# comparison.
+# its other name), the int8 forward path, the batch-folded vs per-sample
+# AlexNet-S conv GEMMs (sub-millisecond, hence their own iteration count),
+# and the fused im2col→pack conv comparison.
 bench-gemm:
 	$(GO) test -run='^$$' -bench='GEMMSerial|GEMMBlocked|GEMMBlockedParallel|GEMMDefault|GEMMInt8' -benchmem -benchtime=5x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='GEMMFolded' -benchtime=200x -count=5 -cpu 1 ./internal/tensor/
 	$(GO) test -run='^$$' -bench='ConvFusedPack' -benchmem -benchtime=5x ./internal/nn/
 
 fuzz:
@@ -86,10 +90,12 @@ fuzz-blocked:
 
 # fuzz-fusedpack drives random conv geometries through the fused
 # im2col→pack-B path against the two-step materialize-then-pack lowering,
-# requiring bit-identical packed panels (the committed seed corpus runs
-# as part of `test`).
+# requiring bit-identical packed panels, then random batch-folded
+# geometries (panels straddling images) against the same reference and
+# the batch-1 oracle (the committed seed corpora run as part of `test`).
 fuzz-fusedpack:
 	$(GO) test -run='^$$' -fuzz=FuzzFusedPackVsTwoStep -fuzztime=30s ./internal/tensor/
+	$(GO) test -run='^$$' -fuzz=FuzzFoldedIm2col -fuzztime=30s ./internal/tensor/
 
 # fuzz-predict hammers the Eq 12 time model's monotonicity and anchor
 # properties (the committed seed corpus runs as part of `test`).
@@ -105,14 +111,17 @@ fuzz-mmpp:
 # chaos runs the seeded fault-injection suite — deterministic injector
 # streams, the serve-level chaos scenarios, and the hardening regressions
 # (drain-on-Close, breaker lifecycle, soak conservation, submit accounting,
-# the future-completion contract and untorn operating-point reads at one
-# and two Ps) — under the race detector.
+# the future-completion contract, untorn operating-point reads and
+# lock-free concurrent inference on one shared network at one and two Ps)
+# — under the race detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ \
 		-run 'TestChaos|TestDeterministicStreams|TestStreamIndependence'
 	$(GO) test -race -count=1 ./internal/serve/ \
 		-run 'TestNoResolutionAfterCloseDrain|TestBreakerLifecycleServing|TestSoakConservation|TestExecTimeoutFailsAttempt'
-	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ -run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerPointNeverTorn'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ \
+		-run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerPointNeverTorn|TestPlanExecutorConcurrentLevels'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ -run 'TestConcurrentInferenceSharedNet'
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator
 # must serve every accepted request with positive SoC, and the virtual-clock

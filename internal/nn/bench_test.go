@@ -74,7 +74,7 @@ func BenchmarkIm2col(b *testing.B) {
 			b.SetBytes(int64(len(dst)) * 4)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				im2colInto(dst, x, c, h, w, cfg.k, cfg.stride, cfg.pad, nil, ho, wo)
+				im2colInto(dst, ho*wo, x, c, h, w, cfg.k, cfg.stride, cfg.pad, ho, wo)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"pcnn/internal/perforate"
 	"pcnn/internal/tensor"
@@ -26,9 +27,13 @@ type Conv struct {
 	weight *Param // (outC) × (inC·k·k)
 	bias   *Param // outC
 
-	keepW, keepH int // 0,0 = full computation
+	// keepW/keepH (0,0 = full computation) and eng (nil = package default)
+	// are the setter-path operating point: Forward(x, false) reads them,
+	// per-call ForwardOpts override them without touching the layer.
+	keepW, keepH int
+	eng          *tensor.Engine
 
-	eng *tensor.Engine // nil = package default
+	masks sync.Map // Keep → *perforate.Mask, see maskFor
 
 	// Backward caches (training always runs unperforated).
 	lastCols  []*tensor.Tensor
@@ -41,7 +46,7 @@ type Conv struct {
 	dcols *tensor.Tensor
 }
 
-// conv1x1Fast gates the 1×1 stride-1 unpadded fast path in Forward;
+// conv1x1Fast gates the 1×1 stride-1 unpadded fast path (see pointwise);
 // tests flip it to prove the path is bit-identical to the generic
 // im2col lowering.
 var conv1x1Fast = true
@@ -113,98 +118,175 @@ func (c *Conv) SetPerforation(keepW, keepH int) {
 // Perforation implements Perforable.
 func (c *Conv) Perforation() (keepW, keepH int) { return c.keepW, c.keepH }
 
-// mask returns the active perforation mask, or a full mask when disabled.
-func (c *Conv) mask() perforate.Mask {
+// maskFor returns the perforation mask of a keep grid, or nil when the
+// grid means full computation. Each (geometry, keep) mask is built once
+// and cached on the layer, safely under concurrent use, so neither the
+// setter path nor NewForwardOpts constructs a mask twice.
+func (c *Conv) maskFor(k Keep) *perforate.Mask {
 	ho, wo := c.OutDims()
-	if c.keepW <= 0 || c.keepH <= 0 || (c.keepW >= wo && c.keepH >= ho) {
-		return perforate.Full(wo, ho)
+	if k.W <= 0 || k.H <= 0 || (k.W >= wo && k.H >= ho) {
+		return nil
 	}
-	return perforate.Grid(wo, ho, c.keepW, c.keepH)
+	if m, ok := c.masks.Load(k); ok {
+		return m.(*perforate.Mask)
+	}
+	m := perforate.Grid(wo, ho, k.W, k.H).Prepared()
+	cached, _ := c.masks.LoadOrStore(k, &m)
+	return cached.(*perforate.Mask)
 }
+
+// foldBudget caps, in floats, the block one folded inference GEMM
+// materializes per layer — its column matrix (or packed-B slab) plus its
+// result, (fanIn + outC) × samples·nPos — so a large batch folds in sample
+// chunks of bounded scratch instead of one slab that scales with the
+// batch. 2 MiB holds a whole 32-sample batch of every scaled-network
+// layer but VGG-S's widest; a single full-size image always forms a chunk
+// of its own.
+const foldBudget = 1 << 19
 
 // Forward implements Layer.
 func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Dim(0)
-	if x.Dim(1) != c.inC || x.Dim(2) != c.inH || x.Dim(3) != c.inW {
-		panic(fmt.Sprintf("nn: conv %s input %v, want [N %d %d %d]", c.name, x.Shape(), c.inC, c.inH, c.inW))
+	if !train {
+		return forwardAlone(c, x)
 	}
+	c.checkInput(x.Dim(1), x.Dim(2), x.Dim(3))
+	n := x.Dim(0)
 	ho, wo := c.OutDims()
 	out := tensor.New(n, c.outC, ho, wo)
+	c.lastCols = make([]*tensor.Tensor, n)
+	c.lastInput = x
 
-	m := c.mask()
-	perforated := !m.IsFull() && !train
-	if train {
-		c.lastCols = make([]*tensor.Tensor, n)
-		c.lastInput = x
+	planeIn := c.inC * c.inH * c.inW
+	planeOut := ho * wo
+	fanIn := c.inC * c.k * c.k
+	eng := c.engine()
+	// Training lowers one sample at a time — each sample's column matrix
+	// is cached for Backward — and always unperforated. A 1×1 stride-1
+	// unpadded convolution's column matrix IS the input plane (fanIn = inC
+	// rows of ho·wo values, in row-major order); Backward only reads
+	// lastCols, so that path caches the input-aliasing view without
+	// copying.
+	res, releaseRes := tensor.NewScratch(c.outC, planeOut)
+	defer releaseRes()
+	for i := 0; i < n; i++ {
+		xi := x.Data[i*planeIn : (i+1)*planeIn]
+		var cols *tensor.Tensor
+		if c.pointwise() {
+			cols = tensor.FromSlice(xi, fanIn, planeOut)
+		} else {
+			cols = tensor.New(fanIn, planeOut)
+			im2colInto(cols.Data, planeOut, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
+		}
+		c.lastCols[i] = cols
+		eng.MatMulInto(res, c.weight.W, cols) // outC × planeOut
+		c.addBias(out.Data[i*c.outC*planeOut:(i+1)*c.outC*planeOut], res.Data, planeOut, 0, planeOut)
 	}
+	return out
+}
+
+func (c *Conv) checkInput(ch, h, w int) {
+	if ch != c.inC || h != c.inH || w != c.inW {
+		panic(fmt.Sprintf("nn: conv %s input [N %d %d %d], want [N %d %d %d]", c.name, ch, h, w, c.inC, c.inH, c.inW))
+	}
+}
+
+// pointwise reports whether the column matrix of one image is the image
+// itself: a 1×1 stride-1 unpadded convolution (conv1x1Fast lets tests
+// force the generic lowering).
+func (c *Conv) pointwise() bool {
+	return conv1x1Fast && c.k == 1 && c.stride == 1 && c.pad == 0
+}
+
+// addBias writes one sample's planes: dst[f] = res[f][off : off+nPos] + bias[f],
+// where res is an outC × ld GEMM result.
+func (c *Conv) addBias(dst, res []float32, ld, off, nPos int) {
+	for f := 0; f < c.outC; f++ {
+		row := res[f*ld+off:][:nPos]
+		b := c.bias.W.Data[f]
+		d := dst[f*nPos:][:nPos]
+		for j, v := range row {
+			d[j] = v + b
+		}
+	}
+}
+
+// infer implements Layer: a batch of n lowers to one GEMM per sample
+// chunk with N = samples·nPos, on both lowerings. Unperforated fp32 on the
+// blocked kernels packs GEMM panels straight from the input images (fused
+// im2col→pack-B; the column matrix is never materialized). Everything
+// else — a perforated layer, whose sampled column matrix shrinks N to
+// Wo′·Ho′ per sample, reduced precision, the serial oracle — builds the
+// fanIn × (samples·nPos) column matrix in scratch and runs the plain GEMM.
+// The bias pass then writes NCHW, scattering and interpolating per sample
+// under a mask. A column's K order does not depend on its neighbours, so
+// every output element is bit-identical to a batch-1 call's.
+func (c *Conv) infer(x act, ctx inferCtx) act {
+	c.checkInput(x.c, x.h, x.w)
+	eng := ctx.engine(c.eng)
+	var m *perforate.Mask // nil = full computation
+	if ctx.opts != nil {
+		m = ctx.opts.masks[c]
+	} else {
+		m = c.maskFor(Keep{c.keepW, c.keepH})
+	}
+	ho, wo := c.OutDims()
+	out := ctx.alloc(x.n, c.outC, ho, wo)
 
 	planeIn := c.inC * c.inH * c.inW
 	planeOut := ho * wo
 	fanIn := c.inC * c.k * c.k
 	nPos := planeOut
-	var positions []int
-	if perforated {
-		positions = m.SampledIndices()
+	if m != nil {
 		nPos = m.SampledCount()
 	}
-
-	eng := c.engine()
-	// A 1×1 stride-1 unpadded convolution's column matrix IS the input
-	// plane (fanIn = inC rows of ho·wo values, in row-major order), so the
-	// GEMM can read the input directly instead of copying it through
-	// im2col. Perforation still needs the sampled column matrix.
-	fast1x1 := conv1x1Fast && c.k == 1 && c.stride == 1 && c.pad == 0 && !perforated
-	// Whenever the engine resolves to the blocked kernels (the default),
-	// unperforated inference packs GEMM panels straight from the input
-	// image (fused im2col→pack-B) — the column matrix is never materialized
-	// and the fanIn×nPos scratch buffer, the largest in conv forward, is
-	// never taken. The fused packer is fp32-only; reduced precision keeps
-	// the two-step lowering and its fast im2col.
-	fusedPack := convFusedPack && !train && !perforated && !fast1x1 &&
+	fused := convFusedPack && m == nil &&
 		eng.Backend().Resolved() == tensor.Blocked && eng.Precision() == tensor.FP32
 	geom := tensor.Im2colGeom{
 		C: c.inC, H: c.inH, W: c.inW, K: c.k,
 		Stride: c.stride, Pad: c.pad, HO: ho, WO: wo,
 	}
-	// The GEMM shapes are identical for every sample in the batch, so the
-	// column matrix (at inference; training caches it) and the GEMM output
-	// come from the scratch pool and are reused across the loop.
-	var colsScratch *tensor.Tensor
-	var releaseCols func()
-	if !train && !fast1x1 && !fusedPack {
-		colsScratch, releaseCols = tensor.NewScratch(fanIn, nPos)
-		defer releaseCols()
+	if c.pointwise() {
+		// The image is its own column matrix: one ho·wo-wide row per
+		// channel, so the packer copies whole panels instead of row
+		// segments.
+		geom.H, geom.W, geom.HO, geom.WO = 1, c.inH*c.inW, 1, planeOut
 	}
-	res, releaseRes := tensor.NewScratch(c.outC, nPos)
-	defer releaseRes()
 
-	for i := 0; i < n; i++ {
-		xi := x.Data[i*planeIn : (i+1)*planeIn]
-		if fusedPack {
-			eng.MatMulIm2colInto(res, c.weight.W, xi, geom) // outC × nPos
+	chunk := min(max(foldBudget/((fanIn+c.outC)*nPos), 1), x.n)
+	res := tensor.GetScratch(c.outC * chunk * nPos)
+	defer tensor.PutScratch(res)
+	var cols []float32
+	if !fused {
+		cols = tensor.GetScratch(fanIn * chunk * nPos)
+		defer tensor.PutScratch(cols)
+	}
+	for s0 := 0; s0 < x.n; s0 += chunk {
+		ns := min(chunk, x.n-s0)
+		ld := ns * nPos
+		xs := x.data[s0*planeIn : (s0+ns)*planeIn]
+		resT := tensor.FromSlice(res[:c.outC*ld], c.outC, ld)
+		if fused {
+			geom.N = ns
+			eng.MatMulIm2colInto(resT, c.weight.W, xs, geom)
 		} else {
-			var cols *tensor.Tensor
-			switch {
-			case fast1x1:
-				cols = tensor.FromSlice(xi, fanIn, nPos)
-			case train:
-				cols = tensor.New(fanIn, nPos)
-				im2colInto(cols.Data, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, positions, ho, wo)
-			default:
-				cols = colsScratch
-				im2colInto(cols.Data, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, positions, ho, wo)
+			if m != nil {
+				keptX, keptY := m.SampledGrid()
+				im2colSampled(cols, xs, ns, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, keptX, keptY)
+			} else {
+				for s := 0; s < ns; s++ {
+					im2colInto(cols[s*nPos:], ld, xs[s*planeIn:(s+1)*planeIn], c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
+				}
 			}
-			if train {
-				// Backward only reads lastCols, so the 1×1 path may cache the
-				// input-aliasing view without copying.
-				c.lastCols[i] = cols
-			}
-			eng.MatMulInto(res, c.weight.W, cols) // outC × nPos
+			eng.MatMulInto(resT, c.weight.W, tensor.FromSlice(cols[:fanIn*ld], fanIn, ld))
 		}
-		oi := out.Data[i*c.outC*planeOut : (i+1)*c.outC*planeOut]
-		if perforated {
+		for s := 0; s < ns; s++ {
+			oi := out.data[(s0+s)*c.outC*planeOut:][:c.outC*planeOut]
+			if m == nil {
+				c.addBias(oi, res, ld, s*nPos, nPos)
+				continue
+			}
 			for f := 0; f < c.outC; f++ {
-				row := res.Data[f*nPos : (f+1)*nPos]
+				row := res[f*ld+s*nPos:][:nPos]
 				b := c.bias.W.Data[f]
 				for j := range row {
 					row[j] += b
@@ -212,15 +294,6 @@ func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				m.Scatter(row, oi[f*planeOut:(f+1)*planeOut])
 			}
 			m.Interpolate(oi, c.outC)
-		} else {
-			for f := 0; f < c.outC; f++ {
-				row := res.Data[f*planeOut : (f+1)*planeOut]
-				b := c.bias.W.Data[f]
-				dst := oi[f*planeOut : (f+1)*planeOut]
-				for j, v := range row {
-					dst[j] = v + b
-				}
-			}
 		}
 	}
 	return out
@@ -260,5 +333,9 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		eng.MatMulTransAInto(c.dcols, c.weight.W, gi)
 		col2im(dx.Data[i*planeIn:(i+1)*planeIn], c.dcols, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
 	}
+	// Backward consumes the forward cache: a trained network that goes on
+	// to serve must not pin its last batch's column matrices (megabytes
+	// per layer) for the rest of its life.
+	c.lastCols, c.lastInput = nil, nil
 	return dx
 }

@@ -55,24 +55,30 @@ func (f *FC) Shape() FCShape { return FCShape{Name: f.name, In: f.in, Out: f.out
 
 // Forward implements Layer.
 func (f *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Dim(0)
-	if x.Len()/n != f.in {
-		panic(fmt.Sprintf("nn: fc %s: input %v has %d features, want %d", f.name, x.Shape(), x.Len()/n, f.in))
+	if !train {
+		return forwardAlone(f, x)
 	}
-	flat := x.Reshape(n, f.in)
-	if train {
-		f.lastInput = flat
-		f.lastShape = x.Shape()
+	out := forwardAlone(f, x) // checks the feature count
+	f.lastInput = x.Reshape(x.Dim(0), f.in)
+	f.lastShape = x.Shape()
+	return out
+}
+
+// infer implements Layer: out = flat · Wᵀ + b, one row per sample — one
+// GEMM per batch, which the FC lowering always was.
+func (f *FC) infer(x act, ctx inferCtx) act {
+	if feats := x.c * x.h * x.w; feats != f.in {
+		panic(fmt.Sprintf("nn: fc %s: input [%d %d %d %d] has %d features, want %d", f.name, x.n, x.c, x.h, x.w, feats, f.in))
 	}
-	// out = flat · Wᵀ, one row per sample.
-	res := f.engine().MatMulTransB(flat, f.weight.W) // n × out
-	for i := 0; i < n; i++ {
-		row := res.Data[i*f.out : (i+1)*f.out]
+	out := ctx.alloc(x.n, f.out, 1, 1)
+	ctx.engine(f.eng).MatMulTransBInto(tensor.FromSlice(out.data, x.n, f.out), tensor.FromSlice(x.data, x.n, f.in), f.weight.W)
+	for i := 0; i < x.n; i++ {
+		row := out.data[i*f.out : (i+1)*f.out]
 		for j := range row {
 			row[j] += f.bias.W.Data[j]
 		}
 	}
-	return res.Reshape(n, f.out, 1, 1)
+	return out
 }
 
 // Backward implements Layer.
@@ -97,5 +103,6 @@ func (f *FC) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = g · W  (n × in)
 	dx := eng.MatMul(g, f.weight.W)
+	f.lastInput = nil // consumed; see Conv.Backward
 	return dx.Reshape(f.lastShape...)
 }

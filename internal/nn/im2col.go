@@ -4,24 +4,21 @@ import "pcnn/internal/tensor"
 
 // im2colInto lowers one image's convolution input to the column matrix Dm
 // of Fig 2: each output position becomes a column holding the Sf²·Nc input
-// values its filter window covers. x is a C×H×W plane slice; dst holds
-// (c·kh·kw) × nPos values and is fully overwritten, so callers may hand it
-// pooled scratch (tensor.GetScratch). positions==nil means all ho·wo
-// positions in row-major order; a non-nil slice of row-major indices into
-// the ho×wo grid produces the perforated data matrix instead — the GEMM's
-// N dimension shrinks to Wo′·Ho′.
-func im2colInto(dst, x []float32, c, h, w, k, stride, pad int, positions []int, ho, wo int) {
-	if positions != nil {
-		im2colSampledInto(dst, x, c, h, w, k, stride, pad, positions, wo)
-		return
-	}
+// values its filter window covers. x is a C×H×W plane slice; the image's
+// nPos columns are written at the start of each of dst's (c·kh·kw) rows,
+// which are ld apart — ld = nPos for a matrix of one image, or the folded
+// width when dst is one image's column block of a batch-wide matrix. The
+// block is fully overwritten, so callers may hand it pooled scratch
+// (tensor.GetScratch). All ho·wo positions are lowered, in row-major
+// order; im2colSampled is the perforated form.
+func im2colInto(dst []float32, ld int, x []float32, c, h, w, k, stride, pad int, ho, wo int) {
 	nPos := ho * wo
 	row := 0
 	for ci := 0; ci < c; ci++ {
 		plane := x[ci*h*w : (ci+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				out := dst[row*nPos : (row+1)*nPos]
+				out := dst[row*ld:][:nPos]
 				if stride == 1 {
 					// Output row oy reads input row iy shifted by kx-pad:
 					// columns [lo, hi) come from a contiguous copy, the rest
@@ -74,25 +71,38 @@ func im2colInto(dst, x []float32, c, h, w, k, stride, pad int, positions []int, 
 	}
 }
 
-// im2colSampledInto is the perforated form: one column per sampled output
-// position, which keeps the per-position index arithmetic the dense paths
-// above avoid.
-func im2colSampledInto(dst, x []float32, c, h, w, k, stride, pad int, positions []int, wo int) {
-	nPos := len(positions)
+// im2colSampled is the perforated form for a chunk of ns images stored
+// back to back in x: one column per image per computed position — the
+// cross product of the mask's kept rows ys and columns xs, row-major — so
+// the GEMM's N dimension shrinks to ns·Wo′·Ho′. dst holds (c·k·k) rows of
+// ns·len(ys)·len(xs) values, image s owning columns [s·nPos, (s+1)·nPos),
+// and is fully overwritten. Which input value a (row, position) pair reads
+// is the same for every image, so the index arithmetic runs once per pair
+// and the inner loop strides across the chunk.
+func im2colSampled(dst, x []float32, ns, c, h, w, k, stride, pad int, xs, ys []int) {
+	nPos := len(xs) * len(ys)
+	ld, img := ns*nPos, c*h*w
 	row := 0
 	for ci := 0; ci < c; ci++ {
-		plane := x[ci*h*w : (ci+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				out := dst[row*nPos : (row+1)*nPos]
-				for p, pos := range positions {
-					oy, ox := pos/wo, pos%wo
+				out := dst[row*ld:][:ld]
+				p := 0
+				for _, oy := range ys {
 					iy := oy*stride - pad + ky
-					ix := ox*stride - pad + kx
-					if iy >= 0 && iy < h && ix >= 0 && ix < w {
-						out[p] = plane[iy*w+ix]
-					} else {
-						out[p] = 0
+					for _, ox := range xs {
+						ix := ox*stride - pad + kx
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							for j := p; j < ld; j += nPos {
+								out[j] = 0
+							}
+						} else {
+							src := x[ci*h*w+iy*w+ix:]
+							for j, o := p, 0; j < ld; j, o = j+nPos, o+img {
+								out[j] = src[o]
+							}
+						}
+						p++
 					}
 				}
 				row++

@@ -64,7 +64,7 @@ func TestIm2colMatchesReference(t *testing.T) {
 						for i := range got {
 							got[i], want[i] = -7, -7 // must be fully overwritten
 						}
-						im2colInto(got, x, c, h, w, k, stride, pad, nil, ho, wo)
+						im2colInto(got, ho*wo, x, c, h, w, k, stride, pad, ho, wo)
 						im2colRefInto(want, x, c, h, w, k, stride, pad, nil, ho, wo)
 						for i := range got {
 							if got[i] != want[i] {
@@ -73,19 +73,38 @@ func TestIm2colMatchesReference(t *testing.T) {
 							}
 						}
 
-						// Sampled (perforated) form over a ragged subset.
-						var positions []int
-						for pos := 0; pos < nPos; pos += 3 {
-							positions = append(positions, pos)
+						// Sampled (perforated) form over a product sub-grid,
+						// two images folded (the second is the first reversed):
+						// each image's column block must match the reference.
+						var keptX, keptY, positions []int
+						for ox := 0; ox < wo; ox += 2 {
+							keptX = append(keptX, ox)
 						}
-						sGot := make([]float32, c*k*k*len(positions))
-						sWant := make([]float32, c*k*k*len(positions))
-						im2colInto(sGot, x, c, h, w, k, stride, pad, positions, ho, wo)
-						im2colRefInto(sWant, x, c, h, w, k, stride, pad, positions, ho, wo)
-						for i := range sGot {
-							if sGot[i] != sWant[i] {
-								t.Fatalf("sampled c=%d h=%d w=%d k=%d s=%d p=%d: elem %d: got %g, want %g",
-									c, h, w, k, stride, pad, i, sGot[i], sWant[i])
+						for oy := 1; oy < ho; oy += 3 {
+							keptY = append(keptY, oy)
+						}
+						for _, oy := range keptY {
+							for _, ox := range keptX {
+								positions = append(positions, oy*wo+ox)
+							}
+						}
+						x2 := append(append([]float32(nil), x...), x...)
+						for i := range x {
+							x2[len(x)+i] = x[len(x)-1-i]
+						}
+						sN := len(positions)
+						sGot := make([]float32, c*k*k*2*sN)
+						sWant := make([]float32, c*k*k*sN)
+						im2colSampled(sGot, x2, 2, c, h, w, k, stride, pad, keptX, keptY)
+						for img := 0; img < 2 && sN > 0; img++ {
+							im2colRefInto(sWant, x2[img*len(x):(img+1)*len(x)], c, h, w, k, stride, pad, positions, ho, wo)
+							for r := 0; r < c*k*k; r++ {
+								for p := 0; p < sN; p++ {
+									if got, want := sGot[r*2*sN+img*sN+p], sWant[r*sN+p]; got != want {
+										t.Fatalf("sampled c=%d h=%d w=%d k=%d s=%d p=%d: image %d row %d pos %d: got %g, want %g",
+											c, h, w, k, stride, pad, img, r, p, got, want)
+									}
+								}
 							}
 						}
 					}

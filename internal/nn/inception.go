@@ -48,38 +48,61 @@ func (inc *Inception) Params() []*Param {
 	return ps
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training forward records the branch
+// widths Backward splits the gradient by; inference keeps them in locals,
+// so concurrent inference on a shared module writes nothing.
 func (inc *Inception) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(inc.Branches))
+	if !train {
+		return forwardAlone(inc, x)
+	}
+	outs := make([]act, len(inc.Branches))
+	inc.lastChans = make([]int, len(inc.Branches))
 	for i, b := range inc.Branches {
 		o := x
 		for _, l := range b.Layers {
-			o = l.Forward(o, train)
+			o = l.Forward(o, true)
 		}
-		outs[i] = o
-	}
-	n, h, w := outs[0].Dim(0), outs[0].Dim(2), outs[0].Dim(3)
-	totalC := 0
-	inc.lastChans = make([]int, len(outs))
-	for i, o := range outs {
-		if o.Dim(0) != n || o.Dim(2) != h || o.Dim(3) != w {
-			panic(fmt.Sprintf("nn: inception %s: branch %d output %v mismatches [%d _ %d %d]",
-				inc.name, i, o.Shape(), n, h, w))
-		}
+		outs[i] = actOf(o)
 		inc.lastChans[i] = o.Dim(1)
-		totalC += o.Dim(1)
 	}
-	inc.lastDims = []int{n, h, w}
-	out := tensor.New(n, totalC, h, w)
+	out := inc.concat(outs, inferCtx{})
+	inc.lastDims = []int{out.n, out.h, out.w}
+	return tensor.FromSlice(out.data, out.n, out.c, out.h, out.w)
+}
+
+// infer implements Layer. Every branch reads the module input, so the
+// branches see it as not theirs to overwrite or recycle.
+func (inc *Inception) infer(x act, ctx inferCtx) act {
+	x.owned = false
+	outs := make([]act, len(inc.Branches))
+	for i, b := range inc.Branches {
+		outs[i] = inferChain(b.Layers, x, ctx)
+	}
+	out := inc.concat(outs, ctx)
+	for _, o := range outs {
+		o.release()
+	}
+	return out
+}
+
+// concat joins branch outputs along the channel axis.
+func (inc *Inception) concat(outs []act, ctx inferCtx) act {
+	n, h, w := outs[0].n, outs[0].h, outs[0].w
+	totalC := 0
+	for i, o := range outs {
+		if o.n != n || o.h != h || o.w != w {
+			panic(fmt.Sprintf("nn: inception %s: branch %d output [%d %d %d %d] mismatches [%d _ %d %d]",
+				inc.name, i, o.n, o.c, o.h, o.w, n, h, w))
+		}
+		totalC += o.c
+	}
+	out := ctx.alloc(n, totalC, h, w)
 	plane := h * w
 	for s := 0; s < n; s++ {
 		cOff := 0
-		for i, o := range outs {
-			ci := inc.lastChans[i]
-			src := o.Data[s*ci*plane : (s+1)*ci*plane]
-			dst := out.Data[(s*totalC+cOff)*plane : (s*totalC+cOff+ci)*plane]
-			copy(dst, src)
-			cOff += ci
+		for _, o := range outs {
+			copy(out.data[(s*totalC+cOff)*plane:][:o.c*plane], o.data[s*o.c*plane:][:o.c*plane])
+			cOff += o.c
 		}
 	}
 	return out

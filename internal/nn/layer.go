@@ -20,8 +20,13 @@ type Layer interface {
 	// Name identifies the layer in plans and tuning tables.
 	Name() string
 	// Forward computes the layer output. When train is true, the layer
-	// caches whatever it needs for Backward.
+	// caches whatever it needs for Backward; when false it is infer under
+	// the layer's own setter-path options, into a fresh output.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// infer is the one inference implementation: a pure function of the
+	// layer's weights, x and the call's options that writes no layer field
+	// and never overwrites a buffer the call does not own.
+	infer(x act, ctx inferCtx) act
 	// Backward consumes the gradient w.r.t. the layer output and returns
 	// the gradient w.r.t. the layer input, accumulating parameter
 	// gradients. It must follow a Forward with train=true.

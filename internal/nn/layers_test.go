@@ -262,7 +262,7 @@ func TestConvPerforationMatchesFullAtComputedPositions(t *testing.T) {
 
 // perfMaskFor exposes the conv's active mask for testing.
 func perfMaskFor(c *Conv) maskView {
-	m := c.mask()
+	m := c.maskFor(Keep{c.keepW, c.keepH})
 	return maskView{Computed: m.Computed, Source: m.Source}
 }
 
@@ -304,5 +304,95 @@ func TestTrainingIgnoresPerforation(t *testing.T) {
 	trainOut := conv.Forward(x, true)
 	if !tensor.AllClose(full, trainOut, 0) {
 		t.Fatalf("training forward applied perforation")
+	}
+}
+
+// TestReLUInferenceMatchesBranch pins the branch-free inference ReLU to
+// `if v < 0 { v = 0 }` on every class of value, bit for bit: negatives and
+// -Inf clear, while -0, NaNs of either sign, denormals and positives pass
+// through untouched.
+func TestReLUInferenceMatchesBranch(t *testing.T) {
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 1e-45, -1e-45, 3e38, -3e38,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7FC00000), math.Float32frombits(0xFFC00000), math.Float32frombits(0xFF800001),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, math.Float32frombits(rng.Uint32()))
+	}
+	x := tensor.FromSlice(vals, 1, len(vals), 1, 1)
+	got := NewReLU("r").Forward(x, false)
+	for i, v := range vals {
+		want := v
+		if v < 0 {
+			want = 0
+		}
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want) {
+			t.Fatalf("relu(%g [%#x]) = %g [%#x], want %g", v, math.Float32bits(v), got.Data[i], math.Float32bits(got.Data[i]), want)
+		}
+		if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
+			t.Fatal("inference ReLU overwrote its caller's tensor")
+		}
+	}
+}
+
+// TestMaxPoolInferenceMatchesTraining: the argmax-free inference loop and
+// the training forward compute the same maxima.
+func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, cfg := range [][4]int{{2, 2, 8, 8}, {3, 2, 9, 7}, {3, 1, 5, 6}, {2, 3, 8, 11}} {
+		p := NewMaxPool("p", cfg[0], cfg[1])
+		x := tensor.New(3, 4, cfg[2], cfg[3])
+		for i := range x.Data {
+			x.Data[i] = rng.Float32()*2 - 1
+		}
+		infer, train := p.Forward(x, false), p.Forward(x, true)
+		if !tensor.AllClose(infer, train, 0) {
+			t.Fatalf("pool %dx%d/%d on %dx%d: inference and training forwards differ", cfg[0], cfg[0], cfg[1], cfg[2], cfg[3])
+		}
+	}
+}
+
+// TestConvMaskBuiltOnce: a (geometry, keep) mask is constructed once per
+// layer and shared by the setter path and every ForwardOpts.
+func TestConvMaskBuiltOnce(t *testing.T) {
+	net := AlexNetS(rand.New(rand.NewSource(5)))
+	conv := net.Layers[0].(*Conv)
+	if conv.maskFor(Keep{}) != nil || conv.maskFor(Keep{W: 16, H: 16}) != nil || conv.maskFor(Keep{W: 20, H: 16}) != nil {
+		t.Fatal("a full keep resolved to a mask")
+	}
+	m := conv.maskFor(Keep{W: 7, H: 7})
+	if m == nil || m.SampledCount() != 49 {
+		t.Fatalf("7x7 keep resolved to %v", m)
+	}
+	keeps := make([]Keep, len(net.PerforableLayers()))
+	keeps[0] = Keep{W: 7, H: 7}
+	if o := net.NewForwardOpts(keeps, nil); o.masks[conv] != m || len(o.masks) != 1 {
+		t.Fatal("NewForwardOpts built its own mask instead of sharing the layer's")
+	}
+	conv.SetPerforation(7, 7)
+	defer conv.SetPerforation(0, 0)
+	if conv.maskFor(Keep{conv.keepW, conv.keepH}) != m {
+		t.Fatal("the setter path built a second mask for the same keep")
+	}
+}
+
+// TestInferenceAllocCeiling: a batch-32 AlexNet-S forward runs on pooled
+// activations — what it allocates is a handful of tensor headers and the
+// logits it returns (166 objects before the per-call arena).
+func TestInferenceAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(6))
+	net := AlexNetS(rng)
+	x := tensor.New(32, 3, ScaledInputSize, ScaledInputSize)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()
+	}
+	net.Forward(x, false) // warm the pools
+	if allocs := testing.AllocsPerRun(20, func() { net.Forward(x, false) }); allocs > 20 {
+		t.Fatalf("batch-32 AlexNet-S inference allocates %.0f objects, ceiling 20", allocs)
 	}
 }

@@ -52,40 +52,81 @@ func (s *Sequential) Params() []*Param {
 	return ps
 }
 
-// Forward runs the network and returns raw logits (N×classes).
+// Forward runs the network and returns raw logits (N×classes). With train
+// false it is ForwardWith under the layers' own setter-path options.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return s.ForwardWith(x, nil)
+	}
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x, true)
 	}
-	n := x.Dim(0)
-	if x.Len()/n != s.Classes {
-		panic(fmt.Sprintf("nn: %s: final layer produced %d values per sample, want %d classes",
-			s.NetName, x.Len()/n, s.Classes))
-	}
-	return x.Reshape(n, s.Classes)
+	s.checkClasses(x.Len() / x.Dim(0))
+	return x.Reshape(x.Dim(0), s.Classes)
 }
 
-// Predict runs inference and returns softmax probability rows, one per
-// sample.
-func (s *Sequential) Predict(x *tensor.Tensor) [][]float32 {
-	logits := s.Forward(x, false)
-	n := logits.Dim(0)
-	out := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		out[i] = softmaxRow(logits.Data[i*s.Classes : (i+1)*s.Classes])
+func (s *Sequential) checkClasses(perSample int) {
+	if perSample != s.Classes {
+		panic(fmt.Sprintf("nn: %s: final layer produced %d values per sample, want %d classes",
+			s.NetName, perSample, s.Classes))
 	}
+}
+
+// ForwardWith runs inference at the operating point o and returns raw
+// logits (N×classes). It touches no layer field, so concurrent calls on
+// one network — each with its own options — are safe. A nil o reads every
+// layer's SetPerforation/SetEngine fields instead, the single-owner form.
+func (s *Sequential) ForwardWith(x *tensor.Tensor, o *ForwardOpts) *tensor.Tensor {
+	y := s.infer(x, o)
+	out := tensor.New(y.n, s.Classes)
+	copy(out.Data, y.data)
+	y.release()
 	return out
 }
 
-// softmaxRow returns the softmax of one logit row (numerically stable).
+// infer runs the layers on the call's arena and returns the logits
+// activation, which the caller consumes and releases: nothing but what it
+// copies out escapes the call.
+func (s *Sequential) infer(x *tensor.Tensor, o *ForwardOpts) act {
+	y := inferChain(s.Layers, actOf(x), inferCtx{opts: o, pooled: true})
+	s.checkClasses(y.c * y.h * y.w)
+	return y
+}
+
+// Predict runs inference and returns softmax probability rows, one per
+// sample, under the layers' setter-path options.
+func (s *Sequential) Predict(x *tensor.Tensor) [][]float32 { return s.PredictWith(x, nil) }
+
+// PredictWith is Predict at the operating point o (see ForwardWith). The
+// rows share one n×classes slab.
+func (s *Sequential) PredictWith(x *tensor.Tensor, o *ForwardOpts) [][]float32 {
+	y := s.infer(x, o)
+	slab := make([]float32, y.n*s.Classes)
+	out := make([][]float32, y.n)
+	for i := range out {
+		out[i] = slab[i*s.Classes : (i+1)*s.Classes : (i+1)*s.Classes]
+		softmaxInto(out[i], y.data[i*s.Classes:(i+1)*s.Classes])
+	}
+	y.release()
+	return out
+}
+
+// softmaxRow returns the softmax of one logit row.
 func softmaxRow(logits []float32) []float32 {
+	p := make([]float32, len(logits))
+	softmaxInto(p, logits)
+	return p
+}
+
+// softmaxInto writes the softmax of one logit row into p (numerically
+// stable).
+func softmaxInto(p, logits []float32) {
 	mx := logits[0]
 	for _, v := range logits[1:] {
 		if v > mx {
 			mx = v
 		}
 	}
-	p := make([]float32, len(logits))
 	var sum float64
 	for i, v := range logits {
 		e := math.Exp(float64(v - mx))
@@ -96,7 +137,6 @@ func softmaxRow(logits []float32) []float32 {
 	for i := range p {
 		p[i] *= inv
 	}
-	return p
 }
 
 // LossAndGrad computes mean cross-entropy over the batch and the gradient

@@ -29,6 +29,18 @@ type Mask struct {
 	// computed positions instead of copying the nearest one, which
 	// preserves far more accuracy on smooth feature maps.
 	xs, ys []int
+	// fill is the bilinear plan, one blend per non-computed position. It
+	// is only worth its memory on a mask that interpolates repeatedly
+	// (see Prepared); Interpolate derives it per call otherwise.
+	fill []blend
+}
+
+// blend fills one non-computed position from the four computed corners
+// that bracket it.
+type blend struct {
+	at                 int32 // the position filled
+	i00, i01, i10, i11 int32 // corners: (row lo|hi) × (column lo|hi)
+	fx, fy             float32
 }
 
 // Full returns a mask that computes every position (perforation rate 0).
@@ -74,6 +86,44 @@ func Grid(w, h, keepW, keepH int) Mask {
 	}
 	return m
 }
+
+// Prepared returns the mask with its bilinear fill plan built, so that
+// Interpolate — called per sample per forward on a serving path — does no
+// set-up of its own. A prepared mask is immutable and safe to share.
+func (m Mask) Prepared() Mask {
+	if m.fill == nil {
+		m.fill = m.blends()
+	}
+	return m
+}
+
+// blends derives the fill plan of a product-grid mask (nil otherwise).
+func (m Mask) blends() []blend {
+	if len(m.xs) == 0 || len(m.ys) == 0 {
+		return nil
+	}
+	x0, x1, wx := axisBlend(m.W, m.xs)
+	y0, y1, wy := axisBlend(m.H, m.ys)
+	fill := make([]blend, 0, m.W*m.H-len(m.sampled))
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			if i := y*m.W + x; !m.Computed[i] {
+				fill = append(fill, blend{
+					at:  int32(i),
+					i00: int32(y0[y]*m.W + x0[x]), i01: int32(y0[y]*m.W + x1[x]),
+					i10: int32(y1[y]*m.W + x0[x]), i11: int32(y1[y]*m.W + x1[x]),
+					fx: wx[x], fy: wy[y],
+				})
+			}
+		}
+	}
+	return fill
+}
+
+// SampledGrid returns the kept columns and rows of a product-grid mask
+// (ascending); the computed positions are their cross product in
+// row-major order, which is SampledIndices. Both are nil for Full.
+func (m Mask) SampledGrid() (xs, ys []int) { return m.xs, m.ys }
 
 // FromRate returns a grid mask whose computed fraction is approximately
 // 1−rate, spread evenly over both axes. rate is clamped to [0, maxRate]
@@ -179,7 +229,7 @@ func (m Mask) Interpolate(data []float32, channels int) {
 	}
 }
 
-// axisBlend precomputes, for every coordinate along an axis, the two kept
+// axisBlend computes, for every coordinate along an axis, the two kept
 // coordinates that bracket it and the blend weight toward the upper one
 // (clamped at the borders).
 func axisBlend(n int, kept []int) (lo, hi []int, w []float32) {
@@ -208,25 +258,17 @@ func axisBlend(n int, kept []int) (lo, hi []int, w []float32) {
 // interpolateBilinear blends every non-computed position from the four
 // computed corners that bracket it.
 func (m Mask) interpolateBilinear(data []float32, channels int) {
+	fill := m.fill
+	if fill == nil {
+		fill = m.blends()
+	}
 	plane := m.W * m.H
-	x0, x1, wx := axisBlend(m.W, m.xs)
-	y0, y1, wy := axisBlend(m.H, m.ys)
 	for c := 0; c < channels; c++ {
 		p := data[c*plane : (c+1)*plane]
-		for y := 0; y < m.H; y++ {
-			rowLo := y0[y] * m.W
-			rowHi := y1[y] * m.W
-			fy := wy[y]
-			for x := 0; x < m.W; x++ {
-				i := y*m.W + x
-				if m.Computed[i] {
-					continue
-				}
-				fx := wx[x]
-				top := (1-fx)*p[rowLo+x0[x]] + fx*p[rowLo+x1[x]]
-				bot := (1-fx)*p[rowHi+x0[x]] + fx*p[rowHi+x1[x]]
-				p[i] = (1-fy)*top + fy*bot
-			}
+		for _, b := range fill {
+			top := (1-b.fx)*p[b.i00] + b.fx*p[b.i01]
+			bot := (1-b.fx)*p[b.i10] + b.fx*p[b.i11]
+			p[b.at] = (1-b.fy)*top + b.fy*bot
 		}
 	}
 }

@@ -221,3 +221,43 @@ func TestFractionGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestFillPlanMatchesDirectBilinear pins the precomputed fill plan to the
+// per-position formula it replaced — bracket each axis, blend the four
+// corners — bit for bit, prepared or not, on ragged grids.
+func TestFillPlanMatchesDirectBilinear(t *testing.T) {
+	for _, g := range [][4]int{{16, 16, 7, 7}, {8, 8, 5, 5}, {4, 4, 3, 3}, {27, 13, 11, 4}, {5, 9, 1, 2}} {
+		m := Grid(g[0], g[1], g[2], g[3])
+		const channels = 3
+		data := make([]float32, channels*m.W*m.H)
+		for i := range data {
+			data[i] = float32(math.Sin(float64(i)*0.37)) * 3
+		}
+		want := append([]float32(nil), data...)
+		x0, x1, wx := axisBlend(m.W, m.xs)
+		y0, y1, wy := axisBlend(m.H, m.ys)
+		for c := 0; c < channels; c++ {
+			p := want[c*m.W*m.H:][:m.W*m.H]
+			for y := 0; y < m.H; y++ {
+				for x := 0; x < m.W; x++ {
+					if m.Computed[y*m.W+x] {
+						continue
+					}
+					fx, fy := wx[x], wy[y]
+					top := (1-fx)*p[y0[y]*m.W+x0[x]] + fx*p[y0[y]*m.W+x1[x]]
+					bot := (1-fx)*p[y1[y]*m.W+x0[x]] + fx*p[y1[y]*m.W+x1[x]]
+					p[y*m.W+x] = (1-fy)*top + fy*bot
+				}
+			}
+		}
+		for name, mask := range map[string]Mask{"derived": m, "prepared": m.Prepared()} {
+			got := append([]float32(nil), data...)
+			mask.Interpolate(got, channels)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("grid %v %s plan: position %d = %g, direct formula %g", g, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -164,7 +164,6 @@ type PlanExecutor struct {
 	plan   *compile.Plan
 	path   []sched.TuningPoint
 	scaled *nn.Sequential
-	table  *runtimemgr.Table
 
 	mu       sync.Mutex
 	plans    map[int]*compile.Plan
@@ -173,13 +172,13 @@ type PlanExecutor struct {
 	preds    map[levelBatch]float64
 	limit    int // memory batch ceiling; 0 = not yet probed
 
-	// quantEngines holds one lazily-built GEMM engine per reduced
-	// precision, sharing the process-wide worker pool; ExecuteQuant swaps
-	// one onto the scaled network under netMu for the batch's duration.
-	quantEngines map[tensor.Precision]*tensor.Engine
-
-	// netMu serializes perforation state on the shared scaled network.
-	netMu sync.Mutex
+	// opts[p][level] is the operating point a batch runs the scaled
+	// network at: the tuning-table row's resolved masks plus the engine of
+	// precision p (fp32: the package default). Built once at construction
+	// and immutable, so any number of workers run forward concurrently on
+	// the shared network — an operating point is the options of one call,
+	// not state programmed onto the layers.
+	opts map[tensor.Precision][]*nn.ForwardOpts
 }
 
 // NewPlanExecutor builds the production executor. path may be nil, in
@@ -197,16 +196,45 @@ func NewPlanExecutor(plan *compile.Plan, path []sched.TuningPoint, scaled *nn.Se
 	if len(path) == 0 {
 		path = SyntheticPath(plan.Net, plan.Task, DefaultSyntheticLevels)
 	}
-	return &PlanExecutor{
+	e := &PlanExecutor{
 		plan:     plan,
 		path:     path,
 		scaled:   scaled,
-		table:    table,
 		plans:    map[int]*compile.Plan{plan.Batch: plan},
 		aggs:     map[levelBatch]gpu.Aggregate{},
 		profiles: map[levelBatch][]compile.LayerProfile{},
 		preds:    map[levelBatch]float64{},
-	}, nil
+	}
+	if scaled != nil {
+		e.opts = operatingPoints(scaled, table)
+	}
+	return e, nil
+}
+
+// operatingPoints resolves every (precision, tuning-table row) pair into
+// the options of one forward call. The reduced-precision engines mirror
+// the default engine's backend and threshold and share its worker pool,
+// so quantization changes arithmetic, not parallel strategy.
+func operatingPoints(scaled *nn.Sequential, table *runtimemgr.Table) map[tensor.Precision][]*nn.ForwardOpts {
+	d := tensor.Default()
+	engines := map[tensor.Precision]*tensor.Engine{tensor.FP32: nil}
+	for _, p := range []tensor.Precision{tensor.Int8, tensor.FP16} {
+		eng := tensor.NewEngine(d.Backend(), 0)
+		eng.SetParallelThreshold(d.ParallelThreshold())
+		eng.SetPrecision(p)
+		engines[p] = eng
+	}
+	opts := make(map[tensor.Precision][]*nn.ForwardOpts, len(engines))
+	for _, entry := range table.Entries {
+		keeps := make([]nn.Keep, len(entry.Keeps))
+		for i, k := range entry.Keeps {
+			keeps[i] = nn.Keep{W: k.W, H: k.H}
+		}
+		for p, eng := range engines {
+			opts[p] = append(opts[p], scaled.NewForwardOpts(keeps, eng))
+		}
+	}
+	return opts
 }
 
 // MaxBatch implements Executor.
@@ -461,9 +489,9 @@ func (e *PlanExecutor) Profile(level, batch int) ([]compile.LayerProfile, error)
 
 // Execute implements Executor: the GPU simulator supplies the batch's time
 // and energy at the level's perforation, and — when an executable network
-// is attached — the scaled analogue classifies the inputs for real (through
-// the default GEMM engine), supplying softmax rows and measured entropy
-// for calibration.
+// is attached — the scaled analogue classifies the inputs for real (at the
+// level's fp32 operating point), supplying softmax rows and measured
+// entropy for calibration.
 func (e *PlanExecutor) Execute(level, batch int, inputs *tensor.Tensor) (BatchResult, error) {
 	if batch < 1 {
 		return BatchResult{}, fmt.Errorf("serve: execute batch %d", batch)
@@ -475,48 +503,17 @@ func (e *PlanExecutor) Execute(level, batch int, inputs *tensor.Tensor) (BatchRe
 	}
 	res := BatchResult{TimeMS: agg.TimeMS, EnergyJ: agg.EnergyJ, Entropy: e.path[level].Entropy}
 	if e.scaled != nil && inputs != nil && inputs.Dim(0) > 0 {
-		probs, h := e.predict(level, inputs)
-		res.Probs, res.Entropy = probs, h
+		res.Probs, res.Entropy = e.predict(tensor.FP32, level, inputs)
 	}
 	return res, nil
 }
 
-// predict classifies inputs on the scaled network perforated to the
-// table entry matching the level, returning softmax rows and measured
-// mean entropy.
-func (e *PlanExecutor) predict(level int, inputs *tensor.Tensor) ([][]float32, float64) {
-	return e.predictWith(nil, level, inputs)
-}
-
-// predictWith is predict with an optional GEMM engine swapped onto the
-// scaled network for the batch's duration. netMu serializes both the
-// perforation state and the engine swap, and SetEngine(nil) restores the
-// default engine before the lock releases — no other non-test code calls
-// SetEngine, so concurrent fp32 batches never observe the quant engine.
-func (e *PlanExecutor) predictWith(eng *tensor.Engine, level int, inputs *tensor.Tensor) ([][]float32, float64) {
-	e.netMu.Lock()
-	defer e.netMu.Unlock()
-	lvl := level
-	if lvl >= len(e.table.Entries) {
-		lvl = len(e.table.Entries) - 1
-	}
-	entry := e.table.Entries[lvl]
-	layers := e.scaled.PerforableLayers()
-	for i, l := range layers {
-		k := entry.Keeps[i]
-		ho, wo := l.OutDims()
-		if k.Full(wo, ho) {
-			l.SetPerforation(0, 0)
-		} else {
-			l.SetPerforation(k.W, k.H)
-		}
-	}
-	if eng != nil {
-		e.scaled.SetEngine(eng)
-		defer e.scaled.SetEngine(nil)
-	}
-	probs := e.scaled.Predict(inputs)
-	e.scaled.ClearPerforation()
+// predict classifies inputs on the scaled network at the operating point
+// (precision p, the table entry matching the level), returning softmax
+// rows and measured mean entropy.
+func (e *PlanExecutor) predict(p tensor.Precision, level int, inputs *tensor.Tensor) ([][]float32, float64) {
+	points := e.opts[p]
+	probs := e.scaled.PredictWith(inputs, points[min(level, len(points)-1)])
 	return probs, entropy.Mean(probs)
 }
 
@@ -533,32 +530,12 @@ func (e *PlanExecutor) QuantSpec(p tensor.Precision) (QuantSpec, bool) {
 	return QuantSpec{}, false
 }
 
-// quantEngine returns (building lazily) the shared-pool GEMM engine for
-// one reduced precision, mirroring the default engine's backend and
-// threshold so quantization changes arithmetic, not parallel strategy.
-func (e *PlanExecutor) quantEngine(p tensor.Precision) *tensor.Engine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if eng, ok := e.quantEngines[p]; ok {
-		return eng
-	}
-	d := tensor.Default()
-	eng := tensor.NewEngine(d.Backend(), 0)
-	eng.SetParallelThreshold(d.ParallelThreshold())
-	eng.SetPrecision(p)
-	if e.quantEngines == nil {
-		e.quantEngines = map[tensor.Precision]*tensor.Engine{}
-	}
-	e.quantEngines[p] = eng
-	return eng
-}
-
 // ExecuteQuant implements QuantExecutor: the simulated batch cost rescaled
 // by the mode's modeled speedup (energy tracks time at roughly constant
 // power), and — when an executable network is attached — real quantized
-// classification through a reduced-precision engine, whose measured
-// entropy feeds the calibration veto. Unsupported precisions degrade to
-// the fp32 path rather than failing the batch.
+// classification at the level's reduced-precision operating point, whose
+// measured entropy feeds the calibration veto. Unsupported precisions
+// degrade to the fp32 path rather than failing the batch.
 func (e *PlanExecutor) ExecuteQuant(p tensor.Precision, level, batch int, inputs *tensor.Tensor) (BatchResult, error) {
 	spec, ok := e.QuantSpec(p)
 	if !ok {
@@ -578,8 +555,7 @@ func (e *PlanExecutor) ExecuteQuant(p tensor.Precision, level, batch int, inputs
 		Entropy: e.path[level].Entropy + spec.EntropyDelta,
 	}
 	if e.scaled != nil && inputs != nil && inputs.Dim(0) > 0 {
-		probs, h := e.predictWith(e.quantEngine(p), level, inputs)
-		res.Probs, res.Entropy = probs, h
+		res.Probs, res.Entropy = e.predict(p, level, inputs)
 	}
 	return res, nil
 }

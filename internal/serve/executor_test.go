@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -182,6 +184,73 @@ func TestExecutorWithScaledNet(t *testing.T) {
 			t.Fatalf("layer %s left perforated (%d×%d) after Execute", l.Name(), kw, kh)
 		}
 	}
+}
+
+// TestPlanExecutorConcurrentLevels: an operating point is the options of
+// one forward call, not state programmed onto the shared network, so
+// batches at different levels and precisions run at the same time — there
+// is no lock around the network — and each returns exactly the rows a
+// serial run returns.
+func TestPlanExecutorConcurrentLevels(t *testing.T) {
+	task := satisfaction.ImageTagging()
+	plan := compilePlan(t, "AlexNet", "K20c", task)
+	scaled := nn.AlexNetS(rand.New(rand.NewSource(1)))
+	layers := scaled.PerforableLayers()
+	table := &runtimemgr.Table{LayerNames: layerNames(layers)}
+	var path []sched.TuningPoint
+	for level := 0; level < 4; level++ {
+		keeps := make([]runtimemgr.KeepGrid, len(layers))
+		for i, l := range layers {
+			ho, wo := l.OutDims()
+			keeps[i] = runtimemgr.KeepGrid{W: max(wo*(4-level)/4, 1), H: max(ho*(4-level)/4, 1)}
+		}
+		table.Entries = append(table.Entries, runtimemgr.TableEntry{Keeps: keeps, Speedup: 1 + float64(level), TunedLayer: -1})
+		path = append(path, sched.TuningPoint{Entropy: 0.2 + 0.1*float64(level)})
+	}
+	ex, err := NewPlanExecutor(plan, path, scaled, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 16
+	inputs := tensor.New(batch, 3, nn.ScaledInputSize, nn.ScaledInputSize)
+	rng := rand.New(rand.NewSource(2))
+	for i := range inputs.Data {
+		inputs.Data[i] = rng.Float32()
+	}
+	run := func(level int) BatchResult {
+		var res BatchResult
+		var err error
+		if level == len(path) { // one quantized caller among the fp32 ones
+			res, err = ex.ExecuteQuant(tensor.Int8, 1, batch, inputs)
+		} else {
+			res, err = ex.Execute(level, batch, inputs)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	serial := make([]BatchResult, len(path)+1)
+	for level := range serial {
+		serial[level] = run(level)
+	}
+	if reflect.DeepEqual(serial[0].Probs, serial[len(path)-1].Probs) {
+		t.Fatal("levels 0 and 3 classify identically; perforation did not engage")
+	}
+	var wg sync.WaitGroup
+	for level := range serial {
+		wg.Add(1)
+		go func(level int) {
+			defer wg.Done()
+			for it := 0; it < 6; it++ {
+				if got := run(level); !reflect.DeepEqual(got, serial[level]) {
+					t.Errorf("level %d iteration %d: concurrent result differs from the serial run", level, it)
+					return
+				}
+			}
+		}(level)
+	}
+	wg.Wait()
 }
 
 // TestPlanExecutorProfile: the per-layer profile exists for any operating

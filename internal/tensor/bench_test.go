@@ -114,3 +114,52 @@ func BenchmarkGEMMTransForms(b *testing.B) {
 		}
 	})
 }
+
+// scaledConvShapes are the per-sample GEMMs AlexNet-S lowers to (M = filter
+// count, K = fanIn, N = output positions): unperforated, and at the served
+// base level 9 of the benchmark's tuning table, where CONV1/2/4 compute
+// 7×7 of 16×16, 5×5 of 8×8 and 3×3 of 4×4.
+var scaledConvShapes = []struct {
+	name    string
+	m, k, n int
+}{
+	{"full_CONV1_M12_K27_N256", 12, 27, 256},
+	{"full_CONV2_M24_K108_N64", 24, 108, 64},
+	{"full_CONV3_M32_K216_N16", 32, 216, 16},
+	{"full_CONV4_M32_K288_N16", 32, 288, 16},
+	{"full_CONV5_M24_K288_N16", 24, 288, 16},
+	{"level9_CONV1_M12_K27_N49", 12, 27, 49},
+	{"level9_CONV2_M24_K108_N25", 24, 108, 25},
+	{"level9_CONV3_M32_K216_N16", 32, 216, 16},
+	{"level9_CONV4_M32_K288_N9", 32, 288, 9},
+	{"level9_CONV5_M24_K288_N16", 24, 288, 16},
+}
+
+// BenchmarkGEMMFolded is the batching argument on the host: a batch of 32
+// as 32 per-sample GEMMs (how nn.Conv lowered inference before the fold —
+// pack-A redone per sample, N = 9 padded to two NR panels) against one
+// GEMM with N = 32·nPos. One op is the whole batch either way.
+func BenchmarkGEMMFolded(b *testing.B) {
+	const batch = 32
+	eng := NewEngine(Blocked, 1)
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range scaledConvShapes {
+		a := randTensor(rng, s.m, s.k)
+		one, all := randTensor(rng, s.k, s.n), randTensor(rng, s.k, batch*s.n)
+		cOne, cAll := New(s.m, s.n), New(s.m, batch*s.n)
+		b.Run(s.name+"/per_sample", func(b *testing.B) {
+			b.SetBytes(batch * int64(GEMMFlops(s.m, s.n, s.k)))
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch; j++ {
+					eng.MatMulInto(cOne, a, one)
+				}
+			}
+		})
+		b.Run(s.name+"/folded", func(b *testing.B) {
+			b.SetBytes(batch * int64(GEMMFlops(s.m, s.n, s.k)))
+			for i := 0; i < b.N; i++ {
+				eng.MatMulInto(cAll, a, all)
+			}
+		})
+	}
+}

@@ -306,10 +306,15 @@ func blockedGEMM(c, a, b []float32, m, n, k int, aTrans, bTrans bool, t TileConf
 }
 
 // blockedGEMMIm2col is blockedGEMM with B read through the fused im2col
-// packer: x is the C×H×W image plane and geom its implicit column-matrix
-// geometry. Identical packed bytes → identical results to materializing
-// the column matrix and calling blockedGEMM.
+// packer: x holds the geometry's C×H×W images back to back and geom is
+// their implicit column-matrix geometry. Identical packed bytes →
+// identical results to materializing the column matrix and calling
+// blockedGEMM.
 func blockedGEMMIm2col(c, a, x []float32, m int, geom Im2colGeom, t TileConfig, pool *workerPool, parallel bool) {
+	if geom.Pad > 0 {
+		x, geom = padImages(x, geom)
+		defer PutScratch(x)
+	}
 	blockedGEMMPack(c, a, x, m, geom.Cols(), geom.Rows(), false, false, true, geom, t, pool, parallel)
 }
 

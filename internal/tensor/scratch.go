@@ -22,6 +22,11 @@ const (
 
 var scratchClasses [scratchMaxBits - scratchMinBits + 1]sync.Pool
 
+// scratchBoxes recycles the *[]float32 boxes the class pools hold: a
+// sync.Pool stores pointers, and boxing the slice header anew on every
+// PutScratch would make each release an allocation.
+var scratchBoxes sync.Pool
+
 // getClass returns the class whose buffers all hold ≥ n floats
 // (ceil log2), or len(scratchClasses) when n is too large to pool.
 func getClass(n int) int {
@@ -54,7 +59,11 @@ func GetScratch(n int) []float32 {
 	cls := getClass(n)
 	if cls < len(scratchClasses) {
 		if v := scratchClasses[cls].Get(); v != nil {
-			return (*v.(*[]float32))[:n]
+			box := v.(*[]float32)
+			s := (*box)[:n]
+			*box = nil
+			scratchBoxes.Put(box)
+			return s
 		}
 		return make([]float32, n, 1<<(cls+scratchMinBits))
 	}
@@ -69,8 +78,12 @@ func PutScratch(s []float32) {
 	if cls < 0 {
 		return
 	}
-	s = s[:cap(s)]
-	scratchClasses[cls].Put(&s)
+	box, _ := scratchBoxes.Get().(*[]float32)
+	if box == nil {
+		box = new([]float32)
+	}
+	*box = s[:cap(s)]
+	scratchClasses[cls].Put(box)
 }
 
 // NewScratch returns a tensor backed by pooled scratch plus a release

@@ -18,6 +18,35 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	Data    []float32
+	// dims backs shape and strides for rank ≤ 4 (every tensor the CNN
+	// engine builds), so a header — New, FromSlice, Reshape — is one
+	// allocation instead of three. Tensors are handled by pointer; a
+	// struct copy would alias the original's dims.
+	dims [8]int
+}
+
+// shapeString renders a shape for a panic message from a copy, so the
+// variadic shape argument of New/FromSlice/Reshape does not escape to the
+// heap on the path that does not panic.
+func shapeString(shape []int) string { return fmt.Sprint(append([]int(nil), shape...)) }
+
+// newHeader returns a tensor with the given shape (copied), its strides,
+// and no data.
+func newHeader(shape []int) *Tensor {
+	t := &Tensor{}
+	r := len(shape)
+	if 2*r <= len(t.dims) {
+		t.shape, t.strides = t.dims[:r:r], t.dims[r:2*r:2*r]
+	} else {
+		t.shape, t.strides = make([]int, r), make([]int, r)
+	}
+	copy(t.shape, shape)
+	s := 1
+	for i := r - 1; i >= 0; i-- {
+		t.strides[i] = s
+		s *= shape[i]
+	}
+	return t
 }
 
 // New allocates a zero-filled tensor with the given shape.
@@ -26,15 +55,12 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %s", d, shapeString(shape)))
 		}
 		n *= d
 	}
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		Data:  make([]float32, n),
-	}
-	t.strides = computeStrides(t.shape)
+	t := newHeader(shape)
+	t.Data = make([]float32, n)
 	return t
 }
 
@@ -46,24 +72,11 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 		n *= d
 	}
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %s (volume %d)", len(data), shapeString(shape), n))
 	}
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		Data:  data,
-	}
-	t.strides = computeStrides(t.shape)
+	t := newHeader(shape)
+	t.Data = data
 	return t
-}
-
-func computeStrides(shape []int) []int {
-	strides := make([]int, len(shape))
-	s := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= shape[i]
-	}
-	return strides
 }
 
 // Shape returns a copy of the tensor's shape.
@@ -117,13 +130,10 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape volume %d to %v", len(t.Data), shape))
+		panic(fmt.Sprintf("tensor: cannot reshape volume %d to %s", len(t.Data), shapeString(shape)))
 	}
-	v := &Tensor{
-		shape: append([]int(nil), shape...),
-		Data:  t.Data,
-	}
-	v.strides = computeStrides(v.shape)
+	v := newHeader(shape)
+	v.Data = t.Data
 	return v
 }
 
