@@ -8,7 +8,7 @@ OUT ?= .
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
 # build under GOARCH=arm64, so amd64-only CI would never parse them), the
-# riscv64 cross-compile (the no-SIMD configuration), the benchmark module's vet + build against this tree's API, the tier-1 test
+# riscv64 cross-compile (the no-SIMD configuration), the benchmark module's vet + build + tests against this tree's API, the tier-1 test
 # suite, the race detector over the packages that own the sharded GEMM
 # engine and the serving/scenario/fleet pipelines, the real-daemon e2e
 # suite (short-mode capped), the scenario + fleet smoke grids, and the
@@ -35,11 +35,12 @@ build-arm64:
 build-portable:
 	GOOS=linux GOARCH=riscv64 $(GO) build ./... && GOOS=linux GOARCH=riscv64 $(GO) vet ./internal/tensor/
 
-# build-bench vets and builds the benchmark module (bench/, its own go.mod
-# with `replace pcnn => ../`) against this tree, so an API break against
-# the frozen benchmark sources fails here instead of in the pipeline.
+# build-bench vets, builds and tests the benchmark module (bench/, its own
+# go.mod with `replace pcnn => ../`) against this tree, so an API or
+# behaviour break against the frozen benchmark sources fails here instead
+# of in the pipeline.
 build-bench:
-	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -111,8 +112,9 @@ fuzz-mmpp:
 # chaos runs the seeded fault-injection suite — deterministic injector
 # streams, the serve-level chaos scenarios, and the hardening regressions
 # (drain-on-Close, breaker lifecycle, soak conservation, submit accounting,
-# the future-completion contract, untorn operating-point reads and
-# lock-free concurrent inference on one shared network at one and two Ps)
+# the future-completion contract, the controller against its reference
+# model and lock-free concurrent inference on one shared network at one and
+# two Ps)
 # — under the race detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ \
@@ -120,7 +122,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/serve/ \
 		-run 'TestNoResolutionAfterCloseDrain|TestBreakerLifecycleServing|TestSoakConservation|TestExecTimeoutFailsAttempt'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ \
-		-run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerPointNeverTorn|TestPlanExecutorConcurrentLevels'
+		-run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerMatchesModel|TestPlanExecutorConcurrentLevels'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ -run 'TestConcurrentInferenceSharedNet'
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator

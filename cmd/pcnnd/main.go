@@ -87,8 +87,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "load generator seed")
 		backend = flag.String("backend", "",
 			"host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default $PCNN_GEMM_BACKEND or auto)")
-		precision = flag.String("precision", "",
-			"arm the quantization rung at this precision (fp16 or int8); escalation may then quantize host GEMMs before perforating")
 
 		scenarios = flag.String("scenarios", "",
 			"run the scenario matrix and write its JSON rows to this file (- for stdout)")
@@ -126,14 +124,6 @@ func main() {
 		}
 		tensor.Default().SetBackend(b)
 	}
-	quantize := pcnn.PrecisionFP32
-	if *precision != "" {
-		p, err := pcnn.ParsePrecision(*precision)
-		if err != nil {
-			log.Fatal(err)
-		}
-		quantize = p
-	}
 
 	if *scenarios != "" {
 		if err := runScenarios(*scenarios, *scenProm, *grid, *seed); err != nil {
@@ -158,7 +148,6 @@ func main() {
 		cfg := pcnn.ServeConfig{
 			MaxBatch: *batch, QueueCap: *queue, Workers: *workers, Pace: *pace,
 			DisableDegrade: *noDeg, Seed: *seed, RejectUnmeetable: true,
-			Quantize: quantize,
 		}
 		fl, err := buildFleet(*fleetN, splitComma(*fleetPlat), policy, *hedge, cfg)
 		if err != nil {
@@ -205,7 +194,6 @@ func main() {
 		BreakerCooldownMS: *breakerCD,
 		Seed:              *seed,
 		Faults:            inj,
-		Quantize:          quantize,
 	}
 
 	if *debug != "" {

@@ -53,21 +53,3 @@ func PredictMS(p *Plan, batch int, keep map[string]float64) float64 {
 	}
 	return ms
 }
-
-// Whole-plan throughput factors for the reduced-precision GEMM paths the
-// serving ladder's quantization rung can switch to. They are modeled, not
-// measured: int8 narrows every operand fetch 4× and accumulates in
-// integers (dp4a-class throughput on the paper's Maxwell-era parts),
-// fp16 halves operand traffic while keeping fp32 accumulation, and both
-// keep the non-GEMM layer tail at full cost — hence factors well below
-// the 4×/2× arithmetic peaks. The serve-side escalation divides the Eq 12
-// estimate by these factors; keeping them here pins all cost modeling in
-// one package.
-const (
-	// Int8GEMMSpeedup is the modeled end-to-end speedup of int8 inference
-	// over fp32 at the same perforation level.
-	Int8GEMMSpeedup = 1.8
-	// FP16GEMMSpeedup is the modeled end-to-end speedup of fp16-storage
-	// inference over fp32 at the same perforation level.
-	FP16GEMMSpeedup = 1.4
-)

@@ -179,16 +179,3 @@ func FuzzPredictMS(f *testing.F) {
 		}
 	})
 }
-
-// TestPredictMSQuant pins the modeled int8/fp16 whole-plan throughput
-// factors (the serving quant rung divides the Eq 12 estimate by them)
-// inside (1, arithmetic peak) — faster than fp32, slower than the 4×/2×
-// GEMM-only bound.
-func TestPredictMSQuant(t *testing.T) {
-	if Int8GEMMSpeedup <= 1 || Int8GEMMSpeedup >= 4 {
-		t.Errorf("Int8GEMMSpeedup %v outside (1, 4)", Int8GEMMSpeedup)
-	}
-	if FP16GEMMSpeedup <= 1 || FP16GEMMSpeedup >= 2 {
-		t.Errorf("FP16GEMMSpeedup %v outside (1, 2)", FP16GEMMSpeedup)
-	}
-}

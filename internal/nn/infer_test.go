@@ -86,6 +86,50 @@ func quantEngine(p tensor.Precision) *tensor.Engine {
 	return eng
 }
 
+// TestPredictWithInt8AgreesWithFP32 is the reduced-precision axis end to
+// end: options built on an int8 engine return valid softmax rows whose
+// top-1 picks agree with fp32 on at least 7 of 8 rows (8/8 on this seed;
+// the slack absorbs kernel-level rounding drift without letting a broken
+// quantized path through), and the engine travels with the call — an fp32
+// call on the same shared network afterwards is bit-identical to one made
+// before.
+func TestPredictWithInt8AgreesWithFP32(t *testing.T) {
+	net := nn.AlexNetS(rand.New(rand.NewSource(1)))
+	const batch = 8
+	x := tensor.New(batch, 3, nn.ScaledInputSize, nn.ScaledInputSize)
+	for i := range x.Data {
+		x.Data[i] = float32(i%7) * 0.1
+	}
+	fp32 := net.PredictWith(x, net.NewForwardOpts(nil, nil))
+	int8 := net.PredictWith(x, net.NewForwardOpts(nil, quantEngine(tensor.Int8)))
+	if len(int8) != batch {
+		t.Fatalf("int8 run returned %d rows, want %d", len(int8), batch)
+	}
+	argmax := func(row []float32) int { return tensor.FromSlice(row, len(row)).Argmax() }
+	agree := 0
+	for i, row := range int8 {
+		sum := float32(0)
+		for _, p := range row {
+			sum += p
+		}
+		if sum < 0.99 || sum > 1.01 {
+			t.Fatalf("int8 row %d is not a distribution (sum %v)", i, sum)
+		}
+		if argmax(row) == argmax(fp32[i]) {
+			agree++
+		}
+	}
+	if agree < batch-1 {
+		t.Fatalf("int8 top-1 agreement %d/%d, want at least %d/%d", agree, batch, batch-1, batch)
+	}
+	if reflect.DeepEqual(int8, fp32) {
+		t.Fatal("int8 rows equal fp32 bit for bit; the engine did not engage")
+	}
+	if again := net.PredictWith(x, net.NewForwardOpts(nil, nil)); !reflect.DeepEqual(again, fp32) {
+		t.Fatal("fp32 rows changed after the int8 call: the engine leaked between operating points")
+	}
+}
+
 func TestFoldedForwardMatchesBatchOne(t *testing.T) {
 	const maxBatch = 33
 	for _, sn := range scaledNets {

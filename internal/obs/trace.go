@@ -27,19 +27,25 @@ type Trace struct {
 	Err     string    `json:"err,omitempty"`
 	Stages  []Stage   `json:"stages"`
 
+	now  func() time.Time
 	last time.Time
 }
 
-// NewTrace starts a trace now.
-func NewTrace(id uint64) *Trace {
-	now := time.Now()
-	return &Trace{ID: id, Start: now, last: now}
+// NewTrace starts a trace at clock's current instant; every Mark reads the
+// same clock, so a server on an injected (virtual) clock records spans in
+// that clock's time. A nil clock means time.Now.
+func NewTrace(id uint64, clock func() time.Time) *Trace {
+	if clock == nil {
+		clock = time.Now
+	}
+	now := clock()
+	return &Trace{ID: id, Start: now, now: clock, last: now}
 }
 
 // Mark closes the current stage: it appends a Stage whose duration is the
 // time since the previous mark (or since Start for the first).
 func (t *Trace) Mark(name string) {
-	now := time.Now()
+	now := t.now()
 	t.Stages = append(t.Stages, Stage{
 		Name:  name,
 		AtMS:  durMS(now.Sub(t.Start)),

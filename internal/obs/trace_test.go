@@ -8,7 +8,7 @@ import (
 // TestTraceMarks: stages appear in order with non-negative offsets and
 // durations, and AtMS is monotone.
 func TestTraceMarks(t *testing.T) {
-	tr := NewTrace(42)
+	tr := NewTrace(42, nil)
 	tr.Mark("submit")
 	time.Sleep(time.Millisecond)
 	tr.Mark("execute")

@@ -155,16 +155,5 @@ func (m *Manager) PredictedSpeedup() float64 {
 	return m.table.Entries[m.level].Speedup
 }
 
-// QuantizeAllowed is the entropy gate on reduced-precision inference: it
-// reports whether the current level's recorded entropy leaves at least
-// delta of headroom under the threshold — the same check the serving
-// layer applies before arming its quantization rung. delta is the
-// quantization mode's documented entropy premium; a caller whose delta
-// does not fit must stay at full precision rather than spend headroom
-// the calibration loop is counting on.
-func (m *Manager) QuantizeAllowed(delta float64) bool {
-	return m.table.Entries[m.level].Entropy+delta <= m.threshold
-}
-
 // Close restores full computation on the managed network.
 func (m *Manager) Close() { m.net.ClearPerforation() }

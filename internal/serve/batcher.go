@@ -241,8 +241,7 @@ func (s *Server) flushDelayMS(q *prioQueues) float64 {
 	if n > s.cfg.MaxBatch {
 		n = s.cfg.MaxBatch
 	}
-	level, quant, _ := s.ctrl.point()
-	pred := s.queuePredictMS(level, quant, n)
+	pred := s.queuePredictMS(s.ctrl.Level(), n)
 	guard := slackGuardFrac * pred
 	d := linger
 	q.heads(func(r *request) {
@@ -257,24 +256,23 @@ func (s *Server) flushDelayMS(q *prioQueues) float64 {
 // finish at an operating point: any externally-declared worker occupancy,
 // plus the batches already in flight ahead of it (spread over the worker
 // pool), plus its own predicted execution time.
-func (s *Server) queuePredictMS(level int, quant bool, n int) float64 {
-	ahead := s.busyMS() + float64(s.inflight.Load())*s.predictMS(level, quant, s.cfg.MaxBatch)/float64(s.cfg.Workers)
-	return ahead + s.predictMS(level, quant, n)
+func (s *Server) queuePredictMS(level, n int) float64 {
+	ahead := s.busyMS() + float64(s.inflight.Load())*s.ex.PredictMS(level, s.cfg.MaxBatch)/float64(s.cfg.Workers)
+	return ahead + s.ex.PredictMS(level, n)
 }
 
-// flush hands one batch to the worker pool, escalating the degradation
-// ladder first if the tightest request's slack has gone negative
-// (graceful degradation instead of dropping) — the quantization rung
-// before deeper perforation, when it is armed and not vetoed.
+// flush hands one batch to the worker pool, escalating the perforation
+// level first if the tightest request's slack has gone negative (graceful
+// degradation instead of dropping).
 func (s *Server) flush(reqs []*request) {
 	n := len(reqs)
 	for _, r := range reqs {
 		r.tr.Mark("coalesce")
 	}
-	level, quant, _ := s.ctrl.point()
+	level := s.ctrl.Level()
 	if !s.cfg.DisableDegrade {
-		level, quant = s.ctrl.escalate(func(l int, q bool) bool {
-			pred := s.queuePredictMS(l, q, n)
+		level = s.ctrl.escalate(func(l int) bool {
+			pred := s.queuePredictMS(l, n)
 			guard := slackGuardFrac * pred
 			for _, r := range reqs {
 				if r.task.SlackMS(s.sinceMS(r.at), pred) < guard {
@@ -288,7 +286,7 @@ func (s *Server) flush(reqs []*request) {
 		r.tr.Mark("escalate")
 	}
 	s.inflight.Add(1)
-	s.flushCh <- &batchJob{reqs: reqs, level: level, quant: quant}
+	s.flushCh <- &batchJob{reqs: reqs, level: level}
 }
 
 // worker executes flushed batches until the batcher closes the channel.
@@ -336,14 +334,14 @@ func gatherInputs(reqs []*request) (batch *tensor.Tensor, demoted bool) {
 // runBatch executes one batch, feeds the entropy/slack signals back into
 // the controller, and resolves the batch's futures — in that order. The
 // completion contract: a resolved future implies its batch is fully
-// accounted (Stats, metrics — not the wall-clock trace ring) and the
-// controller has observed it, so a driver that waited on a batch's futures reads the next Level()
-// and Stats() deterministically without polling. The futures are buffered
-// and never block the worker. Execution runs through the hardening stack —
-// circuit breaker, per-attempt timeout, bounded retry with backoff — and
-// only this worker resolves the batch's futures, which is what keeps
-// drain-on-Close exact: Close waits for the workers, and no orphaned
-// attempt can resolve anything after that.
+// accounted (Stats, metrics — not the trace ring) and the controller has
+// observed it, so a driver that waited on a batch's futures reads the next
+// Level() and Stats() deterministically without polling. The futures are
+// buffered and never block the worker. Execution runs through the
+// hardening stack — circuit breaker, per-attempt timeout, bounded retry
+// with backoff — and only this worker resolves the batch's futures, which
+// is what keeps drain-on-Close exact: Close waits for the workers, and no
+// orphaned attempt can resolve anything after that.
 func (s *Server) runBatch(job *batchJob) {
 	n := len(job.reqs)
 	start := s.stamp()
@@ -351,17 +349,14 @@ func (s *Server) runBatch(job *batchJob) {
 	if demoted {
 		s.st.demotedInc()
 	}
-	res, err := s.executeBatch(job.level, job.quant, n, inputs)
+	res, err := s.executeBatch(job.level, n, inputs)
 	if s.cfg.Pace > 0 && err == nil {
 		time.Sleep(time.Duration(res.TimeMS * s.cfg.Pace * float64(time.Millisecond)))
 	}
 	s.inflight.Add(-1)
 	if err != nil {
 		s.st.failBatch(n)
-		for _, r := range job.reqs {
-			r.fut.ch <- outcome{err: err}
-			s.finishTrace(r, n, job.level, demoted, err)
-		}
+		s.resolve(job, demoted, nil, err)
 		return
 	}
 	// The batch-size histogram moves with the executed-batch tally (both
@@ -390,7 +385,6 @@ func (s *Server) runBatch(job *batchJob) {
 			ID:              r.id,
 			Batch:           n,
 			Level:           job.level,
-			Quantized:       job.quant,
 			QueueMS:         queueMS,
 			ExecMS:          res.TimeMS,
 			ResponseMS:      responseMS,
@@ -412,29 +406,36 @@ func (s *Server) runBatch(job *batchJob) {
 	// finished inside half its own deadline; deadline-free batches never
 	// ease an escalated level back down.
 	s.ctrl.observe(res.Entropy > s.task.EntropyThreshold, sawDeadline && comfortable)
-	s.st.batchDone(n, job.quant)
+	s.st.batchDone(n)
 
-	// Futures last: everything above is what a resolved future promises.
-	// Parking the wall-clock traces is not part of that promise, so it
-	// overlaps with the waiter waking up.
-	for i, r := range job.reqs {
-		r.fut.ch <- outcome{res: outs[i]}
-		s.finishTrace(r, n, job.level, demoted, nil)
-	}
+	s.resolve(job, demoted, outs, nil)
 }
 
-// finishTrace closes a request's trace (resolve stage), folds its stage
-// durations into the stage histograms, and parks it in the ring.
-func (s *Server) finishTrace(r *request, batch, level int, demoted bool, err error) {
-	tr := r.tr
-	if len(tr.Stages) > 0 && tr.Stages[len(tr.Stages)-1].Name != "execute" {
-		tr.Mark("execute") // failed batches still close the execute stage
+// resolve closes the batch's traces, then resolves its futures — last:
+// everything before this call is what a resolved future promises. The
+// traces' final clock reads come before any future resolves because a
+// virtual-time driver may move the clock the moment it wakes; parking the
+// finished traces (stage histograms, the ring) reads no clock and is not
+// part of the promise, so it overlaps with the waiter waking up.
+func (s *Server) resolve(job *batchJob, demoted bool, outs []Result, err error) {
+	for _, r := range job.reqs {
+		tr := r.tr
+		if len(tr.Stages) > 0 && tr.Stages[len(tr.Stages)-1].Name != "execute" {
+			tr.Mark("execute") // failed batches still close the execute stage
+		}
+		tr.Mark("resolve")
+		tr.Batch, tr.Level, tr.Demoted = len(job.reqs), job.level, demoted
+		if err != nil {
+			tr.Err = err.Error()
+		}
 	}
-	tr.Mark("resolve")
-	tr.Batch, tr.Level, tr.Demoted = batch, level, demoted
-	if err != nil {
-		tr.Err = err.Error()
+	for i, r := range job.reqs {
+		o := outcome{err: err}
+		if err == nil {
+			o.res = outs[i]
+		}
+		r.fut.ch <- o
+		s.met.observeStages(r.tr)
+		s.traces.Add(r.tr)
 	}
-	s.met.observeStages(tr)
-	s.traces.Add(tr)
 }

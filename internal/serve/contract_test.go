@@ -70,12 +70,12 @@ func TestCompletionContract(t *testing.T) {
 	}
 
 	ex := &contractExec{ms: ms, recorded: recorded}
-	ref := newController(len(ms), BaseLevel(ex, task), recoverAfter, false)
+	ref := newController(len(ms), BaseLevel(ex, task), recoverAfter)
 	want := make([]int, flushes)
 	moved := 0
 	for k, st := range script {
 		before := ref.Level()
-		level, _ := ref.escalate(func(l int, _ bool) bool {
+		level := ref.escalate(func(l int) bool {
 			return task.SlackMS(st.waitMS, ms[l]) >= slackGuardFrac*ms[l]
 		})
 		ref.observe(high[k], st.waitMS+ms[level] <= 0.5*deadline)

@@ -1,10 +1,13 @@
 package serve
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // never and always are escalate() predicates for the controller tests.
-func never(int, bool) bool  { return false }
-func always(int, bool) bool { return true }
+func never(int) bool  { return false }
+func always(int) bool { return true }
 
 func TestNewControllerClamps(t *testing.T) {
 	cases := []struct {
@@ -18,32 +21,29 @@ func TestNewControllerClamps(t *testing.T) {
 		{levels: -2, base: 1, wantLevel: 0, wantMax: 0},
 	}
 	for _, c := range cases {
-		ctl := newController(c.levels, c.base, 4, false)
-		if level, _, base := ctl.point(); level != c.wantLevel || base != c.wantLevel || ctl.max != c.wantMax {
+		ctl := newController(c.levels, c.base, 4)
+		if level := ctl.Level(); level != c.wantLevel || ctl.base != c.wantLevel || ctl.max != c.wantMax {
 			t.Errorf("newController(%d, %d): level %d base %d max %d, want level/base %d max %d",
-				c.levels, c.base, level, base, ctl.max, c.wantLevel, c.wantMax)
+				c.levels, c.base, level, ctl.base, ctl.max, c.wantLevel, c.wantMax)
 		}
 	}
 }
 
 func TestControllerEscalateWalksToFit(t *testing.T) {
-	ctl := newController(6, 0, 4, false)
-	got, quant := ctl.escalate(func(level int, _ bool) bool { return level >= 3 })
+	ctl := newController(6, 0, 4)
+	got := ctl.escalate(func(level int) bool { return level >= 3 })
 	if got != 3 || ctl.Level() != 3 {
 		t.Fatalf("escalate stopped at %d, want 3", got)
-	}
-	if quant {
-		t.Fatal("quant-disabled controller escalated the quant rung")
 	}
 	if esc := ctl.counts().escalations; esc != 3 {
 		t.Fatalf("escalations = %d, want 3", esc)
 	}
 	// Already fitting: no movement.
-	if got, _ := ctl.escalate(always); got != 3 {
+	if got := ctl.escalate(always); got != 3 {
 		t.Fatalf("escalate moved a fitting level to %d", got)
 	}
 	// Nothing fits: walks to the ceiling (max) and stops.
-	if got, _ := ctl.escalate(never); got != 5 {
+	if got := ctl.escalate(never); got != 5 {
 		t.Fatalf("escalate under never-fits stopped at %d, want max 5", got)
 	}
 }
@@ -54,8 +54,8 @@ func TestControllerEscalateWalksToFit(t *testing.T) {
 // proved too uncertain; the ceiling releases only when the cooldown
 // expires.
 func TestControllerCalibrationPinsCeiling(t *testing.T) {
-	ctl := newController(5, 0, 2, false) // max 4, recoverAfter (cooldown) 2
-	ctl.escalate(func(level int, _ bool) bool { return level >= 3 })
+	ctl := newController(5, 0, 2) // max 4, recoverAfter (cooldown) 2
+	ctl.escalate(func(level int) bool { return level >= 3 })
 
 	ctl.observe(true, false) // entropy crossed: backtrack 3 → 2
 	if ctl.Level() != 2 {
@@ -66,16 +66,16 @@ func TestControllerCalibrationPinsCeiling(t *testing.T) {
 	}
 
 	// Cooldown window, flush 1: the ceiling caps escalation at 2.
-	if got, _ := ctl.escalate(never); got != 2 {
+	if got := ctl.escalate(never); got != 2 {
 		t.Fatalf("escalate during cooldown reached %d, want ceiling 2", got)
 	}
 	ctl.observe(false, false) // cooldown 2 → 1
-	if got, _ := ctl.escalate(never); got != 2 {
+	if got := ctl.escalate(never); got != 2 {
 		t.Fatalf("escalate during cooldown reached %d, want ceiling 2", got)
 	}
 	ctl.observe(false, false) // cooldown 1 → 0: ceiling releases to max
 
-	if got, _ := ctl.escalate(never); got != 4 {
+	if got := ctl.escalate(never); got != 4 {
 		t.Fatalf("escalate after cooldown reached %d, want max 4", got)
 	}
 }
@@ -84,28 +84,28 @@ func TestControllerCalibrationPinsCeiling(t *testing.T) {
 // inside the cooldown window pins a still-lower ceiling and restarts the
 // window, rather than letting the original window release it early.
 func TestControllerRecalibrationRestartsCooldown(t *testing.T) {
-	ctl := newController(5, 0, 2, false)
-	ctl.escalate(func(level int, _ bool) bool { return level >= 3 })
+	ctl := newController(5, 0, 2)
+	ctl.escalate(func(level int) bool { return level >= 3 })
 	ctl.observe(true, false) // 3 → 2, ceiling 2, cooldown 2
 	ctl.observe(true, false) // 2 → 1, ceiling 1, cooldown restarts at 2
 	if ctl.Level() != 1 {
 		t.Fatalf("level = %d, want 1", ctl.Level())
 	}
-	if got, _ := ctl.escalate(never); got != 1 {
+	if got := ctl.escalate(never); got != 1 {
 		t.Fatalf("escalate reached %d, want re-pinned ceiling 1", got)
 	}
 	ctl.observe(false, false) // cooldown 2 → 1
-	if got, _ := ctl.escalate(never); got != 1 {
+	if got := ctl.escalate(never); got != 1 {
 		t.Fatalf("ceiling released one flush early (reached %d)", got)
 	}
 	ctl.observe(false, false) // cooldown 1 → 0
-	if got, _ := ctl.escalate(never); got != 4 {
+	if got := ctl.escalate(never); got != 4 {
 		t.Fatalf("escalate after restarted cooldown reached %d, want 4", got)
 	}
 }
 
 func TestControllerCalibrationAtLevelZero(t *testing.T) {
-	ctl := newController(4, 0, 2, false)
+	ctl := newController(4, 0, 2)
 	for i := 0; i < 3; i++ {
 		ctl.observe(true, false)
 	}
@@ -116,14 +116,14 @@ func TestControllerCalibrationAtLevelZero(t *testing.T) {
 		t.Fatalf("level-0 crossings counted %d calibrations, want 0", cal)
 	}
 	// The un-backtrackable crossing must not leave a stale ceiling.
-	if got, _ := ctl.escalate(never); got != 3 {
+	if got := ctl.escalate(never); got != 3 {
 		t.Fatalf("escalate reached %d, want max 3", got)
 	}
 }
 
 func TestControllerRecoveryStreak(t *testing.T) {
-	ctl := newController(6, 1, 3, false) // base 1, recoverAfter 3
-	ctl.escalate(func(level int, _ bool) bool { return level >= 4 })
+	ctl := newController(6, 1, 3) // base 1, recoverAfter 3
+	ctl.escalate(func(level int) bool { return level >= 4 })
 
 	// Two comfortable batches, then a neutral one: streak resets.
 	ctl.observe(false, true)
@@ -151,143 +151,108 @@ func TestControllerRecoveryStreak(t *testing.T) {
 	}
 }
 
-// TestControllerQuantBeforePerforate pins the ladder ordering: under
-// pressure the controller tries the quant rung before deepening
-// perforation, and only walks levels once quantization alone is not
-// enough.
-func TestControllerQuantBeforePerforate(t *testing.T) {
-	ctl := newController(6, 0, 4, true)
-
-	// Quantization alone rescues the flush: level must not move.
-	level, quant := ctl.escalate(func(level int, quant bool) bool { return quant })
-	if level != 0 || !quant {
-		t.Fatalf("escalate = (%d, %v), want quant at level 0", level, quant)
-	}
-	if esc := ctl.counts().escalations; esc != 0 {
-		t.Fatalf("perforation escalations = %d, want 0", esc)
-	}
-	if qesc := ctl.counts().quantEscalations; qesc != 1 {
-		t.Fatalf("quant escalations = %d, want 1", qesc)
-	}
-
-	// Quantization is insufficient: levels walk, with quant staying on.
-	level, quant = ctl.escalate(func(level int, quant bool) bool { return quant && level >= 2 })
-	if level != 2 || !quant {
-		t.Fatalf("escalate = (%d, %v), want quant at level 2", level, quant)
-	}
-	if esc := ctl.counts().escalations; esc != 2 {
-		t.Fatalf("perforation escalations = %d, want 2", esc)
-	}
+// refLadder is the reference model TestControllerMatchesModel checks the
+// controller against. It is written from the documented behaviour, not from
+// controller.go: the cooldown is an observe-count timestamp rather than a
+// countdown, so a shared off-by-one cannot hide.
+type refLadder struct {
+	level, base, max, ceil, r int
+	observes, releaseAt       int // releaseAt: observe number that unpins ceil (0 = unpinned)
+	streak                    int
+	n                         ctrlCounts
 }
 
-// TestControllerQuantVeto is the deterministic calibration-veto test: an
-// entropy crossing while quantized switches the rung off and vetoes it
-// for exactly the cooldown window — escalate must NEVER return quant
-// while the veto holds, no matter the pressure — and the veto releases
-// with the cooldown.
-func TestControllerQuantVeto(t *testing.T) {
-	ctl := newController(4, 0, 3, true) // recoverAfter (cooldown) 3
-	if _, quant := ctl.escalate(never); !quant {
-		t.Fatal("quant rung did not engage under pressure")
+func (m *refLadder) escalate(fits func(int) bool) int {
+	for m.level < m.ceil && !fits(m.level) {
+		m.level++
+		m.n.escalations++
 	}
+	return m.level
+}
 
-	ctl.observe(true, false) // entropy crossed while quantized
-	if _, quant, _ := ctl.point(); quant {
-		t.Fatal("quant still on after a quantized entropy crossing")
+func (m *refLadder) observe(hot, comfy bool) {
+	if m.observes++; m.observes == m.releaseAt {
+		m.ceil, m.releaseAt = m.max, 0
 	}
-	if qcal := ctl.counts().quantCalibrations; qcal != 1 {
-		t.Fatalf("quant calibrations = %d, want 1", qcal)
-	}
-	if cal := ctl.counts().calibrations; cal != 0 {
-		t.Fatalf("the quantized crossing charged %d perforation calibrations, want 0", cal)
-	}
-	if _, q := ctl.reachable(); q {
-		t.Fatal("reachable() offers the quant rung while vetoed")
-	}
-
-	// Every flush inside the cooldown window: maximum pressure, and the
-	// rung must stay fenced off.
-	for i := 0; i < 3; i++ {
-		if _, quant := ctl.escalate(never); quant {
-			t.Fatalf("flush %d inside the veto window escalated to quant", i)
+	switch {
+	case hot && m.level > 0:
+		m.level--
+		m.n.calibrations++
+		m.ceil, m.releaseAt, m.streak = m.level, m.observes+m.r, 0
+	case comfy && m.level > m.base:
+		if m.streak++; m.streak == m.r {
+			m.level--
+			m.n.recoveries++
+			m.streak = 0
 		}
-		ctl.observe(false, false)
-	}
-
-	// Cooldown expired: the rung is available again.
-	if _, q := ctl.reachable(); !q {
-		t.Fatal("veto did not release with the cooldown")
-	}
-	if _, quant := ctl.escalate(never); !quant {
-		t.Fatal("quant rung unavailable after the veto released")
+	default:
+		m.streak = 0
 	}
 }
 
-// TestControllerQuantRecoveryOrder: recovery unwinds perforation back to
-// base first and releases the quant rung last, mirroring (in reverse) the
-// quantize-before-perforate escalation order.
-func TestControllerQuantRecoveryOrder(t *testing.T) {
-	ctl := newController(4, 0, 2, true)
-	ctl.escalate(func(level int, quant bool) bool { return quant && level >= 2 })
-
-	for i := 0; i < 2; i++ {
-		ctl.observe(false, true)
+// TestControllerMatchesModel drives the controller and the reference model
+// with the same seeded random escalate/observe steps and requires equal
+// level, reachable ceiling and tallies after every one, plus the ladder
+// invariants: 0 ≤ level ≤ ceiling ≤ max, and a calibration at level k
+// keeps k unreachable for exactly recoverAfter observes (a second
+// calibration inside the window restarts it). `make chaos` runs it under
+// -race -cpu 1,2.
+func TestControllerMatchesModel(t *testing.T) {
+	configs := []struct{ levels, base, r int }{
+		{1, 0, 1}, {2, 1, 1}, {4, 0, 2}, {6, 2, 3}, {6, 5, 2}, {13, 9, 8}, {8, 3, 4}, {3, 0, 5},
 	}
-	if level, quant, _ := ctl.point(); level != 1 || !quant {
-		t.Fatalf("after streak 1: level %d quant %v, want level 1 quantized", level, quant)
-	}
-	for i := 0; i < 2; i++ {
-		ctl.observe(false, true)
-	}
-	if level, quant, _ := ctl.point(); level != 0 || !quant {
-		t.Fatalf("after streak 2: level %d quant %v, want level 0 quantized", level, quant)
-	}
-	for i := 0; i < 2; i++ {
-		ctl.observe(false, true)
-	}
-	if level, quant, _ := ctl.point(); level != 0 || quant {
-		t.Fatalf("after streak 3: level %d quant %v, want full precision at base", level, quant)
-	}
-	if rec := ctl.counts().recoveries; rec != 3 {
-		t.Fatalf("recoveries = %d, want 3", rec)
-	}
-}
-
-// TestControllerPointNeverTorn: a writer walks the controller round a fixed
-// cycle — escalate to (2, quant), then three recoveries (1, quant) →
-// (0, quant) → (0, fp32) — while a reader takes point() as fast as it can.
-// Every pair it sees must be a state on the walk: level and quant read
-// under separate locks let two observes land in between and return
-// (1, fp32) or (2, fp32), operating points the controller was never at.
-// Run under -race -cpu 1,2 by `make chaos`.
-func TestControllerPointNeverTorn(t *testing.T) {
-	type pt struct {
-		level int
-		quant bool
-	}
-	onWalk := map[pt]bool{{0, false}: true, {2, true}: true, {1, true}: true, {0, true}: true}
-	ctl := newController(4, 0, 1, true)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 20000; i++ {
-			ctl.escalate(func(level int, quant bool) bool { return quant && level >= 2 })
-			for j := 0; j < 3; j++ {
-				ctl.observe(false, true)
+	const steps = 2500 // × 8 configs = 20 000
+	var total ctrlCounts
+	for ci, c := range configs {
+		rng := rand.New(rand.NewSource(int64(ci) + 1))
+		ctl := newController(c.levels, c.base, c.r)
+		max := c.levels - 1
+		ref := &refLadder{level: c.base, base: c.base, max: max, ceil: max, r: c.r}
+		fenced, fencedFor := -1, 0 // level the last calibration fenced off, observes since
+		for step := 0; step < steps; step++ {
+			if rng.Intn(5) < 2 {
+				target := rng.Intn(max + 2) // max+1: nothing fits
+				fits := func(level int) bool { return level >= target }
+				if got, want := ctl.escalate(fits), ref.escalate(fits); got != want {
+					t.Fatalf("config %d step %d: escalate(≥%d) = %d, model %d", ci, step, target, got, want)
+				}
+			} else {
+				hot, comfy := rng.Intn(4) == 0, rng.Intn(2) == 0
+				before, cals := ctl.Level(), ctl.counts().calibrations
+				ctl.observe(hot, comfy)
+				ref.observe(hot, comfy)
+				if ctl.counts().calibrations > cals {
+					fenced, fencedFor = before, 0
+				} else if fenced >= 0 {
+					fencedFor++
+				}
+			}
+			level, ceiling := ctl.Level(), ctl.reachable()
+			if level != ref.level || ceiling != ref.ceil || ctl.counts() != ref.n {
+				t.Fatalf("config %d step %d: controller (level %d, ceiling %d, %+v), model (level %d, ceiling %d, %+v)",
+					ci, step, level, ceiling, ctl.counts(), ref.level, ref.ceil, ref.n)
+			}
+			if level < 0 || level > ceiling || ceiling > max {
+				t.Fatalf("config %d step %d: 0 ≤ level %d ≤ ceiling %d ≤ max %d violated", ci, step, level, ceiling, max)
+			}
+			if fenced >= 0 && fencedFor < c.r && ceiling >= fenced {
+				t.Fatalf("config %d step %d: level %d reachable %d observes after its calibration, want fenced for %d",
+					ci, step, fenced, fencedFor, c.r)
+			}
+			if fenced >= 0 && fencedFor == c.r {
+				if ceiling != max {
+					t.Fatalf("config %d step %d: ceiling %d still pinned %d observes after the calibration, want max %d",
+						ci, step, ceiling, fencedFor, max)
+				}
+				fenced = -1
 			}
 		}
-	}()
-	for reads := 0; ; reads++ {
-		select {
-		case <-done:
-			if level, quant, _ := ctl.point(); level != 0 || quant {
-				t.Fatalf("walk ended at (%d, %v), want (0, fp32)", level, quant)
-			}
-			return
-		default:
-		}
-		if level, quant, base := ctl.point(); !onWalk[pt{level, quant}] || base != 0 {
-			t.Fatalf("read %d: point() = (%d, %v, base %d), a state the controller was never at", reads, level, quant, base)
-		}
+		n := ctl.counts()
+		total.escalations += n.escalations
+		total.calibrations += n.calibrations
+		total.recoveries += n.recoveries
+	}
+	if total.escalations < 100 || total.calibrations < 100 || total.recoveries < 100 {
+		t.Errorf("walks too tame to exercise every move: %+v", total)
 	}
 }

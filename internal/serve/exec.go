@@ -13,12 +13,12 @@ import (
 // retried up to MaxRetries times with exponential backoff and jitter.
 // With no injector, no timeout, no retries and no breaker configured this
 // degenerates to exactly one Execute call with no extra allocations.
-func (s *Server) executeBatch(level int, quant bool, n int, inputs *tensor.Tensor) (BatchResult, error) {
+func (s *Server) executeBatch(level, n int, inputs *tensor.Tensor) (BatchResult, error) {
 	for attempt := 0; ; attempt++ {
 		if !s.brk.allow() {
 			return BatchResult{}, ErrBreakerOpen
 		}
-		res, err := s.executeOnce(level, quant, n, inputs)
+		res, err := s.executeOnce(level, n, inputs)
 		if err == nil {
 			s.brk.success()
 			if nats := s.faults.CorruptNats(); nats > 0 {
@@ -39,11 +39,11 @@ func (s *Server) executeBatch(level int, quant bool, n int, inputs *tensor.Tenso
 // before the executor runs (typed like a real gpu launch failure), a slow
 // fault stretches the result's simulated cost, and the configured timeout
 // bounds the executor's wall-clock time.
-func (s *Server) executeOnce(level int, quant bool, n int, inputs *tensor.Tensor) (BatchResult, error) {
+func (s *Server) executeOnce(level, n int, inputs *tensor.Tensor) (BatchResult, error) {
 	if err := s.faults.LaunchError(); err != nil {
 		return BatchResult{}, &gpu.LaunchError{Kernel: "serve.batch", Injected: true, Err: err}
 	}
-	res, err := s.executeTimed(level, quant, n, inputs)
+	res, err := s.executeTimed(level, n, inputs)
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -54,23 +54,13 @@ func (s *Server) executeOnce(level int, quant bool, n int, inputs *tensor.Tensor
 	return res, nil
 }
 
-// execCall dispatches one executor call at the batch's operating point:
-// the quantized path when the flush rode the quant rung, the ordinary
-// Execute otherwise.
-func (s *Server) execCall(level int, quant bool, n int, inputs *tensor.Tensor) (BatchResult, error) {
-	if quant && s.quantEx != nil {
-		return s.quantEx.ExecuteQuant(s.cfg.Quantize, level, n, inputs)
-	}
-	return s.ex.Execute(level, n, inputs)
-}
-
 // executeTimed bounds one executor call by the configured wall-clock
 // timeout. A timed-out attempt's goroutine is orphaned — it finishes into
 // a buffered channel and is discarded; it never touches futures or stats,
 // so a late completion cannot resolve anything after drain.
-func (s *Server) executeTimed(level int, quant bool, n int, inputs *tensor.Tensor) (BatchResult, error) {
+func (s *Server) executeTimed(level, n int, inputs *tensor.Tensor) (BatchResult, error) {
 	if s.cfg.ExecTimeoutMS <= 0 {
-		return s.execCall(level, quant, n, inputs)
+		return s.ex.Execute(level, n, inputs)
 	}
 	type attempt struct {
 		res BatchResult
@@ -78,7 +68,7 @@ func (s *Server) executeTimed(level int, quant bool, n int, inputs *tensor.Tenso
 	}
 	ch := make(chan attempt, 1)
 	go func() {
-		res, err := s.execCall(level, quant, n, inputs)
+		res, err := s.ex.Execute(level, n, inputs)
 		ch <- attempt{res, err}
 	}()
 	timer := time.NewTimer(time.Duration(s.cfg.ExecTimeoutMS * float64(time.Millisecond)))

@@ -59,46 +59,6 @@ type Executor interface {
 // builds for pipelines without a measured tuning table.
 const DefaultSyntheticLevels = 6
 
-// Documented output-uncertainty premiums of the reduced-precision modes:
-// the mean-entropy increase quantized classification adds over fp32 at
-// the same perforation level, bounded empirically by the int8 agreement
-// test in quant_test.go. The server enables a mode's rung only when the
-// base level's entropy plus this delta still clears the task threshold.
-const (
-	// Int8EntropyDelta bounds the entropy premium of symmetric int8
-	// quantization with per-row/per-column scales.
-	Int8EntropyDelta = 0.05
-	// FP16EntropyDelta bounds the premium of fp16-storage GEMM, whose
-	// 2^-11 operand rounding barely perturbs softmax rows.
-	FP16EntropyDelta = 0.01
-)
-
-// QuantSpec describes one reduced-precision execution mode an executor
-// offers the serving ladder's quantization rung.
-type QuantSpec struct {
-	// Speedup is the modeled whole-batch throughput factor over fp32 at
-	// the same level; escalation prices a quantized flush at
-	// PredictMS / Speedup.
-	Speedup float64
-	// EntropyDelta is the mode's documented uncertainty premium (see the
-	// *EntropyDelta constants). The entropy gate — enable the rung only
-	// when Entropy(base) + EntropyDelta ≤ the task threshold — reads it
-	// at server construction.
-	EntropyDelta float64
-}
-
-// QuantExecutor is the optional interface (the BatchLimiter /
-// LayerProfiler pattern) executors implement to serve the quantization
-// rung. Implementations must be safe for concurrent use alongside
-// Execute: the controller can flip precision between flushes.
-type QuantExecutor interface {
-	// QuantSpec reports whether the executor supports reduced precision p
-	// and, if so, its modeled cost/uncertainty profile.
-	QuantSpec(p tensor.Precision) (QuantSpec, bool)
-	// ExecuteQuant runs one batch with host GEMMs at precision p.
-	ExecuteQuant(p tensor.Precision, level, batch int, inputs *tensor.Tensor) (BatchResult, error)
-}
-
 // SyntheticPath builds a degradation path for pipelines that have no
 // trained scaled analogue (and hence no measured tuning table): level i
 // perforates every conv layer to step^i of its output area, quantized to
@@ -172,13 +132,13 @@ type PlanExecutor struct {
 	preds    map[levelBatch]float64
 	limit    int // memory batch ceiling; 0 = not yet probed
 
-	// opts[p][level] is the operating point a batch runs the scaled
-	// network at: the tuning-table row's resolved masks plus the engine of
-	// precision p (fp32: the package default). Built once at construction
-	// and immutable, so any number of workers run forward concurrently on
-	// the shared network — an operating point is the options of one call,
-	// not state programmed onto the layers.
-	opts map[tensor.Precision][]*nn.ForwardOpts
+	// opts[level] is the operating point a batch runs the scaled network
+	// at: the tuning-table row's resolved masks on the package-default
+	// engine. Built once at construction and immutable, so any number of
+	// workers run forward concurrently on the shared network — an operating
+	// point is the options of one call, not state programmed onto the
+	// layers.
+	opts []*nn.ForwardOpts
 }
 
 // NewPlanExecutor builds the production executor. path may be nil, in
@@ -211,28 +171,16 @@ func NewPlanExecutor(plan *compile.Plan, path []sched.TuningPoint, scaled *nn.Se
 	return e, nil
 }
 
-// operatingPoints resolves every (precision, tuning-table row) pair into
-// the options of one forward call. The reduced-precision engines mirror
-// the default engine's backend and threshold and share its worker pool,
-// so quantization changes arithmetic, not parallel strategy.
-func operatingPoints(scaled *nn.Sequential, table *runtimemgr.Table) map[tensor.Precision][]*nn.ForwardOpts {
-	d := tensor.Default()
-	engines := map[tensor.Precision]*tensor.Engine{tensor.FP32: nil}
-	for _, p := range []tensor.Precision{tensor.Int8, tensor.FP16} {
-		eng := tensor.NewEngine(d.Backend(), 0)
-		eng.SetParallelThreshold(d.ParallelThreshold())
-		eng.SetPrecision(p)
-		engines[p] = eng
-	}
-	opts := make(map[tensor.Precision][]*nn.ForwardOpts, len(engines))
-	for _, entry := range table.Entries {
+// operatingPoints resolves every tuning-table row into the options of one
+// forward call on the package-default engine.
+func operatingPoints(scaled *nn.Sequential, table *runtimemgr.Table) []*nn.ForwardOpts {
+	opts := make([]*nn.ForwardOpts, len(table.Entries))
+	for l, entry := range table.Entries {
 		keeps := make([]nn.Keep, len(entry.Keeps))
 		for i, k := range entry.Keeps {
 			keeps[i] = nn.Keep{W: k.W, H: k.H}
 		}
-		for p, eng := range engines {
-			opts[p] = append(opts[p], scaled.NewForwardOpts(keeps, eng))
-		}
+		opts[l] = scaled.NewForwardOpts(keeps, nil)
 	}
 	return opts
 }
@@ -489,9 +437,9 @@ func (e *PlanExecutor) Profile(level, batch int) ([]compile.LayerProfile, error)
 
 // Execute implements Executor: the GPU simulator supplies the batch's time
 // and energy at the level's perforation, and — when an executable network
-// is attached — the scaled analogue classifies the inputs for real (at the
-// level's fp32 operating point), supplying softmax rows and measured
-// entropy for calibration.
+// is attached — the scaled analogue classifies the inputs for real at the
+// level's operating point, supplying softmax rows and measured entropy for
+// calibration.
 func (e *PlanExecutor) Execute(level, batch int, inputs *tensor.Tensor) (BatchResult, error) {
 	if batch < 1 {
 		return BatchResult{}, fmt.Errorf("serve: execute batch %d", batch)
@@ -503,59 +451,8 @@ func (e *PlanExecutor) Execute(level, batch int, inputs *tensor.Tensor) (BatchRe
 	}
 	res := BatchResult{TimeMS: agg.TimeMS, EnergyJ: agg.EnergyJ, Entropy: e.path[level].Entropy}
 	if e.scaled != nil && inputs != nil && inputs.Dim(0) > 0 {
-		res.Probs, res.Entropy = e.predict(tensor.FP32, level, inputs)
-	}
-	return res, nil
-}
-
-// predict classifies inputs on the scaled network at the operating point
-// (precision p, the table entry matching the level), returning softmax
-// rows and measured mean entropy.
-func (e *PlanExecutor) predict(p tensor.Precision, level int, inputs *tensor.Tensor) ([][]float32, float64) {
-	points := e.opts[p]
-	probs := e.scaled.PredictWith(inputs, points[min(level, len(points)-1)])
-	return probs, entropy.Mean(probs)
-}
-
-// QuantSpec implements QuantExecutor: int8 and fp16 host GEMM modes with
-// the compile package's modeled throughput factors and the documented
-// entropy premiums.
-func (e *PlanExecutor) QuantSpec(p tensor.Precision) (QuantSpec, bool) {
-	switch p {
-	case tensor.Int8:
-		return QuantSpec{Speedup: compile.Int8GEMMSpeedup, EntropyDelta: Int8EntropyDelta}, true
-	case tensor.FP16:
-		return QuantSpec{Speedup: compile.FP16GEMMSpeedup, EntropyDelta: FP16EntropyDelta}, true
-	}
-	return QuantSpec{}, false
-}
-
-// ExecuteQuant implements QuantExecutor: the simulated batch cost rescaled
-// by the mode's modeled speedup (energy tracks time at roughly constant
-// power), and — when an executable network is attached — real quantized
-// classification at the level's reduced-precision operating point, whose
-// measured entropy feeds the calibration veto. Unsupported precisions
-// degrade to the fp32 path rather than failing the batch.
-func (e *PlanExecutor) ExecuteQuant(p tensor.Precision, level, batch int, inputs *tensor.Tensor) (BatchResult, error) {
-	spec, ok := e.QuantSpec(p)
-	if !ok {
-		return e.Execute(level, batch, inputs)
-	}
-	if batch < 1 {
-		return BatchResult{}, fmt.Errorf("serve: execute batch %d", batch)
-	}
-	level = e.clamp(level)
-	agg, err := e.aggFor(level, batch)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	res := BatchResult{
-		TimeMS:  agg.TimeMS / spec.Speedup,
-		EnergyJ: agg.EnergyJ / spec.Speedup,
-		Entropy: e.path[level].Entropy + spec.EntropyDelta,
-	}
-	if e.scaled != nil && inputs != nil && inputs.Dim(0) > 0 {
-		res.Probs, res.Entropy = e.predict(p, level, inputs)
+		res.Probs = e.scaled.PredictWith(inputs, e.opts[min(level, len(e.opts)-1)])
+		res.Entropy = entropy.Mean(res.Probs)
 	}
 	return res, nil
 }

@@ -188,9 +188,9 @@ func TestExecutorWithScaledNet(t *testing.T) {
 
 // TestPlanExecutorConcurrentLevels: an operating point is the options of
 // one forward call, not state programmed onto the shared network, so
-// batches at different levels and precisions run at the same time — there
-// is no lock around the network — and each returns exactly the rows a
-// serial run returns.
+// batches at different levels run at the same time — there is no lock
+// around the network — and each returns exactly the rows a serial run
+// returns.
 func TestPlanExecutorConcurrentLevels(t *testing.T) {
 	task := satisfaction.ImageTagging()
 	plan := compilePlan(t, "AlexNet", "K20c", task)
@@ -218,19 +218,13 @@ func TestPlanExecutorConcurrentLevels(t *testing.T) {
 		inputs.Data[i] = rng.Float32()
 	}
 	run := func(level int) BatchResult {
-		var res BatchResult
-		var err error
-		if level == len(path) { // one quantized caller among the fp32 ones
-			res, err = ex.ExecuteQuant(tensor.Int8, 1, batch, inputs)
-		} else {
-			res, err = ex.Execute(level, batch, inputs)
-		}
+		res, err := ex.Execute(level, batch, inputs)
 		if err != nil {
 			t.Error(err)
 		}
 		return res
 	}
-	serial := make([]BatchResult, len(path)+1)
+	serial := make([]BatchResult, len(path))
 	for level := range serial {
 		serial[level] = run(level)
 	}

@@ -346,7 +346,7 @@ func TestExecuteBatchCleanNoAllocs(t *testing.T) {
 	}
 	defer closeServer(t, s)
 	if n := testing.AllocsPerRun(500, func() {
-		if _, err := s.executeBatch(0, false, 4, nil); err != nil {
+		if _, err := s.executeBatch(0, 4, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -366,7 +366,7 @@ func BenchmarkExecuteBatchClean(b *testing.B) {
 	}()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.executeBatch(0, false, 4, nil); err != nil {
+		if _, err := s.executeBatch(0, 4, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/tensor"
+	"pcnn/internal/workload"
 )
 
 // vclock is a settable clock for virtual-time serving tests.
@@ -129,4 +132,72 @@ func TestManualFlushChunksToMaxBatch(t *testing.T) {
 		t.Fatalf("batch sizes %v, want 8 requests in 4s and 2 in a 2", sizes)
 	}
 	closeServer(t, s)
+}
+
+// clockedExec is manualExec on a virtual clock: executing a batch moves the
+// clock forward by the batch's simulated time, the way a virtual-time driver
+// accounts for it.
+type clockedExec struct {
+	manualExec
+	clk *workload.VirtualClock
+}
+
+func (e clockedExec) Execute(l, n int, x *tensor.Tensor) (BatchResult, error) {
+	res, err := e.manualExec.Execute(l, n, x)
+	e.clk.Set(e.clk.Now().Add(time.Duration(res.TimeMS * float64(time.Millisecond))))
+	return res, err
+}
+
+// TestTraceOnInjectedClock: request traces read the server's clock, not
+// the wall clock. Three requests arrive at virtual t = 0, 3 and 10 ms, the
+// batch flushes at 17 ms and executes for 15 ms; every stage duration must
+// equal those steps exactly — zero where the clock did not move — on every
+// run.
+func TestTraceOnInjectedClock(t *testing.T) {
+	arrive := []float64{0, 3, 10}
+	const flushAt, execMS = 17, 15
+	for run := 0; run < 2; run++ {
+		clk := workload.NewVirtualClock(workload.Epoch())
+		at := func(ms float64) time.Time {
+			return workload.Epoch().Add(time.Duration(ms * float64(time.Millisecond)))
+		}
+		s, err := NewServer(clockedExec{clk: clk}, satisfaction.AgeDetection(), Config{
+			Workers: 1, MaxBatch: 4, ManualFlush: true, Clock: clk.Now,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs := make([]*Future, len(arrive))
+		for i, ms := range arrive {
+			clk.Set(at(ms))
+			if futs[i], err = s.Submit(); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		clk.Set(at(flushAt))
+		s.Flush()
+		waitAll(t, futs)
+		closeServer(t, s) // the workers have parked every trace once Close returns
+		traces := s.Traces(0)
+		if len(traces) != len(arrive) {
+			t.Fatalf("%d traces held, want %d", len(traces), len(arrive))
+		}
+		for _, tr := range traces {
+			i := int(tr.ID) - 1
+			if !tr.Start.Equal(at(arrive[i])) {
+				t.Errorf("run %d trace %d starts at %v, want virtual %v", run, tr.ID, tr.Start, at(arrive[i]))
+			}
+			wait := flushAt - arrive[i]
+			want := []obs.Stage{
+				{Name: "submit", AtMS: 0, DurMS: 0},
+				{Name: "coalesce", AtMS: wait, DurMS: wait},
+				{Name: "escalate", AtMS: wait, DurMS: 0},
+				{Name: "execute", AtMS: wait + execMS, DurMS: execMS},
+				{Name: "resolve", AtMS: wait + execMS, DurMS: 0},
+			}
+			if !reflect.DeepEqual(tr.Stages, want) {
+				t.Errorf("run %d trace %d stages = %+v, want %+v", run, tr.ID, tr.Stages, want)
+			}
+		}
+	}
 }

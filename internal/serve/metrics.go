@@ -96,27 +96,6 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 		"Comfortable-slack recoveries easing the level back down.",
 		func() float64 { return float64(s.ctrl.counts().recoveries) })
 
-	// The quantization rung: whether reduced-precision GEMM is serving
-	// right now, how many batches rode the rung, and its escalation /
-	// calibration-veto tallies. All flat zero when the rung never armed.
-	reg.GaugeFunc("pcnn_serve_quantized",
-		"1 while the quantization rung serves (host GEMMs at reduced precision).",
-		func() float64 {
-			if s.Quantized() {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("pcnn_serve_quantized_batches_total",
-		"Batches executed on the quantization rung.",
-		s.st.counterFn(func(st *stats) uint64 { return st.quantized }))
-	reg.CounterFunc("pcnn_serve_quant_escalations_total",
-		"Escalations onto the quantization rung under deadline pressure.",
-		func() float64 { return float64(s.ctrl.counts().quantEscalations) })
-	reg.CounterFunc("pcnn_serve_quant_calibrations_total",
-		"Entropy-triggered calibration vetoes of the quantization rung.",
-		func() float64 { return float64(s.ctrl.counts().quantCalibrations) })
-
 	reg.GaugeFunc("pcnn_serve_breaker_state",
 		"Circuit breaker position: 0 closed, 1 half-open, 2 open.",
 		func() float64 { st, _, _ := s.brk.snapshot(); return float64(st) })

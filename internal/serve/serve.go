@@ -137,16 +137,6 @@ type Config struct {
 	// saturation, clock skew). nil — the production default — serves clean
 	// and adds nothing to the hot path.
 	Faults *fault.Injector
-	// Quantize enables the quantization rung of the degradation ladder at
-	// this reduced precision (tensor.Int8 or tensor.FP16): under deadline
-	// pressure escalation switches host GEMMs to it *before* deepening
-	// perforation, and an entropy calibration while quantized vetoes the
-	// rung for the cooldown window. The rung only arms when the executor
-	// implements QuantExecutor for the precision AND the base level's
-	// entropy leaves headroom for the mode's documented EntropyDelta under
-	// the task threshold — otherwise the ladder silently stays
-	// perforation-only. The zero value (tensor.FP32) disables it.
-	Quantize tensor.Precision
 }
 
 func (c Config) withDefaults(execMaxBatch int) Config {
@@ -191,8 +181,10 @@ type Result struct {
 	ID    uint64
 	Batch int // how many requests shared the executed batch
 	Level int // degradation level the batch ran at
-	// Quantized reports that the batch's host GEMMs ran at the configured
-	// reduced precision (the ladder's quantization rung).
+	// Quantized is always false: the serving ladder has no quantization
+	// rung (reduced precision is an accuracy-study axis of the tensor
+	// engine, not an operating point). The field stays because the frozen
+	// benchmark module reads it.
 	Quantized bool
 
 	QueueMS    float64 // measured wall-clock wait until execution started
@@ -251,7 +243,6 @@ type request struct {
 type batchJob struct {
 	reqs  []*request
 	level int
-	quant bool // execute at the configured reduced precision
 }
 
 // Server is the online serving engine for one (network, device, task)
@@ -262,11 +253,6 @@ type Server struct {
 	ex   Executor
 	ctrl *controller
 	st   *stats
-
-	// quantEx / quantSpec are set when the quantization rung armed: the
-	// executor's QuantExecutor view and the mode's modeled profile.
-	quantEx   QuantExecutor
-	quantSpec QuantSpec
 
 	reg    *obs.Registry
 	met    *serveMetrics
@@ -326,30 +312,11 @@ func newServer(ex Executor, task satisfaction.Task, cfg Config, timerHook func()
 		return nil, err
 	}
 	cfg = cfg.withDefaults(BatchCap(ex, task))
-	base := BaseLevel(ex, task)
-	// The entropy gate on the quantization rung: it arms only when the
-	// executor can actually run the configured precision and the base
-	// level's recorded entropy plus the mode's documented premium still
-	// clears the task threshold. Without that headroom a single quantized
-	// batch would immediately trip calibration, so the ladder stays
-	// perforation-only.
-	var quantEx QuantExecutor
-	var quantSpec QuantSpec
-	if cfg.Quantize != tensor.FP32 && !cfg.DisableDegrade {
-		if qx, ok := ex.(QuantExecutor); ok {
-			if spec, ok := qx.QuantSpec(cfg.Quantize); ok &&
-				ex.Entropy(base)+spec.EntropyDelta <= task.EntropyThreshold {
-				quantEx, quantSpec = qx, spec
-			}
-		}
-	}
 	s := &Server{
 		cfg:           cfg,
 		task:          task,
 		ex:            ex,
-		ctrl:          newController(ex.Levels(), base, cfg.RecoverAfter, quantEx != nil),
-		quantEx:       quantEx,
-		quantSpec:     quantSpec,
+		ctrl:          newController(ex.Levels(), BaseLevel(ex, task), cfg.RecoverAfter),
 		st:            newStats(),
 		reg:           obs.NewRegistry(),
 		traces:        obs.NewTraceRing(traceRingCap),
@@ -476,7 +443,7 @@ func (s *Server) SubmitWith(opts SubmitOptions) (*Future, error) {
 		prio:  classPriority(task.Class),
 		input: opts.Input,
 		fut:   &Future{ch: make(chan outcome, 1)},
-		tr:    obs.NewTrace(id),
+		tr:    obs.NewTrace(id, s.cfg.Clock),
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -513,29 +480,17 @@ func (s *Server) SubmitWith(opts SubmitOptions) (*Future, error) {
 	}
 }
 
-// predictMS prices one batch at an operating point: the executor's Eq 12
-// estimate, divided by the armed mode's throughput factor when the quant
-// rung serves the flush — every Eq 12 term is linear in per-layer issue
-// cost, so a uniform precision speedup divides the whole sum.
-func (s *Server) predictMS(level int, quant bool, batch int) float64 {
-	ms := s.ex.PredictMS(level, batch)
-	if quant && s.quantEx != nil && s.quantSpec.Speedup > 0 {
-		return ms / s.quantSpec.Speedup
-	}
-	return ms
-}
-
 // predictQueueMS estimates how long a request submitted right now would
-// take to complete at an operating point: any externally-declared worker
+// take to complete at a level: any externally-declared worker
 // occupancy, plus the accepted-but-unresolved backlog grouped into
 // MaxBatch-sized batches spread across the worker pool, plus the
 // request's own batch. It costs two Eq 12 evaluations and one lock.
-func (s *Server) predictQueueMS(level int, quant bool) float64 {
+func (s *Server) predictQueueMS(level int) float64 {
 	depth := s.st.queueDepth()
 	ahead := float64(depth/s.cfg.MaxBatch) *
-		s.predictMS(level, quant, s.cfg.MaxBatch) / float64(s.cfg.Workers)
+		s.ex.PredictMS(level, s.cfg.MaxBatch) / float64(s.cfg.Workers)
 	own := depth%s.cfg.MaxBatch + 1
-	return s.busyMS() + ahead + s.predictMS(level, quant, own)
+	return s.busyMS() + ahead + s.ex.PredictMS(level, own)
 }
 
 // SetBusyUntil declares worker occupancy the server cannot observe
@@ -566,8 +521,7 @@ func (s *Server) busyMS() float64 {
 // submitted now at the current degradation level — the routing signal a
 // fleet load balancer compares across replicas (and hedges on).
 func (s *Server) PredictCompletionMS() float64 {
-	level, quant, _ := s.ctrl.point()
-	return s.predictQueueMS(level, quant)
+	return s.predictQueueMS(s.ctrl.Level())
 }
 
 // Prediction is the serving-side prediction state one replica exports to
@@ -588,9 +542,6 @@ type Prediction struct {
 	// Level / BaseLevel are the current and preferred perforation levels.
 	Level     int `json:"level"`
 	BaseLevel int `json:"base_level"`
-	// Quantized reports that the quantization rung is currently serving
-	// (host GEMMs at reduced precision).
-	Quantized bool `json:"quantized,omitempty"`
 	// QueueDepth counts accepted-but-unresolved requests.
 	QueueDepth int `json:"queue_depth"`
 	// BusyMS is the declared worker-occupancy horizon remaining (see
@@ -603,19 +554,18 @@ type Prediction struct {
 // Predict assembles the exported prediction state. batch > 0 additionally
 // prices executing that batch size at the current level.
 func (s *Server) Predict(batch int) Prediction {
-	level, quant, base := s.ctrl.point()
+	level := s.ctrl.Level()
 	p := Prediction{
-		PredictMS:   s.predictQueueMS(level, quant),
+		PredictMS:   s.predictQueueMS(level),
 		CapacityRPS: s.CapacityRPS(),
 		Level:       level,
-		BaseLevel:   base,
-		Quantized:   quant,
+		BaseLevel:   s.ctrl.base,
 		QueueDepth:  s.st.queueDepth(),
 		BusyMS:      s.busyMS(),
 		MaxBatch:    s.cfg.MaxBatch,
 	}
 	if batch > 0 {
-		p.BatchMS = s.predictMS(level, quant, batch)
+		p.BatchMS = s.ex.PredictMS(level, batch)
 	}
 	return p
 }
@@ -628,11 +578,11 @@ func (s *Server) Predict(batch int) Prediction {
 // admit requests the controller then refuses to save. With degradation
 // disabled the pinned level is the only one available.
 func (s *Server) admitPredictMS() float64 {
-	level, quant := s.ctrl.reachable()
+	level := s.ctrl.reachable()
 	if s.cfg.DisableDegrade {
-		level, quant = s.ctrl.Level(), false
+		level = s.ctrl.Level()
 	}
-	return s.predictQueueMS(level, quant)
+	return s.predictQueueMS(level)
 }
 
 // CapacityRPS is one worker's steady-state serving rate at an executor's
@@ -743,12 +693,8 @@ func (s *Server) Close(ctx context.Context) error {
 // every snapshot, concurrent traffic included.
 func (s *Server) Stats() Snapshot {
 	n := s.ctrl.counts()
-	level, quant, _ := s.ctrl.point()
 	st, trips, resets := s.brk.snapshot()
-	snap := s.st.snapshot(s.task, level, n.escalations, n.calibrations, n.recoveries, st, trips, resets)
-	snap.Quantized = quant
-	snap.QuantEscalations, snap.QuantCalibrations = n.quantEscalations, n.quantCalibrations
-	return snap
+	return s.st.snapshot(s.task, s.ctrl.Level(), n.escalations, n.calibrations, n.recoveries, st, trips, resets)
 }
 
 // BreakerState returns the circuit breaker's current position (closed
@@ -770,9 +716,6 @@ type Health struct {
 	// Level / BaseLevel are the current and preferred perforation levels.
 	Level     int `json:"level"`
 	BaseLevel int `json:"base_level"`
-	// Quantized reports the quantization rung is serving; like an
-	// escalated level it marks the server degraded.
-	Quantized bool `json:"quantized,omitempty"`
 	// QueueDepth is how many accepted requests await execution.
 	QueueDepth int `json:"queue_depth"`
 	// Reasons lists why the server is not "ok"; empty when healthy.
@@ -783,12 +726,10 @@ type Health struct {
 // reasons), or closed.
 func (s *Server) Health() Health {
 	st, _, _ := s.brk.snapshot()
-	level, quant, base := s.ctrl.point()
 	h := Health{
 		Breaker:    st.String(),
-		Level:      level,
-		BaseLevel:  base,
-		Quantized:  quant,
+		Level:      s.ctrl.Level(),
+		BaseLevel:  s.ctrl.base,
 		QueueDepth: s.st.queueDepth(),
 	}
 	s.mu.RLock()
@@ -807,9 +748,6 @@ func (s *Server) Health() Health {
 		if h.Level > h.BaseLevel {
 			h.Reasons = append(h.Reasons, "serving above base perforation level")
 		}
-		if h.Quantized {
-			h.Reasons = append(h.Reasons, "serving quantized host GEMM")
-		}
 		if len(h.Reasons) > 0 {
 			h.Status = "degraded"
 			h.Degraded = true
@@ -827,13 +765,6 @@ func (s *Server) Task() satisfaction.Task { return s.task }
 
 // Level returns the current degradation level (0 = unperforated).
 func (s *Server) Level() int { return s.ctrl.Level() }
-
-// Quantized reports whether the quantization rung is currently serving
-// (host GEMMs at the configured reduced precision).
-func (s *Server) Quantized() bool {
-	_, quant, _ := s.ctrl.point()
-	return quant
-}
 
 // MaxBatch returns the effective batch cap the server coalesces to, after
 // defaulting: the configured cap, or the deadline-aware BatchCap when the

@@ -204,21 +204,21 @@ func TestCalibrationBacktrack(t *testing.T) {
 // TestControllerCeiling exercises the calibration ceiling directly: after
 // a backtrack, escalation is capped until the cooldown expires.
 func TestControllerCeiling(t *testing.T) {
-	c := newController(4, 1, 2, false)
-	always := func(int, bool) bool { return false } // never fits: escalate to the cap
-	if got, _ := c.escalate(always); got != 3 {
+	c := newController(4, 1, 2)
+	always := func(int) bool { return false } // never fits: escalate to the cap
+	if got := c.escalate(always); got != 3 {
 		t.Fatalf("escalate to cap = %d, want 3", got)
 	}
 	c.observe(true, false) // entropy exceeded at 3 → backtrack to 2, ceiling 2
 	if got := c.Level(); got != 2 {
 		t.Fatalf("level after calibration = %d, want 2", got)
 	}
-	if got, _ := c.escalate(always); got != 2 {
+	if got := c.escalate(always); got != 2 {
 		t.Fatalf("escalation during cooldown reached %d, want ceiling 2", got)
 	}
 	c.observe(false, false) // cooldown 2→1
 	c.observe(false, false) // cooldown 1→0: ceiling released
-	if got, _ := c.escalate(always); got != 3 {
+	if got := c.escalate(always); got != 3 {
 		t.Fatalf("escalation after cooldown = %d, want 3", got)
 	}
 }

@@ -57,7 +57,6 @@ type stats struct {
 	failed    uint64
 	batches   uint64
 	batchSum  uint64
-	quantized uint64 // batches executed on the quantization rung
 	missed    uint64
 	promoted  uint64 // requests batched ahead of a more urgent band via aging
 	demoted   uint64 // batches demoted to simulation-only by gatherInputs
@@ -177,15 +176,11 @@ func (s *stats) record(r Result) {
 	}
 }
 
-// batchDone records one executed batch of n requests, quantized when it
-// rode the quant rung.
-func (s *stats) batchDone(n int, quant bool) {
+// batchDone records one executed batch of n requests.
+func (s *stats) batchDone(n int) {
 	s.mu.Lock()
 	s.batches++
 	s.batchSum += uint64(n)
-	if quant {
-		s.quantized++
-	}
 	s.mu.Unlock()
 }
 
@@ -276,14 +271,6 @@ type Snapshot struct {
 	Calibrations uint64 `json:"calibrations"`
 	Recoveries   uint64 `json:"recoveries"`
 
-	// Quantization-rung state: whether the rung is serving right now, how
-	// many batches executed quantized, and the rung's own escalation /
-	// calibration-veto tallies (all zero when the rung never armed).
-	Quantized         bool   `json:"quantized,omitempty"`
-	QuantizedBatches  uint64 `json:"quantized_batches,omitempty"`
-	QuantEscalations  uint64 `json:"quant_escalations,omitempty"`
-	QuantCalibrations uint64 `json:"quant_calibrations,omitempty"`
-
 	// Hardening counters: execution retries, per-attempt timeouts, and
 	// the circuit breaker's state and lifetime transitions.
 	Retries       uint64 `json:"retries"`
@@ -312,7 +299,6 @@ func (s *stats) snapshot(task satisfaction.Task, level int, esc, cal, rec uint64
 		Failed:             s.failed,
 		Batches:            s.batches,
 		DemotedBatches:     s.demoted,
-		QuantizedBatches:   s.quantized,
 		DeadlineMissed:     s.missed,
 		Promotions:         s.promoted,
 		Level:              level,

@@ -69,9 +69,8 @@ func BenchmarkGEMMBlockedParallel(b *testing.B) {
 // symmetric quantization around the scalar int32 row kernel) on the
 // recorded shapes. It measures the host cost of quantized numerics, not
 // a host speedup: with no SIMD int8 kernel the scalar path cannot beat
-// the AVX2 blocked fp32 kernel here, and the serving rung's throughput
-// factors (compile.Int8GEMMSpeedup) model the paper's dp4a-class GPU
-// parts, where the 4x-narrower operands do pay (see BENCH_gemm.json).
+// the AVX2 blocked fp32 kernel here; reduced precision is an
+// accuracy-study axis, not a serving operating point (see BENCH_gemm.json).
 func BenchmarkGEMMInt8(b *testing.B) {
 	eng := NewEngine(Blocked, 1)
 	eng.SetPrecision(Int8)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -41,7 +42,7 @@ func (p Precision) String() string {
 	case Int8:
 		return "int8"
 	}
-	return "Precision(" + string(rune('0'+int32(p))) + ")"
+	return fmt.Sprintf("Precision(%d)", int32(p))
 }
 
 // UnknownPrecisionError reports an unrecognized precision name, so knob

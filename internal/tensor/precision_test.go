@@ -35,6 +35,16 @@ func TestParsePrecision(t *testing.T) {
 	}
 }
 
+// TestPrecisionStringOutOfRange: values outside the enum render as their
+// number (the Backend.String form), not as a character offset from '0'.
+func TestPrecisionStringOutOfRange(t *testing.T) {
+	for p, want := range map[Precision]string{10: "Precision(10)", -3: "Precision(-3)"} {
+		if got := p.String(); got != want {
+			t.Errorf("Precision(%d).String() = %q, want %q", int32(p), got, want)
+		}
+	}
+}
+
 func TestF16RoundProperties(t *testing.T) {
 	// Exact fixtures spanning the format's edges.
 	fixtures := []struct{ in, want float32 }{

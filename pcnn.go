@@ -170,8 +170,7 @@ type (
 	// the best replica's Eq 12 forecast with fleet-aggregated capacity.
 	FleetModelPrediction = fleet.ModelPrediction
 	// Precision selects the host GEMM number format (fp32, fp16-storage
-	// or symmetric int8) — the quantization rung of the serving
-	// degradation ladder.
+	// or symmetric int8) — an accuracy-study axis of the tensor engine.
 	Precision = tensor.Precision
 	// UnknownPrecisionError reports an unrecognized precision name, so
 	// ParsePrecision failures are distinguishable with errors.As — the
