@@ -3,7 +3,7 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
@@ -65,9 +65,19 @@ race:
 e2e:
 	$(GO) test -short -count=1 ./internal/fleet/e2e/
 
-# bench reproduces the numbers recorded in BENCH_gemm.json.
+# bench reproduces the numbers recorded in BENCH_gemm.json, then times one
+# cold pass over the simulated side (scenario matrix + fleet soak +
+# six-scheduler evaluation — the repository benchmark's sim_regen op).
 bench:
 	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col' -benchmem ./internal/tensor/ ./internal/nn/
+	$(GO) test -run='^$$' -bench='SimRegenPass' -benchtime=10x .
+
+# profile-sim writes CPU and allocation profiles of that pass to
+# $(OUT)/cpu.prof and $(OUT)/mem.prof (inspect with
+# `go tool pprof -sample_index=alloc_space $(OUT)/pcnn.test $(OUT)/mem.prof`).
+profile-sim:
+	$(GO) test -run='^$$' -bench='SimRegenPass' -benchtime=15x -o $(OUT)/pcnn.test \
+		-cpuprofile $(OUT)/cpu.prof -memprofile $(OUT)/mem.prof .
 
 # bench-gemm reproduces the GEMM rows recorded in BENCH_gemm.json: the
 # naive-oracle-vs-blocked serial pairs (acceptance shape VGG_conv2_1), the

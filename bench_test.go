@@ -216,10 +216,42 @@ func BenchmarkSimulatorAlexNetBatch1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := plan.Simulate(true); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimRegenPass measures one cold pass over the simulated side,
+// the same three public calls the repository benchmark's sim_regen
+// workload times: the committed scenario matrix on a fresh engine, the
+// three-replica fleet soak (hedge off and on), and the six-scheduler
+// evaluation of AlexNet on TX1 for the three evaluation tasks. Nothing is
+// carried between iterations; `make profile-sim` profiles it.
+func BenchmarkSimRegenPass(b *testing.B) {
+	const seed = 42
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := (&ScenarioEngine{}).RunMatrix(DefaultScenarios(seed), nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := RunFleetSoak(FleetSoakSpec{Seed: seed, ReplicaCounts: []int{3}, RequestsPerModel: 600}); err != nil {
+			b.Fatal(err)
+		}
+		for _, task := range EvaluationTasks() {
+			fw, err := New("AlexNet", PlatformByName("TX1"), task)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := fw.CompileOffline(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fw.Evaluate(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ func BenchmarkSimulateSmallGrid(b *testing.B) {
 		Name: "bench", GridSize: 24, BlockSize: 256, RegsPerThread: 79,
 		SharedMemPerBlock: 8468, FMAInsts: 19200, OtherInsts: 11000, GlobalBytes: 2464,
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Simulate(k, DefaultLaunch()); err != nil {
 			b.Fatal(err)
@@ -25,6 +26,7 @@ func BenchmarkSimulateManyWaves(b *testing.B) {
 		Name: "bench", GridSize: 6050, BlockSize: 128, RegsPerThread: 120,
 		SharedMemPerBlock: 12544, FMAInsts: 23232, OtherInsts: 12000, GlobalBytes: 2200,
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Simulate(k, DefaultLaunch()); err != nil {
 			b.Fatal(err)

@@ -90,8 +90,8 @@ func TestRunInjectedGenuineError(t *testing.T) {
 }
 
 // TestRunInjectedSlowFault: slow-kernel injection stretches the affected
-// launch's time, energy and cycles by exactly the spec factor, and the
-// aggregate reflects it.
+// launch's time, energy and cycles by exactly the spec factor, shrinks its
+// achieved GFLOP/s by the same, and the aggregate reflects it.
 func TestRunInjectedSlowFault(t *testing.T) {
 	d := testDevice()
 	ls := testLaunches(1)
@@ -107,6 +107,12 @@ func TestRunInjectedSlowFault(t *testing.T) {
 	if slow[0].TimeMS != base[0].TimeMS*4 || slow[0].EnergyJ != base[0].EnergyJ*4 ||
 		slow[0].Cycles != base[0].Cycles*4 {
 		t.Fatalf("slowed result %+v is not 4× base %+v", slow[0], base[0])
+	}
+	// The launch did the same work in 4× the time: FLOPs = rate × time is
+	// invariant under injection.
+	if base[0].AchievedGFLOPs <= 0 || slow[0].AchievedGFLOPs*slow[0].TimeMS != base[0].AchievedGFLOPs*base[0].TimeMS {
+		t.Fatalf("AchievedGFLOPs·TimeMS moved under injection: %v·%v vs %v·%v",
+			slow[0].AchievedGFLOPs, slow[0].TimeMS, base[0].AchievedGFLOPs, base[0].TimeMS)
 	}
 	if slowAgg.TimeMS != baseAgg.TimeMS*4 {
 		t.Fatalf("aggregate time %v, want %v", slowAgg.TimeMS, baseAgg.TimeMS*4)

@@ -35,8 +35,8 @@ type Aggregate struct {
 	AvgPowerW float64
 }
 
-// ctaState tracks one resident CTA's two work channels.
-type ctaState struct {
+// cta is one resident CTA: its SM and the work left on its two channels.
+type cta struct {
 	sm       int
 	remIssue float64 // thread-instructions left to issue
 	remMem   float64 // DRAM bytes left to transfer
@@ -50,6 +50,14 @@ var ErrNoResidency = errors.New("gpu: kernel cannot be resident on any SM")
 
 // Simulate runs one kernel launch to completion on the device and returns
 // timing, utilization and energy. It is deterministic.
+//
+// The event loop allocates nothing: resident CTAs live in one slice sized
+// to the residency total and every per-SM scratch vector is carved once
+// per call. Rates are accumulated one addition per demanding CTA in
+// SM-major order (n additions of a share, never n×share) and the DRAM fill
+// subtracts SM caps in index order — floating-point addition does not
+// associate, and testdata/simulate.golden pins the sums that order
+// produces.
 func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 	if err := d.Validate(); err != nil {
 		return Result{}, err
@@ -78,9 +86,15 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 	// DRAM bandwidth one SM's load/store units can consume.
 	smMemCap := float64(d.CoresPerSM) * 4
 
-	resident := make([]int, d.NumSMs)
-	everUsed := make([]bool, d.NumSMs)
-	var ctas []*ctaState
+	nSM := d.NumSMs
+	ints := make([]int, 3*nSM)
+	resident, issueN, memN := ints[:nSM], ints[nSM:2*nSM], ints[2*nSM:]
+	floats := make([]float64, 5*nSM)
+	perSMIssueUsed, issueShare, smRate := floats[:nSM], floats[nSM:2*nSM], floats[2*nSM:3*nSM]
+	issueMin, memMin := floats[3*nSM:4*nSM], floats[4*nSM:] // least work left among an SM's demanders
+	bools := make([]bool, 2*nSM)
+	everUsed, unfilled := bools[:nSM], bools[nSM:]
+	ctas := make([]cta, 0, min(totalSlots, k.GridSize))
 	pending := k.GridSize
 
 	dispatch := func() {
@@ -92,7 +106,7 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 			resident[sm]++
 			everUsed[sm] = true
 			pending--
-			ctas = append(ctas, &ctaState{sm: sm, remIssue: issuePerCTA, remMem: memPerCTA})
+			ctas = append(ctas, cta{sm: sm, remIssue: issuePerCTA, remMem: memPerCTA})
 		}
 	}
 	dispatch()
@@ -116,125 +130,98 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 		}
 	}
 
-	issueRates := map[*ctaState]float64{}
-	memRates := map[*ctaState]float64{}
-
 	for len(ctas) > 0 {
 		if r := len(ctas); r > maxResident {
 			maxResident = r
 		}
-		// --- Issue rates: per-SM water-fill over resident demanders. ---
-		clear(issueRates)
-		totalIssueRate := 0.0
-		perSMIssueUsed := make([]float64, d.NumSMs)
-		for sm := 0; sm < d.NumSMs; sm++ {
-			var demand []*ctaState
-			for _, c := range ctas {
-				if c.sm == sm && c.remIssue > simEpsilon {
-					demand = append(demand, c)
-				}
+		clear(issueN)
+		clear(memN)
+		for sm := range issueMin {
+			issueMin[sm], memMin[sm] = math.Inf(1), math.Inf(1)
+		}
+		for i := range ctas {
+			c := &ctas[i]
+			if c.remIssue > simEpsilon {
+				issueN[c.sm]++
+				issueMin[c.sm] = min(issueMin[c.sm], c.remIssue)
 			}
-			if len(demand) == 0 {
-				continue
-			}
-			shares := waterFill(len(demand), ctaIssueCap, issueCapPerSM)
-			for i, c := range demand {
-				issueRates[c] = shares[i]
-				perSMIssueUsed[sm] += shares[i]
-				totalIssueRate += shares[i]
+			if c.remMem > simEpsilon {
+				memN[c.sm]++
+				memMin[c.sm] = min(memMin[c.sm], c.remMem)
 			}
 		}
-		// --- Memory rates: device-wide water-fill with a per-SM cap. ---
-		clear(memRates)
+		// --- Issue rates: each SM's issue bandwidth splits equally over
+		// its demanding CTAs, each capped at what its threads can issue. ---
+		totalIssueRate := 0.0
+		for sm, n := range issueN {
+			perSMIssueUsed[sm] = 0
+			if n == 0 {
+				continue
+			}
+			share := min(issueCapPerSM/float64(n), ctaIssueCap)
+			issueShare[sm] = share
+			for ; n > 0; n-- {
+				perSMIssueUsed[sm] += share
+				totalIssueRate += share
+			}
+		}
+		// --- Memory rates: device-wide water-fill with a per-SM cap. Each
+		// SM's aggregate demand is capped by its LSU width; bandwidth
+		// splits equally per demanding CTA. ---
 		totalMemRate := 0.0
-		{
-			perSM := make([][]*ctaState, d.NumSMs)
-			nDemand := 0
-			for _, c := range ctas {
-				if c.remMem > simEpsilon {
-					perSM[c.sm] = append(perSM[c.sm], c)
-					nDemand++
+		remaining := dramCapacity
+		for sm, n := range memN {
+			unfilled[sm] = n > 0
+			smRate[sm] = 0
+		}
+		for {
+			nCTAs := 0
+			for sm, n := range memN {
+				if unfilled[sm] {
+					nCTAs += n
 				}
 			}
-			if nDemand > 0 {
-				// SM-level fill: each SM's aggregate demand is capped by its
-				// LSU width; bandwidth splits equally per demanding CTA.
-				type smDemand struct {
-					sm   int
-					ctas []*ctaState
+			if nCTAs == 0 || remaining <= simEpsilon {
+				break
+			}
+			perCTA := remaining / float64(nCTAs)
+			progressed := false
+			for sm, n := range memN {
+				if unfilled[sm] && perCTA*float64(n) >= smMemCap-simEpsilon {
+					smRate[sm] = smMemCap
+					remaining -= smMemCap
+					unfilled[sm] = false
+					progressed = true
 				}
-				var sms []smDemand
-				for sm, list := range perSM {
-					if len(list) > 0 {
-						sms = append(sms, smDemand{sm, list})
-					}
-				}
-				remaining := dramCapacity
-				unfilled := make([]bool, len(sms))
-				for i := range unfilled {
-					unfilled[i] = true
-				}
-				smRate := make([]float64, len(sms))
-				for {
-					nCTAs := 0
-					for i, sd := range sms {
-						if unfilled[i] {
-							nCTAs += len(sd.ctas)
-						}
-					}
-					if nCTAs == 0 || remaining <= simEpsilon {
-						break
-					}
-					perCTA := remaining / float64(nCTAs)
-					progressed := false
-					for i, sd := range sms {
-						if !unfilled[i] {
-							continue
-						}
-						want := perCTA * float64(len(sd.ctas))
-						if want >= smMemCap-simEpsilon {
-							smRate[i] = smMemCap
-							remaining -= smMemCap
-							unfilled[i] = false
-							progressed = true
-						}
-					}
-					if !progressed {
-						for i, sd := range sms {
-							if unfilled[i] {
-								smRate[i] = perCTA * float64(len(sd.ctas))
-								unfilled[i] = false
-							}
-						}
-						break
+			}
+			if !progressed {
+				for sm, n := range memN {
+					if unfilled[sm] {
+						smRate[sm] = perCTA * float64(n)
 					}
 				}
-				for i, sd := range sms {
-					per := smRate[i] / float64(len(sd.ctas))
-					for _, c := range sd.ctas {
-						memRates[c] = per
-						totalMemRate += per
-					}
-				}
+				break
+			}
+		}
+		for sm, n := range memN {
+			if n == 0 {
+				continue
+			}
+			smRate[sm] /= float64(n) // per demanding CTA from here on
+			for ; n > 0; n-- {
+				totalMemRate += smRate[sm]
 			}
 		}
 
-		// --- Next event: earliest channel drain. ---
+		// --- Next event: earliest channel drain. An SM's demanders share
+		// one rate, so its first drain is its least remaining work. ---
 		dt := math.Inf(1)
-		for _, c := range ctas {
-			if c.remIssue > simEpsilon {
-				if r := issueRates[c]; r > 0 {
-					if t := c.remIssue / r; t < dt {
-						dt = t
-					}
-				}
+		for sm := range issueN {
+			if issueN[sm] > 0 && issueShare[sm] > 0 {
+				dt = min(dt, issueMin[sm]/issueShare[sm])
 			}
-			if c.remMem > simEpsilon {
-				if r := memRates[c]; r > 0 {
-					if t := c.remMem / r; t < dt {
-						dt = t
-					}
-				}
+			if memN[sm] > 0 && smRate[sm] > 0 {
+				dt = min(dt, memMin[sm]/smRate[sm])
 			}
 		}
 		if math.IsInf(dt, 1) {
@@ -262,19 +249,26 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 
 		// --- Advance state and retire completed CTAs. ---
 		now += dt
-		live := ctas[:0]
-		completed := 0
-		for _, c := range ctas {
-			c.remIssue -= issueRates[c] * dt
-			c.remMem -= memRates[c] * dt
+		live := 0
+		for i := range ctas {
+			c := &ctas[i]
+			if c.remIssue > simEpsilon {
+				c.remIssue -= issueShare[c.sm] * dt
+			}
+			if c.remMem > simEpsilon {
+				c.remMem -= smRate[c.sm] * dt
+			}
 			if c.remIssue <= simEpsilon*issuePerCTA+simEpsilon && c.remMem <= simEpsilon*memPerCTA+simEpsilon {
 				resident[c.sm]--
-				completed++
 				continue
 			}
-			live = append(live, c)
+			if live != i {
+				ctas[live] = *c
+			}
+			live++
 		}
-		ctas = live
+		completed := len(ctas) - live
+		ctas = ctas[:live]
 		if completed > 0 {
 			dispatch()
 		} else if dt == 0 {
@@ -347,9 +341,10 @@ func (d *Device) RunObserved(launches []Launch, observe RunObserver) ([]Result, 
 // RunInjected is RunObserved with a fault injector in the launch loop: an
 // injected launch fault fails the run with a typed *LaunchError (Injected
 // set), and a slow-kernel fault stretches that launch's simulated time and
-// energy by the injector's factor. A nil injector is the production path
-// and costs nothing; every failure — injected or genuine — is returned as
-// a *LaunchError naming the launch that died.
+// energy by the injector's factor (its achieved GFLOP/s fall by the same).
+// A nil injector is the production path and costs nothing; every failure —
+// injected or genuine — is returned as a *LaunchError naming the launch
+// that died.
 func (d *Device) RunInjected(launches []Launch, observe RunObserver, inj *fault.Injector) ([]Result, Aggregate, error) {
 	results := make([]Result, 0, len(launches))
 	var agg Aggregate
@@ -365,6 +360,7 @@ func (d *Device) RunInjected(launches []Launch, observe RunObserver, inj *fault.
 			r.Cycles *= f
 			r.TimeMS *= f
 			r.EnergyJ *= f
+			r.AchievedGFLOPs /= f // FLOPs ÷ TimeMS: same work, f× the time
 		}
 		results = append(results, r)
 		agg.TimeMS += r.TimeMS
@@ -377,22 +373,4 @@ func (d *Device) RunInjected(launches []Launch, observe RunObserver, inj *fault.
 		agg.AvgPowerW = agg.EnergyJ / (agg.TimeMS * 1e-3)
 	}
 	return results, agg, nil
-}
-
-// waterFill divides capacity equally among n consumers each individually
-// capped at perCap, returning the awarded rates. Any capacity beyond
-// n×perCap is left unused (the consumers cannot absorb it).
-func waterFill(n int, perCap, capacity float64) []float64 {
-	shares := make([]float64, n)
-	if n == 0 {
-		return shares
-	}
-	equal := capacity / float64(n)
-	if equal > perCap {
-		equal = perCap
-	}
-	for i := range shares {
-		shares[i] = equal
-	}
-	return shares
 }

@@ -323,23 +323,24 @@ func TestSimulateMonotoneInGridProperty(t *testing.T) {
 	}
 }
 
-// Property: waterFill never awards more than the capacity or the per-item cap.
-func TestWaterFillProperty(t *testing.T) {
-	f := func(n uint8, perCap, capacity float64) bool {
-		count := int(n%20) + 1
-		pc := math.Abs(perCap)
-		cp := math.Abs(capacity)
-		shares := waterFill(count, pc, cp)
-		var sum float64
-		for _, s := range shares {
-			if s > pc+1e-9 {
-				return false
-			}
-			sum += s
+// TestSimulateAllocsIndependentOfGrid: the event loop allocates nothing —
+// a launch costs the same handful of set-up allocations whether 64 CTAs or
+// 4096 drain through the device.
+func TestSimulateAllocsIndependentOfGrid(t *testing.T) {
+	d := testDevice()
+	allocs := func(grid int) float64 {
+		k := Kernel{
+			Name: "mixed", GridSize: grid, BlockSize: 96, RegsPerThread: 64,
+			SharedMemPerBlock: 4096, FMAInsts: 800, OtherInsts: 250, GlobalBytes: 512,
 		}
-		return sum <= cp+cp*1e-9+1e-6
+		return testing.AllocsPerRun(20, func() {
+			if _, err := d.Simulate(k, DefaultLaunch()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	small, large := allocs(64), allocs(4096)
+	if small != large || small > 12 {
+		t.Fatalf("Simulate allocates %v times at grid 64 and %v at grid 4096, want equal and ≤ 12", small, large)
 	}
 }

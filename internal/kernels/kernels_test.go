@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -329,6 +330,57 @@ func TestSelectDeterministicProperty(t *testing.T) {
 		return a.Tile == b.Tile && a.Regs == b.Regs && a.TLP == b.TLP
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pruneStaircase is the definition Candidates used to be computed by:
+// walk the full staircase from the most registers down and keep the first
+// point of every new, launchable TLP level.
+func pruneStaircase(tile TileConfig, dev *gpu.Device) []StairPoint {
+	stairs := Staircase(tile, dev)
+	var out []StairPoint
+	for i := len(stairs) - 1; i >= 0; i-- {
+		p := stairs[i]
+		if p.TLP < 1 {
+			continue
+		}
+		if len(out) == 0 || p.TLP > out[len(out)-1].TLP {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestCandidatesMatchPrunedStaircase: the level-jumping walk returns
+// exactly the pruned staircase — on the four platforms, and on generated
+// devices whose register file, thread limit, CTA slots and shared memory
+// put every one of the four occupancy limiters in charge, including the
+// devices no tile fits on (both sides nil).
+func TestCandidatesMatchPrunedStaircase(t *testing.T) {
+	for _, dev := range gpu.AllPlatforms() {
+		for _, tile := range StandardTiles() {
+			if got, want := Candidates(tile, dev), pruneStaircase(tile, dev); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: Candidates %v, pruned staircase %v", tile, dev.Name, got, want)
+			}
+		}
+	}
+	f := func(regFile uint32, maxThreads, ctaSlots uint16, shmem uint32) bool {
+		dev := gpu.K20c()
+		dev.RegistersPerSM = int(regFile%(1<<18)) + 1
+		dev.MaxThreadsPerSM = int(maxThreads%4096) + 1
+		dev.MaxCTAsPerSM = int(ctaSlots%40) + 1
+		dev.SharedMemPerSM = int(shmem%(1<<17)) + 1
+		for _, tile := range StandardTiles() {
+			if got, want := Candidates(tile, dev), pruneStaircase(tile, dev); !reflect.DeepEqual(got, want) {
+				t.Logf("%s regs=%d threads=%d slots=%d shmem=%d: Candidates %v, pruned staircase %v", tile,
+					dev.RegistersPerSM, dev.MaxThreadsPerSM, dev.MaxCTAsPerSM, dev.SharedMemPerSM, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

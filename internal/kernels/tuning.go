@@ -28,7 +28,8 @@ func MinRegs(dev *gpu.Device) int {
 }
 
 // Staircase returns the TLP achieved at every register count from MinRegs
-// to the tile's BaseRegs (for plotting Fig 9).
+// to the tile's BaseRegs (for plotting Fig 9, and the oracle Candidates is
+// tested against).
 func Staircase(tile TileConfig, dev *gpu.Device) []StairPoint {
 	lo := MinRegs(dev)
 	var out []StairPoint
@@ -39,20 +40,35 @@ func Staircase(tile TileConfig, dev *gpu.Device) []StairPoint {
 	return out
 }
 
-// Candidates prunes the staircase to its rightmost points: for each
+// Candidates returns the staircase's rightmost points: for each
 // achievable TLP, the largest register count that attains it. Results are
-// ordered by decreasing register count (increasing TLP).
+// ordered by decreasing register count (increasing TLP). Only the register
+// limit ⌊RegistersPerSM/(BlockSize·r)⌋ moves with r, so the walk jumps
+// from one TLP level straight to the next instead of visiting every
+// register count.
 func Candidates(tile TileConfig, dev *gpu.Device) []StairPoint {
-	stairs := Staircase(tile, dev)
-	var out []StairPoint
-	for i := len(stairs) - 1; i >= 0; i-- {
-		p := stairs[i]
-		if p.TLP < 1 {
-			continue
+	return appendCandidates(nil, tile, dev)
+}
+
+// appendCandidates appends the tile's candidates to out, so Select can
+// enumerate them on a stack buffer.
+func appendCandidates(out []StairPoint, tile TileConfig, dev *gpu.Device) []StairPoint {
+	// Shared memory, threads and CTA slots cap every step alike.
+	ceiling := dev.OccupancyFor(gpu.Kernel{BlockSize: tile.BlockSize, SharedMemPerBlock: tile.SharedMem}).CTAs
+	lo := MinRegs(dev)
+	for r := tile.BaseRegs; r >= lo && ceiling >= 1; {
+		tlp := ceiling
+		if r > 0 {
+			tlp = min(ceiling, dev.RegistersPerSM/(tile.BlockSize*r))
 		}
-		if len(out) == 0 || p.TLP > out[len(out)-1].TLP {
-			out = append(out, p)
+		if tlp >= 1 {
+			out = append(out, StairPoint{Regs: r, TLP: tlp})
 		}
+		if tlp == ceiling {
+			break
+		}
+		// The most registers that still fit tlp+1 CTAs in the register file.
+		r = dev.RegistersPerSM / (tile.BlockSize * (tlp + 1))
 	}
 	return out
 }
@@ -75,22 +91,17 @@ const recFloor = 0.05
 //
 //	S_kernel = (1 − rEC) × Spill_cost × nInvocations,
 //
-// regularized and roofline-extended so every design point ranks
+// for the design point whose built kernel is kern and whose occupancy is
+// tlp, regularized and roofline-extended so every design point ranks
 // meaningfully: the waste factor is floored at recFloor, and the cost
 // term is the per-thread work — the larger of issued instructions
 // (including Eq 7's spill cost) and the thread's DRAM traffic expressed
 // in issue-slot equivalents. The memory term is what stops the tuner from
 // trading registers for TLP on bandwidth-starved parts like the TX1,
 // where every spilled-to-global access is worth tens of instructions.
-func SKernel(tile TileConfig, m, n, k, regs int, dev *gpu.Device) float64 {
-	rec := REC(m, n, tile)
-	probe := gpu.Kernel{BlockSize: tile.BlockSize, RegsPerThread: regs, SharedMemPerBlock: tile.SharedMem}
-	tlp := dev.OccupancyFor(probe).CTAs
-	grid := GridSize(m, n, tile)
-	inv := NInvocations(grid, tlp, dev.NumSMs)
-
-	kern := Build("probe", tile, m, n, k, regs, dev)
-	wasteFactor := math.Max(1-rec, recFloor)
+func SKernel(tile TileConfig, m, n int, kern gpu.Kernel, tlp int, dev *gpu.Device) float64 {
+	inv := NInvocations(GridSize(m, n, tile), tlp, dev.NumSMs)
+	wasteFactor := math.Max(1-REC(m, n, tile), recFloor)
 	// Issue-slot equivalents of one thread's DRAM traffic: the chip
 	// issues TotalCores instructions in the time one byte-per-cycle of
 	// bandwidth moves one byte.
@@ -135,14 +146,12 @@ func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 	}
 	var best Choice
 	found := false
+	var buf [16]StairPoint
 	for _, tile := range StandardTiles() {
-		for _, cand := range Candidates(tile, dev) {
-			if cand.TLP < 1 {
-				continue
-			}
-			score := SKernel(tile, m, n, k, cand.Regs, dev)
+		for _, cand := range appendCandidates(buf[:0], tile, dev) {
+			kern := Build(name, tile, m, n, k, cand.Regs, dev)
+			score := SKernel(tile, m, n, kern, cand.TLP, dev)
 			if !found || score < best.Score {
-				kern := Build(name, tile, m, n, k, cand.Regs, dev)
 				best = Choice{
 					Tile:   tile,
 					Regs:   cand.Regs,

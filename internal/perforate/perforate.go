@@ -59,13 +59,7 @@ func Full(w, h int) Mask {
 // from its nearest computed neighbour. keepW and keepH are clamped to
 // [1, W] and [1, H].
 func Grid(w, h, keepW, keepH int) Mask {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("perforate: invalid map size %dx%d", w, h))
-	}
-	keepW = clamp(keepW, 1, w)
-	keepH = clamp(keepH, 1, h)
-	xs := spaced(w, keepW)
-	ys := spaced(h, keepH)
+	xs, ys := gridAxes(w, h, keepW, keepH)
 
 	m := Mask{W: w, H: h, Computed: make([]bool, w*h), Source: make([]int, w*h), xs: xs, ys: ys}
 	for _, y := range ys {
@@ -132,22 +126,37 @@ func FromRate(w, h int, rate float64) Mask {
 	if rate <= 0 {
 		return Full(w, h)
 	}
-	keep := math.Sqrt(1 - clampF(rate, 0, 0.999))
-	keepW := int(math.Round(keep * float64(w)))
-	keepH := int(math.Round(keep * float64(h)))
+	keepW, keepH := keepForRate(w, h, rate)
 	return Grid(w, h, keepW, keepH)
 }
 
-// FractionGrid returns the grid mask that computes approximately frac of a
-// w×h map's positions — the inverse convenience of FromRate, used by the
-// online server to synthesize degradation paths when no measured tuning
-// table exists. The realized fraction is quantized to whole kept rows and
-// columns; callers read the achieved value back as 1 − Rate().
-func FractionGrid(w, h int, frac float64) Mask {
+// KeptFraction returns the fraction of a w×h map the grid mask for
+// approximately frac of its positions really computes — frac quantized to
+// whole kept rows and columns, 1 − FromRate(w, h, 1−frac).Rate() to the
+// bit — from the kept row and column counts alone, without building the
+// mask. The online server synthesizes degradation paths from it when no
+// measured tuning table exists.
+func KeptFraction(w, h int, frac float64) float64 {
 	if frac >= 1 {
-		return Full(w, h)
+		return 1
 	}
-	return FromRate(w, h, 1-frac)
+	keepW, keepH := keepForRate(w, h, 1-frac)
+	xs, ys := gridAxes(w, h, keepW, keepH)
+	return 1 - rateOf(len(xs)*len(ys), w*h)
+}
+
+// keepForRate returns the kept columns and rows FromRate asks Grid for.
+func keepForRate(w, h int, rate float64) (keepW, keepH int) {
+	keep := math.Sqrt(1 - clampF(rate, 0, 0.999))
+	return int(math.Round(keep * float64(w))), int(math.Round(keep * float64(h)))
+}
+
+// gridAxes returns the kept columns and rows of Grid(w, h, keepW, keepH).
+func gridAxes(w, h, keepW, keepH int) (xs, ys []int) {
+	if w <= 0 || h <= 0 {
+		panic(fmt.Sprintf("perforate: invalid map size %dx%d", w, h))
+	}
+	return spaced(w, clamp(keepW, 1, w)), spaced(h, clamp(keepH, 1, h))
 }
 
 // spaced returns k indices evenly spread over [0, n).
@@ -191,12 +200,15 @@ func (m Mask) SampledIndices() []int { return m.sampled }
 func (m Mask) SampledCount() int { return len(m.sampled) }
 
 // Rate returns the perforation rate 1 − Wo′Ho′/(WoHo).
-func (m Mask) Rate() float64 {
-	total := m.W * m.H
+func (m Mask) Rate() float64 { return rateOf(len(m.sampled), m.W*m.H) }
+
+// rateOf is the perforation rate of computing `computed` of `total`
+// positions.
+func rateOf(computed, total int) float64 {
 	if total == 0 {
 		return 0
 	}
-	return 1 - float64(len(m.sampled))/float64(total)
+	return 1 - float64(computed)/float64(total)
 }
 
 // IsFull reports whether every position is computed.

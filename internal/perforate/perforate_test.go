@@ -206,18 +206,36 @@ func TestFromRateMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestFractionGrid: keep fraction ≥ requested target, full grid at 1.
-func TestFractionGrid(t *testing.T) {
-	if m := FractionGrid(13, 13, 1); m.Rate() != 0 {
-		t.Fatalf("frac 1 perforated %.3f of the grid", m.Rate())
+// TestKeptFraction: the mask-free kept fraction is 1 − FromRate(w, h,
+// 1−frac).Rate() bit for bit — over every small map, and over the real conv
+// output sizes at the synthetic ladder's 0.8^i targets — and is the
+// quantized fraction it claims to be: 1 at frac 1, within one row and one
+// column of rounding of the request, monotone in frac.
+func TestKeptFraction(t *testing.T) {
+	check := func(w, h int) {
+		t.Helper()
+		prev := 1.0
+		for i := 0; i <= 12; i++ {
+			frac := math.Pow(0.8, float64(i))
+			got, want := KeptFraction(w, h, frac), 1-FromRate(w, h, 1-frac).Rate()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("KeptFraction(%d,%d,%v) = %v, mask says %v", w, h, frac, got, want)
+			}
+			if got > prev || (i == 0 && got != 1) || math.Abs(got-frac) > 1/float64(w)+1/float64(h) {
+				t.Fatalf("KeptFraction(%d,%d,%v) = %v after %v", w, h, frac, got, prev)
+			}
+			prev = got
+		}
 	}
-	// The kept fraction tracks the request up to grid quantization (one
-	// row/column of rounding each way).
-	tol := 1.0/27 + 1.0/13
-	for _, frac := range []float64{0.9, 0.64, 0.5, 0.3} {
-		m := FractionGrid(27, 13, frac)
-		if kept := 1 - m.Rate(); math.Abs(kept-frac) > tol {
-			t.Errorf("frac %.2f: kept %.3f off by more than %.3f", frac, kept, tol)
+	for w := 1; w <= 64; w++ {
+		for h := 1; h <= 64; h++ {
+			check(w, h)
+		}
+	}
+	sizes := []int{55, 27, 13, 224, 112, 56, 28, 14, 7}
+	for _, w := range sizes {
+		for _, h := range sizes {
+			check(w, h)
 		}
 	}
 }

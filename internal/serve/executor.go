@@ -85,8 +85,7 @@ func SyntheticPath(net *nn.NetShape, task satisfaction.Task, levels int) []sched
 			keeps = make(map[string]float64, len(convs))
 			for _, c := range convs {
 				ho, wo := c.OutDims()
-				m := perforate.FractionGrid(wo, ho, target)
-				keeps[c.Name] = 1 - m.Rate()
+				keeps[c.Name] = perforate.KeptFraction(wo, ho, target)
 			}
 		}
 		frac := float64(i) / float64(levels-1)
