@@ -82,18 +82,14 @@ type SharedResult struct {
 	FgSlowdownMax float64
 }
 
-// SimulateShared runs the plan's layers while a co-runner's kernels cycle
-// on each layer's freed SMs (maxSM − optSM) — the spatial-multitasking
-// alternative to power gating. For every foreground layer, one wave of
-// the next background kernel is resized to the freed window and co-runs;
-// layers that free no SMs run alone. The background stream is sampled
-// round-robin from bg's layer kernels.
-func (p *Plan) SimulateShared(bg *Plan) (SharedResult, error) {
-	if bg == nil || len(bg.Layers) == 0 {
-		return SharedResult{}, fmt.Errorf("compile: SimulateShared needs a co-runner plan")
-	}
+// CoRunLaunches returns what SimulateShared simulates for each foreground
+// layer, in layer order: the layer's launch alone when it frees no SMs or
+// is bandwidth-bound, otherwise the pair {layer on [0, OptSM), one wave of
+// the next background kernel resized to the freed window [OptSM, NumSMs)}.
+// The background stream is sampled round-robin from bg's layer kernels.
+func (p *Plan) CoRunLaunches(bg *Plan) [][]gpu.Launch {
 	dev := p.Device()
-	res := SharedResult{FgSlowdownMax: 1}
+	out := make([][]gpu.Launch, 0, len(p.Layers))
 	bgIdx := 0
 	for _, l := range p.Layers {
 		fgLaunch := gpu.Launch{
@@ -111,12 +107,7 @@ func (p *Plan) SimulateShared(bg *Plan) (SharedResult, error) {
 		// foreground is waiting on and wrecks its latency.
 		memEq := l.Choice.Kernel.GlobalBytes * float64(dev.TotalCores()) / dev.BytesPerCycle()
 		if freed <= 0 || memEq > l.Choice.Kernel.TotalInstsPerThread() {
-			r, err := dev.Simulate(fgLaunch.Kernel, fgLaunch.Config)
-			if err != nil {
-				return SharedResult{}, err
-			}
-			res.Aggregate.TimeMS += r.TimeMS
-			res.Aggregate.EnergyJ += r.EnergyJ
+			out = append(out, []gpu.Launch{fgLaunch})
 			continue
 		}
 		bgKern := bg.Layers[bgIdx%len(bg.Layers)].Choice.Kernel
@@ -130,7 +121,7 @@ func (p *Plan) SimulateShared(bg *Plan) (SharedResult, error) {
 		if bgKern.GridSize > wave {
 			bgKern.GridSize = wave
 		}
-		bgLaunch := gpu.Launch{
+		out = append(out, []gpu.Launch{fgLaunch, {
 			Kernel: bgKern,
 			Config: gpu.LaunchConfig{
 				Policy:        gpu.RoundRobin,
@@ -138,19 +129,39 @@ func (p *Plan) SimulateShared(bg *Plan) (SharedResult, error) {
 				SMLimit:       freed,
 				PowerGateIdle: true,
 			},
+		}})
+	}
+	return out
+}
+
+// SimulateShared runs the plan's layers while a co-runner's kernels cycle
+// on each layer's freed SMs (maxSM − optSM) — the spatial-multitasking
+// alternative to power gating. For every foreground layer, one wave of
+// the next background kernel co-runs on the freed window; layers that
+// free no SMs run alone (CoRunLaunches builds both cases).
+func (p *Plan) SimulateShared(bg *Plan) (SharedResult, error) {
+	if bg == nil || len(bg.Layers) == 0 {
+		return SharedResult{}, fmt.Errorf("compile: SimulateShared needs a co-runner plan")
+	}
+	dev := p.Device()
+	res := SharedResult{FgSlowdownMax: 1}
+	for _, ls := range p.CoRunLaunches(bg) {
+		alone, err := dev.Simulate(ls[0].Kernel, ls[0].Config)
+		if err != nil {
+			return SharedResult{}, err
 		}
-		co, err := dev.SimulateConcurrent([]gpu.Launch{fgLaunch, bgLaunch})
+		if len(ls) == 1 {
+			res.Aggregate.TimeMS += alone.TimeMS
+			res.Aggregate.EnergyJ += alone.EnergyJ
+			continue
+		}
+		co, err := dev.SimulateConcurrent(ls)
 		if err != nil {
 			return SharedResult{}, err
 		}
 		res.Aggregate.TimeMS += co.TotalMS
 		res.Aggregate.EnergyJ += co.EnergyJ
-		res.BgCTAs += bgKern.GridSize
-
-		alone, err := dev.Simulate(fgLaunch.Kernel, fgLaunch.Config)
-		if err != nil {
-			return SharedResult{}, err
-		}
+		res.BgCTAs += ls[1].Kernel.GridSize
 		if alone.TimeMS > 0 {
 			if s := co.PerKernel[0].TimeMS / alone.TimeMS; s > res.FgSlowdownMax {
 				res.FgSlowdownMax = s

@@ -16,7 +16,7 @@ import (
 	"pcnn/internal/serve"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/simulate.golden from the current simulator")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current simulator")
 
 // goldenLaunch is one simulator input of the golden set.
 type goldenLaunch struct {
@@ -119,12 +119,19 @@ func TestSimulateGolden(t *testing.T) {
 			math.Float64bits(r.Cycles), math.Float64bits(r.TimeMS), math.Float64bits(r.EnergyJ),
 			math.Float64bits(r.IssueUtil), math.Float64bits(r.DRAMUtil), r.ActiveSMs, r.MaxResident)
 	}
-	path := filepath.Join("testdata", "simulate.golden")
+	checkGolden(t, "simulate.golden", got.Bytes())
+}
+
+// checkGolden compares got with testdata/<name> byte for byte, naming the
+// first differing line; under -update it rewrites the file instead.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -133,14 +140,14 @@ func TestSimulateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("simulate.golden line %d differs:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s line %d differs:\n got %s\nwant %s", name, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("simulate.golden has %d lines, simulator produced %d", len(wl), len(gl))
+	t.Fatalf("%s has %d lines, simulator produced %d", name, len(wl), len(gl))
 }
