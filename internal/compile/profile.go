@@ -57,13 +57,3 @@ func (p *Plan) ProfileResults(results []gpu.Result, keep map[string]float64) []L
 	}
 	return out
 }
-
-// SimulateProfiled runs the plan on the device simulator and returns the
-// per-layer profile alongside the aggregate.
-func (p *Plan) SimulateProfiled(partitioned bool) ([]LayerProfile, gpu.Aggregate, error) {
-	results, agg, err := p.Device().Run(p.Launches(partitioned))
-	if err != nil {
-		return nil, gpu.Aggregate{}, err
-	}
-	return p.ProfileResults(results, nil), agg, nil
-}

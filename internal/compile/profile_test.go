@@ -9,17 +9,19 @@ import (
 	"pcnn/internal/satisfaction"
 )
 
-// TestSimulateProfiled: one entry per layer, simulated columns sum to the
-// aggregate, predicted column sums to the plan's end-to-end prediction.
+// TestSimulateProfiled: profiling a simulated run gives one entry per
+// layer, simulated columns sum to the aggregate, predicted column sums to
+// the plan's end-to-end prediction.
 func TestSimulateProfiled(t *testing.T) {
 	plan, err := Compile(nn.AlexNetShape(), gpu.PlatformByName("TX1"), satisfaction.ImageTagging())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, agg, err := plan.SimulateProfiled(true)
+	results, agg, err := plan.Simulate(true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := plan.ProfileResults(results, nil)
 	if len(prof) != len(plan.Layers) {
 		t.Fatalf("profile has %d entries for %d layers", len(prof), len(plan.Layers))
 	}

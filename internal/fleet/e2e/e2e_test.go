@@ -125,7 +125,7 @@ func TestE2ELivePredictionsAndBusyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ff.Hedged() {
+	if len(ff.Legs()) > 1 {
 		t.Fatal("idle fleet hedged; predictions should clear the deadline")
 	}
 	primary := ff.Legs()[0].Replica()
@@ -177,7 +177,7 @@ func TestE2ELivePredictionsAndBusyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ff.Hedged() {
+	if len(ff.Legs()) < 2 {
 		t.Fatal("busy primary did not trigger a hedge")
 	}
 	if got := ff.Legs()[0].Replica(); got != primary {

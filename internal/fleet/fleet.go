@@ -201,9 +201,6 @@ type FleetFuture struct {
 // that manage batch execution themselves.
 func (ff *FleetFuture) Legs() []*Ticket { return ff.legs }
 
-// Hedged reports whether a second leg was submitted.
-func (ff *FleetFuture) Hedged() bool { return ff.hedged }
-
 // Wait resolves every leg and returns the winner: the successful leg
 // with the smallest response time (deterministic even when legs resolve
 // out of order). The loser is cooperatively cancelled — batched

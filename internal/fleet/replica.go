@@ -361,15 +361,9 @@ func (c HTTPReplicaConfig) withDefaults() HTTPReplicaConfig {
 	return c
 }
 
-// NewHTTPReplica points a replica identity at a daemon's base URL (e.g.
-// "http://10.0.0.7:8080"). weight is the static ring weight in requests/
-// second (0 = mean). client nil uses http.DefaultClient.
-func NewHTTPReplica(id, platform, baseURL string, weight float64, client *http.Client) *HTTPReplica {
-	return NewHTTPReplicaConfig(id, platform, baseURL, HTTPReplicaConfig{Weight: weight, Client: client})
-}
-
-// NewHTTPReplicaConfig is NewHTTPReplica with the full configuration
-// surface (staleness bound, injected clock).
+// NewHTTPReplicaConfig points a replica identity at a daemon's base URL
+// (e.g. "http://10.0.0.7:8080") under cfg: static ring weight, HTTP
+// client, staleness bound, injected clock.
 func NewHTTPReplicaConfig(id, platform, baseURL string, cfg HTTPReplicaConfig) *HTTPReplica {
 	cfg = cfg.withDefaults()
 	h := &HTTPReplica{

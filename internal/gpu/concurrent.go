@@ -1,20 +1,14 @@
 package gpu
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Spatial multi-tasking (Section III.D.2). P-CNN's resource model frees
 // maxSM−optSM SMs per layer; instead of power gating them, they can host
 // a co-runner. SimulateConcurrent runs several kernels simultaneously on
-// (ideally disjoint) SM windows sharing the DRAM channel, which is what
-// the paper's "release SMs to perform other tasks" amounts to.
-//
-// Placement windows come from LaunchConfig.SMOffset/SMLimit. Overlapping
-// windows are allowed but per-SM occupancy is accounted per kernel, so
-// callers co-scheduling onto shared SMs should keep the combined
-// residency sensible (the intended use is disjoint windows).
+// disjoint SM windows (LaunchConfig.SMOffset/SMLimit) sharing the DRAM
+// channel, which is what the paper's "release SMs to perform other tasks"
+// amounts to. It is the same event loop as Simulate with more than one
+// window owner; windows that overlap are rejected with ErrSMOverlap.
 
 // ConcurrentResult reports a co-run: per-kernel completion plus the shared
 // totals.
@@ -25,351 +19,21 @@ type ConcurrentResult struct {
 	AvgPowerW float64
 }
 
-// concState tracks one co-running kernel's progress.
-type concState struct {
-	launch      Launch
-	caps        []int
-	resident    []int
-	pending     int
-	issuePerCTA float64
-	memPerCTA   float64
-	issueCap    float64
-	everUsed    []bool
-	doneCycles  float64
-	maxResident int
-	liveCTAs    int
-}
-
-// concCTA is one resident CTA of a co-run.
-type concCTA struct {
-	k        int // kernel index
-	sm       int
-	remIssue float64
-	remMem   float64
-}
-
 // SimulateConcurrent runs all launches starting at time zero until every
 // kernel drains. It is deterministic.
 func (d *Device) SimulateConcurrent(launches []Launch) (ConcurrentResult, error) {
-	if err := d.Validate(); err != nil {
-		return ConcurrentResult{}, err
-	}
 	if len(launches) == 0 {
 		return ConcurrentResult{}, fmt.Errorf("gpu: SimulateConcurrent needs at least one launch")
 	}
-	states := make([]*concState, len(launches))
-	allGate := true
-	for i, l := range launches {
-		if err := l.Kernel.Validate(); err != nil {
-			return ConcurrentResult{}, err
-		}
-		caps := l.Config.residencyCaps(d, l.Kernel)
-		total := 0
-		for _, c := range caps {
-			total += c
-		}
-		if total == 0 && l.Kernel.GridSize > 0 {
-			return ConcurrentResult{}, fmt.Errorf("%w: kernel %s in co-run", ErrNoResidency, l.Kernel.Name)
-		}
-		states[i] = &concState{
-			launch:      l,
-			caps:        caps,
-			resident:    make([]int, d.NumSMs),
-			pending:     l.Kernel.GridSize,
-			issuePerCTA: l.Kernel.issueWorkPerCTA(),
-			memPerCTA:   l.Kernel.memWorkPerCTA(),
-			issueCap:    float64(l.Kernel.BlockSize) * d.PerThreadIPC,
-			everUsed:    make([]bool, d.NumSMs),
-		}
-		if !l.Config.PowerGateIdle {
-			allGate = false
-		}
+	perKernel := make([]Result, len(launches))
+	total, err := d.simulate(launches, perKernel)
+	if err != nil {
+		return ConcurrentResult{}, err
 	}
-
-	var ctas []*concCTA
-	dispatch := func(s *concState, k int) {
-		for s.pending > 0 {
-			sm := s.launch.Config.Policy.pickSM(s.resident, s.caps)
-			if sm < 0 {
-				return
-			}
-			s.resident[sm]++
-			s.everUsed[sm] = true
-			s.pending--
-			s.liveCTAs++
-			ctas = append(ctas, &concCTA{k: k, sm: sm, remIssue: s.issuePerCTA, remMem: s.memPerCTA})
-		}
-	}
-	for i, s := range states {
-		dispatch(s, i)
-	}
-
-	// SMs that can never host a CTA are gated when every launch gates.
-	gatedSMs := 0
-	if allGate {
-		for sm := 0; sm < d.NumSMs; sm++ {
-			usable := false
-			for _, s := range states {
-				if s.caps[sm] > 0 {
-					usable = true
-					break
-				}
-			}
-			if !usable {
-				gatedSMs++
-			}
-		}
-	}
-
-	var (
-		now           float64
-		energyJ       float64
-		dramCapacity  = d.BytesPerCycle()
-		issueCapPerSM = float64(d.CoresPerSM)
-		smMemCap      = float64(d.CoresPerSM) * 4
-		secondsPerCyc = 1 / (d.ClockMHz * 1e6)
-	)
-
-	issueRates := map[*concCTA]float64{}
-	memRates := map[*concCTA]float64{}
-
-	for len(ctas) > 0 {
-		// --- Issue rates: per-SM water-fill with heterogeneous caps. ---
-		clear(issueRates)
-		perSMIssueUsed := make([]float64, d.NumSMs)
-		for sm := 0; sm < d.NumSMs; sm++ {
-			var demand []*concCTA
-			for _, c := range ctas {
-				if c.sm == sm && c.remIssue > simEpsilon {
-					demand = append(demand, c)
-				}
-			}
-			if len(demand) == 0 {
-				continue
-			}
-			caps := make([]float64, len(demand))
-			for i, c := range demand {
-				caps[i] = states[c.k].issueCap
-			}
-			shares := waterFillCaps(caps, issueCapPerSM)
-			for i, c := range demand {
-				issueRates[c] = shares[i]
-				perSMIssueUsed[sm] += shares[i]
-			}
-		}
-		// --- Memory rates: device-wide equal split with per-SM cap. ---
-		clear(memRates)
-		totalMemRate := 0.0
-		{
-			perSM := make([][]*concCTA, d.NumSMs)
-			n := 0
-			for _, c := range ctas {
-				if c.remMem > simEpsilon {
-					perSM[c.sm] = append(perSM[c.sm], c)
-					n++
-				}
-			}
-			if n > 0 {
-				remaining := dramCapacity
-				type smd struct {
-					list []*concCTA
-				}
-				var sms []smd
-				for _, list := range perSM {
-					if len(list) > 0 {
-						sms = append(sms, smd{list})
-					}
-				}
-				rates := make([]float64, len(sms))
-				unfilled := make([]bool, len(sms))
-				for i := range unfilled {
-					unfilled[i] = true
-				}
-				for {
-					nCTAs := 0
-					for i := range sms {
-						if unfilled[i] {
-							nCTAs += len(sms[i].list)
-						}
-					}
-					if nCTAs == 0 || remaining <= simEpsilon {
-						break
-					}
-					per := remaining / float64(nCTAs)
-					progressed := false
-					for i := range sms {
-						if !unfilled[i] {
-							continue
-						}
-						want := per * float64(len(sms[i].list))
-						if want >= smMemCap-simEpsilon {
-							rates[i] = smMemCap
-							remaining -= smMemCap
-							unfilled[i] = false
-							progressed = true
-						}
-					}
-					if !progressed {
-						for i := range sms {
-							if unfilled[i] {
-								rates[i] = per * float64(len(sms[i].list))
-								unfilled[i] = false
-							}
-						}
-						break
-					}
-				}
-				for i := range sms {
-					per := rates[i] / float64(len(sms[i].list))
-					for _, c := range sms[i].list {
-						memRates[c] = per
-						totalMemRate += per
-					}
-				}
-			}
-		}
-
-		// --- Next event. ---
-		dt := math.Inf(1)
-		for _, c := range ctas {
-			if c.remIssue > simEpsilon {
-				if r := issueRates[c]; r > 0 {
-					if t := c.remIssue / r; t < dt {
-						dt = t
-					}
-				}
-			}
-			if c.remMem > simEpsilon {
-				if r := memRates[c]; r > 0 {
-					if t := c.remMem / r; t < dt {
-						dt = t
-					}
-				}
-			}
-		}
-		if math.IsInf(dt, 1) {
-			dt = 0
-		}
-
-		// --- Power over dt. ---
-		if dt > 0 {
-			power := d.IdlePowerW + float64(d.NumSMs-gatedSMs)*d.SMStaticPowerW
-			for sm := 0; sm < d.NumSMs; sm++ {
-				power += d.SMDynPowerW * (perSMIssueUsed[sm] / issueCapPerSM)
-			}
-			power += d.DRAMPowerPerGBps * (totalMemRate * d.ClockMHz * 1e6 / 1e9)
-			energyJ += power * dt * secondsPerCyc
-		}
-
-		// --- Advance. ---
-		now += dt
-		live := ctas[:0]
-		completedAny := false
-		for _, c := range ctas {
-			c.remIssue -= issueRates[c] * dt
-			c.remMem -= memRates[c] * dt
-			s := states[c.k]
-			if c.remIssue <= simEpsilon*s.issuePerCTA+simEpsilon && c.remMem <= simEpsilon*s.memPerCTA+simEpsilon {
-				s.resident[c.sm]--
-				s.liveCTAs--
-				completedAny = true
-				if s.pending == 0 && s.liveCTAs == 0 {
-					s.doneCycles = now
-				}
-				continue
-			}
-			live = append(live, c)
-		}
-		ctas = live
-		if completedAny {
-			for i, s := range states {
-				dispatch(s, i)
-			}
-		} else if dt == 0 {
-			return ConcurrentResult{}, fmt.Errorf("gpu: concurrent simulation stalled on %s", d.Name)
-		}
-		for _, s := range states {
-			if r := residentCount(s); r > s.maxResident {
-				s.maxResident = r
-			}
-		}
-	}
-
-	res := ConcurrentResult{
-		TotalMS: d.CyclesToMS(now),
-		EnergyJ: energyJ,
-	}
-	if now > 0 {
-		res.AvgPowerW = energyJ / (now * secondsPerCyc)
-	}
-	for _, s := range states {
-		r := Result{
-			Kernel:      s.launch.Kernel.Name,
-			Cycles:      s.doneCycles,
-			TimeMS:      d.CyclesToMS(s.doneCycles),
-			MaxResident: s.maxResident,
-		}
-		for _, u := range s.everUsed {
-			if u {
-				r.ActiveSMs++
-			}
-		}
-		if r.TimeMS > 0 {
-			r.AchievedGFLOPs = s.launch.Kernel.FLOPs() / (r.TimeMS * 1e-3) / 1e9
-		}
-		res.PerKernel = append(res.PerKernel, r)
-	}
-	return res, nil
-}
-
-// residentCount sums a kernel's resident CTAs across SMs.
-func residentCount(s *concState) int {
-	n := 0
-	for _, r := range s.resident {
-		n += r
-	}
-	return n
-}
-
-// waterFillCaps divides capacity equally among consumers with individual
-// caps, redistributing what capped consumers cannot absorb.
-func waterFillCaps(caps []float64, capacity float64) []float64 {
-	n := len(caps)
-	shares := make([]float64, n)
-	if n == 0 {
-		return shares
-	}
-	active := make([]bool, n)
-	remainingN := n
-	for i := range active {
-		active[i] = true
-	}
-	remaining := capacity
-	for remainingN > 0 && remaining > simEpsilon {
-		per := remaining / float64(remainingN)
-		progressed := false
-		for i := range caps {
-			if !active[i] {
-				continue
-			}
-			if caps[i] <= per+simEpsilon {
-				shares[i] = caps[i]
-				remaining -= caps[i]
-				active[i] = false
-				remainingN--
-				progressed = true
-			}
-		}
-		if !progressed {
-			for i := range caps {
-				if active[i] {
-					shares[i] = per
-					active[i] = false
-					remainingN--
-				}
-			}
-			break
-		}
-	}
-	return shares
+	return ConcurrentResult{
+		PerKernel: perKernel,
+		TotalMS:   total.TimeMS,
+		EnergyJ:   total.EnergyJ,
+		AvgPowerW: total.AvgPowerW,
+	}, nil
 }

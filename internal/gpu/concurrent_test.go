@@ -1,9 +1,9 @@
 package gpu
 
 import (
+	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestAtFrequencyScaling(t *testing.T) {
@@ -45,7 +45,11 @@ func TestDVFSEnergyTimeTrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := d.MustAtFrequency(0.5).Simulate(k, DefaultLaunch())
+	half, err := d.AtFrequency(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := half.Simulate(k, DefaultLaunch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +64,8 @@ func TestDVFSEnergyTimeTrade(t *testing.T) {
 func TestSMOffsetWindow(t *testing.T) {
 	cfg := LaunchConfig{Policy: PrioritySM, SMOffset: 1, SMLimit: 2}
 	d := testDevice()
-	caps := cfg.residencyCaps(d, computeKernel(1))
-	if caps[0] != 0 || caps[1] == 0 || caps[2] == 0 || caps[3] != 0 {
-		t.Fatalf("caps = %v, want window [1,3)", caps)
+	if lo, hi, tlp := cfg.window(d, computeKernel(1)); lo != 1 || hi != 3 || tlp == 0 {
+		t.Fatalf("window = [%d,%d) cap %d, want [1,3) with a non-zero cap", lo, hi, tlp)
 	}
 }
 
@@ -123,22 +126,62 @@ func TestSimulateConcurrentSharesDRAM(t *testing.T) {
 	}
 }
 
+// A one-launch co-run is Simulate: the same loop, so every field the two
+// results share agrees to the last bit — at one wave, a partial wave and
+// many waves, compute-only, memory-bound and mixed.
 func TestSimulateConcurrentSingleMatchesSimulate(t *testing.T) {
 	d := testDevice()
-	l := Launch{Kernel: computeKernel(16), Config: DefaultLaunch()}
-	solo, err := d.Simulate(l.Kernel, l.Config)
-	if err != nil {
-		t.Fatal(err)
+	mem := Kernel{Name: "mem", BlockSize: 128, FMAInsts: 1, GlobalBytes: 8192}
+	mixed := Kernel{
+		Name: "mixed", BlockSize: 96, RegsPerThread: 64,
+		SharedMemPerBlock: 4096, FMAInsts: 800, OtherInsts: 250, GlobalBytes: 512,
 	}
-	co, err := d.SimulateConcurrent([]Launch{l})
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []Kernel{computeKernel(0), mem, mixed} {
+		for _, grid := range []int{16, 100, 1000} {
+			for _, cfg := range []LaunchConfig{
+				DefaultLaunch(),
+				{Policy: PrioritySM, SMOffset: 1, SMLimit: 2, TLPLimit: 3, PowerGateIdle: true},
+			} {
+				k.GridSize = grid
+				solo, err := d.Simulate(k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				co, err := d.SimulateConcurrent([]Launch{{Kernel: k, Config: cfg}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := co.PerKernel[0]
+				if got.Cycles != solo.Cycles || got.TimeMS != solo.TimeMS || co.EnergyJ != solo.EnergyJ ||
+					got.ActiveSMs != solo.ActiveSMs || got.MaxResident != solo.MaxResident {
+					t.Errorf("%s grid %d %+v:\n co-run %+v (energy %v)\n solo   %+v", k.Name, grid, cfg, got, co.EnergyJ, solo)
+				}
+				if solo.MaxResident == 0 {
+					t.Errorf("%s grid %d: MaxResident 0 for a non-empty launch", k.Name, grid)
+				}
+			}
+		}
 	}
-	if math.Abs(co.PerKernel[0].Cycles-solo.Cycles) > 1 {
-		t.Fatalf("concurrent single-kernel %v cycles vs Simulate %v", co.PerKernel[0].Cycles, solo.Cycles)
+}
+
+// Two launches whose windows share an SM are rejected; neighbours that
+// only touch are not.
+func TestSimulateConcurrentRejectsOverlap(t *testing.T) {
+	d := testDevice() // 4 SMs
+	at := func(offset, limit int) Launch {
+		return Launch{Kernel: computeKernel(8), Config: LaunchConfig{Policy: PrioritySM, SMOffset: offset, SMLimit: limit}}
 	}
-	if math.Abs(co.EnergyJ-solo.EnergyJ)/solo.EnergyJ > 0.01 {
-		t.Fatalf("energy %v vs %v", co.EnergyJ, solo.EnergyJ)
+	if _, err := d.SimulateConcurrent([]Launch{at(0, 2), at(2, 2)}); err != nil {
+		t.Fatalf("disjoint neighbours [0,2)+[2,4) rejected: %v", err)
+	}
+	for _, ls := range [][]Launch{
+		{at(0, 3), at(2, 2)},
+		{at(0, 0), at(2, 2)},           // SMLimit 0 is the whole device
+		{at(0, 1), at(1, 2), at(2, 2)}, // the third collides with the second
+	} {
+		if _, err := d.SimulateConcurrent(ls); !errors.Is(err, ErrSMOverlap) {
+			t.Errorf("overlapping windows: err = %v, want ErrSMOverlap", err)
+		}
 	}
 }
 
@@ -187,43 +230,5 @@ func TestCoRunningOverlapsWork(t *testing.T) {
 	}
 	if co.TotalMS >= (fgAlone.TimeMS+bgAlone.TimeMS)*0.95 {
 		t.Fatalf("co-run %vms did not overlap the kernels (%v + %v)", co.TotalMS, fgAlone.TimeMS, bgAlone.TimeMS)
-	}
-}
-
-// Property: waterFillCaps never exceeds capacity or individual caps, and
-// fully uses capacity when demand allows.
-func TestWaterFillCapsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := uint64(seed)
-		next := func() float64 {
-			r = r*6364136223846793005 + 1442695040888963407
-			return float64((r>>33)%1000) / 100
-		}
-		n := int(uint64(seed)%8) + 1
-		caps := make([]float64, n)
-		var totalCap float64
-		for i := range caps {
-			caps[i] = next()
-			totalCap += caps[i]
-		}
-		capacity := next() * 2
-		shares := waterFillCaps(caps, capacity)
-		var sum float64
-		for i, s := range shares {
-			if s > caps[i]+1e-6 || s < 0 {
-				return false
-			}
-			sum += s
-		}
-		if sum > capacity+1e-6 {
-			return false
-		}
-		// Full utilization when demand exceeds supply is not guaranteed at
-		// exact boundaries, but within tolerance it is.
-		want := math.Min(totalCap, capacity)
-		return sum >= want-1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -76,28 +76,17 @@ type LaunchConfig struct {
 // SMs at full occupancy with no power gating.
 func DefaultLaunch() LaunchConfig { return LaunchConfig{Policy: RoundRobin} }
 
-// residencyCaps resolves the per-SM residency cap vector for a kernel
-// under this launch configuration.
-func (c LaunchConfig) residencyCaps(d *Device, k Kernel) []int {
-	occ := d.OccupancyFor(k).CTAs
-	cap := occ
-	if c.TLPLimit > 0 && c.TLPLimit < cap {
-		cap = c.TLPLimit
+// window resolves the SMs [lo, hi) a kernel may be dispatched to under
+// this launch configuration and tlp, the residency cap on each of them.
+func (c LaunchConfig) window(d *Device, k Kernel) (lo, hi, tlp int) {
+	tlp = d.OccupancyFor(k).CTAs
+	if c.TLPLimit > 0 && c.TLPLimit < tlp {
+		tlp = c.TLPLimit
 	}
-	lo := c.SMOffset
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > d.NumSMs {
-		lo = d.NumSMs
-	}
-	hi := d.NumSMs
+	lo = min(max(c.SMOffset, 0), d.NumSMs)
+	hi = d.NumSMs
 	if c.SMLimit > 0 && lo+c.SMLimit < hi {
 		hi = lo + c.SMLimit
 	}
-	caps := make([]int, d.NumSMs)
-	for i := lo; i < hi; i++ {
-		caps[i] = cap
-	}
-	return caps
+	return lo, hi, tlp
 }

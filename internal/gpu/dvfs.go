@@ -33,12 +33,3 @@ func (d *Device) AtFrequency(frac float64) (*Device, error) {
 	}
 	return &scaled, nil
 }
-
-// MustAtFrequency is AtFrequency for static, known-valid fractions.
-func (d *Device) MustAtFrequency(frac float64) *Device {
-	s, err := d.AtFrequency(frac)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

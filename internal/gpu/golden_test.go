@@ -78,7 +78,10 @@ func goldenLaunches(t *testing.T) []goldenLaunch {
 	}
 	empty := gemm
 	empty.GridSize = 0
-	slow := gpu.TX1().MustAtFrequency(0.55)
+	slow, err := gpu.TX1().AtFrequency(0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, dev := range []*gpu.Device{gpu.K20c(), gpu.TX1(), slow} {
 		for _, k := range []gpu.Kernel{gemm, mem, mixed, empty} {
 			for _, cfg := range []gpu.LaunchConfig{

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"pcnn/internal/fault"
 )
 
 // Result reports what one simulated kernel launch did.
@@ -48,81 +46,138 @@ const simEpsilon = 1e-9
 // exceed what a single SM provides, so it can never launch.
 var ErrNoResidency = errors.New("gpu: kernel cannot be resident on any SM")
 
+// ErrSMOverlap is returned when two co-running launches' dispatch windows
+// give the same SM a non-zero residency cap.
+var ErrSMOverlap = errors.New("gpu: co-running launches overlap on an SM")
+
 // Simulate runs one kernel launch to completion on the device and returns
 // timing, utilization and energy. It is deterministic.
-//
-// The event loop allocates nothing: resident CTAs live in one slice sized
-// to the residency total and every per-SM scratch vector is carved once
-// per call. Rates are accumulated one addition per demanding CTA in
-// SM-major order (n additions of a share, never n×share) and the DRAM fill
-// subtracts SM caps in index order — floating-point addition does not
-// associate, and testdata/simulate.golden pins the sums that order
-// produces.
 func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
+	var out [1]Result
+	total, err := d.simulate([]Launch{{Kernel: k, Config: cfg}}, out[:])
+	if err != nil {
+		return Result{}, err
+	}
+	res := out[0]
+	res.EnergyJ, res.AvgPowerW = total.EnergyJ, total.AvgPowerW
+	res.IssueUtil, res.DRAMUtil = total.IssueUtil, total.DRAMUtil
+	return res, nil
+}
+
+// simulate is the one event loop: it runs the launches from time zero,
+// each on the SMs its dispatch window owns and all sharing the DRAM
+// channel, until every grid drains. out[k] receives launch k's name,
+// completion (Cycles, TimeMS, AchievedGFLOPs) and placement (ActiveSMs,
+// MaxResident); the returned Result holds the device-wide span, energy,
+// power and utilizations. A single launch owning whatever window it asks
+// for is the plain kernel launch.
+//
+// The loop allocates nothing: resident CTAs live in one slice sized to the
+// residency total and every per-SM scratch vector is carved once per call.
+// Rates are accumulated one addition per demanding CTA in SM-major order
+// (n additions of a share, never n×share) and the DRAM fill subtracts SM
+// caps in index order — floating-point addition does not associate, and
+// testdata/simulate.golden and corun.golden pin the sums that order
+// produces.
+func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 	if err := d.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := k.Validate(); err != nil {
-		return Result{}, err
-	}
-	caps := cfg.residencyCaps(d, k)
-	totalSlots := 0
-	for _, c := range caps {
-		totalSlots += c
-	}
-	if totalSlots == 0 {
-		return Result{}, fmt.Errorf("%w: kernel %s (block %d threads, %d regs/thread, %dB shmem) on %s",
-			ErrNoResidency, k.Name, k.BlockSize, k.RegsPerThread, k.SharedMemPerBlock, d.Name)
-	}
-	res := Result{Kernel: k.Name}
-	if k.GridSize == 0 {
-		return res, nil
-	}
+	nSM, nL := d.NumSMs, len(launches)
+	// Every per-SM vector is carved to length nSM exactly, so one bounds
+	// check on an SM index covers all of them.
+	ints := make([]int, 5*nSM+3*nL)
+	smInts := func(i int) []int { return ints[i*nSM:][:nSM] }
+	resident, issueN, memN := smInts(0), smInts(1), smInts(2)
+	// caps[sm] is the residency cap of the launch owner[sm], 0 if no launch
+	// owns sm.
+	caps, owner := smInts(3), smInts(4)
+	perL := ints[5*nSM:]
+	pending, winLo, winHi := perL[:nL], perL[nL:2*nL], perL[2*nL:]
+	floats := make([]float64, 8*nSM)
+	smFloats := func(i int) []float64 { return floats[i*nSM:][:nSM] }
+	perSMIssueUsed, issueShare, smRate := smFloats(0), smFloats(1), smFloats(2)
+	issueMin, memMin := smFloats(3), smFloats(4) // least work left among an SM's demanders
+	// The owner's per-CTA constants, spread per SM for the per-CTA passes.
+	ctaIssueCap, issueDone, memDone := smFloats(5), smFloats(6), smFloats(7)
 
-	issuePerCTA := k.issueWorkPerCTA()
-	memPerCTA := k.memWorkPerCTA()
-	ctaIssueCap := float64(k.BlockSize) * d.PerThreadIPC
-	// Each lane can request up to 4 bytes per cycle; this bounds how much
-	// DRAM bandwidth one SM's load/store units can consume.
-	smMemCap := float64(d.CoresPerSM) * 4
-
-	nSM := d.NumSMs
-	ints := make([]int, 3*nSM)
-	resident, issueN, memN := ints[:nSM], ints[nSM:2*nSM], ints[2*nSM:]
-	floats := make([]float64, 5*nSM)
-	perSMIssueUsed, issueShare, smRate := floats[:nSM], floats[nSM:2*nSM], floats[2*nSM:3*nSM]
-	issueMin, memMin := floats[3*nSM:4*nSM], floats[4*nSM:] // least work left among an SM's demanders
-	bools := make([]bool, 2*nSM)
-	everUsed, unfilled := bools[:nSM], bools[nSM:]
-	ctas := make([]cta, 0, min(totalSlots, k.GridSize))
-	pending := k.GridSize
-
-	dispatch := func() {
-		for pending > 0 {
-			sm := cfg.Policy.pickSM(resident, caps)
-			if sm < 0 {
-				return
-			}
-			resident[sm]++
-			everUsed[sm] = true
-			pending--
-			ctas = append(ctas, cta{sm: sm, remIssue: issuePerCTA, remMem: memPerCTA})
+	ctaSlots := 0
+	gateIdle := true
+	for k := range launches {
+		l := &launches[k]
+		if err := l.Kernel.Validate(); err != nil {
+			return Result{}, err
 		}
+		lo, hi, tlp := l.Config.window(d, l.Kernel)
+		if tlp == 0 || lo == hi {
+			return Result{}, fmt.Errorf("%w: kernel %s (block %d threads, %d regs/thread, %dB shmem) on %s",
+				ErrNoResidency, l.Kernel.Name, l.Kernel.BlockSize, l.Kernel.RegsPerThread, l.Kernel.SharedMemPerBlock, d.Name)
+		}
+		issueCap := float64(l.Kernel.BlockSize) * d.PerThreadIPC
+		issueEps := simEpsilon*l.Kernel.issueWorkPerCTA() + simEpsilon
+		memEps := simEpsilon*l.Kernel.memWorkPerCTA() + simEpsilon
+		for sm := lo; sm < hi; sm++ {
+			if caps[sm] > 0 {
+				return Result{}, fmt.Errorf("%w: SM %d of %s claimed by kernels %s and %s",
+					ErrSMOverlap, sm, d.Name, launches[owner[sm]].Kernel.Name, l.Kernel.Name)
+			}
+			caps[sm], owner[sm] = tlp, k
+			ctaIssueCap[sm], issueDone[sm], memDone[sm] = issueCap, issueEps, memEps
+		}
+		out[k] = Result{Kernel: l.Kernel.Name}
+		pending[k], winLo[k], winHi[k] = l.Kernel.GridSize, lo, hi
+		ctaSlots += min((hi-lo)*tlp, l.Kernel.GridSize)
+		gateIdle = gateIdle && l.Config.PowerGateIdle
 	}
-	dispatch()
+	bools := make([]bool, 2*nSM)
+	everUsed, unfilled := bools[:nSM], bools[nSM:][:nSM]
+
+	// dispatch fills each launch's window in launch order and records the
+	// launch's residency peak. A window is a contiguous SM range, so picking
+	// inside the sub-slices is picking on the device with every other SM
+	// disallowed. ctas is passed through, not captured, so the event loop
+	// keeps it in registers.
+	dispatch := func(ctas []cta) []cta {
+		for k := range launches {
+			l, lo := &launches[k], winLo[k]
+			res, lim, used := resident[lo:winHi[k]], caps[lo:winHi[k]], everUsed[lo:winHi[k]]
+			issue, mem := l.Kernel.issueWorkPerCTA(), l.Kernel.memWorkPerCTA()
+			left := pending[k]
+			for ; left > 0; left-- {
+				sm := l.Config.Policy.pickSM(res, lim)
+				if sm < 0 {
+					break
+				}
+				res[sm]++
+				used[sm] = true
+				ctas = append(ctas, cta{sm: lo + sm, remIssue: issue, remMem: mem})
+			}
+			pending[k] = left
+			live := 0
+			for _, r := range res {
+				live += r
+			}
+			out[k].MaxResident = max(out[k].MaxResident, live)
+		}
+		return ctas
+	}
+	ctas := dispatch(make([]cta, 0, ctaSlots))
 
 	var (
-		now            float64 // cycles
-		energyJ        float64
-		issueUtilInt   float64 // ∫ issue-utilization dt
-		dramUtilInt    float64
-		maxResident    int
-		dramCapacity   = d.BytesPerCycle()
+		now          float64 // cycles
+		energyJ      float64
+		issueUtilInt float64 // ∫ issue-utilization dt
+		dramUtilInt  float64
+		dramCapacity = d.BytesPerCycle()
+		// Each lane can request up to 4 bytes per cycle; this bounds how
+		// much DRAM bandwidth one SM's load/store units can consume.
+		smMemCap       = float64(d.CoresPerSM) * 4
 		issueCapPerSM  = float64(d.CoresPerSM)
 		secondsPerCyc  = 1 / (d.ClockMHz * 1e6)
 		gatedStaticSMs = 0
 	)
-	if cfg.PowerGateIdle {
+	// SMs no launch can use are gated when every launch gates.
+	if gateIdle {
 		for _, c := range caps {
 			if c == 0 {
 				gatedStaticSMs++
@@ -131,23 +186,20 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 	}
 
 	for len(ctas) > 0 {
-		if r := len(ctas); r > maxResident {
-			maxResident = r
-		}
 		clear(issueN)
 		clear(memN)
 		for sm := range issueMin {
 			issueMin[sm], memMin[sm] = math.Inf(1), math.Inf(1)
 		}
 		for i := range ctas {
-			c := &ctas[i]
+			c, sm := &ctas[i], ctas[i].sm
 			if c.remIssue > simEpsilon {
-				issueN[c.sm]++
-				issueMin[c.sm] = min(issueMin[c.sm], c.remIssue)
+				issueN[sm]++
+				issueMin[sm] = min(issueMin[sm], c.remIssue)
 			}
 			if c.remMem > simEpsilon {
-				memN[c.sm]++
-				memMin[c.sm] = min(memMin[c.sm], c.remMem)
+				memN[sm]++
+				memMin[sm] = min(memMin[sm], c.remMem)
 			}
 		}
 		// --- Issue rates: each SM's issue bandwidth splits equally over
@@ -158,7 +210,7 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 			if n == 0 {
 				continue
 			}
-			share := min(issueCapPerSM/float64(n), ctaIssueCap)
+			share := min(issueCapPerSM/float64(n), ctaIssueCap[sm])
 			issueShare[sm] = share
 			for ; n > 0; n-- {
 				perSMIssueUsed[sm] += share
@@ -229,16 +281,14 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 			dt = 0
 		}
 
-		// --- Integrate power over dt. ---
+		// --- Integrate power over dt. Unowned SMs issue nothing, so they
+		// add exactly zero dynamic power whether gated or not. ---
 		if dt > 0 {
 			power := d.IdlePowerW
 			activeStaticSMs := d.NumSMs - gatedStaticSMs
 			power += float64(activeStaticSMs) * d.SMStaticPowerW
-			for sm := 0; sm < d.NumSMs; sm++ {
-				if caps[sm] == 0 && cfg.PowerGateIdle {
-					continue
-				}
-				power += d.SMDynPowerW * (perSMIssueUsed[sm] / issueCapPerSM)
+			for _, used := range perSMIssueUsed {
+				power += d.SMDynPowerW * (used / issueCapPerSM)
 			}
 			achievedGBps := totalMemRate * d.ClockMHz * 1e6 / 1e9
 			power += d.DRAMPowerPerGBps * achievedGBps
@@ -249,51 +299,54 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 
 		// --- Advance state and retire completed CTAs. ---
 		now += dt
-		live := 0
+		kept := 0
 		for i := range ctas {
-			c := &ctas[i]
+			c, sm := &ctas[i], ctas[i].sm
 			if c.remIssue > simEpsilon {
-				c.remIssue -= issueShare[c.sm] * dt
+				c.remIssue -= issueShare[sm] * dt
 			}
 			if c.remMem > simEpsilon {
-				c.remMem -= smRate[c.sm] * dt
+				c.remMem -= smRate[sm] * dt
 			}
-			if c.remIssue <= simEpsilon*issuePerCTA+simEpsilon && c.remMem <= simEpsilon*memPerCTA+simEpsilon {
-				resident[c.sm]--
+			if c.remIssue <= issueDone[sm] && c.remMem <= memDone[sm] {
+				resident[sm]--
+				out[owner[sm]].Cycles = now // time only advances: the last retirement stands
 				continue
 			}
-			if live != i {
-				ctas[live] = *c
+			if kept != i {
+				ctas[kept] = *c
 			}
-			live++
+			kept++
 		}
-		completed := len(ctas) - live
-		ctas = ctas[:live]
+		completed := len(ctas) - kept
+		ctas = ctas[:kept]
 		if completed > 0 {
-			dispatch()
+			ctas = dispatch(ctas)
 		} else if dt == 0 {
-			return Result{}, fmt.Errorf("gpu: simulation stalled for kernel %s on %s", k.Name, d.Name)
+			return Result{}, fmt.Errorf("gpu: simulation stalled for kernel %s on %s",
+				launches[owner[ctas[0].sm]].Kernel.Name, d.Name)
 		}
 	}
 
-	res.Cycles = now
-	res.TimeMS = d.CyclesToMS(now)
-	res.EnergyJ = energyJ
-	if now > 0 {
-		res.AvgPowerW = energyJ / (now * secondsPerCyc)
-		res.IssueUtil = issueUtilInt / now
-		res.DRAMUtil = dramUtilInt / now
-	}
-	for _, u := range everUsed {
-		if u {
-			res.ActiveSMs++
+	for k := range launches {
+		r := &out[k]
+		r.TimeMS = d.CyclesToMS(r.Cycles)
+		for _, u := range everUsed[winLo[k]:winHi[k]] {
+			if u {
+				r.ActiveSMs++
+			}
+		}
+		if r.TimeMS > 0 {
+			r.AchievedGFLOPs = launches[k].Kernel.FLOPs() / (r.TimeMS * 1e-3) / 1e9
 		}
 	}
-	res.MaxResident = maxResident
-	if res.TimeMS > 0 {
-		res.AchievedGFLOPs = k.FLOPs() / (res.TimeMS * 1e-3) / 1e9
+	total := Result{Cycles: now, TimeMS: d.CyclesToMS(now), EnergyJ: energyJ}
+	if now > 0 {
+		total.AvgPowerW = energyJ / (now * secondsPerCyc)
+		total.IssueUtil = issueUtilInt / now
+		total.DRAMUtil = dramUtilInt / now
 	}
-	return res, nil
+	return total, nil
 }
 
 // LaunchError is the typed failure of one launch in a Run sequence. It
@@ -321,53 +374,19 @@ func (e *LaunchError) Error() string {
 func (e *LaunchError) Unwrap() error { return e.Err }
 
 // Run simulates a sequence of launches back to back (e.g. the layers of a
-// network) and returns per-launch results plus the aggregate.
+// network) and returns per-launch results plus the aggregate. A failure is
+// returned as a *LaunchError naming the launch that died.
 func (d *Device) Run(launches []Launch) ([]Result, Aggregate, error) {
-	return d.RunInjected(launches, nil, nil)
-}
-
-// RunObserver receives each launch's result as RunObserved retires it, in
-// launch order. It is the profiling hook: a plan execution streams its
-// per-layer time/energy breakdown through the observer without a second
-// simulation pass.
-type RunObserver func(index int, r Result)
-
-// RunObserved is Run with an optional per-launch observer (nil is
-// allowed and equivalent to Run).
-func (d *Device) RunObserved(launches []Launch, observe RunObserver) ([]Result, Aggregate, error) {
-	return d.RunInjected(launches, observe, nil)
-}
-
-// RunInjected is RunObserved with a fault injector in the launch loop: an
-// injected launch fault fails the run with a typed *LaunchError (Injected
-// set), and a slow-kernel fault stretches that launch's simulated time and
-// energy by the injector's factor (its achieved GFLOP/s fall by the same).
-// A nil injector is the production path and costs nothing; every failure —
-// injected or genuine — is returned as a *LaunchError naming the launch
-// that died.
-func (d *Device) RunInjected(launches []Launch, observe RunObserver, inj *fault.Injector) ([]Result, Aggregate, error) {
 	results := make([]Result, 0, len(launches))
 	var agg Aggregate
 	for i, l := range launches {
-		if err := inj.LaunchError(); err != nil {
-			return nil, Aggregate{}, &LaunchError{Kernel: l.Kernel.Name, Index: i, Injected: true, Err: err}
-		}
 		r, err := d.Simulate(l.Kernel, l.Config)
 		if err != nil {
 			return nil, Aggregate{}, &LaunchError{Kernel: l.Kernel.Name, Index: i, Err: err}
 		}
-		if f := inj.SlowFactor(); f > 1 {
-			r.Cycles *= f
-			r.TimeMS *= f
-			r.EnergyJ *= f
-			r.AchievedGFLOPs /= f // FLOPs ÷ TimeMS: same work, f× the time
-		}
 		results = append(results, r)
 		agg.TimeMS += r.TimeMS
 		agg.EnergyJ += r.EnergyJ
-		if observe != nil {
-			observe(i, r)
-		}
 	}
 	if agg.TimeMS > 0 {
 		agg.AvgPowerW = agg.EnergyJ / (agg.TimeMS * 1e-3)

@@ -257,6 +257,30 @@ func TestRunPropagatesError(t *testing.T) {
 	}
 }
 
+// TestRunInjectedGenuineError: a real simulator failure comes back as a
+// typed *LaunchError naming the launch, with Injected false and the
+// original cause intact.
+func TestRunInjectedGenuineError(t *testing.T) {
+	d := testDevice()
+	bad := Launch{
+		Kernel: Kernel{Name: "monster", GridSize: 1, BlockSize: 4096,
+			RegsPerThread: 32, FMAInsts: 10},
+		Config: DefaultLaunch(),
+	}
+	ls := []Launch{{Kernel: computeKernel(4), Config: DefaultLaunch()}, bad}
+	_, _, err := d.Run(ls)
+	var le *LaunchError
+	if !errors.As(err, &le) {
+		t.Fatalf("err %T is not *LaunchError", err)
+	}
+	if le.Injected || le.Index != 1 || le.Kernel != "monster" {
+		t.Fatalf("LaunchError = %+v, want genuine failure at index 1", le)
+	}
+	if !errors.Is(err, ErrNoResidency) {
+		t.Fatalf("errors.Is(%v, ErrNoResidency) = false through wrapper", err)
+	}
+}
+
 func TestSMLimitRestrictsDispatch(t *testing.T) {
 	d := testDevice()
 	k := computeKernel(16)

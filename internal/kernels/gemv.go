@@ -38,12 +38,3 @@ func BuildGEMV(name string, m, n, k int, dev *gpu.Device) gpu.Kernel {
 		GlobalBytes: 4*fK + 4*fK*fN/gemvBlock + 4*fN,
 	}
 }
-
-// BuildAuto dispatches to the vector kernel for narrow results and tiled
-// SGEMM otherwise, mirroring what the libraries do.
-func BuildAuto(name string, tile TileConfig, m, n, k, regs int, dev *gpu.Device) gpu.Kernel {
-	if n < GEMVThreshold {
-		return BuildGEMV(name, m, n, k, dev)
-	}
-	return Build(name, tile, m, n, k, regs, dev)
-}

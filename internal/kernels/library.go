@@ -38,15 +38,6 @@ func (l Library) String() string {
 	}
 }
 
-// MinBatch returns the library's minimum supported batch size (Nervana
-// kernels require a multiple of 32; Section III.C).
-func (l Library) MinBatch() int {
-	if l == Nervana {
-		return 32
-	}
-	return 1
-}
-
 // RoundBatch rounds a requested batch up to the library's granularity.
 func (l Library) RoundBatch(batch int) int {
 	if batch < 1 {

@@ -212,17 +212,6 @@ func (n *NetShape) ConvLayers() []ConvShape {
 	return out
 }
 
-// FCLayers returns only the fully-connected layer shapes, in order.
-func (n *NetShape) FCLayers() []FCShape {
-	var out []FCShape
-	for _, l := range n.Layers {
-		if l.Kind == FCLayer {
-			out = append(out, l.FC)
-		}
-	}
-	return out
-}
-
 // TotalFLOPsPerImage sums Eq 1 over all conv and FC layers.
 func (n *NetShape) TotalFLOPsPerImage() float64 {
 	var s float64
@@ -246,25 +235,6 @@ func (n *NetShape) WeightBytes() int64 {
 			s += l.Conv.WeightCount()
 		case FCLayer:
 			s += l.FC.WeightCount()
-		}
-	}
-	return s * 4
-}
-
-// ActivationBytesPerImage returns the summed activation footprint of one
-// image across all layers (float32), the dominant batch-scaled term of the
-// paper's "CNN-based applications are memory-intensive" observation.
-func (n *NetShape) ActivationBytesPerImage() int64 {
-	var s int64
-	s += int64(n.InputC) * int64(n.InputH) * int64(n.InputW)
-	for _, l := range n.Layers {
-		switch l.Kind {
-		case ConvLayer:
-			s += l.Conv.OutputCount()
-		case PoolLayer:
-			s += l.Pool.OutputCount()
-		case FCLayer:
-			s += int64(l.FC.Out)
 		}
 	}
 	return s * 4

@@ -44,7 +44,7 @@ func TestExpositionMergesWithPartLabels(t *testing.T) {
 
 func TestExpositionKindConflict(t *testing.T) {
 	a := NewRegistry()
-	a.Counter("pcnn_z", "Z.").Inc()
+	a.Counter("pcnn_z", "Z.").Add(1)
 	b := NewRegistry()
 	b.Gauge("pcnn_z", "Z.").Set(2)
 	err := NewExposition().Add(a).Add(b).WritePrometheus(&strings.Builder{})
@@ -55,7 +55,7 @@ func TestExpositionKindConflict(t *testing.T) {
 
 func TestExpositionDeterministic(t *testing.T) {
 	a := NewRegistry()
-	a.Counter("pcnn_b_total", "B.").Inc()
+	a.Counter("pcnn_b_total", "B.").Add(1)
 	a.Gauge("pcnn_a", "A.").Set(4)
 	b := NewRegistry()
 	b.Counter("pcnn_b_total", "B.").Add(2)

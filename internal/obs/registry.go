@@ -1,11 +1,10 @@
 // Package obs is P-CNN's dependency-free observability core: a registry
 // of counters, gauges and fixed-bucket histograms with an atomic hot path
-// and Prometheus text-format export, plus per-request lifecycle traces, a
-// bounded decision-event log, and a windowed rate estimator. The serving
-// stack (internal/serve, cmd/pcnnd) threads these through every request;
-// the schedulers and the runtime manager record their decisions into an
-// EventLog; nothing here imports anything beyond the standard library, so
-// every package in the tree may depend on it.
+// and Prometheus text-format export, plus per-request lifecycle traces and
+// a windowed rate estimator. The serving stack (internal/serve, cmd/pcnnd)
+// threads these through every request; nothing here imports anything
+// beyond the standard library, so every package in the tree may depend on
+// it.
 package obs
 
 import (
@@ -26,9 +25,6 @@ type Label struct{ Key, Value string }
 // Counter is a monotonically increasing metric. The zero value is ready;
 // all methods are lock-free and safe for concurrent use.
 type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
@@ -86,18 +82,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Buckets returns the upper bounds and the cumulative count at each (the
-// Prometheus "le" semantics), excluding the implicit +Inf bucket.
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	cum := make([]uint64, len(h.upper))
-	var run uint64
-	for i := range h.upper {
-		run += h.counts[i].Load()
-		cum[i] = run
-	}
-	return append([]float64(nil), h.upper...), cum
-}
 
 type metricKind int
 

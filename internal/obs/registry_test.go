@@ -11,7 +11,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -33,14 +33,16 @@ func TestHistogramBucketing(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 2, 3, 10} {
 		h.Observe(v)
 	}
-	upper, cum := h.Buckets()
-	if len(upper) != 3 {
-		t.Fatalf("buckets = %v", upper)
+	var exported strings.Builder
+	if err := r.WritePrometheus(&exported); err != nil {
+		t.Fatal(err)
 	}
-	want := []uint64{2, 4, 5} // ≤1: {0.5,1}; ≤2: +{1.5,2}; ≤5: +{3}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Errorf("cum[le=%v] = %d, want %d", upper[i], cum[i], want[i])
+	// ≤1: {0.5,1}; ≤2: +{1.5,2}; ≤5: +{3}; +Inf: +{10}
+	for _, want := range []string{
+		`h_ms_bucket{le="1"} 2`, `h_ms_bucket{le="2"} 4`, `h_ms_bucket{le="5"} 5`, `h_ms_bucket{le="+Inf"} 6`,
+	} {
+		if !strings.Contains(exported.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, exported.String())
 		}
 	}
 	if h.Count() != 6 {
@@ -124,7 +126,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			h := r.Histogram("conc_ms", "shared", []float64{1, 10, 100})
 			ga := r.Gauge("conc_gauge", "shared")
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(float64(i % 200))
 				ga.Add(1)
 				if i%100 == 0 {
@@ -153,7 +155,7 @@ func TestRegistryConcurrency(t *testing.T) {
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x")
-	c.Inc()
+	c.Add(1)
 	if c.Value() != 1 {
 		t.Fatal("nil-registry counter unusable")
 	}
@@ -165,7 +167,7 @@ func TestNilRegistry(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "", Label{"path", `a"b\c` + "\n"}).Inc()
+	r.Counter("esc_total", "", Label{"path", `a"b\c` + "\n"}).Add(1)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

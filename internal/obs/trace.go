@@ -115,78 +115,3 @@ func (r *TraceRing) Recent() []Trace {
 	}
 	return out
 }
-
-// Event is one recorded decision — a scheduler choosing a batch, the
-// runtime manager calibrating a level — with free-form fields.
-type Event struct {
-	Time   time.Time      `json:"time"`
-	Name   string         `json:"name"`
-	Fields map[string]any `json:"fields,omitempty"`
-}
-
-// EventLog is a bounded ring of decision events. A nil *EventLog is
-// inert: Record is a no-op and Recent returns nil, so decision sites can
-// record unconditionally.
-type EventLog struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-}
-
-// NewEventLog holds the most recent n events (n < 1 is clamped to 1).
-func NewEventLog(n int) *EventLog {
-	if n < 1 {
-		n = 1
-	}
-	return &EventLog{buf: make([]Event, n)}
-}
-
-// Record appends one event, overwriting the oldest past capacity.
-func (l *EventLog) Record(name string, fields map[string]any) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.buf[l.next] = Event{Time: time.Now(), Name: name, Fields: fields}
-	l.next++
-	if l.next == len(l.buf) {
-		l.next, l.full = 0, true
-	}
-	l.mu.Unlock()
-}
-
-// Len reports how many events are held (≤ capacity).
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.full {
-		return len(l.buf)
-	}
-	return l.next
-}
-
-// Recent returns the held events, newest first.
-func (l *EventLog) Recent() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.next
-	if l.full {
-		n = len(l.buf)
-	}
-	out := make([]Event, 0, n)
-	for i := 0; i < n; i++ {
-		idx := l.next - 1 - i
-		if idx < 0 {
-			idx += len(l.buf)
-		}
-		out = append(out, l.buf[idx])
-	}
-	return out
-}

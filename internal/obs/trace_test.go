@@ -64,24 +64,3 @@ func TestTraceRingPartial(t *testing.T) {
 		t.Fatalf("recent = %+v", recent)
 	}
 }
-
-// TestEventLog: bounded, newest first, and nil-safe.
-func TestEventLog(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 1; i <= 10; i++ {
-		l.Record("decision", map[string]any{"i": i})
-	}
-	if l.Len() != 4 {
-		t.Fatalf("len = %d, want 4", l.Len())
-	}
-	recent := l.Recent()
-	if recent[0].Fields["i"] != 10 || recent[3].Fields["i"] != 7 {
-		t.Fatalf("recent = %+v", recent)
-	}
-
-	var nilLog *EventLog
-	nilLog.Record("ignored", nil) // must not panic
-	if nilLog.Len() != 0 || nilLog.Recent() != nil {
-		t.Fatal("nil EventLog not inert")
-	}
-}

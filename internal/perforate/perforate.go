@@ -116,25 +116,13 @@ func (m Mask) blends() []blend {
 
 // SampledGrid returns the kept columns and rows of a product-grid mask
 // (ascending); the computed positions are their cross product in
-// row-major order, which is SampledIndices. Both are nil for Full.
+// row-major order. Both are nil for Full.
 func (m Mask) SampledGrid() (xs, ys []int) { return m.xs, m.ys }
-
-// FromRate returns a grid mask whose computed fraction is approximately
-// 1−rate, spread evenly over both axes. rate is clamped to [0, maxRate]
-// where maxRate keeps at least one computed position per axis.
-func FromRate(w, h int, rate float64) Mask {
-	if rate <= 0 {
-		return Full(w, h)
-	}
-	keepW, keepH := keepForRate(w, h, rate)
-	return Grid(w, h, keepW, keepH)
-}
 
 // KeptFraction returns the fraction of a w×h map the grid mask for
 // approximately frac of its positions really computes — frac quantized to
-// whole kept rows and columns, 1 − FromRate(w, h, 1−frac).Rate() to the
-// bit — from the kept row and column counts alone, without building the
-// mask. The online server synthesizes degradation paths from it when no
+// whole kept rows and columns, 1 − Rate() of that mask to the bit — from
+// the kept row and column counts alone, without building the mask. The online server synthesizes degradation paths from it when no
 // measured tuning table exists.
 func KeptFraction(w, h int, frac float64) float64 {
 	if frac >= 1 {
@@ -145,7 +133,9 @@ func KeptFraction(w, h int, frac float64) float64 {
 	return 1 - rateOf(len(xs)*len(ys), w*h)
 }
 
-// keepForRate returns the kept columns and rows FromRate asks Grid for.
+// keepForRate returns the kept columns and rows of the grid mask that
+// skips approximately rate of a w×h map, spread evenly over both axes.
+// rate is clamped so at least one position per axis stays computed.
 func keepForRate(w, h int, rate float64) (keepW, keepH int) {
 	keep := math.Sqrt(1 - clampF(rate, 0, 0.999))
 	return int(math.Round(keep * float64(w))), int(math.Round(keep * float64(h)))
@@ -192,9 +182,6 @@ func nearest(n int, kept []int) []int {
 	}
 	return out
 }
-
-// SampledIndices returns the row-major indices of computed positions.
-func (m Mask) SampledIndices() []int { return m.sampled }
 
 // SampledCount returns Wo′·Ho′, the number of computed positions.
 func (m Mask) SampledCount() int { return len(m.sampled) }

@@ -58,27 +58,37 @@ func TestSourceSelfForComputed(t *testing.T) {
 	}
 }
 
-func TestFromRateZero(t *testing.T) {
-	if m := FromRate(6, 6, 0); !m.IsFull() {
-		t.Fatalf("FromRate(…, 0) not full")
+// fromRate is the mask oracle for KeptFraction: the grid mask whose
+// computed fraction is approximately 1−rate.
+func fromRate(w, h int, rate float64) Mask {
+	if rate <= 0 {
+		return Full(w, h)
 	}
-	if m := FromRate(6, 6, -1); !m.IsFull() {
-		t.Fatalf("FromRate(…, -1) not full")
+	keepW, keepH := keepForRate(w, h, rate)
+	return Grid(w, h, keepW, keepH)
+}
+
+func TestFromRateZero(t *testing.T) {
+	if m := fromRate(6, 6, 0); !m.IsFull() {
+		t.Fatalf("fromRate(…, 0) not full")
+	}
+	if m := fromRate(6, 6, -1); !m.IsFull() {
+		t.Fatalf("fromRate(…, -1) not full")
 	}
 }
 
 func TestFromRateApproximatesRate(t *testing.T) {
 	for _, rate := range []float64{0.1, 0.3, 0.5, 0.75} {
-		m := FromRate(32, 32, rate)
+		m := fromRate(32, 32, rate)
 		got := m.Rate()
 		if math.Abs(got-rate) > 0.12 {
-			t.Errorf("FromRate(32,32,%v): achieved rate %v, want within 0.12", rate, got)
+			t.Errorf("fromRate(32,32,%v): achieved rate %v, want within 0.12", rate, got)
 		}
 	}
 }
 
 func TestFromRateNeverEmpty(t *testing.T) {
-	m := FromRate(4, 4, 0.9999)
+	m := fromRate(4, 4, 0.9999)
 	if m.SampledCount() < 1 {
 		t.Fatalf("mask has no computed positions")
 	}
@@ -87,8 +97,8 @@ func TestFromRateNeverEmpty(t *testing.T) {
 func TestInterpolateBlendsBetweenComputed(t *testing.T) {
 	m := Grid(4, 1, 2, 1) // keeps x=1 and x=3
 	data := make([]float32, 4)
-	data[m.SampledIndices()[0]] = 10
-	data[m.SampledIndices()[1]] = 20
+	data[m.sampled[0]] = 10
+	data[m.sampled[1]] = 20
 	m.Interpolate(data, 1)
 	// Positions outside the kept span clamp; positions between blend
 	// linearly: x=2 sits halfway between x=1 (10) and x=3 (20).
@@ -107,7 +117,7 @@ func TestInterpolateBlendsBetweenComputed(t *testing.T) {
 
 func TestInterpolateMultiChannel(t *testing.T) {
 	m := Grid(3, 3, 1, 1)
-	center := m.SampledIndices()[0]
+	center := m.sampled[0]
 	data := make([]float32, 2*9)
 	data[center] = 5
 	data[9+center] = 7
@@ -136,7 +146,7 @@ func TestScatter(t *testing.T) {
 	vals := []float32{1, 2, 3, 4}
 	plane := make([]float32, 16)
 	m.Scatter(vals, plane)
-	for j, idx := range m.SampledIndices() {
+	for j, idx := range m.sampled {
 		if plane[idx] != vals[j] {
 			t.Fatalf("plane[%d] = %v, want %v", idx, plane[idx], vals[j])
 		}
@@ -171,7 +181,7 @@ func TestMaskInvariantsProperty(t *testing.T) {
 		}
 		// Idempotence of interpolation.
 		data := make([]float32, w*h)
-		for j, idx := range m.SampledIndices() {
+		for j, idx := range m.sampled {
 			data[idx] = float32(j + 1)
 		}
 		m.Interpolate(data, 1)
@@ -197,8 +207,8 @@ func TestFromRateMonotoneProperty(t *testing.T) {
 		if ra > rb {
 			ra, rb = rb, ra
 		}
-		ma := FromRate(24, 24, ra)
-		mb := FromRate(24, 24, rb)
+		ma := fromRate(24, 24, ra)
+		mb := fromRate(24, 24, rb)
 		return mb.SampledCount() <= ma.SampledCount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -206,7 +216,7 @@ func TestFromRateMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestKeptFraction: the mask-free kept fraction is 1 − FromRate(w, h,
+// TestKeptFraction: the mask-free kept fraction is 1 − fromRate(w, h,
 // 1−frac).Rate() bit for bit — over every small map, and over the real conv
 // output sizes at the synthetic ladder's 0.8^i targets — and is the
 // quantized fraction it claims to be: 1 at frac 1, within one row and one
@@ -217,7 +227,7 @@ func TestKeptFraction(t *testing.T) {
 		prev := 1.0
 		for i := 0; i <= 12; i++ {
 			frac := math.Pow(0.8, float64(i))
-			got, want := KeptFraction(w, h, frac), 1-FromRate(w, h, 1-frac).Rate()
+			got, want := KeptFraction(w, h, frac), 1-fromRate(w, h, 1-frac).Rate()
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("KeptFraction(%d,%d,%v) = %v, mask says %v", w, h, frac, got, want)
 			}

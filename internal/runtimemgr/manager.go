@@ -5,7 +5,6 @@ import (
 
 	"pcnn/internal/entropy"
 	"pcnn/internal/nn"
-	"pcnn/internal/obs"
 	"pcnn/internal/tensor"
 )
 
@@ -38,9 +37,6 @@ type Manager struct {
 	// each Infer — the test seam for driving the calibration loop through
 	// exact threshold crossings (mirroring Tuner.Uncertainty).
 	Uncertainty func(probs [][]float32) float64
-	// Events, when non-nil, receives one record per calibration backtrack
-	// and per recovery re-advance. A nil log records nothing.
-	Events *obs.EventLog
 
 	calibrations int
 }
@@ -101,20 +97,12 @@ func (m *Manager) Infer(x *tensor.Tensor) ([][]float32, float64) {
 		m.calibrations++
 		m.confidentStreak = 0
 		m.applyLevel()
-		m.Events.Record("runtimemgr.calibrate", map[string]any{
-			"level":   m.level,
-			"entropy": h,
-		})
 	case m.RecoverAfter > 0 && h <= m.threshold*0.8 && m.level < len(m.table.Entries)-1:
 		m.confidentStreak++
 		if m.confidentStreak >= m.RecoverAfter {
 			m.level++
 			m.confidentStreak = 0
 			m.applyLevel()
-			m.Events.Record("runtimemgr.recover", map[string]any{
-				"level":   m.level,
-				"entropy": h,
-			})
 		}
 	default:
 		m.confidentStreak = 0
@@ -144,15 +132,7 @@ func (m *Manager) NoteFault() bool {
 	m.calibrations++
 	m.confidentStreak = 0
 	m.applyLevel()
-	m.Events.Record("runtimemgr.fault-calibrate", map[string]any{
-		"level": m.level,
-	})
 	return true
-}
-
-// PredictedSpeedup returns the table's speedup at the current level.
-func (m *Manager) PredictedSpeedup() float64 {
-	return m.table.Entries[m.level].Speedup
 }
 
 // Close restores full computation on the managed network.

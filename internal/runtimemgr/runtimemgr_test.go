@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pcnn/internal/nn"
-	"pcnn/internal/obs"
 	"pcnn/internal/tensor"
 	"pcnn/internal/workload"
 )
@@ -191,7 +190,6 @@ func TestManagerCalibratesOnNoisyInput(t *testing.T) {
 	}
 	defer mgr.Close()
 	mgr.RecoverAfter = 0
-	mgr.Events = obs.NewEventLog(32)
 	startLevel := mgr.Level()
 	if startLevel != len(table.Entries)-1 {
 		t.Fatalf("manager starts at level %d, want most aggressive %d", startLevel, len(table.Entries)-1)
@@ -209,23 +207,6 @@ func TestManagerCalibratesOnNoisyInput(t *testing.T) {
 	}
 	if mgr.Calibrations() == 0 {
 		t.Fatalf("no calibrations recorded")
-	}
-	// Every backtrack left a decision event carrying the new level and the
-	// entropy that triggered it.
-	events := mgr.Events.Recent()
-	if len(events) != mgr.Calibrations() {
-		t.Fatalf("event log holds %d events for %d calibrations", len(events), mgr.Calibrations())
-	}
-	for _, e := range events {
-		if e.Name != "runtimemgr.calibrate" {
-			t.Errorf("unexpected event %q", e.Name)
-		}
-		if e.Fields["entropy"].(float64) <= 0.9 {
-			t.Errorf("calibrate event entropy %v not above the threshold", e.Fields["entropy"])
-		}
-	}
-	if events[0].Fields["level"].(int) != 0 {
-		t.Errorf("newest calibrate event level = %v, want 0", events[0].Fields["level"])
 	}
 }
 

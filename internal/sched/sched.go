@@ -14,7 +14,6 @@ import (
 	"pcnn/internal/compile"
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
-	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
 )
 
@@ -36,10 +35,6 @@ type Scenario struct {
 	// full network with BaseEntropy uncertainty.
 	TuningPath  []TuningPoint
 	BaseEntropy float64
-	// Events, when non-nil, receives the P-CNN scheduler's decision trail
-	// (compiled operating point, tuning-point choice, escalation steps).
-	// A nil log records nothing.
-	Events *obs.EventLog
 }
 
 // basePoint returns the unperforated tuning point.
@@ -262,12 +257,6 @@ func (PCNN) Run(sc Scenario) (Outcome, error) {
 	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
 		return Outcome{}, err
 	}
-	sc.Events.Record("pcnn.plan", map[string]any{
-		"batch":        plan.Batch,
-		"freed_sm_avg": avgFreed(plan),
-		"opt_sm":       layerOptSMs(plan),
-		"opt_tlp":      layerOptTLPs(plan),
-	})
 	pt := sc.basePoint()
 	idx := -1
 	for i, cand := range sc.TuningPath {
@@ -275,10 +264,6 @@ func (PCNN) Run(sc Scenario) (Outcome, error) {
 			pt, idx = cand, i
 		}
 	}
-	sc.Events.Record("pcnn.tuning_point", map[string]any{
-		"index":   idx,
-		"entropy": pt.Entropy,
-	})
 	agg, err := simulatePoint(plan, pt)
 	if err != nil {
 		return Outcome{}, err
@@ -294,35 +279,11 @@ func (PCNN) Run(sc Scenario) (Outcome, error) {
 			return Outcome{}, err
 		}
 		esc := finish("P-CNN", sc, plan.Batch, agg, cand.Entropy, avgFreed(plan))
-		sc.Events.Record("pcnn.escalate", map[string]any{
-			"index":          i,
-			"entropy":        cand.Entropy,
-			"response_ms":    esc.ResponseMS,
-			"meets_deadline": esc.MeetsDeadline,
-		})
 		if esc.MeetsDeadline {
 			return esc, nil
 		}
 	}
 	return o, nil
-}
-
-// layerOptSMs collects the compiled per-layer optSM choices (Eq 11).
-func layerOptSMs(plan *compile.Plan) []int {
-	out := make([]int, len(plan.Layers))
-	for i, l := range plan.Layers {
-		out[i] = l.OptSM
-	}
-	return out
-}
-
-// layerOptTLPs collects the compiled per-layer optTLP choices.
-func layerOptTLPs(plan *compile.Plan) []int {
-	out := make([]int, len(plan.Layers))
-	for i, l := range plan.Layers {
-		out[i] = l.OptTLP
-	}
-	return out
 }
 
 // Ideal is the oracle of Section V.B.5: it profiles every tuning point

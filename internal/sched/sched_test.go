@@ -5,7 +5,6 @@ import (
 
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
-	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
 )
 
@@ -104,63 +103,6 @@ func TestRealTimeTX1OnlyPCNNMeetsDeadline(t *testing.T) {
 		if res[name].SoC <= 0 {
 			t.Errorf("%s SoC = %v, want positive", name, res[name].SoC)
 		}
-	}
-}
-
-// TestPCNNDecisionEvents: on the TX1 real-time scenario (where P-CNN must
-// escalate to meet the deadline) the scheduler leaves a full decision
-// trail — compiled operating point, tuning-point choice, escalations.
-func TestPCNNDecisionEvents(t *testing.T) {
-	sc := scenario(gpu.TX1(), satisfaction.VideoSurveillance(60))
-	sc.Events = obs.NewEventLog(64)
-	o, err := PCNN{}.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.MeetsDeadline {
-		t.Fatalf("P-CNN misses the TX1 deadline (%.2fms); scenario drifted", o.ResponseMS)
-	}
-	events := sc.Events.Recent()
-	counts := map[string]int{}
-	for _, e := range events {
-		counts[e.Name]++
-	}
-	if counts["pcnn.plan"] != 1 {
-		t.Errorf("pcnn.plan events = %d, want 1", counts["pcnn.plan"])
-	}
-	if counts["pcnn.tuning_point"] != 1 {
-		t.Errorf("pcnn.tuning_point events = %d, want 1", counts["pcnn.tuning_point"])
-	}
-	if counts["pcnn.escalate"] == 0 {
-		t.Error("no pcnn.escalate events on a scenario that requires escalation")
-	}
-	// The plan event carries the compiled operating point.
-	var plan *obs.Event
-	for i := range events {
-		if events[i].Name == "pcnn.plan" {
-			plan = &events[i]
-		}
-	}
-	if plan.Fields["batch"].(int) < 1 {
-		t.Errorf("plan event batch = %v", plan.Fields["batch"])
-	}
-	if sms := plan.Fields["opt_sm"].([]int); len(sms) == 0 {
-		t.Error("plan event has no per-layer optSM choices")
-	}
-	// The winning escalation is the newest escalate event and met the
-	// deadline.
-	for _, e := range events { // newest first
-		if e.Name == "pcnn.escalate" {
-			if met := e.Fields["meets_deadline"].(bool); !met {
-				t.Errorf("final escalate event meets_deadline = false: %+v", e.Fields)
-			}
-			break
-		}
-	}
-	// A nil log must be inert on the same path.
-	sc.Events = nil
-	if _, err := (PCNN{}).Run(sc); err != nil {
-		t.Fatalf("nil event log broke the scheduler: %v", err)
 	}
 }
 

@@ -76,11 +76,6 @@ func (e *Engine) SetPrecision(p Precision) { e.precision.Store(int32(p)) }
 // Precision returns the engine's current forward-GEMM precision.
 func (e *Engine) Precision() Precision { return Precision(e.precision.Load()) }
 
-// F16Round returns x rounded through IEEE 754 half-precision storage
-// (round-to-nearest-even), the value an fp16 memory path would read
-// back. Out-of-range magnitudes saturate to ±Inf as the format does.
-func F16Round(x float32) float32 { return f16ToF32(f32ToF16(x)) }
-
 // f32ToF16 converts to IEEE half bits with round-to-nearest-even.
 func f32ToF16(f float32) uint16 {
 	b := math.Float32bits(f)
@@ -141,7 +136,9 @@ func f16ToF32(h uint16) float32 {
 	return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
 }
 
-// f16RoundInto writes F16Round(src[i]) into dst.
+// f16RoundInto writes src rounded through IEEE 754 half-precision storage
+// (round-to-nearest-even) into dst — the values an fp16 memory path would
+// read back. Out-of-range magnitudes saturate to ±Inf as the format does.
 func f16RoundInto(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = f16ToF32(f32ToF16(v))

@@ -46,6 +46,11 @@ func TestPrecisionStringOutOfRange(t *testing.T) {
 }
 
 func TestF16RoundProperties(t *testing.T) {
+	f16Round := func(x float32) float32 {
+		var out [1]float32
+		f16RoundInto(out[:], []float32{x})
+		return out[0]
+	}
 	// Exact fixtures spanning the format's edges.
 	fixtures := []struct{ in, want float32 }{
 		{0, 0}, {1, 1}, {-1, -1}, {0.5, 0.5}, {65504, 65504},
@@ -54,24 +59,24 @@ func TestF16RoundProperties(t *testing.T) {
 		{-100000, float32(math.Inf(-1))}, // ...on both sides
 	}
 	for _, f := range fixtures {
-		if got := F16Round(f.in); got != f.want {
-			t.Fatalf("F16Round(%g) = %g, want %g", f.in, got, f.want)
+		if got := f16Round(f.in); got != f.want {
+			t.Fatalf("f16Round(%g) = %g, want %g", f.in, got, f.want)
 		}
 	}
-	if !math.IsNaN(float64(F16Round(float32(math.NaN())))) {
-		t.Fatal("F16Round(NaN) is not NaN")
+	if !math.IsNaN(float64(f16Round(float32(math.NaN())))) {
+		t.Fatal("f16Round(NaN) is not NaN")
 	}
 	// Normal-range values: idempotent, sign-preserving, relative error
 	// within the half-precision unit roundoff 2^-11.
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		x := (rng.Float32()*2 - 1) * 200
-		r := F16Round(x)
-		if F16Round(r) != r {
-			t.Fatalf("F16Round not idempotent at %g: %g -> %g", x, r, F16Round(r))
+		r := f16Round(x)
+		if f16Round(r) != r {
+			t.Fatalf("f16Round not idempotent at %g: %g -> %g", x, r, f16Round(r))
 		}
 		if err := math.Abs(float64(r-x)) / math.Max(math.Abs(float64(x)), 6.1e-5); err > 1.0/2048 {
-			t.Fatalf("F16Round(%g) = %g: relative error %g", x, r, err)
+			t.Fatalf("f16Round(%g) = %g: relative error %g", x, r, err)
 		}
 	}
 }

@@ -187,21 +187,6 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// Argmax returns the flat index of the maximum element.
-// It panics on an empty tensor.
-func (t *Tensor) Argmax() int {
-	if len(t.Data) == 0 {
-		panic("tensor: Argmax of empty tensor")
-	}
-	best := 0
-	for i, v := range t.Data {
-		if v > t.Data[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // String renders a compact description (shape plus a few leading values).
 func (t *Tensor) String() string {
 	n := len(t.Data)

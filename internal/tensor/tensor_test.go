@@ -126,9 +126,6 @@ func TestSumArgmaxMaxAbs(t *testing.T) {
 	if got := x.Sum(); got != 0 {
 		t.Fatalf("Sum = %v, want 0", got)
 	}
-	if got := x.Argmax(); got != 2 {
-		t.Fatalf("Argmax = %d, want 2", got)
-	}
 	if got := x.MaxAbs(); got != 5 {
 		t.Fatalf("MaxAbs = %v, want 5", got)
 	}

@@ -65,29 +65,6 @@ func NewMMPPArrivals(states []MMPPState, seed int64) *MMPPArrivals {
 	return m
 }
 
-// States returns a copy of the (sanitized) state table.
-func (m *MMPPArrivals) States() []MMPPState {
-	return append([]MMPPState(nil), m.states...)
-}
-
-// State returns the index of the state the process currently dwells in.
-func (m *MMPPArrivals) State() int { return m.cur }
-
-// MeanRateRPS returns the long-run arrival rate: the dwell-weighted blend
-// of the state rates (for the round-robin cycle, stationary probabilities
-// are proportional to mean dwells).
-func (m *MMPPArrivals) MeanRateRPS() float64 {
-	var num, den float64
-	for _, s := range m.states {
-		num += s.RateRPS * s.MeanDwell.Seconds()
-		den += s.MeanDwell.Seconds()
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // drawDwell samples the current state's exponential sojourn time.
 func (m *MMPPArrivals) drawDwell() time.Duration {
 	mean := m.states[m.cur].MeanDwell

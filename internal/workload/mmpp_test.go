@@ -21,8 +21,8 @@ func TestMMPPDeterministicSameSeed(t *testing.T) {
 		if ga != gb {
 			t.Fatalf("gap %d diverged: %v vs %v", i, ga, gb)
 		}
-		if a.State() != b.State() {
-			t.Fatalf("state %d diverged: %d vs %d", i, a.State(), b.State())
+		if a.cur != b.cur {
+			t.Fatalf("state %d diverged: %d vs %d", i, a.cur, b.cur)
 		}
 	}
 	// A different seed must diverge somewhere early.
@@ -45,9 +45,6 @@ func TestMMPPDeterministicSameSeed(t *testing.T) {
 func TestMMPPMeanRateConverges(t *testing.T) {
 	const target = 120.0
 	m := BurstyArrivals(target, 7)
-	if got := m.MeanRateRPS(); math.Abs(got-target) > 1e-9 {
-		t.Fatalf("configured blend %v, want %v", got, target)
-	}
 	const n = 200000
 	var total time.Duration
 	for i := 0; i < n; i++ {
@@ -89,7 +86,7 @@ func TestMMPPSanitizesStates(t *testing.T) {
 		{RateRPS: -5, MeanDwell: time.Millisecond},
 		{RateRPS: 100, MeanDwell: time.Second},
 	}, 9)
-	for i, s := range m.States() {
+	for i, s := range m.states {
 		if math.IsNaN(s.RateRPS) || math.IsInf(s.RateRPS, 0) || s.RateRPS < 0 {
 			t.Errorf("state %d rate %v not sanitized", i, s.RateRPS)
 		}
@@ -97,18 +94,15 @@ func TestMMPPSanitizesStates(t *testing.T) {
 			t.Errorf("state %d dwell %v not sanitized", i, s.MeanDwell)
 		}
 	}
-	if m.MeanRateRPS() <= 0 {
-		t.Errorf("blend %v not positive", m.MeanRateRPS())
-	}
 	// Empty spec falls back to a usable default.
-	if def := NewMMPPArrivals(nil, 1); def.MeanRateRPS() <= 0 {
-		t.Error("empty spec produced a dead process")
+	if def := NewMMPPArrivals(nil, 1); len(def.states) != 1 || def.states[0].RateRPS <= 0 {
+		t.Errorf("empty spec produced a dead process: %+v", def.states)
 	}
 }
 
 // FuzzMMPPArrivals hammers the process with arbitrary two-state specs:
-// every gap must be non-negative and finite, the state index must stay in
-// bounds, and the configured blend must be finite and non-negative.
+// every gap must be non-negative and finite and the state index must stay
+// in bounds.
 func FuzzMMPPArrivals(f *testing.F) {
 	f.Add(50.0, 400.0, int64(200), int64(50), int64(42))
 	f.Add(0.0, 1000.0, int64(1), int64(1), int64(7))
@@ -119,16 +113,13 @@ func FuzzMMPPArrivals(f *testing.F) {
 			{RateRPS: r1, MeanDwell: time.Duration(d1ms) * time.Millisecond},
 			{RateRPS: r2, MeanDwell: time.Duration(d2ms) * time.Millisecond},
 		}, seed)
-		if blend := m.MeanRateRPS(); math.IsNaN(blend) || math.IsInf(blend, 0) || blend < 0 {
-			t.Fatalf("blend %v not finite and non-negative", blend)
-		}
 		for i := 0; i < 200; i++ {
 			g := m.Next()
 			if g < 0 {
 				t.Fatalf("gap %d negative: %v", i, g)
 			}
-			if s := m.State(); s < 0 || s >= len(m.States()) {
-				t.Fatalf("state index %d out of [0,%d)", s, len(m.States()))
+			if m.cur < 0 || m.cur >= len(m.states) {
+				t.Fatalf("state index %d out of [0,%d)", m.cur, len(m.states))
 			}
 		}
 	})

@@ -60,8 +60,6 @@ type (
 	// Lab bundles the synthetic task and training recipe behind the
 	// accuracy experiments.
 	Lab = core.Lab
-	// Scheduler is one scheduling policy (P-CNN or a baseline).
-	Scheduler = sched.Scheduler
 	// Outcome is a scheduler's simulated result: response time, energy,
 	// entropy and SoC.
 	Outcome = sched.Outcome
@@ -91,14 +89,8 @@ type (
 	ServeTrace = obs.Trace
 	// LayerProfile is one layer's slice of a simulated plan execution —
 	// predicted vs simulated time, energy, utilizations
-	// (Server.LayerProfile, Plan.SimulateProfiled).
+	// (Server.LayerProfile, Plan.ProfileResults).
 	LayerProfile = compile.LayerProfile
-	// EventLog is a bounded ring of decision events; attach one to a
-	// Scenario (P-CNN scheduling decisions) or a runtime manager
-	// (calibration backtracks). A nil log records nothing.
-	EventLog = obs.EventLog
-	// DecisionEvent is one recorded decision in an EventLog.
-	DecisionEvent = obs.Event
 	// FaultSpec declares a seeded fault-injection scenario (rates per
 	// kind, slow factor, corruption nats, clock-skew bound). The zero
 	// value injects nothing; see ParseFaultSpec for the flag grammar.
@@ -147,8 +139,6 @@ type (
 	FleetNode = fleet.Node
 	// FleetNodeConfig shapes the servers a fleet node builds.
 	FleetNodeConfig = fleet.NodeConfig
-	// FleetHTTPReplica routes to an out-of-process pcnnd daemon.
-	FleetHTTPReplica = fleet.HTTPReplica
 	// FleetFuture resolves a routed (possibly hedged) fleet request.
 	FleetFuture = fleet.FleetFuture
 	// FleetTicket is one submitted request leg (memoizing Wait).
@@ -160,9 +150,6 @@ type (
 	FleetSoakSpec = fleet.SoakSpec
 	// FleetSoakReport is the soak's byte-reproducible result.
 	FleetSoakReport = fleet.SoakReport
-	// FleetHTTPReplicaConfig tunes a remote replica (static weight,
-	// prediction staleness bound, HTTP client, clock injection).
-	FleetHTTPReplicaConfig = fleet.HTTPReplicaConfig
 	// ServePrediction is one server's Eq 12 serving forecast
 	// (Server.Predict, the GET /predict payload core).
 	ServePrediction = serve.Prediction
@@ -212,29 +199,12 @@ func NewFleetNode(id, platform string, reg *FleetRegistry, cfg FleetNodeConfig) 
 	return fleet.NewNode(id, platform, reg, cfg)
 }
 
-// NewFleetDeployment assembles a deployment from per-platform executors.
-func NewFleetDeployment(model string, task Task, executors map[string]serve.Executor) (*FleetDeployment, error) {
-	return fleet.NewDeployment(model, task, executors)
-}
-
 // CompileFleetDeployment compiles a model for a task on every named
 // platform — the production path onto the fleet. dvfs additionally
 // applies the DVFS frequency ladder (a distinguishable recompilation,
 // useful for exercising hot-swap).
 func CompileFleetDeployment(model string, task Task, platforms []string, dvfs bool) (*FleetDeployment, error) {
 	return fleet.CompileDeployment(model, task, platforms, dvfs)
-}
-
-// NewFleetHTTPReplica points a replica identity at a remote pcnnd
-// daemon's base URL with a static ring weight (0 = mean).
-func NewFleetHTTPReplica(id, platform, baseURL string, weight float64) *FleetHTTPReplica {
-	return fleet.NewHTTPReplica(id, platform, baseURL, weight, nil)
-}
-
-// NewFleetHTTPReplicaConfig is NewFleetHTTPReplica with the full
-// configuration surface (prediction freshness bound, injected clock).
-func NewFleetHTTPReplicaConfig(id, platform, baseURL string, cfg FleetHTTPReplicaConfig) *FleetHTTPReplica {
-	return fleet.NewHTTPReplicaConfig(id, platform, baseURL, cfg)
 }
 
 // NewFleetHandler wires the fleet daemon's full HTTP API (POST /infer,
@@ -255,10 +225,6 @@ func DefaultScenarios(seed int64) []ScenarioSpec { return scenario.DefaultMatrix
 
 // SmokeScenarios is the CI gate's small scenario grid.
 func SmokeScenarios(seed int64) []ScenarioSpec { return scenario.SmokeMatrix(seed) }
-
-// NewEventLog builds a decision-event ring holding the most recent n
-// events.
-func NewEventLog(n int) *EventLog { return obs.NewEventLog(n) }
 
 // Serving sentinel errors, re-exported for errors.Is.
 var (
@@ -351,10 +317,6 @@ func Compile(net *NetShape, dev *Device, task Task) (*Plan, error) {
 
 // NewLab builds the synthetic-task accuracy laboratory.
 func NewLab(seed int64) *Lab { return core.NewLab(seed) }
-
-// Schedulers returns the evaluation suite: Performance-preferred,
-// Energy-efficient, QPE, QPE+, P-CNN and the Ideal oracle.
-func Schedulers() []Scheduler { return sched.All() }
 
 // SharedResult reports a spatial-multitasking co-run (Plan.SimulateShared).
 type SharedResult = compile.SharedResult

@@ -53,9 +53,23 @@ func TestDeployUnknownPlatform(t *testing.T) {
 	}
 }
 
+// TestSchedulersSuite: evaluating a framework runs the whole suite —
+// Performance-preferred, Energy-efficient, QPE, QPE+, P-CNN and Ideal.
 func TestSchedulersSuite(t *testing.T) {
-	if got := len(Schedulers()); got != 6 {
-		t.Fatalf("Schedulers() = %d, want 6", got)
+	fw, err := New("AlexNet", PlatformByName("K20c"), AgeDetection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := fw.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, o := range outs {
+		names[o.Scheduler] = true
+	}
+	if len(outs) != 6 || len(names) != 6 {
+		t.Fatalf("Evaluate ran %d schedulers (%d distinct), want 6", len(outs), len(names))
 	}
 }
 
