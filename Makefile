@@ -137,7 +137,7 @@ chaos:
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator
 # must serve every accepted request with positive SoC, and the virtual-clock
-# load sweep must show cross-stream batching engaged at capacity
+# load sweep must show batching engaged at capacity
 # (mean batch > 1) with the 2x-overload miss rate bounded under 50%.
 serve-smoke:
 	$(GO) run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance \
@@ -156,12 +156,14 @@ bench-serve:
 # (bench-serve, scenarios) into a temp dir and requires BENCH_serve.json and
 # BENCH_scenarios.{json,prom} byte-identical to the committed files;
 # bench-verify adds the full 1,000,000-request soak-fleet (~1 min), which
-# is why only the fast half rides in ci.
+# is why only the fast half rides in ci. Each cmp exits on its own: inside
+# an && list `set -e` is off and a loop's status is its last command's, so
+# a differing first file would otherwise pass.
 bench-verify-fast:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
 	$(MAKE) --no-print-directory bench-serve scenarios OUT=$$tmp && \
 	for f in BENCH_serve.json BENCH_scenarios.json BENCH_scenarios.prom; do \
-		cmp $$tmp/$$f $$f; done && echo "bench-verify-fast: 3 files byte-identical"
+		cmp $$tmp/$$f $$f || exit 1; done && echo "bench-verify-fast: 3 files byte-identical"
 
 bench-verify: bench-verify-fast
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \

@@ -34,7 +34,6 @@ type benchPoint struct {
 	MeanSoC            float64 `json:"mean_soc"`
 	EnergyPerImgJ      float64 `json:"energy_per_image_j"`
 	Escalations        uint64  `json:"escalations"`
-	Promotions         uint64  `json:"priority_promotions"`
 	Level              int     `json:"final_level"`
 }
 
@@ -250,7 +249,6 @@ func benchLevel(fw *pcnn.Framework, cfg pcnn.ServeConfig, factor, capacity float
 		MeanSoC:            snap.MeanSoC,
 		EnergyPerImgJ:      snap.EnergyPerImageJ,
 		Escalations:        snap.Escalations,
-		Promotions:         snap.Promotions,
 		Level:              snap.Level,
 	}, capacity, nil
 }

@@ -14,7 +14,6 @@ import (
 // VGG-S ≈81%, GoogLeNet-S ≈90% at noise 0.9). Experiments that need a
 // *trained* classifier (Table I, Fig 16, the runtime manager) start here.
 type Lab struct {
-	Cfg   workload.SynthConfig
 	Train *nn.Dataset
 	Test  *nn.Dataset
 }
@@ -37,7 +36,7 @@ func NewLab(seed int64) *Lab {
 	cfg.Seed = seed
 	s := workload.NewSynth(cfg)
 	train, test := s.TrainTest(labTrainSamples, labTestSamples)
-	return &Lab{Cfg: cfg, Train: train, Test: test}
+	return &Lab{Train: train, Test: test}
 }
 
 // TrainNet trains the named scaled network ("AlexNet", "VGGNet" or

@@ -267,7 +267,7 @@ func Fig7Data() (*report.Table, error) {
 	dev := &gpu.Device{
 		Name: "fig7", Class: gpu.Desktop, NumSMs: 4, ClockMHz: 1000, CoresPerSM: 128,
 		RegistersPerSM: 65536, SharedMemPerSM: 49152, MaxCTAsPerSM: 16, MaxThreadsPerSM: 2048,
-		MaxRegsPerThread: 255, GlobalMemBytes: 1 << 30, UsableMemFrac: 1,
+		GlobalMemBytes: 1 << 30, UsableMemFrac: 1,
 		MemBandwidthGBps: 128, PerThreadIPC: 0.25, IdlePowerW: 10,
 		SMStaticPowerW: 2, SMDynPowerW: 4, DRAMPowerPerGBps: 0.05,
 	}

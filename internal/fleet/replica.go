@@ -648,7 +648,6 @@ func (h *HTTPReplica) Stats(model string) (serve.Snapshot, bool) {
 		sum.Batches += st.Batches
 		sum.DemotedBatches += st.DemotedBatches
 		sum.DeadlineMissed += st.DeadlineMissed
-		sum.Promotions += st.Promotions
 		sum.QueueDepth += st.QueueDepth
 		sum.Retries += st.Retries
 		sum.ExecTimeouts += st.ExecTimeouts

@@ -110,8 +110,10 @@ type SoakSpec struct {
 	// PR 9 residual). With it off, overload resolves through the
 	// degradation ladder, deadline misses, and — in hedge rows — hedged
 	// second legs, which is the comparison the hedge/no-hedge twins
-	// exist to make. The early-rejection trade itself is the scenario
-	// matrix's RejectUnmeetable axis (BENCH_scenarios.json).
+	// exist to make. No committed file measures the early-rejection trade
+	// itself: every row of the scenario matrix (BENCH_scenarios.json)
+	// serves with rejection on — scenario.Spec.DisableReject is the
+	// control no row sets.
 	RejectUnmeetable bool `json:"reject_unmeetable"`
 }
 

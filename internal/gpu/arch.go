@@ -43,11 +43,10 @@ type Device struct {
 	CoresPerSM int
 
 	// Per-SM occupancy limits (Table VI).
-	RegistersPerSM   int // 32-bit registers per SM (e.g. 65536)
-	SharedMemPerSM   int // bytes of shared memory per SM (e.g. 49152)
-	MaxCTAsPerSM     int // hardware CTA slots (e.g. 16)
-	MaxThreadsPerSM  int // resident thread limit (e.g. 2048)
-	MaxRegsPerThread int
+	RegistersPerSM  int // 32-bit registers per SM (e.g. 65536)
+	SharedMemPerSM  int // bytes of shared memory per SM (e.g. 49152)
+	MaxCTAsPerSM    int // hardware CTA slots (e.g. 16)
+	MaxThreadsPerSM int // resident thread limit (e.g. 2048)
 
 	// Memory system.
 	GlobalMemBytes int64   // device memory capacity

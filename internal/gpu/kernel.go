@@ -55,12 +55,6 @@ func (k Kernel) FMAFraction() float64 {
 	return k.FMAInsts / tot
 }
 
-// FLOPs returns the total floating-point operations performed by the
-// launch (2 per FMA).
-func (k Kernel) FLOPs() float64 {
-	return 2 * k.FMAInsts * float64(k.BlockSize) * float64(k.GridSize)
-}
-
 // issueWorkPerCTA returns the instruction-issue work of one CTA in
 // thread-instruction units.
 func (k Kernel) issueWorkPerCTA() float64 {

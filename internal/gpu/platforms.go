@@ -19,7 +19,6 @@ func K20c() *Device {
 		SharedMemPerSM:   49152,
 		MaxCTAsPerSM:     16,
 		MaxThreadsPerSM:  2048,
-		MaxRegsPerThread: 255,
 		GlobalMemBytes:   5 << 30,
 		UsableMemFrac:    0.92,
 		MemBandwidthGBps: 208,
@@ -44,7 +43,6 @@ func TitanX() *Device {
 		SharedMemPerSM:   49152,
 		MaxCTAsPerSM:     16,
 		MaxThreadsPerSM:  2048,
-		MaxRegsPerThread: 255,
 		GlobalMemBytes:   12 << 30,
 		UsableMemFrac:    0.95,
 		MemBandwidthGBps: 336,
@@ -69,7 +67,6 @@ func GTX970m() *Device {
 		SharedMemPerSM:   49152,
 		MaxCTAsPerSM:     16,
 		MaxThreadsPerSM:  2048,
-		MaxRegsPerThread: 255,
 		GlobalMemBytes:   3 << 30,
 		UsableMemFrac:    0.92,
 		MemBandwidthGBps: 120,
@@ -85,18 +82,17 @@ func GTX970m() *Device {
 // 4GB LPDDR4 shared with the host OS at 25.6 GB/s).
 func TX1() *Device {
 	return &Device{
-		Name:             "TX1",
-		Class:            Mobile,
-		NumSMs:           2,
-		ClockMHz:         998,
-		CoresPerSM:       128,
-		RegistersPerSM:   65536,
-		SharedMemPerSM:   49152,
-		MaxCTAsPerSM:     16,
-		MaxThreadsPerSM:  2048,
-		MaxRegsPerThread: 255,
-		GlobalMemBytes:   4 << 30,
-		UsableMemFrac:    0.475, // LPDDR4 shared with the OS; just under half usable
+		Name:            "TX1",
+		Class:           Mobile,
+		NumSMs:          2,
+		ClockMHz:        998,
+		CoresPerSM:      128,
+		RegistersPerSM:  65536,
+		SharedMemPerSM:  49152,
+		MaxCTAsPerSM:    16,
+		MaxThreadsPerSM: 2048,
+		GlobalMemBytes:  4 << 30,
+		UsableMemFrac:   0.475, // LPDDR4 shared with the OS; just under half usable
 		// The TX1 sustains roughly 70% of its rated 25.6 GB/s (LPDDR4
 		// efficiency, bandwidth shared with the host), and its mobile
 		// Maxwell SMs issue below the desktop rate under thermal limits.

@@ -8,16 +8,15 @@ import (
 
 // Result reports what one simulated kernel launch did.
 type Result struct {
-	Kernel         string
-	Cycles         float64 // core cycles from launch to last CTA retirement
-	TimeMS         float64
-	EnergyJ        float64
-	AvgPowerW      float64
-	ActiveSMs      int     // SMs that hosted at least one CTA
-	MaxResident    int     // peak CTAs resident device-wide
-	IssueUtil      float64 // time-averaged fraction of total issue bandwidth used
-	DRAMUtil       float64 // time-averaged fraction of DRAM bandwidth used
-	AchievedGFLOPs float64
+	Kernel      string
+	Cycles      float64 // core cycles from launch to last CTA retirement
+	TimeMS      float64
+	EnergyJ     float64
+	AvgPowerW   float64
+	ActiveSMs   int     // SMs that hosted at least one CTA
+	MaxResident int     // peak CTAs resident device-wide
+	IssueUtil   float64 // time-averaged fraction of total issue bandwidth used
+	DRAMUtil    float64 // time-averaged fraction of DRAM bandwidth used
 }
 
 // Launch pairs a kernel with its placement configuration.
@@ -67,8 +66,8 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 // simulate is the one event loop: it runs the launches from time zero,
 // each on the SMs its dispatch window owns and all sharing the DRAM
 // channel, until every grid drains. out[k] receives launch k's name,
-// completion (Cycles, TimeMS, AchievedGFLOPs) and placement (ActiveSMs,
-// MaxResident); the returned Result holds the device-wide span, energy,
+// completion (Cycles, TimeMS) and placement (ActiveSMs, MaxResident);
+// the returned Result holds the device-wide span, energy,
 // power and utilizations. A single launch owning whatever window it asks
 // for is the plain kernel launch.
 //
@@ -335,9 +334,6 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 			if u {
 				r.ActiveSMs++
 			}
-		}
-		if r.TimeMS > 0 {
-			r.AchievedGFLOPs = launches[k].Kernel.FLOPs() / (r.TimeMS * 1e-3) / 1e9
 		}
 	}
 	total := Result{Cycles: now, TimeMS: d.CyclesToMS(now), EnergyJ: energyJ}

@@ -19,7 +19,6 @@ func testDevice() *Device {
 		SharedMemPerSM:   49152,
 		MaxCTAsPerSM:     16,
 		MaxThreadsPerSM:  2048,
-		MaxRegsPerThread: 255,
 		GlobalMemBytes:   1 << 30,
 		UsableMemFrac:    1,
 		MemBandwidthGBps: 128, // 128 bytes/cycle at 1GHz

@@ -26,10 +26,7 @@ type TileConfig struct {
 	M, N      int // sub-matrix size m×n (the paper's tuning knob #1)
 	BlockSize int // threads per CTA
 	BaseRegs  int // curReg: natural register usage per thread
-	SharedMem int // bytes of shared memory per CTA
-	// DoubleBuffered notes whether the staging buffers are double
-	// buffered (large tiles are; it is folded into SharedMem).
-	DoubleBuffered bool
+	SharedMem int // bytes of shared memory per CTA (double buffering included)
 }
 
 // String renders "m×n".
@@ -74,9 +71,9 @@ func StandardTiles() []TileConfig {
 		// memory — limit occupancy, which is what produces the TLP 2…8
 		// staircase of Fig 9 on K20.
 		{M: 128, N: 128, BlockSize: 256, BaseRegs: 127, SharedMem: 4352},
-		{M: 128, N: 64, BlockSize: 128, BaseRegs: 120, SharedMem: 12544, DoubleBuffered: true},
-		{M: 128, N: 32, BlockSize: 128, BaseRegs: 90, SharedMem: 10496, DoubleBuffered: true},
-		{M: 64, N: 64, BlockSize: 256, BaseRegs: 79, SharedMem: 8468, DoubleBuffered: true},
+		{M: 128, N: 64, BlockSize: 128, BaseRegs: 120, SharedMem: 12544},
+		{M: 128, N: 32, BlockSize: 128, BaseRegs: 90, SharedMem: 10496},
+		{M: 64, N: 64, BlockSize: 256, BaseRegs: 79, SharedMem: 8468},
 		{M: 32, N: 32, BlockSize: 64, BaseRegs: 48, SharedMem: 2304},
 	}
 }

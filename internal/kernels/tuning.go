@@ -118,7 +118,6 @@ type Choice struct {
 	Grid   int
 	Score  float64 // S_kernel of the winning point
 	Kernel gpu.Kernel
-	Spill  SpillPlan
 }
 
 // String summarizes the choice.
@@ -159,7 +158,6 @@ func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 					Grid:   kern.GridSize,
 					Score:  score,
 					Kernel: kern,
-					Spill:  PlanSpill(tile, cand.Regs, k, dev),
 				}
 				found = true
 			}

@@ -9,11 +9,10 @@ package nn
 // per-group result matrices as 128×729 and 128×169.
 func AlexNetShape() *NetShape {
 	return &NetShape{
-		Name:       "AlexNet",
-		InputC:     3,
-		InputH:     227,
-		InputW:     227,
-		NumClasses: 1000,
+		Name:   "AlexNet",
+		InputC: 3,
+		InputH: 227,
+		InputW: 227,
 		Layers: []LayerSpec{
 			conv("CONV1", 3, 227, 227, 96, 11, 4, 0, 1),
 			pool("POOL1", 96, 55, 55, 3, 2),
@@ -34,11 +33,10 @@ func AlexNetShape() *NetShape {
 // Zisserman), the paper's "VGGNet".
 func VGGNetShape() *NetShape {
 	n := &NetShape{
-		Name:       "VGGNet",
-		InputC:     3,
-		InputH:     224,
-		InputW:     224,
-		NumClasses: 1000,
+		Name:   "VGGNet",
+		InputC: 3,
+		InputH: 224,
+		InputW: 224,
 	}
 	type blk struct {
 		convs int
@@ -94,11 +92,10 @@ func googleNetInceptions() []inceptionSpec {
 // inception module contributes six convolutional GEMMs.
 func GoogLeNetShape() *NetShape {
 	n := &NetShape{
-		Name:       "GoogLeNet",
-		InputC:     3,
-		InputH:     224,
-		InputW:     224,
-		NumClasses: 1000,
+		Name:   "GoogLeNet",
+		InputC: 3,
+		InputH: 224,
+		InputW: 224,
 	}
 	n.Layers = append(n.Layers,
 		conv("CONV1", 3, 224, 224, 64, 7, 2, 3, 1),

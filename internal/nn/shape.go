@@ -193,12 +193,11 @@ func (l LayerSpec) Name() string {
 
 // NetShape is the full shape table of a network.
 type NetShape struct {
-	Name       string
-	InputC     int
-	InputH     int
-	InputW     int
-	NumClasses int
-	Layers     []LayerSpec
+	Name   string
+	InputC int
+	InputH int
+	InputW int
+	Layers []LayerSpec
 }
 
 // ConvLayers returns only the convolutional layer shapes, in order.

@@ -160,15 +160,3 @@ func (f *Figure) Render(w io.Writer) {
 	}
 	t.Render(w)
 }
-
-// Bar renders a quick ASCII bar for a value within [0, max].
-func Bar(v, max float64, width int) string {
-	if max <= 0 || v < 0 {
-		return ""
-	}
-	n := int(v / max * float64(width))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("█", n)
-}

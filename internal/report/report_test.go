@@ -85,15 +85,3 @@ func TestFigureRenderEmpty(t *testing.T) {
 		t.Fatalf("empty figure lost its title")
 	}
 }
-
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != "█████" {
-		t.Fatalf("Bar = %q", got)
-	}
-	if got := Bar(20, 10, 10); len([]rune(got)) != 10 {
-		t.Fatalf("Bar overflow = %q", got)
-	}
-	if got := Bar(1, 0, 10); got != "" {
-		t.Fatalf("Bar with zero max = %q", got)
-	}
-}

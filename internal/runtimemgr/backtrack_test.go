@@ -123,65 +123,3 @@ func TestCalibrationBacktracksOneStep(t *testing.T) {
 		})
 	}
 }
-
-// TestFaultBacktrack covers the repeated-fault calibration trigger: a
-// streak of NoteFault calls backtracks exactly one level, a successful
-// inference in between resets the streak, and a zero threshold disables
-// the trigger entirely.
-func TestFaultBacktrack(t *testing.T) {
-	t.Run("streak triggers one backtrack", func(t *testing.T) {
-		m, _ := syntheticManager(t, 4, 1.0)
-		m.FaultBacktrackAfter = 3
-		if m.NoteFault() || m.NoteFault() {
-			t.Fatal("backtracked before the streak completed")
-		}
-		if m.Level() != 3 {
-			t.Fatalf("level moved early: %d", m.Level())
-		}
-		if !m.NoteFault() {
-			t.Fatal("third consecutive fault should backtrack")
-		}
-		if m.Level() != 2 || m.Calibrations() != 1 {
-			t.Fatalf("level %d calibrations %d, want 2 and 1", m.Level(), m.Calibrations())
-		}
-		// The streak restarted: two more faults are not enough.
-		if m.NoteFault() || m.NoteFault() {
-			t.Fatal("streak did not reset after the backtrack")
-		}
-	})
-	t.Run("success resets the streak", func(t *testing.T) {
-		m, infer := syntheticManager(t, 4, 1.0)
-		m.FaultBacktrackAfter = 2
-		m.Uncertainty = func([][]float32) float64 { return 0.1 }
-		m.NoteFault()
-		infer() // success between faults
-		if m.NoteFault() {
-			t.Fatal("fault after a success should restart the streak")
-		}
-		if m.Level() != 3 {
-			t.Fatalf("level = %d, want untouched 3", m.Level())
-		}
-	})
-	t.Run("disabled trigger never backtracks", func(t *testing.T) {
-		m, _ := syntheticManager(t, 4, 1.0)
-		m.FaultBacktrackAfter = 0
-		for i := 0; i < 10; i++ {
-			if m.NoteFault() {
-				t.Fatal("disabled trigger backtracked")
-			}
-		}
-		if m.Level() != 3 || m.Calibrations() != 0 {
-			t.Fatalf("level %d calibrations %d, want 3 and 0", m.Level(), m.Calibrations())
-		}
-	})
-	t.Run("exhausted path absorbs faults at level zero", func(t *testing.T) {
-		m, _ := syntheticManager(t, 1, 1.0)
-		m.FaultBacktrackAfter = 1
-		if m.NoteFault() {
-			t.Fatal("level 0 has nothing to back off")
-		}
-		if m.Calibrations() != 0 {
-			t.Fatalf("calibrations = %d, want 0", m.Calibrations())
-		}
-	})
-}

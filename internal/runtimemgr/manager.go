@@ -24,15 +24,6 @@ type Manager struct {
 	confidentStreak int
 	// RecoverAfter disables level recovery when 0.
 	RecoverAfter int
-	// FaultBacktrackAfter treats repeated execution faults as a
-	// calibration trigger: that many consecutive NoteFault calls (with no
-	// successful Infer between them) back the tuning level off one step,
-	// the same move an entropy crossing makes — a level that keeps
-	// failing in the field is as untrustworthy as one that is too
-	// uncertain. 0 disables fault-triggered calibration.
-	FaultBacktrackAfter int
-	// faultStreak counts consecutive faults since the last success.
-	faultStreak int
 	// Uncertainty, when non-nil, replaces the mean-entropy measurement on
 	// each Infer — the test seam for driving the calibration loop through
 	// exact threshold crossings (mirroring Tuner.Uncertainty).
@@ -48,12 +39,11 @@ func NewManager(net *nn.Sequential, table *Table, threshold float64) (*Manager, 
 		return nil, fmt.Errorf("runtimemgr: empty tuning table")
 	}
 	m := &Manager{
-		net:                 net,
-		table:               table,
-		threshold:           threshold,
-		level:               len(table.Entries) - 1,
-		RecoverAfter:        8,
-		FaultBacktrackAfter: 3,
+		net:          net,
+		table:        table,
+		threshold:    threshold,
+		level:        len(table.Entries) - 1,
+		RecoverAfter: 8,
 	}
 	m.applyLevel()
 	return m, nil
@@ -90,7 +80,6 @@ func (m *Manager) Infer(x *tensor.Tensor) ([][]float32, float64) {
 	if m.Uncertainty != nil {
 		h = m.Uncertainty(probs)
 	}
-	m.faultStreak = 0 // a successful inference breaks any fault streak
 	switch {
 	case h > m.threshold && m.level > 0:
 		m.level--
@@ -108,31 +97,6 @@ func (m *Manager) Infer(x *tensor.Tensor) ([][]float32, float64) {
 		m.confidentStreak = 0
 	}
 	return probs, h
-}
-
-// NoteFault reports one failed execution at the current level (a launch
-// error, a timeout — anything that produced no usable output). Once
-// FaultBacktrackAfter consecutive faults accumulate with no successful
-// inference between them, the manager calibrates exactly one step back
-// along the tuning path — the same single-step walk an entropy crossing
-// takes — and resets the streak. It reports whether this call backtracked.
-func (m *Manager) NoteFault() bool {
-	if m.FaultBacktrackAfter <= 0 {
-		return false
-	}
-	m.faultStreak++
-	if m.faultStreak < m.FaultBacktrackAfter {
-		return false
-	}
-	m.faultStreak = 0
-	if m.level == 0 {
-		return false // nothing left to back off
-	}
-	m.level--
-	m.calibrations++
-	m.confidentStreak = 0
-	m.applyLevel()
-	return true
 }
 
 // Close restores full computation on the managed network.

@@ -59,9 +59,6 @@ type Outcome struct {
 	SoCAccuracy     float64
 	SoC             float64
 	MeetsDeadline   bool
-	// FreedSMAvg is the average number of SMs released per layer (0 for
-	// non-partitioning schedulers).
-	FreedSMAvg float64
 }
 
 // Scheduler maps a scenario to an outcome.
@@ -100,7 +97,7 @@ func CollectionDelayMS(task satisfaction.Task, batch int) float64 {
 }
 
 // finish assembles the satisfaction numbers shared by every scheduler.
-func finish(name string, sc Scenario, batch int, agg gpu.Aggregate, entropy float64, freed float64) Outcome {
+func finish(name string, sc Scenario, batch int, agg gpu.Aggregate, entropy float64) Outcome {
 	o := Outcome{
 		Scheduler:       name,
 		Batch:           batch,
@@ -108,7 +105,6 @@ func finish(name string, sc Scenario, batch int, agg gpu.Aggregate, entropy floa
 		ResponseMS:      agg.TimeMS + CollectionDelayMS(sc.Task, batch),
 		EnergyPerImageJ: agg.EnergyJ / float64(batch),
 		Entropy:         entropy,
-		FreedSMAvg:      freed,
 	}
 	o.SoCTime = sc.Task.SoCTime(o.ResponseMS)
 	o.SoCAccuracy = sc.Task.SoCAccuracy(entropy)
@@ -158,7 +154,7 @@ func (PerformancePreferred) Run(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	return finish("Perf", sc, 1, agg, sc.basePoint().Entropy, 0), nil
+	return finish("Perf", sc, 1, agg, sc.basePoint().Entropy), nil
 }
 
 // EnergyEfficient batches at the training-stage batch size to maximize
@@ -182,7 +178,7 @@ func (EnergyEfficient) Run(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	return finish("Energy", sc, b, agg, sc.basePoint().Entropy, 0), nil
+	return finish("Energy", sc, b, agg, sc.basePoint().Entropy), nil
 }
 
 // QPE schedules for least energy under the time requirement using the
@@ -208,7 +204,7 @@ func (QPE) Run(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	return finish("QPE", sc, plan.Batch, agg, sc.basePoint().Entropy, 0), nil
+	return finish("QPE", sc, plan.Batch, agg, sc.basePoint().Entropy), nil
 }
 
 // QPEPlus is QPE plus the resource model: each layer runs on its optSM
@@ -232,7 +228,7 @@ func (QPEPlus) Run(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	return finish("QPE+", sc, plan.Batch, agg, sc.basePoint().Entropy, avgFreed(plan)), nil
+	return finish("QPE+", sc, plan.Batch, agg, sc.basePoint().Entropy), nil
 }
 
 // PCNN is the full framework: offline compilation, SM partitioning with
@@ -268,7 +264,7 @@ func (PCNN) Run(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	o := finish("P-CNN", sc, plan.Batch, agg, pt.Entropy, avgFreed(plan))
+	o := finish("P-CNN", sc, plan.Batch, agg, pt.Entropy)
 	if o.MeetsDeadline {
 		return o, nil
 	}
@@ -278,7 +274,7 @@ func (PCNN) Run(sc Scenario) (Outcome, error) {
 		if err != nil {
 			return Outcome{}, err
 		}
-		esc := finish("P-CNN", sc, plan.Batch, agg, cand.Entropy, avgFreed(plan))
+		esc := finish("P-CNN", sc, plan.Batch, agg, cand.Entropy)
 		if esc.MeetsDeadline {
 			return esc, nil
 		}
@@ -313,7 +309,7 @@ func (Ideal) Run(sc Scenario) (Outcome, error) {
 		if err != nil {
 			return Outcome{}, err
 		}
-		o := finish("Ideal", sc, plan.Batch, agg, pt.Entropy, avgFreed(plan))
+		o := finish("Ideal", sc, plan.Batch, agg, pt.Entropy)
 		if o.SoC > best.SoC {
 			best = o
 		}
@@ -333,17 +329,4 @@ func simulatePoint(plan *compile.Plan, pt TuningPoint) (gpu.Aggregate, error) {
 	}
 	_, agg, err := plan.Device().Run(launches)
 	return agg, err
-}
-
-// avgFreed averages the per-layer freed-SM counts.
-func avgFreed(plan *compile.Plan) float64 {
-	freed := plan.FreedSMs()
-	if len(freed) == 0 {
-		return 0
-	}
-	var s int
-	for _, f := range freed {
-		s += f
-	}
-	return float64(s) / float64(len(freed))
 }

@@ -74,12 +74,11 @@ func (ft *flushTimer) stopDrain() {
 }
 
 // batcher is the coalescing loop: it drains admitted requests into the
-// per-archetype priority queues, forms cross-stream batches of up to
-// MaxBatch in effective-priority order, and hands them to the worker pool
-// when the batch fills or the tightest pending head's slack (deadline −
-// Eq 12 prediction) runs out. Backpressure is natural: when every worker
-// is busy the flush send blocks, the admission queue fills, and Submit
-// starts rejecting.
+// pending FIFO, forms batches of up to MaxBatch in admission order, and
+// hands them to the worker pool when the batch fills or the head's slack
+// (deadline − Eq 12 prediction) runs out. Backpressure is natural: when
+// every worker is busy the flush send blocks, the admission queue fills,
+// and Submit starts rejecting.
 //
 // A timer fire is a *hint*, not a command: the delay it was armed with
 // described an older pending set, and requests admitted since (or a level
@@ -91,7 +90,7 @@ func (s *Server) batcher() {
 	defer close(s.batcherDone)
 	defer close(s.flushCh)
 
-	q := &prioQueues{agingMS: s.cfg.AgingMS}
+	q := &fifo{}
 	ft := s.newBatcherTimer()
 
 	for {
@@ -104,8 +103,8 @@ func (s *Server) batcher() {
 			}
 			q.push(r)
 			// Absorb any burst already admitted before deciding, so batch
-			// formation sees the full cross-stream picture rather than one
-			// arrival per loop turn.
+			// formation sees the whole backlog rather than one arrival per
+			// loop turn.
 			s.drainSubmitted(q)
 			if s.cfg.ManualFlush {
 				continue // only Flush/FlushOne (or close-drain) flushes
@@ -166,8 +165,8 @@ func (s *Server) newBatcherTimer() batcherTimer {
 }
 
 // rearm schedules the next autonomous flush for whatever remains pending,
-// or disarms when the queues are empty.
-func (s *Server) rearm(ft batcherTimer, q *prioQueues) {
+// or disarms when nothing is pending.
+func (s *Server) rearm(ft batcherTimer, q *fifo) {
 	if q.len() == 0 {
 		ft.disarm()
 		return
@@ -176,8 +175,8 @@ func (s *Server) rearm(ft batcherTimer, q *prioQueues) {
 }
 
 // drainSubmitted moves every request buffered in the admission queue into
-// the priority bands without blocking.
-func (s *Server) drainSubmitted(q *prioQueues) {
+// the pending FIFO without blocking.
+func (s *Server) drainSubmitted(q *fifo) {
 	for {
 		select {
 		case r, ok := <-s.submitCh:
@@ -191,21 +190,18 @@ func (s *Server) drainSubmitted(q *prioQueues) {
 	}
 }
 
-// flushNext forms and flushes one batch: the top MaxBatch pending
-// requests in effective-priority order. It returns the batch size.
-func (s *Server) flushNext(q *prioQueues) int {
-	batch, promoted := q.take(s.cfg.MaxBatch, s.cfg.Clock())
-	if promoted > 0 {
-		s.st.promotedAdd(uint64(promoted))
-	}
+// flushNext forms and flushes one batch: the first MaxBatch pending
+// requests in admission order. It returns the batch size.
+func (s *Server) flushNext(q *fifo) int {
+	batch := q.take(s.cfg.MaxBatch)
 	s.flush(batch)
 	return len(batch)
 }
 
-// flushAll drains the priority bands completely, one policy-formed batch
-// at a time, so an over-full manual backlog (or a close-drain) still
-// respects the batch cap and the priority order.
-func (s *Server) flushAll(q *prioQueues) {
+// flushAll drains the pending FIFO completely, one batch at a time, so an
+// over-full manual backlog (or a close-drain) still respects the batch
+// cap.
+func (s *Server) flushAll(q *fifo) {
 	for q.len() > 0 {
 		s.flushNext(q)
 	}
@@ -213,7 +209,7 @@ func (s *Server) flushAll(q *prioQueues) {
 
 // flushDelay returns how much longer the batcher may hold the pending
 // batch as a timer duration (≤ 0 means due now).
-func (s *Server) flushDelay(q *prioQueues) time.Duration {
+func (s *Server) flushDelay(q *fifo) time.Duration {
 	d := s.flushDelayMS(q)
 	if d <= 0 {
 		return 0
@@ -229,27 +225,23 @@ func (s *Server) flushDelay(q *prioQueues) time.Duration {
 // inside the deadline instead of just outside it.
 const slackGuardFrac = 0.1
 
-// flushDelayMS is the batching policy: the tightest remaining slack among
-// the band heads — each priced with its own task's deadline against the
-// Eq 12 prediction for the batch about to form, less the safety guard —
-// additionally capped by the linger window from the oldest arrival, so
-// tasks with lazy deadlines (or none at all) still flush promptly.
-func (s *Server) flushDelayMS(q *prioQueues) float64 {
-	oldest := q.oldest()
-	linger := s.cfg.LingerMS - s.sinceMS(oldest.at)
+// flushDelayMS is the batching policy: the head's remaining slack — the
+// task deadline against the Eq 12 prediction for the batch about to form,
+// less the safety guard — capped by the linger window from its arrival,
+// so tasks with lazy deadlines (or none at all) still flush promptly.
+func (s *Server) flushDelayMS(q *fifo) float64 {
+	waited := s.sinceMS(q.oldest().at)
+	linger := s.cfg.LingerMS - waited
 	n := q.len()
 	if n > s.cfg.MaxBatch {
 		n = s.cfg.MaxBatch
 	}
 	pred := s.queuePredictMS(s.ctrl.Level(), n)
-	guard := slackGuardFrac * pred
-	d := linger
-	q.heads(func(r *request) {
-		if slack := r.task.SlackMS(s.sinceMS(r.at), pred) - guard; slack < d {
-			d = slack
-		}
-	})
-	return d
+	slack := s.task.SlackMS(waited, pred) - slackGuardFrac*pred
+	if slack < linger {
+		return slack
+	}
+	return linger
 }
 
 // queuePredictMS estimates how long a flush of n requests will take to
@@ -275,7 +267,7 @@ func (s *Server) flush(reqs []*request) {
 			pred := s.queuePredictMS(l, n)
 			guard := slackGuardFrac * pred
 			for _, r := range reqs {
-				if r.task.SlackMS(s.sinceMS(r.at), pred) < guard {
+				if s.task.SlackMS(s.sinceMS(r.at), pred) < guard {
 					return false
 				}
 			}
@@ -365,8 +357,8 @@ func (s *Server) runBatch(job *batchJob) {
 	s.met.observeBatch(job.level, n)
 
 	perImageJ := res.EnergyJ / float64(n)
-	comfortable := true
-	sawDeadline := false
+	deadline := s.task.Deadline()
+	comfortable := !math.IsInf(deadline, 1)
 	outs := make([]Result, n)
 	for i, r := range job.reqs {
 		queueMS := float64(start.Sub(r.at)) / float64(time.Millisecond)
@@ -374,12 +366,8 @@ func (s *Server) runBatch(job *batchJob) {
 			queueMS = 0
 		}
 		responseMS := queueMS + res.TimeMS
-		deadline := r.task.Deadline()
-		if !math.IsInf(deadline, 1) {
-			sawDeadline = true
-			if responseMS > 0.5*deadline {
-				comfortable = false
-			}
+		if responseMS > 0.5*deadline {
+			comfortable = false
 		}
 		out := Result{
 			ID:              r.id,
@@ -390,7 +378,7 @@ func (s *Server) runBatch(job *batchJob) {
 			ResponseMS:      responseMS,
 			EnergyPerImageJ: perImageJ,
 			Entropy:         res.Entropy,
-			SoC:             r.task.SoC(responseMS, res.Entropy, perImageJ),
+			SoC:             s.task.SoC(responseMS, res.Entropy, perImageJ),
 			DeadlineMet:     responseMS <= deadline,
 		}
 		if res.Probs != nil && i < len(res.Probs) {
@@ -402,10 +390,10 @@ func (s *Server) runBatch(job *batchJob) {
 		outs[i] = out
 	}
 
-	// Comfortable means every deadline-bearing request in the batch
-	// finished inside half its own deadline; deadline-free batches never
-	// ease an escalated level back down.
-	s.ctrl.observe(res.Entropy > s.task.EntropyThreshold, sawDeadline && comfortable)
+	// Comfortable means every request in the batch finished inside half
+	// the deadline; a deadline-free task never eases an escalated level
+	// back down.
+	s.ctrl.observe(res.Entropy > s.task.EntropyThreshold, comfortable)
 	s.st.batchDone(n)
 
 	s.resolve(job, demoted, outs, nil)

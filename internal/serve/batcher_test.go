@@ -234,7 +234,7 @@ func TestFlushTimerStaleFire(t *testing.T) {
 	ft := newFakeTimer()
 	s, err := newServer(manualExec{}, satisfaction.ImageTagging(), Config{
 		Workers: 1, MaxBatch: 4, QueueCap: 16,
-		LingerMS: 20, Clock: clk.now, AgingMS: -1,
+		LingerMS: 20, Clock: clk.now,
 	}, func() batcherTimer { return ft })
 	if err != nil {
 		t.Fatal(err)

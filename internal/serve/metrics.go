@@ -79,9 +79,6 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	reg.CounterFunc("pcnn_serve_batches_total",
 		"Batches executed.",
 		s.st.counterFn(func(st *stats) uint64 { return st.batches }))
-	reg.CounterFunc("pcnn_serve_priority_promotions_total",
-		"Requests the aging policy batched ahead of a natively more urgent archetype band.",
-		s.st.counterFn(func(st *stats) uint64 { return st.promoted }))
 	reg.CounterFunc("pcnn_serve_batch_demotions_total",
 		"Batches demoted to simulation-only classification because their input samples were missing or heterogeneous.",
 		s.st.counterFn(func(st *stats) uint64 { return st.demoted }))

@@ -82,12 +82,6 @@ type Config struct {
 	// arrivals when the deadline is not pressing (background tasks have no
 	// deadline at all); 0 means 20 ms.
 	LingerMS float64
-	// AgingMS is the starvation-free aging quantum of the per-archetype
-	// priority queues: a pending request gains one priority band per
-	// AgingMS waited, so a saturated interactive stream can never starve
-	// surveillance or background work forever. 0 means 50 ms; negative
-	// disables aging (strict band priority).
-	AgingMS float64
 	// Pace is how many wall-clock milliseconds a worker stays occupied per
 	// simulated millisecond of batch execution. 0 disables pacing (tests,
 	// offline drains); 1 serves in simulated real time, which is what
@@ -158,9 +152,6 @@ func (c Config) withDefaults(execMaxBatch int) Config {
 	if c.LingerMS <= 0 {
 		c.LingerMS = 20
 	}
-	if c.AgingMS == 0 {
-		c.AgingMS = 50
-	}
 	if c.RetryBaseMS <= 0 {
 		c.RetryBaseMS = 1
 	}
@@ -226,14 +217,10 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 
 // request is one queued unit of work. tr travels with the request through
 // the pipeline; each stage marks it, and the worker parks it in the trace
-// ring at resolution. task is the request's own archetype (the server's
-// deployed task unless SubmitWith overrode it), which is what prices its
-// deadline, SoC and priority band.
+// ring at resolution.
 type request struct {
 	id    uint64
 	at    time.Time
-	task  satisfaction.Task
-	prio  int            // archetype priority band, classPriority(task.Class)
 	input *tensor.Tensor // optional C×H×W sample for executable pipelines
 	fut   *Future
 	tr    *obs.Trace
@@ -375,7 +362,7 @@ type BatchLimiter interface {
 // executor's memory ceiling when it declares one). The compiler picks its
 // batch from a single stream's data rate — one frame per surveillance
 // period — which is exactly the choice that pinned serving to singleton
-// flushes; cross-stream coalescing is bounded by the deadline instead.
+// flushes; batching is bounded by the deadline instead.
 func BatchCap(ex Executor, task satisfaction.Task) int {
 	cap := ex.MaxBatch()
 	if cap < 1 {
@@ -403,45 +390,18 @@ func BatchCap(ex Executor, task satisfaction.Task) int {
 }
 
 // Submit enqueues one request without an input sample.
-func (s *Server) Submit() (*Future, error) { return s.SubmitWith(SubmitOptions{}) }
+func (s *Server) Submit() (*Future, error) { return s.SubmitInput(nil) }
 
-// SubmitInput enqueues one request carrying a C×H×W sample for pipelines
-// with an executable network attached. It never blocks: admission control
-// answers immediately with a future, ErrQueueFull, or ErrServerClosed.
+// SubmitInput enqueues one request, carrying a C×H×W sample for pipelines
+// with an executable network attached (nil for simulation-only ones). It
+// never blocks: admission control answers immediately with a future,
+// ErrQueueFull, ErrDeadlineUnmeetable or ErrServerClosed.
 func (s *Server) SubmitInput(input *tensor.Tensor) (*Future, error) {
-	return s.SubmitWith(SubmitOptions{Input: input})
-}
-
-// SubmitOptions parameterizes one submission beyond the bare Submit.
-type SubmitOptions struct {
-	// Input is an optional C×H×W sample for executable pipelines.
-	Input *tensor.Tensor
-	// Task overrides the server's deployed archetype for this request:
-	// its deadline prices admission and batching slack, its class picks
-	// the priority band, and its SoC model scores the result. nil uses
-	// the deployed task — the single-archetype fast path.
-	Task *satisfaction.Task
-}
-
-// SubmitWith enqueues one request with explicit options, letting multiple
-// archetype streams share one deployed server; the per-archetype priority
-// queues order them interactive > surveillance > background with
-// starvation-free aging (Config.AgingMS).
-func (s *Server) SubmitWith(opts SubmitOptions) (*Future, error) {
-	task := s.task
-	if opts.Task != nil {
-		if err := opts.Task.Validate(); err != nil {
-			return nil, err
-		}
-		task = *opts.Task
-	}
 	id := s.nextID.Add(1)
 	r := &request{
 		id:    id,
 		at:    s.stamp(),
-		task:  task,
-		prio:  classPriority(task.Class),
-		input: opts.Input,
+		input: input,
 		fut:   &Future{ch: make(chan outcome, 1)},
 		tr:    obs.NewTrace(id, s.cfg.Clock),
 	}
@@ -459,7 +419,7 @@ func (s *Server) SubmitWith(opts SubmitOptions) (*Future, error) {
 		// The same safety guard the batching policy flushes with: admitting
 		// at exactly zero predicted slack books a miss whenever the Eq 12
 		// estimate trails the simulated execution.
-		if pred := s.admitPredictMS(); task.SlackMS(0, pred) < slackGuardFrac*pred {
+		if pred := s.admitPredictMS(); s.task.SlackMS(0, pred) < slackGuardFrac*pred {
 			s.st.rejectedInc(rejectUnmeetable)
 			return nil, ErrDeadlineUnmeetable
 		}
@@ -646,8 +606,8 @@ func askBatcher[T any](s *Server, req chan chan T, idle T) T {
 }
 
 // FlushOne flushes exactly one policy-formed batch: the batcher drains the
-// admission queue into its priority bands and hands the worker pool the
-// top MaxBatch requests in effective-priority order. It returns how many
+// admission queue into its pending FIFO and hands the worker pool the
+// first MaxBatch requests in admission order. It returns how many
 // requests the batch carried (0 when nothing was pending or the server is
 // draining). Virtual-time drivers use it to execute one batch per step
 // while leaving the rest of the backlog queued — the composition the
@@ -655,8 +615,8 @@ func askBatcher[T any](s *Server, req chan chan T, idle T) T {
 func (s *Server) FlushOne() int { return askBatcher(s, s.flushOneReqCh, 0) }
 
 // NextFlushDelayMS reports how much longer the batching policy would hold
-// the current pending batch open: the tightest pending head's remaining
-// slack, capped by the linger window (≤ 0 means due now). It returns +Inf
+// the current pending batch open: the pending head's remaining slack,
+// capped by the linger window (≤ 0 means due now). It returns +Inf
 // when nothing is pending or the server is draining. Virtual-time drivers
 // use it to place the flush instant on their own clock.
 func (s *Server) NextFlushDelayMS() float64 { return askBatcher(s, s.delayReqCh, math.Inf(1)) }

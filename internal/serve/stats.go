@@ -58,7 +58,6 @@ type stats struct {
 	batches   uint64
 	batchSum  uint64
 	missed    uint64
-	promoted  uint64 // requests batched ahead of a more urgent band via aging
 	demoted   uint64 // batches demoted to simulation-only by gatherInputs
 	retries   uint64 // batch execution attempts retried after a failure
 	timeouts  uint64 // attempts cut off by the per-attempt timeout
@@ -136,14 +135,6 @@ func (s *stats) rejectedInc(reason rejectReason) {
 	s.mu.Lock()
 	s.rejected++
 	s.rejects[reason]++
-	s.mu.Unlock()
-}
-
-// promotedAdd counts requests the aging policy batched ahead of a
-// natively more urgent band's waiting head.
-func (s *stats) promotedAdd(n uint64) {
-	s.mu.Lock()
-	s.promoted += n
 	s.mu.Unlock()
 }
 
@@ -258,12 +249,9 @@ type Snapshot struct {
 	// counts from a float rate.
 	DeadlineMissed   uint64  `json:"deadline_missed"`
 	DeadlineMissRate float64 `json:"deadline_miss_rate"`
-	// Promotions counts requests the aging policy batched ahead of a
-	// natively more urgent band (starvation-free priority queues).
-	Promotions      uint64  `json:"priority_promotions"`
-	MeanSoC         float64 `json:"mean_soc"`
-	MeanEntropy     float64 `json:"mean_entropy"`
-	EnergyPerImageJ float64 `json:"energy_per_image_j"`
+	MeanSoC          float64 `json:"mean_soc"`
+	MeanEntropy      float64 `json:"mean_entropy"`
+	EnergyPerImageJ  float64 `json:"energy_per_image_j"`
 
 	Level        int    `json:"level"`
 	QueueDepth   int    `json:"queue_depth"`
@@ -300,7 +288,6 @@ func (s *stats) snapshot(task satisfaction.Task, level int, esc, cal, rec uint64
 		Batches:            s.batches,
 		DemotedBatches:     s.demoted,
 		DeadlineMissed:     s.missed,
-		Promotions:         s.promoted,
 		Level:              level,
 		QueueDepth:         int(s.inQueue),
 		Escalations:        esc,

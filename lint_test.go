@@ -40,12 +40,6 @@ var testOnlyAllow = map[string]string{
 	"internal/fleet/e2e.StartDaemon":       "e2e test harness",
 	"internal/fleet/e2e.Running":           "e2e test harness",
 	"internal/fleet/e2e.Restart":           "e2e test harness",
-
-	// Deferred deletions: test-only today, each pinned by tests the
-	// tier-1 floor names; ROADMAP item 6 carries them.
-	"internal/runtimemgr.NoteFault": "fault-streak backtrack, 5 floor tests (TestFaultBacktrack/*)",
-	"internal/runtimemgr.LoadTable": "with Table.Save (hidden behind Plan.Save's name): floor tests TestTableSaveLoadRoundTrip, TestLoadTableRejectsGarbage",
-	"internal/report.Bar":           "floor test TestBar",
 }
 
 // TestNoTestOnlyExports keeps the exported surface honest: every exported
@@ -55,6 +49,12 @@ var testOnlyAllow = map[string]string{
 // of the pcnn.go facade in some file under cmd/, examples/ or bench/. The
 // match is by bare name, so a method sharing its name with anything
 // referenced passes — the lint can only under-report.
+//
+// Exported fields get the write-only rule: a field of an exported struct
+// under internal/ that carries no struct tag (tagged fields are read by
+// encoding/json) must appear as a selector x.Field somewhere — test files
+// count — other than as the target of an assignment. Assigned in literals
+// and never read, it is a value computed for nobody.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		dir, name string
@@ -64,16 +64,18 @@ func TestNoTestOnlyExports(t *testing.T) {
 		fset       = token.NewFileSet()
 		internal   []decl
 		facade     []decl
+		fields     []decl
 		refs       = map[string]bool{} // bare names some non-test file mentions
 		clientRefs = map[string]bool{} // … some file outside internal/ and pcnn.go
+		fieldReads = map[string]bool{} // names selected (x.Name) other than to assign them
 	)
-	var files []string
+	var files []string // test files too: they count as field readers
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
 				files = append(files, path)
 			}
 			return nil
@@ -83,14 +85,62 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	files = append(files, "pcnn.go")
+	rootTests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, rootTests...)
+	// noteFieldReads records every selector in f that is not the direct
+	// target of an assignment.
+	noteFieldReads := func(f *ast.File) {
+		written := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						written[sel] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if !written[n] {
+					fieldReads[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
 	for _, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		noteFieldReads(f)
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		declared := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && strings.HasPrefix(dir, "internal/") {
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, name := range fl.Names {
+							if fl.Tag == nil && name.IsExported() {
+								fields = append(fields, decl{dir, ts.Name.Name + "." + name.Name, fset.Position(name.Pos())})
+							}
+						}
+					}
+				}
+			}
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
@@ -114,8 +164,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return true
 		})
 	}
-	if len(internal) < 500 || len(facade) < 20 {
-		t.Fatalf("only %d internal and %d facade declarations found; run from the repository root", len(internal), len(facade))
+	if len(internal) < 500 || len(facade) < 20 || len(fields) < 300 {
+		t.Fatalf("only %d internal, %d facade and %d field declarations found; run from the repository root", len(internal), len(facade), len(fields))
 	}
 
 	used := map[string]bool{} // allowlist entries that excused something
@@ -137,6 +187,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for _, d := range facade {
 		check(d, clientRefs[d.name], "is used by nothing under cmd/, examples/ or bench/")
+	}
+	for _, d := range fields {
+		field := d.name[strings.IndexByte(d.name, '.')+1:]
+		check(d, fieldReads[field], "is assigned but never read; delete the field or use it")
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
