@@ -3,7 +3,7 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
@@ -67,10 +67,14 @@ e2e:
 
 # bench reproduces the numbers recorded in BENCH_gemm.json, then times one
 # cold pass over the simulated side (scenario matrix + fleet soak +
-# six-scheduler evaluation — the repository benchmark's sim_regen op).
+# six-scheduler evaluation — the repository benchmark's sim_regen op) and
+# the serving data path's unit of work, PlanExecutor.Execute on a batch of
+# 32 at levels 0/3/6/9/12 of the attached table (serve_forward's inner
+# call; host time should fall with the level).
 bench:
 	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col' -benchmem ./internal/tensor/ ./internal/nn/
 	$(GO) test -run='^$$' -bench='SimRegenPass' -benchtime=10x .
+	$(GO) test -run='^$$' -bench='ExecuteLevels' -benchtime=500x -cpu 1 .
 
 # profile-sim writes CPU and allocation profiles of that pass to
 # $(OUT)/cpu.prof and $(OUT)/mem.prof (inspect with
@@ -90,6 +94,12 @@ bench-gemm:
 	$(GO) test -run='^$$' -bench='GEMMFolded' -benchtime=200x -count=5 -cpu 1 ./internal/tensor/
 	$(GO) test -run='^$$' -bench='ConvFusedPack' -benchmem -benchtime=5x ./internal/nn/
 
+# profile-serve is profile-sim for the host data path: CPU and allocation
+# profiles of Execute at the served base level 9, batch 32.
+profile-serve:
+	$(GO) test -run='^$$' -bench='ExecuteLevels/level9' -benchtime=3000x -cpu 1 -o $(OUT)/pcnn.test \
+		-cpuprofile $(OUT)/cpu.prof -memprofile $(OUT)/mem.prof .
+
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulShapes -fuzztime=30s ./internal/tensor/
 
@@ -103,10 +113,13 @@ fuzz-blocked:
 # im2col→pack-B path against the two-step materialize-then-pack lowering,
 # requiring bit-identical packed panels, then random batch-folded
 # geometries (panels straddling images) against the same reference and
-# the batch-1 oracle (the committed seed corpora run as part of `test`).
+# the batch-1 oracle, then random perforated geometries (ascending kept
+# rows/columns, random KC slabs and panel shards) against materialize +
+# packBRange byte for byte (the seed corpora run as part of `test`).
 fuzz-fusedpack:
 	$(GO) test -run='^$$' -fuzz=FuzzFusedPackVsTwoStep -fuzztime=30s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz=FuzzFoldedIm2col -fuzztime=30s ./internal/tensor/
+	$(GO) test -run='^$$' -fuzz=FuzzSampledPackVsTwoStep -fuzztime=30s ./internal/tensor/
 
 # fuzz-predict hammers the Eq 12 time model's monotonicity and anchor
 # properties (the committed seed corpus runs as part of `test`).

@@ -7,12 +7,14 @@
 package pcnn
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"pcnn/internal/core"
 	"pcnn/internal/experiments"
 	"pcnn/internal/sched"
+	"pcnn/internal/serve"
 )
 
 // benchFix lazily trains the lab fixtures shared by the evaluation
@@ -253,5 +255,45 @@ func BenchmarkSimRegenPass(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkExecuteLevels measures the serving data path's unit of work —
+// PlanExecutor.Execute on a full plan batch of 32 — at levels 0/3/6/9/12 of
+// the table the tuner attaches to the trained AlexNet-S: the deployment
+// serve_forward runs (AlexNet on TX1 under image tagging, base level 9).
+// Host time should fall with the level; EXPERIMENTS.md carries the full
+// 13-row table beside the Eq 12 prediction, and `make profile-serve`
+// profiles the level-9 row.
+func BenchmarkExecuteLevels(b *testing.B) {
+	fw, err := New("AlexNet", PlatformByName("TX1"), ImageTagging())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fw.CompileOffline(); err != nil {
+		b.Fatal(err)
+	}
+	lab := NewLab(1)
+	net, err := lab.TrainNet("AlexNet")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fw.AttachScaled(net, lab.Test.X); err != nil {
+		b.Fatal(err)
+	}
+	ex, err := serve.NewPlanExecutor(fw.Plan, fw.TuningPath(), fw.Scaled, fw.Table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := lab.Test.Slice(0, 32).X
+	for _, level := range []int{0, 3, 6, 9, 12} {
+		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Execute(level, 32, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

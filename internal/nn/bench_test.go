@@ -80,11 +80,11 @@ func BenchmarkIm2col(b *testing.B) {
 	}
 }
 
-// BenchmarkConvFusedPack compares conv forward on the blocked backend
-// with the fused im2col→pack-B path against the two-step materializing
-// lowering at a VGG-ish geometry. -benchmem makes the acceptance
-// criterion visible: the fused path must drop allocs/op (no fanIn×nPos
-// column matrix) with bit-identical outputs (TestConvFusedPackMatches).
+// BenchmarkConvFusedPack compares conv forward on the blocked backend —
+// panels packed straight from the images — against materializing the
+// column matrix and multiplying it on the same engine, at a VGG-ish
+// geometry. -benchmem shows what the packer saves (no fanIn×nPos column
+// matrix); TestConvFusedPackMatches pins the outputs bit-identical.
 func BenchmarkConvFusedPack(b *testing.B) {
 	for _, fused := range []bool{true, false} {
 		name := "fused"
@@ -92,11 +92,10 @@ func BenchmarkConvFusedPack(b *testing.B) {
 			name = "twostep"
 		}
 		b.Run(name, func(b *testing.B) {
-			defer func() { convFusedPack = true }()
-			convFusedPack = fused
 			rng := rand.New(rand.NewSource(1))
 			conv := NewConv("b", 64, 28, 28, 64, 3, 1, 1, rng)
-			conv.SetEngine(tensor.NewEngine(tensor.Blocked, 1))
+			eng := tensor.NewEngine(tensor.Blocked, 1)
+			conv.SetEngine(eng)
 			x := tensor.New(2, 64, 28, 28)
 			for i := range x.Data {
 				x.Data[i] = rng.Float32()
@@ -104,7 +103,11 @@ func BenchmarkConvFusedPack(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				conv.Forward(x, false)
+				if fused {
+					conv.Forward(x, false)
+				} else {
+					materializedForward(conv, x, Keep{}, eng)
+				}
 			}
 		})
 	}

@@ -51,12 +51,6 @@ type Conv struct {
 // im2col lowering.
 var conv1x1Fast = true
 
-// convFusedPack gates the fused im2col→pack-B path of the blocked
-// kernels: GEMM panels are packed straight from the input image, so
-// inference forward never materializes the column matrix. Tests flip it
-// to prove the fused path is bit-identical to the two-step lowering.
-var convFusedPack = true
-
 // NewConv creates a convolutional layer with He-initialized weights.
 func NewConv(name string, inC, inH, inW, outC, k, stride, pad int, rng *rand.Rand) *Conv {
 	c := &Conv{
@@ -135,13 +129,13 @@ func (c *Conv) maskFor(k Keep) *perforate.Mask {
 	return cached.(*perforate.Mask)
 }
 
-// foldBudget caps, in floats, the block one folded inference GEMM
-// materializes per layer — its column matrix (or packed-B slab) plus its
-// result, (fanIn + outC) × samples·nPos — so a large batch folds in sample
-// chunks of bounded scratch instead of one slab that scales with the
-// batch. 2 MiB holds a whole 32-sample batch of every scaled-network
-// layer but VGG-S's widest; a single full-size image always forms a chunk
-// of its own.
+// foldBudget caps, in floats, the block one folded inference GEMM holds
+// per layer — (fanIn + outC) × samples·nPos: its result plus a column
+// matrix's worth, which bounds the packed-B slabs (no column matrix is
+// built on the blocked kernels) — so a large batch folds in sample chunks
+// of bounded scratch. 2 MiB holds a whole 32-sample batch of every
+// scaled-network layer but VGG-S's widest; a single full-size image
+// always forms a chunk of its own.
 const foldBudget = 1 << 19
 
 // Forward implements Layer.
@@ -211,15 +205,13 @@ func (c *Conv) addBias(dst, res []float32, ld, off, nPos int) {
 }
 
 // infer implements Layer: a batch of n lowers to one GEMM per sample
-// chunk with N = samples·nPos, on both lowerings. Unperforated fp32 on the
-// blocked kernels packs GEMM panels straight from the input images (fused
-// im2col→pack-B; the column matrix is never materialized). Everything
-// else — a perforated layer, whose sampled column matrix shrinks N to
-// Wo′·Ho′ per sample, reduced precision, the serial oracle — builds the
-// fanIn × (samples·nPos) column matrix in scratch and runs the plain GEMM.
-// The bias pass then writes NCHW, scattering and interpolating per sample
-// under a mask. A column's K order does not depend on its neighbours, so
-// every output element is bit-identical to a batch-1 call's.
+// chunk with N = samples·nPos, through Engine.MatMulIm2colInto — the
+// blocked kernels pack GEMM panels straight from the input images, and a
+// perforated layer is the same call with the mask's kept columns and rows
+// in the geometry, which shrinks nPos to Wo′·Ho′. The bias pass then
+// writes NCHW, scattering and interpolating per sample under a mask. A
+// column's K order does not depend on its neighbours, so every output
+// element is bit-identical to a batch-1 call's.
 func (c *Conv) infer(x act, ctx inferCtx) act {
 	c.checkInput(x.c, x.h, x.w)
 	eng := ctx.engine(c.eng)
@@ -236,49 +228,30 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 	planeOut := ho * wo
 	fanIn := c.inC * c.k * c.k
 	nPos := planeOut
-	if m != nil {
-		nPos = m.SampledCount()
-	}
-	fused := convFusedPack && m == nil &&
-		eng.Backend().Resolved() == tensor.Blocked && eng.Precision() == tensor.FP32
 	geom := tensor.Im2colGeom{
 		C: c.inC, H: c.inH, W: c.inW, K: c.k,
 		Stride: c.stride, Pad: c.pad, HO: ho, WO: wo,
 	}
-	if c.pointwise() {
-		// The image is its own column matrix: one ho·wo-wide row per
-		// channel, so the packer copies whole panels instead of row
-		// segments.
+	switch {
+	case m != nil:
+		nPos = m.SampledCount()
+		geom.SX, geom.SY = m.SampledGrid()
+	case c.pointwise():
+		// The image is its own column matrix, one ho·wo-wide row per
+		// channel: every panel is runs. (Kept lists index the true grid,
+		// so a masked 1×1 keeps the true geometry.)
 		geom.H, geom.W, geom.HO, geom.WO = 1, c.inH*c.inW, 1, planeOut
 	}
 
 	chunk := min(max(foldBudget/((fanIn+c.outC)*nPos), 1), x.n)
 	res := tensor.GetScratch(c.outC * chunk * nPos)
 	defer tensor.PutScratch(res)
-	var cols []float32
-	if !fused {
-		cols = tensor.GetScratch(fanIn * chunk * nPos)
-		defer tensor.PutScratch(cols)
-	}
 	for s0 := 0; s0 < x.n; s0 += chunk {
 		ns := min(chunk, x.n-s0)
 		ld := ns * nPos
-		xs := x.data[s0*planeIn : (s0+ns)*planeIn]
-		resT := tensor.FromSlice(res[:c.outC*ld], c.outC, ld)
-		if fused {
-			geom.N = ns
-			eng.MatMulIm2colInto(resT, c.weight.W, xs, geom)
-		} else {
-			if m != nil {
-				keptX, keptY := m.SampledGrid()
-				im2colSampled(cols, xs, ns, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, keptX, keptY)
-			} else {
-				for s := 0; s < ns; s++ {
-					im2colInto(cols[s*nPos:], ld, xs[s*planeIn:(s+1)*planeIn], c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
-				}
-			}
-			eng.MatMulInto(resT, c.weight.W, tensor.FromSlice(cols[:fanIn*ld], fanIn, ld))
-		}
+		geom.N = ns
+		eng.MatMulIm2colInto(tensor.FromSlice(res[:c.outC*ld], c.outC, ld), c.weight.W,
+			x.data[s0*planeIn:(s0+ns)*planeIn], geom)
 		for s := 0; s < ns; s++ {
 			oi := out.data[(s0+s)*c.outC*planeOut:][:c.outC*planeOut]
 			if m == nil {

@@ -10,7 +10,7 @@ import "pcnn/internal/tensor"
 // width when dst is one image's column block of a batch-wide matrix. The
 // block is fully overwritten, so callers may hand it pooled scratch
 // (tensor.GetScratch). All ho·wo positions are lowered, in row-major
-// order; im2colSampled is the perforated form.
+// order — for training; inference lowers inside tensor.MatMulIm2colInto.
 func im2colInto(dst []float32, ld int, x []float32, c, h, w, k, stride, pad int, ho, wo int) {
 	nPos := ho * wo
 	row := 0
@@ -38,19 +38,19 @@ func im2colInto(dst []float32, ld int, x []float32, c, h, w, k, stride, pad int,
 						orow := out[oy*wo : (oy+1)*wo]
 						iy := oy - pad + ky
 						if iy < 0 || iy >= h {
-							zero32(orow)
+							clear(orow)
 							continue
 						}
-						zero32(orow[:lo])
+						clear(orow[:lo])
 						copy(orow[lo:hi], plane[iy*w+shift+lo:iy*w+shift+hi])
-						zero32(orow[hi:])
+						clear(orow[hi:])
 					}
 				} else {
 					for oy := 0; oy < ho; oy++ {
 						orow := out[oy*wo : (oy+1)*wo]
 						iy := oy*stride - pad + ky
 						if iy < 0 || iy >= h {
-							zero32(orow)
+							clear(orow)
 							continue
 						}
 						irow := plane[iy*w : (iy+1)*w]
@@ -68,52 +68,6 @@ func im2colInto(dst []float32, ld int, x []float32, c, h, w, k, stride, pad int,
 				row++
 			}
 		}
-	}
-}
-
-// im2colSampled is the perforated form for a chunk of ns images stored
-// back to back in x: one column per image per computed position — the
-// cross product of the mask's kept rows ys and columns xs, row-major — so
-// the GEMM's N dimension shrinks to ns·Wo′·Ho′. dst holds (c·k·k) rows of
-// ns·len(ys)·len(xs) values, image s owning columns [s·nPos, (s+1)·nPos),
-// and is fully overwritten. Which input value a (row, position) pair reads
-// is the same for every image, so the index arithmetic runs once per pair
-// and the inner loop strides across the chunk.
-func im2colSampled(dst, x []float32, ns, c, h, w, k, stride, pad int, xs, ys []int) {
-	nPos := len(xs) * len(ys)
-	ld, img := ns*nPos, c*h*w
-	row := 0
-	for ci := 0; ci < c; ci++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				out := dst[row*ld:][:ld]
-				p := 0
-				for _, oy := range ys {
-					iy := oy*stride - pad + ky
-					for _, ox := range xs {
-						ix := ox*stride - pad + kx
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
-							for j := p; j < ld; j += nPos {
-								out[j] = 0
-							}
-						} else {
-							src := x[ci*h*w+iy*w+ix:]
-							for j, o := p, 0; j < ld; j, o = j+nPos, o+img {
-								out[j] = src[o]
-							}
-						}
-						p++
-					}
-				}
-				row++
-			}
-		}
-	}
-}
-
-func zero32(s []float32) {
-	for i := range s {
-		s[i] = 0
 	}
 }
 

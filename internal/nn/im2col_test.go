@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -75,13 +76,19 @@ func TestIm2colMatchesReference(t *testing.T) {
 
 						// Sampled (perforated) form over a product sub-grid,
 						// two images folded (the second is the first reversed):
-						// each image's column block must match the reference.
+						// tensor lowers it — materialized on the serial oracle,
+						// packed panel by panel on the blocked kernels — and an
+						// identity filter matrix reads the column matrix back
+						// out; each image's block must match the reference.
 						var keptX, keptY, positions []int
 						for ox := 0; ox < wo; ox += 2 {
 							keptX = append(keptX, ox)
 						}
 						for oy := 1; oy < ho; oy += 3 {
 							keptY = append(keptY, oy)
+						}
+						if len(keptY) == 0 {
+							continue
 						}
 						for _, oy := range keptY {
 							for _, ox := range keptX {
@@ -92,17 +99,25 @@ func TestIm2colMatchesReference(t *testing.T) {
 						for i := range x {
 							x2[len(x)+i] = x[len(x)-1-i]
 						}
-						sN := len(positions)
-						sGot := make([]float32, c*k*k*2*sN)
-						sWant := make([]float32, c*k*k*sN)
-						im2colSampled(sGot, x2, 2, c, h, w, k, stride, pad, keptX, keptY)
-						for img := 0; img < 2 && sN > 0; img++ {
-							im2colRefInto(sWant, x2[img*len(x):(img+1)*len(x)], c, h, w, k, stride, pad, positions, ho, wo)
-							for r := 0; r < c*k*k; r++ {
-								for p := 0; p < sN; p++ {
-									if got, want := sGot[r*2*sN+img*sN+p], sWant[r*sN+p]; got != want {
-										t.Fatalf("sampled c=%d h=%d w=%d k=%d s=%d p=%d: image %d row %d pos %d: got %g, want %g",
-											c, h, w, k, stride, pad, img, r, p, got, want)
+						sN, rows := len(positions), c*k*k
+						geom := tensor.Im2colGeom{C: c, H: h, W: w, K: k, Stride: stride, Pad: pad,
+							HO: ho, WO: wo, N: 2, SX: keptX, SY: keptY}
+						eye := tensor.New(rows, rows)
+						for r := 0; r < rows; r++ {
+							eye.Data[r*rows+r] = 1
+						}
+						sWant := make([]float32, rows*sN)
+						for _, bk := range []tensor.Backend{tensor.Serial, tensor.Blocked} {
+							sGot := tensor.New(rows, 2*sN)
+							tensor.NewEngine(bk, 1).MatMulIm2colInto(sGot, eye, x2, geom)
+							for img := 0; img < 2; img++ {
+								im2colRefInto(sWant, x2[img*len(x):(img+1)*len(x)], c, h, w, k, stride, pad, positions, ho, wo)
+								for r := 0; r < rows; r++ {
+									for p := 0; p < sN; p++ {
+										if got, want := sGot.Data[r*2*sN+img*sN+p], sWant[r*sN+p]; got != want {
+											t.Fatalf("sampled %v c=%d h=%d w=%d k=%d s=%d p=%d: image %d row %d pos %d: got %g, want %g",
+												bk, c, h, w, k, stride, pad, img, r, p, got, want)
+										}
 									}
 								}
 							}
@@ -171,57 +186,103 @@ func TestConv1x1FastPathMatchesGeneric(t *testing.T) {
 	sameData("db", fastConv.bias.G.Data, genConv.bias.G.Data)
 }
 
-// TestConvFusedPackMatches proves the fused im2col→pack-B inference path
-// is bit-identical to the two-step materializing lowering on the blocked
-// backend, across stride/pad geometries and on both the serial and the
-// sharded engine. (Perforated and training forwards never take the fused
-// path, so only the plain inference forward is compared.)
-func TestConvFusedPackMatches(t *testing.T) {
-	if !convFusedPack {
-		t.Fatal("convFusedPack disabled outside a test")
+// materializedForward is the two-step lowering inference no longer runs:
+// build each image's column matrix (the one-loop reference, restricted to
+// the keep grid's computed positions), multiply it on eng as a stored
+// operand, then bias, scatter and interpolate. Conv.infer packs the same
+// panels straight from the images, so on one engine the two must agree to
+// the last bit.
+func materializedForward(c *Conv, x *tensor.Tensor, keep Keep, eng *tensor.Engine) *tensor.Tensor {
+	ho, wo := c.OutDims()
+	m := c.maskFor(keep)
+	var positions []int
+	nPos := ho * wo
+	if m != nil {
+		xs, ys := m.SampledGrid()
+		for _, oy := range ys {
+			for _, ox := range xs {
+				positions = append(positions, oy*wo+ox)
+			}
+		}
+		nPos = len(positions)
 	}
-	defer func() { convFusedPack = true }()
+	n, fanIn, planeIn := x.Dim(0), c.inC*c.k*c.k, c.inC*c.inH*c.inW
+	out := tensor.New(n, c.outC, ho, wo)
+	cols, res := tensor.New(fanIn, nPos), tensor.New(c.outC, nPos)
+	for i := 0; i < n; i++ {
+		im2colRefInto(cols.Data, x.Data[i*planeIn:(i+1)*planeIn], c.inC, c.inH, c.inW, c.k, c.stride, c.pad, positions, ho, wo)
+		eng.MatMulInto(res, c.weight.W, cols)
+		oi := out.Data[i*c.outC*ho*wo:][:c.outC*ho*wo]
+		for f := 0; f < c.outC; f++ {
+			row := res.Data[f*nPos:][:nPos]
+			for j := range row {
+				row[j] += c.bias.W.Data[f]
+			}
+			if m == nil {
+				copy(oi[f*nPos:], row)
+			} else {
+				m.Scatter(row, oi[f*ho*wo:][:ho*wo])
+			}
+		}
+		if m != nil {
+			m.Interpolate(oi, c.outC)
+		}
+	}
+	return out
+}
 
+// TestConvFusedPackMatches proves the inference lowering — panels packed
+// straight from the images inside the engine — is bit-identical to
+// materializing the column matrix and multiplying it on the same engine:
+// full and perforated, across stride/pad geometries (a 1×1 among them),
+// on the blocked kernels serial and sharded, and on the serial oracle and
+// a reduced-precision engine, whose fallback materializes inside tensor.
+func TestConvFusedPackMatches(t *testing.T) {
 	geoms := []struct {
 		inC, h, w, outC, k, stride, pad int
 	}{
 		{8, 9, 9, 6, 3, 1, 1},
 		{3, 21, 21, 8, 5, 4, 0}, // AlexNet-conv1-like strided shape
 		{4, 7, 6, 5, 3, 2, 2},   // pad-heavy ragged shape
+		{4, 8, 8, 3, 1, 1, 0},   // pointwise
+		{12, 8, 8, 24, 3, 1, 1}, // AlexNet-S CONV2
 	}
+	engines := map[string]*tensor.Engine{
+		"blocked":   tensor.NewEngine(tensor.Blocked, 1),
+		"blocked-4": tensor.NewEngine(tensor.Blocked, 4),
+		"serial":    tensor.NewEngine(tensor.Serial, 1),
+		"fp16":      tensor.NewEngine(tensor.Blocked, 1),
+	}
+	engines["blocked-4"].SetParallelThreshold(0)
+	engines["fp16"].SetPrecision(tensor.FP16)
 	for gi, g := range geoms {
-		for _, workers := range []int{1, 4} {
-			eng := tensor.NewEngine(tensor.Blocked, workers)
-			eng.SetParallelThreshold(0)
-			makeConv := func() (*Conv, *tensor.Tensor) {
-				rng := rand.New(rand.NewSource(int64(31 + gi)))
-				conv := NewConv("c", g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad, rng)
+		rng := rand.New(rand.NewSource(int64(31 + gi)))
+		conv := NewConv("c", g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad, rng)
+		x := tensor.New(3, g.inC, g.h, g.w)
+		for i := range x.Data {
+			x.Data[i] = rng.Float32()*2 - 1
+		}
+		ho, wo := conv.OutDims()
+		for _, keep := range []Keep{{}, {W: (wo + 1) / 2, H: (2*ho + 2) / 3}, {W: wo, H: 1}, {W: 5, H: 5}} {
+			for name, eng := range engines {
 				conv.SetEngine(eng)
-				x := tensor.New(2, g.inC, g.h, g.w)
-				for i := range x.Data {
-					x.Data[i] = rng.Float32()*2 - 1
-				}
-				return conv, x
-			}
-			fusedConv, x := makeConv()
-			fused := fusedConv.Forward(x, false)
-			convFusedPack = false
-			twoConv, x2 := makeConv()
-			twostep := twoConv.Forward(x2, false)
-			convFusedPack = true
-			for i := range fused.Data {
-				if fused.Data[i] != twostep.Data[i] {
-					t.Fatalf("geom %d workers %d: elem %d: fused %g, two-step %g",
-						gi, workers, i, fused.Data[i], twostep.Data[i])
+				conv.SetPerforation(keep.W, keep.H)
+				got := conv.Forward(x, false)
+				want := materializedForward(conv, x, keep, eng)
+				for i := range got.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("geom %d keep %v engine %s: elem %d: packed %g, materialized %g",
+							gi, keep, name, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestConv1x1PerforatedStillSamples makes sure the fast path defers to the
-// sampled im2col when perforation is active (the fast path cannot shrink
-// the GEMM's N dimension).
+// TestConv1x1PerforatedStillSamples makes sure the pointwise fast path
+// defers to the sampled lowering when perforation is active: the kept
+// lists index the true output grid, not the flattened 1×(H·W) one.
 func TestConv1x1PerforatedStillSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	conv := NewConv("c", 4, 8, 8, 3, 1, 1, 0, rng)

@@ -200,6 +200,45 @@ func TestFoldedForwardMatchesBatchOne(t *testing.T) {
 	}
 }
 
+// TestForwardWithMatchesMaterializedLowering is the differential test for
+// the one lowering: at every level of a tuned table, ForwardWith — panels
+// packed straight from the padded images, perforated or not — returns the
+// bytes of a layer-by-layer forward whose conv layers materialize their
+// (sampled) column matrix and multiply it as a stored operand on the same
+// engine. That reference is the lowering the perforated layers ran before
+// the packer learned kept lists, so the served outputs did not move.
+func TestForwardWithMatchesMaterializedLowering(t *testing.T) {
+	for _, sn := range scaledNets[:2] { // the purely sequential networks
+		t.Run(sn.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(53))
+			net := sn.build(rng)
+			x := randomBatch(rng, 5)
+			perforable := net.PerforableLayers()
+			for level, keeps := range tunedKeeps(t, net, randomBatch(rng, 8)) {
+				got := net.ForwardWith(x, net.NewForwardOpts(keeps, nil))
+				want, next := x, 0
+				for _, l := range net.Layers {
+					conv, ok := l.(*nn.Conv)
+					if !ok {
+						want = l.Forward(want, false)
+						continue
+					}
+					if perforable[next] != nn.Perforable(conv) {
+						t.Fatalf("perforable layer %d is not %s", next, conv.Name())
+					}
+					want = nn.MaterializedForward(conv, want, keeps[next], tensor.Default())
+					next++
+				}
+				for i := range got.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("level %d: logit %d = %g, materialized lowering %g", level, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSetterPathIsOptionsPath: Forward(x, false) under SetPerforation /
 // SetEngine and ForwardWith under the equivalent options are one
 // implementation, so they agree exactly — and the options call leaves the

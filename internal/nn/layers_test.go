@@ -3,7 +3,9 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"pcnn/internal/tensor"
 )
@@ -394,5 +396,60 @@ func TestInferenceAllocCeiling(t *testing.T) {
 	net.Forward(x, false) // warm the pools
 	if allocs := testing.AllocsPerRun(20, func() { net.Forward(x, false) }); allocs > 20 {
 		t.Fatalf("batch-32 AlexNet-S inference allocates %.0f objects, ceiling 20", allocs)
+	}
+}
+
+// TestHostLadderMonotone (ROADMAP item 2): perforation has to buy time on
+// the host, not only on the simulated GPU. AlexNet-S at batch 32 — the
+// served plan batch; weights do not change the cost, so seeded ones do —
+// at levels 0, 9 (the served base level: CONV1 7×7 of 16×16, CONV2 5×5 of
+// 8×8, CONV4 3×3 of 4×4) and 12 (the deepest) of the table the tuner
+// attaches to the trained network. The levels are timed interleaved and
+// compared by their medians; 10 % of slack absorbs what a shared 2-vCPU
+// host adds between neighbouring levels (level 9 measures ≈ 13 % under
+// level 0, level 12 ≈ 5–10 % under level 9; EXPERIMENTS.md has all 13).
+func TestHostLadderMonotone(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock comparison: skipped under -short and the race detector")
+	}
+	rng := rand.New(rand.NewSource(6))
+	net := AlexNetS(rng)
+	x := tensor.New(32, 3, ScaledInputSize, ScaledInputSize)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()
+	}
+	levels := []struct {
+		name  string
+		keeps []Keep
+	}{
+		{"level 0", nil},
+		{"level 9", []Keep{{7, 7}, {5, 5}, {}, {3, 3}, {}}},
+		{"level 12", []Keep{{7, 7}, {4, 4}, {2, 2}, {3, 3}, {}}},
+	}
+	const rounds, slack = 61, 1.10
+	opts := make([]*ForwardOpts, len(levels))
+	times := make([][]time.Duration, len(levels))
+	for i, l := range levels {
+		opts[i] = net.NewForwardOpts(l.keeps, nil)
+		net.ForwardWith(x, opts[i]) // warm the pools
+	}
+	for r := 0; r < rounds; r++ {
+		for i, o := range opts {
+			t0 := time.Now()
+			net.ForwardWith(x, o)
+			times[i] = append(times[i], time.Since(t0))
+		}
+	}
+	median := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	for i := 1; i < len(levels); i++ {
+		prev, cur := median(times[i-1]), median(times[i])
+		t.Logf("%s %v → %s %v", levels[i-1].name, prev, levels[i].name, cur)
+		if float64(cur) > slack*float64(prev) {
+			t.Errorf("%s forward (median %v of %d) costs more than %s (%v): perforation does not pay on the host",
+				levels[i].name, cur, rounds, levels[i-1].name, prev)
+		}
 	}
 }

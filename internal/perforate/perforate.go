@@ -29,18 +29,17 @@ type Mask struct {
 	// computed positions instead of copying the nearest one, which
 	// preserves far more accuracy on smooth feature maps.
 	xs, ys []int
-	// fill is the bilinear plan, one blend per non-computed position. It
-	// is only worth its memory on a mask that interpolates repeatedly
-	// (see Prepared); Interpolate derives it per call otherwise.
-	fill []blend
+	// horiz and vert are the bilinear plan of a product-grid mask (see
+	// interpolateBilinear). It is only worth its memory on a mask that
+	// interpolates repeatedly (see Prepared); Interpolate derives it per
+	// call otherwise.
+	horiz, vert []blend
 }
 
-// blend fills one non-computed position from the four computed corners
-// that bracket it.
+// blend is one step of the bilinear plan: dst[at] = (1−f)·src[lo] + f·src[hi].
 type blend struct {
-	at                 int32 // the position filled
-	i00, i01, i10, i11 int32 // corners: (row lo|hi) × (column lo|hi)
-	fx, fy             float32
+	at, lo, hi int32
+	f          float32
 }
 
 // Full returns a mask that computes every position (perforation rate 0).
@@ -81,37 +80,28 @@ func Grid(w, h, keepW, keepH int) Mask {
 	return m
 }
 
-// Prepared returns the mask with its bilinear fill plan built, so that
+// Prepared returns the mask with its bilinear plan built, so that
 // Interpolate — called per sample per forward on a serving path — does no
 // set-up of its own. A prepared mask is immutable and safe to share.
 func (m Mask) Prepared() Mask {
-	if m.fill == nil {
-		m.fill = m.blends()
+	if m.horiz != nil || len(m.xs) == 0 || len(m.ys) == 0 {
+		return m
 	}
-	return m
-}
-
-// blends derives the fill plan of a product-grid mask (nil otherwise).
-func (m Mask) blends() []blend {
-	if len(m.xs) == 0 || len(m.ys) == 0 {
-		return nil
+	cols, rows := axisBlend(m.W, m.xs), axisBlend(m.H, m.ys)
+	at := func(row, x int) int32 { return int32(row*m.W + x) }
+	for j, y := range m.ys { // kept row y, blended across, lands in scratch row j
+		for x, c := range cols {
+			m.horiz = append(m.horiz, blend{at(j, x), at(y, m.xs[c.lo]), at(y, m.xs[c.hi]), c.f})
+		}
 	}
-	x0, x1, wx := axisBlend(m.W, m.xs)
-	y0, y1, wy := axisBlend(m.H, m.ys)
-	fill := make([]blend, 0, m.W*m.H-len(m.sampled))
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if i := y*m.W + x; !m.Computed[i] {
-				fill = append(fill, blend{
-					at:  int32(i),
-					i00: int32(y0[y]*m.W + x0[x]), i01: int32(y0[y]*m.W + x1[x]),
-					i10: int32(y1[y]*m.W + x0[x]), i11: int32(y1[y]*m.W + x1[x]),
-					fx: wx[x], fy: wy[y],
-				})
+	for y, r := range rows {
+		for x, c := range cols {
+			if !(r.kept && c.kept) { // computed positions stay
+				m.vert = append(m.vert, blend{at(y, x), at(r.lo, x), at(r.hi, x), r.f})
 			}
 		}
 	}
-	return fill
+	return m
 }
 
 // SampledGrid returns the kept columns and rows of a product-grid mask
@@ -228,46 +218,56 @@ func (m Mask) Interpolate(data []float32, channels int) {
 	}
 }
 
-// axisBlend computes, for every coordinate along an axis, the two kept
-// coordinates that bracket it and the blend weight toward the upper one
-// (clamped at the borders).
-func axisBlend(n int, kept []int) (lo, hi []int, w []float32) {
-	lo = make([]int, n)
-	hi = make([]int, n)
-	w = make([]float32, n)
+// bracket places one coordinate between two kept coordinates, named by
+// rank: kept[lo] ≤ i ≤ kept[hi], with the blend weight toward hi (clamped
+// at the borders: lo = hi, f = 0) and whether i is itself kept.
+type bracket struct {
+	lo, hi int
+	f      float32
+	kept   bool
+}
+
+// axisBlend brackets every coordinate along an axis.
+func axisBlend(n int, kept []int) []bracket {
+	out := make([]bracket, n)
 	j := 0
-	for i := 0; i < n; i++ {
+	for i := range out {
 		for j+1 < len(kept) && kept[j+1] <= i {
 			j++
 		}
-		switch {
-		case i <= kept[0]:
-			lo[i], hi[i], w[i] = kept[0], kept[0], 0
-		case i >= kept[len(kept)-1]:
-			last := kept[len(kept)-1]
-			lo[i], hi[i], w[i] = last, last, 0
-		default:
-			lo[i], hi[i] = kept[j], kept[j+1]
-			w[i] = float32(i-kept[j]) / float32(kept[j+1]-kept[j])
+		out[i] = bracket{lo: j, hi: j, kept: i == kept[j]}
+		if i > kept[0] && i < kept[len(kept)-1] {
+			out[i].hi = j + 1
+			out[i].f = float32(i-kept[j]) / float32(kept[j+1]-kept[j])
 		}
 	}
-	return lo, hi, w
+	return out
 }
 
 // interpolateBilinear blends every non-computed position from the four
-// computed corners that bracket it.
+// computed corners that bracket it: p = (1−fy)·top + fy·bot with top and
+// bot the (1−fx)·a + fx·b blends along the two bracketing kept rows. The
+// blend is separable, so horiz blends each kept row once, for every x,
+// into scratch, and vert blends two scratch rows into each missing
+// position — the same float expressions, position for position, as
+// blending the four corners directly.
 func (m Mask) interpolateBilinear(data []float32, channels int) {
-	fill := m.fill
-	if fill == nil {
-		fill = m.blends()
+	m = m.Prepared()
+	// The stack holds every scaled-network plane and full-size AlexNet
+	// from CONV2 up, so the serving path allocates nothing.
+	var stack [1024]float32
+	scratch := stack[:]
+	if len(m.horiz) > len(scratch) {
+		scratch = make([]float32, len(m.horiz))
 	}
 	plane := m.W * m.H
 	for c := 0; c < channels; c++ {
 		p := data[c*plane : (c+1)*plane]
-		for _, b := range fill {
-			top := (1-b.fx)*p[b.i00] + b.fx*p[b.i01]
-			bot := (1-b.fx)*p[b.i10] + b.fx*p[b.i11]
-			p[b.at] = (1-b.fy)*top + b.fy*bot
+		for _, b := range m.horiz {
+			scratch[b.at] = (1-b.f)*p[b.lo] + b.f*p[b.hi]
+		}
+		for _, b := range m.vert {
+			p[b.at] = (1-b.f)*scratch[b.lo] + b.f*scratch[b.hi]
 		}
 	}
 }

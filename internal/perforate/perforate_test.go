@@ -2,6 +2,7 @@ package perforate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -250,42 +251,71 @@ func TestKeptFraction(t *testing.T) {
 	}
 }
 
-// TestFillPlanMatchesDirectBilinear pins the precomputed fill plan to the
-// per-position formula it replaced — bracket each axis, blend the four
-// corners — bit for bit, prepared or not, on ragged grids.
+// TestFillPlanMatchesDirectBilinear pins the separable interpolation —
+// kept rows blended horizontally into scratch, then a vertical blend into
+// every non-computed position — to the per-position formula it
+// reorganizes: bracket each axis, blend the four corners. Same float
+// expressions, so the planes must agree by Float32bits, prepared or not,
+// with −0, ±Inf and NaN planted among the computed values — on every map
+// up to 30×30, at keep grids sampled to cover dense, sparse and
+// single-row/column masks. Only a NaN's sign and payload are exempt: x86
+// propagates the first operand's NaN and the compiler may commute an add,
+// so which of two NaNs survives is not a property of the expression.
 func TestFillPlanMatchesDirectBilinear(t *testing.T) {
-	for _, g := range [][4]int{{16, 16, 7, 7}, {8, 8, 5, 5}, {4, 4, 3, 3}, {27, 13, 11, 4}, {5, 9, 1, 2}} {
-		m := Grid(g[0], g[1], g[2], g[3])
-		const channels = 3
-		data := make([]float32, channels*m.W*m.H)
-		for i := range data {
-			data[i] = float32(math.Sin(float64(i)*0.37)) * 3
-		}
-		want := append([]float32(nil), data...)
-		x0, x1, wx := axisBlend(m.W, m.xs)
-		y0, y1, wy := axisBlend(m.H, m.ys)
-		for c := 0; c < channels; c++ {
-			p := want[c*m.W*m.H:][:m.W*m.H]
-			for y := 0; y < m.H; y++ {
-				for x := 0; x < m.W; x++ {
-					if m.Computed[y*m.W+x] {
-						continue
+	rng := rand.New(rand.NewSource(11))
+	special := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 0}
+	for w := 1; w <= 30; w++ {
+		for h := 1; h <= 30; h++ {
+			for _, keep := range [][2]int{{1, 1}, {w, 1}, {1, h}, {w - 1, h - 1}, {(w + 1) / 2, (2*h + 2) / 3}, {1 + rng.Intn(w), 1 + rng.Intn(h)}} {
+				m := Grid(w, h, keep[0], keep[1])
+				const channels = 3
+				data := make([]float32, channels*w*h)
+				for i := range data {
+					data[i] = float32(math.Sin(float64(i)*0.37)) * 3
+					if rng.Intn(6) == 0 {
+						data[i] = special[rng.Intn(len(special))]
 					}
-					fx, fy := wx[x], wy[y]
-					top := (1-fx)*p[y0[y]*m.W+x0[x]] + fx*p[y0[y]*m.W+x1[x]]
-					bot := (1-fx)*p[y1[y]*m.W+x0[x]] + fx*p[y1[y]*m.W+x1[x]]
-					p[y*m.W+x] = (1-fy)*top + fy*bot
+				}
+				want := append([]float32(nil), data...)
+				bx, by := axisBlend(w, m.xs), axisBlend(h, m.ys)
+				for c := 0; c < channels; c++ {
+					p := want[c*w*h:][:w*h]
+					for y := 0; y < h; y++ {
+						for x := 0; x < w; x++ {
+							if m.Computed[y*w+x] {
+								continue
+							}
+							fx, x0, x1 := bx[x].f, m.xs[bx[x].lo], m.xs[bx[x].hi]
+							fy, y0, y1 := by[y].f, m.ys[by[y].lo], m.ys[by[y].hi]
+							top := (1-fx)*p[y0*w+x0] + fx*p[y0*w+x1]
+							bot := (1-fx)*p[y1*w+x0] + fx*p[y1*w+x1]
+							p[y*w+x] = (1-fy)*top + fy*bot
+						}
+					}
+				}
+				for name, mask := range map[string]Mask{"derived": m, "prepared": m.Prepared()} {
+					got := append([]float32(nil), data...)
+					mask.Interpolate(got, channels)
+					for i := range got {
+						bothNaN := got[i] != got[i] && want[i] != want[i]
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !bothNaN {
+							t.Fatalf("grid %dx%d keep %v %s plan: position %d = %g (%#x), direct formula %g (%#x)",
+								w, h, keep, name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						}
+					}
 				}
 			}
 		}
-		for name, mask := range map[string]Mask{"derived": m, "prepared": m.Prepared()} {
-			got := append([]float32(nil), data...)
-			mask.Interpolate(got, channels)
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("grid %v %s plan: position %d = %g, direct formula %g", g, name, i, got[i], want[i])
-				}
-			}
-		}
+	}
+}
+
+// TestInterpolatePreparedZeroAlloc: a prepared mask interpolates on the
+// serving path per sample per forward, so it must allocate nothing — the
+// plan is cached and the row scratch lives on the stack.
+func TestInterpolatePreparedZeroAlloc(t *testing.T) {
+	m := Grid(16, 16, 7, 7).Prepared()
+	data := make([]float32, 12*16*16)
+	if allocs := testing.AllocsPerRun(20, func() { m.Interpolate(data, 12) }); allocs != 0 {
+		t.Fatalf("prepared Interpolate allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -5,7 +5,8 @@ import "fmt"
 // The fused im2col→pack-B path (Cappuccino's lowering): a convolution's
 // column matrix is a pure index transform of the input image, so instead
 // of materializing it (the largest scratch buffer in conv forward) the
-// blocked backend packs its KC×NR panels straight from the C×H×W plane.
+// blocked backend packs its KC×NR panels straight from the C×H×W plane —
+// all of it, or a perforated layer's kept rows × columns, with one packer.
 // The packed bytes are identical to running im2col and then packB, so the
 // fused GEMM is bit-for-bit the same as the two-step one — the fuzz suite
 // in fusedpack_test.go pins that equivalence.
@@ -24,6 +25,11 @@ type Im2colGeom struct {
 	Stride, Pad int
 	HO, WO      int // output spatial extent
 	N           int // images folded into the column axis; 0 means 1
+	// SX, SY: a perforated layer's kept output columns and rows (Fig 11),
+	// strictly ascending; the column axis then spans only their cross
+	// product, row-major, per image. Both nil keeps every position — a
+	// full layer is the sampled grid with everything kept.
+	SX, SY []int
 }
 
 // Rows returns the column matrix's row count C·K·K (the GEMM K dimension).
@@ -32,12 +38,22 @@ func (g Im2colGeom) Rows() int { return g.C * g.K * g.K }
 // Images returns the number of images the column axis spans.
 func (g Im2colGeom) Images() int { return max(g.N, 1) }
 
-// Cols returns the column matrix's column count N·HO·WO (the GEMM N
-// dimension).
-func (g Im2colGeom) Cols() int { return g.Images() * g.HO * g.WO }
+// kept returns the computed grid's extent: len(SX)×len(SY), or WO×HO.
+func (g Im2colGeom) kept() (kw, kh int) {
+	if g.SX == nil {
+		return g.WO, g.HO
+	}
+	return len(g.SX), len(g.SY)
+}
+
+// Cols returns the column count, N × the computed grid (the GEMM N dimension).
+func (g Im2colGeom) Cols() int {
+	kw, kh := g.kept()
+	return g.Images() * kw * kh
+}
 
 // Validate reports whether the geometry is internally consistent: positive
-// dims and an output extent that matches the conv arithmetic.
+// dims, an output extent that matches the conv arithmetic, sound kept lists.
 func (g Im2colGeom) Validate() error {
 	if g.C < 1 || g.H < 1 || g.W < 1 || g.K < 1 || g.Stride < 1 || g.Pad < 0 || g.N < 0 {
 		return fmt.Errorf("tensor: invalid im2col geometry %+v", g)
@@ -47,7 +63,20 @@ func (g Im2colGeom) Validate() error {
 	if ho != g.HO || wo != g.WO || g.HO < 1 || g.WO < 1 {
 		return fmt.Errorf("tensor: im2col geometry %+v: output extent %dx%d, want %dx%d", g, g.HO, g.WO, ho, wo)
 	}
+	if (g.SX != nil || g.SY != nil) && !(ascendingIn(g.SX, g.WO) && ascendingIn(g.SY, g.HO)) {
+		return fmt.Errorf("tensor: im2col geometry %+v: kept columns and rows must come together, non-empty, strictly ascending, inside the output extent", g)
+	}
 	return nil
+}
+
+// ascendingIn: kept is non-empty and strictly ascending within [0, n).
+func ascendingIn(kept []int, n int) bool {
+	for i, v := range kept {
+		if v < 0 || v >= n || (i > 0 && v <= kept[i-1]) {
+			return false
+		}
+	}
+	return len(kept) > 0
 }
 
 // padImages returns the geometry's images with their padding made real —
@@ -78,75 +107,113 @@ func padImages(x []float32, g Im2colGeom) ([]float32, Im2colGeom) {
 // twin of packBRange. Layout and zero-padding match packBRange exactly,
 // so downstream micro-kernels cannot tell the two apart. Columns run on
 // across image boundaries, so a panel may straddle two images. g must be
-// unpadded (see padImages): every packed value is then a plain read, and
-// the columns of a panel that share an output row are one run of input.
+// unpadded (see padImages): a packed value is then x[base+rowoff], base
+// the input offset of its column's window origin and rowoff that of its
+// row's filter tap. The walk is panel-major — one rowoff table per slab,
+// each panel's ≤ NR bases derived once, then the panel written front to
+// back — so writes are sequential and no output coordinate is tracked per
+// copied run. A panel made of 4-float input runs (half an output row, or
+// a whole one on the 4-wide deep layers) moves run by run; a strided or
+// perforated layer, or a panel straddling rows, gathers column by column.
 func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, nr, plo, phi int) {
-	n := g.Cols()
+	var tab [512]int // DefaultTile.KC and its planned doubling fit
+	rowoff := tab[:]
+	if kc > len(tab) {
+		rowoff = make([]int, kc)
+	}
+	rowoff = rowoff[:kc]
 	kk2 := g.K * g.K
-	wo, st := g.WO, g.Stride
-	img, rowStep := g.C*g.H*g.W, st*g.W
-	// The first packed column's image and output coordinate; every row of
-	// the slab starts its sweep there, and (oy, ox) then advances
-	// incrementally across panels instead of being re-derived per panel.
-	s0 := plo * nr / (g.HO * wo)
-	oy0 := (plo*nr - s0*g.HO*wo) / wo
-	ox0 := plo*nr - (s0*g.HO+oy0)*wo
-	src0 := s0*img + oy0*rowStep + ox0*st
-	for kk := 0; kk < kc; kk++ {
-		row := pc + kk
-		ci := row / kk2
-		ky := (row - ci*kk2) / g.K
-		kx := row - ci*kk2 - ky*g.K
-		src := src0 + ci*g.H*g.W + ky*g.W + kx // input under output (oy, ox)
-		oy, ox := oy0, ox0
-		off := plo*kc*nr + kk*nr // dst offset of this row in panel plo
-		for p := plo; p < phi; p++ {
-			cols := min(nr, n-p*nr)
-			drow := dst[off : off+nr]
-			off += kc * nr
-			if st == 1 && cols == nr && ox+nr <= wo {
-				// The whole panel lies inside one output row: one run.
-				copy(drow, x[src:src+nr])
-				ox += nr
-				src += nr
-				if ox == wo {
-					ox = 0
-					src += rowStep - wo
-					if oy++; oy == g.HO {
-						oy = 0
-						src += img - g.HO*rowStep
-					}
-				}
-				continue
+	ci := pc / kk2
+	ky := (pc - ci*kk2) / g.K
+	kx := pc - ci*kk2 - ky*g.K
+	for kk := range rowoff {
+		rowoff[kk] = ci*g.H*g.W + ky*g.W + kx
+		if kx++; kx == g.K {
+			kx = 0
+			if ky++; ky == g.K {
+				ky, ci = 0, ci+1
 			}
-			for j := 0; j < cols; {
-				run := min(wo-ox, cols-j)
-				switch {
-				case st != 1:
-					for t, o := j, src; t < j+run; t, o = t+1, o+st {
-						drow[t] = x[o]
-					}
-				case run == 4:
-					// A 4-wide output row (the scaled networks' deep
-					// layers) is one 16-byte move; copy() is a call.
-					*(*[4]float32)(drow[j:]) = *(*[4]float32)(x[src:])
-				default:
-					copy(drow[j:j+run], x[src:])
-				}
-				j += run
-				ox += run
-				src += run * st
-				if ox == wo {
-					ox = 0
-					src += rowStep - wo*st
-					if oy++; oy == g.HO {
-						oy = 0
-						src += img - g.HO*rowStep
-					}
-				}
-			}
-			clear(drow[cols:])
 		}
+	}
+	n := g.Cols()
+	kw, kh := g.kept()
+	st, img, rowStep := g.Stride, g.C*g.H*g.W, g.Stride*g.W
+	// The first packed column's image and kept-grid coordinate.
+	s := plo * nr / (kw * kh)
+	yi := (plo*nr - s*kw*kh) / kw
+	xi := plo*nr - (s*kh+yi)*kw
+	var base [maxNR]int
+	for p := plo; p < phi; p++ {
+		cols := min(nr, n-p*nr)
+		for j := 0; j < cols; j++ {
+			ox, oy := xi, yi
+			if g.SX != nil {
+				ox, oy = g.SX[xi], g.SY[yi]
+			}
+			base[j] = s*img + oy*rowStep + ox*st
+			if xi++; xi == kw {
+				xi = 0
+				if yi++; yi == kh {
+					yi, s = 0, s+1
+				}
+			}
+		}
+		panel := dst[p*kc*nr:][:kc*nr]
+		switch {
+		case cols == nr && runsOf4(base[:nr]):
+			for h := 0; h < nr; h += 4 {
+				packRun4(panel[h:], x[base[h]:], rowoff, nr)
+			}
+		case cols == 8 && nr == 8:
+			packGather8(panel, x, &base, rowoff)
+		default:
+			packGather(panel, x, base[:cols], rowoff, nr)
+		}
+	}
+}
+
+// runsOf4 reports whether every aligned group of four offsets is
+// consecutive: the panel is then 4-float runs of input.
+func runsOf4(base []int) bool {
+	for j, b := range base {
+		if j%4 != 0 && b != base[j-1]+1 {
+			return false
+		}
+	}
+	return true
+}
+
+// The panel sweeps of packBIm2col — the hot two out of line, so each row
+// loop keeps its few live values in registers. Row kk of a panel is NR
+// values, read rowoff[kk] floats past each column's base.
+
+// packRun4 moves one 4-float input run into each row of a panel.
+//
+//go:noinline
+func packRun4(panel, src []float32, rowoff []int, nr int) {
+	for kk, off := range rowoff {
+		*(*[4]float32)(panel[kk*nr:]) = *(*[4]float32)(src[off:])
+	}
+}
+
+// packGather8 fills a full 8-wide panel column by column.
+func packGather8(panel, x []float32, base *[maxNR]int, rowoff []int) {
+	b0, b1, b2, b3, b4, b5, b6, b7 := base[0], base[1], base[2], base[3], base[4], base[5], base[6], base[7]
+	for kk, off := range rowoff {
+		d := (*[8]float32)(panel[kk*8:])
+		d[0], d[1], d[2], d[3] = x[b0+off], x[b1+off], x[b2+off], x[b3+off]
+		d[4], d[5], d[6], d[7] = x[b4+off], x[b5+off], x[b6+off], x[b7+off]
+	}
+}
+
+// packGather fills any panel column by column, zeroing past the edge.
+func packGather(panel, x []float32, base, rowoff []int, nr int) {
+	for kk, off := range rowoff {
+		drow := panel[kk*nr:][:nr]
+		for j, b := range base {
+			drow[j] = x[b+off]
+		}
+		clear(drow[len(base):])
 	}
 }
 
@@ -156,6 +223,7 @@ func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, nr, plo, phi int) {
 // precision.
 func im2colGeomInto(dst, x []float32, g Im2colGeom) {
 	n := g.Cols()
+	kw, kh := g.kept()
 	plane, img := g.H*g.W, g.C*g.H*g.W
 	row := 0
 	for ci := 0; ci < g.C; ci++ {
@@ -165,9 +233,13 @@ func im2colGeomInto(dst, x []float32, g Im2colGeom) {
 				p := 0
 				for s := 0; s < g.Images(); s++ {
 					src := x[s*img+ci*plane:][:plane]
-					for oy := 0; oy < g.HO; oy++ {
-						iy := oy*g.Stride - g.Pad + ky
-						for ox := 0; ox < g.WO; ox++ {
+					for yi := 0; yi < kh; yi++ {
+						for xi := 0; xi < kw; xi++ {
+							ox, oy := xi, yi
+							if g.SX != nil {
+								ox, oy = g.SX[xi], g.SY[yi]
+							}
+							iy := oy*g.Stride - g.Pad + ky
 							ix := ox*g.Stride - g.Pad + kx
 							if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
 								out[p] = src[iy*g.W+ix]
@@ -190,9 +262,9 @@ func im2colGeomInto(dst, x []float32, g Im2colGeom) {
 // straight from the images. The serial oracle materializes B into pooled
 // scratch and runs the ordinary GEMM, so the call is valid (if not faster)
 // on every backend. A is M×Rows(); C must be M×Cols(), image s owning
-// columns [s·HO·WO, (s+1)·HO·WO). Each output element's K order does not
-// depend on the batch, so a folded call is bit-identical, column for
-// column, to one call per image.
+// columns [s·P, (s+1)·P) with P = HO·WO, or len(SX)·len(SY) under kept
+// lists. Each output element's K order does not depend on the batch, so a
+// folded call is bit-identical, column for column, to one call per image.
 func (e *Engine) MatMulIm2colInto(c, a *Tensor, x []float32, g Im2colGeom) {
 	if err := g.Validate(); err != nil {
 		panic(err.Error())

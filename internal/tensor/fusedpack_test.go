@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -157,43 +158,70 @@ func TestFusedPackEveryBackend(t *testing.T) {
 }
 
 // TestFusedPackGeomValidate pins the geometry checks MatMulIm2colInto
-// relies on before indexing the image.
+// relies on before indexing the image, one case per rejection.
 func TestFusedPackGeomValidate(t *testing.T) {
 	good := Im2colGeom{C: 1, H: 5, W: 5, K: 3, Stride: 2, Pad: 0, HO: 2, WO: 2}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
-	bad := []Im2colGeom{
-		{C: 0, H: 5, W: 5, K: 3, Stride: 1, Pad: 0, HO: 3, WO: 3},
-		{C: 1, H: 5, W: 5, K: 3, Stride: 1, Pad: 0, HO: 4, WO: 3}, // HO mismatch
-		{C: 1, H: 5, W: 5, K: 3, Stride: 0, Pad: 0, HO: 3, WO: 3},
-		{C: 1, H: 5, W: 5, K: 3, Stride: 1, Pad: -1, HO: 3, WO: 3},
-		{C: 1, H: 5, W: 5, K: 3, Stride: 2, Pad: 0, HO: 2, WO: 2, N: -1},
+	sampled := Im2colGeom{C: 2, H: 7, W: 9, K: 3, Stride: 1, Pad: 1, HO: 7, WO: 9, N: 3, SX: []int{0, 4, 8}, SY: []int{6}}
+	if err := sampled.Validate(); err != nil {
+		t.Fatalf("valid sampled geometry rejected: %v", err)
 	}
-	for i, g := range bad {
+	if got := sampled.Cols(); got != 3*3*1 {
+		t.Fatalf("sampled Cols() = %d, want N·len(SX)·len(SY) = 9", got)
+	}
+	kept := func(sx, sy []int) Im2colGeom {
+		g := sampled
+		g.SX, g.SY = sx, sy
+		return g
+	}
+	bad := map[string]Im2colGeom{
+		"no channels":        {C: 0, H: 5, W: 5, K: 3, Stride: 1, Pad: 0, HO: 3, WO: 3},
+		"HO mismatch":        {C: 1, H: 5, W: 5, K: 3, Stride: 1, Pad: 0, HO: 4, WO: 3},
+		"zero stride":        {C: 1, H: 5, W: 5, K: 3, Stride: 0, Pad: 0, HO: 3, WO: 3},
+		"negative pad":       {C: 1, H: 5, W: 5, K: 3, Stride: 1, Pad: -1, HO: 3, WO: 3},
+		"negative N":         {C: 1, H: 5, W: 5, K: 3, Stride: 2, Pad: 0, HO: 2, WO: 2, N: -1},
+		"columns without SY": kept([]int{0, 1}, nil),
+		"rows without SX":    kept(nil, []int{0}),
+		"empty SX":           kept([]int{}, []int{0}),
+		"empty SY":           kept([]int{0}, []int{}),
+		"SX repeats":         kept([]int{1, 1}, []int{0}),
+		"SX descends":        kept([]int{4, 2}, []int{0}),
+		"SY descends":        kept([]int{0}, []int{3, 2}),
+		"SX negative":        kept([]int{-1, 2}, []int{0}),
+		"SX reaches WO":      kept([]int{2, 9}, []int{0}),
+		"SY reaches HO":      kept([]int{2}, []int{0, 7}),
+	}
+	for name, g := range bad {
 		if err := g.Validate(); err == nil {
-			t.Errorf("bad geometry %d accepted: %+v", i, g)
+			t.Errorf("%s: bad geometry accepted: %+v", name, g)
 		}
 	}
 }
 
 // TestFusedPackZeroAlloc is the steady-state guard for the fused path:
 // after warm-up, a serial blocked MatMulIm2colInto must allocate nothing
-// — no column matrix, and panels from the pooled free list.
+// — no column matrix, panels from the pooled free list, the packer's
+// row-offset table on its stack — on a full and on a sampled geometry.
 func TestFusedPackZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	_, bs, _ := blockedEngines()
-	g := Im2colGeom{C: 3, H: 15, W: 15, K: 3, Stride: 1, Pad: 1, HO: 15, WO: 15}
-	rng := rand.New(rand.NewSource(12))
-	a := randTensor(rng, 16, g.Rows())
-	x := randTensor(rng, g.C, g.H, g.W)
-	c := New(16, g.Cols())
-	run := func() { bs.MatMulIm2colInto(c, a, x.Data, g) }
-	run() // warm the panel pool and the lastTile record
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("steady-state fused GEMM allocates %.1f objects/op, want 0", allocs)
+	full := Im2colGeom{C: 3, H: 15, W: 15, K: 3, Stride: 1, Pad: 1, HO: 15, WO: 15}
+	sampled := full
+	sampled.N, sampled.SX, sampled.SY = 2, []int{1, 4, 7, 10, 13}, []int{0, 2, 5, 9, 11, 14}
+	for name, g := range map[string]Im2colGeom{"full": full, "sampled": sampled} {
+		rng := rand.New(rand.NewSource(12))
+		a := randTensor(rng, 16, g.Rows())
+		x := randTensor(rng, g.Images(), g.C, g.H, g.W)
+		c := New(16, g.Cols())
+		run := func() { bs.MatMulIm2colInto(c, a, x.Data, g) }
+		run() // warm the panel pool and the lastTile record
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("%s: steady-state fused GEMM allocates %.1f objects/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -237,6 +265,79 @@ func FuzzFoldedIm2col(f *testing.F) {
 		}
 		g.HO = (g.H+2*g.Pad-g.K)/g.Stride + 1
 		g.WO = (g.W+2*g.Pad-g.K)/g.Stride + 1
+		checkFusedShape(t, g, 1+int(m8)%24, seed, testTile)
+	})
+}
+
+// keptFrom turns a fuzzed bitmask into an ascending kept list over [0, n):
+// bit i keeps coordinate i, and an empty pick keeps the mask's low bits'
+// choice of a single coordinate, so the list is never empty.
+func keptFrom(mask uint32, n int) []int {
+	var kept []int
+	for i := 0; i < n; i++ {
+		if mask>>uint(i)&1 == 1 {
+			kept = append(kept, i)
+		}
+	}
+	if kept == nil {
+		kept = []int{int(mask>>27) % n}
+	}
+	return kept
+}
+
+// FuzzSampledPackVsTwoStep fuzzes the one packer on what perforation adds:
+// any valid geometry up to 29×29 with random ascending kept columns and
+// rows, n = 1–4 images, a random KC slab [pc, pc+kc) and the panel range
+// packed as two random shards must produce, byte for byte, the panels of
+// materializing the sampled column matrix and running packBRange over it
+// — at NR = 8 and NR = 4 — and the whole GEMM must then match the two-step
+// product and the batch-1 oracle. The seeds are the three perforated
+// layers of the served level 9 (7×7 of 16×16, 5×5 of 8×8, 3×3 of 4×4).
+func FuzzSampledPackVsTwoStep(f *testing.F) {
+	f.Add(uint8(2), uint8(15), uint8(15), uint8(2), uint8(0), uint8(1), uint8(3), uint32(0x552a), uint32(0x552a), uint8(0), uint8(26), uint8(9), uint8(11), int64(1))
+	f.Add(uint8(3), uint8(7), uint8(7), uint8(2), uint8(0), uint8(1), uint8(1), uint32(0xb5), uint32(0xb5), uint8(40), uint8(200), uint8(3), uint8(23), int64(2))
+	f.Add(uint8(3), uint8(3), uint8(3), uint8(2), uint8(0), uint8(1), uint8(2), uint32(0xd), uint32(0xd), uint8(7), uint8(5), uint8(1), uint8(7), int64(3))
+	f.Add(uint8(0), uint8(20), uint8(11), uint8(4), uint8(2), uint8(2), uint8(0), uint32(0), uint32(1<<31|3), uint8(3), uint8(0), uint8(0), uint8(0), int64(4))
+	f.Fuzz(func(t *testing.T, c8, h8, w8, k8, s8, p8, n8 uint8, mx, my uint32, pc8, kc8, split8, m8 uint8, seed int64) {
+		g := Im2colGeom{
+			C: 1 + int(c8)%4, H: 1 + int(h8)%29, W: 1 + int(w8)%29, K: 1 + int(k8)%5,
+			Stride: 1 + int(s8)%4, Pad: int(p8) % 3, N: 1 + int(n8)%4,
+		}
+		if g.H+2*g.Pad < g.K || g.W+2*g.Pad < g.K {
+			t.Skip("degenerate geometry")
+		}
+		g.HO = (g.H+2*g.Pad-g.K)/g.Stride + 1
+		g.WO = (g.W+2*g.Pad-g.K)/g.Stride + 1
+		g.SX, g.SY = keptFrom(mx, g.WO), keptFrom(my, g.HO)
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := randTensor(rng, g.Images(), g.C, g.H, g.W)
+		k, n := g.Rows(), g.Cols()
+		cols := make([]float32, k*n)
+		im2colGeomInto(cols, x.Data, g)
+		xp, gp := padImages(x.Data, g)
+		defer PutScratch(xp)
+		pc := int(pc8) % k
+		kc := 1 + int(kc8)%(k-pc)
+		for _, nr := range []int{8, 4} {
+			panels := (n + nr - 1) / nr
+			mid := int(split8) % (panels + 1)
+			want, got := make([]float32, kc*panels*nr), make([]float32, kc*panels*nr)
+			for i := range got {
+				want[i], got[i] = -7, -9 // every packed float must be written
+			}
+			packBRange(want, cols, n, pc, kc, n, nr, false, 0, panels)
+			packBIm2col(got, xp, gp, pc, kc, nr, mid, panels)
+			packBIm2col(got, xp, gp, pc, kc, nr, 0, mid)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("geom %+v slab [%d,+%d) nr %d split %d/%d: packed float %d = %g, two-step %g",
+						g, pc, kc, nr, mid, panels, i, got[i], want[i])
+				}
+			}
+		}
 		checkFusedShape(t, g, 1+int(m8)%24, seed, testTile)
 	})
 }
