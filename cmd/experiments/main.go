@@ -34,11 +34,11 @@ func main() {
 		// Sharding a GEMM across cores never changes a bit of its result;
 		// the naive serial oracle rounds differently from the blocked
 		// kernels, so -backend serial may move a summary's last digits.
-		backend = flag.String("backend", "", "host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default $PCNN_GEMM_BACKEND or auto)")
+		backend = flag.String("backend", "", "host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default auto)")
 		// Reduced precision DOES change the numbers — it is the experiment:
 		// rerun a figure at int8 to see how the quantized host path shifts
 		// the accuracy/entropy trade against the fp32 baseline.
-		precision = flag.String("precision", "", "host GEMM precision: fp32, fp16 or int8 (default $PCNN_GEMM_PRECISION or fp32)")
+		precision = flag.String("precision", "", "host GEMM precision: fp32, fp16 or int8 (default fp32)")
 	)
 	flag.Parse()
 

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"pcnn"
+	"pcnn/internal/fleet"
+	"pcnn/internal/serve"
 )
 
 // fleetModelTask maps each fleet-served model to its archetype task — the
@@ -24,39 +26,80 @@ func fleetModelTask() map[string]pcnn.Task {
 	}
 }
 
-// buildFleet compiles every model for the platform pool, registers the
-// deployments and joins n in-process replicas round-robin over the
-// platforms.
-func buildFleet(n int, platforms []string, policy pcnn.FleetPolicy, hedge bool, cfg pcnn.ServeConfig) (*pcnn.Fleet, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fleet: need at least 1 replica, got %d", n)
+// newFleet builds the fleet the daemon serves. -fleet N compiles the
+// three-model surface for the platform pool and joins N nodes round-robin
+// over it; without it the daemon is the N = 1 case, -net under -task on
+// one node on -platform. Either way every node builds its servers from
+// the one serveConfig.
+func newFleet(o *options) (*pcnn.Fleet, error) {
+	policy, err := parseFleetPolicy(o.fleetPol)
+	if err != nil {
+		return nil, err
 	}
-	if len(platforms) == 0 {
-		return nil, errors.New("fleet: empty platform list")
+	cfg, err := o.serveConfig()
+	if err != nil {
+		return nil, err
 	}
-	pool := platforms
-	if n < len(pool) {
-		pool = pool[:n]
-	}
-	reg := pcnn.NewFleetRegistry()
-	for model, task := range fleetModelTask() {
-		d, err := pcnn.CompileFleetDeployment(model, task, pool, false)
+	nodes, platforms := o.fleetN, splitComma(o.fleetPlatforms)
+	var deployments []*pcnn.FleetDeployment
+	if nodes <= 0 {
+		nodes, platforms = 1, []string{o.platform}
+		d, err := o.deployment()
 		if err != nil {
 			return nil, err
 		}
+		deployments = append(deployments, d)
+	} else {
+		if len(platforms) == 0 {
+			return nil, errors.New("fleet: empty platform list")
+		}
+		pool := platforms
+		if nodes < len(pool) {
+			pool = pool[:nodes]
+		}
+		for model, task := range fleetModelTask() {
+			d, err := pcnn.CompileFleetDeployment(model, task, pool, false)
+			if err != nil {
+				return nil, err
+			}
+			deployments = append(deployments, d)
+		}
+	}
+	reg := pcnn.NewFleetRegistry()
+	for _, d := range deployments {
 		if err := reg.Register(d); err != nil {
 			return nil, err
 		}
 	}
-	fl := pcnn.NewFleet(reg, pcnn.FleetConfig{Policy: policy, Hedge: hedge})
-	for i := 0; i < n; i++ {
+	fl := pcnn.NewFleet(reg, pcnn.FleetConfig{Policy: policy, Hedge: o.hedge})
+	for i := 0; i < nodes; i++ {
 		node := pcnn.NewFleetNode(fmt.Sprintf("replica-%d", i), platforms[i%len(platforms)],
-			reg, pcnn.FleetNodeConfig{Serve: cfg})
+			reg, pcnn.FleetNodeConfig{Serve: cfg, Faults: cfg.Faults})
 		if err := fl.AddReplica(node); err != nil {
 			return nil, err
 		}
 	}
 	return fl, nil
+}
+
+// deployment is -net under -task on -platform as a one-platform fleet
+// deployment. Its executor is the framework's own (what Framework.Serve
+// builds), so -tune serves the trained network.
+func (o *options) deployment() (*pcnn.FleetDeployment, error) {
+	fw, err := o.framework()
+	if err != nil {
+		return nil, err
+	}
+	if fw.Plan == nil {
+		if err := fw.CompileOffline(); err != nil {
+			return nil, err
+		}
+	}
+	ex, err := serve.NewPlanExecutor(fw.Plan, fw.TuningPath(), fw.Scaled, fw.Table)
+	if err != nil {
+		return nil, err
+	}
+	return fleet.NewDeployment(o.netName, fw.Task, map[string]serve.Executor{o.platform: ex})
 }
 
 // splitComma splits a comma-separated flag, trimming blanks.
@@ -81,12 +124,11 @@ func parseFleetPolicy(s string) (pcnn.FleetPolicy, error) {
 	return pcnn.FleetPolicyRing, fmt.Errorf("unknown -fleet-policy %q (want ring or least-slack)", s)
 }
 
-// runFleetDaemon serves the multi-model fleet over HTTP: POST /infer
-// routes by (model, client), GET /fleet reports membership and routing
-// counters, POST /swap hot-swaps a model's deployment, GET /metrics
-// merges every replica's serve metrics under replica labels. A background
-// sweep ejects unhealthy replicas and readmits them after cooldown.
-func runFleetDaemon(addr string, fl *pcnn.Fleet) error {
+// runDaemon serves the fleet's HTTP API (fleet.Handler: /infer, /predict,
+// /stats, /trace, /profile, /fleet, /healthz, /metrics, /swap, /busy — the
+// mux the e2e harness drives) while a background sweep ejects unhealthy
+// replicas and readmits them after cooldown.
+func runDaemon(addr string, fl *pcnn.Fleet) error {
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -105,15 +147,7 @@ func runFleetDaemon(addr string, fl *pcnn.Fleet) error {
 	}()
 	log.Printf("fleet of %d replicas serving %s on %s",
 		len(fl.Snapshot().Replicas), strings.Join(fl.Registry().Models(), "+"), addr)
-	return http.ListenAndServe(addr, newFleetHandler(fl))
-}
-
-// newFleetHandler wires the fleet HTTP API — the library's full daemon
-// mux (POST /infer, GET /predict, GET /stats, GET /fleet, GET /healthz,
-// GET /metrics, POST /swap, POST /busy), shared with the e2e harness so
-// the daemon the tests drive is the daemon this binary serves.
-func newFleetHandler(fl *pcnn.Fleet) http.Handler {
-	return pcnn.NewFleetHandler(fl)
+	return http.ListenAndServe(addr, pcnn.NewFleetHandler(fl))
 }
 
 // runFleetBench writes the deterministic fleet soak (BENCH_fleet.json).

@@ -1,36 +1,19 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"pcnn"
 )
 
-// newTestFleet builds a 2-replica fleet over the two Jetson-class
-// platforms (cheapest to compile) and returns its HTTP handler.
-func newTestFleet(t *testing.T) (*pcnn.Fleet, http.Handler) {
-	t.Helper()
-	fl, err := buildFleet(2, []string{"TX1", "GTX970m"}, pcnn.FleetPolicyRing, false,
-		pcnn.ServeConfig{Workers: 1, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		fl.Close(ctx)
-	})
-	return fl, newFleetHandler(fl)
-}
-
 func TestFleetDaemonEndpoints(t *testing.T) {
-	fl, h := newTestFleet(t)
+	// Two replicas over the two Jetson-class platforms (cheapest to
+	// compile).
+	fl, h := newTestDaemon(t, "-fleet", "2", "-fleet-platforms", "TX1,GTX970m", "-workers", "1", "-batch", "4")
 
 	// Route a few background-model requests through the HTTP path.
 	for i := 0; i < 4; i++ {

@@ -1,42 +1,49 @@
-// Command pcnnd is the P-CNN serving daemon: it deploys one (network,
-// platform, task) triple and serves inference requests online through the
-// deadline-aware dynamic batcher, degrading gracefully under overload via
-// perforation escalation with entropy-driven calibration backtracking.
+// Command pcnnd is the P-CNN serving daemon. A daemon always serves a
+// fleet behind the one HTTP mux (fleet.Handler): the paper's unit of
+// deployment — one model on one platform for one task — is a fleet of one
+// node, and -fleet N replicates it across platforms. Requests go through
+// the deadline-aware dynamic batcher, degrading gracefully under overload
+// via perforation escalation with entropy-driven calibration backtracking.
 //
 // Modes:
 //
 //	go run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance -addr :8080
-//	    HTTP daemon: POST /infer serves one request, GET /stats reports
-//	    the serving snapshot, GET /predict?batch=B the live Eq 12
-//	    forecast (predicted batch latency, capacity, degrade level,
-//	    queue depth, busy horizon), GET /metrics exports Prometheus
-//	    text format, GET /trace returns recent request traces,
-//	    GET /profile the per-layer time/energy breakdown, GET /healthz
-//	    liveness. -debug-addr :6060 additionally serves net/http/pprof.
-//
-//	go run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance -load closed -n 100 -smoke
-//	    built-in load generator: closed-loop (N concurrent users, think
-//	    time zero) or open-loop (-load open -rate R, Poisson or
-//	    fixed-fps arrivals from internal/workload). -smoke exits nonzero
-//	    unless every request was served with positive mean SoC.
-//	    -bench FILE sweeps three open-loop load levels and writes
-//	    throughput/latency/miss-rate JSON.
+//	    HTTP daemon: -net under -task on one node, replica-0, on
+//	    -platform; model= may be omitted everywhere. POST /infer serves
+//	    one request (429 when admission sheds it), GET /predict?batch=B
+//	    is the live Eq 12 forecast a remote HTTPReplica polls, GET /stats
+//	    the serving snapshots, GET /trace?n=N recent request traces, GET
+//	    /profile the per-layer time/energy breakdown, GET /fleet
+//	    membership and health reasons, GET /metrics Prometheus text, GET
+//	    /healthz liveness (503 only when no replica is healthy — closed or
+//	    breaker-open; serving above the base perforation level is
+//	    degradation, not an outage), POST /swap?dvfs=1 hot-swaps the
+//	    deployment (recompiled compile-only: a -tune deployment loses its
+//	    trained network), POST /busy?ms=D declares a busy horizon.
+//	    -debug-addr :6060 additionally serves net/http/pprof.
 //
 //	go run ./cmd/pcnnd -fleet 3 -addr :8080
-//	    fleet daemon: N in-process replicas on heterogeneous platforms
-//	    serving AlexNet+VGGNet+GoogLeNet behind one endpoint. POST
-//	    /infer?model=M&client=C routes by consistent hash (hedging with
-//	    -hedge), GET /predict?model=M&batch=B returns the routed
-//	    replica's Eq 12 forecast (what HTTPReplica polls), GET /stats
-//	    the per-model serve snapshots, GET /fleet membership and
-//	    routing counters, POST /swap?model=M&dvfs=1 hot-swaps a
-//	    deployment with zero downtime, POST /busy?model=M&ms=D declares
-//	    a busy horizon, GET /metrics merges per-replica serve metrics.
-//	    -fleet-bench FILE writes the deterministic virtual-clock soak
-//	    (BENCH_fleet.json); -requests R sets its per-row request total
-//	    (the committed file carries ≥1,000,000 per row, streamed through
-//	    the chunked aggregator); with -fleet-smoke it shrinks to a
-//	    seconds-long CI gate that fails unless the soak invariants hold.
+//	    the same daemon over N in-process replicas on heterogeneous
+//	    platforms serving AlexNet+VGGNet+GoogLeNet: /infer?model=M&client=C
+//	    routes by consistent hash (hedging with -hedge), and model= is
+//	    required wherever it selects one model. The serving flags
+//	    (-batch … -fault-spec) configure every server of every node,
+//	    exactly as they do the one-node daemon.
+//
+//	go run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance -load closed -n 100 -smoke
+//	    built-in load generator on one in-process server: closed-loop (N
+//	    concurrent users, think time zero) or open-loop (-load open -rate
+//	    R, Poisson or fixed-fps arrivals from internal/workload). -smoke
+//	    exits nonzero unless every request was served with positive mean
+//	    SoC. -bench FILE sweeps three open-loop load levels and writes
+//	    throughput/latency/miss-rate JSON.
+//
+//	go run ./cmd/pcnnd -fleet-bench FILE
+//	    the deterministic virtual-clock soak (BENCH_fleet.json);
+//	    -requests R sets its per-row request total (the committed file
+//	    carries ≥1,000,000 per row, streamed through the chunked
+//	    aggregator); with -fleet-smoke it shrinks to a seconds-long CI
+//	    gate that fails unless the soak invariants hold.
 package main
 
 import (
@@ -49,7 +56,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,182 +65,203 @@ import (
 	"pcnn/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("pcnnd: ")
+// options holds every flag value. serveConfig turns the serving ones
+// (workers … seed, faultSpec) into the one serve.Config every server is
+// built from, whichever mode builds it.
+type options struct {
+	netName, platform, taskName, addr, debug, backend string
+	fps                                               float64
+	tune                                              bool
 
-	var (
-		netName  = flag.String("net", "AlexNet", "network: AlexNet, VGGNet or GoogLeNet")
-		platform = flag.String("platform", "TX1", "platform: K20c, TitanX, GTX970m or TX1")
-		taskName = flag.String("task", "surveillance", "task archetype: age, surveillance or tagging")
-		fps      = flag.Float64("fps", 30, "camera frame rate for -task surveillance")
-		addr     = flag.String("addr", "", "HTTP listen address (daemon mode, e.g. :8080)")
-		debug    = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
-		workers  = flag.Int("workers", 2, "worker pool size")
-		batch    = flag.Int("batch", 0, "batch cap (0 = plan's compiled batch)")
-		queue    = flag.Int("queue", 0, "admission queue capacity (0 = default)")
-		pace     = flag.Float64("pace", 0, "wall ms per simulated ms (1 = simulated real time)")
-		noDeg    = flag.Bool("nodegrade", false, "disable perforation escalation (control config)")
-		load     = flag.String("load", "", "load generator mode: open or closed")
-		rate     = flag.Float64("rate", 0, "open-loop arrival rate, requests/s (0 = archetype default)")
-		n        = flag.Int("n", 100, "load generator request count")
-		conc     = flag.Int("conc", 4, "closed-loop concurrent users")
-		bench    = flag.String("bench", "", "write a 3-level load sweep to this JSON file")
-		smoke    = flag.Bool("smoke", false, "exit nonzero unless zero loss and positive SoC")
-		reject   = flag.Bool("reject", true,
-			"slack-aware early rejection: refuse requests whose deadline no degradation level can meet")
-		tune    = flag.Bool("tune", false, "train the scaled analogue and attach the accuracy tuner (slow)")
-		seed    = flag.Int64("seed", 1, "load generator seed")
-		backend = flag.String("backend", "",
-			"host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default $PCNN_GEMM_BACKEND or auto)")
+	workers, batch, queue, retries, breaker int
+	pace, execTimeoutMS, breakerCooldownMS  float64
+	noDegrade, reject                       bool
+	seed                                    int64
+	faultSpec                               string
 
-		scenarios = flag.String("scenarios", "",
-			"run the scenario matrix and write its JSON rows to this file (- for stdout)")
-		scenProm = flag.String("scenarios-prom", "",
-			"with -scenarios: also write the matrix's Prometheus text snapshot to this file")
-		grid = flag.String("grid", "default", "scenario grid: default (12 scenarios) or smoke (4)")
+	load, bench string
+	rate        float64
+	n, conc     int
+	smoke       bool
 
-		fleetN = flag.Int("fleet", 0,
-			"fleet mode: N in-process replicas spread over -fleet-platforms, serving all three models (0 = single-server mode)")
-		fleetPlat = flag.String("fleet-platforms", "TitanX,K20c,GTX970m,TX1",
-			"comma-separated platform pool the fleet replicas cycle through")
-		fleetPol = flag.String("fleet-policy", "ring", "fleet fallback policy: ring or least-slack")
-		hedge    = flag.Bool("hedge", false,
-			"fleet mode: hedge to a second replica when the primary predicts a deadline miss")
-		fleetBench = flag.String("fleet-bench", "",
-			"write the deterministic fleet soak to this JSON file (- for stdout); BENCH_fleet.json's generator")
-		fleetSmoke = flag.Bool("fleet-smoke", false,
-			"with -fleet-bench: shrink the soak to seconds and exit nonzero unless its invariants hold")
-		fleetReqs = flag.Int("requests", 0,
-			"with -fleet-bench: total requests per grid row, split evenly across the three models (0 = spec default)")
+	scenarios, scenProm, grid string
 
-		faultSpec = flag.String("fault-spec", "",
-			"seeded fault injection, e.g. seed=42,launch=0.05,slow=0.1,slowx=4,corrupt=0.02,sat=0.01,skew=2.5")
-		retries   = flag.Int("retries", 0, "batch execution retries after a failure (0 = none)")
-		execTO    = flag.Float64("exec-timeout-ms", 0, "per-attempt execution timeout in wall ms (0 = off)")
-		breaker   = flag.Int("breaker", 0, "circuit breaker threshold: consecutive failures before opening (0 = off)")
-		breakerCD = flag.Float64("breaker-cooldown-ms", 0, "open-breaker cooldown before the half-open probe (0 = 250)")
-	)
-	flag.Parse()
+	fleetN, fleetReqs                    int
+	fleetPlatforms, fleetPol, fleetBench string
+	hedge, fleetSmoke                    bool
+}
 
-	if *backend != "" {
-		b, err := tensor.ParseBackend(*backend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tensor.Default().SetBackend(b)
-	}
+// parseFlags declares the flag set on a fresh options value and parses
+// args into it, exiting on a bad command line as flag.Parse does.
+func parseFlags(args []string) *options {
+	o := &options{}
+	fs := flag.NewFlagSet("pcnnd", flag.ExitOnError)
+	fs.StringVar(&o.netName, "net", "AlexNet", "network: AlexNet, VGGNet or GoogLeNet")
+	fs.StringVar(&o.platform, "platform", "TX1", "platform: K20c, TitanX, GTX970m or TX1")
+	fs.StringVar(&o.taskName, "task", "surveillance", "task archetype: age, surveillance or tagging")
+	fs.Float64Var(&o.fps, "fps", 30, "camera frame rate for -task surveillance")
+	fs.StringVar(&o.addr, "addr", "", "HTTP listen address (daemon mode, e.g. :8080)")
+	fs.StringVar(&o.debug, "debug-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
+	fs.IntVar(&o.workers, "workers", 2, "worker pool size")
+	fs.IntVar(&o.batch, "batch", 0, "batch cap (0 = plan's compiled batch)")
+	fs.IntVar(&o.queue, "queue", 0, "admission queue capacity (0 = default)")
+	fs.Float64Var(&o.pace, "pace", 0, "wall ms per simulated ms (1 = simulated real time)")
+	fs.BoolVar(&o.noDegrade, "nodegrade", false, "disable perforation escalation (control config)")
+	fs.StringVar(&o.load, "load", "", "load generator mode: open or closed")
+	fs.Float64Var(&o.rate, "rate", 0, "open-loop arrival rate, requests/s (0 = archetype default)")
+	fs.IntVar(&o.n, "n", 100, "load generator request count")
+	fs.IntVar(&o.conc, "conc", 4, "closed-loop concurrent users")
+	fs.StringVar(&o.bench, "bench", "", "write a 3-level load sweep to this JSON file")
+	fs.BoolVar(&o.smoke, "smoke", false, "exit nonzero unless zero loss and positive SoC")
+	fs.BoolVar(&o.reject, "reject", true,
+		"slack-aware early rejection: refuse requests whose deadline no degradation level can meet")
+	fs.BoolVar(&o.tune, "tune", false, "train the scaled analogue and attach the accuracy tuner (slow)")
+	fs.Int64Var(&o.seed, "seed", 1, "load generator seed")
+	fs.StringVar(&o.backend, "backend", "",
+		"host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default auto)")
 
-	if *scenarios != "" {
-		if err := runScenarios(*scenarios, *scenProm, *grid, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *fleetBench != "" {
-		if err := runFleetBench(*fleetBench, *seed, *fleetReqs, *fleetSmoke); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *fleetN > 0 {
-		if *addr == "" {
-			log.Fatal("-fleet needs -addr (daemon mode)")
-		}
-		policy, err := parseFleetPolicy(*fleetPol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := pcnn.ServeConfig{
-			MaxBatch: *batch, QueueCap: *queue, Workers: *workers, Pace: *pace,
-			DisableDegrade: *noDeg, Seed: *seed, RejectUnmeetable: true,
-		}
-		fl, err := buildFleet(*fleetN, splitComma(*fleetPlat), policy, *hedge, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *debug != "" {
-			go func() {
-				log.Printf("pprof on %s/debug/pprof/", *debug)
-				log.Printf("pprof listener: %v", http.ListenAndServe(*debug, debugMux()))
-			}()
-		}
-		log.Fatal(runFleetDaemon(*addr, fl))
-	}
+	fs.StringVar(&o.scenarios, "scenarios", "",
+		"run the scenario matrix and write its JSON rows to this file (- for stdout)")
+	fs.StringVar(&o.scenProm, "scenarios-prom", "",
+		"with -scenarios: also write the matrix's Prometheus text snapshot to this file")
+	fs.StringVar(&o.grid, "grid", "default", "scenario grid: default (12 scenarios) or smoke (4)")
 
-	task, err := taskByName(*taskName, *fps)
+	fs.IntVar(&o.fleetN, "fleet", 0,
+		"daemon mode: N in-process replicas spread over -fleet-platforms, serving all three models (0 = one replica on -platform serving -net under -task)")
+	fs.StringVar(&o.fleetPlatforms, "fleet-platforms", "TitanX,K20c,GTX970m,TX1",
+		"comma-separated platform pool the fleet replicas cycle through")
+	fs.StringVar(&o.fleetPol, "fleet-policy", "ring", "fleet fallback policy: ring or least-slack")
+	fs.BoolVar(&o.hedge, "hedge", false,
+		"fleet mode: hedge to a second replica when the primary predicts a deadline miss")
+	fs.StringVar(&o.fleetBench, "fleet-bench", "",
+		"write the deterministic fleet soak to this JSON file (- for stdout); BENCH_fleet.json's generator")
+	fs.BoolVar(&o.fleetSmoke, "fleet-smoke", false,
+		"with -fleet-bench: shrink the soak to seconds and exit nonzero unless its invariants hold")
+	fs.IntVar(&o.fleetReqs, "requests", 0,
+		"with -fleet-bench: total requests per grid row, split evenly across the three models (0 = spec default)")
+
+	fs.StringVar(&o.faultSpec, "fault-spec", "",
+		"seeded fault injection, e.g. seed=42,launch=0.05,slow=0.1,slowx=4,corrupt=0.02,sat=0.01,skew=2.5")
+	fs.IntVar(&o.retries, "retries", 0, "batch execution retries after a failure (0 = none)")
+	fs.Float64Var(&o.execTimeoutMS, "exec-timeout-ms", 0, "per-attempt execution timeout in wall ms (0 = off)")
+	fs.IntVar(&o.breaker, "breaker", 0, "circuit breaker threshold: consecutive failures before opening (0 = off)")
+	fs.Float64Var(&o.breakerCooldownMS, "breaker-cooldown-ms", 0, "open-breaker cooldown before the half-open probe (0 = 250)")
+	fs.Parse(args) // ExitOnError: Parse does not return an error
+	return o
+}
+
+// serveConfig builds the serve.Config every server runs under — the
+// generator's one server and each server of each daemon node alike —
+// with the -fault-spec injector attached.
+func (o *options) serveConfig() (pcnn.ServeConfig, error) {
+	spec, err := pcnn.ParseFaultSpec(o.faultSpec)
 	if err != nil {
-		log.Fatal(err)
-	}
-	fw, err := deploy(*netName, *platform, task, *tune)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec, err := pcnn.ParseFaultSpec(*faultSpec)
-	if err != nil {
-		log.Fatal(err)
+		return pcnn.ServeConfig{}, err
 	}
 	inj, err := pcnn.NewFaultInjector(spec)
 	if err != nil {
-		log.Fatal(err)
+		return pcnn.ServeConfig{}, err
 	}
 	if inj != nil {
 		log.Printf("fault injection on: %s", spec)
 	}
-	cfg := pcnn.ServeConfig{
-		MaxBatch:          *batch,
-		QueueCap:          *queue,
-		Workers:           *workers,
-		Pace:              *pace,
-		DisableDegrade:    *noDeg,
-		RejectUnmeetable:  *reject,
-		MaxRetries:        *retries,
-		ExecTimeoutMS:     *execTO,
-		BreakerThreshold:  *breaker,
-		BreakerCooldownMS: *breakerCD,
-		Seed:              *seed,
+	return pcnn.ServeConfig{
+		MaxBatch:          o.batch,
+		QueueCap:          o.queue,
+		Workers:           o.workers,
+		Pace:              o.pace,
+		DisableDegrade:    o.noDegrade,
+		RejectUnmeetable:  o.reject,
+		MaxRetries:        o.retries,
+		ExecTimeoutMS:     o.execTimeoutMS,
+		BreakerThreshold:  o.breaker,
+		BreakerCooldownMS: o.breakerCooldownMS,
+		Seed:              o.seed,
 		Faults:            inj,
+	}, nil
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("pcnnd: ")
+
+	if err := run(parseFlags(os.Args[1:])); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run dispatches on the mode flags.
+func run(o *options) error {
+	if o.backend != "" {
+		b, err := tensor.ParseBackend(o.backend)
+		if err != nil {
+			return err
+		}
+		tensor.Default().SetBackend(b)
+	}
+	switch {
+	case o.scenarios != "":
+		return runScenarios(o.scenarios, o.scenProm, o.grid, o.seed)
+	case o.fleetBench != "":
+		return runFleetBench(o.fleetBench, o.seed, o.fleetReqs, o.fleetSmoke)
+	case o.fleetN > 0 && o.addr == "":
+		return errors.New("-fleet needs -addr (daemon mode)")
 	}
 
-	if *debug != "" {
+	if o.debug != "" {
 		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *debug)
-			log.Printf("pprof listener: %v", http.ListenAndServe(*debug, debugMux()))
+			log.Printf("pprof on %s/debug/pprof/", o.debug)
+			log.Printf("pprof listener: %v", http.ListenAndServe(o.debug, debugMux()))
 		}()
 	}
-
-	switch {
-	case *bench != "":
-		if err := runBench(fw, cfg, *bench, *n, *seed, *smoke); err != nil {
-			log.Fatal(err)
-		}
-	case *load != "":
-		srv, err := fw.Serve(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		snap, err := generate(srv, *load, *rate, *n, *conc, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(os.Stdout, snap)
-		if *smoke {
-			if err := checkSmoke(snap, *n); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("smoke OK: %d served, p99 %.1fms, mean SoC %.3g",
-				snap.Completed, snap.P99MS, snap.MeanSoC)
-		}
-	case *addr != "":
-		srv, err := fw.Serve(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("serving %s/%s/%s on %s", *netName, *platform, task.Name, *addr)
-		log.Fatal(http.ListenAndServe(*addr, newHandler(srv)))
-	default:
-		log.Fatal("nothing to do: pass -addr for daemon mode or -load open|closed for the generator")
+	if o.fleetN <= 0 && (o.bench != "" || o.load != "") {
+		return runGenerator(o)
 	}
+	if o.addr == "" {
+		return errors.New("nothing to do: pass -addr for daemon mode or -load open|closed for the generator")
+	}
+	fl, err := newFleet(o)
+	if err != nil {
+		return err
+	}
+	return runDaemon(o.addr, fl)
+}
+
+// runGenerator drives one in-process server — no HTTP — with the -bench
+// sweep or the -load generator.
+func runGenerator(o *options) error {
+	fw, err := o.framework()
+	if err != nil {
+		return err
+	}
+	cfg, err := o.serveConfig()
+	if err != nil {
+		return err
+	}
+	if o.bench != "" {
+		return runBench(fw, cfg, o.bench, o.n, o.seed, o.smoke)
+	}
+	srv, err := fw.Serve(cfg)
+	if err != nil {
+		return err
+	}
+	snap, err := generate(srv, o.load, o.rate, o.n, o.conc, o.seed)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(snap); err != nil {
+		return err
+	}
+	if o.smoke {
+		if err := checkSmoke(snap, o.n); err != nil {
+			return err
+		}
+		log.Printf("smoke OK: %d served, p99 %.1fms, mean SoC %.3g",
+			snap.Completed, snap.P99MS, snap.MeanSoC)
+	}
+	return nil
 }
 
 // taskByName resolves the archetype flag.
@@ -250,17 +277,21 @@ func taskByName(name string, fps float64) (pcnn.Task, error) {
 	return pcnn.Task{}, fmt.Errorf("unknown task %q (want age, surveillance or tagging)", name)
 }
 
-// deploy builds the framework: the full Deploy path (training the scaled
-// analogue) when tune is set, compile-only otherwise.
-func deploy(netName, platform string, task pcnn.Task, tune bool) (*pcnn.Framework, error) {
-	if tune {
-		return pcnn.Deploy(netName, platform, task)
+// framework deploys -net on -platform for -task: the full Deploy path
+// (training the scaled analogue) under -tune, compile-only otherwise.
+func (o *options) framework() (*pcnn.Framework, error) {
+	task, err := taskByName(o.taskName, o.fps)
+	if err != nil {
+		return nil, err
 	}
-	dev := pcnn.PlatformByName(platform)
+	if o.tune {
+		return pcnn.Deploy(o.netName, o.platform, task)
+	}
+	dev := pcnn.PlatformByName(o.platform)
 	if dev == nil {
-		return nil, &pcnn.UnknownPlatformError{Name: platform}
+		return nil, &pcnn.UnknownPlatformError{Name: o.platform}
 	}
-	return pcnn.New(netName, dev, task)
+	return pcnn.New(o.netName, dev, task)
 }
 
 // generate drives the built-in load generator and returns the final
@@ -419,95 +450,6 @@ func runScenarios(jsonPath, promPath, grid string, seed int64) error {
 	return nil
 }
 
-// prometheusContentType is the text exposition format /metrics serves.
-const prometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// newHandler wires the HTTP API.
-func newHandler(srv *pcnn.Server) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		h := srv.Health()
-		w.Header().Set("Content-Type", "application/json")
-		if h.Degraded {
-			// Degraded serving (breaker tripped, escalated level) and a
-			// draining server both answer 503, with the reasons inline, so
-			// orchestrators can distinguish "remove from rotation" from a
-			// flapping liveness probe.
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		emit(w, h)
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		emit(w, srv.Stats())
-	})
-	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		batch := 0
-		if q := r.URL.Query().Get("batch"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "batch must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			batch = v
-		}
-		w.Header().Set("Content-Type", "application/json")
-		emit(w, srv.Predict(batch))
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", prometheusContentType)
-		if err := srv.WriteMetrics(w); err != nil {
-			log.Printf("metrics: %v", err)
-		}
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 0 // everything held
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 1 {
-				http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		w.Header().Set("Content-Type", "application/json")
-		emit(w, srv.Traces(n))
-	})
-	mux.HandleFunc("/profile", func(w http.ResponseWriter, _ *http.Request) {
-		prof, err := srv.LayerProfile()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotImplemented)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		emit(w, prof)
-	})
-	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		f, err := srv.Submit()
-		switch {
-		case errors.Is(err, pcnn.ErrQueueFull):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		case errors.Is(err, pcnn.ErrServerClosed):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		res, err := f.Wait(r.Context())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		emit(w, res)
-	})
-	return mux
-}
-
 // debugMux serves the pprof endpoints on their own mux, so profiling
 // stays off the serving address entirely unless -debug-addr opts in.
 func debugMux() *http.ServeMux {
@@ -518,13 +460,4 @@ func debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// emit writes v as indented JSON.
-func emit(w interface{ Write([]byte) (int, error) }, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("encode: %v", err)
-	}
 }

@@ -237,34 +237,17 @@ func (ff *FleetFuture) Wait(ctx context.Context) (serve.Result, string, error) {
 	return legs[win].res, legs[win].t.Replica(), nil
 }
 
-// Submit routes one request for a model. key identifies the routing
-// affinity (client ID, session, shard) — the ring maps (model, key) to a
-// stable primary so a client's requests land on the same replica while
-// membership holds. Fallback replicas absorb the request when the
-// primary refuses admission; a hedge leg rides along when the primary
-// predicts a deadline miss at submit time.
-func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
-	dep := f.reg.Current(model)
-	if dep == nil {
-		return nil, fmt.Errorf("fleet: model %q not in registry", model)
-	}
+// candidates returns the active replicas to try for (model, key), ring
+// owner first. Under PolicyLeastSlack the fallbacks behind the owner are
+// re-ordered by predicted completion time, cheapest first.
+func (f *Fleet) candidates(model, key string) []Replica {
 	ring, act := f.ringFor(model)
-	if len(act) == 0 {
-		return nil, ErrNoReplicas
-	}
-	f.mu.Lock()
-	f.requests++
-	f.mu.Unlock()
-
 	order := ring.Order(model+"|"+key, 0)
 	cands := make([]Replica, 0, len(order))
 	for _, id := range order {
 		if r := replicaByID(act, id); r != nil {
 			cands = append(cands, r)
 		}
-	}
-	if len(cands) == 0 {
-		return nil, ErrNoReplicas
 	}
 	if f.cfg.Policy == PolicyLeastSlack && len(cands) > 2 {
 		rest := cands[1:]
@@ -280,6 +263,27 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 		}
 		sort.SliceStable(rest, func(i, j int) bool { return pred[i] < pred[j] })
 	}
+	return cands
+}
+
+// Submit routes one request for a model. key identifies the routing
+// affinity (client ID, session, shard) — the ring maps (model, key) to a
+// stable primary so a client's requests land on the same replica while
+// membership holds. Fallback replicas absorb the request when the
+// primary refuses admission; a hedge leg rides along when the primary
+// predicts a deadline miss at submit time.
+func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
+	dep := f.reg.Current(model)
+	if dep == nil {
+		return nil, fmt.Errorf("fleet: model %q not in registry", model)
+	}
+	cands := f.candidates(model, key)
+	if len(cands) == 0 {
+		return nil, ErrNoReplicas
+	}
+	f.mu.Lock()
+	f.requests++
+	f.mu.Unlock()
 
 	// Hedge decision happens before admission: the primary's predicted
 	// completion (queue ahead + own execution) against the task deadline.
@@ -288,9 +292,11 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 
 	var legs []*Ticket
 	primaryIdx := -1
+	var refusal error
 	for i, r := range cands {
 		t, err := r.Submit(model)
 		if err != nil {
+			refusal = err
 			continue
 		}
 		legs = append(legs, t)
@@ -298,7 +304,9 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 		break
 	}
 	if len(legs) == 0 {
-		return nil, fmt.Errorf("fleet: every replica refused %s/%s", model, key)
+		// The last refusal rides along so callers can tell shed load
+		// (serve.ErrQueueFull, serve.ErrDeadlineUnmeetable) from a fault.
+		return nil, fmt.Errorf("fleet: every replica refused %s/%s: %w", model, key, refusal)
 	}
 	if primaryIdx > 0 {
 		f.mu.Lock()

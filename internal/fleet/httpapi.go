@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/obs"
 	"pcnn/internal/serve"
 )
@@ -153,29 +156,22 @@ func (f *Fleet) ModelStats(model string) map[string]serve.Snapshot {
 	return out
 }
 
-// DeclareBusy declares a busy horizon of d from now on every local
-// node's server for a model — the operational hook behind POST /busy
-// that lets tests and co-running workloads mark a daemon occupied.
-// Returns how many servers accepted the horizon.
-func (f *Fleet) DeclareBusy(model string, d time.Duration) int {
+// localServers returns every local node's current server for a model,
+// keyed by node ID, building servers that do not exist yet. Remote
+// replicas and nodes that cannot serve the model are absent.
+func (f *Fleet) localServers(model string) map[string]*serve.Server {
 	f.mu.Lock()
 	replicas := append([]Replica(nil), f.replicas...)
-	until := f.cfg.Clock().Add(d)
 	f.mu.Unlock()
-	n := 0
+	out := map[string]*serve.Server{}
 	for _, r := range replicas {
-		node, ok := r.(*Node)
-		if !ok {
-			continue
+		if node, ok := r.(*Node); ok {
+			if srv, _, err := node.Server(model); err == nil {
+				out[node.id] = srv
+			}
 		}
-		srv, _, err := node.Server(model)
-		if err != nil {
-			continue
-		}
-		srv.SetBusyUntil(until)
-		n++
 	}
-	return n
+	return out
 }
 
 // emitJSON writes an indented JSON body.
@@ -186,12 +182,53 @@ func emitJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// Handler wires the fleet HTTP API — the full daemon surface cmd/pcnnd
-// serves and the e2e harness drives:
+// requestModel resolves a request's model= parameter against the
+// registry, answering 400 itself (and reporting false) when it names no
+// servable model. An absent model= means the only registered model — a
+// one-model daemon needs no model= anywhere — and is an error naming the
+// choices when several are registered.
+func requestModel(w http.ResponseWriter, reg *Registry, q url.Values) (string, bool) {
+	model := q.Get("model")
+	if model == "" {
+		models := reg.Models()
+		if len(models) == 1 {
+			return models[0], true
+		}
+		http.Error(w, fmt.Sprintf("model= is required: registered models are [%s]",
+			strings.Join(models, " ")), http.StatusBadRequest)
+		return "", false
+	}
+	if reg.Current(model) == nil {
+		http.Error(w, fmt.Sprintf("unknown model %q", model), http.StatusBadRequest)
+		return "", false
+	}
+	return model, true
+}
+
+// intParam reads an optional integer parameter that must be at least min
+// when present (0 when absent), answering 400 itself on a bad value.
+func intParam(w http.ResponseWriter, q url.Values, name string, min int) (int, bool) {
+	s := q.Get(name)
+	if s == "" {
+		return 0, true
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil || v < min {
+		http.Error(w, fmt.Sprintf("bad %s %q", name, s), http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
+}
+
+// Handler wires the fleet HTTP API — the whole daemon surface cmd/pcnnd
+// serves and the e2e harness drives. Where model= selects one model it
+// may be omitted on a daemon that registers exactly one:
 //
 //	POST /infer?model=&client=  route one request, body is the result
 //	GET  /predict?model=&batch= Eq 12 prediction (all models without model=)
-//	GET  /stats?model=          per-replica serve snapshots
+//	GET  /stats?model=          per-replica serve snapshots (all models without model=)
+//	GET  /trace?model=&n=       per-replica recent request traces, newest first
+//	GET  /profile?model=        per-replica per-layer time/energy breakdown
 //	GET  /fleet                 membership, health, routing counters
 //	GET  /healthz               aggregate health (503 when no healthy replica)
 //	GET  /metrics               merged Prometheus exposition
@@ -199,21 +236,22 @@ func emitJSON(w http.ResponseWriter, v any) {
 //	POST /busy?model=&ms=       declare a busy horizon on local servers
 func Handler(fl *Fleet) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	post := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost {
+				http.Error(w, "POST only", http.StatusMethodNotAllowed)
+				return
+			}
+			h(w, r)
+		}
+	}
+	mux.HandleFunc("/infer", post(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		model, ok := requestModel(w, fl.reg, q)
+		if !ok {
 			return
 		}
-		model := r.URL.Query().Get("model")
-		if model == "" {
-			model = "AlexNet"
-		}
-		client := r.URL.Query().Get("client")
-		if fl.Registry().Current(model) == nil {
-			http.Error(w, fmt.Sprintf("unknown model %q", model), http.StatusBadRequest)
-			return
-		}
-		ff, err := fl.Submit(model, client)
+		ff, err := fl.Submit(model, q.Get("client"))
 		switch {
 		case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrDeadlineUnmeetable):
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
@@ -232,18 +270,14 @@ func Handler(fl *Fleet) http.Handler {
 		}
 		w.Header().Set("X-Pcnn-Replica", replica)
 		emitJSON(w, res)
-	})
+	}))
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		batch := 0
-		if b := r.URL.Query().Get("batch"); b != "" {
-			n, err := strconv.Atoi(b)
-			if err != nil || n < 0 {
-				http.Error(w, fmt.Sprintf("bad batch %q", b), http.StatusBadRequest)
-				return
-			}
-			batch = n
+		q := r.URL.Query()
+		batch, ok := intParam(w, q, "batch", 0)
+		if !ok {
+			return
 		}
-		model := r.URL.Query().Get("model")
+		model := q.Get("model")
 		if model == "" {
 			emitJSON(w, fl.PredictAll(batch))
 			return
@@ -269,6 +303,38 @@ func Handler(fl *Fleet) http.Handler {
 		}
 		emitJSON(w, all)
 	})
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		model, ok := requestModel(w, fl.reg, q)
+		if !ok {
+			return
+		}
+		n, ok := intParam(w, q, "n", 1) // absent: everything held
+		if !ok {
+			return
+		}
+		traces := map[string][]obs.Trace{}
+		for id, srv := range fl.localServers(model) {
+			traces[id] = srv.Traces(n)
+		}
+		emitJSON(w, traces)
+	})
+	mux.HandleFunc("/profile", func(w http.ResponseWriter, r *http.Request) {
+		model, ok := requestModel(w, fl.reg, r.URL.Query())
+		if !ok {
+			return
+		}
+		profiles := map[string][]compile.LayerProfile{}
+		for id, srv := range fl.localServers(model) {
+			prof, err := srv.LayerProfile()
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusNotImplemented)
+				return
+			}
+			profiles[id] = prof
+		}
+		emitJSON(w, profiles)
+	})
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, _ *http.Request) {
 		emitJSON(w, fl.Snapshot())
 	})
@@ -293,19 +359,13 @@ func Handler(fl *Fleet) http.Handler {
 		w.Header().Set("Content-Type", prometheusContentType)
 		_ = fl.WriteMetrics(w)
 	})
-	mux.HandleFunc("/swap", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	mux.HandleFunc("/swap", post(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		model, ok := requestModel(w, fl.reg, q)
+		if !ok {
 			return
 		}
-		model := r.URL.Query().Get("model")
-		cur := fl.Registry().Current(model)
-		if cur == nil {
-			http.Error(w, fmt.Sprintf("unknown model %q", model), http.StatusBadRequest)
-			return
-		}
-		dvfs := r.URL.Query().Get("dvfs") == "1"
-		d, err := CompileDeployment(model, cur.Task, fl.Platforms(), dvfs)
+		d, err := CompileDeployment(model, fl.reg.Current(model).Task, fl.Platforms(), q.Get("dvfs") == "1")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -325,29 +385,31 @@ func Handler(fl *Fleet) http.Handler {
 			Model   string `json:"model"`
 			Version int    `json:"version"`
 		}{model, fl.Registry().Current(model).Version})
-	})
-	mux.HandleFunc("/busy", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	}))
+	mux.HandleFunc("/busy", post(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		model, ok := requestModel(w, fl.reg, q)
+		if !ok {
 			return
 		}
-		model := r.URL.Query().Get("model")
-		if fl.Registry().Current(model) == nil {
-			http.Error(w, fmt.Sprintf("unknown model %q", model), http.StatusBadRequest)
-			return
-		}
-		ms, err := strconv.ParseFloat(r.URL.Query().Get("ms"), 64)
+		ms, err := strconv.ParseFloat(q.Get("ms"), 64)
 		if err != nil || ms < 0 {
-			http.Error(w, fmt.Sprintf("bad ms %q", r.URL.Query().Get("ms")), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("bad ms %q", q.Get("ms")), http.StatusBadRequest)
 			return
 		}
-		n := fl.DeclareBusy(model, time.Duration(ms*float64(time.Millisecond)))
+		// The hook that lets tests and co-running workloads mark a daemon
+		// occupied: every local server for the model takes the horizon.
+		until := fl.cfg.Clock().Add(time.Duration(ms * float64(time.Millisecond)))
+		srvs := fl.localServers(model)
+		for _, srv := range srvs {
+			srv.SetBusyUntil(until)
+		}
 		emitJSON(w, struct {
 			Model   string  `json:"model"`
 			BusyMS  float64 `json:"busy_ms"`
 			Servers int     `json:"servers"`
-		}{model, ms, n})
-	})
+		}{model, ms, len(srvs)})
+	}))
 	return mux
 }
 

@@ -562,22 +562,15 @@ func (h *HTTPReplica) CapacityRPS(model string) float64 {
 	return h.weight
 }
 
-// wireHealth decodes both /healthz shapes a replica may face: a fleet
-// daemon's {healthy_replicas, total_replicas} and a single-server
-// daemon's serve.Health.
+// wireHealth is the daemon's /healthz payload.
 type wireHealth struct {
-	// Fleet daemon shape. Pointers distinguish "absent" from 0.
-	HealthyReplicas *int `json:"healthy_replicas"`
-	TotalReplicas   *int `json:"total_replicas"`
-	// Single-server daemon shape (serve.Health).
-	Status  string   `json:"status"`
-	Breaker string   `json:"breaker"`
-	Reasons []string `json:"reasons"`
+	HealthyReplicas int `json:"healthy_replicas"`
+	TotalReplicas   int `json:"total_replicas"`
 }
 
 // Healthy polls the daemon's /healthz. Reason strings distinguish the
 // failure class: "unreachable: ..." when the network or decode failed,
-// "degraded: ..." when the daemon itself reported trouble.
+// "degraded: ..." when the daemon itself reported no healthy replica.
 func (h *HTTPReplica) Healthy() (bool, []string) {
 	resp, err := h.client.Get(h.baseURL + "/healthz")
 	if err != nil {
@@ -588,25 +581,8 @@ func (h *HTTPReplica) Healthy() (bool, []string) {
 	if err := json.NewDecoder(resp.Body).Decode(&hl); err != nil {
 		return false, []string{"unreachable: " + err.Error()}
 	}
-	if hl.HealthyReplicas != nil {
-		if *hl.HealthyReplicas == 0 {
-			total := 0
-			if hl.TotalReplicas != nil {
-				total = *hl.TotalReplicas
-			}
-			return false, []string{fmt.Sprintf("degraded: daemon reports 0/%d healthy replicas", total)}
-		}
-		return true, nil
-	}
-	if hl.Status == "closed" || hl.Breaker == "open" {
-		reasons := make([]string, 0, len(hl.Reasons)+1)
-		for _, r := range hl.Reasons {
-			reasons = append(reasons, "degraded: "+r)
-		}
-		if len(reasons) == 0 {
-			reasons = append(reasons, "degraded: "+hl.Status)
-		}
-		return false, reasons
+	if hl.HealthyReplicas == 0 {
+		return false, []string{fmt.Sprintf("degraded: daemon reports 0/%d healthy replicas", hl.TotalReplicas)}
 	}
 	return true, nil
 }

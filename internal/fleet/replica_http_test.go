@@ -238,16 +238,16 @@ func TestHTTPReplicaStalenessDropsOutOfOrdering(t *testing.T) {
 }
 
 // TestHTTPReplicaHealthReasons pins the unreachable-vs-degraded reason
-// split and both /healthz wire shapes.
+// split over the daemon's /healthz payload.
 func TestHTTPReplicaHealthReasons(t *testing.T) {
-	// Fleet-daemon shape, healthy.
+	// Healthy.
 	d := &fakeDaemon{healthy: 2, total: 3}
 	ts := httptest.NewServer(d.handler())
 	h := NewHTTPReplicaConfig("r0", "pf0", ts.URL, HTTPReplicaConfig{})
 	if ok, reasons := h.Healthy(); !ok || len(reasons) != 0 {
 		t.Errorf("healthy daemon = (%v, %v)", ok, reasons)
 	}
-	// Fleet-daemon shape, all replicas down.
+	// All replicas down.
 	d.mu.Lock()
 	d.healthy = 0
 	d.mu.Unlock()
@@ -261,21 +261,16 @@ func TestHTTPReplicaHealthReasons(t *testing.T) {
 	}
 	h.Close(context.Background())
 
-	// Single-server serve.Health shape with an open breaker.
+	// An endpoint that answers /healthz in another shape is not a daemon
+	// this replica can route to.
 	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(serve.Health{
-			Status: "degraded", Degraded: true, Breaker: "open",
-			Reasons: []string{"circuit breaker open"},
-		})
+		_, _ = w.Write([]byte(`{"status":"ok"}`))
 	}))
 	defer ts2.Close()
 	h2 := NewHTTPReplicaConfig("r1", "pf0", ts2.URL, HTTPReplicaConfig{})
 	defer h2.Close(context.Background())
-	if ok, reasons := h2.Healthy(); ok || len(reasons) == 0 ||
-		!strings.HasPrefix(reasons[0], "degraded: ") {
-		t.Errorf("breaker-open daemon = (%v, %v), want degraded: prefix", ok, reasons)
+	if ok, reasons := h2.Healthy(); ok || len(reasons) == 0 || !strings.HasPrefix(reasons[0], "degraded: ") {
+		t.Errorf("foreign /healthz = (%v, %v), want degraded: prefix", ok, reasons)
 	}
 }
 

@@ -32,9 +32,8 @@ type EngineSetter interface {
 
 // SetEngine directs every layer's GEMMs at eng — see tensor.NewEngine —
 // descending into composite layers. nil restores the package default
-// (tensor.Default(), configurable via $PCNN_GEMM_BACKEND). Experiment runs
-// stay reproducible across hosts: an engine produces bit-for-bit identical
-// results at every worker count.
+// (tensor.Default()). Experiment runs stay reproducible across hosts: an
+// engine produces bit-for-bit identical results at every worker count.
 func (s *Sequential) SetEngine(eng *tensor.Engine) {
 	for _, l := range s.Layers {
 		if es, ok := l.(EngineSetter); ok {

@@ -664,7 +664,8 @@ func (s *Server) BreakerState() BreakerState {
 	return st
 }
 
-// Health is the liveness/degradation view /healthz serves.
+// Health is one server's liveness/degradation view; a fleet node reads
+// it to decide whether it should take traffic.
 type Health struct {
 	// Status is "ok", "degraded" (breaker not closed, or serving above the
 	// base perforation level) or "closed" (draining/terminated).

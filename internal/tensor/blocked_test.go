@@ -3,8 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -273,48 +271,6 @@ type concErr struct{ g, iter int }
 func errAt(g, iter int) error { return concErr{g, iter} }
 func (e concErr) Error() string {
 	return "blocked concurrent GEMM corrupted result"
-}
-
-// TestEngineFromEnvKnobs drives the injectable env parsing: the backend
-// knob is honoured, unknown values (the retired "parallel" included) fall
-// back to the default, and the three retired tile knobs are inert — an
-// engine built with them set is the empty-env engine, computes the same
-// bits, and writes nothing to the old cache path.
-func TestEngineFromEnvKnobs(t *testing.T) {
-	if e := engineFromEnv(func(k string) string {
-		return map[string]string{"PCNN_GEMM_BACKEND": "blocked"}[k]
-	}); e.Backend() != Blocked {
-		t.Fatalf("backend = %v, want blocked", e.Backend())
-	}
-	if e := engineFromEnv(func(k string) string {
-		return map[string]string{"PCNN_GEMM_BACKEND": "parallel"}[k]
-	}); e.Backend() != Auto || e.Backend().Resolved() != Blocked {
-		t.Fatalf("bad-env engine = %v (resolved %v)", e.Backend(), e.Backend().Resolved())
-	}
-
-	cache := filepath.Join(t.TempDir(), "c.json")
-	retired := map[string]string{
-		"PCNN_GEMM_TUNE":       "1",
-		"PCNN_GEMM_TILE":       "64x128x4x8",
-		"PCNN_GEMM_TUNE_CACHE": cache,
-	}
-	empty := engineFromEnv(func(string) string { return "" })
-	e := engineFromEnv(func(k string) string { return retired[k] })
-	if e.Backend() != empty.Backend() || e.Backend().Resolved() != Blocked ||
-		e.ParallelThreshold() != empty.ParallelThreshold() ||
-		e.Precision() != empty.Precision() || e.pool != empty.pool {
-		t.Fatalf("retired knobs changed the engine: %v/%d/%v vs empty-env %v/%d/%v",
-			e.Backend(), e.ParallelThreshold(), e.Precision(),
-			empty.Backend(), empty.ParallelThreshold(), empty.Precision())
-	}
-	rng := rand.New(rand.NewSource(8))
-	a, b := randTensor(rng, 40, 300), randTensor(rng, 300, 50)
-	if !bitIdentical(e.MatMul(a, b), empty.MatMul(a, b)) {
-		t.Fatal("engine built with the retired tile knobs computes different bits")
-	}
-	if _, err := os.Stat(cache); !os.IsNotExist(err) {
-		t.Fatalf("a file appeared at the retired cache path (stat err = %v)", err)
-	}
 }
 
 // maxClose reports max|got−want| ≤ tol·max|want|, the oracle form the

@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -182,9 +180,9 @@ type Engine struct {
 }
 
 // NewEngine creates an engine with the given backend. workers <= 0 shares
-// the process-wide pool (sized by GOMAXPROCS, or $PCNN_GEMM_WORKERS for
-// the default engine); a positive count gives the engine a private pool of
-// that size, which tests use to exercise sharding regardless of host CPUs.
+// the process-wide pool (sized by GOMAXPROCS); a positive count gives the
+// engine a private pool of that size, which tests use to exercise sharding
+// regardless of host CPUs.
 func NewEngine(b Backend, workers int) *Engine {
 	e := &Engine{pool: sharedPool}
 	if workers > 0 {
@@ -195,44 +193,11 @@ func NewEngine(b Backend, workers int) *Engine {
 	return e
 }
 
-// defaultEngine serves every package-level MatMul* call. Its knobs come
-// from the environment:
-//
-//	PCNN_GEMM_BACKEND     auto | blocked | serial   (default auto = blocked)
-//	PCNN_GEMM_WORKERS     worker-pool size          (default GOMAXPROCS)
-//	PCNN_GEMM_THRESHOLD   min FLOPs of one KC-deep slice for it to shard
-//	PCNN_GEMM_PRECISION   fp32 | fp16 | int8 forward-GEMM precision
-var defaultEngine = engineFromEnv(os.Getenv)
-
-// engineFromEnv builds an engine from a getenv-shaped lookup; tests
-// inject their own to cover the knob parsing without mutating the
-// process environment.
-func engineFromEnv(getenv func(string) string) *Engine {
-	b := Auto
-	if s := getenv("PCNN_GEMM_BACKEND"); s != "" {
-		if parsed, err := ParseBackend(s); err == nil {
-			b = parsed
-		}
-	}
-	workers := 0
-	if s := getenv("PCNN_GEMM_WORKERS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			workers = v
-		}
-	}
-	e := NewEngine(b, workers)
-	if s := getenv("PCNN_GEMM_THRESHOLD"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v >= 0 {
-			e.SetParallelThreshold(v)
-		}
-	}
-	if s := getenv("PCNN_GEMM_PRECISION"); s != "" {
-		if p, err := ParsePrecision(s); err == nil {
-			e.SetPrecision(p)
-		}
-	}
-	return e
-}
+// defaultEngine serves every package-level MatMul* call: the blocked
+// kernels on the shared pool at fp32. Callers that want another backend or
+// precision say so through Default().SetBackend / SetPrecision (the
+// commands' -backend and -precision flags).
+var defaultEngine = NewEngine(Auto, 0)
 
 // Default returns the engine behind the package-level MatMul* functions.
 func Default() *Engine { return defaultEngine }

@@ -3,9 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"regexp"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -181,61 +178,6 @@ func TestParseBackendRoundTrip(t *testing.T) {
 	if b, err := ParseBackend(" Blocked "); err != nil || b != Blocked {
 		t.Fatalf("ParseBackend is not case/space tolerant: %v, %v", b, err)
 	}
-}
-
-// TestEnvKnobDocsMatchCode stops knob/doc drift: the PCNN_GEMM_* names
-// engineFromEnv actually asks its getenv for must be exactly the names the
-// README's Host GEMM section, defaultEngine's doc comment and the verify
-// skill document — a knob added without docs, or retired and left
-// documented, fails here.
-func TestEnvKnobDocsMatchCode(t *testing.T) {
-	read := map[string]bool{}
-	engineFromEnv(func(k string) string { read[k] = true; return "" })
-	want := sortedKeys(read)
-	if len(want) != 4 {
-		t.Fatalf("engineFromEnv reads %v, want the four PCNN_GEMM_* knobs", want)
-	}
-
-	section := func(path, from, to string) string {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := string(data)
-		i := strings.Index(s, from)
-		if i < 0 {
-			t.Fatalf("%s: no %q", path, from)
-		}
-		s = s[i+len(from):]
-		if j := strings.Index(s, to); to != "" && j >= 0 {
-			s = s[:j]
-		}
-		return s
-	}
-	knob := regexp.MustCompile(`PCNN_GEMM_[A-Z_]+`)
-	for _, doc := range []struct{ name, text string }{
-		{"README.md Host GEMM section", section("../../README.md", "## Host GEMM", "\n## ")},
-		{"parallel.go defaultEngine comment", section("parallel.go", "// defaultEngine serves", "var defaultEngine")},
-		{"verify skill", section("../../.claude/skills/verify/SKILL.md", "", "")},
-	} {
-		named := map[string]bool{}
-		for _, k := range knob.FindAllString(doc.text, -1) {
-			named[k] = true
-		}
-		if got := sortedKeys(named); !slices.Equal(got, want) {
-			t.Errorf("%s names %v, engineFromEnv reads %v", doc.name, got, want)
-		}
-	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // mustPanic runs f and returns the recovered panic message, failing the

@@ -234,16 +234,3 @@ func TestFusedPackReducedPrecisionFallback(t *testing.T) {
 		}
 	}
 }
-
-func TestEngineFromEnvPrecision(t *testing.T) {
-	env := map[string]string{"PCNN_GEMM_PRECISION": "int8"}
-	e := engineFromEnv(func(k string) string { return env[k] })
-	if e.Precision() != Int8 {
-		t.Fatalf("precision = %v, want Int8", e.Precision())
-	}
-	env["PCNN_GEMM_PRECISION"] = "nonsense"
-	e = engineFromEnv(func(k string) string { return env[k] })
-	if e.Precision() != FP32 {
-		t.Fatalf("bad knob: precision = %v, want FP32", e.Precision())
-	}
-}

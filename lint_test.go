@@ -35,6 +35,7 @@ var testOnlyAllow = map[string]string{
 	// _test files.
 	"internal/fault.MustNew":               "fault.New for known-good specs in serve/scenario/fleet tests",
 	"internal/tensor.AllClose":             "tolerance comparison used by nn and serve tests",
+	"internal/tensor.SetParallelThreshold": "tensor and nn tests set 0 so small shapes shard across the pool",
 	"internal/fleet/e2e.NewHarness":        "e2e test harness",
 	"internal/fleet/e2e.NewRouterRegistry": "e2e test harness",
 	"internal/fleet/e2e.StartDaemon":       "e2e test harness",

@@ -100,7 +100,9 @@ type (
 	FaultInjector = fault.Injector
 	// FaultCounts tallies injected faults per kind (Server.FaultCounts).
 	FaultCounts = fault.Counts
-	// ServeHealth is the degradation view behind /healthz (Server.Health).
+	// ServeHealth is one server's degradation view (Server.Health): a
+	// fleet node leaves rotation when a server of its reports closed or
+	// breaker-open, which is what the daemon's /healthz counts.
 	ServeHealth = serve.Health
 	// LaunchError is the typed kernel-launch failure the GPU layer and the
 	// serving executor surface; Injected marks chaos-injected failures.
@@ -207,10 +209,10 @@ func CompileFleetDeployment(model string, task Task, platforms []string, dvfs bo
 	return fleet.CompileDeployment(model, task, platforms, dvfs)
 }
 
-// NewFleetHandler wires the fleet daemon's full HTTP API (POST /infer,
-// GET /predict, GET /stats, GET /fleet, GET /healthz, GET /metrics,
-// POST /swap, POST /busy) — the mux cmd/pcnnd serves and the e2e
-// harness drives.
+// NewFleetHandler wires the daemon's full HTTP API (POST /infer, GET
+// /predict, GET /stats, GET /trace, GET /profile, GET /fleet, GET
+// /healthz, GET /metrics, POST /swap, POST /busy) — the one mux cmd/pcnnd
+// serves, with one node or many, and the e2e harness drives.
 func NewFleetHandler(fl *Fleet) http.Handler { return fleet.Handler(fl) }
 
 // RunFleetSoak drives the deterministic virtual-clock fleet soak
