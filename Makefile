@@ -53,7 +53,7 @@ race:
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
 		./internal/fleet/e2e/ ./internal/simdrive/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestSoakDeterministic|TestSoakChunkedMatchesMonolithic'
+		-run 'TestMatrixSameSeedByteIdentical|TestSoakDeterministic'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
 
@@ -150,20 +150,21 @@ chaos:
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator
 # must serve every accepted request with positive SoC, and the virtual-clock
-# load sweep must show batching engaged at capacity
+# serve grid must show batching engaged at capacity
 # (mean batch > 1) with the 2x-overload miss rate bounded under 50%.
 serve-smoke:
 	$(GO) run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance \
 		-load closed -n 100 -smoke
-	$(GO) run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance \
-		-n 300 -seed 42 -smoke -bench $$(mktemp)
+	$(GO) run ./cmd/pcnnd -scenarios - -grid serve -net AlexNet -platform TX1 \
+		-task surveillance -n 300 -seed 42 -smoke >/dev/null
 
-# bench-serve reproduces the numbers recorded in BENCH_serve.json: a
-# deterministic virtual-clock open-loop sweep at 0.5x / 1x / 2x of the
-# server's steady-state capacity, byte-reproducible at the fixed seed.
+# bench-serve reproduces BENCH_serve.json: the scenario engine's serve
+# grid, one surveillance stream at 0.5x / 1x / 2x of one worker's
+# steady-state capacity on the virtual clock, byte-reproducible at the
+# fixed seed.
 bench-serve:
-	$(GO) run ./cmd/pcnnd -net AlexNet -platform TX1 -task surveillance \
-		-n 300 -seed 42 -bench $(OUT)/BENCH_serve.json
+	$(GO) run ./cmd/pcnnd -scenarios $(OUT)/BENCH_serve.json -grid serve -net AlexNet \
+		-platform TX1 -task surveillance -n 300 -seed 42
 
 # bench-verify-fast reruns the two sub-second virtual-clock generators
 # (bench-serve, scenarios) into a temp dir and requires BENCH_serve.json and
@@ -196,8 +197,8 @@ scenarios-smoke:
 	$(GO) run ./cmd/pcnnd -scenarios - -grid smoke -seed 42 >/dev/null
 
 # soak-fleet regenerates the committed fleet soak (BENCH_fleet.json) at
-# full scale: ≥1,000,000 requests per grid row streamed through the
-# chunked aggregator (flat driver memory), replica counts {1,3,5} ×
+# full scale: ≥1,000,000 requests per grid row folded into fixed-size
+# histograms as they resolve (flat driver memory), replica counts {1,3,5} ×
 # hedging {off,on} over a mixed AlexNet+VGG+GoogLeNet trace with a
 # mid-soak hot-swap, byte-for-byte reproducible at the fixed seed.
 soak-fleet:

@@ -9,9 +9,10 @@ import (
 
 // TestBenchLint reads the committed virtual-clock bench files the way a
 // reviewer would and fails on a row that cannot be true: requests that
-// vanish, percentiles out of order, parts that do not sum to their whole.
-// It holds what is true of the files today (ROADMAP item 1(c)); the
-// goodput and knee checks wait for the re-baseline.
+// vanish, percentiles out of order, parts that do not sum to their whole,
+// a serve grid that fails its own smoke gate. It holds what is true of
+// the files today (ROADMAP item 1(c)); the goodput and knee checks wait
+// for the goodput-at-SLO re-base.
 func TestBenchLint(t *testing.T) {
 	load := func(path string, v any) {
 		t.Helper()
@@ -69,44 +70,17 @@ func TestBenchLint(t *testing.T) {
 			"model rows sum to %d requests / %d served, row has %d / %d", requests, served, r.Requests, r.Served)
 	}
 
-	var sweep struct {
-		N      uint64 `json:"n_per_level"`
-		Points []struct {
-			LoadFactor           float64 `json:"load_factor"`
-			Submitted, Completed uint64
-			Rejected             uint64
-			RejectedUnmeetable   uint64  `json:"rejected_unmeetable"`
-			Missed               uint64  `json:"deadline_missed"`
-			MissRate             float64 `json:"deadline_miss_rate"`
-			P50                  float64 `json:"p50_ms"`
-			P99                  float64 `json:"p99_ms"`
-		}
-	}
-	load("BENCH_serve.json", &sweep)
-	if len(sweep.Points) == 0 {
-		t.Error("BENCH_serve.json has no points")
-	}
-	for _, p := range sweep.Points {
-		const f = "BENCH_serve.json"
-		row := fmt.Sprintf("load=%gx", p.LoadFactor)
-		check(p.Completed == p.Submitted, f, row, "completed %d != submitted %d", p.Completed, p.Submitted)
-		check(p.Submitted+p.Rejected == sweep.N, f, row,
-			"submitted %d + rejected %d != n_per_level %d", p.Submitted, p.Rejected, sweep.N)
-		check(p.RejectedUnmeetable <= p.Rejected, f, row,
-			"rejected_unmeetable %d > rejected %d", p.RejectedUnmeetable, p.Rejected)
-		check(p.P50 <= p.P99, f, row, "p50 %v > p99 %v", p.P50, p.P99)
-		check(p.MissRate == float64(p.Missed)/float64(p.Completed), f, row,
-			"miss rate %v != %d missed / %d completed", p.MissRate, p.Missed, p.Completed)
-	}
-
+	// BENCH_scenarios.json and BENCH_serve.json are both scenario matrices.
 	type counts struct{ Requests, Completed, Failed, Rejected uint64 }
-	var scenarios struct {
+	type matrix struct {
 		Rows []struct {
 			Name string
 			counts
-			P50     float64 `json:"p50_ms"`
-			P99     float64 `json:"p99_ms"`
-			Streams []struct {
+			MeanBatch float64 `json:"mean_batch"`
+			MissRate  float64 `json:"deadline_miss_rate"`
+			P50       float64 `json:"p50_ms"`
+			P99       float64 `json:"p99_ms"`
+			Streams   []struct {
 				Task string
 				counts
 				Submitted uint64
@@ -115,26 +89,40 @@ func TestBenchLint(t *testing.T) {
 			}
 		}
 	}
-	load("BENCH_scenarios.json", &scenarios)
-	if len(scenarios.Rows) == 0 {
-		t.Error("BENCH_scenarios.json has no rows")
-	}
-	for _, r := range scenarios.Rows {
-		const f = "BENCH_scenarios.json"
-		var sum counts
-		for _, s := range r.Streams {
-			row := r.Name + "/" + s.Task
-			check(s.Submitted+s.Rejected == s.Requests, f, row,
-				"submitted %d + rejected %d != requests %d", s.Submitted, s.Rejected, s.Requests)
-			check(s.Completed+s.Failed == s.Submitted, f, row,
-				"completed %d + failed %d != submitted %d", s.Completed, s.Failed, s.Submitted)
-			check(s.P50 <= s.P99, f, row, "p50 %v > p99 %v", s.P50, s.P99)
-			sum.Requests += s.Requests
-			sum.Completed += s.Completed
-			sum.Failed += s.Failed
-			sum.Rejected += s.Rejected
+	matrices := map[string]*matrix{"BENCH_scenarios.json": {}, "BENCH_serve.json": {}}
+	for f, m := range matrices {
+		load(f, m)
+		if len(m.Rows) == 0 {
+			t.Errorf("%s has no rows", f)
 		}
-		check(sum == r.counts, f, r.Name, "streams sum to %+v, row has %+v", sum, r.counts)
-		check(r.P50 <= r.P99, f, r.Name, "p50 %v > p99 %v", r.P50, r.P99)
+		for _, r := range m.Rows {
+			var sum counts
+			for _, s := range r.Streams {
+				row := r.Name + "/" + s.Task
+				check(s.Submitted+s.Rejected == s.Requests, f, row,
+					"submitted %d + rejected %d != requests %d", s.Submitted, s.Rejected, s.Requests)
+				check(s.Completed+s.Failed == s.Submitted, f, row,
+					"completed %d + failed %d != submitted %d", s.Completed, s.Failed, s.Submitted)
+				check(s.P50 <= s.P99, f, row, "p50 %v > p99 %v", s.P50, s.P99)
+				sum.Requests += s.Requests
+				sum.Completed += s.Completed
+				sum.Failed += s.Failed
+				sum.Rejected += s.Rejected
+			}
+			check(sum == r.counts, f, r.Name, "streams sum to %+v, row has %+v", sum, r.counts)
+			check(r.P50 <= r.P99, f, r.Name, "p50 %v > p99 %v", r.P50, r.P99)
+		}
+	}
+
+	// The serve grid's smoke gate (pcnnd -grid serve -smoke) holds on the
+	// committed rows — 0.5x, 1x, 2x of one worker's capacity, in order:
+	// batching engages at 1x and the 2x miss rate stays under 50%.
+	if serve := matrices["BENCH_serve.json"].Rows; len(serve) != 3 {
+		t.Errorf("BENCH_serve.json has %d rows, want 3 (0.5x, 1x, 2x)", len(serve))
+	} else {
+		check(serve[1].MeanBatch > 1, "BENCH_serve.json", serve[1].Name,
+			"mean batch %v at capacity, want > 1", serve[1].MeanBatch)
+		check(serve[2].MissRate < 0.5, "BENCH_serve.json", serve[2].Name,
+			"miss rate %v at 2x, want < 0.5", serve[2].MissRate)
 	}
 }

@@ -153,8 +153,8 @@ func runDaemon(addr string, fl *pcnn.Fleet) error {
 // runFleetBench writes the deterministic fleet soak (BENCH_fleet.json).
 // requests > 0 sets the total request target per grid row, split evenly
 // across the three models (rounded up, so `-requests 1000000` drives at
-// least a million requests per row through the streamed chunk
-// aggregator). smoke shrinks the spec to seconds and enforces the
+// least a million requests per row through the fixed-size row
+// aggregate). smoke shrinks the spec to seconds and enforces the
 // acceptance invariants, exiting nonzero on violation — the
 // `make fleet-smoke` gate.
 func runFleetBench(path string, seed int64, requests int, smoke bool) error {

@@ -35,14 +35,21 @@
 //	    concurrent users, think time zero) or open-loop (-load open -rate
 //	    R, Poisson or fixed-fps arrivals from internal/workload). -smoke
 //	    exits nonzero unless every request was served with positive mean
-//	    SoC. -bench FILE sweeps three open-loop load levels and writes
-//	    throughput/latency/miss-rate JSON.
+//	    SoC.
+//
+//	go run ./cmd/pcnnd -scenarios FILE [-grid default|smoke|serve]
+//	    the deterministic virtual-clock scenario matrix
+//	    (BENCH_scenarios.json). -grid serve is BENCH_serve.json instead:
+//	    one stream of -task on -net/-platform at 0.5x, 1x and 2x one
+//	    worker's capacity, -n requests each; with -smoke it exits nonzero
+//	    unless batching engages at 1x (mean batch > 1) and the 2x miss
+//	    rate stays under 50%.
 //
 //	go run ./cmd/pcnnd -fleet-bench FILE
 //	    the deterministic virtual-clock soak (BENCH_fleet.json);
 //	    -requests R sets its per-row request total (the committed file
-//	    carries ≥1,000,000 per row, streamed through the chunked
-//	    aggregator); with -fleet-smoke it shrinks to a seconds-long CI
+//	    carries ≥1,000,000 per row, folded into fixed-size histograms as
+//	    they resolve); with -fleet-smoke it shrinks to a seconds-long CI
 //	    gate that fails unless the soak invariants hold.
 package main
 
@@ -79,10 +86,10 @@ type options struct {
 	seed                                    int64
 	faultSpec                               string
 
-	load, bench string
-	rate        float64
-	n, conc     int
-	smoke       bool
+	load    string
+	rate    float64
+	n, conc int
+	smoke   bool
 
 	scenarios, scenProm, grid string
 
@@ -109,10 +116,10 @@ func parseFlags(args []string) *options {
 	fs.BoolVar(&o.noDegrade, "nodegrade", false, "disable perforation escalation (control config)")
 	fs.StringVar(&o.load, "load", "", "load generator mode: open or closed")
 	fs.Float64Var(&o.rate, "rate", 0, "open-loop arrival rate, requests/s (0 = archetype default)")
-	fs.IntVar(&o.n, "n", 100, "load generator request count")
+	fs.IntVar(&o.n, "n", 100, "load generator request count (with -grid serve: requests per row)")
 	fs.IntVar(&o.conc, "conc", 4, "closed-loop concurrent users")
-	fs.StringVar(&o.bench, "bench", "", "write a 3-level load sweep to this JSON file")
-	fs.BoolVar(&o.smoke, "smoke", false, "exit nonzero unless zero loss and positive SoC")
+	fs.BoolVar(&o.smoke, "smoke", false,
+		"exit nonzero unless zero loss and positive SoC (with -grid serve: unless batching engages at 1x and the 2x miss rate stays under 50%)")
 	fs.BoolVar(&o.reject, "reject", true,
 		"slack-aware early rejection: refuse requests whose deadline no degradation level can meet")
 	fs.BoolVar(&o.tune, "tune", false, "train the scaled analogue and attach the accuracy tuner (slow)")
@@ -124,7 +131,8 @@ func parseFlags(args []string) *options {
 		"run the scenario matrix and write its JSON rows to this file (- for stdout)")
 	fs.StringVar(&o.scenProm, "scenarios-prom", "",
 		"with -scenarios: also write the matrix's Prometheus text snapshot to this file")
-	fs.StringVar(&o.grid, "grid", "default", "scenario grid: default (12 scenarios) or smoke (4)")
+	fs.StringVar(&o.grid, "grid", "default",
+		"scenario grid: default (12 scenarios), smoke (4) or serve (-task on -net/-platform at 0.5x/1x/2x one-worker capacity)")
 
 	fs.IntVar(&o.fleetN, "fleet", 0,
 		"daemon mode: N in-process replicas spread over -fleet-platforms, serving all three models (0 = one replica on -platform serving -net under -task)")
@@ -201,7 +209,7 @@ func run(o *options) error {
 	}
 	switch {
 	case o.scenarios != "":
-		return runScenarios(o.scenarios, o.scenProm, o.grid, o.seed)
+		return runScenarios(o)
 	case o.fleetBench != "":
 		return runFleetBench(o.fleetBench, o.seed, o.fleetReqs, o.fleetSmoke)
 	case o.fleetN > 0 && o.addr == "":
@@ -214,7 +222,7 @@ func run(o *options) error {
 			log.Printf("pprof listener: %v", http.ListenAndServe(o.debug, debugMux()))
 		}()
 	}
-	if o.fleetN <= 0 && (o.bench != "" || o.load != "") {
+	if o.fleetN <= 0 && o.load != "" {
 		return runGenerator(o)
 	}
 	if o.addr == "" {
@@ -227,8 +235,8 @@ func run(o *options) error {
 	return runDaemon(o.addr, fl)
 }
 
-// runGenerator drives one in-process server — no HTTP — with the -bench
-// sweep or the -load generator.
+// runGenerator drives one in-process server — no HTTP — with the -load
+// generator.
 func runGenerator(o *options) error {
 	fw, err := o.framework()
 	if err != nil {
@@ -237,9 +245,6 @@ func runGenerator(o *options) error {
 	cfg, err := o.serveConfig()
 	if err != nil {
 		return err
-	}
-	if o.bench != "" {
-		return runBench(fw, cfg, o.bench, o.n, o.seed, o.smoke)
 	}
 	srv, err := fw.Serve(cfg)
 	if err != nil {
@@ -395,57 +400,6 @@ func checkSmoke(snap pcnn.ServeSnapshot, n int) error {
 		return fmt.Errorf("smoke: nothing completed (%d of %d rejected)", snap.Rejected, n)
 	case !(snap.MeanSoC > 0):
 		return fmt.Errorf("smoke: mean SoC %v not positive", snap.MeanSoC)
-	}
-	return nil
-}
-
-// runScenarios drives the heterogeneous-fleet scenario matrix — mixed
-// archetypes, bursty/diurnal arrivals, DVFS, co-running interference and
-// seeded chaos on a virtual clock — and writes the deterministic rows as
-// JSON (plus, optionally, a Prometheus text snapshot). The same grid and
-// seed always produce byte-identical output.
-func runScenarios(jsonPath, promPath, grid string, seed int64) error {
-	var specs []pcnn.ScenarioSpec
-	switch grid {
-	case "default":
-		specs = pcnn.DefaultScenarios(seed)
-	case "smoke":
-		specs = pcnn.SmokeScenarios(seed)
-	default:
-		return fmt.Errorf("unknown -grid %q (want default or smoke)", grid)
-	}
-	var eng pcnn.ScenarioEngine
-	m, err := eng.RunMatrix(specs, func(i int, name string) {
-		log.Printf("scenario %d/%d: %s", i+1, len(specs), name)
-	})
-	if err != nil {
-		return err
-	}
-	out := os.Stdout
-	if jsonPath != "-" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := m.EncodeJSON(out); err != nil {
-		return err
-	}
-	if jsonPath != "-" {
-		log.Printf("scenarios: wrote %d rows to %s", len(m.Rows), jsonPath)
-	}
-	if promPath != "" {
-		f, err := os.Create(promPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := m.WritePrometheus(f); err != nil {
-			return err
-		}
-		log.Printf("scenarios: wrote Prometheus snapshot to %s", promPath)
 	}
 	return nil
 }

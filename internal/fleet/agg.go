@@ -5,9 +5,7 @@ import "math"
 // The soak's latency distribution is kept as an integer-count
 // log-bucketed histogram instead of a retained sample: ~100 buckets per
 // decade from 1 µs-scale to 10³-second-scale responses (≈2.3% relative
-// resolution), fixed size regardless of request count. Integer counts
-// make chunk merging exact addition, so streaming per-chunk aggregation
-// is bit-identical to a monolithic pass — the property the
+// resolution), fixed size regardless of request count — the property the
 // million-request soak's flat memory rests on.
 const (
 	latHistPerDecade = 100
@@ -16,16 +14,13 @@ const (
 	latHistMinMS     = 1e-3
 )
 
-// latHist is a fixed-size log-bucketed latency histogram with exact
-// (associative, commutative) merge.
+// latHist is a fixed-size log-bucketed latency histogram.
 type latHist struct {
 	counts [latHistBuckets]uint64
 	total  uint64
 }
 
-// bucketOf maps a latency to its bucket. The mapping is a pure function
-// of the value, so where a sample lands never depends on chunk
-// boundaries.
+// bucketOf maps a latency to its bucket, a pure function of the value.
 func bucketOf(ms float64) int {
 	if !(ms > latHistMinMS) { // NaN, zero and sub-minimum all clamp low
 		return 0
@@ -47,17 +42,11 @@ func (h *latHist) observe(ms float64) {
 	h.total++
 }
 
-// merge adds another histogram's counts — exact, order-independent.
-func (h *latHist) merge(o *latHist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-}
-
 // percentile returns the lower edge of the bucket holding the p-th
 // percentile sample (0 when empty) — the bucket's deterministic
-// representative value.
+// representative value. The rank is obs.Percentile's nearest rank,
+// sample ceil(p·n) in ascending order, counted over buckets instead of
+// sorted samples.
 func (h *latHist) percentile(p float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -89,16 +78,14 @@ type modelAgg struct {
 	hist     latHist
 }
 
-// soakAgg accumulates resolved requests — per chunk, then merged into
-// the row aggregate. Everything in it is integer counters and fixed-size
-// histograms: merging chunks is exact.
+// soakAgg accumulates one row's resolved requests: integer counters and
+// fixed-size histograms, so its size never grows with the trace.
 type soakAgg struct {
 	served   int
 	failed   int
 	missed   int
 	hist     latHist
 	perModel []modelAgg
-	resolved int // requests folded in since construction/reset
 }
 
 func newSoakAgg(nModels int) *soakAgg {
@@ -107,7 +94,6 @@ func newSoakAgg(nModels int) *soakAgg {
 
 // observeServed folds one successfully served request in.
 func (a *soakAgg) observeServed(model int, responseMS float64, deadlineMet bool) {
-	a.resolved++
 	a.served++
 	a.hist.observe(responseMS)
 	m := &a.perModel[model]
@@ -122,26 +108,6 @@ func (a *soakAgg) observeServed(model int, responseMS float64, deadlineMet bool)
 
 // observeFailed folds one request whose every leg failed.
 func (a *soakAgg) observeFailed(model int) {
-	a.resolved++
 	a.failed++
 	a.perModel[model].requests++
-}
-
-// merge folds a chunk into the row aggregate and resets the chunk for
-// reuse.
-func (a *soakAgg) merge(chunk *soakAgg) {
-	a.served += chunk.served
-	a.failed += chunk.failed
-	a.missed += chunk.missed
-	a.resolved += chunk.resolved
-	a.hist.merge(&chunk.hist)
-	for i := range chunk.perModel {
-		cm := &chunk.perModel[i]
-		m := &a.perModel[i]
-		m.requests += cm.requests
-		m.served += cm.served
-		m.missed += cm.missed
-		m.hist.merge(&cm.hist)
-	}
-	*chunk = soakAgg{perModel: make([]modelAgg, len(chunk.perModel))}
 }

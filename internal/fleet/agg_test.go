@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"math"
 	"runtime"
 	"testing"
@@ -38,36 +37,6 @@ func TestBucketOfEdges(t *testing.T) {
 	}
 }
 
-func TestLatHistMergeExact(t *testing.T) {
-	// Folding a sample stream through arbitrary chunk boundaries must
-	// reproduce the monolithic histogram bit for bit.
-	samples := make([]float64, 0, 500)
-	v := 0.0017
-	for i := 0; i < 500; i++ {
-		samples = append(samples, v)
-		v *= 1.031
-	}
-	var mono latHist
-	for _, s := range samples {
-		mono.observe(s)
-	}
-	var merged, chunk latHist
-	for i, s := range samples {
-		chunk.observe(s)
-		if i%37 == 36 {
-			merged.merge(&chunk)
-			chunk = latHist{}
-		}
-	}
-	merged.merge(&chunk)
-	if merged != mono {
-		t.Fatal("chunked histogram differs from monolithic")
-	}
-	if merged.total != 500 {
-		t.Fatalf("total = %d, want 500", merged.total)
-	}
-}
-
 func TestLatHistPercentiles(t *testing.T) {
 	var h latHist
 	if p := h.percentile(0.99); p != 0 {
@@ -89,56 +58,6 @@ func TestLatHistPercentiles(t *testing.T) {
 	}
 	if p := h.percentile(1.0); math.Abs(p-1000)/1000 > 0.03 {
 		t.Errorf("p100 = %g, want ~1000", p)
-	}
-}
-
-// TestSoakChunkedMatchesMonolithic pins the tentpole's streaming claim: at
-// 10k requests, per-chunk aggregation with small chunks serializes
-// bit-identically to one giant chunk (rows compared with the Chunks count
-// normalized away — it is the only field allowed to differ).
-func TestSoakChunkedMatchesMonolithic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k-request soak comparison skipped in short mode")
-	}
-	base := SoakSpec{
-		RequestsPerModel: 3334, // 3 models → 10,002 requests per row
-		ClientsPerModel:  3,
-		ReplicaCounts:    []int{3},
-	}
-	small, big := base, base
-	small.ChunkRequests = 512
-	big.ChunkRequests = 1 << 30 // never fills: the monolithic path
-
-	a, err := RunSoak(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSoak(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != len(b.Rows) || len(a.Rows) == 0 {
-		t.Fatalf("row count mismatch: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	if a.Rows[0].Chunks <= 1 || b.Rows[0].Chunks != 1 {
-		t.Fatalf("chunk counts = %d vs %d; want many vs exactly 1",
-			a.Rows[0].Chunks, b.Rows[0].Chunks)
-	}
-	for i := range a.Rows {
-		ra, rb := a.Rows[i], b.Rows[i]
-		ra.Chunks, rb.Chunks = 0, 0
-		ja, err := json.Marshal(ra)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jb, err := json.Marshal(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(ja) != string(jb) {
-			t.Errorf("row %d differs between chunked and monolithic:\nchunked:    %s\nmonolithic: %s",
-				i, ja, jb)
-		}
 	}
 }
 
@@ -189,9 +108,6 @@ func TestSoakMillionRequestFlatMemory(t *testing.T) {
 		// servers bounds it — 20k is an order of magnitude of slack.
 		if row.PeakPending <= 0 || row.PeakPending > 20_000 {
 			t.Errorf("hedge=%v: peak pending %d, want bounded by queue caps", row.Hedge, row.PeakPending)
-		}
-		if row.Chunks < row.Requests/(8192*2) {
-			t.Errorf("hedge=%v: only %d chunk merges for %d requests", row.Hedge, row.Chunks, row.Requests)
 		}
 	}
 

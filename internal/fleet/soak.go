@@ -12,9 +12,10 @@ import (
 )
 
 // SoakSchema versions BENCH_fleet.json; bump on any layout change. v2:
-// streamed chunk aggregation (log-bucketed percentiles, peak_pending and
-// chunks fields) replacing v1's retained per-request samples.
-const SoakSchema = "pcnn-bench-fleet/v2"
+// streamed aggregation (log-bucketed percentiles, peak_pending) replacing
+// v1's retained per-request samples. v3: the chunk_requests and chunks
+// fields are gone — requests fold straight into the row aggregate.
+const SoakSchema = "pcnn-bench-fleet/v3"
 
 // soakTimeoutFor bounds one grid row's wall-clock run: a base for
 // compilation and small rows plus a per-request allowance so
@@ -78,12 +79,6 @@ type SoakSpec struct {
 	LingerMS float64 `json:"linger_ms"`
 	// QueueCap bounds each server's admission queue. 0 means 512.
 	QueueCap int `json:"queue_cap"`
-	// ChunkRequests sizes the streamed-aggregation chunk: resolved
-	// requests fold into a fixed-size chunk aggregate that merges into
-	// the row aggregate every ChunkRequests resolutions. Chunk merging is
-	// exact (integer histograms), so the value never changes results —
-	// only how often the chunk resets. 0 means 8192.
-	ChunkRequests int `json:"chunk_requests"`
 	// BurstFactor > 1 shapes every client stream as a two-state MMPP:
 	// a burst regime at BurstFactor × the stream's mean rate and a calm
 	// regime whose rate is chosen so the long-run mean stays the offered
@@ -148,9 +143,6 @@ func (s SoakSpec) withDefaults() SoakSpec {
 	if s.QueueCap <= 0 {
 		s.QueueCap = 512
 	}
-	if s.ChunkRequests <= 0 {
-		s.ChunkRequests = 8192
-	}
 	if s.BurstFactor == 0 {
 		s.BurstFactor = 4
 	}
@@ -213,11 +205,9 @@ type SoakRow struct {
 	P95MS    float64 `json:"p95_ms"`
 	P99MS    float64 `json:"p99_ms"`
 
-	// Chunks is how many chunk merges the streamed aggregation performed;
 	// PeakPending is the most unresolved routed requests the driver held
 	// at once — the flat-memory evidence (bounded by queue caps, not by
 	// the trace length).
-	Chunks      int `json:"chunks"`
 	PeakPending int `json:"peak_pending"`
 
 	Models []SoakModelRow `json:"models"`
@@ -334,7 +324,7 @@ type srvSoak struct {
 }
 
 // pendingReq tracks one routed arrival until its last leg's batch
-// flushes — then it resolves immediately and folds into the chunk
+// flushes — then it resolves immediately and folds into the row
 // aggregate, so the driver never retains resolved requests.
 type pendingReq struct {
 	ff    *FleetFuture
@@ -395,13 +385,11 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	states := map[*serve.Server]*srvSoak{}
 	var order []*srvSoak
 
-	// Streamed aggregation state: every resolved request folds into the
-	// chunk, chunks merge into the row aggregate. owners maps each
-	// in-flight leg to its request; its size — bounded by queue caps ×
-	// replicas, not the trace — is the flat-memory invariant PeakPending
-	// records.
+	// Streamed aggregation state: every resolved request folds straight
+	// into the fixed-size row aggregate. owners maps each in-flight leg to
+	// its request; its size — bounded by queue caps × replicas, not the
+	// trace — is the flat-memory invariant PeakPending records.
 	rowAgg := newSoakAgg(len(models))
-	chunk := newSoakAgg(len(models))
 	owners := map[*Ticket]*pendingReq{}
 	outstanding := 0
 
@@ -409,13 +397,9 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		outstanding--
 		res, _, err := pr.ff.Wait(ctx)
 		if err != nil {
-			chunk.observeFailed(pr.model)
+			rowAgg.observeFailed(pr.model)
 		} else {
-			chunk.observeServed(pr.model, res.ResponseMS, res.DeadlineMet)
-		}
-		if chunk.resolved >= spec.ChunkRequests {
-			rowAgg.merge(chunk)
-			row.Chunks++
+			rowAgg.observeServed(pr.model, res.ResponseMS, res.DeadlineMet)
 		}
 	}
 
@@ -424,12 +408,8 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		if err != nil {
 			return err
 		}
-		// Declare the simulated busy horizon: the driver resolves batches
-		// eagerly in wall-clock terms, so without this the backlog would be
-		// invisible to admission rejection and hedging predictions.
-		st.srv.SetBusyUntil(st.win.BusyUntil())
 		// Requests whose last leg just flushed resolve now and fold into
-		// the chunk aggregate.
+		// the row aggregate.
 		for _, o := range outs {
 			leg := o.Leg.(*Ticket)
 			pr := owners[leg]
@@ -547,14 +527,10 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	}
 
 	// Every window flushed, so every routed request has resolved into the
-	// chunk; merge the final partial chunk and read the row aggregate.
+	// row aggregate.
 	if len(owners) != 0 || outstanding != 0 {
 		return SoakRow{}, fmt.Errorf("driver leaked %d legs / %d requests unresolved",
 			len(owners), outstanding)
-	}
-	if chunk.resolved > 0 {
-		rowAgg.merge(chunk)
-		row.Chunks++
 	}
 	row.Requests = total
 	row.Served = rowAgg.served

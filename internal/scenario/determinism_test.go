@@ -105,6 +105,24 @@ func TestChaosDisabledEqualsClean(t *testing.T) {
 	}
 }
 
+// TestBacklogGrowsTheBatch: one surveillance stream at half of one
+// worker's capacity (the serve grid's first row) must batch and mostly
+// meet its deadlines. It is the window that waits for its busy worker
+// that makes it so: a window closing while the worker is busy executes
+// singleton batches that each cost more per image than a full one, so
+// the half-capacity stream backs up and missed 99 % at mean batch 1.
+func TestBacklogGrowsTheBatch(t *testing.T) {
+	sp := ServeMatrix("TX1", "AlexNet", StreamSpec{Task: "surveillance", Requests: 300}, 42)[0]
+	if sp.Streams[0].Load != 0.5 {
+		t.Fatalf("serve grid row 0 runs at load %v, want 0.5", sp.Streams[0].Load)
+	}
+	st := runMatrix(t, []Spec{sp}).Rows[0].Streams[0]
+	if !(st.MissRate < 0.5) || !(st.MeanBatch > 1) {
+		t.Errorf("half-capacity stream: miss rate %.3f at mean batch %.2f, want < 0.5 at > 1",
+			st.MissRate, st.MeanBatch)
+	}
+}
+
 // TestDefaultMatrixShape pins the committed grid's coverage: twelve
 // scenarios spanning ≥2 platforms, ≥2 arrival processes, mixed archetypes
 // on every cell, with and without chaos.

@@ -198,22 +198,18 @@ func (e *Engine) executorFor(sp Spec, st StreamSpec, task satisfaction.Task) (se
 	return ex, plan, factor, nil
 }
 
-// streamRate resolves a stream's mean arrival rate: explicit RateRPS, or
-// Load × the executor's serving capacity at its base operating point.
-func streamRate(st StreamSpec, task satisfaction.Task, ex serve.Executor, maxBatch int) float64 {
-	if task.Class == satisfaction.RealTime && st.RateRPS <= 0 {
+// arrivalRate resolves a stream's mean arrival rate: explicit RateRPS,
+// else Load × one worker's serving capacity at the base operating point —
+// except a real-time stream with no Load, which arrives at its camera's
+// FPS.
+func arrivalRate(st StreamSpec, task satisfaction.Task, ex serve.Executor, maxBatch int) float64 {
+	switch {
+	case st.RateRPS > 0:
+		return st.RateRPS
+	case task.Class == satisfaction.RealTime && st.Load <= 0:
 		return st.FPS
 	}
-	if st.RateRPS > 0 {
-		return st.RateRPS
-	}
-	// serve.CapacityRPS's arithmetic with Load multiplied in first: the
-	// product order is one ulp of the committed rate_rps values.
-	pred := ex.PredictMS(serve.BaseLevel(ex, task), maxBatch)
-	if pred <= 0 {
-		return st.Load * 100
-	}
-	return st.Load * float64(maxBatch) * 1000 / pred
+	return st.Load * serve.CapacityRPS(ex, task, maxBatch)
 }
 
 // Run executes one scenario and returns its deterministic row.
@@ -308,7 +304,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	defer cancel()
 	defer srv.Close(ctx)
 
-	rate := streamRate(st, task, ex, maxBatch)
+	rate := arrivalRate(st, task, ex, maxBatch)
 	arr, arrivalKind := arrivalsFor(st, task, rate, sp.Seed+int64(idx+1)*7919)
 
 	// Every arrival occupies a window slot whether admission accepts it or

@@ -82,8 +82,8 @@ type Row struct {
 	Streams []StreamRow `json:"streams"`
 }
 
-// aggregate folds the per-stream rows and the pooled latency samples into
-// the scenario-level fields.
+// aggregate folds the per-stream rows and the pooled latency samples
+// (sorted in place) into the scenario-level fields.
 func (r *Row) aggregate(lats []float64) {
 	var socW, energyW, missW, batchW float64
 	var batches uint64
@@ -115,25 +115,9 @@ func (r *Row) aggregate(lats []float64) {
 	if batches > 0 {
 		r.MeanBatch = batchW / float64(batches)
 	}
-	r.P50MS = percentile(lats, 0.50)
-	r.P99MS = percentile(lats, 0.99)
-}
-
-// percentile is the nearest-rank percentile over a copy of the samples.
-func percentile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	idx := int(q*float64(len(s))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	sort.Float64s(lats)
+	r.P50MS = obs.Percentile(lats, 0.50)
+	r.P99MS = obs.Percentile(lats, 0.99)
 }
 
 // Matrix is the full scenario sweep, the structure BENCH_scenarios.json
@@ -243,6 +227,24 @@ func DefaultMatrix(seed int64) []Spec {
 		[]string{"TX1", "TitanX"},
 		[]string{ArrivalPoisson, ArrivalMMPP, ArrivalDiurnal},
 		"AlexNet", 96, seed)
+}
+
+// ServeMatrix is the committed BENCH_serve.json grid: one stream st of a
+// single task on netName/platform at 0.5×, 1× and 2× one worker's
+// capacity (st.Load is overwritten), one row per load in that order.
+func ServeMatrix(platform, netName string, st StreamSpec, seed int64) []Spec {
+	var specs []Spec
+	for _, load := range []float64{0.5, 1, 2} {
+		st.Load = load
+		specs = append(specs, Spec{
+			Name:     fmt.Sprintf("%s-%s-%s-%gx", strings.ToLower(platform), strings.ToLower(netName), st.Task, load),
+			Platform: platform,
+			Net:      netName,
+			Streams:  []StreamSpec{st},
+			Seed:     seed,
+		})
+	}
+	return specs
 }
 
 // SmokeMatrix is the CI gate's small grid: one platform × two arrival

@@ -50,10 +50,12 @@ type StreamSpec struct {
 	// bursty), or diurnal (deterministic sinusoidal trace). Empty uses the
 	// archetype default.
 	Arrival string `json:"arrival,omitempty"`
-	// RateRPS fixes the mean arrival rate; 0 derives it as Load × the
-	// stream's serving capacity (compiled batch / predicted ms).
+	// RateRPS fixes the mean arrival rate; 0 derives it as Load × one
+	// worker's serving capacity (serve.CapacityRPS at the stream's batch
+	// cap).
 	RateRPS float64 `json:"rate_rps,omitempty"`
-	// Load is the capacity fraction used when RateRPS is 0; 0 means 0.8.
+	// Load is the capacity fraction used when RateRPS is 0; 0 means 0.8,
+	// except for surveillance, whose stream then arrives at FPS.
 	Load float64 `json:"load,omitempty"`
 	// Requests is how many arrivals the stream generates; 0 means 96.
 	Requests int `json:"requests"`
@@ -111,7 +113,7 @@ func (s Spec) withDefaults() Spec {
 		if st.Requests <= 0 {
 			st.Requests = 96
 		}
-		if st.Load <= 0 {
+		if task, _ := taskFor(*st); st.Load <= 0 && task.Class != satisfaction.RealTime {
 			st.Load = 0.8
 		}
 		if st.FPS <= 0 {

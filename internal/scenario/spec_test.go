@@ -54,16 +54,19 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestSpecDefaults(t *testing.T) {
-	sp := Spec{Streams: []StreamSpec{{Task: "surveillance"}}}.withDefaults()
+	sp := Spec{Streams: []StreamSpec{{Task: "surveillance"}, {Task: "age"}}}.withDefaults()
 	if sp.Seed != 1 {
 		t.Errorf("Seed = %d, want 1", sp.Seed)
 	}
 	if sp.LingerMS != 20 {
 		t.Errorf("LingerMS = %v, want 20", sp.LingerMS)
 	}
-	st := sp.Streams[0]
-	if st.Requests != 96 || st.Load != 0.8 || st.FPS != 30 {
-		t.Errorf("stream defaults = %+v, want requests 96, load 0.8, fps 30", st)
+	// A surveillance stream keeps Load 0, so it arrives at its camera FPS.
+	if st := sp.Streams[0]; st.Requests != 96 || st.Load != 0 || st.FPS != 30 {
+		t.Errorf("surveillance defaults = %+v, want requests 96, load 0, fps 30", st)
+	}
+	if st := sp.Streams[1]; st.Requests != 96 || st.Load != 0.8 {
+		t.Errorf("age defaults = %+v, want requests 96, load 0.8", st)
 	}
 }
 
@@ -115,34 +118,40 @@ func TestStreamRate(t *testing.T) {
 	age, _ := taskFor(StreamSpec{Task: "age"})
 	cam, _ := taskFor(StreamSpec{Task: "surveillance", FPS: 24})
 	ex := goldenExec{}
-	if r := streamRate(StreamSpec{Task: "age", RateRPS: 123}, age, ex, 4); r != 123 {
+	if r := arrivalRate(StreamSpec{Task: "age", RateRPS: 123}, age, ex, 4); r != 123 {
 		t.Errorf("explicit rate = %v, want 123", r)
 	}
-	if r := streamRate(StreamSpec{Task: "surveillance", FPS: 24}, cam, ex, 4); r != 24 {
+	if r := arrivalRate(StreamSpec{Task: "surveillance", FPS: 24}, cam, ex, 4); r != 24 {
 		t.Errorf("surveillance default rate = %v, want the 24 fps camera rate", r)
 	}
-	// Load-derived: 0.5 × capacity, capacity = batch·1000/PredictMS(base).
-	// goldenExec entropies are 0.3+0.2l; age detection's threshold admits
-	// level 1, where a 4-batch predicts 4·7 = 28 ms.
-	base := serve.BaseLevel(ex, age)
-	want := 0.5 * 4 * 1000 / ex.PredictMS(base, 4)
-	if r := streamRate(StreamSpec{Task: "age", Load: 0.5}, age, ex, 4); r != want {
-		t.Errorf("load-derived rate = %v, want %v (base level %d)", r, want, base)
+	// Load-derived: Load × one worker's capacity at the base level. A
+	// surveillance stream with a Load takes it too.
+	if r, want := arrivalRate(StreamSpec{Task: "age", Load: 0.5}, age, ex, 4),
+		0.5*serve.CapacityRPS(ex, age, 4); r != want {
+		t.Errorf("load-derived rate = %v, want %v", r, want)
+	}
+	if r, want := arrivalRate(StreamSpec{Task: "surveillance", FPS: 24, Load: 2}, cam, ex, 4),
+		2*serve.CapacityRPS(ex, cam, 4); r != want {
+		t.Errorf("surveillance at load 2 = %v, want %v", r, want)
 	}
 }
 
+// TestPercentile: a row's pooled p50/p99 are nearest-rank, ceil(p·n)−1.
+// At n = 60, p99 is the maximum, where the round(p·n)−1 rank the matrix
+// used before read the sample below it.
 func TestPercentile(t *testing.T) {
-	if p := percentile(nil, 0.5); p != 0 {
-		t.Errorf("empty percentile = %v, want 0", p)
+	var empty Row
+	empty.aggregate(nil)
+	if empty.P50MS != 0 || empty.P99MS != 0 {
+		t.Errorf("empty row percentiles = %v / %v, want 0", empty.P50MS, empty.P99MS)
 	}
-	s := []float64{4, 1, 3, 2}
-	if p := percentile(s, 0.5); p != 2 {
-		t.Errorf("p50 of 1..4 = %v, want 2", p)
+	lats := make([]float64, 60)
+	for i := range lats {
+		lats[i] = float64(60 - i) // descending: aggregate sorts
 	}
-	if p := percentile(s, 0.99); p != 4 {
-		t.Errorf("p99 of 1..4 = %v, want 4", p)
-	}
-	if s[0] != 4 {
-		t.Error("percentile mutated its input")
+	var r Row
+	r.aggregate(lats)
+	if r.P50MS != 30 || r.P99MS != 60 {
+		t.Errorf("p50/p99 of 1..60 = %v / %v, want 30 / 60", r.P50MS, r.P99MS)
 	}
 }

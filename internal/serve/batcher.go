@@ -107,7 +107,7 @@ func (s *Server) batcher() {
 			// loop turn.
 			s.drainSubmitted(q)
 			if s.cfg.ManualFlush {
-				continue // only Flush/FlushOne (or close-drain) flushes
+				continue // only Flush (or close-drain) flushes
 			}
 			for q.len() >= s.cfg.MaxBatch {
 				ft.disarm()
@@ -123,23 +123,6 @@ func (s *Server) batcher() {
 			n := q.len()
 			s.flushAll(q)
 			done <- n
-		case done := <-s.flushOneReqCh:
-			s.drainSubmitted(q)
-			n := 0
-			if q.len() > 0 {
-				n = s.flushNext(q)
-			}
-			if !s.cfg.ManualFlush {
-				s.rearm(ft, q)
-			}
-			done <- n
-		case done := <-s.delayReqCh:
-			s.drainSubmitted(q)
-			if q.len() == 0 {
-				done <- math.Inf(1)
-			} else {
-				done <- s.flushDelayMS(q)
-			}
 		case <-ft.ch():
 			ft.fired()
 			if q.len() == 0 {
@@ -191,11 +174,9 @@ func (s *Server) drainSubmitted(q *fifo) {
 }
 
 // flushNext forms and flushes one batch: the first MaxBatch pending
-// requests in admission order. It returns the batch size.
-func (s *Server) flushNext(q *fifo) int {
-	batch := q.take(s.cfg.MaxBatch)
-	s.flush(batch)
-	return len(batch)
+// requests in admission order.
+func (s *Server) flushNext(q *fifo) {
+	s.flush(q.take(s.cfg.MaxBatch))
 }
 
 // flushAll drains the pending FIFO completely, one batch at a time, so an

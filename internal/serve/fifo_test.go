@@ -11,10 +11,11 @@ import (
 	"pcnn/internal/tensor"
 )
 
-// TestNextFlushDelayTracksHead pins the batching policy's one input: the
-// head of the FIFO. The delay is min(linger, head slack − guard), both
-// measured from the head's arrival, so it falls one for one with the clock
-// and a later arrival moves it only through the batch-size prediction.
+// TestNextFlushDelayTracksHead pins the batching policy the autonomous
+// timer arms with (flushDelayMS) on its one input: the head of the FIFO.
+// The delay is min(linger, head slack − guard), both measured from the
+// head's arrival, so it falls one for one with the clock and a later
+// arrival moves it only through the batch-size prediction.
 func TestNextFlushDelayTracksHead(t *testing.T) {
 	task := satisfaction.VideoSurveillance(30)
 	const msPerImage, x = 2.0, 3.0
@@ -42,41 +43,30 @@ func TestNextFlushDelayTracksHead(t *testing.T) {
 			}
 			defer closeServer(t, s)
 
-			if d := s.NextFlushDelayMS(); !math.IsInf(d, 1) {
-				t.Fatalf("empty server delay = %v, want +Inf", d)
-			}
-			if _, err := s.Submit(); err != nil {
-				t.Fatal(err)
-			}
-			d0 := s.NextFlushDelayMS()
+			q := &fifo{}
+			q.push(&request{at: clk.now()})
+			d0 := s.flushDelayMS(q)
 			if d0 != want(tc.lingerMS, 0, 1) {
-				t.Fatalf("delay after one Submit = %v, want exactly %v", d0, want(tc.lingerMS, 0, 1))
+				t.Fatalf("delay for one pending request = %v, want exactly %v", d0, want(tc.lingerMS, 0, 1))
 			}
 			clk.set(x)
-			if d := s.NextFlushDelayMS(); math.Abs(d-(d0-x)) > 1e-9 {
+			if d := s.flushDelayMS(q); math.Abs(d-(d0-x)) > 1e-9 {
 				t.Errorf("delay after %v ms = %v, want %v", x, d, d0-x)
 			}
 			// The newcomer arrived at t = x; pricing it from its own arrival
 			// would read want(linger, 0, 2).
-			if _, err := s.Submit(); err != nil {
-				t.Fatal(err)
-			}
-			if d := s.NextFlushDelayMS(); math.Abs(d-want(tc.lingerMS, x, 2)) > 1e-9 {
-				t.Errorf("delay after a later Submit = %v, want %v (head's arrival governs)", d, want(tc.lingerMS, x, 2))
-			}
-			if n := s.FlushOne(); n != 2 {
-				t.Fatalf("FlushOne moved %d, want 2", n)
-			}
-			if d := s.NextFlushDelayMS(); !math.IsInf(d, 1) {
-				t.Errorf("drained server delay = %v, want +Inf", d)
+			q.push(&request{at: clk.now()})
+			if d := s.flushDelayMS(q); math.Abs(d-want(tc.lingerMS, x, 2)) > 1e-9 {
+				t.Errorf("delay after a later arrival = %v, want %v (head's arrival governs)", d, want(tc.lingerMS, x, 2))
 			}
 		})
 	}
 }
 
-// TestFlushIsAdmissionOrder: a backlog of k·MaxBatch + r requests drains
-// in admission order — full batches then the remainder, ascending IDs —
-// and the conservation invariant is exact afterwards.
+// TestFlushIsAdmissionOrder: one Flush of a backlog of k·MaxBatch + r
+// requests chunks it in admission order — full batches then the
+// remainder, ascending IDs — and the conservation invariant is exact
+// afterwards.
 func TestFlushIsAdmissionOrder(t *testing.T) {
 	const maxBatch, k, r = 4, 3, 2
 	clk := &vclock{}
@@ -98,17 +88,11 @@ func TestFlushIsAdmissionOrder(t *testing.T) {
 		}
 		futs = append(futs, f)
 	}
-	for b := 0; b <= k; b++ {
-		want := maxBatch
-		if b == k {
-			want = r
-		}
-		if n := s.FlushOne(); n != want {
-			t.Fatalf("FlushOne %d moved %d, want %d", b, n, want)
-		}
+	if n := s.Flush(); n != k*maxBatch+r {
+		t.Fatalf("Flush moved %d, want %d", n, k*maxBatch+r)
 	}
-	if n := s.FlushOne(); n != 0 {
-		t.Fatalf("FlushOne on a drained server moved %d", n)
+	if n := s.Flush(); n != 0 {
+		t.Fatalf("Flush on a drained server moved %d", n)
 	}
 	for i, res := range waitAll(t, futs) {
 		if res.ID != uint64(i+1) {
@@ -201,11 +185,8 @@ func TestMeanBatchAccounting(t *testing.T) {
 		}
 		futs = append(futs, f)
 	}
-	if n := s.FlushOne(); n != 4 {
-		t.Fatalf("first flush moved %d, want 4", n)
-	}
-	if n := s.FlushOne(); n != 3 {
-		t.Fatalf("second flush moved %d, want 3", n)
+	if n := s.Flush(); n != 7 {
+		t.Fatalf("flush moved %d, want 7 (batches of 4 and 3)", n)
 	}
 	waitAll(t, futs)
 
@@ -245,7 +226,7 @@ func TestMeanBatchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := fs.FlushOne(); n != 1 {
+	if n := fs.Flush(); n != 1 {
 		t.Fatalf("flush moved %d, want 1", n)
 	}
 	if _, err := f1.Wait(ctx); err == nil {

@@ -32,7 +32,7 @@ func TestPredictExportsRoutingState(t *testing.T) {
 	if p.BatchMS != 0 {
 		t.Errorf("unrequested BatchMS = %.3f, want 0", p.BatchMS)
 	}
-	if p.MaxBatch != srv.MaxBatch() || p.QueueDepth != 0 || p.BusyMS != 0 {
+	if p.MaxBatch != srv.cfg.MaxBatch || p.QueueDepth != 0 || p.BusyMS != 0 {
 		t.Errorf("idle prediction wrong: %+v", p)
 	}
 

@@ -253,12 +253,6 @@ type Server struct {
 	// flushReqCh carries explicit Flush requests to the batcher; the
 	// reply channel resolves with how many requests the flush moved.
 	flushReqCh chan chan int
-	// flushOneReqCh flushes exactly one policy-formed batch (FlushOne);
-	// delayReqCh queries the batcher's current flush-due delay
-	// (NextFlushDelayMS). Both are the virtual-time driver's view of the
-	// batching policy.
-	flushOneReqCh chan chan int
-	delayReqCh    chan chan float64
 
 	batcherDone chan struct{}
 	workers     sync.WaitGroup
@@ -300,19 +294,17 @@ func newServer(ex Executor, task satisfaction.Task, cfg Config, timerHook func()
 	}
 	cfg = cfg.withDefaults(BatchCap(ex, task))
 	s := &Server{
-		cfg:           cfg,
-		task:          task,
-		ex:            ex,
-		ctrl:          newController(ex.Levels(), BaseLevel(ex, task), cfg.RecoverAfter),
-		st:            newStats(),
-		reg:           obs.NewRegistry(),
-		traces:        obs.NewTraceRing(traceRingCap),
-		submitCh:      make(chan *request, cfg.QueueCap),
-		flushCh:       make(chan *batchJob, cfg.Workers),
-		flushReqCh:    make(chan chan int),
-		flushOneReqCh: make(chan chan int),
-		delayReqCh:    make(chan chan float64),
-		batcherDone:   make(chan struct{}),
+		cfg:         cfg,
+		task:        task,
+		ex:          ex,
+		ctrl:        newController(ex.Levels(), BaseLevel(ex, task), cfg.RecoverAfter),
+		st:          newStats(),
+		reg:         obs.NewRegistry(),
+		traces:      obs.NewTraceRing(traceRingCap),
+		submitCh:    make(chan *request, cfg.QueueCap),
+		flushCh:     make(chan *batchJob, cfg.Workers),
+		flushReqCh:  make(chan chan int),
+		batcherDone: make(chan struct{}),
 		// The breaker reads the configured clock, so virtual-time drivers
 		// (scenario engine, fleet soak) get deterministic cooldown windows.
 		brk: newBreaker(cfg.BreakerThreshold,
@@ -454,11 +446,12 @@ func (s *Server) predictQueueMS(level int) float64 {
 }
 
 // SetBusyUntil declares worker occupancy the server cannot observe
-// itself: a virtual-time driver resolves executed batches immediately in
-// wall-clock terms, so the simulated busy horizon it tracks would
-// otherwise be invisible to admission control and completion prediction.
-// Live serving never calls this — there the in-queue depth carries the
-// backlog. The declared horizon naturally expires as the clock passes t.
+// itself: the virtual-time driver (simdrive.Window) resolves executed
+// batches immediately in wall-clock terms, so the simulated busy horizon
+// it tracks would otherwise be invisible to admission control and
+// completion prediction. Live serving never calls this — there the
+// in-queue depth carries the backlog — except through POST /busy. The
+// declared horizon naturally expires as the clock passes t.
 func (s *Server) SetBusyUntil(t time.Time) {
 	s.busyUntil.Store(t.UnixNano())
 }
@@ -591,35 +584,15 @@ func (s *Server) sinceMS(t time.Time) float64 {
 // on that batch's futures, and the completion contract (see Future) makes
 // the next Level() and Stats() read deterministic — no polling. It is also
 // safe, if rarely useful, on an autonomously flushing server.
-func (s *Server) Flush() int { return askBatcher(s, s.flushReqCh, 0) }
-
-// askBatcher hands the batcher loop one request and returns its reply, or
-// idle when the server is draining and the loop has exited.
-func askBatcher[T any](s *Server, req chan chan T, idle T) T {
-	done := make(chan T, 1)
+func (s *Server) Flush() int {
+	done := make(chan int, 1)
 	select {
-	case req <- done:
+	case s.flushReqCh <- done:
 		return <-done
 	case <-s.batcherDone:
-		return idle
+		return 0
 	}
 }
-
-// FlushOne flushes exactly one policy-formed batch: the batcher drains the
-// admission queue into its pending FIFO and hands the worker pool the
-// first MaxBatch requests in admission order. It returns how many
-// requests the batch carried (0 when nothing was pending or the server is
-// draining). Virtual-time drivers use it to execute one batch per step
-// while leaving the rest of the backlog queued — the composition the
-// autonomous batcher would have produced.
-func (s *Server) FlushOne() int { return askBatcher(s, s.flushOneReqCh, 0) }
-
-// NextFlushDelayMS reports how much longer the batching policy would hold
-// the current pending batch open: the pending head's remaining slack,
-// capped by the linger window (≤ 0 means due now). It returns +Inf
-// when nothing is pending or the server is draining. Virtual-time drivers
-// use it to place the flush instant on their own clock.
-func (s *Server) NextFlushDelayMS() float64 { return askBatcher(s, s.delayReqCh, math.Inf(1)) }
 
 // Close stops admission, drains every accepted request through the worker
 // pool, and waits for the pipeline to exit (bounded by ctx). Every future
@@ -726,12 +699,6 @@ func (s *Server) Task() satisfaction.Task { return s.task }
 
 // Level returns the current degradation level (0 = unperforated).
 func (s *Server) Level() int { return s.ctrl.Level() }
-
-// MaxBatch returns the effective batch cap the server coalesces to, after
-// defaulting: the configured cap, or the deadline-aware BatchCap when the
-// configuration left it zero. Virtual-time drivers use it to decide when
-// a pending backlog has filled a batch.
-func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }
 
 // Metrics returns the server's metric registry — every serving gauge,
 // counter and histogram lives here; callers may register their own

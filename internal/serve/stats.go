@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -310,26 +309,10 @@ func (s *stats) snapshot(task satisfaction.Task, level int, esc, cal, rec uint64
 		snap.MeanEntropy = s.entropySum / float64(s.completed)
 		snap.EnergyPerImageJ = s.energyJ / float64(s.completed)
 	}
-	snap.P50MS, snap.P95MS, snap.P99MS = percentiles(s.lat)
-	return snap
-}
-
-// percentiles returns the 50th/95th/99th percentiles of the sample.
-func percentiles(sample []float64) (p50, p95, p99 float64) {
-	if len(sample) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]float64(nil), sample...)
+	sorted := append([]float64(nil), s.lat...)
 	sort.Float64s(sorted)
-	at := func(p float64) float64 {
-		i := int(math.Ceil(p*float64(len(sorted)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	return at(0.50), at(0.95), at(0.99)
+	snap.P50MS = obs.Percentile(sorted, 0.50)
+	snap.P95MS = obs.Percentile(sorted, 0.95)
+	snap.P99MS = obs.Percentile(sorted, 0.99)
+	return snap
 }

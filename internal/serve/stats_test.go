@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"pcnn/internal/satisfaction"
 )
 
 // statClock is an advanceable fake clock for exercising idle gaps without
@@ -97,8 +99,15 @@ func TestLatencyReservoirWrap(t *testing.T) {
 	}
 }
 
-// TestPercentilesEdgeCases: empty, single-sample and all-equal inputs.
+// TestPercentilesEdgeCases: the snapshot's latency percentiles over
+// empty, single-sample, all-equal and out-of-order reservoirs.
 func TestPercentilesEdgeCases(t *testing.T) {
+	percentiles := func(sample []float64) (p50, p95, p99 float64) {
+		st := newStats()
+		st.lat = sample
+		snap := st.snapshot(satisfaction.ImageTagging(), 0, 0, 0, 0, BreakerClosed, 0, 0)
+		return snap.P50MS, snap.P95MS, snap.P99MS
+	}
 	if p50, p95, p99 := percentiles(nil); p50 != 0 || p95 != 0 || p99 != 0 {
 		t.Errorf("empty sample: got %v %v %v, want zeros", p50, p95, p99)
 	}
@@ -109,13 +118,14 @@ func TestPercentilesEdgeCases(t *testing.T) {
 	if p50, p95, p99 := percentiles(same); p50 != 3 || p95 != 3 || p99 != 3 {
 		t.Errorf("all-equal sample: got %v %v %v, want 3 everywhere", p50, p95, p99)
 	}
-	// Ordered sample: percentiles must be monotone and drawn from the data.
-	asc := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	p50, p95, p99 := percentiles(asc)
-	if !(p50 <= p95 && p95 <= p99) {
-		t.Errorf("percentiles not monotone: %v %v %v", p50, p95, p99)
-	}
+	// Shuffled sample: percentiles are nearest-rank over the sorted copy
+	// and leave the reservoir's ring order alone.
+	ring := []float64{7, 2, 9, 4, 10, 1, 6, 3, 8, 5}
+	p50, p95, p99 := percentiles(ring)
 	if p50 != 5 || p95 != 10 || p99 != 10 {
 		t.Errorf("1..10 percentiles: got %v %v %v, want 5 10 10", p50, p95, p99)
+	}
+	if ring[0] != 7 || ring[9] != 5 {
+		t.Error("snapshot reordered the latency reservoir")
 	}
 }

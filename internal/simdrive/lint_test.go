@@ -18,7 +18,7 @@ var deterministicSources = []string{
 	"../fleet/soak.go",
 	"../fleet/agg.go",
 	"../workload/schedule.go",
-	"../../cmd/pcnnd/bench.go",
+	"../../cmd/pcnnd/scenarios.go",
 }
 
 // wallClockCalls are the time-package functions that read or wait on the

@@ -1,7 +1,8 @@
-// Package simdrive holds what the deterministic virtual-clock drivers
-// (the scenario engine, the fleet soak) share: the batch-window algorithm
-// they replay against a ManualFlush serve.Server. It contains no
-// wall-clock reads or sleeps — time only moves when the driver moves it.
+// Package simdrive holds the one virtual-clock driver the deterministic
+// generators (the scenario engine and its serve grid, the fleet soak)
+// share: the batch-window algorithm they replay against a ManualFlush
+// serve.Server. It contains no wall-clock reads or sleeps — time only
+// moves when the driver moves it.
 package simdrive
 
 import (
@@ -29,9 +30,12 @@ type Outcome struct {
 // Window composes one server's batches the way the autonomous batcher
 // would have, on the driver's clock: a window opens on an arrival, holds
 // for the slack a full batch leaves at the current degradation level
-// (capped by the linger), closes early when it fills, and executes when it
-// closes or when the server's single worker frees up, whichever is later.
-// The server must run with ManualFlush and one worker on the same clock.
+// (capped by the linger) but never closes before the server's single
+// worker frees up — arrivals during a busy spell join the batch, so a
+// backlog grows it — and closes early when it fills. Flush declares the
+// worker's busy horizon to the server, so admission and routing
+// predictions see the backlog. Window is the only driver of virtual time:
+// the server must run with ManualFlush and one worker on the same clock.
 type Window struct {
 	srv      *serve.Server
 	ex       serve.Executor
@@ -83,6 +87,9 @@ func (w *Window) Add(t time.Time, leg Leg) (full bool) {
 			hold = w.lingerMS
 		}
 		w.closeAt = t.Add(time.Duration(hold * float64(time.Millisecond)))
+		if w.busy.After(w.closeAt) {
+			w.closeAt = w.busy
+		}
 	}
 	w.slots++
 	if leg != nil {
@@ -96,13 +103,16 @@ func (w *Window) Add(t time.Time, leg Leg) (full bool) {
 }
 
 // Flush executes the open window: it moves the clock to the execution
-// instant, flushes the server, waits the batch's legs and advances the
-// busy horizon by the batch's simulated execution time — a failed batch
-// still occupied the worker, for the full-batch price the window opened
-// under. serve's completion contract makes the waits sufficient: once they
-// return, the next Level() and Stats() reads are deterministic. The
-// returned outcomes are the window's accepted legs in admission order;
-// the slice is reused by the next window, so consume it before the next Add.
+// instant, flushes the server, waits the batch's legs, advances the busy
+// horizon by the batch's simulated execution time — a failed batch still
+// occupied the worker, for the full-batch price the window opened under —
+// and declares that horizon to the server (SetBusyUntil): the driver
+// resolves batches at once in wall-clock terms, so without it the backlog
+// would be invisible to admission and completion prediction. serve's
+// completion contract makes the waits sufficient: once they return, the
+// next Level() and Stats() reads are deterministic. The returned outcomes
+// are the window's accepted legs in admission order; the slice is reused
+// by the next window, so consume it before the next Add.
 func (w *Window) Flush(ctx context.Context) ([]Outcome, error) {
 	execStart := w.closeAt
 	if w.busy.After(execStart) {
@@ -129,6 +139,7 @@ func (w *Window) Flush(ctx context.Context) ([]Outcome, error) {
 		busyMS = w.predMS
 	}
 	w.busy = execStart.Add(time.Duration(busyMS * float64(time.Millisecond)))
+	w.srv.SetBusyUntil(w.busy)
 	outs := w.legs
 	w.slots, w.legs = 0, w.legs[:0]
 	return outs, nil

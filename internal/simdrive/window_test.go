@@ -188,14 +188,22 @@ func TestWindowSlots(t *testing.T) {
 }
 
 // TestWindowFlushTiming pins the execution instant and the busy horizon:
-// a batch starts at max(window close, worker free), a served batch
-// occupies the worker for its own execution time, a failed batch for the
-// full-batch price the window opened under (not its actual size at the
-// current level), and the window never declares the horizon to the server
-// itself — SetBusyUntil feeds admission and belongs to the caller.
+// a window opened while the worker is busy closes no earlier than the
+// horizon, a batch starts at max(window close, worker free), a served
+// batch occupies the worker for its own execution time, a failed batch for
+// the full-batch price the window opened under (not its actual size at the
+// current level), and every Flush declares the new horizon to the server,
+// which reports what remains of it.
 func TestWindowFlushTiming(t *testing.T) {
 	ex := &stubExec{msPerImage: 10}
 	h := newHarness(t, ex, satisfaction.ImageTagging())
+	// declared checks the horizon the server sees right after a flush.
+	declared := func(wantMS float64) {
+		t.Helper()
+		if got := h.srv.Predict(0).BusyMS; got != wantMS {
+			t.Errorf("server sees a %v ms busy horizon after the flush, want %v", got, wantMS)
+		}
+	}
 
 	// Idle worker: the lone request executes when its window closes.
 	h.arrive(0)
@@ -209,6 +217,7 @@ func TestWindowFlushTiming(t *testing.T) {
 	if got := sinceEpochMS(h.win.BusyUntil()); got != testLingerMS+10 {
 		t.Errorf("busy until %v ms after a 10 ms batch started at 20, want 30", got)
 	}
+	declared(10) // the clock sits at the 20 ms execution instant
 
 	// Busy worker: a window that fills at 21 ms waits for the worker (30).
 	for i := 0; i < testMaxBatch; i++ {
@@ -225,6 +234,23 @@ func TestWindowFlushTiming(t *testing.T) {
 	if got := sinceEpochMS(h.win.BusyUntil()); got != 30+40 {
 		t.Errorf("busy until %v ms after a 40 ms batch started at 30, want 70", got)
 	}
+	declared(40)
+
+	// A window opened at 45 ms would hold until 65, but the worker is busy
+	// until 70: it stays open to the horizon, and a 69 ms arrival rides it.
+	h.arrive(45)
+	if got := sinceEpochMS(h.win.CloseAt()); got != 70 {
+		t.Errorf("window opened at 45 ms while busy until 70 closes at %v ms, want 70", got)
+	}
+	h.arrive(69)
+	outs = h.flush()
+	if len(outs) != 2 || outs[0].Res.Batch != 2 || outs[0].Res.QueueMS != 25 {
+		t.Errorf("busy-spell window: outcomes %+v, want a batch of 2, head queued 25 ms", outs)
+	}
+	if got := sinceEpochMS(h.win.BusyUntil()); got != 70+20 {
+		t.Errorf("busy until %v ms after a 20 ms batch started at 70, want 90", got)
+	}
+	declared(20)
 
 	// Failed batch of one, long after the worker freed: priced at the
 	// 4-request prediction the window opened under.
@@ -237,8 +263,5 @@ func TestWindowFlushTiming(t *testing.T) {
 	if got := sinceEpochMS(h.win.BusyUntil()); got != 200+testLingerMS+40 {
 		t.Errorf("busy until %v ms after a failed batch started at 220, want 260 (full-batch price)", got)
 	}
-
-	if got := h.srv.Predict(0).BusyMS; got != 0 {
-		t.Errorf("server sees a %v ms busy horizon; the window must not declare it", got)
-	}
+	declared(40)
 }
