@@ -3,7 +3,7 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast paper-verify fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
@@ -179,10 +179,23 @@ bench-verify-fast:
 	for f in BENCH_serve.json BENCH_scenarios.json BENCH_scenarios.prom; do \
 		cmp $$tmp/$$f $$f || exit 1; done && echo "bench-verify-fast: 3 files byte-identical"
 
-bench-verify: bench-verify-fast
+bench-verify: bench-verify-fast paper-verify
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
 	$(MAKE) --no-print-directory soak-fleet OUT=$$tmp && \
 	cmp $$tmp/BENCH_fleet.json BENCH_fleet.json && echo "bench-verify: BENCH_fleet.json byte-identical"
+
+# paper-verify regenerates the paper's reproduced outputs into a temp dir
+# and requires both byte-identical to the committed files:
+# docs/characterize.txt (Section III: Tables II-VI, Figs 4-9; also pinned in
+# tier-1 by cmd/characterize's TestCharacterizeGolden) and
+# docs/experiments.txt (Section V: Table I, Figs 13-16; trains the scaled
+# networks, so ~1 min, which is why it rides in bench-verify, not ci).
+paper-verify:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
+	$(GO) run ./cmd/characterize > $$tmp/characterize.txt && \
+	$(GO) run ./cmd/experiments > $$tmp/experiments.txt && \
+	for f in characterize.txt experiments.txt; do \
+		cmp $$tmp/$$f docs/$$f || exit 1; done && echo "paper-verify: 2 files byte-identical"
 
 # scenarios regenerates the committed heterogeneous-fleet matrix
 # (BENCH_scenarios.json + BENCH_scenarios.prom): platforms × arrival

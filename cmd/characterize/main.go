@@ -5,11 +5,16 @@
 //	go run ./cmd/characterize            # everything
 //	go run ./cmd/characterize -table3    # just the latency matrix
 //	go run ./cmd/characterize -fig8 -csv # batch sweep as CSV
+//
+// The full output is committed as docs/characterize.txt and pinned by
+// TestCharacterizeGolden.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -20,37 +25,46 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("characterize: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run parses args and writes the selected tables and figures to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
 	var (
-		table2 = flag.Bool("table2", false, "GPU configurations")
-		table3 = flag.Bool("table3", false, "latencies w/ and w/o batching (with OOM marks)")
-		table4 = flag.Bool("table4", false, "CNN-dominated kernel details")
-		table5 = flag.Bool("table5", false, "Util of AlexNet per platform")
-		table6 = flag.Bool("table6", false, "simulation parameters")
-		fig4   = flag.Bool("fig4", false, "throughput ratio non-batching/batching")
-		fig5   = flag.Bool("fig5", false, "compute efficiency per conv layer")
-		fig6   = flag.Bool("fig6", false, "instruction breakdown per tile size")
-		fig7   = flag.Bool("fig7", false, "RR vs PSM CTA scheduling")
-		fig8   = flag.Bool("fig8", false, "throughput vs batch size + optimal batches")
-		fig9   = flag.Bool("fig9", false, "TLP vs registers staircase")
-		csv    = flag.Bool("csv", false, "emit tables as CSV")
+		table2 = fs.Bool("table2", false, "GPU configurations")
+		table3 = fs.Bool("table3", false, "latencies w/ and w/o batching (with OOM marks)")
+		table4 = fs.Bool("table4", false, "CNN-dominated kernel details")
+		table5 = fs.Bool("table5", false, "Util of AlexNet per platform")
+		table6 = fs.Bool("table6", false, "simulation parameters")
+		fig4   = fs.Bool("fig4", false, "throughput ratio non-batching/batching")
+		fig5   = fs.Bool("fig5", false, "compute efficiency per conv layer")
+		fig6   = fs.Bool("fig6", false, "instruction breakdown per tile size")
+		fig7   = fs.Bool("fig7", false, "RR vs PSM CTA scheduling")
+		fig8   = fs.Bool("fig8", false, "throughput vs batch size + optimal batches")
+		fig9   = fs.Bool("fig9", false, "TLP vs registers staircase")
+		csv    = fs.Bool("csv", false, "emit tables as CSV")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	all := !(*table2 || *table3 || *table4 || *table5 || *table6 ||
 		*fig4 || *fig5 || *fig6 || *fig7 || *fig8 || *fig9)
 
 	emit := func(t *report.Table) {
 		if *csv {
-			t.RenderCSV(os.Stdout)
+			t.RenderCSV(w)
 		} else {
-			t.Render(os.Stdout)
+			t.Render(w)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	emitFig := func(f *report.Figure) {
-		f.Render(os.Stdout)
-		fmt.Println()
+		f.Render(w)
+		fmt.Fprintln(w)
 	}
 
 	if all || *table2 {
@@ -59,7 +73,7 @@ func main() {
 	if all || *table3 {
 		t, err := experiments.TableIII()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emit(t)
 	}
@@ -75,14 +89,14 @@ func main() {
 	if all || *fig4 {
 		f, err := experiments.Fig4Data()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emitFig(f)
 	}
 	if all || *fig5 {
 		f, err := experiments.Fig5Data()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emitFig(f)
 	}
@@ -92,32 +106,33 @@ func main() {
 	if all || *fig7 {
 		t, err := experiments.Fig7Data()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emit(t)
 	}
 	if all || *fig8 {
 		f, knees, err := experiments.Fig8Data()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emitFig(f)
-		fmt.Println("Fig 8 optimal (knee) batch per platform:")
+		fmt.Fprintln(w, "Fig 8 optimal (knee) batch per platform:")
 		for _, dev := range []string{"K20c", "TitanX", "GTX970m", "TX1"} {
-			fmt.Printf("  %-8s %d\n", dev, knees[dev])
+			fmt.Fprintf(w, "  %-8s %d\n", dev, knees[dev])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if all || *fig9 {
 		f, cands, err := experiments.Fig9Data()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		emitFig(f)
-		fmt.Println("Fig 9 pruned candidates (rightmost point of each stair):")
+		fmt.Fprintln(w, "Fig 9 pruned candidates (rightmost point of each stair):")
 		for _, c := range cands {
-			fmt.Printf("  regs=%-3d TLP=%d\n", c.Regs, c.TLP)
+			fmt.Fprintf(w, "  regs=%-3d TLP=%d\n", c.Regs, c.TLP)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }

@@ -37,7 +37,6 @@ func main() {
 		if err := fw.CompileOffline(); err != nil {
 			log.Fatal(err)
 		}
-		net.ClearPerforation()
 		if err := fw.AttachScaled(net, lab.Test.X); err != nil {
 			log.Fatal(err)
 		}

@@ -114,10 +114,10 @@ func (f *Framework) TuningPath() []sched.TuningPoint {
 		return nil
 	}
 	scaledLayers := f.Scaled.PerforableLayers()
-	dims := make([]runtimemgr.KeepGrid, len(scaledLayers))
+	dims := make([]nn.Keep, len(scaledLayers))
 	for i, l := range scaledLayers {
 		ho, wo := l.OutDims()
-		dims[i] = runtimemgr.KeepGrid{W: wo, H: ho}
+		dims[i] = nn.Keep{W: wo, H: ho}
 	}
 	fullConvs := f.Net.ConvLayers()
 	points := make([]sched.TuningPoint, 0, len(f.Table.Entries))
@@ -182,9 +182,4 @@ func (f *Framework) Evaluate() ([]sched.Outcome, error) {
 // Outcome runs only the P-CNN scheduler on this framework's scenario.
 func (f *Framework) Outcome() (sched.Outcome, error) {
 	return sched.PCNN{}.Run(f.Scenario())
-}
-
-// MeanEntropy measures the scaled network's current uncertainty on inputs.
-func MeanEntropy(net *nn.Sequential, x *tensor.Tensor) float64 {
-	return entropy.Mean(net.Predict(x))
 }

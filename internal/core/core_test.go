@@ -161,14 +161,11 @@ func TestEvaluateAllSchedulers(t *testing.T) {
 func TestLabAccuracyBand(t *testing.T) {
 	_, lab := framework(t)
 	net := labFix.fw.Scaled
-	// Other tests may have left the shared net at an aggressive tuning
-	// level via the runtime manager; measure the unperforated network.
-	net.ClearPerforation()
-	acc := lab.Accuracy(net)
+	acc := lab.Accuracy(net, nil)
 	if acc < 0.6 || acc > 0.98 {
 		t.Fatalf("trained AlexNet-S accuracy %v outside sane band", acc)
 	}
-	if h := lab.Entropy(net); h <= 0 || h > 1.0 {
+	if h := lab.Entropy(net, nil); h <= 0 || h > 1.0 {
 		t.Fatalf("trained AlexNet-S entropy %v outside sane band", h)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pcnn/internal/entropy"
 	"pcnn/internal/nn"
 	"pcnn/internal/workload"
 )
@@ -52,12 +53,14 @@ func (l *Lab) TrainNet(name string) (*nn.Sequential, error) {
 	return net, nil
 }
 
-// Accuracy evaluates a network on the lab's held-out test set.
-func (l *Lab) Accuracy(net *nn.Sequential) float64 {
-	return net.Accuracy(l.Test.X, l.Test.Labels)
+// Accuracy evaluates a network at the operating point o (nil: the full
+// network) on the lab's held-out test set.
+func (l *Lab) Accuracy(net *nn.Sequential, o *nn.ForwardOpts) float64 {
+	return net.Accuracy(l.Test.X, l.Test.Labels, o)
 }
 
-// Entropy measures a network's mean output uncertainty on the test set.
-func (l *Lab) Entropy(net *nn.Sequential) float64 {
-	return MeanEntropy(net, l.Test.X)
+// Entropy measures a network's mean output uncertainty at the operating
+// point o (nil: the full network) on the test set.
+func (l *Lab) Entropy(net *nn.Sequential, o *nn.ForwardOpts) float64 {
+	return entropy.Mean(net.PredictWith(l.Test.X, o))
 }

@@ -28,8 +28,8 @@ func TableIData(lab *core.Lab) (*report.Table, []float64, []float64, error) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		acc := lab.Accuracy(net)
-		h := lab.Entropy(net)
+		acc := lab.Accuracy(net, nil)
+		h := lab.Entropy(net, nil)
 		t.AddRow(net.Name(), acc, h)
 		accs = append(accs, acc)
 		ents = append(ents, h)
@@ -191,7 +191,7 @@ func Fig16Data(lab *core.Lab, entropyThreshold float64) (entropyTrace, accuracyT
 		if err != nil {
 			return nil, err
 		}
-		baseAcc := lab.Accuracy(net)
+		baseAcc := lab.Accuracy(net, nil)
 		tuner := &runtimemgr.Tuner{
 			Net:       net,
 			Probe:     lab.Test.X,
@@ -201,23 +201,17 @@ func Fig16Data(lab *core.Lab, entropyThreshold float64) (entropyTrace, accuracyT
 		if accuracyGuided {
 			// The supervised comparison: guide by measured accuracy loss,
 			// stopping at the same 10%-loss point as the headline claim.
-			tuner.Uncertainty = func() float64 { return 1 - lab.Accuracy(net) }
+			tuner.Uncertainty = func(o *nn.ForwardOpts) float64 { return 1 - lab.Accuracy(net, o) }
 			tuner.Threshold = (1 - baseAcc) + 0.10
 		}
 		table, err := tuner.Run()
 		if err != nil {
 			return nil, err
 		}
-		layers := net.PerforableLayers()
 		var trace []Fig16Point
-		for i, e := range table.Entries {
-			for j, l := range layers {
-				l.SetPerforation(e.Keeps[j].W, e.Keeps[j].H)
-			}
-			acc := lab.Accuracy(net)
-			h := lab.Entropy(net)
-			net.ClearPerforation()
-			trace = append(trace, Fig16Point{Iteration: i, Speedup: e.Speedup, Entropy: h, Accuracy: acc})
+		for i, o := range table.ForwardOpts(net) {
+			trace = append(trace, Fig16Point{Iteration: i, Speedup: table.Entries[i].Speedup,
+				Entropy: lab.Entropy(net, o), Accuracy: lab.Accuracy(net, o)})
 		}
 		return trace, nil
 	}

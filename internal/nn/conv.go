@@ -11,9 +11,9 @@ import (
 
 // Conv is an executable convolutional layer implemented as im2col + GEMM,
 // exactly the lowering of Fig 2 in the paper. It supports run-time output
-// perforation (Fig 11): when a reduced keepW×keepH grid is set, only those
-// output positions are computed and the rest are interpolated from their
-// nearest computed neighbours.
+// perforation (Fig 11): under a reduced Wo′×Ho′ keep grid only those output
+// positions are computed and the rest are interpolated from their nearest
+// computed neighbours.
 type Conv struct {
 	name   string
 	inC    int
@@ -27,11 +27,11 @@ type Conv struct {
 	weight *Param // (outC) × (inC·k·k)
 	bias   *Param // outC
 
-	// keepW/keepH (0,0 = full computation) and eng (nil = package default)
-	// are the setter-path operating point: Forward(x, false) reads them,
-	// per-call ForwardOpts override them without touching the layer.
-	keepW, keepH int
-	eng          *tensor.Engine
+	// own is the lone-layer operating point SetPerforation and SetEngine
+	// build: only this layer's own Forward(x, false) runs under its mask.
+	// own.engine is also the layer's training engine, and a network call
+	// without options runs on it (nil = package default).
+	own ForwardOpts
 
 	masks sync.Map // Keep → *perforate.Mask, see maskFor
 
@@ -75,12 +75,12 @@ func NewConv(name string, inC, inH, inW, outC, k, stride, pad int, rng *rand.Ran
 func (c *Conv) Name() string { return c.name }
 
 // SetEngine directs the layer's GEMMs at eng (nil restores the default).
-func (c *Conv) SetEngine(eng *tensor.Engine) { c.eng = eng }
+func (c *Conv) SetEngine(eng *tensor.Engine) { c.own.engine = eng }
 
 // engine returns the layer's compute engine.
 func (c *Conv) engine() *tensor.Engine {
-	if c.eng != nil {
-		return c.eng
+	if c.own.engine != nil {
+		return c.own.engine
 	}
 	return tensor.Default()
 }
@@ -104,21 +104,23 @@ func (c *Conv) Shape() ConvShape {
 	}
 }
 
-// SetPerforation implements Perforable. (0, 0) restores full computation.
+// SetPerforation sets the keepW×keepH grid this layer computes when it runs
+// alone, through its own Forward(x, false); (0, 0) restores full
+// computation. A network never reads it: its calls carry ForwardOpts.
 func (c *Conv) SetPerforation(keepW, keepH int) {
-	c.keepW, c.keepH = keepW, keepH
+	c.own.masks = nil
+	if m := c.maskFor(Keep{keepW, keepH}); m != nil {
+		c.own.masks = map[*Conv]*perforate.Mask{c: m}
+	}
 }
-
-// Perforation implements Perforable.
-func (c *Conv) Perforation() (keepW, keepH int) { return c.keepW, c.keepH }
 
 // maskFor returns the perforation mask of a keep grid, or nil when the
 // grid means full computation. Each (geometry, keep) mask is built once
-// and cached on the layer, safely under concurrent use, so neither the
-// setter path nor NewForwardOpts constructs a mask twice.
+// and cached on the layer, safely under concurrent use, so neither
+// SetPerforation nor NewForwardOpts constructs a mask twice.
 func (c *Conv) maskFor(k Keep) *perforate.Mask {
 	ho, wo := c.OutDims()
-	if k.W <= 0 || k.H <= 0 || (k.W >= wo && k.H >= ho) {
+	if k.Full(wo, ho) {
 		return nil
 	}
 	if m, ok := c.masks.Load(k); ok {
@@ -141,7 +143,7 @@ const foldBudget = 1 << 19
 // Forward implements Layer.
 func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
-		return forwardAlone(c, x)
+		return forwardAlone(c, x, &c.own)
 	}
 	c.checkInput(x.Dim(1), x.Dim(2), x.Dim(3))
 	n := x.Dim(0)
@@ -214,12 +216,10 @@ func (c *Conv) addBias(dst, res []float32, ld, off, nPos int) {
 // element is bit-identical to a batch-1 call's.
 func (c *Conv) infer(x act, ctx inferCtx) act {
 	c.checkInput(x.c, x.h, x.w)
-	eng := ctx.engine(c.eng)
+	eng := ctx.engine(c.own.engine)
 	var m *perforate.Mask // nil = full computation
 	if ctx.opts != nil {
 		m = ctx.opts.masks[c]
-	} else {
-		m = c.maskFor(Keep{c.keepW, c.keepH})
 	}
 	ho, wo := c.OutDims()
 	out := ctx.alloc(x.n, c.outC, ho, wo)

@@ -81,7 +81,7 @@ func TestScaledNetworkSummaryWorkerInvariant(t *testing.T) {
 		data := &Dataset{X: x, Labels: labels}
 		opt := NewSGD(0.05, 0.9)
 		TrainEpoch(net, data, 8, opt)
-		return net.Accuracy(x, labels), net.Predict(x)
+		return net.Accuracy(x, labels, nil), net.Predict(x)
 	}
 	serAcc, serProbs := run(unshardedEngine())
 	parAcc, parProbs := run(shardedEngine())

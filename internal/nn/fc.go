@@ -56,9 +56,9 @@ func (f *FC) Shape() FCShape { return FCShape{Name: f.name, In: f.in, Out: f.out
 // Forward implements Layer.
 func (f *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
-		return forwardAlone(f, x)
+		return forwardAlone(f, x, nil)
 	}
-	out := forwardAlone(f, x) // checks the feature count
+	out := forwardAlone(f, x, nil) // checks the feature count
 	f.lastInput = x.Reshape(x.Dim(0), f.in)
 	f.lastShape = x.Shape()
 	return out

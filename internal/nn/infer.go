@@ -10,14 +10,20 @@ import (
 // Inference forward is a pure function of (weights, input, options): the
 // perforation grids and the GEMM engine travel with the call, layers keep
 // no per-request state, and any number of goroutines may run inference on
-// one shared network at once — each at its own operating point. The
-// setter API (SetPerforation, SetEngine) remains for single-owner callers
-// (the tuner, the manager, experiments); Layer.Forward(x, false) reads
-// those fields into the same per-call form and runs the same code.
+// one shared network at once — each at its own operating point. ForwardOpts
+// are the only way to perforate a network; a call without them computes
+// every layer in full. Conv.SetPerforation/SetEngine are the lone-layer
+// form: they build that layer's own options, which only its own
+// Forward(x, false) runs under.
 
 // Keep is a computed output grid Wo′×Ho′. The zero value, and any grid at
 // or above a layer's full output extent, means full computation.
 type Keep struct{ W, H int }
+
+// Full reports whether the grid computes every position of a wo×ho map.
+func (k Keep) Full(wo, ho int) bool {
+	return k.W <= 0 || k.H <= 0 || (k.W >= wo && k.H >= ho)
+}
 
 // ForwardOpts is the operating point of one inference call: the mask every
 // perforable layer computes under and the engine every GEMM runs on. A
@@ -41,11 +47,9 @@ func (s *Sequential) NewForwardOpts(keeps []Keep, eng *tensor.Engine) *ForwardOp
 		panic(fmt.Sprintf("nn: %s: %d keeps for %d perforable layers", s.NetName, len(keeps), len(layers)))
 	}
 	o.masks = make(map[*Conv]*perforate.Mask, len(layers))
-	for i, l := range layers {
-		if c, ok := l.(*Conv); ok {
-			if m := c.maskFor(keeps[i]); m != nil {
-				o.masks[c] = m
-			}
+	for i, c := range layers {
+		if m := c.maskFor(keeps[i]); m != nil {
+			o.masks[c] = m
 		}
 	}
 	return o
@@ -84,7 +88,7 @@ func actOf(x *tensor.Tensor) act {
 // as the next layer has consumed it (so a chain ping-pongs between two or
 // three buffers), and only what the caller receives is freshly allocated.
 type inferCtx struct {
-	opts   *ForwardOpts // nil: layers read their SetPerforation/SetEngine fields
+	opts   *ForwardOpts // nil: every layer full, on its own SetEngine engine
 	pooled bool
 }
 
@@ -99,7 +103,7 @@ func (ctx inferCtx) alloc(n, c, h, w int) act {
 }
 
 // engine resolves the call's GEMM engine; own is the layer's SetEngine
-// field, which only the setter path reads.
+// engine, which only a call without options reads.
 func (ctx inferCtx) engine(own *tensor.Engine) *tensor.Engine {
 	if ctx.opts != nil {
 		own = ctx.opts.engine
@@ -125,8 +129,9 @@ func inferChain(layers []Layer, x act, ctx inferCtx) act {
 }
 
 // forwardAlone is Layer.Forward(x, false) for one layer on its own: the
-// setter-path options, a freshly allocated output the caller keeps.
-func forwardAlone(l Layer, x *tensor.Tensor) *tensor.Tensor {
-	y := l.infer(actOf(x), inferCtx{})
+// layer's own options o (nil for every layer but Conv), a freshly allocated
+// output the caller keeps.
+func forwardAlone(l Layer, x *tensor.Tensor, o *ForwardOpts) *tensor.Tensor {
+	y := l.infer(actOf(x), inferCtx{opts: o})
 	return tensor.FromSlice(y.data, y.n, y.c, y.h, y.w)
 }

@@ -57,9 +57,7 @@ func tunedKeeps(t *testing.T, net *nn.Sequential, probe *tensor.Tensor) [][]nn.K
 	}
 	levels := make([][]nn.Keep, len(table.Entries))
 	for l, e := range table.Entries {
-		for _, k := range e.Keeps {
-			levels[l] = append(levels[l], nn.Keep{W: k.W, H: k.H})
-		}
+		levels[l] = e.Keeps
 	}
 	return levels
 }
@@ -223,7 +221,7 @@ func TestForwardWithMatchesMaterializedLowering(t *testing.T) {
 						want = l.Forward(want, false)
 						continue
 					}
-					if perforable[next] != nn.Perforable(conv) {
+					if perforable[next] != conv {
 						t.Fatalf("perforable layer %d is not %s", next, conv.Name())
 					}
 					want = nn.MaterializedForward(conv, want, keeps[next], tensor.Default())
@@ -239,45 +237,38 @@ func TestForwardWithMatchesMaterializedLowering(t *testing.T) {
 	}
 }
 
-// TestSetterPathIsOptionsPath: Forward(x, false) under SetPerforation /
-// SetEngine and ForwardWith under the equivalent options are one
-// implementation, so they agree exactly — and the options call leaves the
-// layers' own fields alone.
+// TestSetterPathIsOptionsPath: a lone Conv's Forward(x, false) under
+// SetPerforation/SetEngine and a one-layer network's ForwardWith under the
+// same keep and engine are one implementation, so they agree bit for bit.
+// The setters configure only the layer's own call: the network computes
+// the layer in full without options.
 func TestSetterPathIsOptionsPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	net := nn.GoogLeNetS(rng)
-	x := randomBatch(rng, 5)
-	layers := net.PerforableLayers()
-	keeps := make([]nn.Keep, len(layers))
-	for i, l := range layers {
-		ho, wo := l.OutDims()
-		keeps[i] = nn.Keep{W: (wo + 1) / 2, H: (2*ho + 2) / 3}
+	conv := nn.NewConv("c", 8, 12, 12, 6, 3, 1, 1, rng)
+	ho, wo := conv.OutDims()
+	net := nn.NewSequential("lone", 6*ho*wo, conv)
+	x := tensor.New(3, 8, 12, 12)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()*2 - 1
 	}
+	keep := nn.Keep{W: (wo + 1) / 2, H: (2*ho + 2) / 3}
 	eng := quantEngine(tensor.FP16)
-	viaOpts := net.ForwardWith(x, net.NewForwardOpts(keeps, eng))
-	for _, l := range layers {
-		if kw, kh := l.Perforation(); kw != 0 || kh != 0 {
-			t.Fatalf("ForwardWith programmed layer %s to %dx%d", l.Name(), kw, kh)
+	viaOpts := net.ForwardWith(x, net.NewForwardOpts([]nn.Keep{keep}, eng))
+	plain := conv.Forward(x, false)
+	conv.SetPerforation(keep.W, keep.H)
+	conv.SetEngine(eng)
+	viaSetters := conv.Forward(x, false)
+	conv.SetEngine(nil)
+	for i := range viaOpts.Data {
+		if math.Float32bits(viaOpts.Data[i]) != math.Float32bits(viaSetters.Data[i]) {
+			t.Fatalf("elem %d: setters %g, options %g", i, viaSetters.Data[i], viaOpts.Data[i])
 		}
 	}
-	plain := net.Forward(x, false)
-	for i, l := range layers {
-		l.SetPerforation(keeps[i].W, keeps[i].H)
+	if reflect.DeepEqual(viaOpts.Data, plain.Data) {
+		t.Fatal("options had no effect: perforated fp16 output equals the plain one")
 	}
-	net.SetEngine(eng)
-	viaSetters := net.Forward(x, false)
-	net.ClearPerforation()
-	net.SetEngine(nil)
-	same, differs := true, false
-	for i := range viaOpts.Data {
-		same = same && viaOpts.Data[i] == viaSetters.Data[i]
-		differs = differs || viaOpts.Data[i] != plain.Data[i]
-	}
-	if !same {
-		t.Fatal("setter path and options path disagree")
-	}
-	if !differs {
-		t.Fatal("options had no effect: perforated fp16 logits equal the plain ones")
+	if full := net.ForwardWith(x, nil); !reflect.DeepEqual(full.Data, plain.Data) {
+		t.Fatal("the network read the layer's SetPerforation grid")
 	}
 }
 
@@ -296,10 +287,11 @@ func shrunk(net *nn.Sequential, num, den int) []nn.Keep {
 // goroutines at once, each at its own operating point — full, a mid-table
 // level (for AlexNet-S the served base level 9 of the benchmark's table),
 // the deepest level, an int8 engine — while a fifth goroutine drives a
-// different network through the setter path. Every result must equal its
-// single-threaded reference bit for bit; under -race this is what proves
-// inference writes no layer field (Inception's branch widths included)
-// and that pooled buffers never alias between calls.
+// different network, resolving its options on every call. Every result
+// must equal its single-threaded reference bit for bit; under -race this
+// is what proves inference writes no layer field (Inception's branch
+// widths included), that the mask cache is safe to share, and that pooled
+// buffers never alias between calls.
 func TestConcurrentInferenceSharedNet(t *testing.T) {
 	for _, sn := range []struct {
 		name  string
@@ -326,15 +318,11 @@ func TestConcurrentInferenceSharedNet(t *testing.T) {
 			for i, o := range points {
 				refs[i] = net.PredictWith(x, o)
 			}
-			setterKeeps := shrunk(other, 3, 4)
-			setterRun := func() [][]float32 {
-				for i, l := range other.PerforableLayers() {
-					l.SetPerforation(setterKeeps[i].W, setterKeeps[i].H)
-				}
-				defer other.ClearPerforation()
-				return other.Predict(x)
+			otherKeeps := shrunk(other, 3, 4)
+			otherRun := func() *tensor.Tensor {
+				return other.ForwardWith(x, other.NewForwardOpts(otherKeeps, nil))
 			}
-			setterRef := setterRun()
+			otherRef := otherRun()
 
 			if reflect.DeepEqual(refs[0], refs[1]) || reflect.DeepEqual(refs[1], refs[2]) || reflect.DeepEqual(refs[0], refs[3]) {
 				t.Fatal("two operating points classify identically; the options did not engage")
@@ -357,8 +345,8 @@ func TestConcurrentInferenceSharedNet(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for it := 0; it < iters; it++ {
-					if !reflect.DeepEqual(setterRun(), setterRef) {
-						t.Errorf("setter-path network diverged on iteration %d", it)
+					if !reflect.DeepEqual(otherRun(), otherRef) {
+						t.Errorf("second network diverged on iteration %d", it)
 						return
 					}
 				}

@@ -20,8 +20,9 @@ type Layer interface {
 	// Name identifies the layer in plans and tuning tables.
 	Name() string
 	// Forward computes the layer output. When train is true, the layer
-	// caches whatever it needs for Backward; when false it is infer under
-	// the layer's own setter-path options, into a fresh output.
+	// caches whatever it needs for Backward; when false it is infer for
+	// this layer alone, into a fresh output — a Conv under its own
+	// SetPerforation/SetEngine options, the lone-layer form of ForwardOpts.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// infer is the one inference implementation: a pure function of the
 	// layer's weights, x and the call's options that writes no layer field
@@ -33,17 +34,6 @@ type Layer interface {
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (may be empty).
 	Params() []*Param
-}
-
-// Perforable is implemented by layers whose output can be perforated at
-// inference time (convolutions). keepW/keepH set the computed sub-grid
-// Wo′×Ho′; (0, 0) restores full computation.
-type Perforable interface {
-	Layer
-	SetPerforation(keepW, keepH int)
-	Perforation() (keepW, keepH int)
-	// OutDims returns the full output grid the mask applies to.
-	OutDims() (ho, wo int)
 }
 
 // initWeights fills w with He-initialized values: N(0, sqrt(2/fanIn)).

@@ -262,9 +262,9 @@ func TestConvPerforationMatchesFullAtComputedPositions(t *testing.T) {
 	}
 }
 
-// perfMaskFor exposes the conv's active mask for testing.
+// perfMaskFor exposes the mask of the conv's own SetPerforation grid.
 func perfMaskFor(c *Conv) maskView {
-	m := c.maskFor(Keep{c.keepW, c.keepH})
+	m := c.own.masks[c]
 	return maskView{Computed: m.Computed, Source: m.Source}
 }
 
@@ -357,7 +357,7 @@ func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
 }
 
 // TestConvMaskBuiltOnce: a (geometry, keep) mask is constructed once per
-// layer and shared by the setter path and every ForwardOpts.
+// layer and shared by every ForwardOpts and the layer's own setter.
 func TestConvMaskBuiltOnce(t *testing.T) {
 	net := AlexNetS(rand.New(rand.NewSource(5)))
 	conv := net.Layers[0].(*Conv)
@@ -373,10 +373,11 @@ func TestConvMaskBuiltOnce(t *testing.T) {
 	if o := net.NewForwardOpts(keeps, nil); o.masks[conv] != m || len(o.masks) != 1 {
 		t.Fatal("NewForwardOpts built its own mask instead of sharing the layer's")
 	}
-	conv.SetPerforation(7, 7)
-	defer conv.SetPerforation(0, 0)
-	if conv.maskFor(Keep{conv.keepW, conv.keepH}) != m {
-		t.Fatal("the setter path built a second mask for the same keep")
+	lone := NewConv("c", 3, 16, 16, 4, 3, 1, 1, rand.New(rand.NewSource(6)))
+	lm := lone.maskFor(Keep{W: 7, H: 7})
+	lone.SetPerforation(7, 7)
+	if lone.own.masks[lone] != lm {
+		t.Fatal("SetPerforation built a second mask for the same keep")
 	}
 }
 

@@ -52,7 +52,7 @@ func (s *Sequential) Params() []*Param {
 }
 
 // Forward runs the network and returns raw logits (N×classes). With train
-// false it is ForwardWith under the layers' own setter-path options.
+// false it is ForwardWith(x, nil): every layer computed in full.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		return s.ForwardWith(x, nil)
@@ -73,8 +73,8 @@ func (s *Sequential) checkClasses(perSample int) {
 
 // ForwardWith runs inference at the operating point o and returns raw
 // logits (N×classes). It touches no layer field, so concurrent calls on
-// one network — each with its own options — are safe. A nil o reads every
-// layer's SetPerforation/SetEngine fields instead, the single-owner form.
+// one network — each with its own options — are safe. A nil o computes
+// every layer in full, each on its SetEngine engine.
 func (s *Sequential) ForwardWith(x *tensor.Tensor, o *ForwardOpts) *tensor.Tensor {
 	y := s.infer(x, o)
 	out := tensor.New(y.n, s.Classes)
@@ -92,8 +92,8 @@ func (s *Sequential) infer(x *tensor.Tensor, o *ForwardOpts) act {
 	return y
 }
 
-// Predict runs inference and returns softmax probability rows, one per
-// sample, under the layers' setter-path options.
+// Predict runs inference on the full network and returns softmax
+// probability rows, one per sample.
 func (s *Sequential) Predict(x *tensor.Tensor) [][]float32 { return s.PredictWith(x, nil) }
 
 // PredictWith is Predict at the operating point o (see ForwardWith). The
@@ -180,40 +180,35 @@ func (s *Sequential) ZeroGrad() {
 	}
 }
 
-// PerforableLayers returns the layers whose outputs can be perforated, in
-// network order — the tuning knobs of the run-time accuracy tuner.
-func (s *Sequential) PerforableLayers() []Perforable {
-	var out []Perforable
+// PerforableLayers returns the layers whose outputs can be perforated — the
+// convolutions, in network order — the tuning knobs of the run-time
+// accuracy tuner.
+func (s *Sequential) PerforableLayers() []*Conv {
+	var out []*Conv
 	for _, l := range s.Layers {
-		collectPerforable(l, &out)
+		collectConvs(l, &out)
 	}
 	return out
 }
 
-// collectPerforable descends into composite layers (Inception).
-func collectPerforable(l Layer, out *[]Perforable) {
+// collectConvs descends into composite layers (Inception).
+func collectConvs(l Layer, out *[]*Conv) {
 	switch v := l.(type) {
 	case *Inception:
 		for _, b := range v.Branches {
 			for _, bl := range b.Layers {
-				collectPerforable(bl, out)
+				collectConvs(bl, out)
 			}
 		}
-	case Perforable:
+	case *Conv:
 		*out = append(*out, v)
 	}
 }
 
-// ClearPerforation restores full computation on every perforable layer.
-func (s *Sequential) ClearPerforation() {
-	for _, p := range s.PerforableLayers() {
-		p.SetPerforation(0, 0)
-	}
-}
-
-// Accuracy runs inference on a labelled set and returns top-1 accuracy.
-func (s *Sequential) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	probs := s.Predict(x)
+// Accuracy runs inference at the operating point o (nil: the full network)
+// on a labelled set and returns top-1 accuracy.
+func (s *Sequential) Accuracy(x *tensor.Tensor, labels []int, o *ForwardOpts) float64 {
+	probs := s.PredictWith(x, o)
 	correct := 0
 	for i, p := range probs {
 		best := 0

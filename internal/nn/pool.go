@@ -75,7 +75,7 @@ func (p *MaxPool) infer(x act, ctx inferCtx) act {
 // Forward implements Layer.
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
-		return forwardAlone(p, x)
+		return forwardAlone(p, x, nil)
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	ho, wo := p.outDims(h, w)
@@ -162,7 +162,7 @@ func (r *ReLU) infer(x act, ctx inferCtx) act {
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
-		return forwardAlone(r, x).Reshape(x.Shape()...)
+		return forwardAlone(r, x, nil).Reshape(x.Shape()...)
 	}
 	out := x.Clone()
 	r.lastMask = make([]bool, out.Len())

@@ -57,7 +57,7 @@ func TestTrainingReachesHighAccuracy(t *testing.T) {
 	test := tinyData(30, rng)
 	opt := NewSGD(0.05, 0.9)
 	Train(net, train, 10, 20, opt)
-	if acc := net.Accuracy(test.X, test.Labels); acc < 0.9 {
+	if acc := net.Accuracy(test.X, test.Labels, nil); acc < 0.9 {
 		t.Fatalf("accuracy %v, want ≥0.9 on separable data", acc)
 	}
 }

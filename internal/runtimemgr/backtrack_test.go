@@ -10,7 +10,7 @@ import (
 
 // syntheticManager builds a fast Manager fixture: an untrained scaled
 // network (weights don't matter — the Uncertainty hook overrides the
-// entropy measurement) over a synthetic tuning table whose zero KeepGrids
+// entropy measurement) over a synthetic tuning table whose zero keeps
 // mean "full layer" at every level.
 func syntheticManager(t *testing.T, levels int, threshold float64) (*Manager, func() ([][]float32, float64)) {
 	t.Helper()
@@ -19,7 +19,7 @@ func syntheticManager(t *testing.T, levels int, threshold float64) (*Manager, fu
 	table := &Table{}
 	for i := 0; i < levels; i++ {
 		table.Entries = append(table.Entries, TableEntry{
-			Keeps:   make([]KeepGrid, nPerf),
+			Keeps:   make([]nn.Keep, nPerf),
 			Speedup: 1 + float64(i)*0.25,
 		})
 	}
@@ -27,7 +27,6 @@ func syntheticManager(t *testing.T, levels int, threshold float64) (*Manager, fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 
 	s := workload.NewSynth(workload.DefaultSynth())
 	_, test := s.TrainTest(1, 4)

@@ -13,9 +13,11 @@ import (
 // uncertainty of every batch, and calibrates — backtracks one level along
 // the tuning path (Section IV.C.3) — whenever uncertainty exceeds the
 // threshold. It recovers levels again after a streak of confident batches.
+// A level is the options of the calls it makes; the network is never
+// mutated.
 type Manager struct {
 	net       *nn.Sequential
-	table     *Table
+	opts      []*nn.ForwardOpts // opts[level]: the tuning table's rows
 	threshold float64
 	level     int
 
@@ -38,15 +40,13 @@ func NewManager(net *nn.Sequential, table *Table, threshold float64) (*Manager, 
 	if len(table.Entries) == 0 {
 		return nil, fmt.Errorf("runtimemgr: empty tuning table")
 	}
-	m := &Manager{
+	return &Manager{
 		net:          net,
-		table:        table,
+		opts:         table.ForwardOpts(net),
 		threshold:    threshold,
 		level:        len(table.Entries) - 1,
 		RecoverAfter: 8,
-	}
-	m.applyLevel()
-	return m, nil
+	}, nil
 }
 
 // Level returns the current tuning-table level (0 = unperforated).
@@ -55,27 +55,12 @@ func (m *Manager) Level() int { return m.level }
 // Calibrations returns how many times the manager backed off a level.
 func (m *Manager) Calibrations() int { return m.calibrations }
 
-// applyLevel programs the network's perforable layers from the table row.
-func (m *Manager) applyLevel() {
-	e := m.table.Entries[m.level]
-	layers := m.net.PerforableLayers()
-	for i, l := range layers {
-		k := e.Keeps[i]
-		ho, wo := l.OutDims()
-		if k.Full(wo, ho) {
-			l.SetPerforation(0, 0)
-		} else {
-			l.SetPerforation(k.W, k.H)
-		}
-	}
-}
-
 // Infer classifies a batch at the current level, returning softmax rows
 // and the batch's mean output entropy. If the uncertainty exceeds the
 // threshold, the manager calibrates: it steps one level back along the
 // tuning path before the next batch.
 func (m *Manager) Infer(x *tensor.Tensor) ([][]float32, float64) {
-	probs := m.net.Predict(x)
+	probs := m.net.PredictWith(x, m.opts[m.level])
 	h := entropy.Mean(probs)
 	if m.Uncertainty != nil {
 		h = m.Uncertainty(probs)
@@ -85,19 +70,14 @@ func (m *Manager) Infer(x *tensor.Tensor) ([][]float32, float64) {
 		m.level--
 		m.calibrations++
 		m.confidentStreak = 0
-		m.applyLevel()
-	case m.RecoverAfter > 0 && h <= m.threshold*0.8 && m.level < len(m.table.Entries)-1:
+	case m.RecoverAfter > 0 && h <= m.threshold*0.8 && m.level < len(m.opts)-1:
 		m.confidentStreak++
 		if m.confidentStreak >= m.RecoverAfter {
 			m.level++
 			m.confidentStreak = 0
-			m.applyLevel()
 		}
 	default:
 		m.confidentStreak = 0
 	}
 	return probs, h
 }
-
-// Close restores full computation on the managed network.
-func (m *Manager) Close() { m.net.ClearPerforation() }

@@ -1,6 +1,7 @@
 package runtimemgr
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,9 +11,9 @@ import (
 	"pcnn/internal/workload"
 )
 
-// The trained fixture is shared across tests: tuning re-perforates the
-// network but never touches weights, and every test restores full
-// computation.
+// The trained fixture is shared across tests: tuning and calibration run
+// operating points as the options of their calls and never mutate the
+// network (TestTuneAndCalibrateLeaveNetworkUnchanged).
 var fixture struct {
 	once  sync.Once
 	net   *nn.Sequential
@@ -34,7 +35,6 @@ func trainedNet(t *testing.T) (*nn.Sequential, *nn.Dataset, *nn.Dataset) {
 		fixture.net = nn.AlexNetS(rng)
 		nn.Train(fixture.net, fixture.train, 32, 12, nn.NewSGD(0.01, 0.9))
 	})
-	fixture.net.ClearPerforation()
 	return fixture.net, fixture.train, fixture.test
 }
 
@@ -76,15 +76,33 @@ func TestTunerProducesMonotoneSpeedup(t *testing.T) {
 	}
 }
 
-func TestTunerLeavesNetworkUnperforated(t *testing.T) {
+// TestTuneAndCalibrateLeaveNetworkUnchanged: tuning, attaching a manager
+// at the deepest level and one Infer that calibrates leave the shared
+// network's full-grid logits unchanged to the bit. A level is the options
+// of a call, never state programmed onto the layers.
+func TestTuneAndCalibrateLeaveNetworkUnchanged(t *testing.T) {
 	net, _, test := trainedNet(t)
-	tuner := &Tuner{Net: net, Probe: test.X, Threshold: 1.0, MaxIters: 4}
-	if _, err := tuner.Run(); err != nil {
+	before := net.Forward(test.X, false)
+	table, err := (&Tuner{Net: net, Probe: test.X, Threshold: 1.1, MaxIters: 10}).Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range net.PerforableLayers() {
-		if w, h := l.Perforation(); w != 0 || h != 0 {
-			t.Fatalf("layer %s left perforated (%d,%d)", l.Name(), w, h)
+	if len(table.Entries) < 2 {
+		t.Fatalf("tuning produced %d entries, want a perforated level", len(table.Entries))
+	}
+	mgr, err := NewManager(net, table, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Uncertainty = func([][]float32) float64 { return 2 }
+	mgr.Infer(test.X)
+	if mgr.Calibrations() != 1 {
+		t.Fatalf("Infer calibrated %d times, want 1", mgr.Calibrations())
+	}
+	after := net.Forward(test.X, false)
+	for i := range before.Data {
+		if math.Float32bits(after.Data[i]) != math.Float32bits(before.Data[i]) {
+			t.Fatalf("logit %d moved %g → %g: the network was mutated", i, before.Data[i], after.Data[i])
 		}
 	}
 }
@@ -129,10 +147,10 @@ func TestKeepFractions(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := net.PerforableLayers()
-	dims := make([]KeepGrid, len(layers))
+	dims := make([]nn.Keep, len(layers))
 	for i, l := range layers {
 		ho, wo := l.OutDims()
-		dims[i] = KeepGrid{W: wo, H: ho}
+		dims[i] = nn.Keep{W: wo, H: ho}
 	}
 	fr0 := table.KeepFractions(0, dims)
 	for name, f := range fr0 {
@@ -158,16 +176,16 @@ func TestKeepFractions(t *testing.T) {
 func TestFLOPsTimeModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := nn.AlexNetS(rng)
-	model := FLOPsTimeModel(net)
+	model := flopsTimeModel(net)
 	layers := net.PerforableLayers()
-	full := make([]KeepGrid, len(layers))
+	full := make([]nn.Keep, len(layers))
 	for i, l := range layers {
 		ho, wo := l.OutDims()
-		full[i] = KeepGrid{W: wo, H: ho}
+		full[i] = nn.Keep{W: wo, H: ho}
 	}
 	tFull := model(full)
-	halved := append([]KeepGrid(nil), full...)
-	halved[0] = KeepGrid{W: full[0].W / 2, H: full[0].H}
+	halved := append([]nn.Keep(nil), full...)
+	halved[0] = nn.Keep{W: full[0].W / 2, H: full[0].H}
 	tHalf := model(halved)
 	if !(tHalf < tFull) {
 		t.Fatalf("halving a layer did not reduce modelled time: %v vs %v", tHalf, tFull)
@@ -188,7 +206,6 @@ func TestManagerCalibratesOnNoisyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	mgr.RecoverAfter = 0
 	startLevel := mgr.Level()
 	if startLevel != len(table.Entries)-1 {
@@ -225,7 +242,6 @@ func TestManagerRecoversOnConfidentInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
 	mgr.RecoverAfter = 2
 	// The calibration loop is driven through the Uncertainty seam, so the
 	// test pins the manager's reaction to a crossing rather than where one

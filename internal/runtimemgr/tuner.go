@@ -16,19 +16,11 @@ import (
 	"pcnn/internal/tensor"
 )
 
-// KeepGrid is one layer's perforation setting: the Wo′×Ho′ sub-grid that
-// is actually computed. Zero values mean full computation.
-type KeepGrid struct{ W, H int }
-
-// Full reports whether the grid computes every position of a wo×ho map.
-func (k KeepGrid) Full(wo, ho int) bool {
-	return k.W <= 0 || k.H <= 0 || (k.W >= wo && k.H >= ho)
-}
-
-// TableEntry is one row of a tuning table: the per-layer keeps after an
-// iteration of Fig 12, with the predicted time and measured uncertainty.
+// TableEntry is one row of a tuning table — one operating point: the
+// per-layer keeps after an iteration of Fig 12, with the predicted time and
+// measured uncertainty.
 type TableEntry struct {
-	Keeps       []KeepGrid
+	Keeps       []nn.Keep
 	PredictedMS float64
 	Entropy     float64
 	// Speedup is predicted time of entry 0 over this entry's.
@@ -46,10 +38,21 @@ type Table struct {
 	Entries    []TableEntry
 }
 
+// ForwardOpts resolves every row into the options of one inference call on
+// net, the network the table was tuned on, on the package-default engine:
+// opts[level] runs the network at that operating point without touching it.
+func (t *Table) ForwardOpts(net *nn.Sequential) []*nn.ForwardOpts {
+	opts := make([]*nn.ForwardOpts, len(t.Entries))
+	for l, e := range t.Entries {
+		opts[l] = net.NewForwardOpts(e.Keeps, nil)
+	}
+	return opts
+}
+
 // KeepFractions returns, for the given entry, each layer's computed-area
 // fraction (Wo′H′/WoHo), keyed by layer name — the form the offline plan's
 // PerforatedLaunches consumes.
-func (t *Table) KeepFractions(level int, dims []KeepGrid) map[string]float64 {
+func (t *Table) KeepFractions(level int, dims []nn.Keep) map[string]float64 {
 	out := make(map[string]float64, len(t.LayerNames))
 	e := t.Entries[level]
 	for i, name := range t.LayerNames {
@@ -64,34 +67,25 @@ func (t *Table) KeepFractions(level int, dims []KeepGrid) map[string]float64 {
 	return out
 }
 
-// TimeModel predicts the network's run time (arbitrary units — only
-// ratios matter) for a vector of per-layer keeps. The tuner treats it as
-// a black box so the caller can plug in the FLOPs model or the full
-// device-level analytical model.
-type TimeModel func(keeps []KeepGrid) float64
-
-// FLOPsTimeModel returns the default time model: each perforable conv
+// flopsTimeModel predicts the network's run time (arbitrary units — only
+// ratios matter) for a vector of per-layer keeps: each perforable conv
 // layer's cost scales with its computed-area fraction; everything else is
 // a fixed floor.
-func FLOPsTimeModel(net *nn.Sequential) TimeModel {
+func flopsTimeModel(net *nn.Sequential) func(keeps []nn.Keep) float64 {
 	layers := net.PerforableLayers()
 	flops := make([]float64, len(layers))
-	dims := make([]KeepGrid, len(layers))
+	dims := make([]nn.Keep, len(layers))
 	var fixed float64
-	for i, l := range layers {
-		conv, ok := l.(*nn.Conv)
-		if !ok {
-			continue
-		}
+	for i, conv := range layers {
 		flops[i] = conv.Shape().FLOPsPerImage()
 		ho, wo := conv.OutDims()
-		dims[i] = KeepGrid{W: wo, H: ho}
+		dims[i] = nn.Keep{W: wo, H: ho}
 	}
 	// A modest fixed cost for pools/FC keeps speedups finite.
 	for _, f := range flops {
 		fixed += 0.05 * f / float64(len(flops))
 	}
-	return func(keeps []KeepGrid) float64 {
+	return func(keeps []nn.Keep) float64 {
 		t := fixed
 		for i, k := range keeps {
 			frac := 1.0
@@ -104,34 +98,34 @@ func FLOPsTimeModel(net *nn.Sequential) TimeModel {
 	}
 }
 
-// Tuner runs the greedy accuracy-tuning procedure of Fig 12.
+// Tuner runs the greedy accuracy-tuning procedure of Fig 12. It never
+// mutates Net: every trial is one operating point, measured through the
+// options of the calls it makes.
 type Tuner struct {
 	Net   *nn.Sequential
 	Probe *tensor.Tensor // unlabelled inputs used to measure uncertainty
 	// Threshold is the maximum acceptable mean output entropy (nats).
 	Threshold float64
-	// Time predicts run time for a keeps vector; nil selects the FLOPs
-	// model.
-	Time TimeModel
-	// StepFrac is the per-iteration area shrink applied to the trialled
-	// layer (default 0.8: each trial computes 20% fewer positions).
-	StepFrac float64
 	// MaxIters bounds the greedy loop (default 24).
 	MaxIters int
 	// Uncertainty, when non-nil, replaces the entropy measurement: it is
-	// called with the network's perforation already applied and returns a
-	// "higher is worse" score in the same units as Threshold. The paper's
+	// called with a trial's operating point and returns a "higher is
+	// worse" score in the same units as Threshold. The paper's
 	// accuracy-based comparison (Fig 16) plugs 1−accuracy here; the
 	// default is mean output entropy on Probe.
-	Uncertainty func() float64
+	Uncertainty func(*nn.ForwardOpts) float64
 }
 
-// teEpsilon floors Eq 14's entropy delta so that trials which do not
-// increase uncertainty rank (deterministically) best.
-const teEpsilon = 1e-6
+const (
+	// teEpsilon floors Eq 14's entropy delta so that trials which do not
+	// increase uncertainty rank (deterministically) best.
+	teEpsilon = 1e-6
+	// stepFrac is the per-iteration area shrink applied to the trialled
+	// layer: each trial computes 20% fewer positions.
+	stepFrac = 0.8
+)
 
-// Run executes the tuning procedure and returns the table. The network is
-// left unperforated.
+// Run executes the tuning procedure and returns the table.
 func (t *Tuner) Run() (*Table, error) {
 	layers := t.Net.PerforableLayers()
 	if len(layers) == 0 {
@@ -140,35 +134,26 @@ func (t *Tuner) Run() (*Table, error) {
 	if t.Uncertainty == nil && (t.Probe == nil || t.Probe.Dim(0) == 0) {
 		return nil, fmt.Errorf("runtimemgr: tuner needs probe inputs")
 	}
-	step := t.StepFrac
-	if step <= 0 || step >= 1 {
-		step = 0.8
-	}
 	maxIters := t.MaxIters
 	if maxIters <= 0 {
 		maxIters = 24
 	}
-	timeOf := t.Time
-	if timeOf == nil {
-		timeOf = FLOPsTimeModel(t.Net)
-	}
+	timeOf := flopsTimeModel(t.Net)
 
-	dims := make([]KeepGrid, len(layers))
+	dims := make([]nn.Keep, len(layers))
 	names := make([]string, len(layers))
-	keeps := make([]KeepGrid, len(layers))
 	for i, l := range layers {
 		ho, wo := l.OutDims()
-		dims[i] = KeepGrid{W: wo, H: ho}
-		keeps[i] = KeepGrid{W: wo, H: ho}
+		dims[i] = nn.Keep{W: wo, H: ho}
 		names[i] = l.Name()
 	}
-	defer t.Net.ClearPerforation()
+	keeps := append([]nn.Keep(nil), dims...)
 
 	baseMS := timeOf(keeps)
-	baseEntropy := t.measure(layers, keeps)
+	baseEntropy := t.measure(keeps)
 	table := &Table{LayerNames: names}
 	table.Entries = append(table.Entries, TableEntry{
-		Keeps:       append([]KeepGrid(nil), keeps...),
+		Keeps:       append([]nn.Keep(nil), keeps...),
 		PredictedMS: baseMS,
 		Entropy:     baseEntropy,
 		Speedup:     1,
@@ -184,17 +169,17 @@ func (t *Tuner) Run() (*Table, error) {
 	for iter := 0; iter < maxIters; iter++ {
 		bestLayer := -1
 		bestTE := math.Inf(-1)
-		var bestKeep KeepGrid
+		var bestKeep nn.Keep
 		var bestMS, bestEntropy float64
 		for i := range layers {
-			trial, ok := shrink(keeps[i], dims[i], step)
+			trial, ok := shrink(keeps[i], dims[i])
 			if !ok {
 				continue
 			}
 			old := keeps[i]
 			keeps[i] = trial
 			trialMS := timeOf(keeps)
-			trialEntropy := t.measure(layers, keeps)
+			trialEntropy := t.measure(keeps)
 			keeps[i] = old
 
 			dE := math.Max(trialEntropy-curEntropy, teEpsilon)
@@ -216,7 +201,7 @@ func (t *Tuner) Run() (*Table, error) {
 		keeps[bestLayer] = bestKeep
 		curMS, curEntropy = bestMS, bestEntropy
 		table.Entries = append(table.Entries, TableEntry{
-			Keeps:       append([]KeepGrid(nil), keeps...),
+			Keeps:       append([]nn.Keep(nil), keeps...),
 			PredictedMS: curMS,
 			Entropy:     curEntropy,
 			Speedup:     baseMS / curMS,
@@ -226,35 +211,27 @@ func (t *Tuner) Run() (*Table, error) {
 	return table, nil
 }
 
-// measure applies keeps and returns the uncertainty score (mean entropy
-// on the probe set by default).
-func (t *Tuner) measure(layers []nn.Perforable, keeps []KeepGrid) float64 {
-	// Conv treats keeps at or above the full grid (or zero) as full
-	// computation, so the keeps can be programmed directly.
-	for i, l := range layers {
-		l.SetPerforation(keeps[i].W, keeps[i].H)
-	}
-	var score float64
+// measure returns the uncertainty score of the network computing keeps
+// (mean entropy on the probe set by default).
+func (t *Tuner) measure(keeps []nn.Keep) float64 {
+	o := t.Net.NewForwardOpts(keeps, nil)
 	if t.Uncertainty != nil {
-		score = t.Uncertainty()
-	} else {
-		score = entropy.Mean(t.Net.Predict(t.Probe))
+		return t.Uncertainty(o)
 	}
-	t.Net.ClearPerforation()
-	return score
+	return entropy.Mean(t.Net.PredictWith(t.Probe, o))
 }
 
-// shrink reduces a keep grid's area by step, spreading the reduction over
-// both axes. It reports false when the grid is already minimal.
-func shrink(k, dim KeepGrid, step float64) (KeepGrid, bool) {
+// shrink reduces a keep grid's area by stepFrac, spreading the reduction
+// over both axes. It reports false when the grid is already minimal.
+func shrink(k, dim nn.Keep) (nn.Keep, bool) {
 	w, h := k.W, k.H
 	if w <= 0 || h <= 0 {
 		w, h = dim.W, dim.H
 	}
 	if w <= 1 && h <= 1 {
-		return KeepGrid{}, false
+		return nn.Keep{}, false
 	}
-	f := math.Sqrt(step)
+	f := math.Sqrt(stepFrac)
 	nw := int(math.Floor(float64(w) * f))
 	nh := int(math.Floor(float64(h) * f))
 	if nw < 1 {
@@ -270,5 +247,5 @@ func shrink(k, dim KeepGrid, step float64) (KeepGrid, bool) {
 			nh = h - 1
 		}
 	}
-	return KeepGrid{W: nw, H: nh}, true
+	return nn.Keep{W: nw, H: nh}, true
 }

@@ -165,23 +165,9 @@ func NewPlanExecutor(plan *compile.Plan, path []sched.TuningPoint, scaled *nn.Se
 		preds:    map[levelBatch]float64{},
 	}
 	if scaled != nil {
-		e.opts = operatingPoints(scaled, table)
+		e.opts = table.ForwardOpts(scaled)
 	}
 	return e, nil
-}
-
-// operatingPoints resolves every tuning-table row into the options of one
-// forward call on the package-default engine.
-func operatingPoints(scaled *nn.Sequential, table *runtimemgr.Table) []*nn.ForwardOpts {
-	opts := make([]*nn.ForwardOpts, len(table.Entries))
-	for l, entry := range table.Entries {
-		keeps := make([]nn.Keep, len(entry.Keeps))
-		for i, k := range entry.Keeps {
-			keeps[i] = nn.Keep{W: k.W, H: k.H}
-		}
-		opts[l] = scaled.NewForwardOpts(keeps, nil)
-	}
-	return opts
 }
 
 // MaxBatch implements Executor.

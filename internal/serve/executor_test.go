@@ -140,11 +140,11 @@ func TestExecutorWithScaledNet(t *testing.T) {
 	scaled := nn.AlexNetS(rand.New(rand.NewSource(1)))
 
 	layers := scaled.PerforableLayers()
-	full := make([]runtimemgr.KeepGrid, len(layers))
-	halved := make([]runtimemgr.KeepGrid, len(layers))
+	full := make([]nn.Keep, len(layers))
+	halved := make([]nn.Keep, len(layers))
 	for i, l := range layers {
 		ho, wo := l.OutDims()
-		halved[i] = runtimemgr.KeepGrid{W: (wo + 1) / 2, H: (ho + 1) / 2}
+		halved[i] = nn.Keep{W: (wo + 1) / 2, H: (ho + 1) / 2}
 	}
 	table := &runtimemgr.Table{
 		LayerNames: layerNames(layers),
@@ -178,12 +178,6 @@ func TestExecutorWithScaledNet(t *testing.T) {
 			t.Errorf("level %d: entropy equals the tabulated value; measurement did not run", level)
 		}
 	}
-	// The network must be left unperforated for the next batch.
-	for _, l := range layers {
-		if kw, kh := l.Perforation(); kw != 0 || kh != 0 {
-			t.Fatalf("layer %s left perforated (%d×%d) after Execute", l.Name(), kw, kh)
-		}
-	}
 }
 
 // TestPlanExecutorConcurrentLevels: an operating point is the options of
@@ -199,10 +193,10 @@ func TestPlanExecutorConcurrentLevels(t *testing.T) {
 	table := &runtimemgr.Table{LayerNames: layerNames(layers)}
 	var path []sched.TuningPoint
 	for level := 0; level < 4; level++ {
-		keeps := make([]runtimemgr.KeepGrid, len(layers))
+		keeps := make([]nn.Keep, len(layers))
 		for i, l := range layers {
 			ho, wo := l.OutDims()
-			keeps[i] = runtimemgr.KeepGrid{W: max(wo*(4-level)/4, 1), H: max(ho*(4-level)/4, 1)}
+			keeps[i] = nn.Keep{W: max(wo*(4-level)/4, 1), H: max(ho*(4-level)/4, 1)}
 		}
 		table.Entries = append(table.Entries, runtimemgr.TableEntry{Keeps: keeps, Speedup: 1 + float64(level), TunedLayer: -1})
 		path = append(path, sched.TuningPoint{Entropy: 0.2 + 0.1*float64(level)})
@@ -417,7 +411,7 @@ func TestPlanExecutorBatchLimit(t *testing.T) {
 	}
 }
 
-func layerNames(layers []nn.Perforable) []string {
+func layerNames(layers []*nn.Conv) []string {
 	out := make([]string, len(layers))
 	for i, l := range layers {
 		out[i] = l.Name()
