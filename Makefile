@@ -3,7 +3,7 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve bench-gemm bench-serve bench-fleet bench-verify bench-verify-fast paper-verify fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve bench-gemm bench-serve bench-verify bench-verify-fast paper-verify fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
@@ -53,7 +53,7 @@ race:
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
 		./internal/fleet/e2e/ ./internal/simdrive/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestSoakDeterministic'
+		-run 'TestMatrixSameSeedByteIdentical|TestSoakGolden'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
 
@@ -217,13 +217,9 @@ scenarios-smoke:
 soak-fleet:
 	$(GO) run ./cmd/pcnnd -fleet-bench $(OUT)/BENCH_fleet.json -requests 1000000 -seed 42
 
-# bench-fleet is the historical name for the BENCH_fleet.json refresh; it
-# now delegates to the million-request soak so the committed file always
-# carries the full-scale rows.
-bench-fleet: soak-fleet
-
 # fleet-smoke runs a seconds-long fleet soak as a CI gate: it fails unless
-# request conservation holds, throughput scales with replicas, and the
-# mid-soak hot-swap attributes zero failures.
+# every row passes fleet.SoakReport.Check — request conservation, one
+# mid-soak hot-swap attributing zero failures, and median latency falling
+# as replicas rise.
 fleet-smoke:
 	$(GO) run ./cmd/pcnnd -fleet-bench - -fleet-smoke -seed 42 >/dev/null

@@ -13,6 +13,8 @@ import (
 
 	"pcnn/internal/core"
 	"pcnn/internal/experiments"
+	"pcnn/internal/fleet"
+	"pcnn/internal/scenario"
 	"pcnn/internal/sched"
 	"pcnn/internal/serve"
 )
@@ -237,10 +239,10 @@ func BenchmarkSimRegenPass(b *testing.B) {
 	const seed = 42
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&ScenarioEngine{}).RunMatrix(DefaultScenarios(seed), nil); err != nil {
+		if _, err := (&scenario.Engine{}).RunMatrix(scenario.DefaultMatrix(seed), nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunFleetSoak(FleetSoakSpec{Seed: seed, ReplicaCounts: []int{3}, RequestsPerModel: 600}); err != nil {
+		if _, err := fleet.RunSoak(fleet.SoakSpec{Seed: seed, ReplicaCounts: []int{3}, RequestsPerModel: 600}); err != nil {
 			b.Fatal(err)
 		}
 		for _, task := range EvaluationTasks() {

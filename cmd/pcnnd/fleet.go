@@ -154,21 +154,20 @@ func runDaemon(addr string, fl *pcnn.Fleet) error {
 // requests > 0 sets the total request target per grid row, split evenly
 // across the three models (rounded up, so `-requests 1000000` drives at
 // least a million requests per row through the fixed-size row
-// aggregate). smoke shrinks the spec to seconds and enforces the
-// acceptance invariants, exiting nonzero on violation — the
-// `make fleet-smoke` gate.
+// aggregate). smoke shrinks the grid to seconds and enforces
+// SoakReport.Check, exiting nonzero on violation — the `make fleet-smoke`
+// gate.
 func runFleetBench(path string, seed int64, requests int, smoke bool) error {
-	spec := pcnn.FleetSoakSpec{Seed: seed}
+	spec := fleet.SoakSpec{Seed: seed}
 	if requests > 0 {
 		spec.RequestsPerModel = (requests + 2) / 3
 	}
 	if smoke {
 		spec.RequestsPerModel = 60
-		spec.ClientsPerModel = 3
 		spec.ReplicaCounts = []int{1, 3}
 	}
 	start := time.Now()
-	rep, err := pcnn.RunFleetSoak(spec)
+	rep, err := fleet.RunSoak(spec)
 	if err != nil {
 		return err
 	}
@@ -191,41 +190,10 @@ func runFleetBench(path string, seed int64, requests int, smoke bool) error {
 		log.Printf("fleet soak: wrote %s", path)
 	}
 	if smoke {
-		return checkFleetSmoke(rep)
+		if err := rep.Check(); err != nil {
+			return fmt.Errorf("fleet-smoke: %w", err)
+		}
+		log.Printf("fleet-smoke OK: %d rows, latency falls with replicas, swaps clean", len(rep.Rows))
 	}
-	return nil
-}
-
-// checkFleetSmoke enforces the soak's acceptance bar: conservation per
-// row, exactly one hot-swap with zero attributable failures, and
-// throughput scaling with replica count.
-func checkFleetSmoke(rep pcnn.FleetSoakReport) error {
-	byN := map[int]float64{}
-	for _, row := range rep.Rows {
-		if row.Requests != row.Served+row.Shed+row.FailedRequests {
-			return fmt.Errorf("fleet-smoke: n=%d hedge=%v loses requests: %d != %d+%d+%d",
-				row.Replicas, row.Hedge, row.Requests, row.Served, row.Shed, row.FailedRequests)
-		}
-		if row.Submitted != row.Completed+row.Failed {
-			return fmt.Errorf("fleet-smoke: n=%d hedge=%v conservation violated", row.Replicas, row.Hedge)
-		}
-		if row.Swaps != 1 || row.SwapFailed != 0 {
-			return fmt.Errorf("fleet-smoke: n=%d hedge=%v swap not clean: swaps=%d failed=%d",
-				row.Replicas, row.Hedge, row.Swaps, row.SwapFailed)
-		}
-		if !row.Hedge {
-			byN[row.Replicas] = row.ThroughputRPS
-		}
-	}
-	var prev float64
-	for _, n := range []int{1, 3} {
-		if t, ok := byN[n]; ok {
-			if t <= prev {
-				return fmt.Errorf("fleet-smoke: throughput did not scale: n=%d %.1f rps after %.1f", n, t, prev)
-			}
-			prev = t
-		}
-	}
-	log.Printf("fleet-smoke OK: %d rows, throughput scales, swaps clean", len(rep.Rows))
 	return nil
 }

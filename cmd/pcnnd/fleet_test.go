@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -109,12 +110,7 @@ func TestFleetSmokeInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet soak in -short mode")
 	}
-	spec := pcnn.FleetSoakSpec{RequestsPerModel: 60, ClientsPerModel: 3, ReplicaCounts: []int{1, 3}}
-	rep, err := pcnn.RunFleetSoak(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkFleetSmoke(rep); err != nil {
+	if err := runFleetBench(filepath.Join(t.TempDir(), "fleet.json"), 42, 0, true); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"log"
 	"os"
 
-	"pcnn"
 	"pcnn/internal/scenario"
 )
 
@@ -17,22 +16,22 @@ import (
 // sweep of one -task stream on -net/-platform (BENCH_serve.json), gated by
 // -smoke. The same grid and seed always produce byte-identical output.
 func runScenarios(o *options) error {
-	var specs []pcnn.ScenarioSpec
+	var specs []scenario.Spec
 	switch o.grid {
 	case "default":
-		specs = pcnn.DefaultScenarios(o.seed)
+		specs = scenario.DefaultMatrix(o.seed)
 	case "smoke":
-		specs = pcnn.SmokeScenarios(o.seed)
+		specs = scenario.SmokeMatrix(o.seed)
 	case "serve":
 		specs = scenario.ServeMatrix(o.platform, o.netName,
-			pcnn.ScenarioStreamSpec{Task: o.taskName, FPS: o.fps, Requests: o.n}, o.seed)
+			scenario.StreamSpec{Task: o.taskName, FPS: o.fps, Requests: o.n}, o.seed)
 	default:
 		return fmt.Errorf("unknown -grid %q (want default, smoke or serve)", o.grid)
 	}
 	if o.smoke && o.grid != "serve" {
 		return fmt.Errorf("-smoke with -scenarios gates -grid serve only (got %q)", o.grid)
 	}
-	var eng pcnn.ScenarioEngine
+	var eng scenario.Engine
 	m, err := eng.RunMatrix(specs, func(i int, name string) {
 		log.Printf("scenario %d/%d: %s", i+1, len(specs), name)
 	})
@@ -75,7 +74,7 @@ func runScenarios(o *options) error {
 // rows (0.5x, 1x, 2x in that order): at capacity the window must actually
 // coalesce, and at 2x overload degradation plus early rejection must keep
 // the served miss rate bounded.
-func checkServeSmoke(m pcnn.ScenarioMatrix) error {
+func checkServeSmoke(m scenario.Matrix) error {
 	if len(m.Rows) != 3 {
 		return fmt.Errorf("serve smoke: %d rows, want 3 (0.5x, 1x, 2x)", len(m.Rows))
 	}

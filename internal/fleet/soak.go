@@ -14,8 +14,10 @@ import (
 // SoakSchema versions BENCH_fleet.json; bump on any layout change. v2:
 // streamed aggregation (log-bucketed percentiles, peak_pending) replacing
 // v1's retained per-request samples. v3: the chunk_requests and chunks
-// fields are gone — requests fold straight into the row aggregate.
-const SoakSchema = "pcnn-bench-fleet/v3"
+// fields are gone — requests fold straight into the row aggregate. v4:
+// the spec header keeps only the three knobs a caller sets; the rest of
+// the soak's shape is the soak* constants.
+const SoakSchema = "pcnn-bench-fleet/v4"
 
 // soakTimeoutFor bounds one grid row's wall-clock run: a base for
 // compilation and small rows plus a per-request allowance so
@@ -24,6 +26,43 @@ const SoakSchema = "pcnn-bench-fleet/v3"
 func soakTimeoutFor(requests int) time.Duration {
 	return 5*time.Minute + time.Duration(requests)*500*time.Microsecond
 }
+
+// The soak's fixed shape.
+const (
+	// soakLoad is the offered fraction of the reference fleet's
+	// (soakReferenceN replicas) aggregate capacity, the same offered trace
+	// in every grid row. With the 4x bursts it keeps the multi-replica rows
+	// stable on average while bursts transiently overload them: the regime
+	// where a hedged second leg finds spare capacity and wins. The
+	// single-replica row carries 1.2x one replica's capacity.
+	soakLoad       = 0.4
+	soakReferenceN = 3
+	// soakClientsPerModel client streams split each model's requests.
+	soakClientsPerModel = 6
+	// soakQueueCap bounds each server's admission queue.
+	soakQueueCap = 512
+	// soakSwapAtFrac is the fraction of arrivals after which AlexNet's v2
+	// deployment (DVFS-scaled plans) hot-swaps in.
+	soakSwapAtFrac = 0.5
+	// Every client stream is a two-state MMPP: a burst regime at
+	// soakBurstFactor × the stream's mean rate for soakBurstDutyFrac of
+	// the time, and a calm regime whose rate keeps the long-run mean at
+	// the offered rate (soakBurstFactor ≤ 1/soakBurstDutyFrac keeps it
+	// non-negative). Bursts are what make hedging observable: under a
+	// flat offered load a pressured replica sits at its escalation
+	// ceiling, where the routing prediction equals the admission price
+	// and an admitted request never predicts a miss, so the hedge twin
+	// rows were byte-identical. A burst landing on a replica that
+	// recovered during the preceding calm catches it below the ceiling:
+	// the request is admitted (the ceiling still fits) while the current
+	// level predicts a miss, and the fleet hedges it.
+	soakBurstFactor   = 4
+	soakBurstDutyFrac = 0.2
+)
+
+// soakPlatforms is the heterogeneous pool; replica i serves on
+// soakPlatforms[i % len].
+var soakPlatforms = []string{"TitanX", "K20c", "GTX970m", "TX1"}
 
 // soakModel is one model in the soak's fixed mixed-archetype deployment
 // set: the Section V.C pairing of networks to application archetypes.
@@ -43,73 +82,16 @@ func soakModels() []soakModel {
 	}
 }
 
-// SoakSpec shapes the fleet soak grid. The zero value picks the committed
-// benchmark's defaults.
+// SoakSpec sizes the fleet soak grid, whose shape is otherwise fixed. The
+// zero value is the committed benchmark's grid.
 type SoakSpec struct {
-	// Seed roots every arrival draw and retry-jitter stream.
+	// Seed roots every arrival draw and retry-jitter stream; 0 means 42.
 	Seed int64 `json:"seed"`
 	// RequestsPerModel arrivals are drawn per model, split evenly across
-	// ClientsPerModel independent client streams. 0 means 240 / 6.
+	// the client streams; 0 means 240.
 	RequestsPerModel int `json:"requests_per_model"`
-	ClientsPerModel  int `json:"clients_per_model"`
-	// Load is the offered fraction of the reference fleet's (ReferenceN
-	// replicas) aggregate capacity — held constant across every grid row,
-	// so throughput scaling with N and hedging's effect at equal load both
-	// read straight off the rows. 0 means 0.4: with BurstFactor 4 that
-	// keeps the multi-replica rows stable on average while bursts
-	// transiently overload them, which is the regime where a hedged
-	// second leg finds spare capacity and wins. (The old 1.1 default kept
-	// every row saturated end-to-end, where hedging's duplicated work
-	// only deepened the backlog; the single-replica row still runs past
-	// saturation at 0.4 — it carries 1.2x one replica's capacity — so
-	// the overload contrast survives.)
-	Load float64 `json:"load"`
-	// ReferenceN sizes the fleet whose capacity anchors Load. 0 means 3.
-	ReferenceN int `json:"reference_n"`
-	// ReplicaCounts are the fleet sizes to sweep. Empty means {1, 3, 5}.
+	// ReplicaCounts are the fleet sizes to sweep; empty means {1, 3, 5}.
 	ReplicaCounts []int `json:"replica_counts"`
-	// Platforms is the heterogeneous pool; replica i serves on
-	// Platforms[i % len]. Empty means {TitanX, K20c, GTX970m, TX1}.
-	Platforms []string `json:"platforms"`
-	// SwapAtFrac is the fraction of arrivals after which AlexNet's v2
-	// deployment (DVFS-scaled plans) hot-swaps in. 0 means 0.5; negative
-	// disables the swap.
-	SwapAtFrac float64 `json:"swap_at_frac"`
-	// LingerMS caps each server's batch window. 0 means 20.
-	LingerMS float64 `json:"linger_ms"`
-	// QueueCap bounds each server's admission queue. 0 means 512.
-	QueueCap int `json:"queue_cap"`
-	// BurstFactor > 1 shapes every client stream as a two-state MMPP:
-	// a burst regime at BurstFactor × the stream's mean rate and a calm
-	// regime whose rate is chosen so the long-run mean stays the offered
-	// rate. Bursts are what make hedging observable: under a flat offered
-	// load a pressured replica sits at its escalation ceiling, where the
-	// routing prediction equals the admission price and an admitted
-	// request never predicts a miss — so the hedge twin rows were
-	// byte-identical. A burst landing on a replica that recovered during
-	// the preceding calm catches it below the ceiling: the request is
-	// admitted (the ceiling still fits) while the current level predicts
-	// a miss, and the fleet hedges it. 0 means the committed default
-	// (4); any value in (0, 1] keeps the flat per-archetype processes.
-	BurstFactor float64 `json:"burst_factor"`
-	// BurstDutyFrac is the long-run fraction of time spent in the burst
-	// regime. 0 means 0.2. BurstFactor must stay ≤ 1/BurstDutyFrac or
-	// the calm rate clamps at silent and the realized mean drops below
-	// the offered load.
-	BurstDutyFrac float64 `json:"burst_duty_frac,omitempty"`
-	// RejectUnmeetable turns slack-aware early rejection on in every
-	// replica. The committed soak leaves it off: admission pricing at the
-	// escalation ceiling caps each queue below the backlog any deadline
-	// policy could act on, so with it on the hedge grid arm is vacuous —
-	// a primary that predicts a miss has already refused the request (the
-	// PR 9 residual). With it off, overload resolves through the
-	// degradation ladder, deadline misses, and — in hedge rows — hedged
-	// second legs, which is the comparison the hedge/no-hedge twins
-	// exist to make. No committed file measures the early-rejection trade
-	// itself: every row of the scenario matrix (BENCH_scenarios.json)
-	// serves with rejection on — scenario.Spec.DisableReject is the
-	// control no row sets.
-	RejectUnmeetable bool `json:"reject_unmeetable"`
 }
 
 func (s SoakSpec) withDefaults() SoakSpec {
@@ -119,35 +101,8 @@ func (s SoakSpec) withDefaults() SoakSpec {
 	if s.RequestsPerModel <= 0 {
 		s.RequestsPerModel = 240
 	}
-	if s.ClientsPerModel <= 0 {
-		s.ClientsPerModel = 6
-	}
-	if s.Load <= 0 {
-		s.Load = 0.4
-	}
-	if s.ReferenceN <= 0 {
-		s.ReferenceN = 3
-	}
 	if len(s.ReplicaCounts) == 0 {
 		s.ReplicaCounts = []int{1, 3, 5}
-	}
-	if len(s.Platforms) == 0 {
-		s.Platforms = []string{"TitanX", "K20c", "GTX970m", "TX1"}
-	}
-	if s.SwapAtFrac == 0 {
-		s.SwapAtFrac = 0.5
-	}
-	if s.LingerMS <= 0 {
-		s.LingerMS = 20
-	}
-	if s.QueueCap <= 0 {
-		s.QueueCap = 512
-	}
-	if s.BurstFactor == 0 {
-		s.BurstFactor = 4
-	}
-	if s.BurstDutyFrac <= 0 || s.BurstDutyFrac >= 1 {
-		s.BurstDutyFrac = 0.2
 	}
 	return s
 }
@@ -220,6 +175,36 @@ type SoakReport struct {
 	Rows   []SoakRow `json:"rows"`
 }
 
+// Check holds every row to the soak's acceptance bar: each arrival is
+// served, shed or failed; every server's books balance; exactly one
+// hot-swap happened and no failure is attributable to it; and with
+// hedging off, median latency falls as the replica count rises. (Not
+// throughput: every model draws the same request count, so the slowest
+// stream's last arrival sets each row's makespan and throughput barely
+// moves with N.)
+func (r SoakReport) Check() error {
+	for _, row := range r.Rows {
+		switch {
+		case row.Requests != row.Served+row.Shed+row.FailedRequests:
+			return fmt.Errorf("n=%d hedge=%v loses requests: %d != %d served + %d shed + %d failed",
+				row.Replicas, row.Hedge, row.Requests, row.Served, row.Shed, row.FailedRequests)
+		case row.Submitted != row.Completed+row.Failed:
+			return fmt.Errorf("n=%d hedge=%v: %d submitted != %d completed + %d failed",
+				row.Replicas, row.Hedge, row.Submitted, row.Completed, row.Failed)
+		case row.Swaps != 1 || row.SwapFailed != 0:
+			return fmt.Errorf("n=%d hedge=%v: swap not clean: %d swaps, %d failed on retired servers",
+				row.Replicas, row.Hedge, row.Swaps, row.SwapFailed)
+		}
+		for _, prev := range r.Rows {
+			if !row.Hedge && !prev.Hedge && prev.Replicas < row.Replicas && row.P50MS >= prev.P50MS {
+				return fmt.Errorf("latency did not fall with replicas: n=%d p50 %.1f ms after n=%d p50 %.1f ms",
+					row.Replicas, row.P50MS, prev.Replicas, prev.P50MS)
+			}
+		}
+	}
+	return nil
+}
+
 // RunSoak executes the full grid — every replica count with hedging off
 // and on, same offered trace — and assembles the report. Everything runs
 // on a virtual clock: the report is byte-reproducible.
@@ -232,27 +217,27 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	// row, each of which registers fresh Deployments over them.
 	exV1 := make([]map[string]serve.Executor, len(models))
 	for i, m := range models {
-		ex, err := compileExecutors(m.name, m.task, spec.Platforms, false)
+		ex, err := compileExecutors(m.name, m.task, soakPlatforms, false)
 		if err != nil {
 			return SoakReport{}, err
 		}
 		exV1[i] = ex
 	}
-	exV2, err := compileExecutors(models[0].name, models[0].task, spec.Platforms, true)
+	exV2, err := compileExecutors(models[0].name, models[0].task, soakPlatforms, true)
 	if err != nil {
 		return SoakReport{}, err
 	}
 
-	// Offered load: Load × the reference fleet's aggregate capacity per
-	// model, constant across rows.
+	// Offered load: soakLoad × the reference fleet's aggregate capacity
+	// per model, constant across rows.
 	offered := make([]float64, len(models))
 	for i, m := range models {
 		cap := 0.0
-		for r := 0; r < spec.ReferenceN; r++ {
-			ex := exV1[i][spec.Platforms[r%len(spec.Platforms)]]
+		for r := 0; r < soakReferenceN; r++ {
+			ex := exV1[i][soakPlatforms[r%len(soakPlatforms)]]
 			cap += serve.CapacityRPS(ex, m.task, ex.MaxBatch())
 		}
-		offered[i] = spec.Load * cap
+		offered[i] = soakLoad * cap
 	}
 
 	report := SoakReport{Schema: SoakSchema, Spec: spec}
@@ -268,44 +253,37 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	return report, nil
 }
 
-// soakArrivals builds one client stream's arrival process at mean rate
-// per: the archetype's flat process when bursting is off, otherwise a
-// two-state MMPP whose calm rate is solved so the dwell-weighted mean
-// stays per (clamped silent when BurstFactor exceeds 1/BurstDutyFrac).
-// The burst dwell is a fixed 400ms — a handful of batch windows, long
-// enough to back a recovered replica's queue up past its deadline but
-// short enough that the row sees many independent bursts.
-func soakArrivals(spec SoakSpec, task satisfaction.Task, per float64, seed int64) workload.Arrivals {
-	if spec.BurstFactor <= 1 {
-		return workload.ArrivalsForTask(task, per, seed)
-	}
-	p := spec.BurstDutyFrac
-	calm := per * (1 - p*spec.BurstFactor) / (1 - p)
-	if calm < 0 {
-		calm = 0
-	}
+// soakArrivals builds one client stream's two-state MMPP at mean rate
+// per, its calm rate solved so the dwell-weighted mean stays per. The
+// burst dwell is a fixed 400ms — a handful of batch windows, long enough
+// to back a recovered replica's queue up past its deadline but short
+// enough that the row sees many independent bursts.
+func soakArrivals(per float64, seed int64) workload.Arrivals {
+	// float64 variables, not constant expressions: the rates round at
+	// float64 precision, as the committed file was generated.
+	burst, p := float64(soakBurstFactor), float64(soakBurstDutyFrac)
 	const burstDwell = 400 * time.Millisecond
 	return workload.NewMMPPArrivals([]workload.MMPPState{
-		{RateRPS: spec.BurstFactor * per, MeanDwell: burstDwell},
-		{RateRPS: calm, MeanDwell: time.Duration(float64(burstDwell) * (1 - p) / p)},
+		{RateRPS: burst * per, MeanDwell: burstDwell},
+		{RateRPS: per * (1 - p*burst) / (1 - p), MeanDwell: time.Duration(float64(burstDwell) * (1 - p) / p)},
 	}, seed)
 }
 
 // soakStreams builds one row's freshly seeded arrival processes: stream
-// s is client (s % ClientsPerModel) of model (s / ClientsPerModel).
+// s is client (s % soakClientsPerModel) of model (s / soakClientsPerModel).
 // Every row draws the identical trace because the seeds are fixed; the
 // processes are consumed lazily by ScheduleStream so the trace is never
 // materialized.
 func soakStreams(spec SoakSpec, models []soakModel, offered []float64) ([]workload.Arrivals, []int) {
 	var arrs []workload.Arrivals
 	var counts []int
-	for i, m := range models {
-		per := offered[i] / float64(spec.ClientsPerModel)
-		base := spec.RequestsPerModel / spec.ClientsPerModel
-		rem := spec.RequestsPerModel % spec.ClientsPerModel
-		for c := 0; c < spec.ClientsPerModel; c++ {
-			s := i*spec.ClientsPerModel + c
-			arrs = append(arrs, soakArrivals(spec, m.task, per, spec.Seed+int64(s+1)*7919))
+	for i := range models {
+		per := offered[i] / soakClientsPerModel
+		base := spec.RequestsPerModel / soakClientsPerModel
+		rem := spec.RequestsPerModel % soakClientsPerModel
+		for c := 0; c < soakClientsPerModel; c++ {
+			s := i*soakClientsPerModel + c
+			arrs = append(arrs, soakArrivals(per, spec.Seed+int64(s+1)*7919))
 			n := base
 			if c < rem {
 				n++
@@ -314,13 +292,6 @@ func soakStreams(spec SoakSpec, models []soakModel, offered []float64) ([]worklo
 		}
 	}
 	return arrs, counts
-}
-
-// srvSoak is the driver's view of one serve.Server: the server and its
-// batch window, which owns the single worker's busy horizon.
-type srvSoak struct {
-	srv *serve.Server
-	win *simdrive.Window
 }
 
 // pendingReq tracks one routed arrival until its last leg's batch
@@ -358,16 +329,21 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	nodes := map[string]*Node{}
 	var nodeIDs []string
 	for i := 0; i < n; i++ {
-		platform := spec.Platforms[i%len(spec.Platforms)]
+		platform := soakPlatforms[i%len(soakPlatforms)]
 		id := fmt.Sprintf("r%d-%s", i, platform)
+		// Slack-aware early rejection stays off: admission pricing at the
+		// escalation ceiling caps each queue below the backlog a deadline
+		// policy could act on, so with it on a primary that predicts a miss
+		// has already refused the request and the hedge arm is vacuous.
+		// Overload resolves through the degradation ladder, deadline misses
+		// and, in hedge rows, hedged second legs.
 		node := NewNode(id, platform, reg, NodeConfig{Serve: serve.Config{
-			Workers:          1,
-			QueueCap:         spec.QueueCap,
-			LingerMS:         spec.LingerMS,
-			ManualFlush:      true,
-			Clock:            clk.Now,
-			Seed:             spec.Seed + int64(i+1),
-			RejectUnmeetable: spec.RejectUnmeetable,
+			Workers:     1,
+			QueueCap:    soakQueueCap,
+			LingerMS:    simdrive.LingerMS,
+			ManualFlush: true,
+			Clock:       clk.Now,
+			Seed:        spec.Seed + int64(i+1),
 		}})
 		if err := fl.AddReplica(node); err != nil {
 			return SoakRow{}, err
@@ -382,9 +358,6 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	sched := workload.NewScheduleStream(soakStreams(spec, models, offered))
 	total := sched.Total()
 
-	states := map[*serve.Server]*srvSoak{}
-	var order []*srvSoak
-
 	// Streamed aggregation state: every resolved request folds straight
 	// into the fixed-size row aggregate. owners maps each in-flight leg to
 	// its request; its size — bounded by queue caps × replicas, not the
@@ -392,126 +365,75 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	rowAgg := newSoakAgg(len(models))
 	owners := map[*Ticket]*pendingReq{}
 	outstanding := 0
+	wins := map[*serve.Server]*simdrive.Window{}
 
-	resolve := func(pr *pendingReq) {
-		outstanding--
-		res, _, err := pr.ff.Wait(ctx)
-		if err != nil {
-			rowAgg.observeFailed(pr.model)
-		} else {
-			rowAgg.observeServed(pr.model, res.ResponseMS, res.DeadlineMet)
+	swapAt := int(soakSwapAtFrac * float64(total))
+	arrived := 0
+	var lastAt time.Duration
+	var slots []simdrive.Slot
+	arrive := func(_ time.Time, ev workload.Event) ([]simdrive.Slot, error) {
+		if arrived == swapAt {
+			// Hot-swap AlexNet's v2 (DVFS-scaled) deployment in mid-trace;
+			// v1 servers retire copy-on-write as each node next touches
+			// the model.
+			d2, err := NewDeployment(models[0].name, models[0].task, exV2)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := fl.Swap(d2); err != nil {
+				return nil, err
+			}
 		}
+		arrived++
+		lastAt = ev.At
+		mIdx := ev.Stream / soakClientsPerModel
+		ff, err := fl.Submit(models[mIdx].name, fmt.Sprintf("client-%d", ev.Stream%soakClientsPerModel))
+		if err != nil {
+			row.Shed++
+			return nil, nil
+		}
+		outstanding++
+		row.PeakPending = max(row.PeakPending, outstanding)
+		pr := &pendingReq{ff: ff, model: mIdx, legs: len(ff.Legs())}
+		slots = slots[:0]
+		for _, leg := range ff.Legs() {
+			owners[leg] = pr
+			win := wins[leg.Server()]
+			if win == nil {
+				// Windows fill at the plan's compiled batch (the server's
+				// own cap is the wider deadline-aware one) and count
+				// accepted legs only.
+				platform := nodes[leg.Replica()].Platform()
+				ex := exV1[mIdx][platform]
+				if leg.Version() >= 2 { // only models[0] is ever hot-swapped
+					ex = exV2[platform]
+				}
+				win = simdrive.NewWindow(leg.Server(), ex, clk, ex.MaxBatch())
+				wins[leg.Server()] = win
+			}
+			slots = append(slots, simdrive.Slot{Win: win, Leg: leg})
+		}
+		return slots, nil
 	}
-
-	flush := func(st *srvSoak) error {
-		outs, err := st.win.Flush(ctx)
-		if err != nil {
-			return err
-		}
-		// Requests whose last leg just flushed resolve now and fold into
-		// the row aggregate.
+	// A request resolves when its last leg's batch flushes.
+	flushed := func(outs []simdrive.Outcome) {
 		for _, o := range outs {
 			leg := o.Leg.(*Ticket)
 			pr := owners[leg]
-			if pr == nil {
-				continue
-			}
 			delete(owners, leg)
-			pr.legs--
-			if pr.legs == 0 {
-				resolve(pr)
-			}
-		}
-		return nil
-	}
-
-	swapIdx := -1
-	if spec.SwapAtFrac >= 0 {
-		swapIdx = int(spec.SwapAtFrac * float64(total))
-	}
-	swapped := false
-	i := 0
-	var lastAt time.Duration
-	next, hasNext := sched.Next()
-	for {
-		// The open window closing first is the next flush; an arrival at or
-		// before that instant comes first.
-		var due *srvSoak
-		for _, st := range order {
-			if st.win.Open() && (due == nil || st.win.CloseAt().Before(due.win.CloseAt())) {
-				due = st
-			}
-		}
-		if !hasNext && due == nil {
-			break
-		}
-		if hasNext {
-			t := workload.Epoch().Add(next.At)
-			if due == nil || !t.After(due.win.CloseAt()) {
-				if !swapped && swapIdx >= 0 && i >= swapIdx {
-					// Hot-swap AlexNet's v2 (DVFS-scaled) deployment in
-					// mid-trace; v1 servers retire copy-on-write as each
-					// node next touches the model.
-					swapped = true
-					d2, err := NewDeployment(models[0].name, models[0].task, exV2)
-					if err != nil {
-						return SoakRow{}, err
-					}
-					if _, err := fl.Swap(d2); err != nil {
-						return SoakRow{}, err
-					}
-				}
-				clk.Set(t)
-				mIdx := next.Stream / spec.ClientsPerModel
-				client := fmt.Sprintf("client-%d", next.Stream%spec.ClientsPerModel)
-				lastAt = next.At
-				i++
-				next, hasNext = sched.Next()
-				ff, err := fl.Submit(models[mIdx].name, client)
-				if err != nil {
-					row.Shed++
-					continue
-				}
-				pr := &pendingReq{ff: ff, model: mIdx, legs: len(ff.Legs())}
-				outstanding++
-				if outstanding > row.PeakPending {
-					row.PeakPending = outstanding
-				}
-				for _, leg := range ff.Legs() {
-					owners[leg] = pr
-				}
-				for _, leg := range ff.Legs() {
-					srv := leg.Server()
-					st := states[srv]
-					if st == nil {
-						// Windows fill at the plan's compiled batch (the
-						// server's own cap is the wider deadline-aware one)
-						// and count accepted legs only.
-						platform := nodes[leg.Replica()].Platform()
-						ex := exV1[mIdx][platform]
-						if leg.Version() >= 2 { // only models[0] is ever hot-swapped
-							ex = exV2[platform]
-						}
-						st = &srvSoak{srv: srv, win: simdrive.NewWindow(srv, ex, clk, ex.MaxBatch(), spec.LingerMS)}
-						states[srv] = st
-						order = append(order, st)
-					}
-					// A filled window flushes immediately, like the autonomous
-					// batcher's batch-full trigger; deferring could let a
-					// same-timestamp arrival overfill the window into a
-					// chunked flush.
-					if st.win.Add(t, leg) {
-						if err := flush(st); err != nil {
-							return SoakRow{}, err
-						}
-					}
-				}
+			if pr.legs--; pr.legs > 0 {
 				continue
 			}
+			outstanding--
+			if res, _, err := pr.ff.Wait(ctx); err != nil {
+				rowAgg.observeFailed(pr.model)
+			} else {
+				rowAgg.observeServed(pr.model, res.ResponseMS, res.DeadlineMet)
+			}
 		}
-		if err := flush(due); err != nil {
-			return SoakRow{}, err
-		}
+	}
+	if err := simdrive.Drive(ctx, clk, sched, arrive, flushed); err != nil {
+		return SoakRow{}, err
 	}
 
 	// Drain swap-retired servers: every window already flushed, so Close
@@ -536,10 +458,11 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	row.Served = rowAgg.served
 	row.FailedRequests = rowAgg.failed
 
-	// Fleet-wide serve totals over every server that took traffic.
+	// Fleet-wide serve totals over every server that took traffic: sums
+	// and a maximum, so the map's order does not matter.
 	makespan := workload.Epoch().Add(lastAt)
-	for _, st := range order {
-		snap := st.srv.Stats()
+	for srv, win := range wins {
+		snap := srv.Stats()
 		row.Submitted += snap.Submitted
 		row.Completed += snap.Completed
 		row.Failed += snap.Failed
@@ -553,8 +476,8 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 			return SoakRow{}, fmt.Errorf("conservation violated: %d submitted != %d completed + %d failed",
 				snap.Submitted, snap.Completed, snap.Failed)
 		}
-		if st.win.BusyUntil().After(makespan) {
-			makespan = st.win.BusyUntil()
+		if win.BusyUntil().After(makespan) {
+			makespan = win.BusyUntil()
 		}
 	}
 	row.MakespanMS = float64(makespan.Sub(workload.Epoch())) / float64(time.Millisecond)

@@ -257,11 +257,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	// plan compiled for per-frame arrival carries batch 1, which used to pin
 	// every stream to singleton flushes regardless of how many requests the
 	// window coalesced.
-	cap := serve.BatchCap(ex, task)
-	maxBatch := sp.MaxBatch
-	if maxBatch <= 0 || maxBatch > cap {
-		maxBatch = cap // BatchCap is at least 1
-	}
+	maxBatch := serve.BatchCap(ex, task)
 
 	var inj *fault.Injector
 	if sp.Chaos.Enabled() {
@@ -282,11 +278,11 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 		Workers:          1,
 		MaxBatch:         maxBatch,
 		QueueCap:         st.Requests + maxBatch + 8,
-		LingerMS:         sp.LingerMS,
+		LingerMS:         simdrive.LingerMS,
 		ManualFlush:      true,
 		Clock:            clk.Now,
 		Seed:             sp.Seed + int64(idx) + 1,
-		RejectUnmeetable: !sp.DisableReject,
+		RejectUnmeetable: true,
 		Faults:           inj,
 	}
 	if inj != nil {
@@ -311,40 +307,26 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	// not, and a refused one can open a window — the convention the
 	// committed matrix was generated under (the fleet soak counts accepted
 	// legs only).
-	win := simdrive.NewWindow(srv, ex, clk, maxBatch, sp.LingerMS)
+	win := simdrive.NewWindow(srv, ex, clk, maxBatch)
+	slot := make([]simdrive.Slot, 1)
 	var lats []float64
-	flush := func() error {
-		outs, err := win.Flush(ctx)
-		for _, o := range outs {
-			if o.Err == nil {
-				lats = append(lats, o.Res.ResponseMS)
+	err = simdrive.Drive(ctx, clk, workload.NewScheduleStream([]workload.Arrivals{arr}, []int{st.Requests}),
+		func(time.Time, workload.Event) ([]simdrive.Slot, error) {
+			slot[0] = simdrive.Slot{Win: win}
+			if f, err := srv.Submit(); err == nil {
+				slot[0].Leg = f
+			} // else refused (early rejection, injected saturation); tallied in the snapshot
+			return slot, nil
+		},
+		func(outs []simdrive.Outcome) {
+			for _, o := range outs {
+				if o.Err == nil {
+					lats = append(lats, o.Res.ResponseMS)
+				}
 			}
-		}
-		return err
-	}
-	at := workload.Epoch()
-	for i := 0; i < st.Requests; i++ {
-		at = at.Add(arr.Next())
-		if win.Open() && at.After(win.CloseAt()) {
-			if err := flush(); err != nil {
-				return StreamRow{}, nil, err
-			}
-		}
-		clk.Set(at)
-		var leg simdrive.Leg
-		if f, err := srv.Submit(); err == nil {
-			leg = f
-		} // else refused (early rejection, injected saturation); tallied in the snapshot
-		if win.Add(at, leg) {
-			if err := flush(); err != nil {
-				return StreamRow{}, nil, err
-			}
-		}
-	}
-	if win.Open() {
-		if err := flush(); err != nil {
-			return StreamRow{}, nil, err
-		}
+		})
+	if err != nil {
+		return StreamRow{}, nil, err
 	}
 	if err := srv.Close(ctx); err != nil {
 		return StreamRow{}, nil, err

@@ -87,26 +87,12 @@ type Spec struct {
 	// Seed roots every random stream the scenario draws from (arrivals,
 	// retry jitter, per-stream fault injectors); 0 means 1.
 	Seed int64 `json:"seed"`
-
-	// MaxBatch caps batch coalescing (0 = the deadline-aware BatchCap for
-	// the stream's executor and task); LingerMS bounds how long a partial
-	// batch waits (0 = 20 ms).
-	MaxBatch int     `json:"max_batch,omitempty"`
-	LingerMS float64 `json:"linger_ms,omitempty"`
-
-	// DisableReject turns slack-aware early rejection off, so overload
-	// shows up as deadline misses instead of shed arrivals — the control
-	// configuration. The zero value serves with rejection on.
-	DisableReject bool `json:"no_reject,omitempty"`
 }
 
 // withDefaults fills the documented zero-value defaults.
 func (s Spec) withDefaults() Spec {
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.LingerMS <= 0 {
-		s.LingerMS = 20
 	}
 	for i := range s.Streams {
 		st := &s.Streams[i]

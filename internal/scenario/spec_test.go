@@ -58,9 +58,6 @@ func TestSpecDefaults(t *testing.T) {
 	if sp.Seed != 1 {
 		t.Errorf("Seed = %d, want 1", sp.Seed)
 	}
-	if sp.LingerMS != 20 {
-		t.Errorf("LingerMS = %v, want 20", sp.LingerMS)
-	}
 	// A surveillance stream keeps Load 0, so it arrives at its camera FPS.
 	if st := sp.Streams[0]; st.Requests != 96 || st.Load != 0 || st.FPS != 30 {
 		t.Errorf("surveillance defaults = %+v, want requests 96, load 0, fps 30", st)

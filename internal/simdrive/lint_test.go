@@ -11,7 +11,9 @@ import (
 )
 
 // deterministicSources are the non-test sources every committed
-// virtual-clock number flows through, relative to this package.
+// virtual-clock number flows through, relative to this package: the
+// windows and Drive, the one event loop, then its two callers and the
+// schedule it consumes.
 var deterministicSources = []string{
 	"*.go",
 	"../scenario/*.go",

@@ -1,8 +1,9 @@
 // Package simdrive holds the one virtual-clock driver the deterministic
 // generators (the scenario engine and its serve grid, the fleet soak)
 // share: the batch-window algorithm they replay against a ManualFlush
-// serve.Server. It contains no wall-clock reads or sleeps — time only
-// moves when the driver moves it.
+// serve.Server, and Drive, the one event loop that moves arrivals and
+// flushes through those windows. It contains no wall-clock reads or
+// sleeps — time only moves when the driver moves it.
 package simdrive
 
 import (
@@ -13,6 +14,10 @@ import (
 	"pcnn/internal/serve"
 	"pcnn/internal/workload"
 )
+
+// LingerMS caps how long every driver's window holds a partial batch, and
+// is the linger its servers are configured with.
+const LingerMS = 20
 
 // Leg is one accepted request riding a window: a *serve.Future, or a
 // fleet ticket wrapping one.
@@ -32,16 +37,15 @@ type Outcome struct {
 // for the slack a full batch leaves at the current degradation level
 // (capped by the linger) but never closes before the server's single
 // worker frees up — arrivals during a busy spell join the batch, so a
-// backlog grows it — and closes early when it fills. Flush declares the
+// backlog grows it — and closes early when it fills. A flush declares the
 // worker's busy horizon to the server, so admission and routing
-// predictions see the backlog. Window is the only driver of virtual time:
+// predictions see the backlog. Drive is the only caller of add and flush:
 // the server must run with ManualFlush and one worker on the same clock.
 type Window struct {
 	srv      *serve.Server
 	ex       serve.Executor
 	clk      *workload.VirtualClock
 	maxBatch int
-	lingerMS float64
 
 	closeAt time.Time
 	predMS  float64 // Eq 12 price of a full batch at the level the window opened under
@@ -54,37 +58,34 @@ type Window struct {
 // server's own executor; maxBatch is how many arrivals fill a window and
 // must not exceed the server's batch cap, so every window flushes as one
 // batch.
-func NewWindow(srv *serve.Server, ex serve.Executor, clk *workload.VirtualClock,
-	maxBatch int, lingerMS float64) *Window {
-	return &Window{srv: srv, ex: ex, clk: clk, maxBatch: maxBatch, lingerMS: lingerMS}
+func NewWindow(srv *serve.Server, ex serve.Executor, clk *workload.VirtualClock, maxBatch int) *Window {
+	return &Window{srv: srv, ex: ex, clk: clk, maxBatch: maxBatch}
 }
 
-// Open reports whether a window is open: Add was called since the last Flush.
-func (w *Window) Open() bool { return w.slots > 0 }
-
-// CloseAt is when the open window closes; arrivals at or before it ride
-// the window, the first one after it must Flush first.
-func (w *Window) CloseAt() time.Time { return w.closeAt }
+// open reports whether a window is open: add was called since the last
+// flush. closeAt is then when it closes; arrivals at or before it ride
+// the window, the first one after it must flush first.
+func (w *Window) open() bool { return w.slots > 0 }
 
 // BusyUntil is the worker's busy horizon after the last flush (the zero
 // time before any).
 func (w *Window) BusyUntil() time.Time { return w.busy }
 
-// Add places the arrival at t in the window, opening one on it when none
+// add places the arrival at t in the window, opening one on it when none
 // is open. leg is the accepted request, or nil when admission refused the
 // arrival: a caller that passes refusals lets them occupy a slot (and open
 // a window), one that skips them counts accepted legs only. It reports
 // whether the arrival filled the window, which then closes at t and must
-// be flushed before the next Add.
-func (w *Window) Add(t time.Time, leg Leg) (full bool) {
+// be flushed before the next add.
+func (w *Window) add(t time.Time, leg Leg) (full bool) {
 	if w.slots == 0 {
 		w.predMS = w.ex.PredictMS(w.srv.Level(), w.maxBatch)
 		hold := w.srv.Task().SlackMS(0, w.predMS)
 		if hold < 0 {
 			hold = 0
 		}
-		if hold > w.lingerMS { // deadline-free tasks have +Inf slack
-			hold = w.lingerMS
+		if hold > LingerMS { // deadline-free tasks have +Inf slack
+			hold = LingerMS
 		}
 		w.closeAt = t.Add(time.Duration(hold * float64(time.Millisecond)))
 		if w.busy.After(w.closeAt) {
@@ -102,7 +103,7 @@ func (w *Window) Add(t time.Time, leg Leg) (full bool) {
 	return false
 }
 
-// Flush executes the open window: it moves the clock to the execution
+// flush executes the open window: it moves the clock to the execution
 // instant, flushes the server, waits the batch's legs, advances the busy
 // horizon by the batch's simulated execution time — a failed batch still
 // occupied the worker, for the full-batch price the window opened under —
@@ -112,8 +113,8 @@ func (w *Window) Add(t time.Time, leg Leg) (full bool) {
 // completion contract makes the waits sufficient: once they return, the
 // next Level() and Stats() reads are deterministic. The returned outcomes
 // are the window's accepted legs in admission order; the slice is reused
-// by the next window, so consume it before the next Add.
-func (w *Window) Flush(ctx context.Context) ([]Outcome, error) {
+// by the next window, so consume it before the next add.
+func (w *Window) flush(ctx context.Context) ([]Outcome, error) {
 	execStart := w.closeAt
 	if w.busy.After(execStart) {
 		execStart = w.busy

@@ -30,10 +30,7 @@ func (e *stubExec) Execute(_, n int, _ *tensor.Tensor) (serve.BatchResult, error
 	return serve.BatchResult{TimeMS: e.PredictMS(0, n), EnergyJ: float64(n), Entropy: 0.1}, nil
 }
 
-const (
-	testMaxBatch = 4
-	testLingerMS = 20
-)
+const testMaxBatch = 4
 
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
@@ -50,7 +47,7 @@ func newHarness(t *testing.T, ex serve.Executor, task satisfaction.Task) *harnes
 	t.Helper()
 	clk := workload.NewVirtualClock(workload.Epoch())
 	srv, err := serve.NewServer(ex, task, serve.Config{
-		Workers: 1, MaxBatch: testMaxBatch, LingerMS: testLingerMS, ManualFlush: true, Clock: clk.Now,
+		Workers: 1, MaxBatch: testMaxBatch, LingerMS: LingerMS, ManualFlush: true, Clock: clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +58,7 @@ func newHarness(t *testing.T, ex serve.Executor, task satisfaction.Task) *harnes
 		cancel()
 	})
 	return &harness{t: t, ctx: ctx, clk: clk, srv: srv,
-		win: NewWindow(srv, ex, clk, testMaxBatch, testLingerMS)}
+		win: NewWindow(srv, ex, clk, testMaxBatch)}
 }
 
 // arrive submits one accepted request at offsetMS past the epoch and adds
@@ -74,12 +71,12 @@ func (h *harness) arrive(offsetMS float64) (full bool) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	return h.win.Add(at, f)
+	return h.win.add(at, f)
 }
 
 func (h *harness) flush() []Outcome {
 	h.t.Helper()
-	outs, err := h.win.Flush(h.ctx)
+	outs, err := h.win.flush(h.ctx)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -101,17 +98,17 @@ func TestWindowHold(t *testing.T) {
 		msPerImage float64
 		wantHoldMS float64
 	}{
-		{"ample slack is capped by the linger", cam, 5, testLingerMS}, // 100 − 20
-		{"tight slack holds for exactly the slack", cam, 22.5, 10},    // 100 − 90
-		{"negative slack closes at once", cam, 30, 0},                 // 100 − 120
-		{"no deadline holds for the linger", satisfaction.ImageTagging(), 30, testLingerMS},
+		{"ample slack is capped by the linger", cam, 5, LingerMS},  // 100 − 20
+		{"tight slack holds for exactly the slack", cam, 22.5, 10}, // 100 − 90
+		{"negative slack closes at once", cam, 30, 0},              // 100 − 120
+		{"no deadline holds for the linger", satisfaction.ImageTagging(), 30, LingerMS},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, &stubExec{msPerImage: tc.msPerImage}, tc.task)
 			if h.arrive(7) {
 				t.Fatal("one arrival filled a 4-slot window")
 			}
-			if got := sinceEpochMS(h.win.CloseAt()); got != 7+tc.wantHoldMS {
+			if got := sinceEpochMS(h.win.closeAt); got != 7+tc.wantHoldMS {
 				t.Errorf("window opened at 7 ms closes at %v ms, want %v", got, 7+tc.wantHoldMS)
 			}
 		})
@@ -138,13 +135,13 @@ func TestWindowSlots(t *testing.T) {
 		{"refusals occupy slots", true,
 			[]arrival{{0, false}, {1, true}, {2, true}, {3, false}}, 3, 2, 3},
 		{"a refusal opens the window", true,
-			[]arrival{{5, true}, {6, false}}, -1, 1, 5 + testLingerMS},
+			[]arrival{{5, true}, {6, false}}, -1, 1, 5 + LingerMS},
 		{"a window of refusals still closes and flushes empty", true,
 			[]arrival{{0, true}, {0, true}, {1, true}, {1, true}}, 3, 0, 1},
 		{"skipped refusals leave the slots to accepted legs", false,
 			[]arrival{{0, false}, {1, true}, {2, true}, {3, false}, {4, false}, {5, false}}, 5, 4, 5},
 		{"a skipped refusal opens nothing", false,
-			[]arrival{{5, true}, {6, false}}, -1, 1, 6 + testLingerMS},
+			[]arrival{{5, true}, {6, false}}, -1, 1, 6 + LingerMS},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, &stubExec{msPerImage: 1}, satisfaction.ImageTagging())
@@ -158,7 +155,7 @@ func TestWindowSlots(t *testing.T) {
 				case !a.refused:
 					full = h.arrive(a.atMS)
 				case tc.passRefusals:
-					full = h.win.Add(workload.Epoch().Add(ms(a.atMS)), nil)
+					full = h.win.add(workload.Epoch().Add(ms(a.atMS)), nil)
 				}
 				if full {
 					fullAt = i
@@ -167,18 +164,18 @@ func TestWindowSlots(t *testing.T) {
 			if fullAt != tc.wantFullAt {
 				t.Errorf("window filled at arrival %d, want %d", fullAt, tc.wantFullAt)
 			}
-			if !h.win.Open() {
+			if !h.win.open() {
 				t.Fatal("no window open after the arrivals")
 			}
-			if got := sinceEpochMS(h.win.CloseAt()); got != tc.wantCloseMS {
+			if got := sinceEpochMS(h.win.closeAt); got != tc.wantCloseMS {
 				t.Errorf("window closes at %v ms, want %v", got, tc.wantCloseMS)
 			}
 			outs := h.flush()
 			if len(outs) != tc.wantLegs {
 				t.Errorf("flush returned %d legs, want %d", len(outs), tc.wantLegs)
 			}
-			if h.win.Open() {
-				t.Error("window still open after Flush")
+			if h.win.open() {
+				t.Error("window still open after flush")
 			}
 			if got, want := h.srv.Stats().Completed, uint64(tc.wantLegs); got != want {
 				t.Errorf("server completed %d requests, want %d", got, want)
@@ -192,7 +189,7 @@ func TestWindowSlots(t *testing.T) {
 // horizon, a batch starts at max(window close, worker free), a served
 // batch occupies the worker for its own execution time, a failed batch for
 // the full-batch price the window opened under (not its actual size at the
-// current level), and every Flush declares the new horizon to the server,
+// current level), and every flush declares the new horizon to the server,
 // which reports what remains of it.
 func TestWindowFlushTiming(t *testing.T) {
 	ex := &stubExec{msPerImage: 10}
@@ -211,10 +208,10 @@ func TestWindowFlushTiming(t *testing.T) {
 	if len(outs) != 1 || outs[0].Err != nil {
 		t.Fatalf("first window: outcomes %+v", outs)
 	}
-	if got := outs[0].Res.QueueMS; got != testLingerMS {
-		t.Errorf("first batch queued %v ms, want the %v ms linger", got, float64(testLingerMS))
+	if got := outs[0].Res.QueueMS; got != LingerMS {
+		t.Errorf("first batch queued %v ms, want the %v ms linger", got, float64(LingerMS))
 	}
-	if got := sinceEpochMS(h.win.BusyUntil()); got != testLingerMS+10 {
+	if got := sinceEpochMS(h.win.BusyUntil()); got != LingerMS+10 {
 		t.Errorf("busy until %v ms after a 10 ms batch started at 20, want 30", got)
 	}
 	declared(10) // the clock sits at the 20 ms execution instant
@@ -239,7 +236,7 @@ func TestWindowFlushTiming(t *testing.T) {
 	// A window opened at 45 ms would hold until 65, but the worker is busy
 	// until 70: it stays open to the horizon, and a 69 ms arrival rides it.
 	h.arrive(45)
-	if got := sinceEpochMS(h.win.CloseAt()); got != 70 {
+	if got := sinceEpochMS(h.win.closeAt); got != 70 {
 		t.Errorf("window opened at 45 ms while busy until 70 closes at %v ms, want 70", got)
 	}
 	h.arrive(69)
@@ -260,7 +257,7 @@ func TestWindowFlushTiming(t *testing.T) {
 	if len(outs) != 1 || outs[0].Err == nil {
 		t.Fatalf("failed window: outcomes %+v, want one failed leg", outs)
 	}
-	if got := sinceEpochMS(h.win.BusyUntil()); got != 200+testLingerMS+40 {
+	if got := sinceEpochMS(h.win.BusyUntil()); got != 200+LingerMS+40 {
 		t.Errorf("busy until %v ms after a failed batch started at 220, want 260 (full-batch price)", got)
 	}
 	declared(40)

@@ -30,7 +30,6 @@ import (
 	"pcnn/internal/nn"
 	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
-	"pcnn/internal/scenario"
 	"pcnn/internal/sched"
 	"pcnn/internal/serve"
 	"pcnn/internal/tensor"
@@ -107,19 +106,6 @@ type (
 	// LaunchError is the typed kernel-launch failure the GPU layer and the
 	// serving executor surface; Injected marks chaos-injected failures.
 	LaunchError = gpu.LaunchError
-	// ScenarioSpec declares one heterogeneous-fleet scenario: a
-	// platform/network deployment serving mixed-archetype streams under
-	// DVFS, co-running interference and seeded chaos, reproducibly.
-	ScenarioSpec = scenario.Spec
-	// ScenarioStreamSpec declares one traffic stream inside a scenario.
-	ScenarioStreamSpec = scenario.StreamSpec
-	// ScenarioEngine runs scenario specs on a virtual clock; the zero
-	// value is ready and caches compilations across runs.
-	ScenarioEngine = scenario.Engine
-	// ScenarioRow is one scenario's deterministic outcome.
-	ScenarioRow = scenario.Row
-	// ScenarioMatrix is a full scenario sweep (BENCH_scenarios.json).
-	ScenarioMatrix = scenario.Matrix
 	// Fleet is the distributed serving tier: consistent-hash routing with
 	// capacity-weighted virtual nodes, health-driven ejection, hedged
 	// retries and hot-swappable model deployments across replicas.
@@ -147,11 +133,6 @@ type (
 	FleetTicket = fleet.Ticket
 	// FleetSnapshot is the GET /fleet status view.
 	FleetSnapshot = fleet.FleetSnapshot
-	// FleetSoakSpec parameterizes the deterministic virtual-clock fleet
-	// soak behind BENCH_fleet.json.
-	FleetSoakSpec = fleet.SoakSpec
-	// FleetSoakReport is the soak's byte-reproducible result.
-	FleetSoakReport = fleet.SoakReport
 	// ServePrediction is one server's Eq 12 serving forecast
 	// (Server.Predict, the GET /predict payload core).
 	ServePrediction = serve.Prediction
@@ -214,19 +195,6 @@ func CompileFleetDeployment(model string, task Task, platforms []string, dvfs bo
 // /healthz, GET /metrics, POST /swap, POST /busy) — the one mux cmd/pcnnd
 // serves, with one node or many, and the e2e harness drives.
 func NewFleetHandler(fl *Fleet) http.Handler { return fleet.Handler(fl) }
-
-// RunFleetSoak drives the deterministic virtual-clock fleet soak
-// (BENCH_fleet.json): a replica-count × hedging grid over a mixed
-// AlexNet+VGG+GoogLeNet trace with a mid-trace hot-swap.
-func RunFleetSoak(spec FleetSoakSpec) (FleetSoakReport, error) { return fleet.RunSoak(spec) }
-
-// DefaultScenarios is the committed BENCH_scenarios.json grid: two
-// platforms × three arrival processes × chaos on/off, twelve scenarios of
-// three mixed-archetype streams each.
-func DefaultScenarios(seed int64) []ScenarioSpec { return scenario.DefaultMatrix(seed) }
-
-// SmokeScenarios is the CI gate's small scenario grid.
-func SmokeScenarios(seed int64) []ScenarioSpec { return scenario.SmokeMatrix(seed) }
 
 // Serving sentinel errors, re-exported for errors.Is.
 var (
