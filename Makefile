@@ -3,7 +3,7 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve bench-gemm bench-serve bench-verify bench-verify-fast paper-verify fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve profile-wire bench-gemm bench-serve bench-verify bench-verify-fast paper-verify fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-wire fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
@@ -100,6 +100,14 @@ profile-serve:
 	$(GO) test -run='^$$' -bench='ExecuteLevels/level9' -benchtime=3000x -cpu 1 -o $(OUT)/pcnn.test \
 		-cpuprofile $(OUT)/cpu.prof -memprofile $(OUT)/mem.prof .
 
+# profile-wire is profile-sim for the /infer hop: CPU and allocation
+# profiles of one routed request (outer Fleet → HTTPReplica → an in-memory
+# http.RoundTripper → fleet.Handler → Node), so they show this repository's
+# code rather than the kernel's sockets.
+profile-wire:
+	$(GO) test -run='^$$' -bench='WireRoundTrip' -benchtime=200000x -o $(OUT)/fleet.test \
+		-cpuprofile $(OUT)/cpu.prof -memprofile $(OUT)/mem.prof ./internal/fleet/
+
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulShapes -fuzztime=30s ./internal/tensor/
 
@@ -125,6 +133,12 @@ fuzz-fusedpack:
 # properties (the committed seed corpus runs as part of `test`).
 fuzz-predict:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictMS -fuzztime=30s ./internal/compile/
+
+# fuzz-wire checks the /infer codec against encoding/json: appendResult
+# writes json.Marshal's bytes, parseResult inverts it bit for bit and agrees
+# with json.Unmarshal on arbitrary bytes (the seeds run as part of `test`).
+fuzz-wire:
+	$(GO) test -run='^$$' -fuzz=FuzzResultWire -fuzztime=30s ./internal/fleet/
 
 # fuzz-mmpp hammers the MMPP arrival process: non-negative finite gaps,
 # bounded silent-state dwell, finite mean-rate blend (the committed seed

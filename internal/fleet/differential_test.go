@@ -162,7 +162,7 @@ func TestLeastSlackOrderAcrossTheWire(t *testing.T) {
 		out := make([]string, 64)
 		for k := range out {
 			var ids []string
-			for _, r := range fl.candidates("m", fmt.Sprintf("client-%d", k)) {
+			for _, r := range fl.candidates("m", fmt.Sprintf("client-%d", k), nil) {
 				ids = append(ids, r.ID())
 			}
 			out[k] = strings.Join(ids, ">")

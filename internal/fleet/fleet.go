@@ -86,10 +86,10 @@ type Fleet struct {
 	replicas []Replica      // registration order — the deterministic iteration order
 	byID     map[string]int // id → replicas index
 	ejected  map[string]time.Time
-	rings    map[string]*Ring // per-model, rebuilt lazily on generation change
-	ringGen  uint64           // bumped on membership change
+	routes   map[string]*route // per-model, rebuilt lazily on generation change
+	ringGen  uint64            // bumped on membership change
 	builtGen uint64
-	builtSwp uint64 // registry swap count the rings were built at
+	builtSwp uint64 // registry swap count the routes were built at
 
 	// counters are exported as pcnn_fleet_* and reported in Snapshot.
 	requests     uint64
@@ -109,7 +109,7 @@ func New(reg *Registry, cfg Config) *Fleet {
 		reg:     reg,
 		byID:    map[string]int{},
 		ejected: map[string]time.Time{},
-		rings:   map[string]*Ring{},
+		routes:  map[string]*route{},
 		obsReg:  obs.NewRegistry(),
 	}
 	f.registerMetrics()
@@ -149,121 +149,130 @@ func (f *Fleet) activeLocked() []Replica {
 	return act
 }
 
-// ringFor returns the model's routing ring, rebuilding every ring when
-// membership or the registry changed since the last build. Weights are
-// each active replica's Eq 12 predicted capacity for the model.
-func (f *Fleet) ringFor(model string) (*Ring, []Replica) {
-	f.mu.Lock()
-	swaps := f.reg.Swaps()
-	if f.builtGen != f.ringGen || f.builtSwp != swaps || f.rings[model] == nil {
-		if f.builtGen != f.ringGen || f.builtSwp != swaps {
-			f.rings = map[string]*Ring{}
-			f.builtGen = f.ringGen
-			f.builtSwp = swaps
-		}
-		act := f.activeLocked()
-		f.mu.Unlock()
-		// Capacity probes build servers; do not hold the fleet lock.
-		entries := make([]RingEntry, 0, len(act))
-		for _, r := range act {
-			entries = append(entries, RingEntry{ID: r.ID(), Weight: r.CapacityRPS(model)})
-		}
-		ring := NewRing(entries)
-		f.mu.Lock()
-		f.rings[model] = ring
-	}
-	ring := f.rings[model]
-	act := f.activeLocked()
-	f.mu.Unlock()
-	return ring, act
+// route is one model's routing ring and the active replicas it was built
+// over — ring entry i is act[i] — cached per membership generation.
+type route struct {
+	ring *Ring
+	act  []Replica
 }
 
-// replica resolves an ID against the active set.
-func replicaByID(act []Replica, id string) Replica {
-	for _, r := range act {
-		if r.ID() == id {
-			return r
-		}
+// routeFor returns the model's route, rebuilding every route when
+// membership or the registry changed since the last build. Weights are
+// each active replica's Eq 12 predicted capacity for the model.
+func (f *Fleet) routeFor(model string) *route {
+	f.mu.Lock()
+	gen, swaps := f.ringGen, f.reg.Swaps()
+	if f.builtGen != gen || f.builtSwp != swaps {
+		f.routes = map[string]*route{}
+		f.builtGen, f.builtSwp = gen, swaps
 	}
-	return nil
+	if rt := f.routes[model]; rt != nil {
+		f.mu.Unlock()
+		return rt
+	}
+	act := f.activeLocked()
+	f.mu.Unlock()
+	// Capacity probes build servers; do not hold the fleet lock.
+	entries := make([]RingEntry, 0, len(act))
+	for _, r := range act {
+		entries = append(entries, RingEntry{ID: r.ID(), Weight: r.CapacityRPS(model)})
+	}
+	rt := &route{ring: NewRing(entries), act: act}
+	f.mu.Lock()
+	if f.builtGen == gen && f.builtSwp == swaps { // else membership moved on meanwhile
+		f.routes[model] = rt
+	}
+	f.mu.Unlock()
+	return rt
 }
 
 // FleetFuture resolves a routed (possibly hedged) request. Wait may be
 // called once per future; the underlying tickets memoize, so a soak
 // driver may also Wait the legs directly.
 type FleetFuture struct {
-	fleet  *Fleet
-	legs   []*Ticket
-	hedged bool
+	fleet *Fleet
+	legs  [2]*Ticket // the primary, then the hedge leg when there is one
+	n     int
 }
 
 // Legs exposes the submitted request legs (primary first) for drivers
 // that manage batch execution themselves.
-func (ff *FleetFuture) Legs() []*Ticket { return ff.legs }
+func (ff *FleetFuture) Legs() []*Ticket { return ff.legs[:ff.n] }
 
 // Wait resolves every leg and returns the winner: the successful leg
 // with the smallest response time (deterministic even when legs resolve
 // out of order). The loser is cooperatively cancelled — batched
 // execution cannot be revoked, so its outcome is simply discarded. When
-// every leg fails, the primary's error is returned.
+// every leg fails, the primary's error is returned. The primary is
+// waited on the calling goroutine and a hedge leg on its own, so a
+// remote hedge is on the wire while its primary is.
 func (ff *FleetFuture) Wait(ctx context.Context) (serve.Result, string, error) {
-	type leg struct {
-		t   *Ticket
-		res serve.Result
-		err error
-	}
-	legs := make([]leg, 0, len(ff.legs))
-	for _, t := range ff.legs {
-		res, err := t.Wait(ctx)
-		legs = append(legs, leg{t: t, res: res, err: err})
+	legs := ff.Legs()
+	if len(legs) > 1 {
+		hedge := make(chan struct{})
+		go func() {
+			defer close(hedge)
+			legs[1].Wait(ctx)
+		}()
+		legs[0].Wait(ctx)
+		<-hedge
 	}
 	win := -1
-	for i, l := range legs {
-		if l.err != nil {
-			continue
+	var best serve.Result
+	var primaryErr error
+	for i, t := range legs {
+		res, err := t.Wait(ctx) // a hedged pair is resolved by now: the memoized outcome
+		if i == 0 {
+			primaryErr = err
 		}
-		if win < 0 || l.res.ResponseMS < legs[win].res.ResponseMS {
-			win = i
+		if err == nil && (win < 0 || res.ResponseMS < best.ResponseMS) {
+			win, best = i, res
 		}
 	}
 	if win < 0 {
-		return serve.Result{}, ff.legs[0].Replica(), legs[0].err
+		return serve.Result{}, legs[0].Replica(), primaryErr
 	}
-	if ff.hedged && win > 0 {
+	if win > 0 {
 		ff.fleet.mu.Lock()
 		ff.fleet.hedgeWins++
 		ff.fleet.mu.Unlock()
 	}
-	return legs[win].res, legs[win].t.Replica(), nil
+	return best, legs[win].Replica(), nil
 }
 
-// candidates returns the active replicas to try for (model, key), ring
-// owner first. Under PolicyLeastSlack the fallbacks behind the owner are
-// re-ordered by predicted completion time, cheapest first.
-func (f *Fleet) candidates(model, key string) []Replica {
-	ring, act := f.ringFor(model)
-	order := ring.Order(model+"|"+key, 0)
-	cands := make([]Replica, 0, len(order))
-	for _, id := range order {
-		if r := replicaByID(act, id); r != nil {
-			cands = append(cands, r)
+// candidates appends the active replicas to try for (model, key) to dst,
+// ring owner first. Under PolicyLeastSlack the fallbacks behind the owner
+// are re-ordered by predicted completion time, cheapest first, ties in
+// ring order.
+func (f *Fleet) candidates(model, key string, dst []Replica) []Replica {
+	rt := f.routeFor(model)
+	var idx [8]int
+	for _, i := range rt.ring.walk(mix64(fnv1a(fnv1a(fnv1a(fnvOffset64, model), "|"), key)), idx[:0]) {
+		dst = append(dst, rt.act[i])
+	}
+	if f.cfg.Policy != PolicyLeastSlack || len(dst) <= 2 {
+		return dst
+	}
+	rest := dst[1:]
+	var predBuf [8]float64
+	pred := predBuf[:0]
+	for _, r := range rest {
+		p := r.PredictCompletionMS(model)
+		// 0 means the replica cannot predict (stale remote cache,
+		// unservable model): order it behind every live prediction
+		// rather than letting "unknown" masquerade as "idle".
+		if p <= 0 {
+			p = math.Inf(1)
+		}
+		pred = append(pred, p)
+	}
+	for i := 1; i < len(rest); i++ { // insertion sort: stable, and rest is short
+		for j := i; j > 0 && pred[j] < pred[j-1]; j-- {
+			pred[j], pred[j-1] = pred[j-1], pred[j]
+			rest[j], rest[j-1] = rest[j-1], rest[j]
 		}
 	}
-	if f.cfg.Policy == PolicyLeastSlack && len(cands) > 2 {
-		rest := cands[1:]
-		pred := make([]float64, len(rest))
-		for i, r := range rest {
-			pred[i] = r.PredictCompletionMS(model)
-			// 0 means the replica cannot predict (stale remote cache,
-			// unservable model): order it behind every live prediction
-			// rather than letting "unknown" masquerade as "idle".
-			if pred[i] <= 0 {
-				pred[i] = math.Inf(1)
-			}
-		}
-		sort.SliceStable(rest, func(i, j int) bool { return pred[i] < pred[j] })
-	}
-	return cands
+	return dst
 }
 
 // Submit routes one request for a model. key identifies the routing
@@ -277,7 +286,8 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("fleet: model %q not in registry", model)
 	}
-	cands := f.candidates(model, key)
+	var candBuf [8]Replica
+	cands := f.candidates(model, key, candBuf[:0])
 	if len(cands) == 0 {
 		return nil, ErrNoReplicas
 	}
@@ -287,10 +297,12 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 
 	// Hedge decision happens before admission: the primary's predicted
 	// completion (queue ahead + own execution) against the task deadline.
-	task := dep.Task
-	primaryPred := cands[0].PredictCompletionMS(model)
+	var primaryPred float64
+	if f.cfg.Hedge {
+		primaryPred = cands[0].PredictCompletionMS(model)
+	}
 
-	var legs []*Ticket
+	var legs [2]*Ticket
 	primaryIdx := -1
 	var refusal error
 	for i, r := range cands {
@@ -299,11 +311,11 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 			refusal = err
 			continue
 		}
-		legs = append(legs, t)
+		legs[0] = t
 		primaryIdx = i
 		break
 	}
-	if len(legs) == 0 {
+	if primaryIdx < 0 {
 		// The last refusal rides along so callers can tell shed load
 		// (serve.ErrQueueFull, serve.ErrDeadlineUnmeetable) from a fault.
 		return nil, fmt.Errorf("fleet: every replica refused %s/%s: %w", model, key, refusal)
@@ -314,23 +326,22 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 		f.mu.Unlock()
 	}
 
-	hedged := false
+	n := 1
 	if f.cfg.Hedge && primaryIdx == 0 && len(cands) > 1 &&
-		task.SlackMS(0, primaryPred) < 0 {
+		dep.Task.SlackMS(0, primaryPred) < 0 {
 		for _, r := range cands[1:] {
 			t, err := r.Submit(model)
 			if err != nil {
 				continue
 			}
-			legs = append(legs, t)
-			hedged = true
+			legs[1], n = t, 2
 			f.mu.Lock()
 			f.hedges++
 			f.mu.Unlock()
 			break
 		}
 	}
-	return &FleetFuture{fleet: f, legs: legs, hedged: hedged}, nil
+	return &FleetFuture{fleet: f, legs: legs, n: n}, nil
 }
 
 // CheckHealth probes every replica once: active replicas that report

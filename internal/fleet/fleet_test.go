@@ -232,6 +232,41 @@ func TestFleetHedging(t *testing.T) {
 	}
 }
 
+// TestLeastSlackOrdersEveryFallback: behind the ring owner the fallbacks
+// are ordered by predicted completion time, cheapest first, however many
+// there are.
+func TestLeastSlackOrdersEveryFallback(t *testing.T) {
+	clk := newTclock()
+	execs := make([]*stormExec, 6)
+	for i := range execs {
+		execs[i] = &stormExec{predMS: 5}
+	}
+	fl, nodes := testFleet(t, "m", satisfaction.ImageTagging(), execs,
+		func(int) NodeConfig {
+			return NodeConfig{Serve: serve.Config{Workers: 1, ManualFlush: true, Clock: clk.Now}}
+		}, Config{Policy: PolicyLeastSlack, Clock: clk.Now})
+	defer fl.Close(context.Background())
+	// Distinct busy horizons, in neither registration nor ring order.
+	for i, n := range nodes {
+		srv, _, err := n.Server("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetBusyUntil(clk.Now().Add(time.Duration((i*5)%len(nodes)+1) * time.Second))
+	}
+	for k := 0; k < 32; k++ {
+		cands := fl.candidates("m", fmt.Sprintf("client-%d", k), nil)
+		if len(cands) != len(nodes) {
+			t.Fatalf("key %d: %d candidates, want %d", k, len(cands), len(nodes))
+		}
+		for i := 2; i < len(cands); i++ {
+			if a, b := cands[i-1].PredictCompletionMS("m"), cands[i].PredictCompletionMS("m"); a > b {
+				t.Fatalf("key %d: fallback %s (%v ms) ahead of %s (%v ms)", k, cands[i-1].ID(), a, cands[i].ID(), b)
+			}
+		}
+	}
+}
+
 // TestFleetHotSwapZeroDowntime pins copy-on-write hot-swap: routing moves
 // to the new version on the next request while the retired server keeps —
 // and successfully resolves — the requests it held at swap time.

@@ -182,6 +182,22 @@ func emitJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
+// inferStatus maps a failed /infer to its status code, wherever along the
+// route it failed: shed load is 429 — refused at admission here, or
+// answered 429 by a remote daemon a leg went to — an empty fleet is 503,
+// and anything else is 500.
+func inferStatus(err error) int {
+	var remote *statusError
+	switch {
+	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrDeadlineUnmeetable),
+		errors.As(err, &remote) && remote.code == http.StatusTooManyRequests:
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrNoReplicas):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 // requestModel resolves a request's model= parameter against the
 // registry, answering 400 itself (and reporting false) when it names no
 // servable model. An absent model= means the only registered model — a
@@ -224,7 +240,7 @@ func intParam(w http.ResponseWriter, q url.Values, name string, min int) (int, b
 // serves and the e2e harness drives. Where model= selects one model it
 // may be omitted on a daemon that registers exactly one:
 //
-//	POST /infer?model=&client=  route one request, body is the result
+//	POST /infer?model=&client=  route one request, body is the result as compact JSON
 //	GET  /predict?model=&batch= Eq 12 prediction (all models without model=)
 //	GET  /stats?model=          per-replica serve snapshots (all models without model=)
 //	GET  /trace?model=&n=       per-replica recent request traces, newest first
@@ -252,24 +268,28 @@ func Handler(fl *Fleet) http.Handler {
 			return
 		}
 		ff, err := fl.Submit(model, q.Get("client"))
-		switch {
-		case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrDeadlineUnmeetable):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		case errors.Is(err, ErrNoReplicas):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		if err != nil {
+			http.Error(w, err.Error(), inferStatus(err))
 			return
 		}
 		res, replica, err := ff.Wait(r.Context())
 		if err != nil {
+			http.Error(w, err.Error(), inferStatus(err))
+			return
+		}
+		buf := wireBufs.Get().(*[]byte)
+		defer wireBufs.Put(buf)
+		b, err := appendResult((*buf)[:0], res)
+		*buf = b[:0]
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("X-Pcnn-Replica", replica)
-		emitJSON(w, res)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(b)))
+		h.Set("X-Pcnn-Replica", replica)
+		_, _ = w.Write(b) // the client went away; nothing to tell it
 	}))
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()

@@ -244,8 +244,10 @@ func do(t *testing.T, method, url string) (int, string) {
 }
 
 // TestInferShedIs429: admission shedding crosses the mux as 429 — the
-// replicas' refusal survives Fleet.Submit — while an unknown model is the
-// client's error and a fleet with nothing to route to is 503.
+// replicas' refusal survives Fleet.Submit, and a remote daemon's 429
+// survives the leg's Wait, so a fleet of fleets sheds as 429 too — while
+// an unknown model is the client's error and a fleet with nothing to
+// route to is 503.
 func TestInferShedIs429(t *testing.T) {
 	clk := newTclock()
 	nodeCfg := func(c NodeConfig) func(int) NodeConfig {
@@ -273,6 +275,15 @@ func TestInferShedIs429(t *testing.T) {
 		t.Errorf("Submit = %v, want it to wrap ErrQueueFull", err)
 	}
 
+	// A fleet whose one replica is the saturated fleet's daemon.
+	inner := httptest.NewServer(Handler(full))
+	defer inner.Close()
+	outer := New(full.Registry(), Config{Clock: clk.Now})
+	if err := outer.AddReplica(NewHTTPReplicaConfig("d0", "pf0", inner.URL, HTTPReplicaConfig{Clock: clk.Now})); err != nil {
+		t.Fatal(err)
+	}
+	defer outer.Close(context.Background())
+
 	reg := NewRegistry()
 	d, err := NewDeployment("m", satisfaction.ImageTagging(), map[string]serve.Executor{"p": &stormExec{predMS: 1}})
 	if err != nil {
@@ -291,6 +302,7 @@ func TestInferShedIs429(t *testing.T) {
 	}{
 		{"unmeetable deadline", unmeetable, "/infer?model=m", http.StatusTooManyRequests},
 		{"queue full", full, "/infer?model=m", http.StatusTooManyRequests},
+		{"queue full behind a remote replica", outer, "/infer?model=m", http.StatusTooManyRequests},
 		{"unknown model", full, "/infer?model=ghost", http.StatusBadRequest},
 		{"empty fleet", empty, "/infer?model=m", http.StatusServiceUnavailable},
 	} {

@@ -1,13 +1,14 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,13 +21,19 @@ import (
 // may be called once — a Ticket memoizes its outcome, so both the fleet
 // future (picking the hedge winner) and a deterministic soak driver
 // (accounting execution time) can Wait on the same leg.
+//
+// A local leg is queued on its server by Submit. A remote leg is posted
+// by its first Wait, on the waiting goroutine, under that Wait's ctx:
+// until somebody waits, nothing is on the wire, and cancelling the ctx
+// aborts the POST.
 type Ticket struct {
 	replica string
 	model   string
 	version int
 	srv     *serve.Server // nil for remote legs
+	fut     *serve.Future // nil for remote legs
+	remote  *HTTPReplica  // nil for local legs
 
-	wait func(ctx context.Context) (serve.Result, error)
 	once sync.Once
 	res  serve.Result
 	err  error
@@ -35,7 +42,13 @@ type Ticket struct {
 // Wait blocks until the leg resolves (or ctx expires on the first call —
 // the first outcome, whatever it is, is what every later Wait returns).
 func (t *Ticket) Wait(ctx context.Context) (serve.Result, error) {
-	t.once.Do(func() { t.res, t.err = t.wait(ctx) })
+	t.once.Do(func() {
+		if t.remote != nil {
+			t.res, t.err = t.remote.infer(ctx, t.model)
+		} else {
+			t.res, t.err = t.fut.Wait(ctx)
+		}
+	})
 	return t.res, t.err
 }
 
@@ -59,7 +72,9 @@ type Replica interface {
 	ID() string
 	// Platform names the GPU microarchitecture the replica serves on.
 	Platform() string
-	// Submit routes one request for a model to the replica.
+	// Submit routes one request for a model to the replica. A local
+	// replica queues it at once; a remote one sends it when the ticket is
+	// first waited on (see Ticket).
 	Submit(model string) (*Ticket, error)
 	// PredictCompletionMS is the Eq 12 estimate of a request's completion
 	// time if submitted now — queue ahead plus own execution. Replicas
@@ -172,13 +187,7 @@ func (n *Node) Submit(model string) (*Ticket, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Ticket{
-		replica: n.id,
-		model:   model,
-		version: version,
-		srv:     srv,
-		wait:    fut.Wait,
-	}, nil
+	return &Ticket{replica: n.id, model: model, version: version, srv: srv, fut: fut}, nil
 }
 
 // PredictCompletionMS estimates a request's completion time on the
@@ -305,15 +314,17 @@ func (n *Node) Close(ctx context.Context) error {
 // ("unknown"), which sorts it behind every replica with a live
 // prediction (see Fleet.Submit).
 type HTTPReplica struct {
-	id       string
-	platform string
-	baseURL  string
-	weight   float64
-	client   *http.Client
-	cfg      HTTPReplicaConfig
+	id         string
+	platform   string
+	baseURL    string
+	healthzURL string
+	weight     float64
+	client     *http.Client
+	cfg        HTTPReplicaConfig
 
 	mu    sync.Mutex
 	cache map[string]*predEntry // model → cached /predict payload
+	urls  map[string]*modelURLs // model → its request URLs, built once
 
 	wireMS *obs.EWMA // EWMA round-trip of /predict polls
 	obsReg *obs.Registry
@@ -367,18 +378,36 @@ func (c HTTPReplicaConfig) withDefaults() HTTPReplicaConfig {
 func NewHTTPReplicaConfig(id, platform, baseURL string, cfg HTTPReplicaConfig) *HTTPReplica {
 	cfg = cfg.withDefaults()
 	h := &HTTPReplica{
-		id:       id,
-		platform: platform,
-		baseURL:  baseURL,
-		weight:   cfg.Weight,
-		client:   cfg.Client,
-		cfg:      cfg,
-		cache:    map[string]*predEntry{},
-		wireMS:   obs.NewEWMA(0.2),
-		obsReg:   obs.NewRegistry(),
+		id:         id,
+		platform:   platform,
+		baseURL:    baseURL,
+		healthzURL: baseURL + "/healthz",
+		weight:     cfg.Weight,
+		client:     cfg.Client,
+		cfg:        cfg,
+		cache:      map[string]*predEntry{},
+		urls:       map[string]*modelURLs{},
+		wireMS:     obs.NewEWMA(0.2),
+		obsReg:     obs.NewRegistry(),
 	}
 	h.registerMetrics()
 	return h
+}
+
+// modelURLs are the daemon URLs of one model's requests.
+type modelURLs struct{ infer, predict, stats string }
+
+// urlsFor returns the model's request URLs, building them on first use.
+func (h *HTTPReplica) urlsFor(model string) *modelURLs {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	u := h.urls[model]
+	if u == nil {
+		q := "?model=" + url.QueryEscape(model)
+		u = &modelURLs{infer: h.baseURL + "/infer" + q, predict: h.baseURL + "/predict" + q, stats: h.baseURL + "/stats" + q}
+		h.urls[model] = u
+	}
+	return u
 }
 
 // registerMetrics exports the wire-latency and staleness counters merged
@@ -414,7 +443,7 @@ func (h *HTTPReplica) Metrics() *obs.Registry { return h.obsReg }
 // wire round-trip.
 func (h *HTTPReplica) fetchPredict(model string) (ModelPrediction, error) {
 	start := time.Now()
-	resp, err := h.client.Get(h.baseURL + "/predict?model=" + model)
+	resp, err := h.client.Get(h.urlsFor(model).predict)
 	if err != nil {
 		return ModelPrediction{}, err
 	}
@@ -500,45 +529,63 @@ func (h *HTTPReplica) ID() string { return h.id }
 // Platform returns the remote daemon's GPU platform name.
 func (h *HTTPReplica) Platform() string { return h.platform }
 
-// Submit posts one inference request; the ticket resolves when the HTTP
-// response arrives.
+// Submit returns the leg of one inference request without sending it:
+// the ticket's first Wait posts it on the waiting goroutine, so a remote
+// leg costs no goroutine and the waiter's ctx bounds the whole exchange.
+// Callers wait on the ticket right after submitting it.
 func (h *HTTPReplica) Submit(model string) (*Ticket, error) {
-	type outcome struct {
-		res serve.Result
-		err error
+	return &Ticket{replica: h.id, model: model, remote: h}, nil
+}
+
+// statusError is a daemon's non-200 answer to /infer.
+type statusError struct {
+	replica string
+	code    int
+	status  string // "429 Too Many Requests"
+	msg     string // the daemon's error text
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("fleet: %s answered %s: %s", e.replica, e.status, e.msg)
+}
+
+// infer posts one /infer for the model and decodes the reply. When ctx
+// ends first the request is aborted and ctx's error is returned.
+func (h *HTTPReplica) infer(ctx context.Context, model string) (serve.Result, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.urlsFor(model).infer, http.NoBody)
+	if err != nil {
+		return serve.Result{}, err
 	}
-	ch := make(chan outcome, 1)
-	url := h.baseURL + "/infer?model=" + model
-	go func() {
-		resp, err := h.client.Post(url, "application/json", bytes.NewReader(nil))
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			ch <- outcome{err: fmt.Errorf("fleet: %s answered %s", h.id, resp.Status)}
-			return
-		}
-		var res serve.Result
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{res: res}
-	}()
-	return &Ticket{
-		replica: h.id,
-		model:   model,
-		wait: func(ctx context.Context) (serve.Result, error) {
-			select {
-			case o := <-ch:
-				return o.res, o.err
-			case <-ctx.Done():
-				return serve.Result{}, ctx.Err()
-			}
-		},
-	}, nil
+	resp, err := h.client.Do(req)
+	if err != nil {
+		return serve.Result{}, ctxOr(ctx, err)
+	}
+	defer resp.Body.Close()
+	buf := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(buf)
+	b, err := readBody(resp.Body, (*buf)[:0])
+	*buf = b[:0]
+	if err != nil {
+		return serve.Result{}, ctxOr(ctx, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return serve.Result{}, &statusError{replica: h.id, code: resp.StatusCode, status: resp.Status,
+			msg: strings.TrimSpace(string(b))}
+	}
+	res, err := parseResult(b)
+	if err != nil {
+		return serve.Result{}, fmt.Errorf("fleet: %s /infer: %w", h.id, err)
+	}
+	return res, nil
+}
+
+// ctxOr returns ctx's error when ctx has ended — the reason a request
+// failed then — and err otherwise.
+func ctxOr(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return err
 }
 
 // PredictCompletionMS is the daemon's Eq 12 completion estimate read
@@ -572,7 +619,7 @@ type wireHealth struct {
 // failure class: "unreachable: ..." when the network or decode failed,
 // "degraded: ..." when the daemon itself reported no healthy replica.
 func (h *HTTPReplica) Healthy() (bool, []string) {
-	resp, err := h.client.Get(h.baseURL + "/healthz")
+	resp, err := h.client.Get(h.healthzURL)
 	if err != nil {
 		return false, []string{"unreachable: " + err.Error()}
 	}
@@ -591,7 +638,7 @@ func (h *HTTPReplica) Healthy() (bool, []string) {
 // over GET /stats and sums the countable fields into one remote view, so
 // fleet-of-fleets drivers can assert conservation across the wire.
 func (h *HTTPReplica) Stats(model string) (serve.Snapshot, bool) {
-	resp, err := h.client.Get(h.baseURL + "/stats?model=" + model)
+	resp, err := h.client.Get(h.urlsFor(model).stats)
 	if err != nil {
 		return serve.Snapshot{}, false
 	}

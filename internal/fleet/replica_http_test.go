@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -360,5 +361,105 @@ func TestHTTPReplicaMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestHTTPReplicaCancelAbortsPost: a leg's POST runs on the goroutine that
+// waits for it, under that Wait's ctx. Cancelling the ctx while the daemon
+// stalls returns ctx's error at once, the daemon sees its request
+// cancelled, and nothing of the leg outlives it.
+func TestHTTPReplicaCancelAbortsPost(t *testing.T) {
+	entered, aborted := make(chan struct{}), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		select {
+		case <-r.Context().Done():
+			close(aborted)
+		case <-time.After(10 * time.Second): // the test has failed; let Close return
+		}
+	}))
+	defer ts.Close()
+	h := NewHTTPReplicaConfig("r0", "pf0", ts.URL, HTTPReplicaConfig{})
+	defer h.Close(context.Background())
+	baseline := runtime.NumGoroutine()
+
+	tk, err := h.Submit("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-entered
+		cancel()
+	}()
+	if _, err := tk.Wait(ctx); err != context.Canceled {
+		t.Fatalf("Wait = %v, want %v", err, context.Canceled)
+	}
+	select {
+	case <-aborted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the daemon never saw its request cancelled")
+	}
+	h.Close(context.Background())
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled leg, %d before", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestHedgeLegRunsBesideItsPrimary: a hedged request's two legs are on the
+// wire together. Each daemon's /infer answers only once the other's has
+// been entered, so waiting the legs one after the other would stall.
+func TestHedgeLegRunsBesideItsPrimary(t *testing.T) {
+	entered := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	fl := New(NewRegistry(), Config{Hedge: true})
+	d, err := NewDeployment("m", satisfaction.VideoSurveillance(30), map[string]serve.Executor{"pf0": &stormExec{predMS: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Registry().Register(d); err != nil {
+		t.Fatal(err)
+	}
+	for i := range entered {
+		mine, other := entered[i], entered[1-i]
+		mux := http.NewServeMux()
+		mux.HandleFunc("/predict", func(w http.ResponseWriter, _ *http.Request) {
+			// Far past the 33 ms deadline: every request hedges.
+			_ = json.NewEncoder(w).Encode(ModelPrediction{Model: "m", Prediction: serve.Prediction{PredictMS: 1e6, CapacityRPS: 100}})
+		})
+		mux.HandleFunc("/infer", func(w http.ResponseWriter, _ *http.Request) {
+			close(mine)
+			select {
+			case <-other:
+			case <-time.After(5 * time.Second):
+				http.Error(w, "the other leg never arrived", http.StatusInternalServerError)
+				return
+			}
+			b, _ := appendResult(nil, serve.Result{ID: uint64(i), Batch: 1, ExecMS: 1, ResponseMS: float64(10 + i)})
+			_, _ = w.Write(b)
+		})
+		ts := httptest.NewServer(mux)
+		defer ts.Close()
+		h := NewHTTPReplicaConfig(fmt.Sprintf("d%d", i), "pf0", ts.URL, HTTPReplicaConfig{})
+		defer h.Close(context.Background())
+		if err := fl.AddReplica(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ff, err := fl.Submit("m", "client-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ff.Legs()) != 2 {
+		t.Fatalf("%d legs, want a hedged pair", len(ff.Legs()))
+	}
+	res, winner, err := ff.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if winner != "d0" || res.ResponseMS != 10 {
+		t.Errorf("winner %s with %v ms, want d0 with the faster 10 ms", winner, res.ResponseMS)
 	}
 }

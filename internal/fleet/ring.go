@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -91,53 +91,67 @@ func (r *Ring) Size() int { return len(r.ids) }
 // Owner returns the replica owning a key: the first vnode clockwise from
 // the key's hash. Empty ring returns "".
 func (r *Ring) Owner(key string) string {
-	order := r.walk(key, 1)
-	if len(order) == 0 {
+	if len(r.hashes) == 0 {
 		return ""
 	}
-	return order[0]
+	return r.ids[r.owner[r.search(hash64(key))]]
 }
 
-// Order returns up to n distinct replica IDs in ring-walk order from the
-// key's position: the owner first, then each successive fallback. n ≤ 0
-// returns every replica. The walk order is what gives routing its
-// stability — a key's fallback set does not reshuffle when an unrelated
-// replica joins.
-func (r *Ring) Order(key string, n int) []string {
-	return r.walk(key, n)
+// search returns the index of the first vnode clockwise from position h.
+func (r *Ring) search(h uint64) int {
+	i, _ := slices.BinarySearch(r.hashes, h)
+	return i % len(r.hashes)
 }
 
-func (r *Ring) walk(key string, n int) []string {
+// walk appends every replica to dst once, as an index into the entries
+// the ring was built from, in ring-walk order from position h: the owner
+// first, then each successive fallback. The walk order is what gives
+// routing its stability — a key's fallback order does not reshuffle when
+// an unrelated replica joins.
+func (r *Ring) walk(h uint64, dst []int) []int {
 	if len(r.hashes) == 0 {
-		return nil
+		return dst
 	}
-	if n <= 0 || n > len(r.ids) {
-		n = len(r.ids)
+	var small [1]uint64
+	seen := small[:]
+	if len(r.ids) > 64 {
+		seen = make([]uint64, (len(r.ids)+63)/64)
 	}
-	h := hash64(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	seen := make(map[int]bool, n)
-	order := make([]string, 0, n)
-	for i := 0; i < len(r.hashes) && len(order) < n; i++ {
-		o := r.owner[(start+i)%len(r.hashes)]
-		if !seen[o] {
-			seen[o] = true
-			order = append(order, r.ids[o])
+	found := 0
+	for i, v := r.search(h), 0; v < len(r.hashes) && found < len(r.ids); v++ {
+		o := r.owner[i]
+		if seen[o/64]&(1<<(o%64)) == 0 {
+			seen[o/64] |= 1 << (o % 64)
+			dst = append(dst, o)
+			found++
+		}
+		if i++; i == len(r.hashes) {
+			i = 0
 		}
 	}
-	return order
+	return dst
 }
 
-// hash64 is FNV-1a over the string pushed through a splitmix64 finalizer.
-// FNV alone clusters near-identical strings (vnode names differ only in a
-// numeric suffix), which visibly skews ring ownership; the finalizer
-// restores avalanche. Both stages are fixed arithmetic — stable across
-// processes and Go versions, which keeps routing (and the committed soak)
-// reproducible.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the running FNV-1a state h, so a key made of
+// several strings hashes as their concatenation would.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer. FNV alone clusters near-identical
+// strings (vnode names differ only in a numeric suffix), which visibly
+// skews ring ownership; the finalizer restores avalanche.
+func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -145,3 +159,9 @@ func hash64(s string) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// hash64 is FNV-1a over the string pushed through the splitmix64
+// finalizer. Both stages are fixed arithmetic — stable across processes
+// and Go versions, which keeps routing (and the committed soak)
+// reproducible.
+func hash64(s string) uint64 { return mix64(fnv1a(fnvOffset64, s)) }

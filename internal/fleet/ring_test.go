@@ -2,9 +2,20 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
+
+// order is the ring walk from key's position as replica IDs: the owner,
+// then each successive fallback.
+func order(r *Ring, key string) []string {
+	var ids []string
+	for _, o := range r.walk(hash64(key), nil) {
+		ids = append(ids, r.ids[o])
+	}
+	return ids
+}
 
 // ringKeys generates n routing keys shaped like real ones (model|client).
 func ringKeys(n int) []string {
@@ -99,34 +110,60 @@ func TestRingLeaveMovesOnlyOrphans(t *testing.T) {
 	}
 }
 
-func TestRingOrderDistinctAndPrefixed(t *testing.T) {
-	r := NewRing([]RingEntry{
+// TestRingOrderDistinct: a walk lists every replica once, owner first —
+// on a small ring and on one wider than a bitset word.
+func TestRingOrderDistinct(t *testing.T) {
+	small := NewRing([]RingEntry{
 		{ID: "a", Weight: 300}, {ID: "b", Weight: 200}, {ID: "c", Weight: 100},
 	})
-	for _, k := range ringKeys(200) {
-		full := r.Order(k, 0)
-		if len(full) != 3 {
-			t.Fatalf("Order(%s, 0) = %v; want all 3 replicas", k, full)
-		}
-		seen := map[string]bool{}
-		for _, id := range full {
-			if seen[id] {
-				t.Fatalf("Order(%s, 0) repeats %s: %v", k, id, full)
+	var entries []RingEntry
+	for i := 0; i < 70; i++ {
+		entries = append(entries, RingEntry{ID: fmt.Sprintf("r%d", i), Weight: float64(1 + i%3)})
+	}
+	for _, r := range []*Ring{small, NewRing(entries)} {
+		for _, k := range ringKeys(200) {
+			full := order(r, k)
+			if len(full) != r.Size() {
+				t.Fatalf("order(%s) = %v; want all %d replicas", k, full, r.Size())
 			}
-			seen[id] = true
+			seen := map[string]bool{}
+			for _, id := range full {
+				if seen[id] {
+					t.Fatalf("order(%s) repeats %s: %v", k, id, full)
+				}
+				seen[id] = true
+			}
+			if full[0] != r.Owner(k) {
+				t.Fatalf("order(%s)[0] = %s but Owner = %s", k, full[0], r.Owner(k))
+			}
 		}
-		if full[0] != r.Owner(k) {
-			t.Fatalf("Order(%s)[0] = %s but Owner = %s", k, full[0], r.Owner(k))
+	}
+}
+
+// TestHash64MatchesFNV pins the routing hash to hash/fnv's FNV-1a plus
+// the splitmix64 finalizer — the committed soak's routing depends on
+// every bit — and the streamed form Fleet.candidates hashes a key with to
+// the hash of the concatenated string.
+func TestHash64MatchesFNV(t *testing.T) {
+	for _, parts := range [][3]string{
+		{"", "", ""}, {"AlexNet", "|", "client-7"}, {"VGGNet", "|", ""},
+		{"a", "#", "159"}, {"\xff\x00", "|", "日本"},
+	} {
+		s := parts[0] + parts[1] + parts[2]
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := hash64(s), mix64(h.Sum64()); got != want {
+			t.Errorf("hash64(%q) = %#x, want %#x", s, got, want)
 		}
-		two := r.Order(k, 2)
-		if len(two) != 2 || two[0] != full[0] || two[1] != full[1] {
-			t.Fatalf("Order(%s, 2) = %v not a prefix of %v", k, two, full)
+		streamed := mix64(fnv1a(fnv1a(fnv1a(fnvOffset64, parts[0]), parts[1]), parts[2]))
+		if streamed != hash64(s) {
+			t.Errorf("streamed hash of %q = %#x, want %#x", parts, streamed, hash64(s))
 		}
 	}
 }
 
 // TestRingFallbackOrderStableUnderJoin pins the routing-stability
-// property Order's doc comment promises: when an unrelated replica joins,
+// property walk's doc comment promises: when an unrelated replica joins,
 // a key's fallback sequence over the old replicas keeps its relative
 // order — the joiner only splices in.
 func TestRingFallbackOrderStableUnderJoin(t *testing.T) {
@@ -137,9 +174,9 @@ func TestRingFallbackOrderStableUnderJoin(t *testing.T) {
 	before := NewRing(entries)
 	after := NewRing(append(append([]RingEntry(nil), entries...), RingEntry{ID: "e", Weight: 100}))
 	for _, k := range ringKeys(2000) {
-		want := before.Order(k, 0)
+		want := order(before, k)
 		got := make([]string, 0, len(want))
-		for _, id := range after.Order(k, 0) {
+		for _, id := range order(after, k) {
 			if id != "e" {
 				got = append(got, id)
 			}
@@ -152,7 +189,7 @@ func TestRingFallbackOrderStableUnderJoin(t *testing.T) {
 
 func TestRingEdgeCases(t *testing.T) {
 	empty := NewRing(nil)
-	if empty.Owner("k") != "" || empty.Order("k", 3) != nil || empty.Size() != 0 {
+	if empty.Owner("k") != "" || order(empty, "k") != nil || empty.Size() != 0 {
 		t.Error("empty ring should answer no owners")
 	}
 	// Non-positive weights take the mean: a failed capacity probe must not

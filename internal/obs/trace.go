@@ -31,15 +31,21 @@ type Trace struct {
 	last time.Time
 }
 
+// traceStages is how many marks a serving request's trace takes: submit,
+// coalesce, escalate, execute, resolve.
+const traceStages = 5
+
 // NewTrace starts a trace at clock's current instant; every Mark reads the
 // same clock, so a server on an injected (virtual) clock records spans in
-// that clock's time. A nil clock means time.Now.
-func NewTrace(id uint64, clock func() time.Time) *Trace {
+// that clock's time. A nil clock means time.Now. The trace is a value so
+// that its owner can hold it inline; room for a serving request's stages
+// is allocated up front.
+func NewTrace(id uint64, clock func() time.Time) Trace {
 	if clock == nil {
 		clock = time.Now
 	}
 	now := clock()
-	return &Trace{ID: id, Start: now, now: clock, last: now}
+	return Trace{ID: id, Start: now, Stages: make([]Stage, 0, traceStages), now: clock, last: now}
 }
 
 // Mark closes the current stage: it appends a Stage whose duration is the

@@ -388,7 +388,7 @@ func (s *Server) runBatch(job *batchJob) {
 // part of the promise, so it overlaps with the waiter waking up.
 func (s *Server) resolve(job *batchJob, demoted bool, outs []Result, err error) {
 	for _, r := range job.reqs {
-		tr := r.tr
+		tr := &r.tr
 		if len(tr.Stages) > 0 && tr.Stages[len(tr.Stages)-1].Name != "execute" {
 			tr.Mark("execute") // failed batches still close the execute stage
 		}
@@ -404,7 +404,7 @@ func (s *Server) resolve(job *batchJob, demoted bool, outs []Result, err error) 
 			o.res = outs[i]
 		}
 		r.fut.ch <- o
-		s.met.observeStages(r.tr)
-		s.traces.Add(r.tr)
+		s.met.observeStages(&r.tr)
+		s.traces.Add(&r.tr)
 	}
 }

@@ -215,15 +215,17 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-// request is one queued unit of work. tr travels with the request through
-// the pipeline; each stage marks it, and the worker parks it in the trace
-// ring at resolution.
+// request is one queued unit of work, holding its future and trace inline
+// so that admitting it is one allocation besides the future's channel and
+// the trace's stages. tr travels with the request through the pipeline;
+// each stage marks it, and the worker parks a copy in the trace ring at
+// resolution.
 type request struct {
 	id    uint64
 	at    time.Time
 	input *tensor.Tensor // optional C×H×W sample for executable pipelines
-	fut   *Future
-	tr    *obs.Trace
+	fut   Future
+	tr    obs.Trace
 }
 
 // batchJob is one flushed batch on its way to the worker pool.
@@ -394,7 +396,7 @@ func (s *Server) SubmitInput(input *tensor.Tensor) (*Future, error) {
 		id:    id,
 		at:    s.stamp(),
 		input: input,
-		fut:   &Future{ch: make(chan outcome, 1)},
+		fut:   Future{ch: make(chan outcome, 1)},
 		tr:    obs.NewTrace(id, s.cfg.Clock),
 	}
 	s.mu.RLock()
@@ -425,7 +427,7 @@ func (s *Server) SubmitInput(input *tensor.Tensor) (*Future, error) {
 	s.st.submittedInc()
 	select {
 	case s.submitCh <- r:
-		return r.fut, nil
+		return &r.fut, nil
 	default:
 		s.st.submitRejectedFull()
 		return nil, ErrQueueFull
