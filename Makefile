@@ -52,8 +52,8 @@ race:
 	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/serve/ ./internal/obs/ \
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
 		./internal/fleet/e2e/ ./internal/simdrive/
-	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestSoakGolden'
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
+		-run 'TestMatrixSameSeedByteIdentical|TestSoakGolden|TestTrainingGolden'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
 

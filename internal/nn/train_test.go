@@ -1,12 +1,22 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pcnn/internal/tensor"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/train.golden from the current training path")
 
 // tinyNet is a minimal conv classifier for fast training tests.
 func tinyNet(rng *rand.Rand) *Sequential {
@@ -238,5 +248,75 @@ func TestZeroGradClearsAll(t *testing.T) {
 				t.Fatalf("%s grad[%d] = %v after ZeroGrad", p.Name, i, v)
 			}
 		}
+	}
+}
+
+// trainingRecord trains each scaled network for two epochs (batch 16) over
+// one seeded 32-sample set and prints, per epoch, the mean loss and an
+// FNV-64a over every parameter's float32 bits, both as exact bit patterns.
+// Its first line names the build: the bits are the default engine's, whose
+// rounding is fixed per ISA (tensor.DefaultTile).
+func trainingRecord() []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "# %s %+v\n", runtime.GOARCH, tensor.DefaultTile)
+	for i, build := range []func(*rand.Rand) *Sequential{AlexNetS, VGGS, GoogLeNetS} {
+		net := build(rand.New(rand.NewSource(int64(70 + i))))
+		rng := rand.New(rand.NewSource(80))
+		x := tensor.New(32, 3, ScaledInputSize, ScaledInputSize)
+		for j := range x.Data {
+			x.Data[j] = rng.Float32()
+		}
+		labels := make([]int, 32)
+		for j := range labels {
+			labels[j] = j % ScaledClasses
+		}
+		data := &Dataset{X: x, Labels: labels}
+		opt := NewSGD(0.05, 0.9)
+		for e := 1; e <= 2; e++ {
+			loss := TrainEpoch(net, data, 16, opt)
+			h := fnv.New64a()
+			var word [4]byte
+			for _, p := range net.Params() {
+				for _, v := range p.W.Data {
+					binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+					h.Write(word[:])
+				}
+			}
+			fmt.Fprintf(&b, "%s epoch %d loss %016x (%.6f) params %016x\n",
+				net.Name(), e, math.Float64bits(loss), loss, h.Sum64())
+		}
+	}
+	return b.Bytes()
+}
+
+// TestTrainingGolden pins training to the bit: every accuracy, entropy and
+// tuning number the experiments report comes from a network trained this
+// way, so a rewrite of any layer's forward or backward must leave these
+// losses and weights unchanged. -update rewrites testdata/train.golden and
+// is for a deliberate re-rounding only. A build whose default engine
+// rounds differently (another ISA's tile) skips.
+func TestTrainingGolden(t *testing.T) {
+	got := trainingRecord()
+	path := filepath.Join("testdata", "train.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	build, _, _ := bytes.Cut(got, []byte("\n"))
+	if wantBuild, _, _ := bytes.Cut(want, []byte("\n")); !bytes.Equal(build, wantBuild) {
+		t.Skipf("golden recorded on %q, this build is %q", wantBuild, build)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("training drifted from %s.\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
