@@ -74,7 +74,7 @@ func newFleet(o *options) (*pcnn.Fleet, error) {
 	fl := pcnn.NewFleet(reg, pcnn.FleetConfig{Policy: policy, Hedge: o.hedge})
 	for i := 0; i < nodes; i++ {
 		node := pcnn.NewFleetNode(fmt.Sprintf("replica-%d", i), platforms[i%len(platforms)],
-			reg, pcnn.FleetNodeConfig{Serve: cfg, Faults: cfg.Faults})
+			reg, pcnn.FleetNodeConfig{Serve: cfg})
 		if err := fl.AddReplica(node); err != nil {
 			return nil, err
 		}

@@ -269,7 +269,7 @@ func TestInferShedIs429(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, _ := testFleet(t, "m", satisfaction.ImageTagging(), []*stormExec{{predMS: 1}},
-		nodeCfg(NodeConfig{Faults: saturated}), Config{Clock: clk.Now})
+		nodeCfg(NodeConfig{Serve: serve.Config{Faults: saturated}}), Config{Clock: clk.Now})
 	defer full.Close(context.Background())
 	if _, err := full.Submit("m", "c"); !errors.Is(err, serve.ErrQueueFull) {
 		t.Errorf("Submit = %v, want it to wrap ErrQueueFull", err)
@@ -311,6 +311,28 @@ func TestInferShedIs429(t *testing.T) {
 			t.Errorf("%s: POST %s answered %d (%s), want %d", tc.name, tc.path, code, strings.TrimSpace(body), tc.want)
 		}
 		ts.Close()
+	}
+}
+
+// TestNodeServesTemplateFaults: a node's servers run under the injector of
+// its serve.Config template — the only place a node takes one — so a node
+// built with Serve.Faults at sat=1 sheds every /infer as 429, and the
+// template's injector is the one that fired.
+func TestNodeServesTemplateFaults(t *testing.T) {
+	inj, err := fault.New(fault.Spec{Saturate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, _ := testFleet(t, "m", satisfaction.ImageTagging(), []*stormExec{{predMS: 1}},
+		func(int) NodeConfig { return NodeConfig{Serve: serve.Config{Faults: inj}} }, Config{})
+	defer fl.Close(context.Background())
+	ts := httptest.NewServer(Handler(fl))
+	defer ts.Close()
+	if code, body := do(t, http.MethodPost, ts.URL+"/infer?model=m"); code != http.StatusTooManyRequests {
+		t.Errorf("POST /infer answered %d (%s), want 429", code, strings.TrimSpace(body))
+	}
+	if n := inj.Count(fault.KindSaturate); n == 0 {
+		t.Error("the template's injector never fired")
 	}
 }
 

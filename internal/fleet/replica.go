@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"pcnn/internal/fault"
 	"pcnn/internal/obs"
 	"pcnn/internal/serve"
 )
@@ -98,10 +97,9 @@ type NodeConfig struct {
 	// Serve is the per-model server template. MaxBatch 0 uses each model's
 	// compiled batch; Seed is folded with the node/model/version identity
 	// so every server draws an independent deterministic jitter stream.
+	// Its Faults injector, if any, is shared by every server the node
+	// builds.
 	Serve serve.Config
-	// Faults optionally attaches one chaos injector to every server the
-	// node builds (breaker-storm tests aim it at a single node).
-	Faults *fault.Injector
 }
 
 // modelServer is one model's current in-process server and the registry
@@ -165,7 +163,6 @@ func (n *Node) Server(model string) (*serve.Server, int, error) {
 	}
 	cfg := n.cfg.Serve
 	cfg.Seed = int64(hash64(n.id+"|"+model+"|v"+strconv.Itoa(d.Version)+"|"+strconv.FormatInt(cfg.Seed, 10)) % (1 << 31))
-	cfg.Faults = n.cfg.Faults
 	srv, err := serve.NewServer(ex, d.Task, cfg)
 	if err != nil {
 		return nil, 0, err

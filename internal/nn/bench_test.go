@@ -187,6 +187,16 @@ func BenchmarkAlexNetSInference(b *testing.B) {
 // BenchmarkTrainEpoch measures one SGD epoch on a small batch — the cost
 // unit of the accuracy lab.
 func BenchmarkTrainEpoch(b *testing.B) {
+	net, data, opt := trainEpochFixture()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TrainEpoch(net, data, 16, opt)
+	}
+}
+
+// trainEpochFixture is AlexNet-S with a seeded 32-sample set and its
+// optimizer: one TrainEpoch at batch 16 is two training steps.
+func trainEpochFixture() (*Sequential, *Dataset, *SGD) {
 	rng := rand.New(rand.NewSource(1))
 	net := AlexNetS(rng)
 	n := 32
@@ -198,10 +208,5 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	for i := range labels {
 		labels[i] = i % ScaledClasses
 	}
-	data := &Dataset{X: x, Labels: labels}
-	opt := NewSGD(0.01, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TrainEpoch(net, data, 16, opt)
-	}
+	return net, &Dataset{X: x, Labels: labels}, NewSGD(0.01, 0.9)
 }

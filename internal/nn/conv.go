@@ -35,15 +35,14 @@ type Conv struct {
 
 	masks sync.Map // Keep → *perforate.Mask, see maskFor
 
-	// Backward caches (training always runs unperforated).
-	lastCols  []*tensor.Tensor
-	lastInput *tensor.Tensor
+	lastInput *tensor.Tensor // the training forward's input, for Backward
 
-	// Reused gradient buffers: conv backward runs every training step with
-	// fixed geometry, so dW (outC × fanIn) and dcols (fanIn × ho·wo) are
-	// allocated once instead of per step.
-	dW    *tensor.Tensor
-	dcols *tensor.Tensor
+	// Reused backward buffers: conv backward runs every training step with
+	// fixed geometry, so dW (outC × fanIn) and cols (fanIn × ho·wo: one
+	// sample's column matrix, then its gradient) are allocated once instead
+	// of per step.
+	dW   *tensor.Tensor
+	cols *tensor.Tensor
 }
 
 // conv1x1Fast gates the 1×1 stride-1 unpadded fast path (see pointwise);
@@ -140,44 +139,15 @@ func (c *Conv) maskFor(k Keep) *perforate.Mask {
 // always forms a chunk of its own.
 const foldBudget = 1 << 19
 
-// Forward implements Layer.
+// Forward implements Layer. A training forward is infer on the full grid —
+// never the layer's own SetPerforation mask — on the layer's engine, and
+// keeps x for Backward.
 func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		return forwardAlone(c, x, &c.own)
+	o := &c.own
+	if train {
+		o, c.lastInput = nil, x
 	}
-	c.checkInput(x.Dim(1), x.Dim(2), x.Dim(3))
-	n := x.Dim(0)
-	ho, wo := c.OutDims()
-	out := tensor.New(n, c.outC, ho, wo)
-	c.lastCols = make([]*tensor.Tensor, n)
-	c.lastInput = x
-
-	planeIn := c.inC * c.inH * c.inW
-	planeOut := ho * wo
-	fanIn := c.inC * c.k * c.k
-	eng := c.engine()
-	// Training lowers one sample at a time — each sample's column matrix
-	// is cached for Backward — and always unperforated. A 1×1 stride-1
-	// unpadded convolution's column matrix IS the input plane (fanIn = inC
-	// rows of ho·wo values, in row-major order); Backward only reads
-	// lastCols, so that path caches the input-aliasing view without
-	// copying.
-	res, releaseRes := tensor.NewScratch(c.outC, planeOut)
-	defer releaseRes()
-	for i := 0; i < n; i++ {
-		xi := x.Data[i*planeIn : (i+1)*planeIn]
-		var cols *tensor.Tensor
-		if c.pointwise() {
-			cols = tensor.FromSlice(xi, fanIn, planeOut)
-		} else {
-			cols = tensor.New(fanIn, planeOut)
-			im2colInto(cols.Data, planeOut, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
-		}
-		c.lastCols[i] = cols
-		eng.MatMulInto(res, c.weight.W, cols) // outC × planeOut
-		c.addBias(out.Data[i*c.outC*planeOut:(i+1)*c.outC*planeOut], res.Data, planeOut, 0, planeOut)
-	}
-	return out
+	return forwardAlone(c, x, o)
 }
 
 func (c *Conv) checkInput(ch, h, w int) {
@@ -272,9 +242,14 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 	return out
 }
 
-// Backward implements Layer. Training always runs unperforated.
+// Backward implements Layer, one sample at a time: each sample's column
+// matrix is rebuilt from the kept input into one reused buffer. A 1×1
+// stride-1 unpadded convolution's column matrix IS the input plane (fanIn =
+// inC rows of ho·wo values, in row-major order), so that path reads an
+// input-aliasing view instead.
 func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastCols == nil {
+	x := c.lastInput
+	if x == nil {
 		panic(fmt.Sprintf("nn: conv %s: Backward without training Forward", c.name))
 	}
 	n := grad.Dim(0)
@@ -284,14 +259,21 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	fanIn := c.inC * c.k * c.k
 	if c.dW == nil {
 		c.dW = tensor.New(c.outC, fanIn)
-		c.dcols = tensor.New(fanIn, planeOut)
+		c.cols = tensor.New(fanIn, planeOut)
 	}
 	eng := c.engine()
 	dx := tensor.New(n, c.inC, c.inH, c.inW)
 	for i := 0; i < n; i++ {
+		xi := x.Data[i*planeIn : (i+1)*planeIn]
+		cols := c.cols
+		if c.pointwise() {
+			cols = tensor.FromSlice(xi, fanIn, planeOut)
+		} else {
+			im2colInto(cols.Data, planeOut, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
+		}
 		gi := tensor.FromSlice(grad.Data[i*c.outC*planeOut:(i+1)*c.outC*planeOut], c.outC, planeOut)
 		// cols is (inC·k·k) × planeOut, so dW = g(outC×planeOut) · colsᵀ.
-		eng.MatMulTransBInto(c.dW, gi, c.lastCols[i])
+		eng.MatMulTransBInto(c.dW, gi, cols)
 		c.weight.G.Add(c.dW)
 		// db += row sums of g
 		for f := 0; f < c.outC; f++ {
@@ -302,13 +284,13 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			c.bias.G.Data[f] += s
 		}
-		// dcols = Wᵀ · g
-		eng.MatMulTransAInto(c.dcols, c.weight.W, gi)
-		col2im(dx.Data[i*planeIn:(i+1)*planeIn], c.dcols, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
+		// dcols = Wᵀ · g, into the column buffer dW is done reading.
+		eng.MatMulTransAInto(c.cols, c.weight.W, gi)
+		col2im(dx.Data[i*planeIn:(i+1)*planeIn], c.cols, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
 	}
 	// Backward consumes the forward cache: a trained network that goes on
-	// to serve must not pin its last batch's column matrices (megabytes
-	// per layer) for the rest of its life.
-	c.lastCols, c.lastInput = nil, nil
+	// to serve must not pin its last training batch for the rest of its
+	// life.
+	c.lastInput = nil
 	return dx
 }

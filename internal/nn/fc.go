@@ -18,8 +18,7 @@ type FC struct {
 
 	eng *tensor.Engine // nil = package default
 
-	lastInput *tensor.Tensor // flattened N×in view
-	lastShape []int
+	lastInput *tensor.Tensor // the training forward's input, for Backward
 
 	dW *tensor.Tensor // reused out×in gradient buffer
 }
@@ -53,15 +52,13 @@ func (f *FC) Params() []*Param { return []*Param{f.weight, f.bias} }
 // Shape returns the layer geometry for the analytical models.
 func (f *FC) Shape() FCShape { return FCShape{Name: f.name, In: f.in, Out: f.out} }
 
-// Forward implements Layer.
+// Forward implements Layer. A training forward is infer, keeping x for
+// Backward.
 func (f *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		return forwardAlone(f, x, nil)
+	if train {
+		f.lastInput = x
 	}
-	out := forwardAlone(f, x, nil) // checks the feature count
-	f.lastInput = x.Reshape(x.Dim(0), f.in)
-	f.lastShape = x.Shape()
-	return out
+	return forwardAlone(f, x, nil)
 }
 
 // infer implements Layer: out = flat · Wᵀ + b, one row per sample — one
@@ -83,7 +80,8 @@ func (f *FC) infer(x act, ctx inferCtx) act {
 
 // Backward implements Layer.
 func (f *FC) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if f.lastInput == nil {
+	x := f.lastInput
+	if x == nil {
 		panic(fmt.Sprintf("nn: fc %s: Backward without training Forward", f.name))
 	}
 	n := grad.Dim(0)
@@ -93,7 +91,7 @@ func (f *FC) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.dW == nil {
 		f.dW = tensor.New(f.out, f.in)
 	}
-	eng.MatMulTransAInto(f.dW, g, f.lastInput)
+	eng.MatMulTransAInto(f.dW, g, tensor.FromSlice(x.Data, n, f.in))
 	f.weight.G.Add(f.dW)
 	for i := 0; i < n; i++ {
 		row := g.Data[i*f.out : (i+1)*f.out]
@@ -104,5 +102,5 @@ func (f *FC) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// dx = g · W  (n × in)
 	dx := eng.MatMul(g, f.weight.W)
 	f.lastInput = nil // consumed; see Conv.Backward
-	return dx.Reshape(f.lastShape...)
+	return dx.Reshape(x.Shape()...)
 }

@@ -10,7 +10,8 @@ import "pcnn/internal/tensor"
 // width when dst is one image's column block of a batch-wide matrix. The
 // block is fully overwritten, so callers may hand it pooled scratch
 // (tensor.GetScratch). All ho·wo positions are lowered, in row-major
-// order — for training; inference lowers inside tensor.MatMulIm2colInto.
+// order — for Conv.Backward only; every forward, training's included,
+// lowers inside tensor.MatMulIm2colInto.
 func im2colInto(dst []float32, ld int, x []float32, c, h, w, k, stride, pad int, ho, wo int) {
 	nPos := ho * wo
 	row := 0

@@ -128,9 +128,9 @@ func inferChain(layers []Layer, x act, ctx inferCtx) act {
 	return x
 }
 
-// forwardAlone is Layer.Forward(x, false) for one layer on its own: the
-// layer's own options o (nil for every layer but Conv), a freshly allocated
-// output the caller keeps.
+// forwardAlone is Layer.Forward for one layer on its own: the options o
+// (a Conv's own under Forward(x, false), nil otherwise), a freshly
+// allocated output the caller keeps.
 func forwardAlone(l Layer, x *tensor.Tensor, o *ForwardOpts) *tensor.Tensor {
 	y := l.infer(actOf(x), inferCtx{opts: o})
 	return tensor.FromSlice(y.data, y.n, y.c, y.h, y.w)

@@ -19,10 +19,11 @@ type Param struct {
 type Layer interface {
 	// Name identifies the layer in plans and tuning tables.
 	Name() string
-	// Forward computes the layer output. When train is true, the layer
-	// caches whatever it needs for Backward; when false it is infer for
-	// this layer alone, into a fresh output — a Conv under its own
-	// SetPerforation/SetEngine options, the lone-layer form of ForwardOpts.
+	// Forward is infer for this layer alone, into a fresh output. With
+	// train false a Conv runs under its own SetPerforation/SetEngine
+	// options, the lone-layer form of ForwardOpts; with train true it
+	// computes the full grid, and a leaf layer keeps x, all its Backward
+	// needs.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// infer is the one inference implementation: a pure function of the
 	// layer's weights, x and the call's options that writes no layer field

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -294,19 +295,56 @@ func TestConvPerforationZeroIsFull(t *testing.T) {
 	}
 }
 
-func TestTrainingIgnoresPerforation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestTrainForwardIsInfer: a training forward is the inference forward.
+// Every leaf layer of the three scaled networks, inside Inception branches
+// too, gives the same bits from Forward(x, true) and Forward(x, false) at
+// batch 1, 7 and 32, on the input the network hands it. A lone Conv trains
+// on the full grid whatever its own SetPerforation says.
+func TestTrainForwardIsInfer(t *testing.T) {
+	same := func(what string, a, b *tensor.Tensor) {
+		t.Helper()
+		if len(a.Data) != len(b.Data) {
+			t.Fatalf("%s: training output has %d elements, inference %d", what, len(a.Data), len(b.Data))
+		}
+		for i := range a.Data {
+			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+				t.Fatalf("%s: elem %d: training %g, inference %g", what, i, a.Data[i], b.Data[i])
+			}
+		}
+	}
+	var walk func(net string, layers []Layer, x *tensor.Tensor)
+	walk = func(net string, layers []Layer, x *tensor.Tensor) {
+		for _, l := range layers {
+			if inc, ok := l.(*Inception); ok {
+				for _, b := range inc.Branches {
+					walk(net, b.Layers, x)
+				}
+			} else {
+				same(fmt.Sprintf("%s %s batch %d", net, l.Name(), x.Dim(0)), l.Forward(x, true), l.Forward(x, false))
+			}
+			x = l.Forward(x, false)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, net := range []*Sequential{AlexNetS(rng), VGGS(rng), GoogLeNetS(rng)} {
+		for _, n := range []int{1, 7, 32} {
+			x := tensor.New(n, 3, ScaledInputSize, ScaledInputSize)
+			for i := range x.Data {
+				x.Data[i] = rng.Float32()*2 - 1
+			}
+			walk(net.Name(), net.Layers, x)
+		}
+	}
+
 	conv := NewConv("c", 2, 8, 8, 3, 3, 1, 1, rng)
 	x := tensor.New(1, 2, 8, 8)
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()
 	}
-	full := conv.Forward(x, false)
 	conv.SetPerforation(2, 2)
-	trainOut := conv.Forward(x, true)
-	if !tensor.AllClose(full, trainOut, 0) {
-		t.Fatalf("training forward applied perforation")
-	}
+	train := conv.Forward(x, true)
+	conv.SetPerforation(0, 0)
+	same("lone conv under SetPerforation(2, 2)", train, conv.Forward(x, false))
 }
 
 // TestReLUInferenceMatchesBranch pins the branch-free inference ReLU to

@@ -13,8 +13,7 @@ type MaxPool struct {
 	size   int
 	stride int
 
-	lastArgmax []int // flat input index chosen per output element
-	lastShape  []int // input shape for Backward
+	lastInput *tensor.Tensor // the training forward's input, for Backward
 }
 
 // NewMaxPool creates a max-pooling layer with a square window.
@@ -45,8 +44,8 @@ func (p *MaxPool) outDims(h, w int) (ho, wo int) {
 // input row folded into the output row at a time. The builtin max keeps
 // the loop free of the data-dependent branch that, on activations of
 // random sign, mispredicts every other element (2.2× on AlexNet-S POOL1);
-// unlike the training loop's `v > best` it propagates a NaN in the window
-// instead of skipping it.
+// unlike Backward's argmax scan (`v > best`) it propagates a NaN in the
+// window instead of skipping it.
 func (p *MaxPool) infer(x act, ctx inferCtx) act {
 	ho, wo := p.outDims(x.h, x.w)
 	out := ctx.alloc(x.n, x.c, ho, wo)
@@ -72,61 +71,53 @@ func (p *MaxPool) infer(x act, ctx inferCtx) act {
 	return out
 }
 
-// Forward implements Layer.
+// Forward implements Layer. A training forward is infer, keeping x for
+// Backward.
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		return forwardAlone(p, x, nil)
+	if train {
+		p.lastInput = x
 	}
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	return forwardAlone(p, x, nil)
+}
+
+// Backward implements Layer: the gradient routes to each window's argmax
+// in the kept input — the first element strictly greater than every one
+// before it in (ky, kx) scan order, so a tie goes to the earliest.
+func (p *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	x := p.lastInput
+	if x == nil {
+		panic(fmt.Sprintf("nn: pool %s: Backward without training Forward", p.name))
+	}
+	h, w := x.Dim(2), x.Dim(3)
 	ho, wo := p.outDims(h, w)
-	out := tensor.New(n, c, ho, wo)
-	p.lastArgmax = make([]int, out.Len())
-	p.lastShape = x.Shape()
-	for i := 0; i < n; i++ {
-		for ci := 0; ci < c; ci++ {
-			in := x.Data[(i*c+ci)*h*w : (i*c+ci+1)*h*w]
-			base := (i*c + ci) * ho * wo
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for ky := 0; ky < p.size; ky++ {
-						for kx := 0; kx < p.size; kx++ {
-							iy := oy*p.stride + ky
-							ix := ox*p.stride + kx
-							if v := in[iy*w+ix]; v > best {
-								best = v
-								bestIdx = iy*w + ix
-							}
+	dx := tensor.New(x.Shape()...)
+	for pl := 0; pl < x.Dim(0)*x.Dim(1); pl++ {
+		in := x.Data[pl*h*w:][:h*w]
+		g := grad.Data[pl*ho*wo:][:ho*wo]
+		d := dx.Data[pl*h*w:][:h*w]
+		for oy := 0; oy < ho; oy++ {
+			for ox := 0; ox < wo; ox++ {
+				at := oy*p.stride*w + ox*p.stride // the window's top-left
+				best, arg := float32(math.Inf(-1)), at
+				for ky := 0; ky < p.size; ky++ {
+					for kx := 0; kx < p.size; kx++ {
+						if v := in[at+ky*w+kx]; v > best {
+							best, arg = v, at+ky*w+kx
 						}
 					}
-					o := base + oy*wo + ox
-					out.Data[o] = best
-					p.lastArgmax[o] = (i*c+ci)*h*w + bestIdx
 				}
+				d[arg] += g[oy*wo+ox]
 			}
 		}
 	}
-	return out
-}
-
-// Backward implements Layer: the gradient routes to each window's argmax.
-func (p *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if p.lastArgmax == nil {
-		panic(fmt.Sprintf("nn: pool %s: Backward without training Forward", p.name))
-	}
-	dx := tensor.New(p.lastShape...)
-	for o, src := range p.lastArgmax {
-		dx.Data[src] += grad.Data[o]
-	}
-	p.lastArgmax = nil // consumed; see Conv.Backward
+	p.lastInput = nil // consumed; see Conv.Backward
 	return dx
 }
 
 // ReLU is an executable rectified-linear activation.
 type ReLU struct {
-	name     string
-	lastMask []bool
+	name      string
+	lastInput *tensor.Tensor // the training forward's input, for Backward
 }
 
 // NewReLU creates a ReLU layer.
@@ -159,34 +150,27 @@ func (r *ReLU) infer(x act, ctx inferCtx) act {
 	return out
 }
 
-// Forward implements Layer.
+// Forward implements Layer. A training forward is infer, keeping x for
+// Backward.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		return forwardAlone(r, x, nil).Reshape(x.Shape()...)
+	if train {
+		r.lastInput = x
 	}
-	out := x.Clone()
-	r.lastMask = make([]bool, out.Len())
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		} else {
-			r.lastMask[i] = true
-		}
-	}
-	return out
+	return forwardAlone(r, x, nil).Reshape(x.Shape()...)
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient passes where the kept input was
+// not negative.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.lastMask == nil {
+	if r.lastInput == nil {
 		panic(fmt.Sprintf("nn: relu %s: Backward without training Forward", r.name))
 	}
 	dx := grad.Clone()
-	for i := range dx.Data {
-		if !r.lastMask[i] {
+	for i, v := range r.lastInput.Data {
+		if v < 0 {
 			dx.Data[i] = 0
 		}
 	}
-	r.lastMask = nil // consumed; see Conv.Backward
+	r.lastInput = nil // consumed; see Conv.Backward
 	return dx
 }
