@@ -15,8 +15,10 @@ OUT ?= .
 # byte-for-byte regeneration of the two sub-second committed bench files.
 ci: vet build build-arm64 build-portable build-bench test race e2e scenarios-smoke fleet-smoke bench-verify-fast
 
+# vet also fails on any file gofmt would rewrite, and lists them.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -18,8 +18,9 @@
 //	    /healthz liveness (503 only when no replica is healthy — closed or
 //	    breaker-open; serving above the base perforation level is
 //	    degradation, not an outage), POST /swap?dvfs=1 hot-swaps the
-//	    deployment (recompiled compile-only: a -tune deployment loses its
-//	    trained network), POST /busy?ms=D declares a busy horizon.
+//	    deployment (each plan recompiled, its degradation path and trained
+//	    network kept, so a -tune deployment stays tuned), POST /busy?ms=D
+//	    declares a busy horizon.
 //	    -debug-addr :6060 additionally serves net/http/pprof.
 //
 //	go run ./cmd/pcnnd -fleet 3 -addr :8080
@@ -68,6 +69,7 @@ import (
 	"time"
 
 	"pcnn"
+	"pcnn/internal/satisfaction"
 	"pcnn/internal/tensor"
 	"pcnn/internal/workload"
 )
@@ -269,23 +271,10 @@ func runGenerator(o *options) error {
 	return nil
 }
 
-// taskByName resolves the archetype flag.
-func taskByName(name string, fps float64) (pcnn.Task, error) {
-	switch name {
-	case "age", "interactive":
-		return pcnn.AgeDetection(), nil
-	case "surveillance", "realtime":
-		return pcnn.VideoSurveillance(fps), nil
-	case "tagging", "background":
-		return pcnn.ImageTagging(), nil
-	}
-	return pcnn.Task{}, fmt.Errorf("unknown task %q (want age, surveillance or tagging)", name)
-}
-
 // framework deploys -net on -platform for -task: the full Deploy path
 // (training the scaled analogue) under -tune, compile-only otherwise.
 func (o *options) framework() (*pcnn.Framework, error) {
-	task, err := taskByName(o.taskName, o.fps)
+	task, err := satisfaction.TaskByName(o.taskName, o.fps)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"pcnn/internal/fleet"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
+	"pcnn/internal/workload"
 )
 
 // testModels is the mixed-model traffic surface: a real-time and an
@@ -25,12 +26,14 @@ func testModels() []Model {
 }
 
 // cluster is one running e2e topology: N real daemons and an outer
-// least-slack + hedging router of HTTPReplicas pointing at them.
+// least-slack + hedging router of HTTPReplicas pointing at them. The
+// router's ejection cooldown runs on clk, which only the tests advance.
 type cluster struct {
 	h        *Harness
 	daemons  []*Daemon
 	fl       *fleet.Fleet
 	replicas []*fleet.HTTPReplica
+	clk      *workload.VirtualClock
 }
 
 // startCluster boots n daemons round-robin over a heterogeneous platform
@@ -53,19 +56,20 @@ func startCluster(t *testing.T, n int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := workload.NewVirtualClock(workload.Epoch())
 	fl := fleet.New(reg, fleet.Config{
-		Policy:         fleet.PolicyLeastSlack,
-		Hedge:          true,
-		ReadmitAfterMS: 50,
+		Policy: fleet.PolicyLeastSlack,
+		Hedge:  true,
+		Clock:  clk.Now,
 	})
-	c := &cluster{h: h, fl: fl}
+	c := &cluster{h: h, fl: fl, clk: clk}
 	for i := 0; i < n; i++ {
 		d, err := h.StartDaemon(fmt.Sprintf("d%d", i), platforms[i%len(platforms)])
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := fleet.NewHTTPReplicaConfig(d.ID(), d.Platform(), d.URL(),
-			fleet.HTTPReplicaConfig{Weight: 100, FreshnessMS: 25})
+			fleet.HTTPReplicaConfig{FreshnessMS: 25})
 		if err := fl.AddReplica(r); err != nil {
 			t.Fatal(err)
 		}
@@ -83,6 +87,10 @@ func (c *cluster) submitWait(ctx context.Context, model, key string) (serve.Resu
 	}
 	return ff.Wait(ctx)
 }
+
+// passCooldown advances the router's clock past the ejection cooldown, so
+// the next health sweep readmits every ejected daemon that answers.
+func (c *cluster) passCooldown() { c.clk.Set(c.clk.Now().Add(time.Second)) }
 
 // daemonByID finds a cluster daemon by its replica ID.
 func (c *cluster) daemonByID(id string) *Daemon {
@@ -114,8 +122,8 @@ func TestE2ELivePredictionsAndBusyOrdering(t *testing.T) {
 
 	// Every remote replica must answer a live, non-zero Eq 12 prediction.
 	for _, r := range c.replicas {
-		if p := r.PredictCompletionMS("AlexNet"); p <= 0 {
-			t.Fatalf("replica %s: PredictCompletionMS = %g, want live > 0", r.ID(), p)
+		if p, ok := r.Predict("AlexNet", 0); !ok || p.PredictMS <= 0 {
+			t.Fatalf("replica %s: Predict = (%+v, %v), want live PredictMS > 0", r.ID(), p, ok)
 		}
 	}
 
@@ -161,12 +169,12 @@ func TestE2ELivePredictionsAndBusyOrdering(t *testing.T) {
 	// The busy daemons' wire predictions inflate past the horizon; the
 	// free daemon's stays cheap — that is the least-slack order flipping.
 	for _, id := range busy {
-		if p := c.replicaByID(id).PredictCompletionMS("AlexNet"); p < 1000 {
-			t.Fatalf("busy replica %s predicts %.1f ms, want ≥ 1000", id, p)
+		if p, _ := c.replicaByID(id).Predict("AlexNet", 0); p.PredictMS < 1000 {
+			t.Fatalf("busy replica %s predicts %.1f ms, want ≥ 1000", id, p.PredictMS)
 		}
 	}
-	freePred := c.replicaByID(free).PredictCompletionMS("AlexNet")
-	if freePred <= 0 || freePred >= 1000 {
+	freeP, _ := c.replicaByID(free).Predict("AlexNet", 0)
+	if freePred := freeP.PredictMS; freePred <= 0 || freePred >= 1000 {
 		t.Fatalf("free replica %s predicts %.1f ms, want small and live", free, freePred)
 	}
 
@@ -248,11 +256,11 @@ func TestE2EKillRestartEjectionReadmission(t *testing.T) {
 		}
 	}
 
-	// Restart on the original address, wait out the cooldown, readmit.
+	// Restart on the original address, run out the cooldown, readmit.
 	if err := victim.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(60 * time.Millisecond)
+	c.passCooldown()
 	if _, re := c.fl.CheckHealth(); re != 1 {
 		t.Fatalf("health sweep readmitted %d, want 1", re)
 	}
@@ -338,6 +346,7 @@ func TestE2EConservationUnderChurn(t *testing.T) {
 				t.Errorf("chaos restart: %v", err)
 				return
 			}
+			c.passCooldown()
 			c.fl.CheckHealth()
 		}
 	}()

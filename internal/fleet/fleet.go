@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -57,19 +56,17 @@ type Config struct {
 	// second leg is submitted to the best fallback and the faster
 	// successful leg wins. Off by default.
 	Hedge bool
-	// ReadmitAfterMS is how long an ejected replica stays out before a
-	// passing health probe readmits it. 0 means 1000.
-	ReadmitAfterMS float64
 	// Clock injects the time source ejection cooldowns are measured on;
 	// nil means time.Now. Virtual-clock drivers inject the same clock
 	// they drive the servers with.
 	Clock func() time.Time
 }
 
+// readmitAfter is how long an ejected replica stays out before a passing
+// health probe readmits it.
+const readmitAfter = time.Second
+
 func (c Config) withDefaults() Config {
-	if c.ReadmitAfterMS <= 0 {
-		c.ReadmitAfterMS = 1000
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -172,10 +169,12 @@ func (f *Fleet) routeFor(model string) *route {
 	}
 	act := f.activeLocked()
 	f.mu.Unlock()
-	// Capacity probes build servers; do not hold the fleet lock.
+	// Predictions build servers; do not hold the fleet lock. A replica
+	// that cannot predict weighs 0, which the ring reads as the mean.
 	entries := make([]RingEntry, 0, len(act))
 	for _, r := range act {
-		entries = append(entries, RingEntry{ID: r.ID(), Weight: r.CapacityRPS(model)})
+		p, _ := r.Predict(model, 0)
+		entries = append(entries, RingEntry{ID: r.ID(), Weight: p.CapacityRPS})
 	}
 	rt := &route{ring: NewRing(entries), act: act}
 	f.mu.Lock()
@@ -257,14 +256,15 @@ func (f *Fleet) candidates(model, key string, dst []Replica) []Replica {
 	var predBuf [8]float64
 	pred := predBuf[:0]
 	for _, r := range rest {
-		p := r.PredictCompletionMS(model)
-		// 0 means the replica cannot predict (stale remote cache,
-		// unservable model): order it behind every live prediction
-		// rather than letting "unknown" masquerade as "idle".
-		if p <= 0 {
-			p = math.Inf(1)
+		// A replica that cannot predict (stale remote cache, unservable
+		// model) orders behind every live prediction rather than letting
+		// "unknown" masquerade as "idle".
+		p, ok := r.Predict(model, 0)
+		ms := p.PredictMS
+		if !ok || ms <= 0 {
+			ms = math.Inf(1)
 		}
-		pred = append(pred, p)
+		pred = append(pred, ms)
 	}
 	for i := 1; i < len(rest); i++ { // insertion sort: stable, and rest is short
 		for j := i; j > 0 && pred[j] < pred[j-1]; j-- {
@@ -299,7 +299,8 @@ func (f *Fleet) Submit(model, key string) (*FleetFuture, error) {
 	// completion (queue ahead + own execution) against the task deadline.
 	var primaryPred float64
 	if f.cfg.Hedge {
-		primaryPred = cands[0].PredictCompletionMS(model)
+		p, _ := cands[0].Predict(model, 0)
+		primaryPred = p.PredictMS
 	}
 
 	var legs [2]*Ticket
@@ -376,7 +377,7 @@ func (f *Fleet) CheckHealth() (ejected, readmitted int) {
 			f.ejections++
 			f.ringGen++
 			ejected++
-		case out && float64(now.Sub(at))/float64(time.Millisecond) >= f.cfg.ReadmitAfterMS:
+		case out && now.Sub(at) >= readmitAfter:
 			delete(f.ejected, id)
 			f.readmissions++
 			f.ringGen++
@@ -501,15 +502,13 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 			Reasons:  reasons,
 		}
 		if node, isNode := r.(*Node); isNode {
-			for _, m := range node.Models() {
-				if st, served := node.Stats(m); served {
-					if rs.Models == nil {
-						rs.Models = map[string]serve.Snapshot{}
-						rs.Versions = map[string]int{}
-					}
-					rs.Models[m] = st
-					rs.Versions[m] = node.Version(m)
+			for _, ms := range node.current() {
+				if rs.Models == nil {
+					rs.Models = map[string]serve.Snapshot{}
+					rs.Versions = map[string]int{}
 				}
+				rs.Models[ms.model] = ms.srv.Stats()
+				rs.Versions[ms.model] = ms.version
 			}
 		}
 		snap.Replicas = append(snap.Replicas, rs)
@@ -577,22 +576,11 @@ func (f *Fleet) WriteMetrics(w io.Writer) error {
 			mergeReplicaMetrics(exp, r)
 			continue
 		}
-		node.mu.Lock()
-		models := make([]string, 0, len(node.servers))
-		for m := range node.servers {
-			models = append(models, m)
-		}
-		sort.Strings(models)
-		srvs := make(map[string]*serve.Server, len(models))
-		for _, m := range models {
-			srvs[m] = node.servers[m].srv
-		}
-		node.mu.Unlock()
-		for _, m := range models {
-			exp.Add(srvs[m].Metrics(),
+		for _, ms := range node.current() {
+			exp.Add(ms.srv.Metrics(),
 				obs.Label{Key: "replica", Value: node.id},
 				obs.Label{Key: "platform", Value: node.platform},
-				obs.Label{Key: "model", Value: m})
+				obs.Label{Key: "model", Value: ms.model})
 		}
 	}
 	return exp.WritePrometheus(w)

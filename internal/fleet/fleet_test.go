@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -260,8 +261,10 @@ func TestLeastSlackOrdersEveryFallback(t *testing.T) {
 			t.Fatalf("key %d: %d candidates, want %d", k, len(cands), len(nodes))
 		}
 		for i := 2; i < len(cands); i++ {
-			if a, b := cands[i-1].PredictCompletionMS("m"), cands[i].PredictCompletionMS("m"); a > b {
-				t.Fatalf("key %d: fallback %s (%v ms) ahead of %s (%v ms)", k, cands[i-1].ID(), a, cands[i].ID(), b)
+			a, _ := cands[i-1].Predict("m", 0)
+			b, _ := cands[i].Predict("m", 0)
+			if a.PredictMS > b.PredictMS {
+				t.Fatalf("key %d: fallback %s (%v ms) ahead of %s (%v ms)", k, cands[i-1].ID(), a.PredictMS, cands[i].ID(), b.PredictMS)
 			}
 		}
 	}
@@ -273,7 +276,7 @@ func TestLeastSlackOrdersEveryFallback(t *testing.T) {
 func TestFleetHotSwapZeroDowntime(t *testing.T) {
 	clk := newTclock()
 	execs := []*stormExec{{predMS: 5}}
-	fl, nodes := testFleet(t, "m", satisfaction.ImageTagging(), execs,
+	fl, _ := testFleet(t, "m", satisfaction.ImageTagging(), execs,
 		func(i int) NodeConfig {
 			return NodeConfig{Serve: serve.Config{Workers: 1, ManualFlush: true, Clock: clk.Now}}
 		}, Config{Clock: clk.Now})
@@ -303,7 +306,7 @@ func TestFleetHotSwapZeroDowntime(t *testing.T) {
 	if v := after.Legs()[0].Version(); v != 2 {
 		t.Fatalf("post-swap version = %d, want 2", v)
 	}
-	if v := nodes[0].Version("m"); v != 2 {
+	if v := fl.Snapshot().Replicas[0].Versions["m"]; v != 2 {
 		t.Fatalf("node serves version %d, want 2", v)
 	}
 
@@ -350,7 +353,7 @@ func TestFleetEjectionReadmissionConservation(t *testing.T) {
 				Workers: 2, QueueCap: 4096, LingerMS: 1,
 				BreakerThreshold: 2, BreakerCooldownMS: 60_000,
 			}}
-		}, Config{ReadmitAfterMS: 50, Clock: clk.Now})
+		}, Config{Clock: clk.Now})
 	ctx := context.Background()
 
 	var (
@@ -391,7 +394,7 @@ func TestFleetEjectionReadmissionConservation(t *testing.T) {
 	// Recover: heal the executor, run out the ejection cooldown on the
 	// injected clock, and sweep again.
 	execs[0].failing.Store(false)
-	clk.Advance(100 * time.Millisecond)
+	clk.Advance(time.Second)
 	for fl.Snapshot().Readmissions == 0 && time.Now().Before(deadline) {
 		fl.CheckHealth()
 		time.Sleep(2 * time.Millisecond)
@@ -435,6 +438,41 @@ func TestFleetEjectionReadmissionConservation(t *testing.T) {
 	if submitted != completed+failed {
 		t.Errorf("conservation violated fleet-wide: %d submitted != %d completed + %d failed",
 			submitted, completed, failed)
+	}
+}
+
+// TestNodeHealthyReasons: a node leaves rotation with one reason per
+// breaker-open server, and with the one reason "node closed" once closed.
+func TestNodeHealthyReasons(t *testing.T) {
+	exec := &stormExec{predMS: 1}
+	fl, nodes := testFleet(t, "m", satisfaction.ImageTagging(), []*stormExec{exec},
+		func(int) NodeConfig {
+			return NodeConfig{Serve: serve.Config{
+				Workers: 1, ManualFlush: true, BreakerThreshold: 1, BreakerCooldownMS: 1e9,
+			}}
+		}, Config{})
+	node := nodes[0]
+	ctx := context.Background()
+	if ok, reasons := node.Healthy(); !ok || len(reasons) != 0 {
+		t.Fatalf("fresh node = (%v, %q), want healthy", ok, reasons)
+	}
+	exec.failing.Store(true)
+	tk, err := node.Submit("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk.Server().Flush()
+	if _, err := tk.Wait(ctx); err == nil {
+		t.Fatal("the failing launch succeeded")
+	}
+	if ok, reasons := node.Healthy(); ok || !slices.Equal(reasons, []string{"m: circuit breaker open"}) {
+		t.Errorf("breaker-open node = (%v, %q), want [m: circuit breaker open]", ok, reasons)
+	}
+	if err := fl.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ok, reasons := node.Healthy(); ok || !slices.Equal(reasons, []string{"node closed"}) {
+		t.Errorf("closed node = (%v, %q), want [node closed]", ok, reasons)
 	}
 }
 

@@ -36,31 +36,6 @@ type ModelPrediction struct {
 	serve.Prediction
 }
 
-// predictor is the optional replica capability behind Fleet.Predict:
-// local nodes answer from their servers, HTTP replicas from their cached
-// wire payloads.
-type predictor interface {
-	Predict(model string, batch int) (ModelPrediction, bool)
-}
-
-// Predict exports the node's current Eq 12 serving prediction for a
-// model (false when the model cannot be served here).
-func (n *Node) Predict(model string, batch int) (ModelPrediction, bool) {
-	srv, ver, err := n.Server(model)
-	if err != nil {
-		return ModelPrediction{}, false
-	}
-	p := srv.Predict(batch)
-	return ModelPrediction{
-		Model:      model,
-		Version:    ver,
-		Replica:    n.id,
-		Platform:   n.platform,
-		Degraded:   p.Level > p.BaseLevel,
-		Prediction: p,
-	}, true
-}
-
 // betterPrediction orders candidate predictions: a known (positive)
 // PredictMS always beats an unknown one, then smaller is better.
 func betterPrediction(a, b ModelPrediction) bool {
@@ -87,23 +62,9 @@ func (f *Fleet) Predict(model string, batch int) (ModelPrediction, error) {
 	f.mu.Unlock()
 	preds := make([]ModelPrediction, 0, len(act))
 	for _, r := range act {
-		if pr, ok := r.(predictor); ok {
-			if p, served := pr.Predict(model, batch); served {
-				preds = append(preds, p)
-			}
-			continue
+		if p, ok := r.Predict(model, batch); ok {
+			preds = append(preds, p)
 		}
-		// Interface-only replicas still contribute what the Replica
-		// contract exposes.
-		preds = append(preds, ModelPrediction{
-			Model:    model,
-			Replica:  r.ID(),
-			Platform: r.Platform(),
-			Prediction: serve.Prediction{
-				PredictMS:   r.PredictCompletionMS(model),
-				CapacityRPS: r.CapacityRPS(model),
-			},
-		})
 	}
 	if len(preds) == 0 {
 		return ModelPrediction{}, fmt.Errorf("fleet: no replica can serve %s", model)
@@ -385,7 +346,7 @@ func Handler(fl *Fleet) http.Handler {
 		if !ok {
 			return
 		}
-		d, err := CompileDeployment(model, fl.reg.Current(model).Task, fl.Platforms(), q.Get("dvfs") == "1")
+		d, err := fl.reg.Current(model).Recompile(q.Get("dvfs") == "1")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -431,22 +392,6 @@ func Handler(fl *Fleet) http.Handler {
 		}{model, ms, len(srvs)})
 	}))
 	return mux
-}
-
-// Platforms returns the distinct platform names across the fleet's
-// replicas, in registration order.
-func (f *Fleet) Platforms() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range f.replicas {
-		if p := r.Platform(); !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // mergeReplicaMetrics folds an extra registry into the fleet exposition;

@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/fault"
+	"pcnn/internal/gpu"
+	"pcnn/internal/nn"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
 )
@@ -105,7 +108,8 @@ func TestPredictAggregatesAcrossReplicas(t *testing.T) {
 	}
 	var wantCap float64
 	for _, n := range nodes {
-		wantCap += n.CapacityRPS("m")
+		np, _ := n.Predict("m", 0)
+		wantCap += np.CapacityRPS
 	}
 	if p.CapacityRPS != wantCap {
 		t.Errorf("CapacityRPS = %.3f, want summed %.3f", p.CapacityRPS, wantCap)
@@ -437,6 +441,99 @@ func TestTraceEndpoint(t *testing.T) {
 	for _, bad := range []string{"n=0", "n=-2", "n=many"} {
 		if code, _ := do(t, http.MethodGet, ts.URL+"/trace?model=m&"+bad); code != http.StatusBadRequest {
 			t.Errorf("/trace?%s answered %d, want 400", bad, code)
+		}
+	}
+}
+
+// TestFleetOfFleetsPredictAddsTheHop: an outer daemon whose one replica is
+// an HTTPReplica of an inner daemon answers GET /predict with the inner
+// daemon's PredictMS plus the wire round trip the replica measured — the
+// hop a request routed through it pays.
+func TestFleetOfFleetsPredictAddsTheHop(t *testing.T) {
+	clk := newTclock()
+	inner, _ := testFleet(t, "m", satisfaction.ImageTagging(), []*stormExec{{predMS: 2}},
+		func(int) NodeConfig {
+			return NodeConfig{Serve: serve.Config{Workers: 1, ManualFlush: true, Clock: clk.Now}}
+		}, Config{Clock: clk.Now})
+	defer inner.Close(context.Background())
+	innerTS := httptest.NewServer(Handler(inner))
+	defer innerTS.Close()
+	h := NewHTTPReplicaConfig("d0", "pf0", innerTS.URL, HTTPReplicaConfig{Clock: clk.Now})
+	defer h.Close(context.Background())
+	outer := New(inner.Registry(), Config{Clock: clk.Now})
+	if err := outer.AddReplica(h); err != nil {
+		t.Fatal(err)
+	}
+	outerTS := httptest.NewServer(Handler(outer))
+	defer outerTS.Close()
+
+	predict := func(base string) ModelPrediction {
+		t.Helper()
+		code, body := do(t, http.MethodGet, base+"/predict?model=m")
+		if code != http.StatusOK {
+			t.Fatalf("GET %s/predict answered %d: %s", base, code, body)
+		}
+		var p ModelPrediction
+		if err := json.Unmarshal([]byte(body), &p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	got := predict(outerTS.URL)
+	want := predict(innerTS.URL)
+	wire := h.wireMS.Value()
+	if want.PredictMS <= 0 || wire <= 0 {
+		t.Fatalf("inner PredictMS %v, wire RTT %v: want both live", want.PredictMS, wire)
+	}
+	if got.PredictMS != want.PredictMS+wire {
+		t.Errorf("outer PredictMS = %v, want inner %v + wire %v", got.PredictMS, want.PredictMS, wire)
+	}
+}
+
+// TestSwapKeepsTheDegradationPath: POST /swap recompiles each platform's
+// plan but keeps the executor's degradation path, so a deployment serving
+// a 3-level path still serves those 3 levels after a DVFS swap instead of
+// the 6-level synthetic path a compile-only rebuild derives.
+func TestSwapKeepsTheDegradationPath(t *testing.T) {
+	task := satisfaction.ImageTagging()
+	plan, err := compile.Compile(nn.NetShapeByName("AlexNet"), gpu.PlatformByName("TX1"), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := serve.NewPlanExecutor(plan, serve.SyntheticPath(plan.Net, task, 3), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDeployment("AlexNet", task, map[string]serve.Executor{"TX1": ex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Register(d); err != nil {
+		t.Fatal(err)
+	}
+	fl := New(reg, Config{})
+	defer fl.Close(context.Background())
+	if err := fl.AddReplica(NewNode("n0", "TX1", reg, NodeConfig{})); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(Handler(fl))
+	defer ts.Close()
+
+	if code, body := do(t, http.MethodPost, ts.URL+"/swap?dvfs=1"); code != http.StatusOK {
+		t.Fatalf("POST /swap answered %d: %s", code, body)
+	}
+	cur := reg.Current("AlexNet")
+	got, ok := cur.Executor("TX1").(*serve.PlanExecutor)
+	if cur.Version != 2 || !ok || got == ex {
+		t.Fatalf("swap installed v%d %T, want a recompiled v2 PlanExecutor", cur.Version, cur.Executor("TX1"))
+	}
+	if got.Levels() != 3 {
+		t.Fatalf("swapped executor has %d levels, want the deployment's 3", got.Levels())
+	}
+	for l := 0; l < 3; l++ {
+		if got.Entropy(l) != ex.Entropy(l) {
+			t.Errorf("level %d entropy %v after the swap, want %v", l, got.Entropy(l), ex.Entropy(l))
 		}
 	}
 }

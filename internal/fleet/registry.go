@@ -85,6 +85,27 @@ func CompileDeployment(model string, task satisfaction.Task, platforms []string,
 	return NewDeployment(model, task, executors)
 }
 
+// Recompile compiles the deployment afresh on every platform, applying
+// the DVFS frequency ladder when dvfs is set, into a new unregistered
+// deployment. Each executor keeps its degradation path and trained
+// network (serve.PlanExecutor.Recompile), so a tuned deployment stays
+// tuned across POST /swap.
+func (d *Deployment) Recompile(dvfs bool) (*Deployment, error) {
+	executors := make(map[string]serve.Executor, len(d.executors))
+	for _, p := range d.Platforms() {
+		ex, ok := d.executors[p].(*serve.PlanExecutor)
+		if !ok {
+			return nil, fmt.Errorf("fleet: model %q on %s has no compiled plan to recompile", d.Model, p)
+		}
+		next, err := ex.Recompile(dvfs)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: recompile %s on %s: %w", d.Model, p, err)
+		}
+		executors[p] = next
+	}
+	return NewDeployment(d.Model, d.Task, executors)
+}
+
 // compileExecutors builds the per-platform executor map CompileDeployment
 // wraps. The soak reuses one map across its grid rows (executors are
 // concurrency-safe and their simulation caches are deterministic) while

@@ -75,13 +75,11 @@ type Replica interface {
 	// replica queues it at once; a remote one sends it when the ticket is
 	// first waited on (see Ticket).
 	Submit(model string) (*Ticket, error)
-	// PredictCompletionMS is the Eq 12 estimate of a request's completion
-	// time if submitted now — queue ahead plus own execution. Replicas
-	// that cannot predict (remote ones) return 0.
-	PredictCompletionMS(model string) float64
-	// CapacityRPS is the replica's predicted steady-state serving rate for
-	// a model — the ring weight. 0 means unknown (mean weight).
-	CapacityRPS(model string) float64
+	// Predict is the replica's Eq 12 prediction for a model: PredictMS
+	// orders least-slack fallbacks and decides hedging, CapacityRPS
+	// weights the ring. false means it cannot predict (model unservable
+	// there, or a stale and unrefreshable remote cache).
+	Predict(model string, batch int) (ModelPrediction, bool)
 	// Healthy reports whether the replica should receive traffic, with the
 	// degradation reasons when it should not.
 	Healthy() (bool, []string)
@@ -105,6 +103,7 @@ type NodeConfig struct {
 // modelServer is one model's current in-process server and the registry
 // version it was built from.
 type modelServer struct {
+	model   string
 	srv     *serve.Server
 	version int
 }
@@ -170,7 +169,7 @@ func (n *Node) Server(model string) (*serve.Server, int, error) {
 	if ms != nil {
 		n.retired = append(n.retired, ms.srv)
 	}
-	n.servers[model] = &modelServer{srv: srv, version: d.Version}
+	n.servers[model] = &modelServer{model: model, srv: srv, version: d.Version}
 	return srv, d.Version, nil
 }
 
@@ -187,30 +186,27 @@ func (n *Node) Submit(model string) (*Ticket, error) {
 	return &Ticket{replica: n.id, model: model, version: version, srv: srv, fut: fut}, nil
 }
 
-// PredictCompletionMS estimates a request's completion time on the
-// node's current server for a model (0 when the model cannot be served
-// here).
-func (n *Node) PredictCompletionMS(model string) float64 {
-	srv, _, err := n.Server(model)
+// Predict exports the node's current Eq 12 serving prediction for a
+// model (false when the model cannot be served here).
+func (n *Node) Predict(model string, batch int) (ModelPrediction, bool) {
+	srv, ver, err := n.Server(model)
 	if err != nil {
-		return 0
+		return ModelPrediction{}, false
 	}
-	return srv.PredictCompletionMS()
-}
-
-// CapacityRPS is the node's Eq 12 predicted serving rate for a model —
-// its consistent-hash ring weight.
-func (n *Node) CapacityRPS(model string) float64 {
-	srv, _, err := n.Server(model)
-	if err != nil {
-		return 0
-	}
-	return srv.CapacityRPS()
+	p := srv.Predict(batch)
+	return ModelPrediction{
+		Model:      model,
+		Version:    ver,
+		Replica:    n.id,
+		Platform:   n.platform,
+		Degraded:   p.Level > p.BaseLevel,
+		Prediction: p,
+	}, true
 }
 
 // Healthy aggregates the node's per-model server health: the node takes
-// traffic only while every server it runs is neither closed nor
-// breaker-open (the GPU is the failure domain — one executor's launch
+// traffic only while it is open and no server it runs has its circuit
+// breaker open (the GPU is the failure domain — one executor's launch
 // failures predict the others').
 func (n *Node) Healthy() (bool, []string) {
 	n.mu.Lock()
@@ -219,17 +215,9 @@ func (n *Node) Healthy() (bool, []string) {
 		return false, []string{"node closed"}
 	}
 	var reasons []string
-	models := make([]string, 0, len(n.servers))
-	for m := range n.servers {
-		models = append(models, m)
-	}
-	sort.Strings(models)
-	for _, m := range models {
-		h := n.servers[m].srv.Health()
-		if h.Status == "closed" || h.Breaker == "open" {
-			for _, r := range h.Reasons {
-				reasons = append(reasons, m+": "+r)
-			}
+	for _, ms := range n.currentLocked() {
+		if ms.srv.BreakerState() == serve.BreakerOpen {
+			reasons = append(reasons, ms.model+": circuit breaker open")
 		}
 	}
 	return len(reasons) == 0, reasons
@@ -247,27 +235,22 @@ func (n *Node) Stats(model string) (serve.Snapshot, bool) {
 	return ms.srv.Stats(), true
 }
 
-// Models returns the models the node has built servers for, sorted.
-func (n *Node) Models() []string {
+// current lists the node's current servers sorted by model: the one view
+// of a node that Healthy, Fleet.Snapshot and Fleet.WriteMetrics read.
+func (n *Node) current() []*modelServer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ms := make([]string, 0, len(n.servers))
-	for m := range n.servers {
-		ms = append(ms, m)
-	}
-	sort.Strings(ms)
-	return ms
+	return n.currentLocked()
 }
 
-// Version returns the deployment version the node currently serves for a
-// model (0 when it never built one).
-func (n *Node) Version(model string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ms := n.servers[model]; ms != nil {
-		return ms.version
+// currentLocked is current for a caller holding n.mu.
+func (n *Node) currentLocked() []*modelServer {
+	out := make([]*modelServer, 0, len(n.servers))
+	for _, ms := range n.servers {
+		out = append(out, ms)
 	}
-	return 0
+	sort.Slice(out, func(i, j int) bool { return out[i].model < out[j].model })
+	return out
 }
 
 // TakeRetired removes and returns servers replaced by hot-swaps since the
@@ -307,15 +290,14 @@ func (n *Node) Close(ctx context.Context) error {
 // /predict payload, cached with bounded staleness and refreshed
 // single-flight, so remote replicas participate in least-slack ordering,
 // hedging and capacity-weighted ring placement exactly like in-process
-// nodes. A replica whose cache is stale and unrefreshable predicts 0
-// ("unknown"), which sorts it behind every replica with a live
-// prediction (see Fleet.Submit).
+// nodes. A replica whose cache is stale and unrefreshable cannot predict,
+// which sorts it behind every replica with a live prediction (see
+// Fleet.candidates) and weighs it as the ring's mean.
 type HTTPReplica struct {
 	id         string
 	platform   string
 	baseURL    string
 	healthzURL string
-	weight     float64
 	client     *http.Client
 	cfg        HTTPReplicaConfig
 
@@ -342,12 +324,9 @@ type predEntry struct {
 
 // HTTPReplicaConfig tunes a remote replica.
 type HTTPReplicaConfig struct {
-	// Weight is the static fallback ring weight in requests/second, used
-	// until (or unless) live capacity arrives over the wire. 0 = mean.
-	Weight float64
 	// FreshnessMS bounds prediction staleness: cached payloads older than
 	// this are refreshed before use, and unrefreshable ones read as
-	// unknown (0). 0 means 250.
+	// unknown. 0 means 250.
 	FreshnessMS float64
 	// Client is the HTTP client; nil uses http.DefaultClient.
 	Client *http.Client
@@ -370,8 +349,8 @@ func (c HTTPReplicaConfig) withDefaults() HTTPReplicaConfig {
 }
 
 // NewHTTPReplicaConfig points a replica identity at a daemon's base URL
-// (e.g. "http://10.0.0.7:8080") under cfg: static ring weight, HTTP
-// client, staleness bound, injected clock.
+// (e.g. "http://10.0.0.7:8080") under cfg: HTTP client, staleness
+// bound, injected clock.
 func NewHTTPReplicaConfig(id, platform, baseURL string, cfg HTTPReplicaConfig) *HTTPReplica {
 	cfg = cfg.withDefaults()
 	h := &HTTPReplica{
@@ -379,7 +358,6 @@ func NewHTTPReplicaConfig(id, platform, baseURL string, cfg HTTPReplicaConfig) *
 		platform:   platform,
 		baseURL:    baseURL,
 		healthzURL: baseURL + "/healthz",
-		weight:     cfg.Weight,
 		client:     cfg.Client,
 		cfg:        cfg,
 		cache:      map[string]*predEntry{},
@@ -513,11 +491,17 @@ func (h *HTTPReplica) predict(model string) (ModelPrediction, bool) {
 	}
 }
 
-// Predict returns the replica's live remote prediction for a model
-// (false when stale and unrefreshable) — the same capability local nodes
-// expose, so Fleet.Predict aggregates both kinds.
+// Predict returns the daemon's Eq 12 prediction for a model read over the
+// wire, with the observed wire round trip the request itself will pay
+// added to PredictMS; false when the cached prediction is stale and
+// unrefreshable. batch is not forwarded: the payload prices no batch.
 func (h *HTTPReplica) Predict(model string, _ int) (ModelPrediction, bool) {
-	return h.predict(model)
+	p, ok := h.predict(model)
+	if !ok {
+		return ModelPrediction{}, false
+	}
+	p.PredictMS += h.wireMS.Value()
+	return p, true
 }
 
 // ID returns the replica's routing identity.
@@ -583,27 +567,6 @@ func ctxOr(ctx context.Context, err error) error {
 		return ctx.Err()
 	}
 	return err
-}
-
-// PredictCompletionMS is the daemon's Eq 12 completion estimate read
-// over the wire, plus the observed wire round-trip the request itself
-// will pay. 0 when the cached prediction is stale and unrefreshable —
-// unknown, which Fleet.Submit orders behind every live prediction.
-func (h *HTTPReplica) PredictCompletionMS(model string) float64 {
-	p, ok := h.predict(model)
-	if !ok {
-		return 0
-	}
-	return p.PredictMS + h.wireMS.Value()
-}
-
-// CapacityRPS is the daemon's live aggregate capacity when predictions
-// flow, falling back to the statically configured ring weight.
-func (h *HTTPReplica) CapacityRPS(model string) float64 {
-	if p, ok := h.predict(model); ok && p.CapacityRPS > 0 {
-		return p.CapacityRPS
-	}
-	return h.weight
 }
 
 // wireHealth is the daemon's /healthz payload.

@@ -76,7 +76,7 @@ func (d *fakeDaemon) predictHits() int64 {
 
 // TestHTTPReplicaLivePredictions pins the tentpole: predictions cross
 // the wire, get cached inside the freshness bound, and surface through
-// PredictCompletionMS/CapacityRPS with the wire RTT folded in.
+// Predict with the wire RTT folded into PredictMS.
 func TestHTTPReplicaLivePredictions(t *testing.T) {
 	d := &fakeDaemon{pred: ModelPrediction{
 		Model: "m", Version: 1, Replica: "remote-0", Platform: "pf0",
@@ -86,41 +86,32 @@ func TestHTTPReplicaLivePredictions(t *testing.T) {
 	defer ts.Close()
 
 	clk := newTclock()
-	h := NewHTTPReplicaConfig("r0", "pf0", ts.URL, HTTPReplicaConfig{
-		Weight: 50, FreshnessMS: 250, Clock: clk.Now,
-	})
+	h := NewHTTPReplicaConfig("r0", "pf0", ts.URL, HTTPReplicaConfig{FreshnessMS: 250, Clock: clk.Now})
 	defer h.Close(context.Background())
 
-	got := h.PredictCompletionMS("m")
-	if got < 40 {
-		t.Errorf("PredictCompletionMS = %.3f, want >= wire PredictMS 40", got)
-	}
-	if want := 40 + h.wireMS.Value(); got != want {
-		t.Errorf("PredictCompletionMS = %.3f, want PredictMS+RTT = %.3f", got, want)
+	p, ok := h.Predict("m", 0)
+	if !ok || p.QueueDepth != 3 || p.Replica != "remote-0" || p.CapacityRPS != 200 {
+		t.Errorf("Predict = (%+v, %v), want the wire payload", p, ok)
 	}
 	if h.wireMS.Value() <= 0 {
 		t.Error("wire RTT EWMA never observed")
 	}
-	if cap := h.CapacityRPS("m"); cap != 200 {
-		t.Errorf("CapacityRPS = %.3f, want live 200 (not static 50)", cap)
+	if want := 40 + h.wireMS.Value(); p.PredictMS != want {
+		t.Errorf("PredictMS = %.3f, want wire PredictMS 40 + RTT = %.3f", p.PredictMS, want)
 	}
 	// Within the freshness bound every read is served from cache.
 	for i := 0; i < 10; i++ {
-		h.PredictCompletionMS("m")
+		h.Predict("m", 0)
 	}
 	if hits := d.predictHits(); hits != 1 {
 		t.Errorf("daemon polled %d times inside freshness bound, want 1", hits)
 	}
 	// Past the bound, exactly one refresh happens.
 	clk.Advance(300 * time.Millisecond)
-	h.PredictCompletionMS("m")
-	h.CapacityRPS("m")
+	h.Predict("m", 0)
+	h.Predict("m", 0)
 	if hits := d.predictHits(); hits != 2 {
 		t.Errorf("daemon polled %d times after one expiry, want 2", hits)
-	}
-	p, ok := h.Predict("m", 0)
-	if !ok || p.QueueDepth != 3 || p.Replica != "remote-0" {
-		t.Errorf("Predict = (%+v, %v), want wire payload", p, ok)
 	}
 }
 
@@ -143,7 +134,7 @@ func TestHTTPReplicaSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if h.PredictCompletionMS("m") > 0 {
+			if p, ok := h.Predict("m", 0); ok && p.PredictMS > 0 {
 				nonzero.Add(1)
 			}
 		}()
@@ -162,30 +153,28 @@ func TestHTTPReplicaSingleFlight(t *testing.T) {
 
 // TestHTTPReplicaStalenessDropsOutOfOrdering pins the staleness
 // satellite: a replica whose predictions are older than the freshness
-// bound — and unrefreshable — reads as unknown (0) and sorts behind
-// every live replica in least-slack candidate ordering, so it cannot be
-// picked as the hedge target while stale.
+// bound — and unrefreshable — cannot predict and sorts behind every live
+// replica in least-slack candidate ordering, so it cannot be picked as
+// the hedge target while stale.
 func TestHTTPReplicaStalenessDropsOutOfOrdering(t *testing.T) {
 	d := &fakeDaemon{pred: ModelPrediction{
 		Model: "m", Prediction: serve.Prediction{PredictMS: 1, CapacityRPS: 100},
 	}}
 	ts := httptest.NewServer(d.handler())
 	clk := newTclock()
-	h := NewHTTPReplicaConfig("remote", "pfR", ts.URL, HTTPReplicaConfig{
-		Weight: 100, FreshnessMS: 250, Clock: clk.Now,
-	})
+	h := NewHTTPReplicaConfig("remote", "pfR", ts.URL, HTTPReplicaConfig{FreshnessMS: 250, Clock: clk.Now})
 	defer h.Close(context.Background())
 
-	if got := h.PredictCompletionMS("m"); got <= 0 {
-		t.Fatalf("live prediction = %.3f, want > 0", got)
+	if p, ok := h.Predict("m", 0); !ok || p.PredictMS <= 0 {
+		t.Fatalf("live prediction = (%+v, %v), want PredictMS > 0", p, ok)
 	}
 
 	// Kill the daemon and expire the cache: the replica must read as
 	// unknown, not keep advertising its last (stale) 1 ms prediction.
 	ts.Close()
 	clk.Advance(time.Second)
-	if got := h.PredictCompletionMS("m"); got != 0 {
-		t.Fatalf("stale unrefreshable prediction = %.3f, want 0", got)
+	if p, ok := h.Predict("m", 0); ok || p != (ModelPrediction{}) {
+		t.Fatalf("stale unrefreshable prediction = (%+v, %v), want unknown", p, ok)
 	}
 	h.mu.Lock()
 	staleReads := h.staleReads
@@ -197,14 +186,14 @@ func TestHTTPReplicaStalenessDropsOutOfOrdering(t *testing.T) {
 	// Within the (failed) entry's freshness window there is no retry storm.
 	before := d.predictHits()
 	for i := 0; i < 8; i++ {
-		h.PredictCompletionMS("m")
+		h.Predict("m", 0)
 	}
 	if d.predictHits() != before {
 		t.Errorf("stale entry retried inside its freshness window")
 	}
 
 	// In a least-slack fleet, the stale remote sorts behind live local
-	// nodes even though 0 < any live prediction numerically.
+	// nodes even though its zero PredictMS is below any live prediction.
 	execs := []*stormExec{{predMS: 5}, {predMS: 5}}
 	fl, _ := testFleet(t, "m", satisfaction.ImageTagging(), execs,
 		func(i int) NodeConfig {
@@ -346,7 +335,7 @@ func TestHTTPReplicaMetricsExposition(t *testing.T) {
 	if err := fl.AddReplica(h); err != nil {
 		t.Fatal(err)
 	}
-	h.PredictCompletionMS("m")
+	h.Predict("m", 0)
 
 	var buf strings.Builder
 	if err := fl.WriteMetrics(&buf); err != nil {

@@ -183,6 +183,24 @@ func ImageTagging() Task {
 	}
 }
 
+// TaskByName resolves an archetype name — age, surveillance or tagging,
+// or its class alias interactive, realtime or background — to its task.
+// fps is the surveillance camera rate; fps ≤ 0 means 30.
+func TaskByName(name string, fps float64) (Task, error) {
+	switch name {
+	case "age", "interactive":
+		return AgeDetection(), nil
+	case "surveillance", "realtime":
+		if fps <= 0 {
+			fps = 30
+		}
+		return VideoSurveillance(fps), nil
+	case "tagging", "background":
+		return ImageTagging(), nil
+	}
+	return Task{}, fmt.Errorf("unknown task %q (want age, surveillance or tagging)", name)
+}
+
 // EvaluationTasks returns the paper's three scenario tasks (60 FPS
 // surveillance, as in Section V.C).
 func EvaluationTasks() []Task {

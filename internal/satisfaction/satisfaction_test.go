@@ -110,6 +110,35 @@ func TestInferTask(t *testing.T) {
 	}
 }
 
+// TestTaskByName: every archetype name and its class alias resolve to the
+// archetype's task, a surveillance rate ≤ 0 means 30 fps, and an unknown
+// name is an error naming the choices.
+func TestTaskByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fps  float64
+		want Task
+	}{
+		{"age", 0, AgeDetection()},
+		{"interactive", 24, AgeDetection()},
+		{"surveillance", 24, VideoSurveillance(24)},
+		{"realtime", 60, VideoSurveillance(60)},
+		{"surveillance", 0, VideoSurveillance(30)},
+		{"realtime", -5, VideoSurveillance(30)},
+		{"tagging", 0, ImageTagging()},
+		{"background", 24, ImageTagging()},
+	} {
+		got, err := TaskByName(tc.name, tc.fps)
+		if err != nil || got != tc.want {
+			t.Errorf("TaskByName(%q, %v) = (%+v, %v), want %+v", tc.name, tc.fps, got, err, tc.want)
+		}
+	}
+	const want = `unknown task "mining" (want age, surveillance or tagging)`
+	if _, err := TaskByName("mining", 30); err == nil || err.Error() != want {
+		t.Errorf("TaskByName(mining) error = %v, want %q", err, want)
+	}
+}
+
 func TestValidateRejectsBadTasks(t *testing.T) {
 	bad := []Task{
 		{Name: "i", Class: Interactive, TiMS: 0, TtMS: 10},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pcnn/internal/fault"
+	"pcnn/internal/satisfaction"
 )
 
 // encodeMatrix renders a matrix the way BENCH_scenarios.json is written.
@@ -147,7 +148,7 @@ func TestDefaultMatrixShape(t *testing.T) {
 		classes := map[string]bool{}
 		for _, st := range sp.Streams {
 			arrivals[st.Arrival] = true
-			task, err := taskFor(st)
+			task, err := satisfaction.TaskByName(st.Task, st.FPS)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -229,7 +229,7 @@ func (e *Engine) Run(sp Spec) (Row, error) {
 	}
 	var lats []float64
 	for i, st := range sp.Streams {
-		task, err := taskFor(st)
+		task, err := satisfaction.TaskByName(st.Task, st.FPS)
 		if err != nil {
 			return Row{}, err
 		}

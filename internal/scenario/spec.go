@@ -99,7 +99,7 @@ func (s Spec) withDefaults() Spec {
 		if st.Requests <= 0 {
 			st.Requests = 96
 		}
-		if task, _ := taskFor(*st); st.Load <= 0 && task.Class != satisfaction.RealTime {
+		if task, _ := satisfaction.TaskByName(st.Task, st.FPS); st.Load <= 0 && task.Class != satisfaction.RealTime {
 			st.Load = 0.8
 		}
 		if st.FPS <= 0 {
@@ -124,7 +124,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: %s: needs at least one stream", s.Name)
 	}
 	for i, st := range s.Streams {
-		if _, err := taskFor(st); err != nil {
+		if _, err := satisfaction.TaskByName(st.Task, st.FPS); err != nil {
 			return fmt.Errorf("scenario: %s stream %d: %w", s.Name, i, err)
 		}
 		switch st.Arrival {
@@ -138,23 +138,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
 	return nil
-}
-
-// taskFor resolves a stream's archetype to its satisfaction model.
-func taskFor(st StreamSpec) (satisfaction.Task, error) {
-	switch st.Task {
-	case "age", "interactive":
-		return satisfaction.AgeDetection(), nil
-	case "surveillance", "realtime":
-		fps := st.FPS
-		if fps <= 0 {
-			fps = 30
-		}
-		return satisfaction.VideoSurveillance(fps), nil
-	case "tagging", "background":
-		return satisfaction.ImageTagging(), nil
-	}
-	return satisfaction.Task{}, fmt.Errorf("unknown task %q (want age, surveillance or tagging)", st.Task)
 }
 
 // arrivalsFor builds a stream's arrival process at a mean rate. The

@@ -70,8 +70,7 @@ func TestSpecDefaults(t *testing.T) {
 // TestArrivalsForDefaulting: the empty arrival kind resolves to the
 // archetype's own process, and every named kind maps to its type.
 func TestArrivalsForDefaulting(t *testing.T) {
-	age, _ := taskFor(StreamSpec{Task: "age"})
-	cam, _ := taskFor(StreamSpec{Task: "surveillance", FPS: 30})
+	age, cam := satisfaction.AgeDetection(), satisfaction.VideoSurveillance(30)
 	cases := []struct {
 		name     string
 		st       StreamSpec
@@ -112,8 +111,7 @@ func TestArrivalsForDefaulting(t *testing.T) {
 }
 
 func TestStreamRate(t *testing.T) {
-	age, _ := taskFor(StreamSpec{Task: "age"})
-	cam, _ := taskFor(StreamSpec{Task: "surveillance", FPS: 24})
+	age, cam := satisfaction.AgeDetection(), satisfaction.VideoSurveillance(24)
 	ex := goldenExec{}
 	if r := arrivalRate(StreamSpec{Task: "age", RateRPS: 123}, age, ex, 4); r != 123 {
 		t.Errorf("explicit rate = %v, want 123", r)

@@ -170,6 +170,28 @@ func NewPlanExecutor(plan *compile.Plan, path []sched.TuningPoint, scaled *nn.Se
 	return e, nil
 }
 
+// Recompile compiles the executor's network for its device and task
+// afresh, applying the DVFS frequency ladder when dvfs is set, into a new
+// executor on the same degradation path, scaled network and operating
+// points: a hot-swap recompiles without losing what tuning measured.
+func (e *PlanExecutor) Recompile(dvfs bool) (*PlanExecutor, error) {
+	plan, err := compile.Compile(e.plan.Net, e.plan.Dev, e.plan.Task)
+	if err != nil {
+		return nil, err
+	}
+	if dvfs {
+		if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+			return nil, err
+		}
+	}
+	next, err := NewPlanExecutor(plan, e.path, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	next.scaled, next.opts = e.scaled, e.opts
+	return next, nil
+}
+
 // MaxBatch implements Executor.
 func (e *PlanExecutor) MaxBatch() int { return e.plan.Batch }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // TestPredictExportsRoutingState pins the /predict payload source: the
-// exported prediction must agree with PredictCompletionMS, reflect a
-// declared busy horizon, and price a requested batch with Eq 12.
+// exported prediction must agree with the current level's completion
+// estimate, reflect a declared busy horizon, and price a requested batch
+// with Eq 12.
 func TestPredictExportsRoutingState(t *testing.T) {
 	ex := &fakeExec{maxBatch: 4, msPerImage: []float64{2, 1}, entropies: []float64{0.1, 0.2}}
 	clk := time.Unix(1_700_000_000, 0)
@@ -23,8 +24,8 @@ func TestPredictExportsRoutingState(t *testing.T) {
 	defer srv.Close(context.Background())
 
 	p := srv.Predict(0)
-	if p.PredictMS != srv.PredictCompletionMS() {
-		t.Errorf("PredictMS %.3f != PredictCompletionMS %.3f", p.PredictMS, srv.PredictCompletionMS())
+	if want := srv.predictQueueMS(srv.Level()); p.PredictMS != want {
+		t.Errorf("PredictMS %.3f != the current level's estimate %.3f", p.PredictMS, want)
 	}
 	if p.CapacityRPS != srv.CapacityRPS() {
 		t.Errorf("CapacityRPS %.3f != server's %.3f", p.CapacityRPS, srv.CapacityRPS())
@@ -56,7 +57,7 @@ func TestPredictExportsRoutingState(t *testing.T) {
 	if p.PredictMS <= 250 {
 		t.Errorf("PredictMS %.3f should include the busy horizon", p.PredictMS)
 	}
-	if p.PredictMS != srv.PredictCompletionMS() {
-		t.Errorf("loaded PredictMS %.3f != PredictCompletionMS %.3f", p.PredictMS, srv.PredictCompletionMS())
+	if want := srv.predictQueueMS(srv.Level()); p.PredictMS != want {
+		t.Errorf("loaded PredictMS %.3f != the current level's estimate %.3f", p.PredictMS, want)
 	}
 }

@@ -101,16 +101,16 @@ func TestSetBusyUntilFeedsAdmission(t *testing.T) {
 	defer s.Close(context.Background())
 
 	s.SetBusyUntil(epoch().Add(100 * time.Millisecond))
-	if pred := s.PredictCompletionMS(); pred < 100 {
-		t.Errorf("PredictCompletionMS = %.1f, want ≥ 100 behind the busy horizon", pred)
+	if pred := s.Predict(0).PredictMS; pred < 100 {
+		t.Errorf("PredictMS = %.1f, want ≥ 100 behind the busy horizon", pred)
 	}
 	if _, err := s.Submit(); !errors.Is(err, ErrDeadlineUnmeetable) {
 		t.Fatalf("Submit behind 100 ms busy horizon = %v, want ErrDeadlineUnmeetable", err)
 	}
 
 	clk.set(200) // horizon passed — occupancy expired
-	if pred := s.PredictCompletionMS(); pred >= 100 {
-		t.Errorf("PredictCompletionMS = %.1f after horizon expiry, want the bare execution cost", pred)
+	if pred := s.Predict(0).PredictMS; pred >= 100 {
+		t.Errorf("PredictMS = %.1f after horizon expiry, want the bare execution cost", pred)
 	}
 	fut, err := s.Submit()
 	if err != nil {

@@ -472,13 +472,6 @@ func (s *Server) busyMS() float64 {
 	return ms
 }
 
-// PredictCompletionMS is the Eq 12 completion estimate for a request
-// submitted now at the current degradation level — the routing signal a
-// fleet load balancer compares across replicas (and hedges on).
-func (s *Server) PredictCompletionMS() float64 {
-	return s.predictQueueMS(s.ctrl.Level())
-}
-
 // Prediction is the serving-side prediction state one replica exports to
 // remote routers: the Eq 12 completion estimate and the queue/degradation
 // inputs it was derived from. It is the GET /predict wire payload, so a
@@ -486,7 +479,8 @@ func (s *Server) PredictCompletionMS() float64 {
 // and unmeetable rejection exactly like an in-process node.
 type Prediction struct {
 	// PredictMS is the Eq 12 completion estimate for a request submitted
-	// now at the current degradation level — PredictCompletionMS.
+	// now at the current degradation level: the routing signal a fleet
+	// compares across replicas (and hedges on).
 	PredictMS float64 `json:"predict_ms"`
 	// BatchMS is the Eq 12 execution estimate for the requested batch size
 	// at the current level (0 when no batch size was asked for).
@@ -637,59 +631,6 @@ func (s *Server) Stats() Snapshot {
 func (s *Server) BreakerState() BreakerState {
 	st, _, _ := s.brk.snapshot()
 	return st
-}
-
-// Health is one server's liveness/degradation view; a fleet node reads
-// it to decide whether it should take traffic.
-type Health struct {
-	// Status is "ok", "degraded" (breaker not closed, or serving above the
-	// base perforation level) or "closed" (draining/terminated).
-	Status string `json:"status"`
-	// Degraded mirrors Status != "ok" for programmatic checks.
-	Degraded bool `json:"degraded"`
-	// Breaker is the circuit breaker position: closed, half-open or open.
-	Breaker string `json:"breaker"`
-	// Level / BaseLevel are the current and preferred perforation levels.
-	Level     int `json:"level"`
-	BaseLevel int `json:"base_level"`
-	// QueueDepth is how many accepted requests await execution.
-	QueueDepth int `json:"queue_depth"`
-	// Reasons lists why the server is not "ok"; empty when healthy.
-	Reasons []string `json:"reasons,omitempty"`
-}
-
-// Health reports the server's degradation state: healthy, degraded (with
-// reasons), or closed.
-func (s *Server) Health() Health {
-	st, _, _ := s.brk.snapshot()
-	h := Health{
-		Breaker:    st.String(),
-		Level:      s.ctrl.Level(),
-		BaseLevel:  s.ctrl.base,
-		QueueDepth: s.st.queueDepth(),
-	}
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	switch {
-	case closed:
-		h.Status = "closed"
-		h.Degraded = true
-		h.Reasons = append(h.Reasons, "server closed")
-	default:
-		h.Status = "ok"
-		if st != BreakerClosed {
-			h.Reasons = append(h.Reasons, "circuit breaker "+st.String())
-		}
-		if h.Level > h.BaseLevel {
-			h.Reasons = append(h.Reasons, "serving above base perforation level")
-		}
-		if len(h.Reasons) > 0 {
-			h.Status = "degraded"
-			h.Degraded = true
-		}
-	}
-	return h
 }
 
 // FaultCounts returns the attached injector's per-kind injection tallies

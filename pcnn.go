@@ -99,10 +99,6 @@ type (
 	FaultInjector = fault.Injector
 	// FaultCounts tallies injected faults per kind (Server.FaultCounts).
 	FaultCounts = fault.Counts
-	// ServeHealth is one server's degradation view (Server.Health): a
-	// fleet node leaves rotation when a server of its reports closed or
-	// breaker-open, which is what the daemon's /healthz counts.
-	ServeHealth = serve.Health
 	// LaunchError is the typed kernel-launch failure the GPU layer and the
 	// serving executor surface; Injected marks chaos-injected failures.
 	LaunchError = gpu.LaunchError
@@ -110,8 +106,8 @@ type (
 	// capacity-weighted virtual nodes, health-driven ejection, hedged
 	// retries and hot-swappable model deployments across replicas.
 	Fleet = fleet.Fleet
-	// FleetConfig tunes the fleet router (policy, hedging, readmission
-	// cooldown, clock injection).
+	// FleetConfig tunes the fleet router (policy, hedging, clock
+	// injection).
 	FleetConfig = fleet.Config
 	// FleetPolicy selects how fallback replicas are ordered.
 	FleetPolicy = fleet.Policy
