@@ -3,7 +3,7 @@ GO ?= go
 # soak-fleet) write into; bench-verify points it at a temp dir.
 OUT ?= .
 
-.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve profile-wire bench-gemm bench-serve bench-verify bench-verify-fast paper-verify fuzz fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-wire fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
+.PHONY: ci vet build build-arm64 build-portable build-bench test test-short race e2e soak-fleet bench profile-sim profile-serve profile-wire bench-gemm bench-serve bench-verify bench-verify-fast paper-verify fuzz fuzz-tail fuzz-blocked fuzz-fusedpack fuzz-predict fuzz-wire fuzz-mmpp chaos serve-smoke scenarios scenarios-smoke fleet-smoke
 
 # ci is the gate every change must pass: static checks, full build, the
 # arm64 cross-compile (the NEON micro-kernel's assembly and stubs only
@@ -33,7 +33,10 @@ build-arm64:
 # build-portable cross-compiles and vets the configuration with no SIMD
 # 8x8 kernel (kern8x8_other.go, `!amd64 && !arm64`): the scalar 8x4
 # DefaultTile is the only blocked path there and the reason kern8x4 is
-# kept, and no other gate parses it.
+# kept, and no other gate parses it. Only amd64 has assembly for the
+# elementwise kernels (vec_amd64.s); arm64 and riscv64 both run their
+# portable Go twins (vec_other.go, `!amd64`), which build-arm64 and this
+# target compile.
 build-portable:
 	GOOS=linux GOARCH=riscv64 $(GO) build ./... && GOOS=linux GOARCH=riscv64 $(GO) vet ./internal/tensor/
 
@@ -110,8 +113,16 @@ profile-wire:
 	$(GO) test -run='^$$' -bench='WireRoundTrip' -benchtime=200000x -o $(OUT)/fleet.test \
 		-cpuprofile $(OUT)/cpu.prof -memprofile $(OUT)/mem.prof ./internal/fleet/
 
-fuzz:
+fuzz: fuzz-tail
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulShapes -fuzztime=30s ./internal/tensor/
+
+# fuzz-tail feeds arbitrary float32 bit patterns, row widths and start
+# offsets to the elementwise kernels of the forward's tail (ReLU, the
+# pooling maxes, the Lerp row resampler) and requires the AVX2 path to
+# equal its portable twin bit for bit (NaN for NaN); the seeds run as
+# part of `test`.
+fuzz-tail:
+	$(GO) test -run='^$$' -fuzz=FuzzTailKernels -fuzztime=30s ./internal/tensor/
 
 # fuzz-blocked drives random shapes through the blocked backend against
 # the naive kernels; the committed seed corpus under

@@ -12,8 +12,8 @@ import (
 // Conv is an executable convolutional layer implemented as im2col + GEMM,
 // exactly the lowering of Fig 2 in the paper. It supports run-time output
 // perforation (Fig 11): under a reduced Wo′×Ho′ keep grid only those output
-// positions are computed and the rest are interpolated from their nearest
-// computed neighbours.
+// positions are computed and the rest are interpolated bilinearly from the
+// computed positions around them.
 type Conv struct {
 	name   string
 	inC    int
@@ -125,7 +125,7 @@ func (c *Conv) maskFor(k Keep) *perforate.Mask {
 	if m, ok := c.masks.Load(k); ok {
 		return m.(*perforate.Mask)
 	}
-	m := perforate.Grid(wo, ho, k.W, k.H).Prepared()
+	m := perforate.Grid(wo, ho, k.W, k.H)
 	cached, _ := c.masks.LoadOrStore(k, &m)
 	return cached.(*perforate.Mask)
 }
@@ -181,7 +181,7 @@ func (c *Conv) addBias(dst, res []float32, ld, off, nPos int) {
 // blocked kernels pack GEMM panels straight from the input images, and a
 // perforated layer is the same call with the mask's kept columns and rows
 // in the geometry, which shrinks nPos to Wo′·Ho′. The bias pass then
-// writes NCHW, scattering and interpolating per sample under a mask. A
+// writes NCHW, under a mask filling each plane from its kept values. A
 // column's K order does not depend on its neighbours, so every output
 // element is bit-identical to a batch-1 call's.
 func (c *Conv) infer(x act, ctx inferCtx) act {
@@ -234,9 +234,8 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 				for j := range row {
 					row[j] += b
 				}
-				m.Scatter(row, oi[f*planeOut:(f+1)*planeOut])
+				m.Interpolate(oi[f*planeOut:][:planeOut], row)
 			}
-			m.Interpolate(oi, c.outC)
 		}
 	}
 	return out

@@ -189,7 +189,7 @@ func TestConv1x1FastPathMatchesGeneric(t *testing.T) {
 // materializedForward is the two-step lowering inference no longer runs:
 // build each image's column matrix (the one-loop reference, restricted to
 // the keep grid's computed positions), multiply it on eng as a stored
-// operand, then bias, scatter and interpolate. Conv.infer packs the same
+// operand, then bias and fill each plane from its kept values. Conv.infer packs the same
 // panels straight from the images, so on one engine the two must agree to
 // the last bit.
 func materializedForward(c *Conv, x *tensor.Tensor, keep Keep, eng *tensor.Engine) *tensor.Tensor {
@@ -221,11 +221,8 @@ func materializedForward(c *Conv, x *tensor.Tensor, keep Keep, eng *tensor.Engin
 			if m == nil {
 				copy(oi[f*nPos:], row)
 			} else {
-				m.Scatter(row, oi[f*ho*wo:][:ho*wo])
+				m.Interpolate(oi[f*ho*wo:][:ho*wo], row)
 			}
-		}
-		if m != nil {
-			m.Interpolate(oi, c.outC)
 		}
 	}
 	return out

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pcnn/internal/perforate"
 	"pcnn/internal/tensor"
 )
 
@@ -264,15 +265,7 @@ func TestConvPerforationMatchesFullAtComputedPositions(t *testing.T) {
 }
 
 // perfMaskFor exposes the mask of the conv's own SetPerforation grid.
-func perfMaskFor(c *Conv) maskView {
-	m := c.own.masks[c]
-	return maskView{Computed: m.Computed, Source: m.Source}
-}
-
-type maskView struct {
-	Computed []bool
-	Source   []int
-}
+func perfMaskFor(c *Conv) *perforate.Mask { return c.own.masks[c] }
 
 func TestConvPerforationZeroIsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -347,10 +340,10 @@ func TestTrainForwardIsInfer(t *testing.T) {
 	same("lone conv under SetPerforation(2, 2)", train, conv.Forward(x, false))
 }
 
-// TestReLUInferenceMatchesBranch pins the branch-free inference ReLU to
-// `if v < 0 { v = 0 }` on every class of value, bit for bit: negatives and
-// -Inf clear, while -0, NaNs of either sign, denormals and positives pass
-// through untouched.
+// TestReLUInferenceMatchesBranch pins the branch-free inference ReLU, on
+// the vector and the portable kernel, to `if v < 0 { v = 0 }` on every
+// class of value, bit for bit: negatives and -Inf clear, while -0, NaNs
+// of either sign, denormals and positives pass through untouched.
 func TestReLUInferenceMatchesBranch(t *testing.T) {
 	vals := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1, 1e-45, -1e-45, 3e38, -3e38,
@@ -362,34 +355,71 @@ func TestReLUInferenceMatchesBranch(t *testing.T) {
 		vals = append(vals, math.Float32frombits(rng.Uint32()))
 	}
 	x := tensor.FromSlice(vals, 1, len(vals), 1, 1)
-	got := NewReLU("r").Forward(x, false)
-	for i, v := range vals {
-		want := v
-		if v < 0 {
-			want = 0
-		}
-		if math.Float32bits(got.Data[i]) != math.Float32bits(want) {
-			t.Fatalf("relu(%g [%#x]) = %g [%#x], want %g", v, math.Float32bits(v), got.Data[i], math.Float32bits(got.Data[i]), want)
-		}
-		if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
-			t.Fatal("inference ReLU overwrote its caller's tensor")
+	defer tensor.SetSIMD(tensor.SetSIMD(true))
+	for _, simd := range []bool{true, false} {
+		tensor.SetSIMD(simd)
+		got := NewReLU("r").Forward(x, false)
+		for i, v := range vals {
+			want := v
+			if v < 0 {
+				want = 0
+			}
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want) {
+				t.Fatalf("simd=%v relu(%g [%#x]) = %g [%#x], want %g", simd, v, math.Float32bits(v), got.Data[i], math.Float32bits(got.Data[i]), want)
+			}
+			if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
+				t.Fatal("inference ReLU overwrote its caller's tensor")
+			}
 		}
 	}
 }
 
-// TestMaxPoolInferenceMatchesTraining: the argmax-free inference loop and
-// the training forward compute the same maxima.
-func TestMaxPoolInferenceMatchesTraining(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, cfg := range [][4]int{{2, 2, 8, 8}, {3, 2, 9, 7}, {3, 1, 5, 6}, {2, 3, 8, 11}} {
-		p := NewMaxPool("p", cfg[0], cfg[1])
-		x := tensor.New(3, 4, cfg[2], cfg[3])
-		for i := range x.Data {
-			x.Data[i] = rng.Float32()*2 - 1
-		}
-		infer, train := p.Forward(x, false), p.Forward(x, true)
-		if !tensor.AllClose(infer, train, 0) {
-			t.Fatalf("pool %dx%d/%d on %dx%d: inference and training forwards differ", cfg[0], cfg[0], cfg[1], cfg[2], cfg[3])
+// TestMaxPoolInferenceMatchesReference pins the pooling forward — a
+// vertical max over each window's rows, then a horizontal one, the 2×2/2
+// pool through tensor.PairMax — to the per-window nested loop over the
+// builtin max, on the vector and the portable kernels alike: bit for bit
+// wherever the window holds no NaN, NaN wherever it does. The inputs mix
+// random values with ±0, ±Inf and NaN; the configurations cover the pair
+// kernel (2×2/2, on rows long enough for its 8-wide, 4-wide and scalar
+// steps) and the scalar horizontal loop (overlapping, stride-1 and gapped
+// windows).
+func TestMaxPoolInferenceMatchesReference(t *testing.T) {
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	defer tensor.SetSIMD(tensor.SetSIMD(true))
+	for _, simd := range []bool{true, false} {
+		tensor.SetSIMD(simd)
+		rng := rand.New(rand.NewSource(4))
+		for _, cfg := range [][4]int{{2, 2, 8, 8}, {3, 2, 9, 7}, {3, 1, 5, 6}, {2, 3, 8, 11}, {2, 2, 21, 37}} {
+			size, stride, h, w := cfg[0], cfg[1], cfg[2], cfg[3]
+			p := NewMaxPool("p", size, stride)
+			x := tensor.New(3, 4, h, w)
+			for i := range x.Data {
+				x.Data[i] = rng.Float32()*2 - 1
+				if rng.Intn(8) == 0 {
+					x.Data[i] = special[rng.Intn(len(special))]
+				}
+			}
+			got := p.Forward(x, false)
+			ho, wo := p.outDims(h, w)
+			for pl := 0; pl < 3*4; pl++ {
+				in := x.Data[pl*h*w:][:h*w]
+				for oy := 0; oy < ho; oy++ {
+					for ox := 0; ox < wo; ox++ {
+						want, nan := float32(math.Inf(-1)), false
+						for ky := 0; ky < size; ky++ {
+							for kx := 0; kx < size; kx++ {
+								v := in[(oy*stride+ky)*w+ox*stride+kx]
+								want, nan = max(want, v), nan || v != v
+							}
+						}
+						g := got.Data[(pl*ho+oy)*wo+ox]
+						if nan && g == g || !nan && math.Float32bits(g) != math.Float32bits(want) {
+							t.Fatalf("simd=%v pool %dx%d/%d on %dx%d: plane %d (%d,%d) = %g (%#x), want %g (%#x)",
+								simd, size, size, stride, h, w, pl, oy, ox, g, math.Float32bits(g), want, math.Float32bits(want))
+						}
+					}
+				}
+			}
 		}
 	}
 }

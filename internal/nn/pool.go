@@ -40,31 +40,44 @@ func (p *MaxPool) outDims(h, w int) (ho, wo int) {
 	return ho, wo
 }
 
-// infer implements Layer: window maxima only, no argmax bookkeeping, one
-// input row folded into the output row at a time. The builtin max keeps
-// the loop free of the data-dependent branch that, on activations of
-// random sign, mispredicts every other element (2.2× on AlexNet-S POOL1);
-// unlike Backward's argmax scan (`v > best`) it propagates a NaN in the
-// window instead of skipping it.
+// infer implements Layer: window maxima only, no argmax bookkeeping. A
+// vertical max over each window's input rows (tensor.MaxRows) leaves one
+// w-wide row per output row; a horizontal max across each window of that
+// row finishes it — the 2×2/2 pool every scaled network uses de-interleaves
+// them in one pass (tensor.PairMax), any other window runs a scalar loop.
+// Both steps take the builtin max's semantics, so unlike Backward's
+// argmax scan (`v > best`) a NaN in the window propagates instead of
+// being skipped.
 func (p *MaxPool) infer(x act, ctx inferCtx) act {
 	ho, wo := p.outDims(x.h, x.w)
 	out := ctx.alloc(x.n, x.c, ho, wo)
-	ninf := float32(math.Inf(-1))
-	for pl := 0; pl < x.n*x.c; pl++ {
-		in := x.data[pl*x.h*x.w:][:x.h*x.w]
-		o := out.data[pl*ho*wo:][:ho*wo]
-		for oy := 0; oy < ho; oy++ {
-			orow := o[oy*wo:][:wo]
+	// When the windows tile each plane's rows exactly (h = ho·stride),
+	// output row k of the whole batch starts at input row k·stride, so each
+	// step is one call over every plane; otherwise one per plane.
+	groups, planes := x.n*x.c, 1
+	if x.h == ho*p.stride {
+		groups, planes = 1, x.n*x.c
+	}
+	rows, inLen := planes*ho, planes*x.h*x.w
+	vmax := tensor.GetScratch(rows * x.w)
+	defer tensor.PutScratch(vmax)
+	pairs := p.size == 2 && p.stride == 2 && x.w%2 == 0
+	for g := 0; g < groups; g++ {
+		tensor.MaxRows(vmax, x.data[g*inLen:][:inLen], x.w, p.size, p.stride)
+		o := out.data[g*rows*wo:][:rows*wo]
+		if pairs {
+			tensor.PairMax(o, vmax)
+			continue
+		}
+		for r := 0; r < rows; r++ {
+			row, orow := vmax[r*x.w:][:x.w], o[r*wo:][:wo]
 			for ox := range orow {
-				orow[ox] = ninf
-			}
-			for ky := 0; ky < p.size; ky++ {
-				irow := in[(oy*p.stride+ky)*x.w:][:x.w]
-				for kx := 0; kx < p.size; kx++ {
-					for ox, best := range orow {
-						orow[ox] = max(best, irow[ox*p.stride+kx])
-					}
+				win := row[ox*p.stride:][:p.size]
+				best := win[0]
+				for _, v := range win[1:] {
+					best = max(best, v)
 				}
+				orow[ox] = best
 			}
 		}
 	}
@@ -136,17 +149,7 @@ func (r *ReLU) infer(x act, ctx inferCtx) act {
 	if !x.owned {
 		out = ctx.alloc(x.n, x.c, x.h, x.w)
 	}
-	dst := out.data[:len(x.data)]
-	for i, v := range x.data {
-		// v < 0 holds exactly when v's bits lie in (0x80000000, 0xFF800000]
-		// — sign set, neither -0 nor NaN. Clearing those values through an
-		// arithmetic mask is `if v < 0 { v = 0 }` without the branch, which
-		// on activations of random sign mispredicts every other element
-		// (7× on AlexNet-S RELU1).
-		b := math.Float32bits(v)
-		neg := uint32((int64(b-0x80000001) - 0x7F800000) >> 63)
-		dst[i] = math.Float32frombits(b &^ neg)
-	}
+	tensor.ReLU(out.data, x.data)
 	return out
 }
 

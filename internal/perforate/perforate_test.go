@@ -5,13 +5,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pcnn/internal/tensor"
 )
 
 func TestFullMask(t *testing.T) {
 	m := Full(4, 3)
-	if !m.IsFull() {
-		t.Fatalf("Full mask not full")
-	}
 	if m.Rate() != 0 {
 		t.Fatalf("Rate = %v, want 0", m.Rate())
 	}
@@ -47,18 +46,6 @@ func TestGridPanicsOnBadSize(t *testing.T) {
 	Grid(0, 3, 1, 1)
 }
 
-func TestSourceSelfForComputed(t *testing.T) {
-	m := Grid(7, 5, 3, 2)
-	for i, c := range m.Computed {
-		if c && m.Source[i] != i {
-			t.Fatalf("computed position %d has Source %d", i, m.Source[i])
-		}
-		if !c && !m.Computed[m.Source[i]] {
-			t.Fatalf("position %d sources from non-computed %d", i, m.Source[i])
-		}
-	}
-}
-
 // fromRate is the mask oracle for KeptFraction: the grid mask whose
 // computed fraction is approximately 1−rate.
 func fromRate(w, h int, rate float64) Mask {
@@ -70,10 +57,10 @@ func fromRate(w, h int, rate float64) Mask {
 }
 
 func TestFromRateZero(t *testing.T) {
-	if m := fromRate(6, 6, 0); !m.IsFull() {
+	if m := fromRate(6, 6, 0); m.Rate() != 0 {
 		t.Fatalf("fromRate(…, 0) not full")
 	}
-	if m := fromRate(6, 6, -1); !m.IsFull() {
+	if m := fromRate(6, 6, -1); m.Rate() != 0 {
 		t.Fatalf("fromRate(…, -1) not full")
 	}
 }
@@ -98,11 +85,12 @@ func TestFromRateNeverEmpty(t *testing.T) {
 func TestInterpolateBlendsBetweenComputed(t *testing.T) {
 	m := Grid(4, 1, 2, 1) // keeps x=1 and x=3
 	data := make([]float32, 4)
-	data[m.sampled[0]] = 10
-	data[m.sampled[1]] = 20
-	m.Interpolate(data, 1)
+	m.Interpolate(data, []float32{10, 20})
 	// Positions outside the kept span clamp; positions between blend
 	// linearly: x=2 sits halfway between x=1 (10) and x=3 (20).
+	if data[1] != 10 || data[3] != 20 {
+		t.Fatalf("computed positions = %v, %v, want 10, 20", data[1], data[3])
+	}
 	if data[0] != 10 {
 		t.Fatalf("border position = %v, want clamp to 10", data[0])
 	}
@@ -118,11 +106,9 @@ func TestInterpolateBlendsBetweenComputed(t *testing.T) {
 
 func TestInterpolateMultiChannel(t *testing.T) {
 	m := Grid(3, 3, 1, 1)
-	center := m.sampled[0]
 	data := make([]float32, 2*9)
-	data[center] = 5
-	data[9+center] = 7
-	m.Interpolate(data, 2)
+	m.Interpolate(data[:9], []float32{5})
+	m.Interpolate(data[9:], []float32{7})
 	for i := 0; i < 9; i++ {
 		if data[i] != 5 {
 			t.Fatalf("channel 0 pos %d = %v, want 5", i, data[i])
@@ -134,37 +120,23 @@ func TestInterpolateMultiChannel(t *testing.T) {
 }
 
 func TestInterpolateSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Interpolate with wrong size did not panic")
-		}
-	}()
-	Full(2, 2).Interpolate(make([]float32, 5), 1)
-}
-
-func TestScatter(t *testing.T) {
-	m := Grid(4, 4, 2, 2)
-	vals := []float32{1, 2, 3, 4}
-	plane := make([]float32, 16)
-	m.Scatter(vals, plane)
-	for j, idx := range m.sampled {
-		if plane[idx] != vals[j] {
-			t.Fatalf("plane[%d] = %v, want %v", idx, plane[idx], vals[j])
-		}
+	for _, c := range []struct{ plane, kept int }{{5, 4}, {4, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Interpolate with a %d-plane and %d kept values did not panic", c.plane, c.kept)
+				}
+			}()
+			m := Full(2, 2)
+			m.Interpolate(make([]float32, c.plane), make([]float32, c.kept))
+		}()
 	}
 }
 
-func TestScatterSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Scatter with wrong sizes did not panic")
-		}
-	}()
-	Grid(4, 4, 2, 2).Scatter(make([]float32, 3), make([]float32, 16))
-}
-
-// Property: every Source points at a computed index; rate is in [0,1);
-// interpolation is idempotent.
+// Property: the computed positions are the kept grid's cross product, rate
+// is in [0,1), Interpolate puts every kept value at its position, and
+// interpolation is idempotent: refilling from the filled plane's computed
+// positions changes nothing.
 func TestMaskInvariantsProperty(t *testing.T) {
 	f := func(w8, h8, kw8, kh8 uint8) bool {
 		w, h := int(w8%16)+1, int(h8%16)+1
@@ -172,22 +144,35 @@ func TestMaskInvariantsProperty(t *testing.T) {
 		if m.Rate() < 0 || m.Rate() >= 1.0000001 {
 			return false
 		}
-		for i, src := range m.Source {
-			if src < 0 || src >= w*h || !m.Computed[src] {
-				return false
-			}
-			if m.Computed[i] && src != i {
-				return false
+		xs, ys := m.SampledGrid()
+		var at []int // computed positions, row-major
+		for _, y := range ys {
+			for _, x := range xs {
+				at = append(at, y*w+x)
 			}
 		}
-		// Idempotence of interpolation.
+		computed := 0
+		for _, c := range m.Computed {
+			if c {
+				computed++
+			}
+		}
+		if computed != len(at) || m.SampledCount() != len(at) {
+			return false
+		}
+		kept := make([]float32, len(at))
+		for j := range kept {
+			kept[j] = float32(j + 1)
+		}
 		data := make([]float32, w*h)
-		for j, idx := range m.sampled {
-			data[idx] = float32(j + 1)
+		m.Interpolate(data, kept)
+		for j, i := range at {
+			if !m.Computed[i] || data[i] != kept[j] {
+				return false
+			}
 		}
-		m.Interpolate(data, 1)
 		snapshot := append([]float32(nil), data...)
-		m.Interpolate(data, 1)
+		m.Interpolate(data, kept)
 		for i := range data {
 			if data[i] != snapshot[i] {
 				return false
@@ -228,7 +213,8 @@ func TestKeptFraction(t *testing.T) {
 		prev := 1.0
 		for i := 0; i <= 12; i++ {
 			frac := math.Pow(0.8, float64(i))
-			got, want := KeptFraction(w, h, frac), 1-fromRate(w, h, 1-frac).Rate()
+			m := fromRate(w, h, 1-frac)
+			got, want := KeptFraction(w, h, frac), 1-m.Rate()
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("KeptFraction(%d,%d,%v) = %v, mask says %v", w, h, frac, got, want)
 			}
@@ -251,56 +237,65 @@ func TestKeptFraction(t *testing.T) {
 	}
 }
 
-// TestFillPlanMatchesDirectBilinear pins the separable interpolation —
-// kept rows blended horizontally into scratch, then a vertical blend into
-// every non-computed position — to the per-position formula it
-// reorganizes: bracket each axis, blend the four corners. Same float
-// expressions, so the planes must agree by Float32bits, prepared or not,
-// with −0, ±Inf and NaN planted among the computed values — on every map
-// up to 30×30, at keep grids sampled to cover dense, sparse and
-// single-row/column masks. Only a NaN's sign and payload are exempt: x86
-// propagates the first operand's NaN and the compiler may commute an add,
-// so which of two NaNs survives is not a property of the expression.
+// TestFillPlanMatchesDirectBilinear pins the row-wise fill — kept rows
+// blended across straight from the kept values, missing rows blended from
+// two finished kept rows — to the per-position formula it reorganizes, as
+// the fill it replaced computed it: scatter the kept values, then for
+// every non-computed position bracket each axis and blend the four
+// corners. Same float expressions, so on finite values the planes agree
+// by Float32bits, with ±0, denormals and values near the float32 range
+// planted among the kept ones — on every map up to 30×30, at keep grids
+// sampled to cover dense, sparse and single-row/column masks, on the
+// vector and the portable row blend. Only finite values, and a zero's
+// sign is exempt: the corner formula also adds weight-0 terms — at a
+// kept column the next kept column, on a kept row the next kept row — so
+// an Inf or NaN there would leak into the position, and a −0 there turns
+// into +0; the fill copies a kept value and a kept row's blend exactly.
 func TestFillPlanMatchesDirectBilinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	special := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 0}
-	for w := 1; w <= 30; w++ {
-		for h := 1; h <= 30; h++ {
-			for _, keep := range [][2]int{{1, 1}, {w, 1}, {1, h}, {w - 1, h - 1}, {(w + 1) / 2, (2*h + 2) / 3}, {1 + rng.Intn(w), 1 + rng.Intn(h)}} {
-				m := Grid(w, h, keep[0], keep[1])
-				const channels = 3
-				data := make([]float32, channels*w*h)
-				for i := range data {
-					data[i] = float32(math.Sin(float64(i)*0.37)) * 3
-					if rng.Intn(6) == 0 {
-						data[i] = special[rng.Intn(len(special))]
+	special := []float32{float32(math.Copysign(0, -1)), 0, 1e-45, -1e-45, 3e38, -3e38}
+	defer tensor.SetSIMD(tensor.SetSIMD(true))
+	for _, simd := range []bool{true, false} {
+		tensor.SetSIMD(simd)
+		rng := rand.New(rand.NewSource(11))
+		for w := 1; w <= 30; w++ {
+			for h := 1; h <= 30; h++ {
+				for _, keep := range [][2]int{{1, 1}, {w, 1}, {1, h}, {w - 1, h - 1}, {(w + 1) / 2, (2*h + 2) / 3}, {1 + rng.Intn(w), 1 + rng.Intn(h)}} {
+					m := Grid(w, h, keep[0], keep[1])
+					kept := make([]float32, m.SampledCount())
+					for i := range kept {
+						kept[i] = float32(math.Sin(float64(i)*0.37)) * 3
+						if rng.Intn(6) == 0 {
+							kept[i] = special[rng.Intn(len(special))]
+						}
 					}
-				}
-				want := append([]float32(nil), data...)
-				bx, by := axisBlend(w, m.xs), axisBlend(h, m.ys)
-				for c := 0; c < channels; c++ {
-					p := want[c*w*h:][:w*h]
+					want := make([]float32, w*h)
+					j := 0
+					for _, y := range m.ys {
+						for _, x := range m.xs {
+							want[y*w+x] = kept[j]
+							j++
+						}
+					}
+					xlo, xhi, fxs := axisBlend(w, m.xs)
+					ylo, yhi, fys := axisBlend(h, m.ys)
 					for y := 0; y < h; y++ {
 						for x := 0; x < w; x++ {
 							if m.Computed[y*w+x] {
 								continue
 							}
-							fx, x0, x1 := bx[x].f, m.xs[bx[x].lo], m.xs[bx[x].hi]
-							fy, y0, y1 := by[y].f, m.ys[by[y].lo], m.ys[by[y].hi]
-							top := (1-fx)*p[y0*w+x0] + fx*p[y0*w+x1]
-							bot := (1-fx)*p[y1*w+x0] + fx*p[y1*w+x1]
-							p[y*w+x] = (1-fy)*top + fy*bot
+							fx, x0, x1 := fxs[x], m.xs[xlo[x]], m.xs[xhi[x]]
+							fy, y0, y1 := fys[y], m.ys[ylo[y]], m.ys[yhi[y]]
+							top := (1-fx)*want[y0*w+x0] + fx*want[y0*w+x1]
+							bot := (1-fx)*want[y1*w+x0] + fx*want[y1*w+x1]
+							want[y*w+x] = (1-fy)*top + fy*bot
 						}
 					}
-				}
-				for name, mask := range map[string]Mask{"derived": m, "prepared": m.Prepared()} {
-					got := append([]float32(nil), data...)
-					mask.Interpolate(got, channels)
+					got := make([]float32, w*h)
+					m.Interpolate(got, kept)
 					for i := range got {
-						bothNaN := got[i] != got[i] && want[i] != want[i]
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !bothNaN {
-							t.Fatalf("grid %dx%d keep %v %s plan: position %d = %g (%#x), direct formula %g (%#x)",
-								w, h, keep, name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !(got[i] == 0 && want[i] == 0) {
+							t.Fatalf("simd=%v grid %dx%d keep %v: position %d = %g (%#x), direct formula %g (%#x)",
+								simd, w, h, keep, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 						}
 					}
 				}
@@ -309,13 +304,13 @@ func TestFillPlanMatchesDirectBilinear(t *testing.T) {
 	}
 }
 
-// TestInterpolatePreparedZeroAlloc: a prepared mask interpolates on the
-// serving path per sample per forward, so it must allocate nothing — the
-// plan is cached and the row scratch lives on the stack.
-func TestInterpolatePreparedZeroAlloc(t *testing.T) {
-	m := Grid(16, 16, 7, 7).Prepared()
-	data := make([]float32, 12*16*16)
-	if allocs := testing.AllocsPerRun(20, func() { m.Interpolate(data, 12) }); allocs != 0 {
-		t.Fatalf("prepared Interpolate allocates %.1f objects/op, want 0", allocs)
+// TestInterpolateZeroAlloc: a perforated conv fills every plane of every
+// sample per forward on the serving path, so the fill must allocate
+// nothing.
+func TestInterpolateZeroAlloc(t *testing.T) {
+	m := Grid(16, 16, 7, 7)
+	plane, kept := make([]float32, 16*16), make([]float32, m.SampledCount())
+	if allocs := testing.AllocsPerRun(20, func() { m.Interpolate(plane, kept) }); allocs != 0 {
+		t.Fatalf("Interpolate allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -19,9 +19,22 @@ func kern8x8fma(kc int, ap, bp, c *float32, ldc int, first bool)
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// useFMA8x8 gates the assembly path; tests flip it to compare the SIMD
-// and portable kernels on the same host.
-var useFMA8x8 = detectFMA()
+// hasFMA8x8 records the probe; useFMA8x8 gates the assembly paths — the
+// 8×8 micro-kernel and the elementwise kernels of vec_amd64.s — and tests
+// flip it to compare the SIMD and portable kernels on the same host.
+var (
+	hasFMA8x8 = detectFMA()
+	useFMA8x8 = hasFMA8x8
+)
+
+// SetSIMD turns the assembly kernels on (where the host has them) or off
+// and reports whether they were on, so that other packages' tests can run
+// their layers on the portable kernels too. It is not safe to call while
+// any kernel runs.
+func SetSIMD(on bool) (was bool) {
+	was, useFMA8x8 = useFMA8x8, on && hasFMA8x8
+	return was
+}
 
 func init() {
 	if useFMA8x8 {

@@ -19,6 +19,14 @@ func kern8x8neon(kc int, ap, bp, c *float32, ldc int, first bool)
 // and portable kernels on the same host.
 var useNEON8x8 = true
 
+// SetSIMD turns the assembly kernel on or off and reports whether it was
+// on, so that other packages' tests can run on the portable kernels too.
+// It is not safe to call while any kernel runs.
+func SetSIMD(on bool) (was bool) {
+	was, useNEON8x8 = useNEON8x8, on
+	return was
+}
+
 func init() {
 	if useNEON8x8 {
 		// Two quad registers per C-tile row mirror the amd64 YMM layout,
