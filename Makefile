@@ -163,8 +163,8 @@ fuzz-mmpp:
 # streams, the serve-level chaos scenarios, and the hardening regressions
 # (drain-on-Close, breaker lifecycle, soak conservation, submit accounting,
 # the future-completion contract, the controller against its reference
-# model and lock-free concurrent inference on one shared network at one and
-# two Ps)
+# model, its climb back to base after a calibration, and lock-free
+# concurrent inference on one shared network at one and two Ps)
 # — under the race detector.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ \
@@ -172,7 +172,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/serve/ \
 		-run 'TestNoResolutionAfterCloseDrain|TestBreakerLifecycleServing|TestSoakConservation|TestExecTimeoutFailsAttempt'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/serve/ \
-		-run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerMatchesModel|TestPlanExecutorConcurrentLevels'
+		-run 'TestSubmitAccountingRace|TestCompletionContract|TestControllerMatchesModel|TestControllerRecoversUpToBase|TestServerRecoversToBaseAfterCalibration|TestPlanExecutorConcurrentLevels'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ -run 'TestConcurrentInferenceSharedNet'
 
 # serve-smoke gates the serving pipeline twice: the closed-loop generator

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,13 +30,29 @@ func main() {
 	fmt.Printf("P-CNN: response=%.1fms (deadline %.1fms) energy=%.3fJ/image SoC=%.3f deadlineMet=%v\n",
 		out.ResponseMS, fw.Task.Deadline(), out.EnergyPerImageJ, out.SoC, out.MeetsDeadline)
 
-	// Run real inference through the managed (perforated, monitored)
-	// network.
-	lab := pcnn.NewLab(1)
-	probs, entropy, err := fw.Infer(lab.Test.X)
+	// Serve real frames: one hand-flushed batch of 32 runs at the base
+	// level, the most aggressive one within the entropy threshold
+	// (escalation is off, so the frame deadline cannot push it deeper).
+	srv, err := fw.Serve(pcnn.ServeConfig{MaxBatch: 32, DisableDegrade: true, ManualFlush: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("inferred %d frames at tuning level %d, mean output entropy %.3f nats\n",
-		len(probs), fw.Manager.Level(), entropy)
+	ctx := context.Background()
+	defer srv.Close(ctx)
+	lab := pcnn.NewLab(1)
+	futs := make([]*pcnn.Future, 32)
+	for i := range futs {
+		if futs[i], err = srv.SubmitInput(lab.Test.Sample(i)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	srv.Flush()
+	var res pcnn.ServeResult
+	for _, f := range futs {
+		if res, err = f.Wait(ctx); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("served %d frames in one batch at tuning level %d, mean output entropy %.3f nats; the next batch runs at level %d\n",
+		len(futs), res.Level, res.Entropy, srv.Level())
 }

@@ -3,13 +3,15 @@
 // the Jetson TX1 every conventional scheduler misses this deadline even
 // without batching; P-CNN meets it by perforating convolutional layers,
 // and its run-time calibration backs the approximation off when the scene
-// gets hard.
+// gets hard and returns to it once the scene clears.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"pcnn"
 )
@@ -38,32 +40,53 @@ func main() {
 		fmt.Printf("  %-7s response=%6.2fms  %s  (SoC %.3f)\n", o.Scheduler, o.ResponseMS, verdict, o.SoC)
 	}
 
-	// 2. The calibration story: stream easy frames, then a hard scene
-	// (heavy sensor noise), then easy frames again. The manager backs off
-	// to a more precise kernel when output uncertainty crosses the
-	// threshold, and re-advances once the scene clears.
-	lab := pcnn.NewLab(1)
-	easy := lab.Test
+	// 2. The calibration story: easy frames (the ones the full network is
+	// ≥ 90% sure of), a hard scene (heavy sensor noise), then easy frames
+	// again. The server starts at its base level, backs off when a batch's
+	// output uncertainty crosses the threshold, and climbs back after a
+	// streak of calm batches. Escalation is off, so only entropy moves the
+	// level, and each batch is flushed by hand so it holds one group.
+	const frames = 16
+	srv, err := fw.Serve(pcnn.ServeConfig{MaxBatch: frames, DisableDegrade: true, ManualFlush: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	defer srv.Close(ctx)
+	test := pcnn.NewLab(1).Test
+	var easy []int
+	for i, p := range fw.Scaled.Predict(test.X) {
+		if slices.Max(p) >= 0.9 {
+			easy = append(easy, i)
+		}
+	}
 	hardRng := rand.New(rand.NewSource(42))
-	fmt.Printf("\nstreaming batches (tuning level %d of %d is most aggressive):\n",
-		fw.Manager.Level(), len(fw.Table.Entries)-1)
-	fw.Manager.RecoverAfter = 2
-	for i := 0; i < 12; i++ {
-		batch := easy.Slice((i*8)%128, (i*8)%128+8)
-		frames := batch.X
-		phase := "easy"
-		if i >= 4 && i < 8 {
-			phase = "hard"
-			frames = frames.Clone()
-			for j := range frames.Data {
-				frames.Data[j] = frames.Data[j]*0.2 + float32(hardRng.NormFloat64())*0.5
+	fmt.Printf("\nstreaming batches of %d frames (base tuning level %d of %d):\n",
+		frames, srv.Level(), len(fw.Table.Entries)-1)
+	for i := 0; i < 22; i++ {
+		hard := i >= 4 && i < 6
+		futs := make([]*pcnn.Future, frames)
+		for j := range futs {
+			x := test.Sample(easy[(i*frames+j)%len(easy)])
+			if hard {
+				x = x.Clone()
+				for k := range x.Data {
+					x.Data[k] = x.Data[k]*0.2 + float32(hardRng.NormFloat64())*0.5
+				}
+			}
+			if futs[j], err = srv.SubmitInput(x); err != nil {
+				log.Fatal(err)
 			}
 		}
-		_, entropy, err := fw.Infer(frames)
-		if err != nil {
-			log.Fatal(err)
+		srv.Flush()
+		var res pcnn.ServeResult
+		for _, f := range futs {
+			if res, err = f.Wait(ctx); err != nil {
+				log.Fatal(err)
+			}
 		}
-		fmt.Printf("  batch %2d (%4s): entropy=%.3f level=%d calibrations=%d\n",
-			i, phase, entropy, fw.Manager.Level(), fw.Manager.Calibrations())
+		snap := srv.Stats()
+		fmt.Printf("  batch %2d (hard=%-5v): entropy=%.3f at level %d, next level %d  calibrations=%d recoveries=%d\n",
+			i, hard, res.Entropy, res.Level, srv.Level(), snap.Calibrations, snap.Recoveries)
 	}
 }

@@ -34,10 +34,9 @@ type Framework struct {
 	Plan *compile.Plan
 
 	// Scaled is the trained executable analogue attached for accuracy
-	// tuning; Table its tuning table; Manager the calibrating runtime.
-	Scaled  *nn.Sequential
-	Table   *runtimemgr.Table
-	Manager *runtimemgr.Manager
+	// tuning; Table its tuning table, which Serve calibrates along.
+	Scaled *nn.Sequential
+	Table  *runtimemgr.Table
 }
 
 // New resolves the named network shape and validates the task.
@@ -67,13 +66,13 @@ func (f *Framework) CompileOffline() error {
 
 // AttachScaled wires a trained executable network plus probe inputs into
 // the framework and runs the entropy-based accuracy tuner (Section IV.C.1),
-// producing the tuning table and the calibrating runtime manager.
+// producing the tuning table Serve runs and calibrates along.
 func (f *Framework) AttachScaled(scaled *nn.Sequential, probe *tensor.Tensor) error {
 	// The tuner explores past the task's threshold so the table holds the
 	// aggressive points the Ideal scheduler profiles and the points P-CNN
 	// escalates to when a hard deadline outranks accuracy (the TX1
-	// real-time case of Section V.C). The runtime manager still enforces
-	// the task threshold.
+	// real-time case of Section V.C). Serving still starts at the task
+	// threshold's level (serve.BaseLevel) and calibrates against it.
 	exploreCap := math.Max(f.Task.EntropyThreshold, 0.6*entropy.Max(scaled.Classes))
 	tuner := &runtimemgr.Tuner{
 		Net:       scaled,
@@ -84,25 +83,9 @@ func (f *Framework) AttachScaled(scaled *nn.Sequential, probe *tensor.Tensor) er
 	if err != nil {
 		return err
 	}
-	mgr, err := runtimemgr.NewManager(scaled, table, f.Task.EntropyThreshold)
-	if err != nil {
-		return err
-	}
 	f.Scaled = scaled
 	f.Table = table
-	f.Manager = mgr
 	return nil
-}
-
-// Infer classifies a batch through the managed scaled network (monitoring
-// uncertainty and calibrating) and returns softmax rows plus the batch's
-// mean entropy. AttachScaled must have been called.
-func (f *Framework) Infer(x *tensor.Tensor) ([][]float32, float64, error) {
-	if f.Manager == nil {
-		return nil, 0, fmt.Errorf("core: Infer before AttachScaled")
-	}
-	probs, h := f.Manager.Infer(x)
-	return probs, h, nil
 }
 
 // TuningPath converts the scaled network's tuning table into full-size

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"pcnn/internal/gpu"
+	"pcnn/internal/nn"
 	"pcnn/internal/satisfaction"
+	"pcnn/internal/serve"
 )
 
 // The lab fixture trains once per test binary.
@@ -59,23 +63,52 @@ func TestNewRejectsInvalidTask(t *testing.T) {
 	}
 }
 
+// TestFrameworkEndToEnd serves one batch of test samples through the
+// deployed framework: it runs at the task's base level (the most
+// aggressive one within the entropy threshold) and answers every request
+// with a softmax row over the scaled networks' classes.
 func TestFrameworkEndToEnd(t *testing.T) {
 	fw, lab := framework(t)
-	if fw.Plan == nil || fw.Table == nil || fw.Manager == nil {
+	if fw.Plan == nil || fw.Table == nil || fw.Scaled == nil {
 		t.Fatal("framework not fully assembled")
 	}
 	if len(fw.Table.Entries) < 2 {
 		t.Fatalf("tuning produced %d entries, want ≥2", len(fw.Table.Entries))
 	}
-	probs, h, err := fw.Infer(lab.Test.X)
+	// The frame deadline does not fit the base level on TX1; with
+	// escalation off the batch stays where calibration starts.
+	const n = 8
+	epoch := time.Unix(0, 0)
+	srv, err := fw.Serve(serve.Config{
+		MaxBatch: n, DisableDegrade: true, ManualFlush: true,
+		Clock: func() time.Time { return epoch },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(probs) != lab.Test.Len() {
-		t.Fatalf("got %d prob rows", len(probs))
+	ctx := context.Background()
+	defer srv.Close(ctx)
+	base := srv.Predict(0).BaseLevel
+	futs := make([]*serve.Future, n)
+	for i := range futs {
+		if futs[i], err = srv.SubmitInput(lab.Test.Sample(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if h <= 0 {
-		t.Fatalf("entropy %v", h)
+	if got := srv.Flush(); got != n {
+		t.Fatalf("flushed %d requests, want %d", got, n)
+	}
+	for i, f := range futs {
+		res, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Batch != n || res.Level != base {
+			t.Fatalf("request %d ran in a batch of %d at level %d, want %d at base %d", i, res.Batch, res.Level, n, base)
+		}
+		if len(res.Probs) != nn.ScaledClasses || res.Entropy <= 0 {
+			t.Fatalf("request %d: %d probabilities, entropy %v", i, len(res.Probs), res.Entropy)
+		}
 	}
 }
 

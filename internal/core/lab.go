@@ -13,7 +13,7 @@ import (
 // classification task plus the calibrated training recipe that lands the
 // three scaled networks in the accuracy band of Table I (AlexNet-S ≈75%,
 // VGG-S ≈81%, GoogLeNet-S ≈90% at noise 0.9). Experiments that need a
-// *trained* classifier (Table I, Fig 16, the runtime manager) start here.
+// *trained* classifier (Table I, Fig 16, a served deployment) start here.
 type Lab struct {
 	Train *nn.Dataset
 	Test  *nn.Dataset

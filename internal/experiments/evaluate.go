@@ -186,12 +186,12 @@ const Fig16EntropyThreshold = 0.28
 // speedup/entropy/accuracy per iteration, evaluating accuracy with the
 // lab's labelled test set in both cases.
 func Fig16Data(lab *core.Lab, entropyThreshold float64) (entropyTrace, accuracyTrace []Fig16Point, err error) {
+	net, err := lab.TrainNet("GoogLeNet")
+	if err != nil {
+		return nil, nil, err
+	}
+	baseAcc := lab.Accuracy(net, nil)
 	run := func(accuracyGuided bool) ([]Fig16Point, error) {
-		net, err := lab.TrainNet("GoogLeNet")
-		if err != nil {
-			return nil, err
-		}
-		baseAcc := lab.Accuracy(net, nil)
 		tuner := &runtimemgr.Tuner{
 			Net:       net,
 			Probe:     lab.Test.X,

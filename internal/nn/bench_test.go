@@ -133,7 +133,7 @@ func BenchmarkConvForwardPerforated(b *testing.B) {
 // serial oracle on the same convolution (VGG-ish full-size geometry so the
 // GEMM clears the sharding threshold).
 func BenchmarkConvForwardBackend(b *testing.B) {
-	for _, bk := range []tensor.Backend{tensor.Auto, tensor.Serial} {
+	for _, bk := range []tensor.Backend{tensor.Blocked, tensor.Serial} {
 		b.Run(bk.String(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			conv := NewConv("b", 64, 28, 28, 64, 3, 1, 1, rng)
@@ -153,7 +153,7 @@ func BenchmarkConvForwardBackend(b *testing.B) {
 // BenchmarkAlexNetSInferenceBackend measures the scaled network end to end
 // under the default engine and the naive serial oracle.
 func BenchmarkAlexNetSInferenceBackend(b *testing.B) {
-	for _, bk := range []tensor.Backend{tensor.Auto, tensor.Serial} {
+	for _, bk := range []tensor.Backend{tensor.Blocked, tensor.Serial} {
 		b.Run(bk.String(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			net := AlexNetS(rng)

@@ -15,13 +15,13 @@ import (
 // `cmd/experiments` summaries identical across hosts with different core
 // counts.
 
-// unshardedEngine and shardedEngine are the default (Auto = blocked)
-// engine on one goroutine and on a private 4-worker pool with a zero
-// threshold, so even the tiny test GEMMs shard on a single-CPU host.
-func unshardedEngine() *tensor.Engine { return tensor.NewEngine(tensor.Auto, 1) }
+// unshardedEngine and shardedEngine are the default (blocked) engine on
+// one goroutine and on a private 4-worker pool with a zero threshold, so
+// even the tiny test GEMMs shard on a single-CPU host.
+func unshardedEngine() *tensor.Engine { return tensor.NewEngine(tensor.Blocked, 1) }
 
 func shardedEngine() *tensor.Engine {
-	eng := tensor.NewEngine(tensor.Auto, 4)
+	eng := tensor.NewEngine(tensor.Blocked, 4)
 	eng.SetParallelThreshold(0)
 	return eng
 }

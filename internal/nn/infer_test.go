@@ -79,7 +79,7 @@ func split(net *nn.Sequential) (trunk, tail *nn.Sequential) {
 }
 
 func quantEngine(p tensor.Precision) *tensor.Engine {
-	eng := tensor.NewEngine(tensor.Auto, 1)
+	eng := tensor.NewEngine(tensor.Blocked, 1)
 	eng.SetPrecision(p)
 	return eng
 }

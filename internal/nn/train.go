@@ -57,6 +57,13 @@ func (d *Dataset) Slice(lo, hi int) *Dataset {
 	return &Dataset{X: sub, Labels: d.Labels[lo:hi]}
 }
 
+// Sample returns sample i as a C×H×W view of the dataset's storage, the
+// shape one serving request carries.
+func (d *Dataset) Sample(i int) *tensor.Tensor {
+	per := d.X.Len() / d.X.Dim(0)
+	return tensor.FromSlice(d.X.Data[i*per:(i+1)*per], d.X.Shape()[1:]...)
+}
+
 // TrainEpoch runs one pass over the dataset in batches, returning the mean
 // loss. The caller provides batch order via the dataset layout (shuffle by
 // regenerating the dataset with a different seed if desired).

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pcnn/internal/nn"
-	"pcnn/internal/tensor"
 	"pcnn/internal/workload"
 )
 
@@ -76,10 +75,11 @@ func TestTunerProducesMonotoneSpeedup(t *testing.T) {
 	}
 }
 
-// TestTuneAndCalibrateLeaveNetworkUnchanged: tuning, attaching a manager
-// at the deepest level and one Infer that calibrates leave the shared
-// network's full-grid logits unchanged to the bit. A level is the options
-// of a call, never state programmed onto the layers.
+// TestTuneAndCalibrateLeaveNetworkUnchanged: tuning, then inference at
+// every level of the table it produced — the rows a calibrating server
+// moves between — leave the shared network's full-grid logits unchanged to
+// the bit. A level is the options of a call, never state programmed onto
+// the layers.
 func TestTuneAndCalibrateLeaveNetworkUnchanged(t *testing.T) {
 	net, _, test := trainedNet(t)
 	before := net.Forward(test.X, false)
@@ -90,14 +90,8 @@ func TestTuneAndCalibrateLeaveNetworkUnchanged(t *testing.T) {
 	if len(table.Entries) < 2 {
 		t.Fatalf("tuning produced %d entries, want a perforated level", len(table.Entries))
 	}
-	mgr, err := NewManager(net, table, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Uncertainty = func([][]float32) float64 { return 2 }
-	mgr.Infer(test.X)
-	if mgr.Calibrations() != 1 {
-		t.Fatalf("Infer calibrated %d times, want 1", mgr.Calibrations())
+	for _, o := range table.ForwardOpts(net) {
+		net.PredictWith(test.X, o)
 	}
 	after := net.Forward(test.X, false)
 	for i := range before.Data {
@@ -189,88 +183,5 @@ func TestFLOPsTimeModel(t *testing.T) {
 	tHalf := model(halved)
 	if !(tHalf < tFull) {
 		t.Fatalf("halving a layer did not reduce modelled time: %v vs %v", tHalf, tFull)
-	}
-}
-
-func TestManagerCalibratesOnNoisyInput(t *testing.T) {
-	net, _, test := trainedNet(t)
-	tuner := &Tuner{Net: net, Probe: test.X, Threshold: 1.1, MaxIters: 10}
-	table, err := tuner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The manager's own threshold sits below the uncertainty that
-	// low-amplitude noise induces (≈0.97 nats on this fixture), so
-	// sustained noise must walk the level all the way back.
-	mgr, err := NewManager(net, table, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.RecoverAfter = 0
-	startLevel := mgr.Level()
-	if startLevel != len(table.Entries)-1 {
-		t.Fatalf("manager starts at level %d, want most aggressive %d", startLevel, len(table.Entries)-1)
-	}
-	rng := rand.New(rand.NewSource(9))
-	noise := tensor.New(16, 3, nn.ScaledInputSize, nn.ScaledInputSize)
-	for i := range noise.Data {
-		noise.Data[i] = float32(rng.NormFloat64() * 0.5)
-	}
-	for i := 0; i < len(table.Entries)+2; i++ {
-		mgr.Infer(noise)
-	}
-	if mgr.Level() != 0 {
-		t.Fatalf("manager level %d after sustained noise, want 0", mgr.Level())
-	}
-	if mgr.Calibrations() == 0 {
-		t.Fatalf("no calibrations recorded")
-	}
-}
-
-func TestManagerRecoversOnConfidentInput(t *testing.T) {
-	net, _, test := trainedNet(t)
-	tuner := &Tuner{Net: net, Probe: test.X, Threshold: 1.1, MaxIters: 8}
-	table, err := tuner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Entries) < 2 {
-		t.Skip("tuning produced no aggressive levels")
-	}
-	const threshold = 0.9
-	mgr, err := NewManager(net, table, threshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.RecoverAfter = 2
-	// The calibration loop is driven through the Uncertainty seam, so the
-	// test pins the manager's reaction to a crossing rather than where one
-	// particular training trajectory happens to leave the test-set entropy
-	// (which moves with the GEMM kernels' rounding). Force a back-off with
-	// one uncertain batch…
-	h := 2 * threshold
-	mgr.Uncertainty = func([][]float32) float64 { return h }
-	top := mgr.Level()
-	mgr.Infer(test.X)
-	dropped := mgr.Level()
-	if dropped != top-1 || mgr.Calibrations() != 1 {
-		t.Fatalf("uncertain batch moved level %d → %d with %d calibrations, want one step back", top, dropped, mgr.Calibrations())
-	}
-	// …then feed confident batches: RecoverAfter of them re-advance it.
-	h = 0.5 * threshold
-	mgr.Infer(test.X)
-	if mgr.Level() != dropped {
-		t.Fatalf("level recovered after one confident batch, want RecoverAfter = 2")
-	}
-	mgr.Infer(test.X)
-	if mgr.Level() != top {
-		t.Fatalf("level %d after two confident batches, want recovery to %d", mgr.Level(), top)
-	}
-}
-
-func TestManagerEmptyTable(t *testing.T) {
-	net, _, _ := trainedNet(t)
-	if _, err := NewManager(net, &Table{}, 1); err == nil {
-		t.Fatal("empty table accepted")
 	}
 }

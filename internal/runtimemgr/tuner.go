@@ -1,10 +1,10 @@
 // Package runtimemgr implements P-CNN's run-time management phase
 // (Section IV.C, the right half of Fig 10): entropy-based accuracy tuning
 // that greedily perforates one conv layer per iteration guided by the TE
-// metric (Eq 14, Fig 12), the tuning tables the procedure emits, and the
-// calibrating runtime manager that monitors output uncertainty during
-// execution and backtracks along the tuning path when it crosses the
-// user's threshold.
+// metric (Eq 14, Fig 12) and the tuning tables the procedure emits. The
+// calibration loop that walks a table at run time — backtracking along the
+// tuning path when output uncertainty crosses the user's threshold — is
+// the serving controller (internal/serve), which runs one row per batch.
 package runtimemgr
 
 import (

@@ -374,7 +374,8 @@ func (s *Server) runBatch(job *batchJob) {
 	// Comfortable means every request in the batch finished inside half
 	// the deadline; a deadline-free task never eases an escalated level
 	// back down.
-	s.ctrl.observe(res.Entropy > s.task.EntropyThreshold, comfortable)
+	thr := s.task.EntropyThreshold
+	s.ctrl.observe(res.Entropy > thr, res.Entropy <= calmFrac*thr, comfortable)
 	s.st.batchDone(n)
 
 	s.resolve(job, demoted, outs, nil)

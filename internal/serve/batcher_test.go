@@ -235,7 +235,7 @@ func TestFlushTimerStaleFire(t *testing.T) {
 	s, err := newServer(manualExec{}, satisfaction.ImageTagging(), Config{
 		Workers: 1, MaxBatch: 4, QueueCap: 16,
 		LingerMS: 20, Clock: clk.now,
-	}, func() batcherTimer { return ft })
+	}, recoverStreak, func() batcherTimer { return ft })
 	if err != nil {
 		t.Fatal(err)
 	}

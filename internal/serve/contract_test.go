@@ -78,7 +78,7 @@ func TestCompletionContract(t *testing.T) {
 		level := ref.escalate(func(l int) bool {
 			return task.SlackMS(st.waitMS, ms[l]) >= slackGuardFrac*ms[l]
 		})
-		ref.observe(high[k], st.waitMS+ms[level] <= 0.5*deadline)
+		ref.observe(high[k], !high[k], st.waitMS+ms[level] <= 0.5*deadline)
 		if want[k] = ref.Level(); want[k] != before {
 			moved++
 		}
@@ -91,9 +91,9 @@ func TestCompletionContract(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			clk := &atomicClock{}
 			ex := &contractExec{ms: ms, recorded: recorded, high: high}
-			s, err := NewServer(ex, task, Config{
-				Workers: workers, ManualFlush: true, RecoverAfter: recoverAfter, Clock: clk.now,
-			})
+			s, err := newServer(ex, task, Config{
+				Workers: workers, ManualFlush: true, Clock: clk.now,
+			}, recoverAfter, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,14 +3,15 @@ package serve
 import "sync"
 
 // controller owns the degradation level shared by the batcher and the
-// worker pool. It is the event-driven form of the paper's run-time
-// management loop: the batcher *escalates* (deeper perforation, faster,
-// less accurate) when the oldest request's slack goes negative, and the
-// workers *calibrate* — backtrack one level along the path, exactly the
-// runtimemgr.Manager move — when a batch's measured entropy crosses the
-// user's threshold. A calibration also pins a ceiling one level down for
-// a cooldown window so the very next flush cannot immediately re-escalate
-// into the level that just proved too uncertain.
+// worker pool. It is the run-time manager of Fig 10 as an event-driven
+// loop: the batcher *escalates* (deeper perforation, faster, less
+// accurate) when the oldest request's slack goes negative, and the workers
+// *calibrate* — backtrack one level along the tuning path (Section
+// IV.C.3) — when a batch's measured entropy crosses the user's threshold.
+// A calibration also pins a ceiling one level down for a cooldown window
+// so the very next flush cannot immediately re-escalate into the level
+// that just proved too uncertain. Streaks of quiet batches walk the level
+// back toward base from either side (see observe).
 type controller struct {
 	// base is the preferred point: the most aggressive level within the
 	// entropy threshold. base, max and recoverAfter are immutable after
@@ -88,11 +89,15 @@ func (c *controller) escalate(fits func(level int) bool) int {
 	return c.level
 }
 
+// calmFrac of the entropy threshold bounds a calm batch's entropy.
+const calmFrac = 0.8
+
 // observe folds one executed batch's signals back into the level.
-// entropyExceeded triggers the calibration backtrack; comfortable batches
-// (ample slack) accumulate toward easing an escalated level back toward
-// the base point.
-func (c *controller) observe(entropyExceeded, comfortable bool) {
+// entropyExceeded triggers the calibration backtrack; a streak of
+// comfortable batches (ample slack) eases an escalated level back down to
+// base, and a streak of calm batches (entropy ≤ calmFrac of the threshold)
+// climbs a calibrated level back up to it.
+func (c *controller) observe(entropyExceeded, calm, comfortable bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cooldown > 0 {
@@ -108,10 +113,15 @@ func (c *controller) observe(entropyExceeded, comfortable bool) {
 		c.ceiling = c.level
 		c.cooldown = c.recoverAfter
 		c.confident = 0
-	case comfortable && c.level > c.base:
-		c.confident++
-		if c.confident >= c.recoverAfter {
-			c.level--
+	case comfortable && c.level > c.base, calm && c.level < c.base:
+		// A quiet streak steps toward base; an upward one ends no sooner
+		// than a calibration's cooldown, so it never passes the ceiling.
+		if c.confident++; c.confident >= c.recoverAfter {
+			if c.level > c.base {
+				c.level--
+			} else {
+				c.level++
+			}
 			c.recoveries++
 			c.confident = 0
 		}

@@ -57,7 +57,7 @@ func TestControllerCalibrationPinsCeiling(t *testing.T) {
 	ctl := newController(5, 0, 2) // max 4, recoverAfter (cooldown) 2
 	ctl.escalate(func(level int) bool { return level >= 3 })
 
-	ctl.observe(true, false) // entropy crossed: backtrack 3 → 2
+	ctl.observe(true, false, false) // entropy crossed: backtrack 3 → 2
 	if ctl.Level() != 2 {
 		t.Fatalf("level after calibration = %d, want 2", ctl.Level())
 	}
@@ -69,11 +69,11 @@ func TestControllerCalibrationPinsCeiling(t *testing.T) {
 	if got := ctl.escalate(never); got != 2 {
 		t.Fatalf("escalate during cooldown reached %d, want ceiling 2", got)
 	}
-	ctl.observe(false, false) // cooldown 2 → 1
+	ctl.observe(false, false, false) // cooldown 2 → 1
 	if got := ctl.escalate(never); got != 2 {
 		t.Fatalf("escalate during cooldown reached %d, want ceiling 2", got)
 	}
-	ctl.observe(false, false) // cooldown 1 → 0: ceiling releases to max
+	ctl.observe(false, false, false) // cooldown 1 → 0: ceiling releases to max
 
 	if got := ctl.escalate(never); got != 4 {
 		t.Fatalf("escalate after cooldown reached %d, want max 4", got)
@@ -86,19 +86,19 @@ func TestControllerCalibrationPinsCeiling(t *testing.T) {
 func TestControllerRecalibrationRestartsCooldown(t *testing.T) {
 	ctl := newController(5, 0, 2)
 	ctl.escalate(func(level int) bool { return level >= 3 })
-	ctl.observe(true, false) // 3 → 2, ceiling 2, cooldown 2
-	ctl.observe(true, false) // 2 → 1, ceiling 1, cooldown restarts at 2
+	ctl.observe(true, false, false) // 3 → 2, ceiling 2, cooldown 2
+	ctl.observe(true, false, false) // 2 → 1, ceiling 1, cooldown restarts at 2
 	if ctl.Level() != 1 {
 		t.Fatalf("level = %d, want 1", ctl.Level())
 	}
 	if got := ctl.escalate(never); got != 1 {
 		t.Fatalf("escalate reached %d, want re-pinned ceiling 1", got)
 	}
-	ctl.observe(false, false) // cooldown 2 → 1
+	ctl.observe(false, false, false) // cooldown 2 → 1
 	if got := ctl.escalate(never); got != 1 {
 		t.Fatalf("ceiling released one flush early (reached %d)", got)
 	}
-	ctl.observe(false, false) // cooldown 1 → 0
+	ctl.observe(false, false, false) // cooldown 1 → 0
 	if got := ctl.escalate(never); got != 4 {
 		t.Fatalf("escalate after restarted cooldown reached %d, want 4", got)
 	}
@@ -107,7 +107,7 @@ func TestControllerRecalibrationRestartsCooldown(t *testing.T) {
 func TestControllerCalibrationAtLevelZero(t *testing.T) {
 	ctl := newController(4, 0, 2)
 	for i := 0; i < 3; i++ {
-		ctl.observe(true, false)
+		ctl.observe(true, false, false)
 	}
 	if ctl.Level() != 0 {
 		t.Fatalf("level = %d, want 0", ctl.Level())
@@ -126,15 +126,15 @@ func TestControllerRecoveryStreak(t *testing.T) {
 	ctl.escalate(func(level int) bool { return level >= 4 })
 
 	// Two comfortable batches, then a neutral one: streak resets.
-	ctl.observe(false, true)
-	ctl.observe(false, true)
-	ctl.observe(false, false)
+	ctl.observe(false, false, true)
+	ctl.observe(false, false, true)
+	ctl.observe(false, false, false)
 	if ctl.Level() != 4 {
 		t.Fatalf("level = %d after broken streak, want 4", ctl.Level())
 	}
 	// Three consecutive comfortable batches recover exactly one level.
 	for i := 0; i < 3; i++ {
-		ctl.observe(false, true)
+		ctl.observe(false, false, true)
 	}
 	if ctl.Level() != 3 {
 		t.Fatalf("level = %d after full streak, want 3", ctl.Level())
@@ -144,10 +144,67 @@ func TestControllerRecoveryStreak(t *testing.T) {
 	}
 	// Recovery walks toward base and stops there, never below.
 	for i := 0; i < 12; i++ {
-		ctl.observe(false, true)
+		ctl.observe(false, false, true)
 	}
 	if ctl.Level() != 1 {
 		t.Fatalf("level = %d after long comfort, want base 1", ctl.Level())
+	}
+}
+
+// TestControllerRecoversUpToBase: calibrations that left the level below
+// base are undone by calm streaks, one level per recoverAfter calm
+// batches. The climb stops at base, never passes the calibration ceiling,
+// and any batch that is not calm restarts the streak.
+func TestControllerRecoversUpToBase(t *testing.T) {
+	ctl := newController(6, 3, 3)   // base 3, recoverAfter 3
+	ctl.observe(true, false, false) // 3 → 2
+	ctl.observe(true, false, false) // 2 → 1, ceiling 1 for three observes
+	observe := func(hot, calm, comfy bool) {
+		t.Helper()
+		ctl.observe(hot, calm, comfy)
+		if level, ceiling := ctl.Level(), ctl.reachable(); level > ceiling {
+			t.Fatalf("level %d climbed past the ceiling %d", level, ceiling)
+		}
+	}
+
+	// Two calm batches, then a comfortable one that is not calm: the
+	// streak restarts. So does a calibration-free but uncalm batch later.
+	observe(false, true, false)
+	observe(false, true, false)
+	observe(false, false, true)
+	observe(false, true, false)
+	observe(false, true, false)
+	observe(false, false, false)
+	if ctl.Level() != 1 {
+		t.Fatalf("level = %d after broken streaks, want 1", ctl.Level())
+	}
+	// Three calm batches in a row climb exactly one level.
+	for i := 0; i < 3; i++ {
+		observe(false, true, false)
+	}
+	if ctl.Level() != 2 || ctl.counts().recoveries != 1 {
+		t.Fatalf("level %d, %d recoveries after one calm streak, want 2 and 1", ctl.Level(), ctl.counts().recoveries)
+	}
+	// A long calm stretch climbs to base and stops there.
+	for i := 0; i < 12; i++ {
+		observe(false, true, false)
+	}
+	if ctl.Level() != 3 || ctl.counts().recoveries != 2 {
+		t.Fatalf("level %d, %d recoveries after a long calm stretch, want base 3 and 2", ctl.Level(), ctl.counts().recoveries)
+	}
+
+	// Calm batches right after a calibration count toward the climb, which
+	// lands the observe the ceiling releases on — never before.
+	ctl.observe(true, false, false) // 3 → 2, ceiling 2 for three observes
+	for i := 0; i < 2; i++ {
+		observe(false, true, false)
+		if ctl.Level() != 2 {
+			t.Fatalf("climbed during the cooldown to %d", ctl.Level())
+		}
+	}
+	observe(false, true, false)
+	if ctl.Level() != 3 || ctl.reachable() != 5 {
+		t.Fatalf("level %d ceiling %d after the cooldown's calm streak, want 3 and 5", ctl.Level(), ctl.reachable())
 	}
 }
 
@@ -170,22 +227,28 @@ func (m *refLadder) escalate(fits func(int) bool) int {
 	return m.level
 }
 
-func (m *refLadder) observe(hot, comfy bool) {
+func (m *refLadder) observe(hot, calm, comfy bool) {
 	if m.observes++; m.observes == m.releaseAt {
 		m.ceil, m.releaseAt = m.max, 0
 	}
+	toward := 0 // the step toward base a full quiet streak takes
 	switch {
 	case hot && m.level > 0:
 		m.level--
 		m.n.calibrations++
 		m.ceil, m.releaseAt, m.streak = m.level, m.observes+m.r, 0
+		return
 	case comfy && m.level > m.base:
-		if m.streak++; m.streak == m.r {
-			m.level--
-			m.n.recoveries++
-			m.streak = 0
-		}
+		toward = -1
+	case calm && m.level < m.base:
+		toward = 1
 	default:
+		m.streak = 0
+		return
+	}
+	if m.streak++; m.streak == m.r {
+		m.level += toward
+		m.n.recoveries++
 		m.streak = 0
 	}
 }
@@ -193,9 +256,10 @@ func (m *refLadder) observe(hot, comfy bool) {
 // TestControllerMatchesModel drives the controller and the reference model
 // with the same seeded random escalate/observe steps and requires equal
 // level, reachable ceiling and tallies after every one, plus the ladder
-// invariants: 0 ≤ level ≤ ceiling ≤ max, and a calibration at level k
-// keeps k unreachable for exactly recoverAfter observes (a second
-// calibration inside the window restarts it). `make chaos` runs it under
+// invariants: 0 ≤ level ≤ ceiling ≤ max, a calibration at level k keeps k
+// unreachable for exactly recoverAfter observes (a second calibration
+// inside the window restarts it), and a calm climb from below base never
+// passes base. `make chaos` runs it under
 // -race -cpu 1,2.
 func TestControllerMatchesModel(t *testing.T) {
 	configs := []struct{ levels, base, r int }{
@@ -203,6 +267,7 @@ func TestControllerMatchesModel(t *testing.T) {
 	}
 	const steps = 2500 // × 8 configs = 20 000
 	var total ctrlCounts
+	climbs := 0 // recoveries up toward base from below it
 	for ci, c := range configs {
 		rng := rand.New(rand.NewSource(int64(ci) + 1))
 		ctl := newController(c.levels, c.base, c.r)
@@ -217,14 +282,23 @@ func TestControllerMatchesModel(t *testing.T) {
 					t.Fatalf("config %d step %d: escalate(≥%d) = %d, model %d", ci, step, target, got, want)
 				}
 			} else {
-				hot, comfy := rng.Intn(4) == 0, rng.Intn(2) == 0
+				// A batch's entropy is over the threshold, calm (well under
+				// it) or in between; its slack is comfortable or not.
+				h := rng.Intn(4)
+				hot, calm, comfy := h == 0, h >= 2, rng.Intn(2) == 0
 				before, cals := ctl.Level(), ctl.counts().calibrations
-				ctl.observe(hot, comfy)
-				ref.observe(hot, comfy)
+				ctl.observe(hot, calm, comfy)
+				ref.observe(hot, calm, comfy)
 				if ctl.counts().calibrations > cals {
 					fenced, fencedFor = before, 0
 				} else if fenced >= 0 {
 					fencedFor++
+				}
+				if after := ctl.Level(); after > before && before < c.base {
+					if after > c.base {
+						t.Fatalf("config %d step %d: calm climb %d → %d passed base %d", ci, step, before, after, c.base)
+					}
+					climbs++
 				}
 			}
 			level, ceiling := ctl.Level(), ctl.reachable()
@@ -252,7 +326,7 @@ func TestControllerMatchesModel(t *testing.T) {
 		total.calibrations += n.calibrations
 		total.recoveries += n.recoveries
 	}
-	if total.escalations < 100 || total.calibrations < 100 || total.recoveries < 100 {
-		t.Errorf("walks too tame to exercise every move: %+v", total)
+	if total.escalations < 100 || total.calibrations < 100 || total.recoveries < 100 || climbs < 100 {
+		t.Errorf("walks too tame to exercise every move: %+v, %d climbs", total, climbs)
 	}
 }

@@ -78,8 +78,8 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// The gauge names resolved kernels only: never the "auto" alias, nor
-	// the retired row-sharded backend.
+	// The gauge names the two kernel families only: never the "auto"
+	// alias, nor the retired row-sharded backend.
 	for _, gone := range []string{`backend="auto"`, `backend="parallel"`} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition still carries %s", gone)
@@ -96,11 +96,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// gemmBackendLine is the exposition line for one resolved backend: 1 for
-// the kernels the default engine runs, 0 for the other.
+// gemmBackendLine is the exposition line for one backend: 1 for the
+// kernels the default engine runs, 0 for the other.
 func gemmBackendLine(bk tensor.Backend) string {
 	v := 0
-	if tensor.Default().Backend().Resolved() == bk {
+	if tensor.Default().Backend() == bk {
 		v = 1
 	}
 	return fmt.Sprintf("pcnn_gemm_backend_active{backend=%q} %d", bk.String(), v)

@@ -37,6 +37,10 @@ import (
 	"pcnn/internal/tensor"
 )
 
+// recoverStreak quiet batches in a row move a server's level one step
+// toward base; a calibration pins its ceiling for as many batches.
+const recoverStreak = 8
+
 // traceRingCap bounds the in-memory ring of finished request traces.
 const traceRingCap = 256
 
@@ -74,10 +78,6 @@ type Config struct {
 	// deadlines instead of trading accuracy) — the control configuration
 	// the evaluation compares against.
 	DisableDegrade bool
-	// RecoverAfter is how many comfortable flushes ease an escalated level
-	// back one step (and how long a calibration pins its ceiling); 0 means
-	// 8.
-	RecoverAfter int
 	// LingerMS is the longest a partially filled batch waits for more
 	// arrivals when the deadline is not pressing (background tasks have no
 	// deadline at all); 0 means 20 ms.
@@ -145,9 +145,6 @@ func (c Config) withDefaults(execMaxBatch int) Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 8
 	}
 	if c.LingerMS <= 0 {
 		c.LingerMS = 20
@@ -282,12 +279,13 @@ type Server struct {
 // NewServer starts the batcher and worker pool for an executor serving a
 // task. Callers must Close the server to release its goroutines.
 func NewServer(ex Executor, task satisfaction.Task, cfg Config) (*Server, error) {
-	return newServer(ex, task, cfg, nil)
+	return newServer(ex, task, cfg, recoverStreak, nil)
 }
 
-// newServer is NewServer with the batcher-timer seam exposed; tests
-// inject a hand-fired timer before the batcher goroutine starts.
-func newServer(ex Executor, task satisfaction.Task, cfg Config, timerHook func() batcherTimer) (*Server, error) {
+// newServer is NewServer with two test seams exposed: the recovery streak,
+// so a test can move the level often, and the batcher timer, so a test can
+// inject a hand-fired one before the batcher goroutine starts.
+func newServer(ex Executor, task satisfaction.Task, cfg Config, recoverAfter int, timerHook func() batcherTimer) (*Server, error) {
 	if ex == nil {
 		return nil, errors.New("serve: nil executor")
 	}
@@ -299,7 +297,7 @@ func newServer(ex Executor, task satisfaction.Task, cfg Config, timerHook func()
 		cfg:         cfg,
 		task:        task,
 		ex:          ex,
-		ctrl:        newController(ex.Levels(), BaseLevel(ex, task), cfg.RecoverAfter),
+		ctrl:        newController(ex.Levels(), BaseLevel(ex, task), recoverAfter),
 		st:          newStats(),
 		reg:         obs.NewRegistry(),
 		traces:      obs.NewTraceRing(traceRingCap),

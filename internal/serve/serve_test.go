@@ -146,7 +146,7 @@ func overloadRun(t *testing.T, disableDegrade bool) Snapshot {
 		entropies:  []float64{0.2, 0.3, 0.4, 0.5},
 	}
 	task := satisfaction.VideoSurveillance(60) // deadline ≈16.7ms, threshold 0.35
-	s, err := NewServer(ex, task, Config{Workers: 1, RecoverAfter: 2, DisableDegrade: disableDegrade})
+	s, err := NewServer(ex, task, Config{Workers: 1, DisableDegrade: disableDegrade})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +201,46 @@ func TestCalibrationBacktrack(t *testing.T) {
 	}
 }
 
+// TestServerRecoversToBaseAfterCalibration: one uncertain batch (the
+// third) backs the server off its base level, and the next recoverStreak
+// calm batches bring it back — a calibration does not cost a level for the
+// rest of the server's life.
+func TestServerRecoversToBaseAfterCalibration(t *testing.T) {
+	task := satisfaction.VideoSurveillance(10) // 100 ms deadline, threshold 0.35
+	high := make([]bool, 3+recoverStreak)
+	high[2] = true
+	ex := &contractExec{ms: []float64{4, 3, 2, 1}, recorded: []float64{0.1, 0.2, 0.3, 10}, high: high}
+	base := BaseLevel(ex, task)
+	if base != 2 {
+		t.Fatalf("base level %d, want 2", base)
+	}
+	clk := &atomicClock{}
+	s, err := NewServer(ex, task, Config{Workers: 1, ManualFlush: true, Clock: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(t, s)
+	for k := range high {
+		f, err := s.Submit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Flush()
+		res := waitAll(t, []*Future{f})[0]
+		want := base - 1 // from the calibration until the calm streak completes
+		if k < 2 || k == len(high)-1 {
+			want = base
+		}
+		if got := s.Level(); got != want {
+			t.Fatalf("after batch %d (ran at level %d): level %d, want %d", k+1, res.Level, got, want)
+		}
+	}
+	if snap := s.Stats(); snap.Calibrations != 1 || snap.Recoveries != 1 || snap.Escalations != 0 {
+		t.Fatalf("calibrations %d, recoveries %d, escalations %d; want 1, 1, 0",
+			snap.Calibrations, snap.Recoveries, snap.Escalations)
+	}
+}
+
 // TestControllerCeiling exercises the calibration ceiling directly: after
 // a backtrack, escalation is capped until the cooldown expires.
 func TestControllerCeiling(t *testing.T) {
@@ -209,15 +249,15 @@ func TestControllerCeiling(t *testing.T) {
 	if got := c.escalate(always); got != 3 {
 		t.Fatalf("escalate to cap = %d, want 3", got)
 	}
-	c.observe(true, false) // entropy exceeded at 3 → backtrack to 2, ceiling 2
+	c.observe(true, false, false) // entropy exceeded at 3 → backtrack to 2, ceiling 2
 	if got := c.Level(); got != 2 {
 		t.Fatalf("level after calibration = %d, want 2", got)
 	}
 	if got := c.escalate(always); got != 2 {
 		t.Fatalf("escalation during cooldown reached %d, want ceiling 2", got)
 	}
-	c.observe(false, false) // cooldown 2→1
-	c.observe(false, false) // cooldown 1→0: ceiling released
+	c.observe(false, false, false) // cooldown 2→1
+	c.observe(false, false, false) // cooldown 1→0: ceiling released
 	if got := c.escalate(always); got != 3 {
 		t.Fatalf("escalation after cooldown = %d, want 3", got)
 	}

@@ -82,10 +82,10 @@ func BenchmarkGEMMInt8(b *testing.B) {
 }
 
 // BenchmarkGEMMDefault runs the engine every nn layer gets when nothing is
-// configured — Auto on the shared pool — which must track
-// BenchmarkGEMMBlockedParallel: "auto" and "blocked" are one path.
+// configured — Blocked on the shared pool — which must track
+// BenchmarkGEMMBlockedParallel.
 func BenchmarkGEMMDefault(b *testing.B) {
-	eng := NewEngine(Auto, 0)
+	eng := NewEngine(Blocked, 0)
 	b.Run(fmt.Sprintf("tile=%s/workers=%d", DefaultTile, eng.Workers()), func(b *testing.B) {
 		for _, s := range gemmShapes {
 			b.Run(s.name, func(b *testing.B) { benchGEMM(b, eng, s.m, s.k, s.n) })

@@ -313,7 +313,7 @@ func TestDefaultEngineMatchesOracleLayerShapes(t *testing.T) {
 		{"N_not_multiple_of_NR", 40, 2*DefaultTile.KC + 3, 8*7 + 3, false},
 	}
 	oracle := NewEngine(Serial, 1)
-	def, sharded := NewEngine(Auto, 1), NewEngine(Auto, 4)
+	def, sharded := NewEngine(Blocked, 1), NewEngine(Blocked, 4)
 	sharded.SetParallelThreshold(0)
 	for si, s := range shapes {
 		if s.large && (testing.Short() || raceEnabled) {

@@ -130,7 +130,7 @@ func TestFoldedIm2colKnownShapes(t *testing.T) {
 
 // TestFusedPackEveryBackend covers MatMulIm2colInto across the backend
 // names: the serial oracle's materializing fallback must agree exactly
-// with the naive GEMM over the materialized column matrix, and Auto must
+// with the naive GEMM over the materialized column matrix, and "auto" must
 // take the fused path — bit-identical to explicit Blocked, sharded or not.
 func TestFusedPackEveryBackend(t *testing.T) {
 	g := Im2colGeom{C: 2, H: 7, W: 7, K: 3, Stride: 2, Pad: 1, HO: 4, WO: 4, N: 3}

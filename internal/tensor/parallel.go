@@ -26,52 +26,38 @@ import (
 type Backend int32
 
 const (
-	// Auto is the default and means Blocked: the routine the measurements
+	// Blocked is the default: the cache-blocked packed-panel kernels
+	// (blocked.go), sharding (MC block × NR panel group) work items across
+	// the pool above the FLOP threshold — the routine the measurements
 	// selected (BENCH_gemm.json) is the one that serves traffic.
-	Auto Backend = iota
+	Blocked Backend = iota
 	// Serial runs the naive row kernels on the calling goroutine. It is the
 	// oracle the fuzz/equivalence tests and bench/ compare against, not a
 	// production path.
 	Serial
-	// Blocked runs the cache-blocked packed-panel kernels (blocked.go),
-	// sharding (MC block × NR panel group) work items across the pool
-	// above the FLOP threshold.
-	Blocked
 )
 
 // String renders the backend name accepted by ParseBackend.
 func (b Backend) String() string {
 	switch b {
-	case Auto:
-		return "auto"
-	case Serial:
-		return "serial"
 	case Blocked:
 		return "blocked"
+	case Serial:
+		return "serial"
 	}
 	return fmt.Sprintf("Backend(%d)", int32(b))
 }
 
-// Resolved returns the kernel family the backend actually runs: Auto is
-// Blocked, the other two are themselves.
-func (b Backend) Resolved() Backend {
-	if b == Auto {
-		return Blocked
-	}
-	return b
-}
-
-// ParseBackend converts a name ("auto", "blocked", "serial") to a Backend.
+// ParseBackend converts a name to a Backend: "blocked", "serial", or
+// "auto" (and the empty string), which name the default, Blocked.
 func ParseBackend(s string) (Backend, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
-		return Auto, nil
+	case "auto", "", "blocked":
+		return Blocked, nil
 	case "serial":
 		return Serial, nil
-	case "blocked":
-		return Blocked, nil
 	}
-	return Auto, fmt.Errorf("tensor: unknown backend %q (want auto, blocked or serial)", s)
+	return Blocked, fmt.Errorf("tensor: unknown backend %q (want auto, blocked or serial)", s)
 }
 
 // GEMMFlops returns the multiply-add FLOP count 2·M·N·K of one GEMM, the
@@ -197,7 +183,7 @@ func NewEngine(b Backend, workers int) *Engine {
 // kernels on the shared pool at fp32. Callers that want another backend or
 // precision say so through Default().SetBackend / SetPrecision (the
 // commands' -backend and -precision flags).
-var defaultEngine = NewEngine(Auto, 0)
+var defaultEngine = NewEngine(Blocked, 0)
 
 // Default returns the engine behind the package-level MatMul* functions.
 func Default() *Engine { return defaultEngine }

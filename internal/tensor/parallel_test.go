@@ -8,12 +8,16 @@ import (
 	"testing"
 )
 
-// Engines under test: the default-constructed Auto engine and an explicit
-// Blocked one, both with a private 4-worker pool and a zero threshold so
-// every GEMM shards even on a single-CPU host, plus the unsharded blocked
-// reference.
+// Engines under test: one built from the "auto" flag spelling and an
+// explicit Blocked one, both with a private 4-worker pool and a zero
+// threshold so every GEMM shards even on a single-CPU host, plus the
+// unsharded blocked reference.
 func testEngines() (auto, blocked, unsharded *Engine) {
-	auto, blocked = NewEngine(Auto, 4), NewEngine(Blocked, 4)
+	b, err := ParseBackend("auto")
+	if err != nil {
+		panic(err)
+	}
+	auto, blocked = NewEngine(b, 4), NewEngine(Blocked, 4)
 	auto.SetParallelThreshold(0)
 	blocked.SetParallelThreshold(0)
 	return auto, blocked, NewEngine(Blocked, 1)
@@ -35,7 +39,7 @@ func bitIdentical(a, b *Tensor) bool {
 }
 
 // checkAllVariantsEquivalent runs the three GEMM variants for one (m,k,n)
-// shape at the production tile and fails unless Auto ≡ explicit Blocked ≡
+// shape at the production tile and fails unless "auto" ≡ explicit Blocked ≡
 // unsharded blocked bit for bit — "auto" and "blocked" are two names for
 // one path, whatever the worker count.
 func checkAllVariantsEquivalent(t *testing.T, m, k, n int, seed int64) {
@@ -115,7 +119,7 @@ func TestAutoMatchesBlockedVGGShape(t *testing.T) {
 // engine must agree with the unsharded blocked kernels both below and
 // above its FLOP threshold.
 func TestAutoThresholdBitIdentical(t *testing.T) {
-	auto := NewEngine(Auto, 4)
+	auto := NewEngine(Blocked, 4)
 	auto.SetParallelThreshold(1000)
 	ref := NewEngine(Blocked, 1)
 	rng := rand.New(rand.NewSource(3))
@@ -131,9 +135,12 @@ func TestAutoThresholdBitIdentical(t *testing.T) {
 // TestEngineKnobs covers the backend/threshold accessors and the
 // serial-vs-sharded decision.
 func TestEngineKnobs(t *testing.T) {
-	e := NewEngine(Auto, 4)
-	if e.Backend() != Auto || e.Backend().Resolved() != Blocked {
-		t.Fatalf("Backend = %v resolving to %v, want auto resolving to blocked", e.Backend(), e.Backend().Resolved())
+	if b, err := ParseBackend("auto"); err != nil || b != Blocked {
+		t.Fatalf(`ParseBackend("auto") = %v, %v, want blocked`, b, err)
+	}
+	e := NewEngine(Blocked, 4)
+	if e.Backend() != Blocked {
+		t.Fatalf("Backend = %v, want blocked", e.Backend())
 	}
 	if e.Workers() != 4 {
 		t.Fatalf("Workers = %d, want 4", e.Workers())
@@ -153,16 +160,16 @@ func TestEngineKnobs(t *testing.T) {
 		t.Fatal("a single-row GEMM cannot shard along N")
 	}
 	e.SetBackend(Serial)
-	if e.Backend() != Serial || e.Backend().Resolved() != Serial || e.shouldParallel(64, 64, 64) {
+	if e.Backend() != Serial || e.shouldParallel(64, 64, 64) {
 		t.Fatalf("the serial oracle shards (backend %v)", e.Backend())
 	}
-	if NewEngine(Auto, 1).shouldParallel(512, 512, 512) {
+	if NewEngine(Blocked, 1).shouldParallel(512, 512, 512) {
 		t.Fatal("a one-worker engine shards")
 	}
 }
 
 func TestParseBackendRoundTrip(t *testing.T) {
-	for _, b := range []Backend{Auto, Serial, Blocked} {
+	for _, b := range []Backend{Serial, Blocked} {
 		got, err := ParseBackend(b.String())
 		if err != nil || got != b {
 			t.Fatalf("ParseBackend(%q) = %v, %v", b.String(), got, err)

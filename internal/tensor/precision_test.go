@@ -140,7 +140,7 @@ func TestMatMulInt8(t *testing.T) {
 		for _, mk := range []struct {
 			backend Backend
 			workers int
-		}{{Serial, 1}, {Auto, 4}, {Blocked, 4}} {
+		}{{Serial, 1}, {Blocked, 4}} {
 			eng := NewEngine(mk.backend, mk.workers)
 			eng.SetParallelThreshold(0)
 			eng.SetPrecision(Int8)
