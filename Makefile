@@ -58,7 +58,8 @@ race:
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
 		./internal/fleet/e2e/ ./internal/simdrive/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestSoakGolden|TestTrainingGolden'
+		./internal/runtimemgr/ \
+		-run 'TestMatrixSameSeedByteIdentical|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
 

@@ -209,3 +209,24 @@ func TestLabUnknownNet(t *testing.T) {
 		t.Fatal("unknown scaled network accepted")
 	}
 }
+
+// TestTrainNetMemoized: a lab trains each network once; later calls, from
+// several goroutines at once, return the network the first one trained.
+func TestTrainNetMemoized(t *testing.T) {
+	fw, lab := framework(t)
+	nets := make([]*nn.Sequential, 4)
+	var wg sync.WaitGroup
+	for i := range nets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nets[i], _ = lab.TrainNet("AlexNet")
+		}()
+	}
+	wg.Wait()
+	for i, net := range nets {
+		if net != fw.Scaled {
+			t.Fatalf("call %d: TrainNet(\"AlexNet\") returned a network other than the first call's", i)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"pcnn/internal/entropy"
 	"pcnn/internal/nn"
@@ -17,6 +18,9 @@ import (
 type Lab struct {
 	Train *nn.Dataset
 	Test  *nn.Dataset
+
+	mu      sync.Mutex
+	trained map[string]*nn.Sequential // TrainNet's networks, by name
 }
 
 // Training recipe constants (calibrated once; see DESIGN.md).
@@ -42,14 +46,26 @@ func NewLab(seed int64) *Lab {
 
 // TrainNet trains the named scaled network ("AlexNet", "VGGNet" or
 // "GoogLeNet", or their -S forms) with the calibrated recipe and returns
-// it ready for tuning.
+// it ready for tuning. Training is deterministic, so each name is trained
+// once per lab and later calls return the same network: it is shared, so
+// callers must not train it further or call SetEngine on it (tuning and
+// serving only read it, through the options of their calls).
 func (l *Lab) TrainNet(name string) (*nn.Sequential, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if net, ok := l.trained[name]; ok {
+		return net, nil
+	}
 	rng := rand.New(rand.NewSource(labNetSeed))
 	net := nn.ScaledByName(name, rng)
 	if net == nil {
 		return nil, fmt.Errorf("core: no scaled variant of %q", name)
 	}
 	nn.Train(net, l.Train, labBatch, labEpochs, nn.NewSGD(labLR, labMomentum))
+	if l.trained == nil {
+		l.trained = map[string]*nn.Sequential{}
+	}
+	l.trained[name] = net
 	return net, nil
 }
 

@@ -201,6 +201,8 @@ func Fig16Data(lab *core.Lab, entropyThreshold float64) (entropyTrace, accuracyT
 		if accuracyGuided {
 			// The supervised comparison: guide by measured accuracy loss,
 			// stopping at the same 10%-loss point as the headline claim.
+			// The tuner calls this concurrently; it is a pure lab.Accuracy
+			// call, an inference on the shared network.
 			tuner.Uncertainty = func(o *nn.ForwardOpts) float64 { return 1 - lab.Accuracy(net, o) }
 			tuner.Threshold = (1 - baseAcc) + 0.10
 		}

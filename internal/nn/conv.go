@@ -37,12 +37,20 @@ type Conv struct {
 
 	lastInput *tensor.Tensor // the training forward's input, for Backward
 
-	// Reused backward buffers: conv backward runs every training step with
-	// fixed geometry, so dW (outC × fanIn) and cols (fanIn × ho·wo: one
-	// sample's column matrix, then its gradient) are allocated once instead
-	// of per step.
-	dW   *tensor.Tensor
-	cols *tensor.Tensor
+	// shards is Backward's per-shard state, one per engine worker, reused
+	// every step: conv backward runs with fixed geometry.
+	shards []convShard
+}
+
+// convShard is one Backward shard's reused state: a column buffer (one
+// sample's column matrix, then its gradient), GEMM headers re-pointed at
+// each sample's slices, so a step allocates no per-sample tensors, and the
+// step's pooled partials (dW_i then db_i per sample; kept counts the
+// samples a later shard leaves for the ordered reduction).
+type convShard struct {
+	buf, part   []float32
+	kept        int
+	cols, g, dW *tensor.Tensor
 }
 
 // conv1x1Fast gates the 1×1 stride-1 unpadded fast path (see pointwise);
@@ -241,11 +249,17 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 	return out
 }
 
-// Backward implements Layer, one sample at a time: each sample's column
-// matrix is rebuilt from the kept input into one reused buffer. A 1×1
-// stride-1 unpadded convolution's column matrix IS the input plane (fanIn =
-// inC rows of ho·wo values, in row-major order), so that path reads an
-// input-aliasing view instead.
+// Backward implements Layer. Every sample's column matrix, dW_i = g_i·colsᵀ,
+// db_i, Wᵀ·g_i and col2im are independent of the other samples, so the
+// samples are sharded across the engine's workers in contiguous chunks,
+// each shard rebuilding columns from the kept input into its own buffer (a
+// 1×1 stride-1 unpadded convolution's column matrix IS the input plane, so
+// that path reads an input-aliasing view instead). The gradients still
+// take dW_i and db_i in sample order, element by element, as a
+// one-sample-at-a-time loop adds them: the first chunk's samples come
+// first, so its shard adds each as soon as it is computed, and every later
+// shard keeps its partials for the caller to add, chunk by chunk, once all
+// shards are done. The result is bit-identical at any worker count.
 func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	if x == nil {
@@ -256,40 +270,89 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	planeOut := ho * wo
 	planeIn := c.inC * c.inH * c.inW
 	fanIn := c.inC * c.k * c.k
-	if c.dW == nil {
-		c.dW = tensor.New(c.outC, fanIn)
-		c.cols = tensor.New(fanIn, planeOut)
-	}
 	eng := c.engine()
+	c.growShards(eng.Workers(), fanIn, planeOut)
+	inline := eng.Inline()
 	dx := tensor.New(n, c.inC, c.inH, c.inW)
-	for i := 0; i < n; i++ {
-		xi := x.Data[i*planeIn : (i+1)*planeIn]
-		cols := c.cols
-		if c.pointwise() {
-			cols = tensor.FromSlice(xi, fanIn, planeOut)
-		} else {
-			im2colInto(cols.Data, planeOut, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
+	wG, bG := c.weight.G.Data, c.bias.G.Data
+	nW := len(wG)
+	stride := nW + len(bG) // one sample's dW_i then db_i
+	eng.Shard(n, func(shard, lo, hi int) {
+		sh := &c.shards[shard]
+		if shard > 0 {
+			sh.kept = hi - lo
 		}
-		gi := tensor.FromSlice(grad.Data[i*c.outC*planeOut:(i+1)*c.outC*planeOut], c.outC, planeOut)
-		// cols is (inC·k·k) × planeOut, so dW = g(outC×planeOut) · colsᵀ.
-		eng.MatMulTransBInto(c.dW, gi, cols)
-		c.weight.G.Add(c.dW)
-		// db += row sums of g
-		for f := 0; f < c.outC; f++ {
-			var s float32
-			row := gi.Data[f*planeOut : (f+1)*planeOut]
-			for _, v := range row {
-				s += v
+		sh.part = tensor.GetScratch(max(sh.kept, 1) * stride)
+		for i := lo; i < hi; i++ {
+			xi := x.Data[i*planeIn:][:planeIn]
+			sh.cols.Data = sh.buf
+			if c.pointwise() {
+				sh.cols.Data = xi
+			} else {
+				im2colInto(sh.buf, planeOut, xi, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, ho, wo)
 			}
-			c.bias.G.Data[f] += s
+			gi := grad.Data[i*c.outC*planeOut:][:c.outC*planeOut]
+			pi := sh.part[:stride]
+			if sh.kept > 0 {
+				pi = sh.part[(i-lo)*stride:][:stride]
+			}
+			sh.g.Data, sh.dW.Data = gi, pi[:nW]
+			// cols is (inC·k·k) × planeOut, so dW_i = g(outC×planeOut) · colsᵀ.
+			inline.MatMulTransBInto(sh.dW, sh.g, sh.cols)
+			db := pi[nW:]
+			for f := range db {
+				var s float32
+				for _, v := range gi[f*planeOut:][:planeOut] {
+					s += v
+				}
+				db[f] = s
+			}
+			if sh.kept == 0 {
+				addInto(wG, pi[:nW])
+				addInto(bG, db)
+			}
+			// dcols = Wᵀ · g, into the column buffer dW_i is done reading.
+			sh.cols.Data = sh.buf
+			inline.MatMulTransAInto(sh.cols, c.weight.W, sh.g)
+			col2im(dx.Data[i*planeIn:][:planeIn], sh.buf, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
 		}
-		// dcols = Wᵀ · g, into the column buffer dW is done reading.
-		eng.MatMulTransAInto(c.cols, c.weight.W, gi)
-		col2im(dx.Data[i*planeIn:(i+1)*planeIn], c.cols, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
+		sh.g.Data, sh.dW.Data = nil, nil // hold neither this step's gradient nor pooled memory
+	})
+	for k := range c.shards {
+		sh := &c.shards[k]
+		for j := 0; j < sh.kept; j++ {
+			pi := sh.part[j*stride:][:stride]
+			addInto(wG, pi[:nW])
+			addInto(bG, pi[nW:])
+		}
+		if sh.part != nil {
+			tensor.PutScratch(sh.part)
+		}
+		sh.part, sh.kept = nil, 0
 	}
 	// Backward consumes the forward cache: a trained network that goes on
 	// to serve must not pin its last training batch for the rest of its
 	// life.
 	c.lastInput = nil
 	return dx
+}
+
+// growShards makes Backward's per-shard state cover w shards.
+func (c *Conv) growShards(w, fanIn, planeOut int) {
+	for len(c.shards) < w {
+		buf := make([]float32, fanIn*planeOut)
+		c.shards = append(c.shards, convShard{
+			buf:  buf,
+			cols: tensor.FromSlice(buf, fanIn, planeOut),
+			g:    tensor.New(c.outC, planeOut),
+			dW:   tensor.New(c.outC, fanIn),
+		})
+	}
+}
+
+// addInto adds src into dst element by element.
+func addInto(dst, src []float32) {
+	for j := range dst {
+		dst[j] += src[j]
+	}
 }

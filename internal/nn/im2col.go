@@ -1,7 +1,5 @@
 package nn
 
-import "pcnn/internal/tensor"
-
 // im2colInto lowers one image's convolution input to the column matrix Dm
 // of Fig 2: each output position becomes a column holding the Sf²·Nc input
 // values its filter window covers. x is a C×H×W plane slice; the image's
@@ -74,8 +72,11 @@ func im2colInto(dst []float32, ld int, x []float32, c, h, w, k, stride, pad int,
 
 // col2im scatters column-matrix gradients back to an input-plane gradient,
 // the adjoint of im2col. cols is (c·k·k) × (ho·wo); the result accumulates
-// into dx (length c·h·w).
-func col2im(dx []float32, cols *tensor.Tensor, c, h, w, k, stride, pad int) {
+// into dx (length c·h·w). Within one column-matrix row every position
+// reads a distinct input element, so each dx element takes at most one
+// addition per row, in row order — the stride-1 path's contiguous runs
+// add exactly what the per-element loop does, in the same order.
+func col2im(dx, cols []float32, c, h, w, k, stride, pad int) {
 	ho := (h+2*pad-k)/stride + 1
 	wo := (w+2*pad-k)/stride + 1
 	nPos := ho * wo
@@ -84,16 +85,40 @@ func col2im(dx []float32, cols *tensor.Tensor, c, h, w, k, stride, pad int) {
 		plane := dx[ci*h*w : (ci+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				src := cols.Data[row*nPos : (row+1)*nPos]
-				for p := 0; p < nPos; p++ {
-					oy, ox := p/wo, p%wo
+				src := cols[row*nPos : (row+1)*nPos]
+				row++
+				if stride == 1 {
+					// Output row oy feeds input row iy shifted by kx-pad:
+					// columns [lo, hi) land in the plane, the rest on
+					// padding (the same run bounds as im2colInto's).
+					shift := kx - pad
+					lo, hi := max(-shift, 0), min(w-shift, wo)
+					if hi <= lo {
+						continue
+					}
+					for oy := 0; oy < ho; oy++ {
+						iy := oy - pad + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						addInto(plane[iy*w+shift+lo:iy*w+shift+hi], src[oy*wo+lo:oy*wo+hi])
+					}
+					continue
+				}
+				for oy := 0; oy < ho; oy++ {
 					iy := oy*stride - pad + ky
-					ix := ox*stride - pad + kx
-					if iy >= 0 && iy < h && ix >= 0 && ix < w {
-						plane[iy*w+ix] += src[p]
+					if iy < 0 || iy >= h {
+						continue
+					}
+					prow := plane[iy*w : (iy+1)*w]
+					ix := kx - pad
+					for _, v := range src[oy*wo : (oy+1)*wo] {
+						if ix >= 0 && ix < w {
+							prow[ix] += v
+						}
+						ix += stride
 					}
 				}
-				row++
 			}
 		}
 	}

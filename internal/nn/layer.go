@@ -29,9 +29,10 @@ type Layer interface {
 	// layer's weights, x and the call's options that writes no layer field
 	// and never overwrites a buffer the call does not own.
 	infer(x act, ctx inferCtx) act
-	// Backward consumes the gradient w.r.t. the layer output and returns
-	// the gradient w.r.t. the layer input, accumulating parameter
-	// gradients. It must follow a Forward with train=true.
+	// Backward consumes the gradient w.r.t. the layer output — it may
+	// overwrite it — and returns the gradient w.r.t. the layer input,
+	// accumulating parameter gradients. It must follow a Forward with
+	// train=true.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (may be empty).
 	Params() []*Param

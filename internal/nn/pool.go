@@ -163,17 +163,17 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer: the gradient passes where the kept input was
-// not negative.
+// not negative. It consumes grad in place, one pass, and returns it.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastInput == nil {
 		panic(fmt.Sprintf("nn: relu %s: Backward without training Forward", r.name))
 	}
-	dx := grad.Clone()
+	g := grad.Data[:len(r.lastInput.Data)]
 	for i, v := range r.lastInput.Data {
 		if v < 0 {
-			dx.Data[i] = 0
+			g[i] = 0
 		}
 	}
 	r.lastInput = nil // consumed; see Conv.Backward
-	return dx
+	return grad
 }

@@ -3,6 +3,7 @@ package runtimemgr
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -183,5 +184,97 @@ func TestFLOPsTimeModel(t *testing.T) {
 	tHalf := model(halved)
 	if !(tHalf < tFull) {
 		t.Fatalf("halving a layer did not reduce modelled time: %v vs %v", tHalf, tFull)
+	}
+}
+
+// serialRun is Fig 12's greedy loop with every trial measured in turn on
+// the calling goroutine, the best kept under a strict > in layer order —
+// the reference Run's concurrent trials must reproduce exactly.
+func serialRun(t *Tuner) *Table {
+	layers := t.Net.PerforableLayers()
+	timeOf := flopsTimeModel(t.Net)
+	dims := make([]nn.Keep, len(layers))
+	names := make([]string, len(layers))
+	for i, l := range layers {
+		ho, wo := l.OutDims()
+		dims[i] = nn.Keep{W: wo, H: ho}
+		names[i] = l.Name()
+	}
+	keeps := append([]nn.Keep(nil), dims...)
+	baseMS, baseEntropy := timeOf(keeps), t.measure(keeps)
+	table := &Table{LayerNames: names, Entries: []TableEntry{{
+		Keeps: append([]nn.Keep(nil), keeps...), PredictedMS: baseMS,
+		Entropy: baseEntropy, Speedup: 1, TunedLayer: -1,
+	}}}
+	if baseEntropy > t.Threshold {
+		return table
+	}
+	curMS, curEntropy := baseMS, baseEntropy
+	for iter := 0; iter < t.MaxIters; iter++ {
+		bestLayer, bestTE := -1, math.Inf(-1)
+		var bestKeep nn.Keep
+		var bestMS, bestEntropy float64
+		for i := range layers {
+			trial, ok := shrink(keeps[i], dims[i])
+			if !ok {
+				continue
+			}
+			old := keeps[i]
+			keeps[i] = trial
+			trialMS, trialEntropy := timeOf(keeps), t.measure(keeps)
+			keeps[i] = old
+			if te := (curMS - trialMS) / math.Max(trialEntropy-curEntropy, teEpsilon); te > bestTE {
+				bestTE, bestLayer, bestKeep, bestMS, bestEntropy = te, i, trial, trialMS, trialEntropy
+			}
+		}
+		if bestLayer < 0 || bestEntropy > t.Threshold {
+			break
+		}
+		keeps[bestLayer] = bestKeep
+		curMS, curEntropy = bestMS, bestEntropy
+		table.Entries = append(table.Entries, TableEntry{
+			Keeps: append([]nn.Keep(nil), keeps...), PredictedMS: curMS,
+			Entropy: curEntropy, Speedup: baseMS / curMS, TunedLayer: bestLayer,
+		})
+	}
+	return table
+}
+
+// TestTunerTrialsMatchSerial: a greedy step measures its per-layer trials
+// concurrently and reduces them in layer order, so the table equals the
+// serial loop's — on the trained network by entropy, and on two twin
+// layers of equal cost under a constant uncertainty, where every step
+// between equal grids is a tie that must go to the lower layer.
+func TestTunerTrialsMatchSerial(t *testing.T) {
+	net, _, test := trainedNet(t)
+	rng := rand.New(rand.NewSource(5))
+	twins := nn.NewSequential("Twins", 4,
+		nn.NewConv("A", 4, 8, 8, 4, 3, 1, 1, rng),
+		nn.NewReLU("RA"),
+		nn.NewConv("B", 4, 8, 8, 4, 3, 1, 1, rng),
+		nn.NewReLU("RB"),
+		nn.NewFC("FC", 4*8*8, 4, rng),
+	)
+	for _, tuner := range []*Tuner{
+		{Net: net, Probe: test.X, Threshold: 1.2, MaxIters: 10},
+		{Net: twins, Threshold: 1, MaxIters: 12, Uncertainty: func(*nn.ForwardOpts) float64 { return 0.5 }},
+	} {
+		got, err := tuner.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := serialRun(tuner)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: concurrent trials built\n%+v\nserial loop\n%+v", tuner.Net.Name(), got.Entries, want.Entries)
+		}
+		if len(got.Entries) < 3 {
+			t.Fatalf("%s: %d entries, want several steps", tuner.Net.Name(), len(got.Entries))
+		}
+	}
+	// The twins' first step is a tie (equal cost, equal uncertainty): the
+	// lower layer takes it.
+	table, _ := (&Tuner{Net: twins, Threshold: 1, MaxIters: 1, Uncertainty: func(*nn.ForwardOpts) float64 { return 0.5 }}).Run()
+	if table.Entries[1].TunedLayer != 0 {
+		t.Fatalf("tie went to layer %d, want 0", table.Entries[1].TunedLayer)
 	}
 }

@@ -10,6 +10,9 @@ package runtimemgr
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"pcnn/internal/entropy"
 	"pcnn/internal/nn"
@@ -112,7 +115,10 @@ type Tuner struct {
 	// called with a trial's operating point and returns a "higher is
 	// worse" score in the same units as Threshold. The paper's
 	// accuracy-based comparison (Fig 16) plugs 1−accuracy here; the
-	// default is mean output entropy on Probe.
+	// default is mean output entropy on Probe. A greedy step measures its
+	// trials concurrently, so Uncertainty is called from several
+	// goroutines at once and must be safe for that — a pure function of
+	// its options, as an inference call on the shared network is.
 	Uncertainty func(*nn.ForwardOpts) float64
 }
 
@@ -125,7 +131,10 @@ const (
 	stepFrac = 0.8
 )
 
-// Run executes the tuning procedure and returns the table.
+// Run executes the tuning procedure and returns the table. Each greedy
+// step measures its per-layer trials concurrently and picks among them in
+// layer order, so the table is the one a serial loop over the layers
+// builds, tie-breaks included.
 func (t *Tuner) Run() (*Table, error) {
 	layers := t.Net.PerforableLayers()
 	if len(layers) == 0 {
@@ -166,40 +175,33 @@ func (t *Tuner) Run() (*Table, error) {
 	}
 
 	curMS, curEntropy := baseMS, baseEntropy
+	trials := make([]trial, len(layers))
 	for iter := 0; iter < maxIters; iter++ {
+		t.runTrials(trials, keeps, dims, timeOf)
+		// Reduce in layer order with a strict >: a tie goes to the lowest
+		// layer index, as in a serial loop over the layers.
 		bestLayer := -1
 		bestTE := math.Inf(-1)
-		var bestKeep nn.Keep
-		var bestMS, bestEntropy float64
-		for i := range layers {
-			trial, ok := shrink(keeps[i], dims[i])
-			if !ok {
+		for i, tr := range trials {
+			if !tr.ok {
 				continue
 			}
-			old := keeps[i]
-			keeps[i] = trial
-			trialMS := timeOf(keeps)
-			trialEntropy := t.measure(keeps)
-			keeps[i] = old
-
-			dE := math.Max(trialEntropy-curEntropy, teEpsilon)
-			te := (curMS - trialMS) / dE // Eq 14
+			dE := math.Max(tr.entropy-curEntropy, teEpsilon)
+			te := (curMS - tr.ms) / dE // Eq 14
 			if te > bestTE {
 				bestTE = te
 				bestLayer = i
-				bestKeep = trial
-				bestMS = trialMS
-				bestEntropy = trialEntropy
 			}
 		}
 		if bestLayer < 0 {
 			break // every layer is at its minimum grid
 		}
-		if bestEntropy > t.Threshold {
+		best := trials[bestLayer]
+		if best.entropy > t.Threshold {
 			break // committing would violate the user's uncertainty budget
 		}
-		keeps[bestLayer] = bestKeep
-		curMS, curEntropy = bestMS, bestEntropy
+		keeps[bestLayer] = best.keep
+		curMS, curEntropy = best.ms, best.entropy
 		table.Entries = append(table.Entries, TableEntry{
 			Keeps:       append([]nn.Keep(nil), keeps...),
 			PredictedMS: curMS,
@@ -209,6 +211,49 @@ func (t *Tuner) Run() (*Table, error) {
 		})
 	}
 	return table, nil
+}
+
+// trial is one greedy step's candidate for one layer: the layer shrunk by
+// one step (ok false when it is already at its minimum grid), with the
+// network's predicted time and uncertainty at that operating point.
+type trial struct {
+	keep        nn.Keep
+	ms, entropy float64
+	ok          bool
+}
+
+// runTrials measures every layer's trial from keeps into trials. The
+// trials are independent pure calls, so they run on their own goroutines,
+// at most GOMAXPROCS at a time (the caller's among them) — not as pool
+// tasks: a trial's forward may shard its GEMMs on the engine's pool.
+func (t *Tuner) runTrials(trials []trial, keeps, dims []nn.Keep, timeOf func([]nn.Keep) float64) {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(trials) {
+				return
+			}
+			trials[i] = trial{}
+			k, ok := shrink(keeps[i], dims[i])
+			if !ok {
+				continue
+			}
+			tk := append([]nn.Keep(nil), keeps...)
+			tk[i] = k
+			trials[i] = trial{keep: k, ms: timeOf(tk), entropy: t.measure(tk), ok: true}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < min(runtime.GOMAXPROCS(0), len(trials)); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // measure returns the uncertainty score of the network computing keeps

@@ -119,10 +119,24 @@ func (p *workerPool) start() {
 	}
 }
 
-// workers returns the pool size, starting the pool if needed.
+// workers returns the pool size, starting the pool if needed. A nil pool
+// is an engine's inline twin (see Engine.Inline): one worker, the caller.
 func (p *workerPool) workers() int {
+	if p == nil {
+		return 1
+	}
 	p.once.Do(p.start)
 	return p.size
+}
+
+// chunkSize is the length of parallelFor's chunks of [0, n): one chunk per
+// worker, never more chunks than n, and n itself when one chunk remains.
+func (p *workerPool) chunkSize(n int) int {
+	chunks := min(p.workers(), n)
+	if chunks <= 1 {
+		return n
+	}
+	return (n + chunks - 1) / chunks
 }
 
 // parallelFor splits [0, n) into one chunk per worker and runs fn over the
@@ -130,18 +144,13 @@ func (p *workerPool) workers() int {
 // disjoint, so the only synchronization is the final wait. Tasks never
 // block inside fn, so queueing from several concurrent callers is safe.
 func (p *workerPool) parallelFor(n int, fn func(lo, hi int)) {
-	p.once.Do(p.start)
-	chunks := p.size
-	if chunks > n {
-		chunks = n
-	}
-	if chunks <= 1 {
+	size := p.chunkSize(n)
+	if size >= n {
 		if n > 0 {
 			fn(0, n)
 		}
 		return
 	}
-	size := (n + chunks - 1) / chunks
 	var wg sync.WaitGroup
 	for lo := size; lo < n; lo += size {
 		hi := lo + size
@@ -159,10 +168,17 @@ func (p *workerPool) parallelFor(n int, fn func(lo, hi int)) {
 // Backend and threshold may be changed concurrently with use; the zero
 // value is not usable — construct engines with NewEngine.
 type Engine struct {
+	*engineConfig
+	pool   *workerPool // nil: every GEMM runs on the calling goroutine
+	inline *Engine     // the same configuration with no pool, see Inline
+}
+
+// engineConfig is an engine's mutable configuration, shared with its
+// inline twin so a setting reaches both.
+type engineConfig struct {
 	backend   atomic.Int32
 	threshold atomic.Int64
 	precision atomic.Int32
-	pool      *workerPool
 }
 
 // NewEngine creates an engine with the given backend. workers <= 0 shares
@@ -170,12 +186,15 @@ type Engine struct {
 // engine a private pool of that size, which tests use to exercise sharding
 // regardless of host CPUs.
 func NewEngine(b Backend, workers int) *Engine {
-	e := &Engine{pool: sharedPool}
+	cfg := &engineConfig{}
+	cfg.backend.Store(int32(b))
+	cfg.threshold.Store(DefaultParallelThreshold)
+	e := &Engine{engineConfig: cfg, pool: sharedPool}
 	if workers > 0 {
 		e.pool = newWorkerPool(workers)
 	}
-	e.backend.Store(int32(b))
-	e.threshold.Store(DefaultParallelThreshold)
+	e.inline = &Engine{engineConfig: cfg}
+	e.inline.inline = e.inline
 	return e
 }
 
@@ -201,8 +220,24 @@ func (e *Engine) SetParallelThreshold(flops int64) { e.threshold.Store(flops) }
 // ParallelThreshold returns the sharding FLOP threshold.
 func (e *Engine) ParallelThreshold() int64 { return e.threshold.Load() }
 
-// Workers returns the size of the engine's worker pool.
+// Workers returns the size of the engine's worker pool (1 for Inline).
 func (e *Engine) Workers() int { return e.pool.workers() }
+
+// Inline returns the engine's twin that never shards: the same backend,
+// threshold and precision (a setting on either reaches both), every GEMM
+// on the calling goroutine. It is the engine for GEMMs inside a Shard.
+func (e *Engine) Inline() *Engine { return e.inline }
+
+// Shard runs fn over [0, n) split into at most Workers() contiguous
+// chunks, one per pool worker with the first on the calling goroutine, and
+// returns when every chunk is done; shard numbers the chunk from 0 so fn
+// can index per-shard state. A chunk runs as a pool task, so its GEMMs
+// must go through Inline() and it must not call Shard itself: either
+// would queue work on, and wait for, the pool that is running it.
+func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) {
+	size := e.pool.chunkSize(n)
+	e.pool.parallelFor(n, func(lo, hi int) { fn(lo/size, lo, hi) })
+}
 
 // usesBlocked reports whether a GEMM with M output rows runs on the
 // blocked kernels. The Serial oracle never does, and neither does M == 1:

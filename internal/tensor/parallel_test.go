@@ -168,6 +168,56 @@ func TestEngineKnobs(t *testing.T) {
 	}
 }
 
+// TestShardAndInline: Shard visits every index of [0, n) exactly once in
+// at most Workers() contiguous chunks numbered from 0, and an engine's
+// Inline twin never shards, follows the engine's settings, and is its own
+// twin.
+func TestShardAndInline(t *testing.T) {
+	e := NewEngine(Blocked, 3)
+	for _, n := range []int{0, 1, 2, 5, 16} {
+		seen := make([]int, n)
+		var mu sync.Mutex
+		shards := map[int][2]int{}
+		e.Shard(n, func(shard, lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			shards[shard] = [2]int{lo, hi}
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+			}
+		}
+		next := 0
+		for k := 0; k < len(shards); k++ {
+			r, ok := shards[k]
+			if !ok || r[0] != next || r[1] <= r[0] {
+				t.Fatalf("n=%d: shards %v are not contiguous chunks numbered from 0", n, shards)
+			}
+			next = r[1]
+		}
+		if len(shards) > e.Workers() {
+			t.Fatalf("n=%d: %d shards on %d workers", n, len(shards), e.Workers())
+		}
+	}
+	in := e.Inline()
+	if in.Workers() != 1 || in.Inline() != in {
+		t.Fatalf("inline twin: %d workers, own twin %v", in.Workers(), in.Inline() == in)
+	}
+	e.SetParallelThreshold(0)
+	e.SetBackend(Serial)
+	if in.ParallelThreshold() != 0 || in.Backend() != Serial {
+		t.Fatal("a setting on the engine did not reach its inline twin")
+	}
+	e.SetBackend(Blocked)
+	if in.shouldParallel(512, 512, 512) {
+		t.Fatal("the inline twin shards")
+	}
+}
+
 func TestParseBackendRoundTrip(t *testing.T) {
 	for _, b := range []Backend{Serial, Blocked} {
 		got, err := ParseBackend(b.String())
