@@ -196,7 +196,7 @@ bench-serve:
 
 # bench-verify-fast reruns the two sub-second virtual-clock generators
 # (bench-serve, scenarios) into a temp dir and requires BENCH_serve.json and
-# BENCH_scenarios.{json,prom} byte-identical to the committed files;
+# BENCH_scenarios.json byte-identical to the committed files;
 # bench-verify adds the full 1,000,000-request soak-fleet (~1 min), which
 # is why only the fast half rides in ci. Each cmp exits on its own: inside
 # an && list `set -e` is off and a loop's status is its last command's, so
@@ -204,8 +204,8 @@ bench-serve:
 bench-verify-fast:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
 	$(MAKE) --no-print-directory bench-serve scenarios OUT=$$tmp && \
-	for f in BENCH_serve.json BENCH_scenarios.json BENCH_scenarios.prom; do \
-		cmp $$tmp/$$f $$f || exit 1; done && echo "bench-verify-fast: 3 files byte-identical"
+	for f in BENCH_serve.json BENCH_scenarios.json; do \
+		cmp $$tmp/$$f $$f || exit 1; done && echo "bench-verify-fast: 2 files byte-identical"
 
 bench-verify: bench-verify-fast paper-verify
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && set -e && \
@@ -226,12 +226,11 @@ paper-verify:
 		cmp $$tmp/$$f docs/$$f || exit 1; done && echo "paper-verify: 2 files byte-identical"
 
 # scenarios regenerates the committed heterogeneous-fleet matrix
-# (BENCH_scenarios.json + BENCH_scenarios.prom): platforms × arrival
+# (BENCH_scenarios.json): platforms × arrival
 # processes × chaos, mixed archetypes, bit-for-bit reproducible at the
 # fixed seed.
 scenarios:
-	$(GO) run ./cmd/pcnnd -scenarios $(OUT)/BENCH_scenarios.json \
-		-scenarios-prom $(OUT)/BENCH_scenarios.prom -seed 42
+	$(GO) run ./cmd/pcnnd -scenarios $(OUT)/BENCH_scenarios.json -seed 42
 
 # scenarios-smoke runs the small scenario grid to stdout as a CI gate.
 scenarios-smoke:

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"pcnn/internal/obs"
 )
 
 // TestBenchLint reads the committed virtual-clock bench files the way a
 // reviewer would and fails on a row that cannot be true: requests that
 // vanish, percentiles out of order, parts that do not sum to their whole,
-// a serve grid that fails its own smoke gate. It holds what is true of
+// a serve grid that fails its own smoke gate, a latency percentile that is
+// not an obs.LatencyHist bucket's lower edge. It holds what is true of
 // the files today (ROADMAP item 1(c)); the goodput and knee checks wait
 // for the goodput-at-SLO re-base.
 func TestBenchLint(t *testing.T) {
@@ -31,6 +34,25 @@ func TestBenchLint(t *testing.T) {
 			t.Errorf("%s %s: %s", file, row, fmt.Sprintf(format, args...))
 		}
 	}
+	// onEdge reports whether a percentile is what an obs.LatencyHist
+	// reports: a bucket's lower edge, read back exactly from a sample just
+	// above it (the 1e-9 step clears float rounding at the bucket boundary
+	// and stays far inside the ≈2.3%-wide bucket), or 0 with nothing served.
+	onEdge := func(ms float64, served uint64) bool {
+		if served == 0 {
+			return ms == 0
+		}
+		var h obs.LatencyHist
+		h.Observe(ms * (1 + 1e-9))
+		return h.Percentile(1) == ms
+	}
+	// checkEdges reports percentiles that are not bucket edges.
+	checkEdges := func(file, row string, served uint64, ps ...float64) {
+		t.Helper()
+		for _, p := range ps {
+			check(onEdge(p, served), file, row, "percentile %v is not a latency-histogram bucket edge", p)
+		}
+	}
 
 	var fleet struct {
 		Rows []struct {
@@ -44,7 +66,12 @@ func TestBenchLint(t *testing.T) {
 			P50                          float64 `json:"p50_ms"`
 			P95                          float64 `json:"p95_ms"`
 			P99                          float64 `json:"p99_ms"`
-			Models                       []struct{ Requests, Served uint64 }
+			Models                       []struct {
+				Model            string
+				Requests, Served uint64
+				P50              float64 `json:"p50_ms"`
+				P99              float64 `json:"p99_ms"`
+			}
 		}
 	}
 	load("BENCH_fleet.json", &fleet)
@@ -59,12 +86,15 @@ func TestBenchLint(t *testing.T) {
 		check(r.Submitted == r.Completed+r.Failed, f, row,
 			"submitted %d != completed %d + failed %d", r.Submitted, r.Completed, r.Failed)
 		check(r.P50 <= r.P95 && r.P95 <= r.P99, f, row, "percentiles out of order: %v %v %v", r.P50, r.P95, r.P99)
+		checkEdges(f, row, r.Served, r.P50, r.P95, r.P99)
 		check(r.Hedge || r.Hedges == 0 && r.HedgeWins == 0, f, row,
 			"hedging off yet hedges %d, wins %d", r.Hedges, r.HedgeWins)
 		var requests, served uint64
 		for _, m := range r.Models {
 			requests += m.Requests
 			served += m.Served
+			check(m.P50 <= m.P99, f, row+"/"+m.Model, "p50 %v > p99 %v", m.P50, m.P99)
+			checkEdges(f, row+"/"+m.Model, m.Served, m.P50, m.P99)
 		}
 		check(requests == r.Requests && served == r.Served, f, row,
 			"model rows sum to %d requests / %d served, row has %d / %d", requests, served, r.Requests, r.Served)
@@ -104,6 +134,7 @@ func TestBenchLint(t *testing.T) {
 				check(s.Completed+s.Failed == s.Submitted, f, row,
 					"completed %d + failed %d != submitted %d", s.Completed, s.Failed, s.Submitted)
 				check(s.P50 <= s.P99, f, row, "p50 %v > p99 %v", s.P50, s.P99)
+				checkEdges(f, row, s.Completed, s.P50, s.P99)
 				sum.Requests += s.Requests
 				sum.Completed += s.Completed
 				sum.Failed += s.Failed
@@ -111,6 +142,7 @@ func TestBenchLint(t *testing.T) {
 			}
 			check(sum == r.counts, f, r.Name, "streams sum to %+v, row has %+v", sum, r.counts)
 			check(r.P50 <= r.P99, f, r.Name, "p50 %v > p99 %v", r.P50, r.P99)
+			checkEdges(f, r.Name, r.Completed, r.P50, r.P99)
 		}
 	}
 

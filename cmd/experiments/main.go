@@ -31,10 +31,6 @@ func main() {
 		fig15  = flag.Bool("fig15", false, "SoC per scheduler")
 		fig16  = flag.Bool("fig16", false, "entropy-based vs accuracy-based tuning")
 		seed   = flag.Int64("seed", 1, "lab dataset seed")
-		// Sharding a GEMM across cores never changes a bit of its result;
-		// the naive serial oracle rounds differently from the blocked
-		// kernels, so -backend serial may move a summary's last digits.
-		backend = flag.String("backend", "", "host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default auto)")
 		// Reduced precision DOES change the numbers — it is the experiment:
 		// rerun a figure at int8 to see how the quantized host path shifts
 		// the accuracy/entropy trade against the fp32 baseline.
@@ -42,13 +38,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *backend != "" {
-		b, err := tensor.ParseBackend(*backend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tensor.Default().SetBackend(b)
-	}
 	if *precision != "" {
 		p, err := tensor.ParsePrecision(*precision)
 		if err != nil {

@@ -70,7 +70,6 @@ import (
 
 	"pcnn"
 	"pcnn/internal/satisfaction"
-	"pcnn/internal/tensor"
 	"pcnn/internal/workload"
 )
 
@@ -78,9 +77,9 @@ import (
 // (workers … seed, faultSpec) into the one serve.Config every server is
 // built from, whichever mode builds it.
 type options struct {
-	netName, platform, taskName, addr, debug, backend string
-	fps                                               float64
-	tune                                              bool
+	netName, platform, taskName, addr, debug string
+	fps                                      float64
+	tune                                     bool
 
 	workers, batch, queue, retries, breaker int
 	pace, execTimeoutMS, breakerCooldownMS  float64
@@ -93,7 +92,7 @@ type options struct {
 	n, conc int
 	smoke   bool
 
-	scenarios, scenProm, grid string
+	scenarios, grid string
 
 	fleetN, fleetReqs                    int
 	fleetPlatforms, fleetPol, fleetBench string
@@ -126,13 +125,9 @@ func parseFlags(args []string) *options {
 		"slack-aware early rejection: refuse requests whose deadline no degradation level can meet")
 	fs.BoolVar(&o.tune, "tune", false, "train the scaled analogue and attach the accuracy tuner (slow)")
 	fs.Int64Var(&o.seed, "seed", 1, "load generator seed")
-	fs.StringVar(&o.backend, "backend", "",
-		"host GEMM backend: auto, blocked (the same path) or serial (the naive test oracle) (default auto)")
 
 	fs.StringVar(&o.scenarios, "scenarios", "",
 		"run the scenario matrix and write its JSON rows to this file (- for stdout)")
-	fs.StringVar(&o.scenProm, "scenarios-prom", "",
-		"with -scenarios: also write the matrix's Prometheus text snapshot to this file")
 	fs.StringVar(&o.grid, "grid", "default",
 		"scenario grid: default (12 scenarios), smoke (4) or serve (-task on -net/-platform at 0.5x/1x/2x one-worker capacity)")
 
@@ -202,13 +197,6 @@ func main() {
 
 // run dispatches on the mode flags.
 func run(o *options) error {
-	if o.backend != "" {
-		b, err := tensor.ParseBackend(o.backend)
-		if err != nil {
-			return err
-		}
-		tensor.Default().SetBackend(b)
-	}
 	switch {
 	case o.scenarios != "":
 		return runScenarios(o)

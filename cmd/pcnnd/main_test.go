@@ -75,11 +75,9 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 		"pcnn_serve_escalations_total",
 		"pcnn_serve_calibrations_total",
 		"pcnn_serve_throughput_rps",
-		`pcnn_gemm_backend_active{backend="blocked",` + labels + `}`,
-		`pcnn_gemm_backend_active{backend="serial",` + labels + `}`,
 		"pcnn_gemm_tile_mc",
 		"pcnn_gemm_tile_nr",
-		"pcnn_gemm_workers",
+		"pcnn_gemm_workers{" + labels + "}",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

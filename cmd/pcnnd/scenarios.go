@@ -9,12 +9,12 @@ import (
 )
 
 // runScenarios drives a scenario grid on a virtual clock and writes the
-// deterministic rows as JSON (plus, optionally, a Prometheus text
-// snapshot). The default grid is the heterogeneous-fleet matrix — mixed
-// archetypes, bursty/diurnal arrivals, DVFS, co-running interference and
-// seeded chaos (BENCH_scenarios.json); the serve grid is the capacity
-// sweep of one -task stream on -net/-platform (BENCH_serve.json), gated by
-// -smoke. The same grid and seed always produce byte-identical output.
+// deterministic rows as JSON. The default grid is the heterogeneous-fleet
+// matrix — mixed archetypes, bursty/diurnal arrivals, DVFS, co-running
+// interference and seeded chaos (BENCH_scenarios.json); the serve grid is
+// the capacity sweep of one -task stream on -net/-platform
+// (BENCH_serve.json), gated by -smoke. The same grid and seed always
+// produce byte-identical output.
 func runScenarios(o *options) error {
 	var specs []scenario.Spec
 	switch o.grid {
@@ -52,17 +52,6 @@ func runScenarios(o *options) error {
 	}
 	if o.scenarios != "-" {
 		log.Printf("scenarios: wrote %d rows to %s", len(m.Rows), o.scenarios)
-	}
-	if o.scenProm != "" {
-		f, err := os.Create(o.scenProm)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := m.WritePrometheus(f); err != nil {
-			return err
-		}
-		log.Printf("scenarios: wrote Prometheus snapshot to %s", o.scenProm)
 	}
 	if o.smoke {
 		return checkServeSmoke(m)

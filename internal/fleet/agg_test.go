@@ -1,65 +1,9 @@
 package fleet
 
 import (
-	"math"
 	"runtime"
 	"testing"
 )
-
-func TestBucketOfEdges(t *testing.T) {
-	cases := []struct {
-		ms   float64
-		want int
-	}{
-		{0, 0},
-		{-5, 0},
-		{math.NaN(), 0},
-		{latHistMinMS, 0},        // exactly the floor clamps low
-		{latHistMinMS * 1.01, 0}, /* inside the first bucket */
-		{1, 300},                 // three decades above the 1 µs floor
-		{1000, 600},              // six decades
-		{math.Inf(1), latHistBuckets - 1},
-		{1e12, latHistBuckets - 1}, // beyond the top decade clamps high
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.ms); got != c.want {
-			t.Errorf("bucketOf(%v) = %d, want %d", c.ms, got, c.want)
-		}
-	}
-	// Bucket index is monotone in the sample value.
-	prev := -1
-	for ms := latHistMinMS; ms < 1e6; ms *= 1.07 {
-		b := bucketOf(ms)
-		if b < prev {
-			t.Fatalf("bucketOf not monotone: bucketOf(%g) = %d after %d", ms, b, prev)
-		}
-		prev = b
-	}
-}
-
-func TestLatHistPercentiles(t *testing.T) {
-	var h latHist
-	if p := h.percentile(0.99); p != 0 {
-		t.Fatalf("empty percentile = %g, want 0", p)
-	}
-	// 100 samples at 10 ms, 1 outlier at 1000 ms: p50 sits in the 10 ms
-	// bucket, p99 still inside the bulk, and every percentile returns its
-	// bucket's lower edge.
-	for i := 0; i < 100; i++ {
-		h.observe(10)
-	}
-	h.observe(1000)
-	p50 := h.percentile(0.50)
-	if math.Abs(p50-10)/10 > 0.03 {
-		t.Errorf("p50 = %g, want ~10 (within bucket resolution)", p50)
-	}
-	if p99 := h.percentile(0.99); p99 >= 100 {
-		t.Errorf("p99 = %g, should stay in the 10 ms bulk", p99)
-	}
-	if p := h.percentile(1.0); math.Abs(p-1000)/1000 > 0.03 {
-		t.Errorf("p100 = %g, want ~1000", p)
-	}
-}
 
 // TestSoakMillionRequestFlatMemory drives ≥1,000,000 requests through one
 // grid row and asserts the driver's footprint stays flat: PeakPending is

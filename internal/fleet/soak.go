@@ -487,7 +487,9 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	if row.Served > 0 {
 		row.MissRate = float64(rowAgg.missed) / float64(row.Served)
 	}
-	row.P50MS, row.P95MS, row.P99MS = rowAgg.hist.percentiles()
+	row.P50MS = rowAgg.hist.Percentile(0.50)
+	row.P95MS = rowAgg.hist.Percentile(0.95)
+	row.P99MS = rowAgg.hist.Percentile(0.99)
 
 	fsnap := fl.Snapshot()
 	row.Fallbacks = fsnap.Fallbacks
@@ -499,13 +501,12 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 
 	for m := range models {
 		ma := &rowAgg.perModel[m]
-		p50, _, p99 := ma.hist.percentiles()
 		mr := SoakModelRow{
 			Model:    models[m].name,
 			Requests: ma.requests,
 			Served:   ma.served,
-			P50MS:    p50,
-			P99MS:    p99,
+			P50MS:    ma.hist.Percentile(0.50),
+			P99MS:    ma.hist.Percentile(0.99),
 		}
 		if mr.Served > 0 {
 			mr.MissRate = float64(ma.missed) / float64(mr.Served)

@@ -10,6 +10,7 @@ import (
 	"pcnn/internal/fault"
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
+	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
 	"pcnn/internal/simdrive"
@@ -227,7 +228,7 @@ func (e *Engine) Run(sp Spec) (Row, error) {
 		Chaos:    sp.Chaos.String(),
 		Seed:     sp.Seed,
 	}
-	var lats []float64
+	var lat obs.LatencyHist
 	for i, st := range sp.Streams {
 		task, err := satisfaction.TaskByName(st.Task, st.FPS)
 		if err != nil {
@@ -237,21 +238,22 @@ func (e *Engine) Run(sp Spec) (Row, error) {
 		if err != nil {
 			return Row{}, fmt.Errorf("scenario %s stream %d: %w", sp.Name, i, err)
 		}
-		srow, streamLats, err := e.runStream(sp, i, st, task, ex, plan, factor)
+		srow, streamLat, err := e.runStream(sp, i, st, task, ex, plan, factor)
 		if err != nil {
 			return Row{}, fmt.Errorf("scenario %s stream %d (%s): %w", sp.Name, i, st.Task, err)
 		}
 		row.Streams = append(row.Streams, srow)
-		lats = append(lats, streamLats...)
+		lat.Merge(&streamLat)
 	}
-	row.aggregate(lats)
+	row.aggregate(&lat)
 	return row, nil
 }
 
 // runStream serves one stream's full arrival sequence on the virtual
-// clock and folds the outcome into a StreamRow.
+// clock and folds the outcome into a StreamRow, returning beside it the
+// server's latency histogram.
 func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Task,
-	ex serve.Executor, plan *compile.Plan, factor corunFactor) (StreamRow, []float64, error) {
+	ex serve.Executor, plan *compile.Plan, factor corunFactor) (StreamRow, obs.LatencyHist, error) {
 
 	// The deadline-aware cap, not the plan's compiled batch: a surveillance
 	// plan compiled for per-frame arrival carries batch 1, which used to pin
@@ -269,7 +271,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 		var err error
 		inj, err = fault.New(fs)
 		if err != nil {
-			return StreamRow{}, nil, err
+			return StreamRow{}, obs.LatencyHist{}, err
 		}
 	}
 
@@ -294,7 +296,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	}
 	srv, err := serve.NewServer(ex, task, cfg)
 	if err != nil {
-		return StreamRow{}, nil, err
+		return StreamRow{}, obs.LatencyHist{}, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), streamTimeout)
 	defer cancel()
@@ -309,7 +311,6 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	// legs only).
 	win := simdrive.NewWindow(srv, ex, clk, maxBatch)
 	slot := make([]simdrive.Slot, 1)
-	var lats []float64
 	err = simdrive.Drive(ctx, clk, workload.NewScheduleStream([]workload.Arrivals{arr}, []int{st.Requests}),
 		func(time.Time, workload.Event) ([]simdrive.Slot, error) {
 			slot[0] = simdrive.Slot{Win: win}
@@ -318,18 +319,12 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 			} // else refused (early rejection, injected saturation); tallied in the snapshot
 			return slot, nil
 		},
-		func(outs []simdrive.Outcome) {
-			for _, o := range outs {
-				if o.Err == nil {
-					lats = append(lats, o.Res.ResponseMS)
-				}
-			}
-		})
+		func([]simdrive.Outcome) {}) // the server's own stats record every outcome
 	if err != nil {
-		return StreamRow{}, nil, err
+		return StreamRow{}, obs.LatencyHist{}, err
 	}
 	if err := srv.Close(ctx); err != nil {
-		return StreamRow{}, nil, err
+		return StreamRow{}, obs.LatencyHist{}, err
 	}
 	snap := srv.Stats()
 	counts := srv.FaultCounts()
@@ -365,7 +360,7 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 		FinalLevel:      snap.Level,
 		Faults:          counts,
 	}
-	return srow, lats, nil
+	return srow, srv.Latencies(), nil
 }
 
 // RunMatrix runs every spec and assembles the matrix. progress, when

@@ -13,7 +13,7 @@ import (
 	"pcnn/internal/tensor"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden scenario exposition files")
+var update = flag.Bool("update", false, "rewrite the golden scenario exposition file")
 
 // goldenExec is a fixed-cost executor: every quantity in the golden files
 // derives from these constants plus serve's virtual-clock arithmetic, so
@@ -36,8 +36,8 @@ func (goldenExec) Execute(l, n int, _ *tensor.Tensor) (serve.BatchResult, error)
 }
 
 // goldenSpec fixes every rate explicitly so the engine needs no
-// compilation at all: the golden outputs exercise spec → row → JSON/
-// Prometheus exposition, nothing simulator-side.
+// compilation at all: the golden output exercises spec → row → JSON,
+// nothing simulator-side.
 func goldenSpec() Spec {
 	return Spec{
 		Name:     "golden-mixed",
@@ -75,9 +75,9 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
-// TestGoldenMatrixExposition pins the scenario matrix's two export
-// formats — the BENCH_scenarios.json row schema and the Prometheus text
-// snapshot — byte for byte against committed goldens.
+// TestGoldenMatrixExposition pins the scenario matrix's export format —
+// the BENCH_scenarios.json row schema — byte for byte against a committed
+// golden.
 func TestGoldenMatrixExposition(t *testing.T) {
 	e := Engine{
 		ExecutorFor: func(sp Spec, st StreamSpec, plan *compile.Plan) (serve.Executor, error) {
@@ -91,13 +91,9 @@ func TestGoldenMatrixExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js, prom bytes.Buffer
+	var js bytes.Buffer
 	if err := m.EncodeJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
 	checkGolden(t, filepath.Join("testdata", "golden_matrix.json"), js.Bytes())
-	checkGolden(t, filepath.Join("testdata", "golden_matrix.prom"), prom.Bytes())
 }

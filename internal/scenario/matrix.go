@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"pcnn/internal/fault"
@@ -82,9 +81,9 @@ type Row struct {
 	Streams []StreamRow `json:"streams"`
 }
 
-// aggregate folds the per-stream rows and the pooled latency samples
-// (sorted in place) into the scenario-level fields.
-func (r *Row) aggregate(lats []float64) {
+// aggregate folds the per-stream rows and the merged latency histogram of
+// their servers into the scenario-level fields.
+func (r *Row) aggregate(lat *obs.LatencyHist) {
 	var socW, energyW, missW, batchW float64
 	var batches uint64
 	for _, s := range r.Streams {
@@ -115,9 +114,8 @@ func (r *Row) aggregate(lats []float64) {
 	if batches > 0 {
 		r.MeanBatch = batchW / float64(batches)
 	}
-	sort.Float64s(lats)
-	r.P50MS = obs.Percentile(lats, 0.50)
-	r.P99MS = obs.Percentile(lats, 0.99)
+	r.P50MS = lat.Percentile(0.50)
+	r.P99MS = lat.Percentile(0.99)
 }
 
 // Matrix is the full scenario sweep, the structure BENCH_scenarios.json
@@ -133,35 +131,6 @@ func (m Matrix) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// WritePrometheus renders the matrix as a Prometheus text-format
-// snapshot, one labelled series per scenario per metric, deterministically
-// ordered (the registry sorts families and series).
-func (m Matrix) WritePrometheus(w io.Writer) error {
-	reg := obs.NewRegistry()
-	for _, r := range m.Rows {
-		labels := []obs.Label{
-			{Key: "scenario", Value: r.Name},
-			{Key: "platform", Value: r.Platform},
-			{Key: "net", Value: r.Net},
-		}
-		set := func(name, help string, v float64) {
-			reg.Gauge("pcnn_scenario_"+name, help, labels...).Set(v)
-		}
-		set("mean_soc", "Completed-weighted mean satisfaction of the scenario.", r.MeanSoC)
-		set("energy_per_image_j", "Completed-weighted mean energy per image (J).", r.EnergyPerImageJ)
-		set("p50_ms", "Pooled median response latency (virtual ms).", r.P50MS)
-		set("p99_ms", "Pooled 99th-percentile response latency (virtual ms).", r.P99MS)
-		set("deadline_miss_rate", "Completed-weighted deadline miss rate.", r.MissRate)
-		set("mean_batch", "Batch-weighted mean coalesced batch size.", r.MeanBatch)
-		set("completed", "Requests served to completion.", float64(r.Completed))
-		set("failed", "Requests whose batch execution failed.", float64(r.Failed))
-		set("rejected", "Requests rejected at admission.", float64(r.Rejected))
-		set("escalations", "Perforation-level escalations.", float64(r.Escalations))
-		set("faults_total", "Injected faults across every kind.", float64(r.Faults.Total()))
-	}
-	return reg.WritePrometheus(w)
 }
 
 // defaultChaos is the matrix's chaos dose: every fault kind at a rate low

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"pcnn/internal/fault"
+	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
 	"pcnn/internal/workload"
@@ -131,22 +133,36 @@ func TestStreamRate(t *testing.T) {
 	}
 }
 
-// TestPercentile: a row's pooled p50/p99 are nearest-rank, ceil(p·n)−1.
-// At n = 60, p99 is the maximum, where the round(p·n)−1 rank the matrix
-// used before read the sample below it.
+// TestPercentile: a row's p50/p99 are nearest rank, sample ceil(p·n), over
+// its streams' merged latency histogram, reported as that sample's bucket
+// lower edge. At n = 60, p99 is the maximum, where the round(p·n) rank the
+// matrix once used read the sample below it; the samples are 5 % apart,
+// so neighbours never share a ≈2.3 %-wide bucket.
 func TestPercentile(t *testing.T) {
 	var empty Row
-	empty.aggregate(nil)
+	empty.aggregate(&obs.LatencyHist{})
 	if empty.P50MS != 0 || empty.P99MS != 0 {
 		t.Errorf("empty row percentiles = %v / %v, want 0", empty.P50MS, empty.P99MS)
 	}
-	lats := make([]float64, 60)
-	for i := range lats {
-		lats[i] = float64(60 - i) // descending: aggregate sorts
+	sample := func(i int) float64 { return 10 * math.Pow(1.05, float64(i)) }
+	edge := func(ms float64) float64 {
+		var h obs.LatencyHist
+		h.Observe(ms)
+		return h.Percentile(1)
 	}
+	var odd, even obs.LatencyHist // two streams' histograms
+	for i := 60; i >= 1; i-- {
+		if i%2 == 1 {
+			odd.Observe(sample(i))
+		} else {
+			even.Observe(sample(i))
+		}
+	}
+	odd.Merge(&even)
 	var r Row
-	r.aggregate(lats)
-	if r.P50MS != 30 || r.P99MS != 60 {
-		t.Errorf("p50/p99 of 1..60 = %v / %v, want 30 / 60", r.P50MS, r.P99MS)
+	r.aggregate(&odd)
+	if r.P50MS != edge(sample(30)) || r.P99MS != edge(sample(60)) {
+		t.Errorf("p50/p99 = %v / %v, want samples 30 and 60's edges %v / %v",
+			r.P50MS, r.P99MS, edge(sample(30)), edge(sample(60)))
 	}
 }

@@ -108,21 +108,10 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	reg.CounterFunc("pcnn_serve_exec_timeouts_total",
 		"Batch execution attempts cut off by the per-attempt timeout.",
 		s.st.counterFn(func(st *stats) uint64 { return st.timeouts }))
-	// Host GEMM engine state: which kernels serve the layer GEMMs and the
-	// blocked tile this build runs (one per ISA, fixed at init), so a
-	// deployment dashboard can tell a SIMD 8×8 host from a scalar 8×4 one.
+	// Host GEMM engine state: the default engine's pool and the blocked
+	// tile this build runs (one per ISA, fixed at init), so a deployment
+	// dashboard can tell a SIMD 8×8 host from a scalar 8×4 one.
 	eng := tensor.Default()
-	for _, bk := range []tensor.Backend{tensor.Blocked, tensor.Serial} {
-		reg.GaugeFunc("pcnn_gemm_backend_active",
-			"1 for the GEMM kernels the default engine runs, 0 for the others.",
-			func() float64 {
-				if eng.Backend() == bk {
-					return 1
-				}
-				return 0
-			},
-			obs.Label{Key: "backend", Value: bk.String()})
-	}
 	reg.GaugeFunc("pcnn_gemm_workers",
 		"Worker-pool size available to the default GEMM engine.",
 		func() float64 { return float64(eng.Workers()) })

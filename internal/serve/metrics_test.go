@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"pcnn/internal/satisfaction"
-	"pcnn/internal/tensor"
 )
 
 // serveBurst runs n background requests through a fresh server and
@@ -64,9 +62,6 @@ func TestMetricsExposition(t *testing.T) {
 		"pcnn_serve_throughput_rps",
 		"pcnn_serve_lifetime_rps",
 		"pcnn_serve_level",
-		"# TYPE pcnn_gemm_backend_active gauge",
-		gemmBackendLine(tensor.Blocked),
-		gemmBackendLine(tensor.Serial),
 		"pcnn_gemm_workers",
 		"pcnn_gemm_tile_mc",
 		"pcnn_gemm_tile_kc",
@@ -78,14 +73,6 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// The gauge names the two kernel families only: never the "auto"
-	// alias, nor the retired row-sharded backend.
-	for _, gone := range []string{`backend="auto"`, `backend="parallel"`} {
-		if strings.Contains(out, gone) {
-			t.Errorf("exposition still carries %s", gone)
-		}
-	}
-
 	// Per-level response histograms observed exactly the completed count.
 	total := 0
 	for _, h := range s.met.response {
@@ -94,16 +81,6 @@ func TestMetricsExposition(t *testing.T) {
 	if total != 32 {
 		t.Errorf("response histogram observations = %d, want 32", total)
 	}
-}
-
-// gemmBackendLine is the exposition line for one backend: 1 for the
-// kernels the default engine runs, 0 for the other.
-func gemmBackendLine(bk tensor.Backend) string {
-	v := 0
-	if tensor.Default().Backend() == bk {
-		v = 1
-	}
-	return fmt.Sprintf("pcnn_gemm_backend_active{backend=%q} %d", bk.String(), v)
 }
 
 // TestTraceLifecycle: every served request leaves a finished trace in the

@@ -624,6 +624,10 @@ func (s *Server) Stats() Snapshot {
 	return s.st.snapshot(s.task, s.ctrl.Level(), n.escalations, n.calibrations, n.recoveries, st, trips, resets)
 }
 
+// Latencies returns a copy of the histogram of every completed request's
+// ResponseMS, the distribution Stats' percentiles are read from.
+func (s *Server) Latencies() obs.LatencyHist { return s.st.latencies() }
+
 // BreakerState returns the circuit breaker's current position (closed
 // when no breaker is configured).
 func (s *Server) BreakerState() BreakerState {

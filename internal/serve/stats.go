@@ -1,17 +1,12 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"pcnn/internal/obs"
 	"pcnn/internal/satisfaction"
 )
-
-// latSample bounds the latency reservoir; beyond it the ring overwrites
-// the oldest samples so percentiles track recent behaviour.
-const latSample = 16384
 
 // throughputWindowSec is the sliding window ThroughputRPS is computed
 // over. Idle periods older than this age out of the reported rate; the
@@ -70,8 +65,7 @@ type stats struct {
 	socSum     float64
 	entropySum float64
 
-	lat    []float64
-	latIdx int
+	lat obs.LatencyHist // every completion's ResponseMS
 }
 
 func newStats() *stats { return newStatsClock(time.Now) }
@@ -158,12 +152,14 @@ func (s *stats) record(r Result) {
 	s.energyJ += r.EnergyPerImageJ
 	s.socSum += r.SoC
 	s.entropySum += r.Entropy
-	if len(s.lat) < latSample {
-		s.lat = append(s.lat, r.ResponseMS)
-	} else {
-		s.lat[s.latIdx] = r.ResponseMS
-		s.latIdx = (s.latIdx + 1) % latSample
-	}
+	s.lat.Observe(r.ResponseMS)
+}
+
+// latencies returns a copy of the latency histogram.
+func (s *stats) latencies() obs.LatencyHist {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lat
 }
 
 // batchDone records one executed batch of n requests.
@@ -239,6 +235,9 @@ type Snapshot struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 	LifetimeRPS   float64 `json:"lifetime_rps"`
 
+	// Response-latency percentiles over every completion of the server's
+	// life, each its obs.LatencyHist bucket's lower edge (≈2.3% below the
+	// nearest-rank sample at most).
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -309,10 +308,8 @@ func (s *stats) snapshot(task satisfaction.Task, level int, esc, cal, rec uint64
 		snap.MeanEntropy = s.entropySum / float64(s.completed)
 		snap.EnergyPerImageJ = s.energyJ / float64(s.completed)
 	}
-	sorted := append([]float64(nil), s.lat...)
-	sort.Float64s(sorted)
-	snap.P50MS = obs.Percentile(sorted, 0.50)
-	snap.P95MS = obs.Percentile(sorted, 0.95)
-	snap.P99MS = obs.Percentile(sorted, 0.99)
+	snap.P50MS = s.lat.Percentile(0.50)
+	snap.P95MS = s.lat.Percentile(0.95)
+	snap.P99MS = s.lat.Percentile(0.99)
 	return snap
 }

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -37,7 +36,7 @@ const (
 	Serial
 )
 
-// String renders the backend name accepted by ParseBackend.
+// String renders the backend's name.
 func (b Backend) String() string {
 	switch b {
 	case Blocked:
@@ -46,18 +45,6 @@ func (b Backend) String() string {
 		return "serial"
 	}
 	return fmt.Sprintf("Backend(%d)", int32(b))
-}
-
-// ParseBackend converts a name to a Backend: "blocked", "serial", or
-// "auto" (and the empty string), which name the default, Blocked.
-func ParseBackend(s string) (Backend, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "", "blocked":
-		return Blocked, nil
-	case "serial":
-		return Serial, nil
-	}
-	return Blocked, fmt.Errorf("tensor: unknown backend %q (want auto, blocked or serial)", s)
 }
 
 // GEMMFlops returns the multiply-add FLOP count 2·M·N·K of one GEMM, the
@@ -164,19 +151,19 @@ func (p *workerPool) parallelFor(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Engine executes the package's GEMM kernels under a chosen backend.
-// Backend and threshold may be changed concurrently with use; the zero
-// value is not usable — construct engines with NewEngine.
+// Engine executes the package's GEMM kernels under the backend it was
+// constructed with. The threshold may be changed concurrently with use;
+// the zero value is not usable — construct engines with NewEngine.
 type Engine struct {
 	*engineConfig
 	pool   *workerPool // nil: every GEMM runs on the calling goroutine
 	inline *Engine     // the same configuration with no pool, see Inline
 }
 
-// engineConfig is an engine's mutable configuration, shared with its
-// inline twin so a setting reaches both.
+// engineConfig is an engine's configuration, shared with its inline twin
+// so a setting reaches both.
 type engineConfig struct {
-	backend   atomic.Int32
+	backend   Backend // fixed at construction
 	threshold atomic.Int64
 	precision atomic.Int32
 }
@@ -186,8 +173,7 @@ type engineConfig struct {
 // engine a private pool of that size, which tests use to exercise sharding
 // regardless of host CPUs.
 func NewEngine(b Backend, workers int) *Engine {
-	cfg := &engineConfig{}
-	cfg.backend.Store(int32(b))
+	cfg := &engineConfig{backend: b}
 	cfg.threshold.Store(DefaultParallelThreshold)
 	e := &Engine{engineConfig: cfg, pool: sharedPool}
 	if workers > 0 {
@@ -199,19 +185,13 @@ func NewEngine(b Backend, workers int) *Engine {
 }
 
 // defaultEngine serves every package-level MatMul* call: the blocked
-// kernels on the shared pool at fp32. Callers that want another backend or
-// precision say so through Default().SetBackend / SetPrecision (the
-// commands' -backend and -precision flags).
+// kernels on the shared pool at fp32. Callers that want the Serial oracle
+// build their own engine with NewEngine; another precision is set through
+// Default().SetPrecision (cmd/experiments' -precision flag).
 var defaultEngine = NewEngine(Blocked, 0)
 
 // Default returns the engine behind the package-level MatMul* functions.
 func Default() *Engine { return defaultEngine }
-
-// SetBackend changes how subsequent GEMMs execute. Safe for concurrent use.
-func (e *Engine) SetBackend(b Backend) { e.backend.Store(int32(b)) }
-
-// Backend returns the engine's current backend.
-func (e *Engine) Backend() Backend { return Backend(e.backend.Load()) }
 
 // SetParallelThreshold sets the minimum FLOP count of one sharded step
 // (see DefaultParallelThreshold). Safe for concurrent use.
@@ -246,7 +226,7 @@ func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) {
 // measured 1.6–2.6× slower than the naive row kernel on all three forms
 // (1×96×48 2.3 vs 4.3 µs, 1×4096×1000 1.7 vs 4.6 ms), while M ≥ 2 is at
 // parity or better.
-func (e *Engine) usesBlocked(m int) bool { return e.Backend() != Serial && m != 1 }
+func (e *Engine) usesBlocked(m int) bool { return e.backend != Serial && m != 1 }
 
 // shouldParallel reports whether one sharded step of M×N×K multiply-adds —
 // a whole int8 GEMM, or one KC-deep slice of a blocked GEMM — is worth the
@@ -254,7 +234,7 @@ func (e *Engine) usesBlocked(m int) bool { return e.Backend() != Serial && m != 
 // work item rather than a row, so a GEMM can go wide even when M fits one
 // block (the N dimension shards).
 func (e *Engine) shouldParallel(m, n, k int) bool {
-	return e.Backend() != Serial && m*n > 1 &&
+	return e.backend != Serial && m*n > 1 &&
 		GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
 }
 

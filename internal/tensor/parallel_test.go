@@ -8,19 +8,13 @@ import (
 	"testing"
 )
 
-// Engines under test: one built from the "auto" flag spelling and an
-// explicit Blocked one, both with a private 4-worker pool and a zero
-// threshold so every GEMM shards even on a single-CPU host, plus the
+// Engines under test: a blocked one with a private 4-worker pool and a
+// zero threshold, so every GEMM shards even on a single-CPU host, and the
 // unsharded blocked reference.
-func testEngines() (auto, blocked, unsharded *Engine) {
-	b, err := ParseBackend("auto")
-	if err != nil {
-		panic(err)
-	}
-	auto, blocked = NewEngine(b, 4), NewEngine(Blocked, 4)
-	auto.SetParallelThreshold(0)
-	blocked.SetParallelThreshold(0)
-	return auto, blocked, NewEngine(Blocked, 1)
+func testEngines() (sharded, unsharded *Engine) {
+	sharded = NewEngine(Blocked, 4)
+	sharded.SetParallelThreshold(0)
+	return sharded, NewEngine(Blocked, 1)
 }
 
 // bitIdentical reports whether two tensors are exactly equal, bit for bit
@@ -38,13 +32,12 @@ func bitIdentical(a, b *Tensor) bool {
 	return true
 }
 
-// checkAllVariantsEquivalent runs the three GEMM variants for one (m,k,n)
-// shape at the production tile and fails unless "auto" ≡ explicit Blocked ≡
-// unsharded blocked bit for bit — "auto" and "blocked" are two names for
-// one path, whatever the worker count.
+// checkAllVariantsEquivalent runs the blocked GEMM sharded and unsharded
+// for one (m,k,n) shape at the production tile and fails unless they agree
+// bit for bit, whatever the worker count.
 func checkAllVariantsEquivalent(t *testing.T, m, k, n int, seed int64) {
 	t.Helper()
-	auto, blk, ref := testEngines()
+	blk, ref := testEngines()
 	rng := rand.New(rand.NewSource(seed))
 
 	a := randTensor(rng, m, k)
@@ -55,8 +48,8 @@ func checkAllVariantsEquivalent(t *testing.T, m, k, n int, seed int64) {
 	same := func(op string, run func(e *Engine) *Tensor) {
 		t.Helper()
 		want := run(ref)
-		if !bitIdentical(run(auto), want) || !bitIdentical(run(blk), want) {
-			t.Fatalf("%s %dx%dx%d: auto / blocked / unsharded blocked are not bit-identical", op, m, k, n)
+		if !bitIdentical(run(blk), want) {
+			t.Fatalf("%s %dx%dx%d: sharded / unsharded blocked are not bit-identical", op, m, k, n)
 		}
 	}
 	same("MatMul", func(e *Engine) *Tensor { return e.MatMul(a, b) })
@@ -135,13 +128,7 @@ func TestAutoThresholdBitIdentical(t *testing.T) {
 // TestEngineKnobs covers the backend/threshold accessors and the
 // serial-vs-sharded decision.
 func TestEngineKnobs(t *testing.T) {
-	if b, err := ParseBackend("auto"); err != nil || b != Blocked {
-		t.Fatalf(`ParseBackend("auto") = %v, %v, want blocked`, b, err)
-	}
 	e := NewEngine(Blocked, 4)
-	if e.Backend() != Blocked {
-		t.Fatalf("Backend = %v, want blocked", e.Backend())
-	}
 	if e.Workers() != 4 {
 		t.Fatalf("Workers = %d, want 4", e.Workers())
 	}
@@ -159,9 +146,10 @@ func TestEngineKnobs(t *testing.T) {
 	if !e.shouldParallel(1, 64*64, 64) {
 		t.Fatal("a single-row GEMM cannot shard along N")
 	}
-	e.SetBackend(Serial)
-	if e.Backend() != Serial || e.shouldParallel(64, 64, 64) {
-		t.Fatalf("the serial oracle shards (backend %v)", e.Backend())
+	ser := NewEngine(Serial, 4)
+	ser.SetParallelThreshold(0)
+	if ser.shouldParallel(64, 64, 64) {
+		t.Fatal("the serial oracle shards")
 	}
 	if NewEngine(Blocked, 1).shouldParallel(512, 512, 512) {
 		t.Fatal("a one-worker engine shards")
@@ -208,32 +196,11 @@ func TestShardAndInline(t *testing.T) {
 		t.Fatalf("inline twin: %d workers, own twin %v", in.Workers(), in.Inline() == in)
 	}
 	e.SetParallelThreshold(0)
-	e.SetBackend(Serial)
-	if in.ParallelThreshold() != 0 || in.Backend() != Serial {
+	if in.ParallelThreshold() != 0 {
 		t.Fatal("a setting on the engine did not reach its inline twin")
 	}
-	e.SetBackend(Blocked)
 	if in.shouldParallel(512, 512, 512) {
 		t.Fatal("the inline twin shards")
-	}
-}
-
-func TestParseBackendRoundTrip(t *testing.T) {
-	for _, b := range []Backend{Serial, Blocked} {
-		got, err := ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q) = %v, %v", b.String(), got, err)
-		}
-	}
-	// The retired row-sharded spelling gets the standard unknown-backend
-	// error, like any other name the engine never had.
-	for _, name := range []string{"gpu", "parallel"} {
-		if _, err := ParseBackend(name); err == nil || !strings.Contains(err.Error(), "want auto, blocked or serial") {
-			t.Fatalf("ParseBackend(%q) error = %v", name, err)
-		}
-	}
-	if b, err := ParseBackend(" Blocked "); err != nil || b != Blocked {
-		t.Fatalf("ParseBackend is not case/space tolerant: %v, %v", b, err)
 	}
 }
 
@@ -318,7 +285,7 @@ func TestIntoFormsWriteCallerBuffer(t *testing.T) {
 // goroutines issuing sharded GEMMs at once must neither race nor corrupt
 // each other's outputs. Run under -race in CI.
 func TestConcurrentParallelGEMM(t *testing.T) {
-	par, _, ser := testEngines()
+	par, ser := testEngines()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
