@@ -56,10 +56,10 @@ test-short:
 race:
 	$(GO) test -race ./internal/tensor/ ./internal/nn/ ./internal/serve/ ./internal/obs/ \
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
-		./internal/fleet/e2e/ ./internal/simdrive/
+		./internal/fleet/e2e/ ./internal/simdrive/ ./internal/runtimemgr/ ./internal/par/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
 		./internal/runtimemgr/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial'
+		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
 

@@ -107,9 +107,7 @@ func (d *Deployment) Recompile(dvfs bool) (*Deployment, error) {
 }
 
 // compileExecutors builds the per-platform executor map CompileDeployment
-// wraps. The soak reuses one map across its grid rows (executors are
-// concurrency-safe and their simulation caches are deterministic) while
-// registering a fresh Deployment per row.
+// wraps.
 func compileExecutors(model string, task satisfaction.Task, platforms []string, dvfs bool) (map[string]serve.Executor, error) {
 	net := nn.NetShapeByName(model)
 	if net == nil {
@@ -120,26 +118,35 @@ func compileExecutors(model string, task satisfaction.Task, platforms []string, 
 		if _, ok := executors[p]; ok {
 			continue
 		}
-		dev := gpu.PlatformByName(p)
-		if dev == nil {
-			return nil, fmt.Errorf("fleet: unknown platform %q", p)
-		}
-		plan, err := compile.Compile(net, dev, task)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: compile %s on %s: %w", model, p, err)
-		}
-		if dvfs {
-			if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
-				return nil, fmt.Errorf("fleet: DVFS %s on %s: %w", model, p, err)
-			}
-		}
-		ex, err := serve.NewPlanExecutor(plan, nil, nil, nil)
+		ex, err := compileExecutor(net, task, p, dvfs)
 		if err != nil {
 			return nil, err
 		}
 		executors[p] = ex
 	}
 	return executors, nil
+}
+
+// compileExecutor compiles net for task on one platform, applying the
+// DVFS frequency ladder when dvfs is set, and wraps the plan in a
+// PlanExecutor. The soak shares each executor across its grid rows
+// (executors are concurrency-safe and answer independently of call
+// order) while registering a fresh Deployment per row.
+func compileExecutor(net *nn.NetShape, task satisfaction.Task, platform string, dvfs bool) (serve.Executor, error) {
+	dev := gpu.PlatformByName(platform)
+	if dev == nil {
+		return nil, fmt.Errorf("fleet: unknown platform %q", platform)
+	}
+	plan, err := compile.Compile(net, dev, task)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: compile %s on %s: %w", net.Name, platform, err)
+	}
+	if dvfs {
+		if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+			return nil, fmt.Errorf("fleet: DVFS %s on %s: %w", net.Name, platform, err)
+		}
+	}
+	return serve.NewPlanExecutor(plan, nil, nil, nil)
 }
 
 // Registry is the fleet-wide model/plan store: every model's current

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"pcnn/internal/nn"
+	"pcnn/internal/par"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
 	"pcnn/internal/simdrive"
@@ -206,27 +208,52 @@ func (r SoakReport) Check() error {
 }
 
 // RunSoak executes the full grid — every replica count with hedging off
-// and on, same offered trace — and assembles the report. Everything runs
-// on a virtual clock: the report is byte-reproducible.
+// and on, same offered trace — and assembles the report, rows in grid
+// order. Everything runs on a virtual clock: the report is
+// byte-reproducible. The executor compiles and then the grid rows are
+// independent units that fan out with par.Each (at most GOMAXPROCS at
+// once); rows share only the executors, whose answers do not depend on
+// which row asks first, so the report equals a serial run's byte for
+// byte.
 func RunSoak(spec SoakSpec) (SoakReport, error) {
 	spec = spec.withDefaults()
 	models := soakModels()
 
 	// Compile one executor set per model (plus AlexNet's DVFS-scaled v2)
-	// across the whole platform pool; the maps are shared by every grid
-	// row, each of which registers fresh Deployments over them.
-	exV1 := make([]map[string]serve.Executor, len(models))
+	// across the whole platform pool, one unit per (set, platform); the
+	// maps are shared by every grid row, each of which registers fresh
+	// Deployments over them.
+	nets := make([]*nn.NetShape, len(models))
 	for i, m := range models {
-		ex, err := compileExecutors(m.name, m.task, soakPlatforms, false)
-		if err != nil {
-			return SoakReport{}, err
-		}
-		exV1[i] = ex
+		nets[i] = nn.NetShapeByName(m.name)
 	}
-	exV2, err := compileExecutors(models[0].name, models[0].task, soakPlatforms, true)
+	nP := len(soakPlatforms)
+	exs := make([]serve.Executor, (len(models)+1)*nP)
+	err := par.Each(len(exs), func(u int) error {
+		set, platform := u/nP, soakPlatforms[u%nP]
+		i, dvfs := 0, true // the last set is AlexNet's v2
+		if set < len(models) {
+			i, dvfs = set, false
+		}
+		var err error
+		exs[u], err = compileExecutor(nets[i], models[i].task, platform, dvfs)
+		return err
+	})
 	if err != nil {
 		return SoakReport{}, err
 	}
+	execSet := func(set int) map[string]serve.Executor {
+		ex := make(map[string]serve.Executor, nP)
+		for i, p := range soakPlatforms {
+			ex[p] = exs[set*nP+i]
+		}
+		return ex
+	}
+	exV1 := make([]map[string]serve.Executor, len(models))
+	for i := range models {
+		exV1[i] = execSet(i)
+	}
+	exV2 := execSet(len(models))
 
 	// Offered load: soakLoad × the reference fleet's aggregate capacity
 	// per model, constant across rows.
@@ -234,23 +261,27 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	for i, m := range models {
 		cap := 0.0
 		for r := 0; r < soakReferenceN; r++ {
-			ex := exV1[i][soakPlatforms[r%len(soakPlatforms)]]
+			ex := exV1[i][soakPlatforms[r%nP]]
 			cap += serve.CapacityRPS(ex, m.task, ex.MaxBatch())
 		}
 		offered[i] = soakLoad * cap
 	}
 
-	report := SoakReport{Schema: SoakSchema, Spec: spec}
-	for _, n := range spec.ReplicaCounts {
-		for _, hedge := range []bool{false, true} {
-			row, err := runSoakRow(spec, models, exV1, exV2, offered, n, hedge)
-			if err != nil {
-				return SoakReport{}, fmt.Errorf("fleet soak n=%d hedge=%v: %w", n, hedge, err)
-			}
-			report.Rows = append(report.Rows, row)
+	// Row 2k is ReplicaCounts[k] with hedging off, row 2k+1 with it on.
+	rows := make([]SoakRow, 2*len(spec.ReplicaCounts))
+	err = par.Each(len(rows), func(i int) error {
+		n, hedge := spec.ReplicaCounts[i/2], i%2 == 1
+		var err error
+		rows[i], err = runSoakRow(spec, models, exV1, exV2, offered, n, hedge)
+		if err != nil {
+			return fmt.Errorf("fleet soak n=%d hedge=%v: %w", n, hedge, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return SoakReport{}, err
 	}
-	return report, nil
+	return SoakReport{Schema: SoakSchema, Spec: spec, Rows: rows}, nil
 }
 
 // soakArrivals builds one client stream's two-state MMPP at mean rate

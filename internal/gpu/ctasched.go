@@ -28,30 +28,59 @@ func (p SchedulerPolicy) String() string {
 	}
 }
 
-// pickSM returns the index of the SM that should receive the next CTA, or
-// -1 if every allowed SM is at its residency cap. resident[i] holds the
-// current CTA count of SM i; caps[i] its residency limit (0 for disallowed
-// SMs).
-func (p SchedulerPolicy) pickSM(resident, caps []int) int {
-	switch p {
-	case PrioritySM:
-		for i := range resident {
-			if resident[i] < caps[i] {
-				return i
+// smWindow dispatches one launch's CTAs onto its window: a contiguous SM
+// range whose SMs share one residency cap. It tracks where the policy's
+// next pick lies instead of scanning the window per CTA: PrioritySM's
+// lowest SM with a free slot and RoundRobin's least-loaded SM (lowest
+// index on ties) only move as CTAs are placed and retired, and both are
+// exactly the SM a scan of the window would pick.
+type smWindow struct {
+	lo      int   // first SM of the window on the device
+	res     []int // resident CTAs per window SM, window-relative
+	tlp     int   // residency cap of every window SM
+	policy  SchedulerPolicy
+	pending int // CTAs not yet dispatched
+	live    int // CTAs resident in the window
+	// PrioritySM: every SM below cursor is full. RoundRobin: no SM holds
+	// fewer than level CTAs, and every SM below cursor holds more.
+	cursor, level int
+}
+
+// place puts one CTA on the SM the policy picks and returns that SM's
+// window-relative index, or -1 if every SM is at the cap.
+func (w *smWindow) place() int {
+	n := len(w.res)
+	if w.policy == PrioritySM {
+		for w.cursor < n && w.res[w.cursor] >= w.tlp {
+			w.cursor++
+		}
+	} else {
+		for w.cursor < n && w.res[w.cursor] != w.level {
+			// Past the last SM every SM holds more than level: the least
+			// loaded now hold level+1, the first of them from SM 0 on.
+			if w.cursor++; w.cursor == n && w.level+1 < w.tlp {
+				w.level, w.cursor = w.level+1, 0
 			}
 		}
+	}
+	if w.cursor == n {
 		return -1
-	default: // RoundRobin: least-loaded allowed SM
-		best := -1
-		for i := range resident {
-			if resident[i] >= caps[i] {
-				continue
-			}
-			if best == -1 || resident[i] < resident[best] {
-				best = i
-			}
-		}
-		return best
+	}
+	w.res[w.cursor]++
+	w.live++
+	return w.cursor
+}
+
+// retire removes one CTA from window SM sm.
+func (w *smWindow) retire(sm int) {
+	w.res[sm]--
+	w.live--
+	r := w.res[sm]
+	switch {
+	case w.policy == PrioritySM || r == w.level:
+		w.cursor = min(w.cursor, sm)
+	case r < w.level: // the one SM now below every other
+		w.level, w.cursor = r, sm
 	}
 }
 

@@ -85,14 +85,13 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 	nSM, nL := d.NumSMs, len(launches)
 	// Every per-SM vector is carved to length nSM exactly, so one bounds
 	// check on an SM index covers all of them.
-	ints := make([]int, 5*nSM+3*nL)
+	ints := make([]int, 5*nSM)
 	smInts := func(i int) []int { return ints[i*nSM:][:nSM] }
 	resident, issueN, memN := smInts(0), smInts(1), smInts(2)
 	// caps[sm] is the residency cap of the launch owner[sm], 0 if no launch
 	// owns sm.
 	caps, owner := smInts(3), smInts(4)
-	perL := ints[5*nSM:]
-	pending, winLo, winHi := perL[:nL], perL[nL:2*nL], perL[2*nL:]
+	wins := make([]smWindow, nL)
 	floats := make([]float64, 8*nSM)
 	smFloats := func(i int) []float64 { return floats[i*nSM:][:nSM] }
 	perSMIssueUsed, issueShare, smRate := smFloats(0), smFloats(1), smFloats(2)
@@ -124,7 +123,7 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 			ctaIssueCap[sm], issueDone[sm], memDone[sm] = issueCap, issueEps, memEps
 		}
 		out[k] = Result{Kernel: l.Kernel.Name}
-		pending[k], winLo[k], winHi[k] = l.Kernel.GridSize, lo, hi
+		wins[k] = smWindow{lo: lo, res: resident[lo:hi], tlp: tlp, policy: l.Config.Policy, pending: l.Kernel.GridSize}
 		ctaSlots += min((hi-lo)*tlp, l.Kernel.GridSize)
 		gateIdle = gateIdle && l.Config.PowerGateIdle
 	}
@@ -133,30 +132,22 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 
 	// dispatch fills each launch's window in launch order and records the
 	// launch's residency peak. A window is a contiguous SM range, so picking
-	// inside the sub-slices is picking on the device with every other SM
-	// disallowed. ctas is passed through, not captured, so the event loop
-	// keeps it in registers.
+	// inside it is picking on the device with every other SM disallowed.
+	// ctas is passed through, not captured, so the event loop keeps it in
+	// registers.
 	dispatch := func(ctas []cta) []cta {
-		for k := range launches {
-			l, lo := &launches[k], winLo[k]
-			res, lim, used := resident[lo:winHi[k]], caps[lo:winHi[k]], everUsed[lo:winHi[k]]
-			issue, mem := l.Kernel.issueWorkPerCTA(), l.Kernel.memWorkPerCTA()
-			left := pending[k]
-			for ; left > 0; left-- {
-				sm := l.Config.Policy.pickSM(res, lim)
+		for k := range wins {
+			w, kern := &wins[k], &launches[k].Kernel
+			issue, mem := kern.issueWorkPerCTA(), kern.memWorkPerCTA()
+			for ; w.pending > 0; w.pending-- {
+				sm := w.place()
 				if sm < 0 {
 					break
 				}
-				res[sm]++
-				used[sm] = true
-				ctas = append(ctas, cta{sm: lo + sm, remIssue: issue, remMem: mem})
+				everUsed[w.lo+sm] = true
+				ctas = append(ctas, cta{sm: w.lo + sm, remIssue: issue, remMem: mem})
 			}
-			pending[k] = left
-			live := 0
-			for _, r := range res {
-				live += r
-			}
-			out[k].MaxResident = max(out[k].MaxResident, live)
+			out[k].MaxResident = max(out[k].MaxResident, w.live)
 		}
 		return ctas
 	}
@@ -308,7 +299,8 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 				c.remMem -= smRate[sm] * dt
 			}
 			if c.remIssue <= issueDone[sm] && c.remMem <= memDone[sm] {
-				resident[sm]--
+				w := &wins[owner[sm]]
+				w.retire(sm - w.lo)
 				out[owner[sm]].Cycles = now // time only advances: the last retirement stands
 				continue
 			}
@@ -330,7 +322,7 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 	for k := range launches {
 		r := &out[k]
 		r.TimeMS = d.CyclesToMS(r.Cycles)
-		for _, u := range everUsed[winLo[k]:winHi[k]] {
+		for _, u := range everUsed[wins[k].lo:][:len(wins[k].res)] {
 			if u {
 				r.ActiveSMs++
 			}

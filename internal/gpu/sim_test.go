@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -145,13 +146,10 @@ func TestFig7PSMvsRR(t *testing.T) {
 }
 
 func TestRoundRobinSpreads(t *testing.T) {
-	resident := []int{0, 0, 0, 0}
-	caps := []int{2, 2, 2, 2}
+	w := smWindow{res: make([]int, 4), tlp: 2, policy: RoundRobin}
 	order := []int{}
 	for i := 0; i < 8; i++ {
-		sm := RoundRobin.pickSM(resident, caps)
-		resident[sm]++
-		order = append(order, sm)
+		order = append(order, w.place())
 	}
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	for i := range want {
@@ -159,19 +157,17 @@ func TestRoundRobinSpreads(t *testing.T) {
 			t.Fatalf("RR dispatch order %v, want %v", order, want)
 		}
 	}
-	if sm := RoundRobin.pickSM(resident, caps); sm != -1 {
+	if sm := w.place(); sm != -1 {
 		t.Fatalf("RR with full SMs returned %d, want -1", sm)
 	}
 }
 
 func TestPrioritySMPacks(t *testing.T) {
-	resident := []int{0, 0, 0, 0}
-	caps := []int{2, 2, 0, 0}
+	// A two-SM window: the device's other SMs are disallowed.
+	w := smWindow{res: make([]int, 2), tlp: 2, policy: PrioritySM}
 	order := []int{}
 	for i := 0; i < 4; i++ {
-		sm := PrioritySM.pickSM(resident, caps)
-		resident[sm]++
-		order = append(order, sm)
+		order = append(order, w.place())
 	}
 	want := []int{0, 0, 1, 1}
 	for i := range want {
@@ -179,8 +175,72 @@ func TestPrioritySMPacks(t *testing.T) {
 			t.Fatalf("PSM dispatch order %v, want %v", order, want)
 		}
 	}
-	if sm := PrioritySM.pickSM(resident, caps); sm != -1 {
+	if sm := w.place(); sm != -1 {
 		t.Fatalf("PSM with full allowed SMs returned %d, want -1", sm)
+	}
+}
+
+// scanPick is the per-CTA scan smWindow replaces: PrioritySM takes the
+// lowest SM with a free slot, RoundRobin the least-loaded one with a free
+// slot (lowest index on ties); -1 when every SM is at the cap.
+func scanPick(p SchedulerPolicy, res []int, tlp int) int {
+	best := -1
+	for i, r := range res {
+		if r >= tlp {
+			continue
+		}
+		if p == PrioritySM {
+			return i
+		}
+		if best == -1 || r < res[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestSMWindowMatchesScan: under random interleavings of placements and
+// retirements, a window's cursor picks the same SM as scanning the whole
+// window, for both policies, every window width and cap.
+func TestSMWindowMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range []SchedulerPolicy{RoundRobin, PrioritySM} {
+		for n := 1; n <= 9; n++ {
+			for tlp := 1; tlp <= 4; tlp++ {
+				w := smWindow{res: make([]int, n), tlp: tlp, policy: p}
+				ref := make([]int, n)
+				for step := 0; step < 400; step++ {
+					if rng.Intn(3) > 0 {
+						want := scanPick(p, ref, tlp)
+						if got := w.place(); got != want {
+							t.Fatalf("%v n=%d tlp=%d step %d: placed on %d, scan picks %d (resident %v)", p, n, tlp, step, got, want, ref)
+						}
+						if want >= 0 {
+							ref[want]++
+						}
+						continue
+					}
+					var busy []int
+					for i, r := range ref {
+						if r > 0 {
+							busy = append(busy, i)
+						}
+					}
+					if len(busy) > 0 {
+						sm := busy[rng.Intn(len(busy))]
+						ref[sm]--
+						w.retire(sm)
+					}
+				}
+				live := 0
+				for _, r := range ref {
+					live += r
+				}
+				if w.live != live {
+					t.Fatalf("%v n=%d tlp=%d: live %d, want %d", p, n, tlp, w.live, live)
+				}
+			}
+		}
 	}
 }
 

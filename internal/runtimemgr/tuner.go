@@ -10,12 +10,10 @@ package runtimemgr
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"pcnn/internal/entropy"
 	"pcnn/internal/nn"
+	"pcnn/internal/par"
 	"pcnn/internal/tensor"
 )
 
@@ -223,37 +221,20 @@ type trial struct {
 }
 
 // runTrials measures every layer's trial from keeps into trials. The
-// trials are independent pure calls, so they run on their own goroutines,
-// at most GOMAXPROCS at a time (the caller's among them) — not as pool
-// tasks: a trial's forward may shard its GEMMs on the engine's pool.
+// trials are independent pure calls, so they fan out with par.Each: a
+// trial's forward may shard its GEMMs on the engine's pool.
 func (t *Tuner) runTrials(trials []trial, keeps, dims []nn.Keep, timeOf func([]nn.Keep) float64) {
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(trials) {
-				return
-			}
-			trials[i] = trial{}
-			k, ok := shrink(keeps[i], dims[i])
-			if !ok {
-				continue
-			}
-			tk := append([]nn.Keep(nil), keeps...)
-			tk[i] = k
-			trials[i] = trial{keep: k, ms: timeOf(tk), entropy: t.measure(tk), ok: true}
+	_ = par.Each(len(trials), func(i int) error { // a trial cannot fail
+		trials[i] = trial{}
+		k, ok := shrink(keeps[i], dims[i])
+		if !ok {
+			return nil
 		}
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < min(runtime.GOMAXPROCS(0), len(trials)); g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		tk := append([]nn.Keep(nil), keeps...)
+		tk[i] = k
+		trials[i] = trial{keep: k, ms: timeOf(tk), entropy: t.measure(tk), ok: true}
+		return nil
+	})
 }
 
 // measure returns the uncertainty score of the network computing keeps

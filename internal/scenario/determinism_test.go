@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/fault"
 	"pcnn/internal/satisfaction"
+	"pcnn/internal/serve"
 )
 
 // encodeMatrix renders a matrix the way BENCH_scenarios.json is written.
@@ -41,6 +44,55 @@ func TestMatrixSameSeedByteIdentical(t *testing.T) {
 	}
 	if len(a.Rows) != len(specs) {
 		t.Fatalf("matrix has %d rows, want %d", len(a.Rows), len(specs))
+	}
+}
+
+// TestRunMatrixMatchesSerialRuns: RunMatrix fans its rows out over one
+// engine, whose caches the rows share; the matrix must equal the specs
+// run one by one, each on a fresh engine, byte for byte. And the shared
+// caches compile each deployment exactly once: an ExecutorFor hook sees
+// one plan pointer per (platform, task) across every DVFS row, however
+// many rows race to it.
+func TestRunMatrixMatchesSerialRuns(t *testing.T) {
+	specs := SmokeMatrix(42)
+	serial := Matrix{Schema: MatrixSchema}
+	for _, sp := range specs {
+		var fresh Engine
+		row, err := fresh.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Rows = append(serial.Rows, row)
+	}
+	if got, want := encodeMatrix(t, runMatrix(t, specs)), encodeMatrix(t, serial); !bytes.Equal(got, want) {
+		t.Fatalf("RunMatrix differs from serial runs:\n--- RunMatrix ---\n%s\n--- serial ---\n%s", got, want)
+	}
+
+	type key struct{ platform, task string }
+	var mu sync.Mutex
+	seen := map[key]map[*compile.Plan]bool{}
+	e := Engine{ExecutorFor: func(sp Spec, st StreamSpec, plan *compile.Plan) (serve.Executor, error) {
+		if sp.DVFS {
+			mu.Lock()
+			k := key{sp.Platform, st.Task}
+			if seen[k] == nil {
+				seen[k] = map[*compile.Plan]bool{}
+			}
+			seen[k][plan] = true
+			mu.Unlock()
+		}
+		return serve.NewPlanExecutor(plan, nil, nil, nil)
+	}}
+	if _, err := e.RunMatrix(specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 {
+		t.Fatal("no DVFS row reached ExecutorFor")
+	}
+	for k, plans := range seen {
+		if len(plans) != 1 {
+			t.Errorf("%s/%s: rows received %d distinct plans, want one", k.platform, k.task, len(plans))
+		}
 	}
 }
 

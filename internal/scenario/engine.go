@@ -11,6 +11,7 @@ import (
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
 	"pcnn/internal/obs"
+	"pcnn/internal/par"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/serve"
 	"pcnn/internal/simdrive"
@@ -38,43 +39,65 @@ type corunFactor struct{ timeX, energyX float64 }
 
 // Engine runs scenario specs. The zero value is ready; caches persist
 // across Run calls, so a matrix sharing deployments compiles each once.
+// It is safe for concurrent Run calls: every cache entry is computed once
+// per key, so concurrent rows on one deployment share one plan, one
+// co-run factor and one executor.
 type Engine struct {
 	// ExecutorFor, when non-nil, replaces executor construction — tests
 	// inject fixed-cost fakes so golden outputs stay independent of the
 	// simulator's floating-point behaviour. plan is nil when the engine
-	// did not need a compilation (explicit rates, no DVFS/co-run).
+	// did not need a compilation (explicit rates, no DVFS/co-run). It may
+	// be called concurrently.
 	ExecutorFor func(sp Spec, st StreamSpec, plan *compile.Plan) (serve.Executor, error)
 
-	mu    sync.Mutex
-	plans map[planKey]*compile.Plan
-	execs map[planKey]serve.Executor
-	corun map[planKey]corunFactor
+	plans onceMap[*compile.Plan]
+	execs onceMap[serve.Executor]
+	corun onceMap[corunFactor]
+}
+
+// onceMap caches one value per planKey, computed exactly once: the first
+// caller of a key runs compute while later callers of that key wait for its
+// result (error included), and callers of other keys proceed.
+type onceMap[V any] struct {
+	mu sync.Mutex
+	m  map[planKey]*onceEntry[V]
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (c *onceMap[V]) get(key planKey, compute func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[planKey]*onceEntry[V]{}
+	}
+	e := c.m[key]
+	if e == nil {
+		e = &onceEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
 }
 
 // planFor compiles (caching) the deployment for one stream's task.
 func (e *Engine) planFor(key planKey, dev *gpu.Device, net *nn.NetShape, task satisfaction.Task) (*compile.Plan, error) {
-	e.mu.Lock()
-	if e.plans == nil {
-		e.plans = map[planKey]*compile.Plan{}
-	}
-	p, ok := e.plans[key]
-	e.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := compile.Compile(net, dev, task)
-	if err != nil {
-		return nil, err
-	}
-	if key.dvfs {
-		if _, err := p.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+	return e.plans.get(key, func() (*compile.Plan, error) {
+		p, err := compile.Compile(net, dev, task)
+		if err != nil {
 			return nil, err
 		}
-	}
-	e.mu.Lock()
-	e.plans[key] = p
-	e.mu.Unlock()
-	return p, nil
+		if key.dvfs {
+			if _, err := p.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
+	})
 }
 
 // corunFor measures (caching) the co-run interference factor for a plan:
@@ -82,47 +105,37 @@ func (e *Engine) planFor(key planKey, dev *gpu.Device, net *nn.NetShape, task sa
 // SMs, and the plan's shared-vs-alone aggregate ratio becomes the
 // stream's execution-cost multiplier.
 func (e *Engine) corunFor(key planKey, plan *compile.Plan, dev *gpu.Device) (corunFactor, error) {
-	e.mu.Lock()
-	if e.corun == nil {
-		e.corun = map[planKey]corunFactor{}
-	}
-	f, ok := e.corun[key]
-	e.mu.Unlock()
-	if ok {
+	return e.corun.get(key, func() (corunFactor, error) {
+		bgKey := planKey{platform: key.platform, net: "GoogLeNet", task: "tagging"}
+		bg, err := e.planFor(bgKey, dev, nn.GoogLeNetShape(), satisfaction.ImageTagging())
+		if err != nil {
+			return corunFactor{}, err
+		}
+		shared, err := plan.SimulateShared(bg)
+		if err != nil {
+			return corunFactor{}, err
+		}
+		_, alone, err := plan.Simulate(true)
+		if err != nil {
+			return corunFactor{}, err
+		}
+		f := corunFactor{timeX: 1, energyX: 1}
+		if alone.TimeMS > 0 {
+			f.timeX = shared.Aggregate.TimeMS / alone.TimeMS
+		}
+		if alone.EnergyJ > 0 {
+			f.energyX = shared.Aggregate.EnergyJ / alone.EnergyJ
+		}
+		// Donating freed SMs must not be modelled as a speedup; clamp the
+		// foreground's view of sharing at break-even.
+		if f.timeX < 1 {
+			f.timeX = 1
+		}
+		if f.energyX < 1 {
+			f.energyX = 1
+		}
 		return f, nil
-	}
-	bgKey := planKey{platform: key.platform, net: "GoogLeNet", task: "tagging"}
-	bg, err := e.planFor(bgKey, dev, nn.GoogLeNetShape(), satisfaction.ImageTagging())
-	if err != nil {
-		return corunFactor{}, err
-	}
-	shared, err := plan.SimulateShared(bg)
-	if err != nil {
-		return corunFactor{}, err
-	}
-	_, alone, err := plan.Simulate(true)
-	if err != nil {
-		return corunFactor{}, err
-	}
-	f = corunFactor{timeX: 1, energyX: 1}
-	if alone.TimeMS > 0 {
-		f.timeX = shared.Aggregate.TimeMS / alone.TimeMS
-	}
-	if alone.EnergyJ > 0 {
-		f.energyX = shared.Aggregate.EnergyJ / alone.EnergyJ
-	}
-	// Donating freed SMs must not be modelled as a speedup; clamp the
-	// foreground's view of sharing at break-even.
-	if f.timeX < 1 {
-		f.timeX = 1
-	}
-	if f.energyX < 1 {
-		f.energyX = 1
-	}
-	e.mu.Lock()
-	e.corun[key] = f
-	e.mu.Unlock()
-	return f, nil
+	})
 }
 
 // corunExecutor scales an executor's predicted and simulated costs by a
@@ -176,21 +189,12 @@ func (e *Engine) executorFor(sp Spec, st StreamSpec, task satisfaction.Task) (se
 			return nil, nil, factor, err
 		}
 	} else {
-		e.mu.Lock()
-		if e.execs == nil {
-			e.execs = map[planKey]serve.Executor{}
-		}
-		ex = e.execs[key]
-		e.mu.Unlock()
-		if ex == nil {
-			pe, err := serve.NewPlanExecutor(plan, nil, nil, nil)
-			if err != nil {
-				return nil, nil, factor, err
-			}
-			ex = pe
-			e.mu.Lock()
-			e.execs[key] = ex
-			e.mu.Unlock()
+		var err error
+		ex, err = e.execs.get(key, func() (serve.Executor, error) {
+			return serve.NewPlanExecutor(plan, nil, nil, nil)
+		})
+		if err != nil {
+			return nil, nil, factor, err
 		}
 	}
 	if sp.CoRun && factor.timeX > 1 {
@@ -363,19 +367,25 @@ func (e *Engine) runStream(sp Spec, idx int, st StreamSpec, task satisfaction.Ta
 	return srow, srv.Latencies(), nil
 }
 
-// RunMatrix runs every spec and assembles the matrix. progress, when
-// non-nil, is called before each scenario with its index and name.
+// RunMatrix runs every spec and assembles the matrix, one row per spec
+// in spec order. The rows share no state but the engine's once-per-key
+// caches, so they fan out with par.Each — at most GOMAXPROCS rows run at
+// once — and the matrix is byte-identical to running the specs one by
+// one; on failure the lowest-index spec's error is returned. progress,
+// when non-nil, is called as each row starts with its index and name,
+// possibly concurrently from several goroutines.
 func (e *Engine) RunMatrix(specs []Spec, progress func(i int, name string)) (Matrix, error) {
-	m := Matrix{Schema: MatrixSchema, Rows: make([]Row, 0, len(specs))}
-	for i, sp := range specs {
+	rows := make([]Row, len(specs))
+	err := par.Each(len(specs), func(i int) error {
 		if progress != nil {
-			progress(i, sp.Name)
+			progress(i, specs[i].Name)
 		}
-		row, err := e.Run(sp)
-		if err != nil {
-			return Matrix{}, err
-		}
-		m.Rows = append(m.Rows, row)
+		var err error
+		rows[i], err = e.Run(specs[i])
+		return err
+	})
+	if err != nil {
+		return Matrix{}, err
 	}
-	return m, nil
+	return Matrix{Schema: MatrixSchema, Rows: rows}, nil
 }

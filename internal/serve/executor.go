@@ -109,7 +109,8 @@ const planLimitProbe = 256
 // measured entropy drives calibration.
 //
 // Exact plans are compiled lazily at power-of-two *anchor* batches (plus
-// the deployment's own compiled batch); any other batch size executes by
+// the deployment's own compiled batch and the memory ceiling's, both held
+// from construction); any other batch size executes by
 // interpolation: the geometrically nearest anchor plan supplies the tuned
 // per-layer design, and the Eq 12 evaluator re-derives its cost at the
 // requested batch. The previous implementation compiled a fresh plan per
@@ -118,18 +119,19 @@ const planLimitProbe = 256
 // partial flush (the demotion-to-singleton path behind the mean_batch
 // collapse). Simulated aggregates, profiles and predictions are cached
 // per (level, batch), so steady-state serving costs one map lookup per
-// flush.
+// flush. The caches only memoize: every answer is the same whichever
+// caller warms them first, so concurrent servers may share one executor.
 type PlanExecutor struct {
 	plan   *compile.Plan
 	path   []sched.TuningPoint
 	scaled *nn.Sequential
+	limit  int // memory batch ceiling, probed at construction
 
 	mu       sync.Mutex
 	plans    map[int]*compile.Plan
 	aggs     map[levelBatch]gpu.Aggregate
 	profiles map[levelBatch][]compile.LayerProfile
 	preds    map[levelBatch]float64
-	limit    int // memory batch ceiling; 0 = not yet probed
 
 	// opts[level] is the operating point a batch runs the scaled network
 	// at: the tuning-table row's resolved masks on the package-default
@@ -167,6 +169,7 @@ func NewPlanExecutor(plan *compile.Plan, path []sched.TuningPoint, scaled *nn.Se
 	if scaled != nil {
 		e.opts = table.ForwardOpts(scaled)
 	}
+	e.probeLimit()
 	return e, nil
 }
 
@@ -214,31 +217,26 @@ func (e *PlanExecutor) clamp(level int) int {
 }
 
 // BatchLimit implements BatchLimiter: the largest batch the plan's device
-// memory can hold, probed once and cached. CompileAtBatch decrements from
-// the probe ceiling until the analytic memory model fits, so one
+// memory can hold, probed at construction.
+func (e *PlanExecutor) BatchLimit() int { return e.limit }
+
+// probeLimit records the memory ceiling and caches its plan. It runs at
+// construction, before any caller can price the ceiling batch: were its
+// plan compiled later, PredictMS and Execute at that batch would answer
+// by Eq 12 from a smaller anchor before and exactly after, so answers
+// would depend on which caller asked first. CompileAtBatch decrements
+// from the probe ceiling until the analytic memory model fits, so one
 // compilation answers the global ceiling.
-func (e *PlanExecutor) BatchLimit() int {
-	e.mu.Lock()
-	limit := e.limit
-	e.mu.Unlock()
-	if limit > 0 {
-		return limit
-	}
+func (e *PlanExecutor) probeLimit() {
 	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Dev, e.plan.Task, planLimitProbe)
 	if err != nil {
-		limit = e.plan.Batch // pessimistic: at least the deployed plan fits
-	} else {
-		limit = p.Batch
+		e.limit = e.plan.Batch // pessimistic: at least the deployed plan fits
+		return
 	}
-	e.mu.Lock()
-	e.limit = limit
-	if err == nil {
-		if _, ok := e.plans[p.Batch]; !ok {
-			e.plans[p.Batch] = p
-		}
+	e.limit = p.Batch
+	if _, ok := e.plans[p.Batch]; !ok {
+		e.plans[p.Batch] = p
 	}
-	e.mu.Unlock()
-	return limit
 }
 
 // anchorFor maps a batch onto its power-of-two anchor: the geometrically
@@ -266,8 +264,9 @@ func anchorFor(batch int) int {
 // batch: the batch's own plan on a cache hit, otherwise its power-of-two
 // anchor, compiled once and shared by every nearby batch size. When
 // device memory cannot hold the anchor, the compiler's largest fitting
-// batch becomes the anchor and the memory ceiling is recorded — callers
-// interpolate from it instead of silently executing a shrunken plan.
+// batch — the memory ceiling, whose plan is cached from construction —
+// becomes the anchor: callers interpolate from it instead of silently
+// executing a shrunken plan.
 func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
 	if batch < 1 {
 		batch = 1
@@ -290,9 +289,6 @@ func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	if p.Batch < anchor && (e.limit == 0 || p.Batch < e.limit) {
-		e.limit = p.Batch // memory shrank the anchor: that is the ceiling
-	}
 	if prev, ok := e.plans[p.Batch]; ok {
 		p = prev // lost a race or anchor shrank onto a cached batch
 	} else {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -409,6 +411,110 @@ func TestPlanExecutorBatchLimit(t *testing.T) {
 	if r.TimeMS <= 0 {
 		t.Fatalf("degenerate result at BatchLimit: %+v", r)
 	}
+}
+
+// TestPlanExecutorAnswersIndependentOfCallOrder: a PlanExecutor's caches
+// only memoize — two fresh executors over one plan, warmed in opposite
+// orders, answer BatchLimit, PredictMS and Execute identically, bit for
+// bit. Concurrent scenario rows and soak rows share one executor per
+// deployment, so which row warms it first must not change any row. The
+// order covers BatchLimit before and after PredictMS at the limit batch
+// (VGGNet on GTX970m holds at most 89: with the ceiling probed lazily,
+// batch 89 priced before BatchLimit came from the batch-64 anchor by
+// Eq 12, and after it from its own plan), and a non-anchor batch's
+// Execute before and after its anchor's.
+func TestPlanExecutorAnswersIndependentOfCallOrder(t *testing.T) {
+	cases := []struct {
+		net, platform string
+		task          satisfaction.Task
+	}{
+		{"AlexNet", "TX1", satisfaction.AgeDetection()},
+		{"AlexNet", "TX1", satisfaction.VideoSurveillance(30)},
+		{"AlexNet", "TitanX", satisfaction.ImageTagging()},
+		{"VGGNet", "GTX970m", satisfaction.AgeDetection()},
+		{"GoogLeNet", "K20c", satisfaction.ImageTagging()},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s-%s-%s", c.net, c.platform, c.task.Name), func(t *testing.T) {
+			plan := compilePlan(t, c.net, c.platform, c.task)
+			fwd, err := NewPlanExecutor(plan, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rev, err := NewPlanExecutor(plan, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The memory ceiling, found without calling either executor.
+			probe, err := compile.CompileAtBatch(plan.Net, plan.Dev, plan.Task, planLimitProbe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := probe.Batch
+			if limit < 3 {
+				t.Skipf("limit batch %d leaves no non-anchor batch", limit)
+			}
+			// The largest non-anchor batch up to the limit, and its anchor.
+			odd := limit
+			for anchorFor(odd) == odd {
+				odd--
+			}
+			anchor := anchorFor(odd)
+			calls := []func(ex *PlanExecutor, level int) string{
+				func(ex *PlanExecutor, _ int) string { return fmt.Sprint("limit ", ex.BatchLimit()) },
+				func(ex *PlanExecutor, l int) string {
+					return fmt.Sprintf("predict(%d,%d) %x", l, limit, math.Float64bits(ex.PredictMS(l, limit)))
+				},
+				func(ex *PlanExecutor, l int) string { return executeAnswer(t, ex, l, odd) },
+				func(ex *PlanExecutor, l int) string { return executeAnswer(t, ex, l, anchor) },
+				func(ex *PlanExecutor, l int) string { return executeAnswer(t, ex, l, limit) },
+				func(ex *PlanExecutor, l int) string {
+					return fmt.Sprintf("predict(%d,%d) %x", l, odd, math.Float64bits(ex.PredictMS(l, odd)))
+				},
+			}
+			levels := []int{0, fwd.Levels() / 2, fwd.Levels() - 1}
+			answers := func(ex *PlanExecutor, reverse bool) map[string]bool {
+				got := map[string]bool{}
+				for i := range calls {
+					j := i
+					if reverse {
+						j = len(calls) - 1 - i
+					}
+					for _, l := range levels {
+						got[calls[j](ex, l)] = true
+					}
+				}
+				// Every answer again, from the warmed caches.
+				for _, call := range calls {
+					for _, l := range levels {
+						got["again "+call(ex, l)] = true
+					}
+				}
+				return got
+			}
+			// fwd asks BatchLimit first and rev asks it last.
+			a, b := answers(fwd, false), answers(rev, true)
+			for k := range a {
+				if !b[k] {
+					t.Errorf("forward order answered %s; the reverse order did not", k)
+				}
+			}
+			for k := range b {
+				if !a[k] {
+					t.Errorf("reverse order answered %s; the forward order did not", k)
+				}
+			}
+		})
+	}
+}
+
+func executeAnswer(t *testing.T, ex *PlanExecutor, level, batch int) string {
+	t.Helper()
+	r, err := ex.Execute(level, batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("execute(%d,%d) %x %x", level, batch, math.Float64bits(r.TimeMS), math.Float64bits(r.EnergyJ))
 }
 
 func layerNames(layers []*nn.Conv) []string {
