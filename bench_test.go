@@ -11,11 +11,11 @@ import (
 	"sync"
 	"testing"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/core"
 	"pcnn/internal/experiments"
 	"pcnn/internal/fleet"
 	"pcnn/internal/scenario"
-	"pcnn/internal/sched"
 	"pcnn/internal/serve"
 )
 
@@ -24,11 +24,11 @@ import (
 var benchFix struct {
 	once sync.Once
 	lab  *core.Lab
-	path []sched.TuningPoint
+	path []compile.TuningPoint
 	err  error
 }
 
-func benchLab(b *testing.B) (*core.Lab, []sched.TuningPoint) {
+func benchLab(b *testing.B) (*core.Lab, []compile.TuningPoint) {
 	b.Helper()
 	benchFix.once.Do(func() {
 		benchFix.lab = core.NewLab(1)

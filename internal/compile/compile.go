@@ -51,6 +51,14 @@ type Plan struct {
 	EffDev   *gpu.Device
 }
 
+// TuningPoint is one transferred entry of the accuracy-tuning table: the
+// per-conv-layer keep fractions and the uncertainty measured at that
+// level. Point 0 of a path is the unperforated network.
+type TuningPoint struct {
+	Keeps   map[string]float64 // conv layer name → computed-area fraction
+	Entropy float64            // mean output entropy at this level (nats)
+}
+
 // maxCompileIterations bounds the Eq 13 batch-shrinking loop.
 const maxCompileIterations = 8
 

@@ -92,7 +92,7 @@ func (f *Framework) AttachScaled(scaled *nn.Sequential, probe *tensor.Tensor) er
 // keep-fraction points for the schedulers. Scaled conv layers map onto
 // full-size conv layers proportionally by position; full-size layers with
 // no scaled counterpart stay unperforated.
-func (f *Framework) TuningPath() []sched.TuningPoint {
+func (f *Framework) TuningPath() []compile.TuningPoint {
 	if f.Table == nil {
 		return nil
 	}
@@ -103,7 +103,7 @@ func (f *Framework) TuningPath() []sched.TuningPoint {
 		dims[i] = nn.Keep{W: wo, H: ho}
 	}
 	fullConvs := f.Net.ConvLayers()
-	points := make([]sched.TuningPoint, 0, len(f.Table.Entries))
+	points := make([]compile.TuningPoint, 0, len(f.Table.Entries))
 	for lvl, e := range f.Table.Entries {
 		fr := f.Table.KeepFractions(lvl, dims)
 		keeps := map[string]float64{}
@@ -115,7 +115,7 @@ func (f *Framework) TuningPath() []sched.TuningPoint {
 			full := mapScaledToFull(i, len(f.Table.LayerNames), len(fullConvs))
 			keeps[fullConvs[full].Name] = frac
 		}
-		points = append(points, sched.TuningPoint{Keeps: keeps, Entropy: e.Entropy})
+		points = append(points, compile.TuningPoint{Keeps: keeps, Entropy: e.Entropy})
 	}
 	return points
 }
@@ -150,19 +150,23 @@ func (f *Framework) Scenario() sched.Scenario {
 // Evaluate runs the full scheduler suite (Figs 13–15) on this framework's
 // scenario.
 func (f *Framework) Evaluate() ([]sched.Outcome, error) {
-	sc := f.Scenario()
-	var out []sched.Outcome
-	for _, s := range sched.All() {
-		o, err := s.Run(sc)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s on %s/%s: %w", s.Name(), f.Dev.Name, f.Task.Name, err)
-		}
-		out = append(out, o)
+	out, err := sched.Evaluate(f.Scenario())
+	if err != nil {
+		return nil, fmt.Errorf("core: %s/%s: %w", f.Dev.Name, f.Task.Name, err)
 	}
 	return out, nil
 }
 
-// Outcome runs only the P-CNN scheduler on this framework's scenario.
+// Outcome is the P-CNN scheduler's row of Evaluate.
 func (f *Framework) Outcome() (sched.Outcome, error) {
-	return sched.PCNN{}.Run(f.Scenario())
+	out, err := f.Evaluate()
+	if err != nil {
+		return sched.Outcome{}, err
+	}
+	for _, o := range out {
+		if o.Scheduler == "P-CNN" {
+			return o, nil
+		}
+	}
+	return sched.Outcome{}, fmt.Errorf("core: no P-CNN row in the scheduler suite")
 }

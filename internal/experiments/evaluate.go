@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/core"
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
@@ -43,7 +44,7 @@ func EvalDevices() []*gpu.Device { return []*gpu.Device{gpu.K20c(), gpu.TX1()} }
 // TunePath trains the scaled analogue of a network and runs the accuracy
 // tuner with a generous exploration cap, returning the transferred
 // full-size tuning path used by Figs 13–15.
-func TunePath(lab *core.Lab, netName string) ([]sched.TuningPoint, error) {
+func TunePath(lab *core.Lab, netName string) ([]compile.TuningPoint, error) {
 	fw, err := core.New(netName, gpu.TX1(), satisfaction.AgeDetection())
 	if err != nil {
 		return nil, err
@@ -69,7 +70,7 @@ type EvalMatrix struct {
 
 // RunEvalMatrix runs the scheduler suite on every (device, task) pair of
 // Section V.C with the given tuning path for AlexNet.
-func RunEvalMatrix(path []sched.TuningPoint) (*EvalMatrix, error) {
+func RunEvalMatrix(path []compile.TuningPoint) (*EvalMatrix, error) {
 	m := &EvalMatrix{Outcomes: map[string]map[string]map[string]sched.Outcome{}}
 	net := nn.AlexNetShape()
 	base := 0.0
@@ -84,13 +85,13 @@ func RunEvalMatrix(path []sched.TuningPoint) (*EvalMatrix, error) {
 				m.Tasks = append(m.Tasks, task.Name)
 			}
 			sc := sched.Scenario{Net: net, Dev: dev, Task: task, TuningPath: path, BaseEntropy: base}
+			rows, err := sched.Evaluate(sc)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", dev.Name, task.Name, err)
+			}
 			byName := map[string]sched.Outcome{}
-			for _, s := range sched.All() {
-				o, err := s.Run(sc)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/%s: %w", dev.Name, task.Name, s.Name(), err)
-				}
-				byName[s.Name()] = o
+			for _, o := range rows {
+				byName[o.Scheduler] = o
 			}
 			m.Outcomes[dev.Name][task.Name] = byName
 		}

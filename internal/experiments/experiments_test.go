@@ -5,19 +5,19 @@ import (
 	"sync"
 	"testing"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/core"
-	"pcnn/internal/sched"
 )
 
 // The lab and tuning path train once per test binary (≈1 min single-core).
 var fix struct {
 	once sync.Once
 	lab  *core.Lab
-	path []sched.TuningPoint
+	path []compile.TuningPoint
 	err  error
 }
 
-func evalFixture(t *testing.T) (*core.Lab, []sched.TuningPoint) {
+func evalFixture(t *testing.T) (*core.Lab, []compile.TuningPoint) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("training fixtures in -short mode")

@@ -61,16 +61,17 @@ func TestFitBatchSentinel(t *testing.T) {
 }
 
 // TestRunSurfacesNoFitBatch is the regression test for the silent-fallback
-// bug: Scheduler.Run must propagate the sentinel rather than running at
-// batch 1 on a device that cannot hold the network.
+// bug: Evaluate must propagate the sentinel rather than running the
+// Energy-efficient scheduler at batch 1 on a device that cannot hold the
+// network.
 func TestRunSurfacesNoFitBatch(t *testing.T) {
 	sc := Scenario{
 		Net:  nn.VGGNetShape(),
 		Dev:  tinyMemDevice(),
 		Task: satisfaction.ImageTagging(),
 	}
-	_, err := EnergyEfficient{}.Run(sc)
+	_, err := Evaluate(sc)
 	if !errors.Is(err, ErrNoFitBatch) {
-		t.Fatalf("EnergyEfficient.Run error = %v, want ErrNoFitBatch", err)
+		t.Fatalf("Evaluate error = %v, want ErrNoFitBatch", err)
 	}
 }

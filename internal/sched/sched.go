@@ -1,9 +1,11 @@
 // Package sched implements the scheduler suite of Section V.B: the
 // Performance-preferred, Energy-efficient, QPE and QPE+ baselines, the
-// oracle Ideal scheduler, and P-CNN itself. Each scheduler turns a
-// Scenario (network, device, task, tuning path) into an Outcome whose
-// response time and energy come from the GPU simulator and whose SoC
-// follows Eq 15 — the numbers behind Figs 13, 14 and 15.
+// oracle Ideal scheduler, and P-CNN itself. Evaluate turns a Scenario
+// (network, device, task, tuning path) into one Outcome per scheduler
+// whose response time and energy come from the GPU simulator and whose
+// SoC follows Eq 15 — the numbers behind Figs 13, 14 and 15. QPE+, P-CNN
+// and Ideal read one compiled, DVFS-scaled plan through the serving
+// executor, the same pricing the online server runs on.
 package sched
 
 import (
@@ -15,15 +17,8 @@ import (
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
 	"pcnn/internal/satisfaction"
+	"pcnn/internal/serve"
 )
-
-// TuningPoint is one transferred entry of the accuracy-tuning table: the
-// per-conv-layer keep fractions and the uncertainty measured at that
-// level. Point 0 of a path is the unperforated network.
-type TuningPoint struct {
-	Keeps   map[string]float64 // conv layer name → computed-area fraction
-	Entropy float64            // mean output entropy at this level (nats)
-}
 
 // Scenario fixes everything the schedulers share.
 type Scenario struct {
@@ -33,16 +28,17 @@ type Scenario struct {
 	// TuningPath is the accuracy-tuning table (least → most aggressive).
 	// An empty path means no tuning is available: all schedulers run the
 	// full network with BaseEntropy uncertainty.
-	TuningPath  []TuningPoint
+	TuningPath  []compile.TuningPoint
 	BaseEntropy float64
 }
 
-// basePoint returns the unperforated tuning point.
-func (sc Scenario) basePoint() TuningPoint {
+// path returns the tuning path the schedulers price: the scenario's own,
+// or the unperforated network alone at BaseEntropy when it has none.
+func (sc Scenario) path() []compile.TuningPoint {
 	if len(sc.TuningPath) > 0 {
-		return sc.TuningPath[0]
+		return sc.TuningPath
 	}
-	return TuningPoint{Entropy: sc.BaseEntropy}
+	return []compile.TuningPoint{{Entropy: sc.BaseEntropy}}
 }
 
 // Outcome is one scheduler's result on a scenario.
@@ -59,24 +55,6 @@ type Outcome struct {
 	SoCAccuracy     float64
 	SoC             float64
 	MeetsDeadline   bool
-}
-
-// Scheduler maps a scenario to an outcome.
-type Scheduler interface {
-	Name() string
-	Run(sc Scenario) (Outcome, error)
-}
-
-// All returns the evaluation's scheduler suite in Fig 13–15 order.
-func All() []Scheduler {
-	return []Scheduler{
-		PerformancePreferred{},
-		EnergyEfficient{},
-		QPE{},
-		QPEPlus{},
-		PCNN{},
-		Ideal{},
-	}
 }
 
 // trainingBatch is the batch size the Energy-efficient scheduler inherits
@@ -96,14 +74,15 @@ func CollectionDelayMS(task satisfaction.Task, batch int) float64 {
 	return float64(batch-1) / task.DataRateHz * 1000
 }
 
-// finish assembles the satisfaction numbers shared by every scheduler.
-func finish(name string, sc Scenario, batch int, agg gpu.Aggregate, entropy float64) Outcome {
+// finish assembles the satisfaction numbers shared by every scheduler from
+// one batch's simulated time and energy.
+func finish(name string, sc Scenario, batch int, timeMS, energyJ, entropy float64) Outcome {
 	o := Outcome{
 		Scheduler:       name,
 		Batch:           batch,
-		BatchMS:         agg.TimeMS,
-		ResponseMS:      agg.TimeMS + CollectionDelayMS(sc.Task, batch),
-		EnergyPerImageJ: agg.EnergyJ / float64(batch),
+		BatchMS:         timeMS,
+		ResponseMS:      timeMS + CollectionDelayMS(sc.Task, batch),
+		EnergyPerImageJ: energyJ / float64(batch),
 		Entropy:         entropy,
 	}
 	o.SoCTime = sc.Task.SoCTime(o.ResponseMS)
@@ -114,7 +93,7 @@ func finish(name string, sc Scenario, batch int, agg gpu.Aggregate, entropy floa
 }
 
 // ErrNoFitBatch is the sentinel returned when not even a single-image
-// batch fits the device's usable memory; schedulers surface it (wrapped
+// batch fits the device's usable memory; Evaluate surfaces it (wrapped
 // with the network and device names) instead of silently running at
 // batch 1 on a device that cannot hold the network at all.
 var ErrNoFitBatch = errors.New("sched: no batch size fits device memory")
@@ -137,144 +116,124 @@ func fitBatch(net *nn.NetShape, dev *gpu.Device, batch int) (int, error) {
 	return b, nil
 }
 
-// PerformancePreferred runs non-batched inference with tuned kernels on
-// every SM — fastest response, no energy consideration (Section V.B.1).
-type PerformancePreferred struct{}
-
-// Name implements Scheduler.
-func (PerformancePreferred) Name() string { return "Perf" }
-
-// Run implements Scheduler.
-func (PerformancePreferred) Run(sc Scenario) (Outcome, error) {
-	plan, err := compile.CompileAtBatch(sc.Net, sc.Dev, sc.Task, 1)
+// Evaluate runs the scheduler suite on one scenario and returns its
+// outcomes in Fig 13–15 order: Perf, Energy, QPE, QPE+, P-CNN, Ideal.
+//
+//   - Perf runs non-batched inference with tuned kernels on every SM —
+//     fastest response, no energy consideration (Section V.B.1).
+//   - Energy batches at the training-stage batch size to maximize
+//     throughput per joule, ignoring response time (Section V.B.2).
+//   - QPE schedules for least energy under the time requirement with the
+//     time model's batch and the eQoS-style DVFS of Fig 3, but without SM
+//     partitioning (Section V.B.3).
+//   - QPE+ adds the resource model: each layer runs on its optSM SMs with
+//     the rest power gated — P-CNN without accuracy tuning (Section V.B.4).
+//   - P-CNN is the full framework (levels.pcnn).
+//   - Ideal is the oracle of Section V.B.5: it profiles every tuning
+//     point with a-priori knowledge of the user's requirements and keeps
+//     the first one with the highest SoC.
+//
+// Perf and Energy compile their own batch; the other four share one
+// compiled, DVFS-scaled plan, which QPE+, P-CNN and Ideal price through
+// one serve.PlanExecutor at the plan's own batch.
+func Evaluate(sc Scenario) ([]Outcome, error) {
+	base := sc.path()[0].Entropy
+	perf, err := fixedBatch(sc, "Perf", 1, base)
 	if err != nil {
-		return Outcome{}, err
+		return nil, err
 	}
-	_, agg, err := plan.Simulate(false)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return finish("Perf", sc, 1, agg, sc.basePoint().Entropy), nil
-}
-
-// EnergyEfficient batches at the training-stage batch size to maximize
-// throughput per joule, ignoring response time (Section V.B.2).
-type EnergyEfficient struct{}
-
-// Name implements Scheduler.
-func (EnergyEfficient) Name() string { return "Energy" }
-
-// Run implements Scheduler.
-func (EnergyEfficient) Run(sc Scenario) (Outcome, error) {
 	b, err := fitBatch(sc.Net, sc.Dev, trainingBatch)
 	if err != nil {
-		return Outcome{}, err
+		return nil, err
 	}
-	plan, err := compile.CompileAtBatch(sc.Net, sc.Dev, sc.Task, b)
+	energy, err := fixedBatch(sc, "Energy", b, base)
 	if err != nil {
-		return Outcome{}, err
+		return nil, err
+	}
+
+	plan, err := compile.Compile(sc.Net, sc.Dev, sc.Task)
+	if err != nil {
+		return nil, fmt.Errorf("sched: QPE: %w", err)
+	}
+	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+		return nil, fmt.Errorf("sched: QPE: %w", err)
 	}
 	_, agg, err := plan.Simulate(false)
 	if err != nil {
-		return Outcome{}, err
+		return nil, fmt.Errorf("sched: QPE: %w", err)
 	}
-	return finish("Energy", sc, b, agg, sc.basePoint().Entropy), nil
+	qpe := finish("QPE", sc, plan.Batch, agg.TimeMS, agg.EnergyJ, base)
+
+	ex, err := serve.NewPlanExecutor(plan, sc.path(), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	lv := levels{sc: sc, ex: ex, batch: plan.Batch}
+	qpePlus, err := lv.at("QPE+", 0)
+	if err != nil {
+		return nil, err
+	}
+	pcnn, err := lv.pcnn()
+	if err != nil {
+		return nil, err
+	}
+	ideal, err := lv.ideal()
+	if err != nil {
+		return nil, err
+	}
+	return []Outcome{perf, energy, qpe, qpePlus, pcnn, ideal}, nil
 }
 
-// QPE schedules for least energy under the time requirement using the
-// time model's batch adjustment, but without SM partitioning
-// (Section V.B.3).
-type QPE struct{}
-
-// Name implements Scheduler.
-func (QPE) Name() string { return "QPE" }
-
-// Run implements Scheduler.
-func (QPE) Run(sc Scenario) (Outcome, error) {
-	plan, err := compile.Compile(sc.Net, sc.Dev, sc.Task)
+// fixedBatch prices the unperforated network compiled at a batch the
+// scheduler dictates, on every SM at the nominal clock.
+func fixedBatch(sc Scenario, name string, batch int, entropy float64) (Outcome, error) {
+	plan, err := compile.CompileAtBatch(sc.Net, sc.Dev, sc.Task, batch)
 	if err != nil {
-		return Outcome{}, err
-	}
-	// QPE is the eQoS-style scheduler: burn the imperceptible-region slack
-	// with frequency scaling (Fig 3).
-	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("sched: %s: %w", name, err)
 	}
 	_, agg, err := plan.Simulate(false)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("sched: %s: %w", name, err)
 	}
-	return finish("QPE", sc, plan.Batch, agg, sc.basePoint().Entropy), nil
+	return finish(name, sc, batch, agg.TimeMS, agg.EnergyJ, entropy), nil
 }
 
-// QPEPlus is QPE plus the resource model: each layer runs on its optSM
-// SMs with the rest power gated — P-CNN without accuracy tuning
-// (Section V.B.4).
-type QPEPlus struct{}
-
-// Name implements Scheduler.
-func (QPEPlus) Name() string { return "QPE+" }
-
-// Run implements Scheduler.
-func (QPEPlus) Run(sc Scenario) (Outcome, error) {
-	plan, err := compile.Compile(sc.Net, sc.Dev, sc.Task)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
-		return Outcome{}, err
-	}
-	_, agg, err := plan.Simulate(true)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return finish("QPE+", sc, plan.Batch, agg, sc.basePoint().Entropy), nil
+// levels prices the shared plan's tuning levels through one executor at
+// the plan's own compiled batch, so every read is an exact simulation,
+// cached per level across the schedulers.
+type levels struct {
+	sc    Scenario
+	ex    *serve.PlanExecutor
+	batch int
 }
 
-// PCNN is the full framework: offline compilation, SM partitioning with
-// power gating, and the fastest accuracy-tuning level whose uncertainty
-// stays inside the task's threshold.
-type PCNN struct{}
-
-// Name implements Scheduler.
-func (PCNN) Name() string { return "P-CNN" }
-
-// Run implements Scheduler. Time and accuracy carry the highest priority
-// (Section IV): P-CNN first picks the most aggressive tuning point whose
-// uncertainty stays inside the task threshold; if that still misses a
-// hard deadline, it escalates along the tuning path — trading accuracy
-// (SoC_accuracy < 1) for a met deadline, which is how it rescues the
-// real-time task on TX1 (Section V.C).
-func (PCNN) Run(sc Scenario) (Outcome, error) {
-	plan, err := compile.Compile(sc.Net, sc.Dev, sc.Task)
+// at prices one tuning level for the named scheduler.
+func (lv levels) at(name string, level int) (Outcome, error) {
+	r, err := lv.ex.Execute(level, lv.batch, nil)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("sched: %s: %w", name, err)
 	}
-	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
-		return Outcome{}, err
+	return finish(name, lv.sc, lv.batch, r.TimeMS, r.EnergyJ, r.Entropy), nil
+}
+
+// pcnn is P-CNN's pick. Time and accuracy carry the highest priority
+// (Section IV): it first takes the most aggressive tuning level whose
+// uncertainty stays inside the task threshold (serve.BaseLevel, where the
+// online server starts too); if that still misses a hard deadline, it
+// escalates along the tuning path — trading accuracy (SoC_accuracy < 1)
+// for a met deadline, which is how it rescues the real-time task on TX1
+// (Section V.C).
+func (lv levels) pcnn() (Outcome, error) {
+	base := serve.BaseLevel(lv.ex, lv.sc.Task)
+	o, err := lv.at("P-CNN", base)
+	if err != nil || o.MeetsDeadline {
+		return o, err
 	}
-	pt := sc.basePoint()
-	idx := -1
-	for i, cand := range sc.TuningPath {
-		if cand.Entropy <= sc.Task.EntropyThreshold {
-			pt, idx = cand, i
-		}
-	}
-	agg, err := simulatePoint(plan, pt)
-	if err != nil {
-		return Outcome{}, err
-	}
-	o := finish("P-CNN", sc, plan.Batch, agg, pt.Entropy)
-	if o.MeetsDeadline {
-		return o, nil
-	}
-	for i := idx + 1; i < len(sc.TuningPath); i++ {
-		cand := sc.TuningPath[i]
-		agg, err := simulatePoint(plan, cand)
+	for l := base + 1; l < lv.ex.Levels(); l++ {
+		esc, err := lv.at("P-CNN", l)
 		if err != nil {
 			return Outcome{}, err
 		}
-		esc := finish("P-CNN", sc, plan.Batch, agg, cand.Entropy)
 		if esc.MeetsDeadline {
 			return esc, nil
 		}
@@ -282,51 +241,17 @@ func (PCNN) Run(sc Scenario) (Outcome, error) {
 	return o, nil
 }
 
-// Ideal is the oracle of Section V.B.5: it profiles every tuning point
-// (with a-priori knowledge of the user's requirements) and keeps the one
-// with the highest SoC.
-type Ideal struct{}
-
-// Name implements Scheduler.
-func (Ideal) Name() string { return "Ideal" }
-
-// Run implements Scheduler.
-func (Ideal) Run(sc Scenario) (Outcome, error) {
-	plan, err := compile.Compile(sc.Net, sc.Dev, sc.Task)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
-		return Outcome{}, err
-	}
-	points := sc.TuningPath
-	if len(points) == 0 {
-		points = []TuningPoint{sc.basePoint()}
-	}
+// ideal is the oracle's pick: the first level with the highest SoC.
+func (lv levels) ideal() (Outcome, error) {
 	best := Outcome{SoC: math.Inf(-1)}
-	for _, pt := range points {
-		agg, err := simulatePoint(plan, pt)
+	for l := 0; l < lv.ex.Levels(); l++ {
+		o, err := lv.at("Ideal", l)
 		if err != nil {
 			return Outcome{}, err
 		}
-		o := finish("Ideal", sc, plan.Batch, agg, pt.Entropy)
 		if o.SoC > best.SoC {
 			best = o
 		}
 	}
 	return best, nil
-}
-
-// simulatePoint runs a plan at a tuning point's keep fractions.
-func simulatePoint(plan *compile.Plan, pt TuningPoint) (gpu.Aggregate, error) {
-	if len(pt.Keeps) == 0 {
-		_, agg, err := plan.Simulate(true)
-		return agg, err
-	}
-	launches, err := plan.PerforatedLaunches(pt.Keeps, true)
-	if err != nil {
-		return gpu.Aggregate{}, err
-	}
-	_, agg, err := plan.Device().Run(launches)
-	return agg, err
 }

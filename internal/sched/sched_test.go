@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
 	"pcnn/internal/satisfaction"
@@ -23,7 +24,7 @@ func scenario(dev *gpu.Device, task satisfaction.Task) Scenario {
 		Net:  nn.AlexNetShape(),
 		Dev:  dev,
 		Task: task,
-		TuningPath: []TuningPoint{
+		TuningPath: []compile.TuningPoint{
 			{Keeps: nil, Entropy: 0.25},
 			{Keeps: keepsAt(0.8), Entropy: 0.3},
 			{Keeps: keepsAt(0.65), Entropy: 0.42},
@@ -35,15 +36,16 @@ func scenario(dev *gpu.Device, task satisfaction.Task) Scenario {
 	}
 }
 
+// runAll evaluates the suite on a scenario, keyed by scheduler name.
 func runAll(t *testing.T, sc Scenario) map[string]Outcome {
 	t.Helper()
+	rows, err := Evaluate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string]Outcome{}
-	for _, s := range All() {
-		o, err := s.Run(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		out[s.Name()] = o
+	for _, o := range rows {
+		out[o.Scheduler] = o
 	}
 	return out
 }
@@ -151,10 +153,7 @@ func TestBackgroundQPEPlusEqualsQPE(t *testing.T) {
 
 func TestPCNNRespectsEntropyThreshold(t *testing.T) {
 	sc := scenario(gpu.K20c(), satisfaction.AgeDetection()) // threshold 0.9
-	o, err := (PCNN{}).Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := runAll(t, sc)["P-CNN"]
 	if o.Entropy > sc.Task.EntropyThreshold {
 		t.Fatalf("P-CNN picked entropy %v above threshold %v", o.Entropy, sc.Task.EntropyThreshold)
 	}
@@ -167,15 +166,8 @@ func TestPCNNRespectsEntropyThreshold(t *testing.T) {
 func TestIdealAtLeastPCNNEverywhere(t *testing.T) {
 	for _, dev := range []*gpu.Device{gpu.K20c(), gpu.TX1()} {
 		for _, task := range satisfaction.EvaluationTasks() {
-			sc := scenario(dev, task)
-			p, err := (PCNN{}).Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i, err := (Ideal{}).Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runAll(t, scenario(dev, task))
+			p, i := res["P-CNN"], res["Ideal"]
 			if i.SoC < p.SoC-1e-12 {
 				t.Errorf("%s/%s: Ideal SoC %v < P-CNN %v", dev.Name, task.Name, i.SoC, p.SoC)
 			}
@@ -187,23 +179,31 @@ func TestEmptyTuningPathFallsBack(t *testing.T) {
 	sc := scenario(gpu.K20c(), satisfaction.AgeDetection())
 	sc.TuningPath = nil
 	sc.BaseEntropy = 0.4
-	for _, s := range All() {
-		o, err := s.Run(sc)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
+	rows, err := Evaluate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range rows {
 		if o.Entropy != 0.4 {
-			t.Errorf("%s entropy %v, want BaseEntropy 0.4", s.Name(), o.Entropy)
+			t.Errorf("%s entropy %v, want BaseEntropy 0.4", o.Scheduler, o.Entropy)
 		}
 	}
 }
 
+// TestSchedulerNamesUnique pins Evaluate's rows to the Fig 13–15 order,
+// one row per scheduler.
 func TestSchedulerNamesUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for _, s := range All() {
-		if seen[s.Name()] {
-			t.Fatalf("duplicate scheduler name %q", s.Name())
+	rows, err := Evaluate(scenario(gpu.K20c(), satisfaction.AgeDetection()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"Perf", "Energy", "QPE", "QPE+", "P-CNN", "Ideal"}
+	if len(rows) != len(want) {
+		t.Fatalf("Evaluate returned %d rows, want %d", len(rows), len(want))
+	}
+	for i, o := range rows {
+		if o.Scheduler != want[i] {
+			t.Errorf("row %d is %q, want %q", i, o.Scheduler, want[i])
 		}
-		seen[s.Name()] = true
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"pcnn/internal/perforate"
 	"pcnn/internal/runtimemgr"
 	"pcnn/internal/satisfaction"
-	"pcnn/internal/sched"
 	"pcnn/internal/tensor"
 )
 
@@ -67,7 +66,7 @@ const DefaultSyntheticLevels = 6
 // level — so escalation past the threshold (and the calibration backtrack
 // it triggers) stays reachable, mirroring the measured tables the tuner
 // emits.
-func SyntheticPath(net *nn.NetShape, task satisfaction.Task, levels int) []sched.TuningPoint {
+func SyntheticPath(net *nn.NetShape, task satisfaction.Task, levels int) []compile.TuningPoint {
 	if levels < 2 {
 		levels = 2
 	}
@@ -77,7 +76,7 @@ func SyntheticPath(net *nn.NetShape, task satisfaction.Task, levels int) []sched
 		thr = 0.9
 	}
 	convs := net.ConvLayers()
-	path := make([]sched.TuningPoint, 0, levels)
+	path := make([]compile.TuningPoint, 0, levels)
 	for i := 0; i < levels; i++ {
 		target := math.Pow(step, float64(i))
 		var keeps map[string]float64
@@ -89,7 +88,7 @@ func SyntheticPath(net *nn.NetShape, task satisfaction.Task, levels int) []sched
 			}
 		}
 		frac := float64(i) / float64(levels-1)
-		path = append(path, sched.TuningPoint{
+		path = append(path, compile.TuningPoint{
 			Keeps:   keeps,
 			Entropy: thr * (0.5 + 1.1*frac*frac),
 		})
@@ -123,7 +122,7 @@ const planLimitProbe = 256
 // caller warms them first, so concurrent servers may share one executor.
 type PlanExecutor struct {
 	plan   *compile.Plan
-	path   []sched.TuningPoint
+	path   []compile.TuningPoint
 	scaled *nn.Sequential
 	limit  int // memory batch ceiling, probed at construction
 
@@ -147,7 +146,7 @@ type PlanExecutor struct {
 // network and task. scaled and table must be passed together (the table
 // maps levels onto the scaled network's perforable layers); both nil gives
 // a simulation-only pipeline.
-func NewPlanExecutor(plan *compile.Plan, path []sched.TuningPoint, scaled *nn.Sequential, table *runtimemgr.Table) (*PlanExecutor, error) {
+func NewPlanExecutor(plan *compile.Plan, path []compile.TuningPoint, scaled *nn.Sequential, table *runtimemgr.Table) (*PlanExecutor, error) {
 	if plan == nil {
 		return nil, errors.New("serve: NewPlanExecutor needs a compiled plan")
 	}

@@ -15,7 +15,6 @@ import (
 	"pcnn/internal/nn"
 	"pcnn/internal/runtimemgr"
 	"pcnn/internal/satisfaction"
-	"pcnn/internal/sched"
 	"pcnn/internal/tensor"
 )
 
@@ -155,7 +154,7 @@ func TestExecutorWithScaledNet(t *testing.T) {
 			{Keeps: halved, Speedup: 2, TunedLayer: 0},
 		},
 	}
-	path := []sched.TuningPoint{{Entropy: 0.2}, {Entropy: 0.5}}
+	path := []compile.TuningPoint{{Entropy: 0.2}, {Entropy: 0.5}}
 
 	ex, err := NewPlanExecutor(plan, path, scaled, table)
 	if err != nil {
@@ -193,7 +192,7 @@ func TestPlanExecutorConcurrentLevels(t *testing.T) {
 	scaled := nn.AlexNetS(rand.New(rand.NewSource(1)))
 	layers := scaled.PerforableLayers()
 	table := &runtimemgr.Table{LayerNames: layerNames(layers)}
-	var path []sched.TuningPoint
+	var path []compile.TuningPoint
 	for level := 0; level < 4; level++ {
 		keeps := make([]nn.Keep, len(layers))
 		for i, l := range layers {
@@ -201,7 +200,7 @@ func TestPlanExecutorConcurrentLevels(t *testing.T) {
 			keeps[i] = nn.Keep{W: max(wo*(4-level)/4, 1), H: max(ho*(4-level)/4, 1)}
 		}
 		table.Entries = append(table.Entries, runtimemgr.TableEntry{Keeps: keeps, Speedup: 1 + float64(level), TunedLayer: -1})
-		path = append(path, sched.TuningPoint{Entropy: 0.2 + 0.1*float64(level)})
+		path = append(path, compile.TuningPoint{Entropy: 0.2 + 0.1*float64(level)})
 	}
 	ex, err := NewPlanExecutor(plan, path, scaled, table)
 	if err != nil {

@@ -8,9 +8,9 @@ import (
 	"reflect"
 	"testing"
 
+	"pcnn/internal/compile"
 	"pcnn/internal/nn"
 	"pcnn/internal/satisfaction"
-	"pcnn/internal/sched"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/synthetic_path.golden.json from the current SyntheticPath")
@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite testdata/synthetic_path.golden.
 // fractions, same entropies, to the last bit (JSON round-trips float64
 // exactly).
 func TestSyntheticPathGolden(t *testing.T) {
-	got := map[string][]sched.TuningPoint{}
+	got := map[string][]compile.TuningPoint{}
 	for _, net := range nn.AllNetShapes() {
 		for _, task := range satisfaction.EvaluationTasks() {
 			got[net.Name+"/"+task.Name] = SyntheticPath(net, task, DefaultSyntheticLevels)
@@ -45,7 +45,7 @@ func TestSyntheticPathGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string][]sched.TuningPoint
+	var want map[string][]compile.TuningPoint
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
 	}

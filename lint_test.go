@@ -204,3 +204,53 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 }
+
+// TestSinglePricingPath keeps one implementation of "price a compiled
+// plan at a tuning level": outside internal/compile, only the serving
+// executor builds perforated launches, and the scheduler suite compiles
+// its shared plan exactly once. Test files are exempt; the simulator's
+// goldens drive the launches directly.
+func TestSinglePricingPath(t *testing.T) {
+	fset := token.NewFileSet()
+	var perforated []string
+	schedCompiles := 0
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			path = filepath.ToSlash(path)
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if sel.Sel.Name == "PerforatedLaunches" && !strings.HasPrefix(path, "internal/compile/") && path != "internal/serve/executor.go" {
+					perforated = append(perforated, fset.Position(call.Pos()).String())
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "compile" && sel.Sel.Name == "Compile" && strings.HasPrefix(path, "internal/sched/") {
+					schedCompiles++
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pos := range perforated {
+		t.Errorf("%s: PerforatedLaunches outside internal/compile and serve.PlanExecutor; price through the executor", pos)
+	}
+	if schedCompiles != 1 {
+		t.Errorf("internal/sched calls compile.Compile %d times, want 1 (one shared plan per scenario)", schedCompiles)
+	}
+}

@@ -12,7 +12,7 @@
 //	lab := pcnn.NewLab(1)
 //	net, _ := lab.TrainNet("AlexNet")      // trained scaled analogue
 //	fw.AttachScaled(net, lab.Test.X)       // entropy-based accuracy tuning
-//	outcomes, _ := fw.Evaluate()           // P-CNN vs the baseline schedulers
+//	outcomes, _ := fw.Evaluate()           // six scheduler rows, Fig 13–15 order
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.
@@ -65,7 +65,7 @@ type (
 	// Scenario fixes what the scheduler suite compares on.
 	Scenario = sched.Scenario
 	// TuningPoint is one transferred accuracy-tuning level.
-	TuningPoint = sched.TuningPoint
+	TuningPoint = compile.TuningPoint
 	// Server is the online inference server (Framework.Serve).
 	Server = serve.Server
 	// ServeConfig tunes the online server's batching, worker pool and
