@@ -12,7 +12,9 @@ import (
 // layer keeps its offline-chosen tile, register count and TLP, and only
 // the launch grid is re-derived for the batch's GEMM shape (with conv
 // layers' N scaled by their keep fraction, the PerforatedLaunches
-// convention). optSM is re-derived per grid, exactly as planLayers does.
+// convention). optSM is re-derived per grid, exactly as planLayers does,
+// on the device the plan executes on (Device: the DVFS-scaled clone after
+// ApplyDVFS).
 //
 // Holding the design point fixed is what makes the model monotone: the
 // grid never shrinks when the batch grows, dispatch rounds and DRAM
@@ -30,6 +32,7 @@ func PredictMS(p *Plan, batch int, keep map[string]float64) float64 {
 		batch = 1
 	}
 	gemms := analytic.NetworkGEMMs(p.Net, batch)
+	dev := p.Device()
 	var ms float64
 	for i, l := range p.Layers {
 		if i >= len(gemms) {
@@ -48,8 +51,8 @@ func PredictMS(p *Plan, batch int, keep map[string]float64) float64 {
 		c := l.Choice
 		c.Grid = kernels.GridSize(g.M, n, c.Tile) * g.Groups
 		c.Kernel.GridSize = c.Grid
-		optSM := analytic.OptSM(c.Grid, c.TLP, p.Dev.NumSMs)
-		ms += analytic.PredictTimeMS(c, optSM, p.Dev)
+		optSM := analytic.OptSM(c.Grid, c.TLP, dev.NumSMs)
+		ms += analytic.PredictTimeMS(c, optSM, dev)
 	}
 	return ms
 }

@@ -55,17 +55,23 @@ func keepMap(p *Plan, frac float64) map[string]float64 {
 
 // TestPredictMSAnchor pins the model to the plan: evaluated at the plan's
 // own batch with no perforation, PredictMS reproduces the compiler's
-// end-to-end estimate bit for bit.
+// end-to-end estimate bit for bit — also for an age-detection plan that
+// ApplyDVFS moved onto a scaled clock, whose estimate is the scaled one.
 func TestPredictMSAnchor(t *testing.T) {
 	for _, net := range nn.AllNetShapes() {
 		for _, dev := range gpu.AllPlatforms() {
-			p, err := Compile(net, dev, satisfaction.ImageTagging())
-			if err != nil {
-				t.Fatalf("%s/%s: %v", net.Name, dev.Name, err)
-			}
-			if got := PredictMS(p, p.Batch, nil); got != p.PredictedMS {
-				t.Errorf("%s/%s: PredictMS(p, %d, nil) = %v, want plan's %v",
-					net.Name, dev.Name, p.Batch, got, p.PredictedMS)
+			for _, task := range []satisfaction.Task{satisfaction.ImageTagging(), satisfaction.AgeDetection()} {
+				p, err := Compile(net, dev, task)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", net.Name, dev.Name, err)
+				}
+				if _, err := p.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+					t.Fatal(err)
+				}
+				if got := PredictMS(p, p.Batch, nil); got != p.PredictedMS {
+					t.Errorf("%s/%s/%s at clock %.2f: PredictMS(p, %d, nil) = %v, want plan's %v",
+						net.Name, dev.Name, task.Name, p.FreqFrac, p.Batch, got, p.PredictedMS)
+				}
 			}
 		}
 	}

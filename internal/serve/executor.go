@@ -109,7 +109,9 @@ const planLimitProbe = 256
 //
 // Exact plans are compiled lazily at power-of-two *anchor* batches (plus
 // the deployment's own compiled batch and the memory ceiling's, both held
-// from construction); any other batch size executes by
+// from construction), each on the plan's own — possibly DVFS-scaled —
+// device (Plan.Device), so every batch runs at the deployed clock; any
+// other batch size executes by
 // interpolation: the geometrically nearest anchor plan supplies the tuned
 // per-layer design, and the Eq 12 evaluator re-derives its cost at the
 // requested batch. The previous implementation compiled a fresh plan per
@@ -227,7 +229,7 @@ func (e *PlanExecutor) BatchLimit() int { return e.limit }
 // from the probe ceiling until the analytic memory model fits, so one
 // compilation answers the global ceiling.
 func (e *PlanExecutor) probeLimit() {
-	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Dev, e.plan.Task, planLimitProbe)
+	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, planLimitProbe)
 	if err != nil {
 		e.limit = e.plan.Batch // pessimistic: at least the deployed plan fits
 		return
@@ -283,7 +285,7 @@ func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
 	if ok {
 		return p, nil
 	}
-	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Dev, e.plan.Task, anchor)
+	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, anchor)
 	if err != nil {
 		return nil, err
 	}

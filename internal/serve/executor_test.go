@@ -507,6 +507,61 @@ func TestPlanExecutorAnswersIndependentOfCallOrder(t *testing.T) {
 	}
 }
 
+// TestDVFSExecutorPricesOnScaledClock: an executor over a DVFS-scaled
+// plan prices every batch on the scaled clock, not only the deployed one.
+// For each platform × evaluation task whose AlexNet plan slows its clock,
+// the DVFS executor's PredictMS and Execute times at batches 1..16 exceed
+// the nominal-clock executor's over the same path.
+func TestDVFSExecutorPricesOnScaledClock(t *testing.T) {
+	scaled := 0
+	for _, dev := range gpu.AllPlatforms() {
+		for _, task := range satisfaction.EvaluationTasks() {
+			nominal := compilePlan(t, "AlexNet", dev.Name, task)
+			dvfs := compilePlan(t, "AlexNet", dev.Name, task)
+			if _, err := dvfs.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+				t.Fatal(err)
+			}
+			if dvfs.FreqFrac >= 1 {
+				continue
+			}
+			scaled++
+			nomEx, err := NewPlanExecutor(nominal, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dvfsEx, err := NewPlanExecutor(dvfs, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, level := range []int{0, dvfsEx.Levels() - 1} {
+				for b := 1; b <= 16; b++ {
+					if d, n := dvfsEx.PredictMS(level, b), nomEx.PredictMS(level, b); !(d > n) {
+						t.Errorf("%s/%s at clock %.2f: PredictMS(%d,%d) = %v, not above the nominal %v",
+							dev.Name, task.Name, dvfs.FreqFrac, level, b, d, n)
+					}
+					d, n := execute(t, dvfsEx, level, b), execute(t, nomEx, level, b)
+					if !(d.TimeMS > n.TimeMS) {
+						t.Errorf("%s/%s at clock %.2f: Execute(%d,%d) takes %v ms, not above the nominal %v",
+							dev.Name, task.Name, dvfs.FreqFrac, level, b, d.TimeMS, n.TimeMS)
+					}
+				}
+			}
+		}
+	}
+	if scaled == 0 {
+		t.Fatal("no platform × task pair runs below the nominal clock")
+	}
+}
+
+func execute(t *testing.T, ex *PlanExecutor, level, batch int) BatchResult {
+	t.Helper()
+	r, err := ex.Execute(level, batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func executeAnswer(t *testing.T, ex *PlanExecutor, level, batch int) string {
 	t.Helper()
 	r, err := ex.Execute(level, batch, nil)
