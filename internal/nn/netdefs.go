@@ -133,12 +133,15 @@ func AllNetShapes() []*NetShape {
 	return []*NetShape{AlexNetShape(), GoogLeNetShape(), VGGNetShape()}
 }
 
-// NetShapeByName returns the named shape table, or nil if unknown.
+// NetShapeByName builds the named shape table, or returns nil if unknown.
 func NetShapeByName(name string) *NetShape {
-	for _, n := range AllNetShapes() {
-		if n.Name == name {
-			return n
-		}
+	switch name {
+	case "AlexNet":
+		return AlexNetShape()
+	case "GoogLeNet":
+		return GoogLeNetShape()
+	case "VGGNet":
+		return VGGNetShape()
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -142,14 +143,18 @@ func TestConvShapeValidateRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// TestNetShapeByName: every name in AllNetShapes resolves to a table equal
+// to that entry, and an unknown name (or a wrong case) to nil.
 func TestNetShapeByName(t *testing.T) {
-	for _, name := range []string{"AlexNet", "VGGNet", "GoogLeNet"} {
-		if NetShapeByName(name) == nil {
-			t.Errorf("NetShapeByName(%q) = nil", name)
+	for _, want := range AllNetShapes() {
+		if got := NetShapeByName(want.Name); !reflect.DeepEqual(got, want) {
+			t.Errorf("NetShapeByName(%q) differs from its AllNetShapes entry", want.Name)
 		}
 	}
-	if NetShapeByName("LeNet") != nil {
-		t.Errorf("unknown network resolved")
+	for _, name := range []string{"LeNet", "alexnet", ""} {
+		if NetShapeByName(name) != nil {
+			t.Errorf("unknown network %q resolved", name)
+		}
 	}
 }
 

@@ -146,16 +146,10 @@ func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 	}
 }
 
-// packB packs the kc×n slab of B starting at row pc into NR-column
-// panels: dst[panel][kk*nr+j] = B[pc+kk][panel*nr+j], zero-padding
-// columns past n. bTrans selects the N×K storage layout of the TransB
-// variant.
-func packB(dst, b []float32, ldb, pc, kc, n, nr int, bTrans bool) {
-	packBRange(dst, b, ldb, pc, kc, n, nr, bTrans, 0, (n+nr-1)/nr)
-}
-
-// packBRange packs NR-column panels [plo, phi) of the kc×n slab — the
-// restriction packB is built from, and the unit the parallel path shards
+// packBRange packs NR-column panels [plo, phi) of the kc×n slab of B
+// starting at row pc: dst[panel][kk*nr+j] = B[pc+kk][panel*nr+j],
+// zero-padding columns past n. bTrans selects the N×K storage layout of
+// the TransB variant. A panel range is the unit the parallel path shards
 // across the pool (panel writes are disjoint, and the packed bytes are a
 // pure function of B, so sharding cannot change them).
 func packBRange(dst, b []float32, ldb, pc, kc, n, nr int, bTrans bool, plo, phi int) {

@@ -7,9 +7,9 @@ import "fmt"
 // of materializing it (the largest scratch buffer in conv forward) the
 // blocked backend packs its KC×NR panels straight from the C×H×W plane —
 // all of it, or a perforated layer's kept rows × columns, with one packer.
-// The packed bytes are identical to running im2col and then packB, so the
-// fused GEMM is bit-for-bit the same as the two-step one — the fuzz suite
-// in fusedpack_test.go pins that equivalence.
+// The packed bytes are identical to running im2col and then packBRange,
+// so the fused GEMM is bit-for-bit the same as the two-step one — the
+// fuzz suite in fusedpack_test.go pins that equivalence.
 
 // Im2colGeom describes the implicit column matrix of a convolution input
 // of N images stored back to back: entry (row, col) with

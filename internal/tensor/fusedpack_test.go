@@ -55,7 +55,7 @@ func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileCon
 		}
 		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, tile, newWorkerPool(workers), workers > 1)
 		if !bitIdentical(got, want) {
-			t.Fatalf("fused %d-worker geom %+v m=%d tile %v: diverges bit-for-bit from two-step im2col+packB",
+			t.Fatalf("fused %d-worker geom %+v m=%d tile %v: diverges bit-for-bit from two-step im2col+packBRange",
 				workers, g, m, tile)
 		}
 	}
