@@ -32,15 +32,6 @@ type Scenario struct {
 	BaseEntropy float64
 }
 
-// path returns the tuning path the schedulers price: the scenario's own,
-// or the unperforated network alone at BaseEntropy when it has none.
-func (sc Scenario) path() []compile.TuningPoint {
-	if len(sc.TuningPath) > 0 {
-		return sc.TuningPath
-	}
-	return []compile.TuningPoint{{Entropy: sc.BaseEntropy}}
-}
-
 // Outcome is one scheduler's result on a scenario.
 type Outcome struct {
 	Scheduler string
@@ -137,7 +128,11 @@ func fitBatch(net *nn.NetShape, dev *gpu.Device, batch int) (int, error) {
 // compiled, DVFS-scaled plan, which QPE+, P-CNN and Ideal price through
 // one serve.PlanExecutor at the plan's own batch.
 func Evaluate(sc Scenario) ([]Outcome, error) {
-	base := sc.path()[0].Entropy
+	path := sc.TuningPath
+	if len(path) == 0 {
+		path = []compile.TuningPoint{{Entropy: sc.BaseEntropy}}
+	}
+	base := path[0].Entropy
 	perf, err := fixedBatch(sc, "Perf", 1, base)
 	if err != nil {
 		return nil, err
@@ -164,7 +159,7 @@ func Evaluate(sc Scenario) ([]Outcome, error) {
 	}
 	qpe := finish("QPE", sc, plan.Batch, agg.TimeMS, agg.EnergyJ, base)
 
-	ex, err := serve.NewPlanExecutor(plan, sc.path(), nil, nil)
+	ex, err := serve.NewPlanExecutor(plan, path, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -111,14 +111,13 @@ const planLimitProbe = 256
 // the deployment's own compiled batch and the memory ceiling's, both held
 // from construction), each on the plan's own — possibly DVFS-scaled —
 // device (Plan.Device), so every batch runs at the deployed clock; any
-// other batch size executes by
-// interpolation: the geometrically nearest anchor plan supplies the tuned
-// per-layer design, and the Eq 12 evaluator re-derives its cost at the
-// requested batch. The previous implementation compiled a fresh plan per
-// distinct batch and — when device memory could not fit it — silently
-// shrank the plan while still executing the full batch, mispricing every
-// partial flush (the demotion-to-singleton path behind the mean_batch
-// collapse). Simulated aggregates, profiles and predictions are cached
+// other batch size executes by interpolation: the geometrically nearest
+// anchor plan supplies the tuned per-layer design, and the Eq 12
+// evaluator re-derives its cost at the requested batch. The previous
+// implementation compiled a fresh plan per distinct batch and — when
+// device memory could not fit it — silently shrank the plan while still
+// executing the full batch, mispricing every partial flush (the
+// demotion-to-singleton path behind the mean_batch collapse). Simulated aggregates, profiles and predictions are cached
 // per (level, batch), so steady-state serving costs one map lookup per
 // flush. The caches only memoize: every answer is the same whichever
 // caller warms them first, so concurrent servers may share one executor.
