@@ -78,6 +78,12 @@ func (d *Device) Simulate(k Kernel, cfg LaunchConfig) (Result, error) {
 // caps in index order — floating-point addition does not associate, and
 // testdata/simulate.golden and corun.golden pin the sums that order
 // produces.
+//
+// A grid that drains in many identical dispatch rounds (Eq 8's
+// nInvocations) is simulated one round at a time only until the rounds
+// repeat: waveLog records a wave's events, and once the state at a wave
+// boundary equals the recorded one the loop replays the log instead of
+// re-deriving it, adding the same operands in the same order.
 func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 	if err := d.Validate(); err != nil {
 		return Result{}, err
@@ -85,7 +91,7 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 	nSM, nL := d.NumSMs, len(launches)
 	// Every per-SM vector is carved to length nSM exactly, so one bounds
 	// check on an SM index covers all of them.
-	ints := make([]int, 5*nSM)
+	ints := make([]int, 5*nSM+waveLogInts*nL)
 	smInts := func(i int) []int { return ints[i*nSM:][:nSM] }
 	resident, issueN, memN := smInts(0), smInts(1), smInts(2)
 	// caps[sm] is the residency cap of the launch owner[sm], 0 if no launch
@@ -151,20 +157,22 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 		}
 		return ctas
 	}
+	waves := newWaveLog(ints[5*nSM:])
+	waves.boundary(wins)
 	ctas := dispatch(make([]cta, 0, ctaSlots))
 
 	var (
-		now          float64 // cycles
-		energyJ      float64
-		issueUtilInt float64 // ∫ issue-utilization dt
-		dramUtilInt  float64
 		dramCapacity = d.BytesPerCycle()
 		// Each lane can request up to 4 bytes per cycle; this bounds how
 		// much DRAM bandwidth one SM's load/store units can consume.
 		smMemCap       = float64(d.CoresPerSM) * 4
 		issueCapPerSM  = float64(d.CoresPerSM)
-		secondsPerCyc  = 1 / (d.ClockMHz * 1e6)
 		gatedStaticSMs = 0
+		acc            = integrals{
+			secondsPerCyc: 1 / (d.ClockMHz * 1e6),
+			issueCap:      issueCapPerSM * float64(d.NumSMs),
+			dramCapacity:  dramCapacity,
+		}
 	)
 	// SMs no launch can use are gated when every launch gates.
 	if gateIdle {
@@ -273,6 +281,7 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 
 		// --- Integrate power over dt. Unowned SMs issue nothing, so they
 		// add exactly zero dynamic power whether gated or not. ---
+		ev := waveEvent{dt: dt, issueRate: totalIssueRate, memRate: totalMemRate}
 		if dt > 0 {
 			power := d.IdlePowerW
 			activeStaticSMs := d.NumSMs - gatedStaticSMs
@@ -282,13 +291,12 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 			}
 			achievedGBps := totalMemRate * d.ClockMHz * 1e6 / 1e9
 			power += d.DRAMPowerPerGBps * achievedGBps
-			energyJ += power * dt * secondsPerCyc
-			issueUtilInt += dt * totalIssueRate / (issueCapPerSM * float64(d.NumSMs))
-			dramUtilInt += dt * totalMemRate / dramCapacity
+			ev.power = power
 		}
+		acc.step(&ev)
 
 		// --- Advance state and retire completed CTAs. ---
-		now += dt
+		now := acc.now
 		kept := 0
 		for i := range ctas {
 			c, sm := &ctas[i], ctas[i].sm
@@ -302,6 +310,7 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 				w := &wins[owner[sm]]
 				w.retire(sm - w.lo)
 				out[owner[sm]].Cycles = now // time only advances: the last retirement stands
+				waves.retired(&ev, owner[sm])
 				continue
 			}
 			if kept != i {
@@ -309,10 +318,17 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 			}
 			kept++
 		}
+		waves.record(ev)
 		completed := len(ctas) - kept
 		ctas = ctas[:kept]
 		if completed > 0 {
+			// With no survivor the dispatch refills an empty device: a
+			// wave boundary.
+			repeat := kept == 0 && waves.boundary(wins)
 			ctas = dispatch(ctas)
+			if repeat {
+				waves.replay(&acc, out, wins)
+			}
 		} else if dt == 0 {
 			return Result{}, fmt.Errorf("gpu: simulation stalled for kernel %s on %s",
 				launches[owner[ctas[0].sm]].Kernel.Name, d.Name)
@@ -328,11 +344,12 @@ func (d *Device) simulate(launches []Launch, out []Result) (Result, error) {
 			}
 		}
 	}
-	total := Result{Cycles: now, TimeMS: d.CyclesToMS(now), EnergyJ: energyJ}
+	now := acc.now
+	total := Result{Cycles: now, TimeMS: d.CyclesToMS(now), EnergyJ: acc.energyJ}
 	if now > 0 {
-		total.AvgPowerW = energyJ / (now * secondsPerCyc)
-		total.IssueUtil = issueUtilInt / now
-		total.DRAMUtil = dramUtilInt / now
+		total.AvgPowerW = acc.energyJ / (now * acc.secondsPerCyc)
+		total.IssueUtil = acc.issueUtilInt / now
+		total.DRAMUtil = acc.dramUtilInt / now
 	}
 	return total, nil
 }

@@ -2,8 +2,10 @@ package gpu
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -425,5 +427,362 @@ func TestSimulateAllocsIndependentOfGrid(t *testing.T) {
 	small, large := allocs(64), allocs(4096)
 	if small != large || small > 12 {
 		t.Fatalf("Simulate allocates %v times at grid 64 and %v at grid 4096, want equal and ≤ 12", small, large)
+	}
+}
+
+// simulateEventLoop is the event loop as it stood before wave replay, kept
+// as the oracle TestSimulateReplayMatchesEventLoop holds Device.simulate
+// to: it simulates every event of every wave.
+func simulateEventLoop(d *Device, launches []Launch, out []Result) (Result, error) {
+	if err := d.Validate(); err != nil {
+		return Result{}, err
+	}
+	nSM, nL := d.NumSMs, len(launches)
+	// Every per-SM vector is carved to length nSM exactly, so one bounds
+	// check on an SM index covers all of them.
+	ints := make([]int, 5*nSM)
+	smInts := func(i int) []int { return ints[i*nSM:][:nSM] }
+	resident, issueN, memN := smInts(0), smInts(1), smInts(2)
+	// caps[sm] is the residency cap of the launch owner[sm], 0 if no launch
+	// owns sm.
+	caps, owner := smInts(3), smInts(4)
+	wins := make([]smWindow, nL)
+	floats := make([]float64, 8*nSM)
+	smFloats := func(i int) []float64 { return floats[i*nSM:][:nSM] }
+	perSMIssueUsed, issueShare, smRate := smFloats(0), smFloats(1), smFloats(2)
+	issueMin, memMin := smFloats(3), smFloats(4) // least work left among an SM's demanders
+	// The owner's per-CTA constants, spread per SM for the per-CTA passes.
+	ctaIssueCap, issueDone, memDone := smFloats(5), smFloats(6), smFloats(7)
+
+	ctaSlots := 0
+	gateIdle := true
+	for k := range launches {
+		l := &launches[k]
+		if err := l.Kernel.Validate(); err != nil {
+			return Result{}, err
+		}
+		lo, hi, tlp := l.Config.window(d, l.Kernel)
+		if tlp == 0 || lo == hi {
+			return Result{}, fmt.Errorf("%w: kernel %s (block %d threads, %d regs/thread, %dB shmem) on %s",
+				ErrNoResidency, l.Kernel.Name, l.Kernel.BlockSize, l.Kernel.RegsPerThread, l.Kernel.SharedMemPerBlock, d.Name)
+		}
+		issueCap := float64(l.Kernel.BlockSize) * d.PerThreadIPC
+		issueEps := simEpsilon*l.Kernel.issueWorkPerCTA() + simEpsilon
+		memEps := simEpsilon*l.Kernel.memWorkPerCTA() + simEpsilon
+		for sm := lo; sm < hi; sm++ {
+			if caps[sm] > 0 {
+				return Result{}, fmt.Errorf("%w: SM %d of %s claimed by kernels %s and %s",
+					ErrSMOverlap, sm, d.Name, launches[owner[sm]].Kernel.Name, l.Kernel.Name)
+			}
+			caps[sm], owner[sm] = tlp, k
+			ctaIssueCap[sm], issueDone[sm], memDone[sm] = issueCap, issueEps, memEps
+		}
+		out[k] = Result{Kernel: l.Kernel.Name}
+		wins[k] = smWindow{lo: lo, res: resident[lo:hi], tlp: tlp, policy: l.Config.Policy, pending: l.Kernel.GridSize}
+		ctaSlots += min((hi-lo)*tlp, l.Kernel.GridSize)
+		gateIdle = gateIdle && l.Config.PowerGateIdle
+	}
+	bools := make([]bool, 2*nSM)
+	everUsed, unfilled := bools[:nSM], bools[nSM:][:nSM]
+
+	// dispatch fills each launch's window in launch order and records the
+	// launch's residency peak. A window is a contiguous SM range, so picking
+	// inside it is picking on the device with every other SM disallowed.
+	// ctas is passed through, not captured, so the event loop keeps it in
+	// registers.
+	dispatch := func(ctas []cta) []cta {
+		for k := range wins {
+			w, kern := &wins[k], &launches[k].Kernel
+			issue, mem := kern.issueWorkPerCTA(), kern.memWorkPerCTA()
+			for ; w.pending > 0; w.pending-- {
+				sm := w.place()
+				if sm < 0 {
+					break
+				}
+				everUsed[w.lo+sm] = true
+				ctas = append(ctas, cta{sm: w.lo + sm, remIssue: issue, remMem: mem})
+			}
+			out[k].MaxResident = max(out[k].MaxResident, w.live)
+		}
+		return ctas
+	}
+	ctas := dispatch(make([]cta, 0, ctaSlots))
+
+	var (
+		now          float64 // cycles
+		energyJ      float64
+		issueUtilInt float64 // ∫ issue-utilization dt
+		dramUtilInt  float64
+		dramCapacity = d.BytesPerCycle()
+		// Each lane can request up to 4 bytes per cycle; this bounds how
+		// much DRAM bandwidth one SM's load/store units can consume.
+		smMemCap       = float64(d.CoresPerSM) * 4
+		issueCapPerSM  = float64(d.CoresPerSM)
+		secondsPerCyc  = 1 / (d.ClockMHz * 1e6)
+		gatedStaticSMs = 0
+	)
+	// SMs no launch can use are gated when every launch gates.
+	if gateIdle {
+		for _, c := range caps {
+			if c == 0 {
+				gatedStaticSMs++
+			}
+		}
+	}
+
+	for len(ctas) > 0 {
+		clear(issueN)
+		clear(memN)
+		for sm := range issueMin {
+			issueMin[sm], memMin[sm] = math.Inf(1), math.Inf(1)
+		}
+		for i := range ctas {
+			c, sm := &ctas[i], ctas[i].sm
+			if c.remIssue > simEpsilon {
+				issueN[sm]++
+				issueMin[sm] = min(issueMin[sm], c.remIssue)
+			}
+			if c.remMem > simEpsilon {
+				memN[sm]++
+				memMin[sm] = min(memMin[sm], c.remMem)
+			}
+		}
+		// --- Issue rates: each SM's issue bandwidth splits equally over
+		// its demanding CTAs, each capped at what its threads can issue. ---
+		totalIssueRate := 0.0
+		for sm, n := range issueN {
+			perSMIssueUsed[sm] = 0
+			if n == 0 {
+				continue
+			}
+			share := min(issueCapPerSM/float64(n), ctaIssueCap[sm])
+			issueShare[sm] = share
+			for ; n > 0; n-- {
+				perSMIssueUsed[sm] += share
+				totalIssueRate += share
+			}
+		}
+		// --- Memory rates: device-wide water-fill with a per-SM cap. Each
+		// SM's aggregate demand is capped by its LSU width; bandwidth
+		// splits equally per demanding CTA. ---
+		totalMemRate := 0.0
+		remaining := dramCapacity
+		for sm, n := range memN {
+			unfilled[sm] = n > 0
+			smRate[sm] = 0
+		}
+		for {
+			nCTAs := 0
+			for sm, n := range memN {
+				if unfilled[sm] {
+					nCTAs += n
+				}
+			}
+			if nCTAs == 0 || remaining <= simEpsilon {
+				break
+			}
+			perCTA := remaining / float64(nCTAs)
+			progressed := false
+			for sm, n := range memN {
+				if unfilled[sm] && perCTA*float64(n) >= smMemCap-simEpsilon {
+					smRate[sm] = smMemCap
+					remaining -= smMemCap
+					unfilled[sm] = false
+					progressed = true
+				}
+			}
+			if !progressed {
+				for sm, n := range memN {
+					if unfilled[sm] {
+						smRate[sm] = perCTA * float64(n)
+					}
+				}
+				break
+			}
+		}
+		for sm, n := range memN {
+			if n == 0 {
+				continue
+			}
+			smRate[sm] /= float64(n) // per demanding CTA from here on
+			for ; n > 0; n-- {
+				totalMemRate += smRate[sm]
+			}
+		}
+
+		// --- Next event: earliest channel drain. An SM's demanders share
+		// one rate, so its first drain is its least remaining work. ---
+		dt := math.Inf(1)
+		for sm := range issueN {
+			if issueN[sm] > 0 && issueShare[sm] > 0 {
+				dt = min(dt, issueMin[sm]/issueShare[sm])
+			}
+			if memN[sm] > 0 && smRate[sm] > 0 {
+				dt = min(dt, memMin[sm]/smRate[sm])
+			}
+		}
+		if math.IsInf(dt, 1) {
+			// All remaining work has zero demand (already drained); retire.
+			dt = 0
+		}
+
+		// --- Integrate power over dt. Unowned SMs issue nothing, so they
+		// add exactly zero dynamic power whether gated or not. ---
+		if dt > 0 {
+			power := d.IdlePowerW
+			activeStaticSMs := d.NumSMs - gatedStaticSMs
+			power += float64(activeStaticSMs) * d.SMStaticPowerW
+			for _, used := range perSMIssueUsed {
+				power += d.SMDynPowerW * (used / issueCapPerSM)
+			}
+			achievedGBps := totalMemRate * d.ClockMHz * 1e6 / 1e9
+			power += d.DRAMPowerPerGBps * achievedGBps
+			energyJ += power * dt * secondsPerCyc
+			issueUtilInt += dt * totalIssueRate / (issueCapPerSM * float64(d.NumSMs))
+			dramUtilInt += dt * totalMemRate / dramCapacity
+		}
+
+		// --- Advance state and retire completed CTAs. ---
+		now += dt
+		kept := 0
+		for i := range ctas {
+			c, sm := &ctas[i], ctas[i].sm
+			if c.remIssue > simEpsilon {
+				c.remIssue -= issueShare[sm] * dt
+			}
+			if c.remMem > simEpsilon {
+				c.remMem -= smRate[sm] * dt
+			}
+			if c.remIssue <= issueDone[sm] && c.remMem <= memDone[sm] {
+				w := &wins[owner[sm]]
+				w.retire(sm - w.lo)
+				out[owner[sm]].Cycles = now // time only advances: the last retirement stands
+				continue
+			}
+			if kept != i {
+				ctas[kept] = *c
+			}
+			kept++
+		}
+		completed := len(ctas) - kept
+		ctas = ctas[:kept]
+		if completed > 0 {
+			ctas = dispatch(ctas)
+		} else if dt == 0 {
+			return Result{}, fmt.Errorf("gpu: simulation stalled for kernel %s on %s",
+				launches[owner[ctas[0].sm]].Kernel.Name, d.Name)
+		}
+	}
+
+	for k := range launches {
+		r := &out[k]
+		r.TimeMS = d.CyclesToMS(r.Cycles)
+		for _, u := range everUsed[wins[k].lo:][:len(wins[k].res)] {
+			if u {
+				r.ActiveSMs++
+			}
+		}
+	}
+	total := Result{Cycles: now, TimeMS: d.CyclesToMS(now), EnergyJ: energyJ}
+	if now > 0 {
+		total.AvgPowerW = energyJ / (now * secondsPerCyc)
+		total.IssueUtil = issueUtilInt / now
+		total.DRAMUtil = dramUtilInt / now
+	}
+	return total, nil
+}
+
+// TestSimulateReplayMatchesEventLoop: replaying steady-state waves changes
+// no bit of any Result field against the loop that simulates every wave.
+// The launches are random: grids of 1 to 100 000 CTAs (a third of them
+// within one CTA of a whole number of waves, where a dispatch can run out
+// of pending CTAs) on the four platforms, both policies, TLP and SM
+// limits, power gating, and co-runs of one launch beside one to three
+// others of unequal length.
+func TestSimulateReplayMatchesEventLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	randKernel := func(name string) Kernel {
+		k := Kernel{
+			Name:              name,
+			BlockSize:         []int{64, 128, 256}[rng.Intn(3)],
+			RegsPerThread:     16 + rng.Intn(113),
+			SharedMemPerBlock: rng.Intn(4) * 4096,
+			FMAInsts:          float64(rng.Intn(20000)),
+			OtherInsts:        float64(rng.Intn(10000)),
+			GlobalBytes:       float64(rng.Intn(4000)),
+		}
+		if rng.Intn(8) == 0 { // memory-bound
+			k.FMAInsts, k.OtherInsts = 1, 0
+		}
+		return k
+	}
+	// randGrid draws a log-uniform grid up to maxGrid, a third of the time
+	// snapped to within one CTA of a multiple of the window's slots.
+	randGrid := func(d *Device, l Launch, maxGrid int) int {
+		g := int(math.Exp(rng.Float64() * math.Log(float64(maxGrid))))
+		lo, hi, tlp := l.Config.window(d, l.Kernel)
+		if slots := (hi - lo) * tlp; slots > 0 && rng.Intn(3) == 0 {
+			g = max(1, g/slots*slots+rng.Intn(3)-1)
+		}
+		return max(1, g)
+	}
+	const cases = 600
+	multiWave := 0
+	for i := 0; i < cases; i++ {
+		d := AllPlatforms()[i%4]
+		nL := 1
+		if i%2 == 1 {
+			nL = min(2+rng.Intn(3), d.NumSMs)
+		}
+		// Cut the device into nL disjoint windows; a lone launch may also
+		// leave SMs unused.
+		cuts := []int{0}
+		for _, c := range rng.Perm(d.NumSMs - 1)[:nL-1] {
+			cuts = append(cuts, c+1)
+		}
+		sort.Ints(cuts)
+		cuts = append(cuts, d.NumSMs)
+		gate := rng.Intn(2) == 0
+		launches := make([]Launch, nL)
+		for k := range launches {
+			cfg := LaunchConfig{
+				Policy:        SchedulerPolicy(rng.Intn(2)),
+				SMOffset:      cuts[k],
+				SMLimit:       cuts[k+1] - cuts[k],
+				TLPLimit:      rng.Intn(5),
+				PowerGateIdle: gate,
+			}
+			if nL == 1 && rng.Intn(2) == 0 {
+				cfg.SMOffset, cfg.SMLimit = rng.Intn(d.NumSMs), rng.Intn(d.NumSMs)
+			}
+			l := Launch{Kernel: randKernel(fmt.Sprintf("k%d", k)), Config: cfg}
+			// The first launch runs long; the co-runners drain sooner.
+			maxGrid := 100000
+			if k > 0 {
+				maxGrid = 2000
+			}
+			l.Kernel.GridSize = randGrid(d, l, maxGrid)
+			if lo, hi, tlp := l.Config.window(d, l.Kernel); l.Kernel.GridSize > 2*(hi-lo)*tlp {
+				multiWave++
+			}
+			launches[k] = l
+		}
+		want, got := make([]Result, nL), make([]Result, nL)
+		wantTotal, wantErr := simulateEventLoop(d, launches, want)
+		gotTotal, gotErr := d.simulate(launches, got)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("case %d on %s: error %v, event loop %v", i, d.Name, gotErr, wantErr)
+		}
+		if gotTotal != wantTotal {
+			t.Fatalf("case %d on %s %+v: total %+v, event loop %+v", i, d.Name, launches, gotTotal, wantTotal)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("case %d on %s %+v: launch %d %+v, event loop %+v", i, d.Name, launches, k, got[k], want[k])
+			}
+		}
+	}
+	if multiWave < cases/2 {
+		t.Fatalf("only %d launches span more than two waves", multiWave)
 	}
 }

@@ -39,12 +39,9 @@ type SpillPlan struct {
 // reduced register count enables: spilling must not itself reduce TLP
 // (the paper only uses *spare* shared memory).
 func PlanSpill(tile TileConfig, regs, k int, dev *gpu.Device) SpillPlan {
-	p := SpillPlan{}
 	if regs >= tile.BaseRegs {
-		return p
+		return SpillPlan{}
 	}
-	p.Spilled = tile.BaseRegs - regs
-
 	// Occupancy at the reduced register count (shared memory still at the
 	// kernel's own usage).
 	probe := gpu.Kernel{
@@ -52,10 +49,13 @@ func PlanSpill(tile TileConfig, regs, k int, dev *gpu.Device) SpillPlan {
 		RegsPerThread:     regs,
 		SharedMemPerBlock: tile.SharedMem,
 	}
-	tlp := dev.OccupancyFor(probe).CTAs
-	if tlp < 1 {
-		tlp = 1
-	}
+	return planSpill(tile, regs, max(dev.OccupancyFor(probe).CTAs, 1), k, dev)
+}
+
+// planSpill is PlanSpill at a known occupancy tlp ≥ 1 for regs <
+// tile.BaseRegs; a staircase candidate carries its own.
+func planSpill(tile TileConfig, regs, tlp, k int, dev *gpu.Device) SpillPlan {
+	p := SpillPlan{Spilled: tile.BaseRegs - regs}
 	sparePerBlock := dev.SharedMemPerSM/tlp - tile.SharedMem
 	if sparePerBlock < 0 {
 		sparePerBlock = 0

@@ -14,6 +14,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pcnn/internal/gpu"
 )
@@ -64,23 +65,25 @@ func (t TileConfig) Validate() error {
 // CNN tiles; Table IV adds cuBLAS's 64×64 on Kepler and cuDNN's 32×32 on
 // mobile). Register and shared-memory numbers for 64×64, 128×64 and 32×32
 // match Table IV.
-func StandardTiles() []TileConfig {
-	return []TileConfig{
-		// 128×128 stages single-buffered kStep/2-deep slices, keeping its
-		// shared-memory footprint small enough that registers — not shared
-		// memory — limit occupancy, which is what produces the TLP 2…8
-		// staircase of Fig 9 on K20.
-		{M: 128, N: 128, BlockSize: 256, BaseRegs: 127, SharedMem: 4352},
-		{M: 128, N: 64, BlockSize: 128, BaseRegs: 120, SharedMem: 12544},
-		{M: 128, N: 32, BlockSize: 128, BaseRegs: 90, SharedMem: 10496},
-		{M: 64, N: 64, BlockSize: 256, BaseRegs: 79, SharedMem: 8468},
-		{M: 32, N: 32, BlockSize: 64, BaseRegs: 48, SharedMem: 2304},
-	}
+func StandardTiles() []TileConfig { return slices.Clone(standardTiles) }
+
+// standardTiles is the table StandardTiles copies out; Select and
+// TileByName read it in place.
+var standardTiles = []TileConfig{
+	// 128×128 stages single-buffered kStep/2-deep slices, keeping its
+	// shared-memory footprint small enough that registers — not shared
+	// memory — limit occupancy, which is what produces the TLP 2…8
+	// staircase of Fig 9 on K20.
+	{M: 128, N: 128, BlockSize: 256, BaseRegs: 127, SharedMem: 4352},
+	{M: 128, N: 64, BlockSize: 128, BaseRegs: 120, SharedMem: 12544},
+	{M: 128, N: 32, BlockSize: 128, BaseRegs: 90, SharedMem: 10496},
+	{M: 64, N: 64, BlockSize: 256, BaseRegs: 79, SharedMem: 8468},
+	{M: 32, N: 32, BlockSize: 64, BaseRegs: 48, SharedMem: 2304},
 }
 
 // TileByName returns the tile whose String() matches name, or an error.
 func TileByName(name string) (TileConfig, error) {
-	for _, t := range StandardTiles() {
+	for _, t := range standardTiles {
 		if t.String() == name {
 			return t, nil
 		}
@@ -105,9 +108,17 @@ func REC(m, n int, tile TileConfig) float64 {
 // or ≥ BaseRegs; fewer registers imply spilling, whose instruction and
 // traffic overheads are added by the spill model).
 func Build(name string, tile TileConfig, m, n, k, regs int, dev *gpu.Device) gpu.Kernel {
-	if regs <= 0 || regs > tile.BaseRegs {
-		regs = tile.BaseRegs
+	kern := tileKernel(name, tile, m, n, k)
+	if regs > 0 && regs < tile.BaseRegs {
+		kern = withSpill(kern, regs, PlanSpill(tile, regs, k, dev))
 	}
+	return kern
+}
+
+// tileKernel is Build at the tile's own register count, where nothing
+// spills: the part of every design point of a tile that the register
+// count does not move.
+func tileKernel(name string, tile TileConfig, m, n, k int) gpu.Kernel {
 	tm, tn := tile.regTileEdges()
 	fK := float64(k)
 	block := float64(tile.BlockSize)
@@ -122,17 +133,21 @@ func Build(name string, tile TileConfig, m, n, k, regs int, dev *gpu.Device) gpu
 		Name:              name,
 		GridSize:          GridSize(m, n, tile),
 		BlockSize:         tile.BlockSize,
-		RegsPerThread:     regs,
+		RegsPerThread:     tile.BaseRegs,
 		SharedMemPerBlock: tile.SharedMem,
 		FMAInsts:          fma,
 		OtherInsts:        sharedAccesses + globalLoadInsts + loopOverhead + storeInsts,
 		GlobalBytes:       4 * (fK*float64(tile.M+tile.N)/block + float64(tile.OutputsPerThread())),
 	}
-	if regs < tile.BaseRegs {
-		sp := PlanSpill(tile, regs, k, dev)
-		kern.OtherInsts += sp.ExtraInsts()
-		kern.GlobalBytes += sp.ExtraGlobalBytes()
-	}
+	return kern
+}
+
+// withSpill runs kern at regs registers per thread, below its tile's own,
+// adding the spill plan's instructions and traffic.
+func withSpill(kern gpu.Kernel, regs int, sp SpillPlan) gpu.Kernel {
+	kern.RegsPerThread = regs
+	kern.OtherInsts += sp.ExtraInsts()
+	kern.GlobalBytes += sp.ExtraGlobalBytes()
 	return kern
 }
 

@@ -101,13 +101,22 @@ const recFloor = 0.05
 // where every spilled-to-global access is worth tens of instructions.
 func SKernel(tile TileConfig, m, n int, kern gpu.Kernel, tlp int, dev *gpu.Device) float64 {
 	inv := NInvocations(GridSize(m, n, tile), tlp, dev.NumSMs)
-	wasteFactor := math.Max(1-REC(m, n, tile), recFloor)
+	return wasteFactor(m, n, tile) * costFactor(kern, float64(dev.TotalCores()), dev.BytesPerCycle()) * float64(inv)
+}
+
+// wasteFactor is S_kernel's 1 − rEC, floored at recFloor.
+func wasteFactor(m, n int, tile TileConfig) float64 {
+	return math.Max(1-REC(m, n, tile), recFloor)
+}
+
+// costFactor is S_kernel's per-thread work on a device with cores cores
+// moving bytesPerCycle bytes per cycle.
+func costFactor(kern gpu.Kernel, cores, bytesPerCycle float64) float64 {
 	// Issue-slot equivalents of one thread's DRAM traffic: the chip
 	// issues TotalCores instructions in the time one byte-per-cycle of
 	// bandwidth moves one byte.
-	memEq := kern.GlobalBytes * float64(dev.TotalCores()) / dev.BytesPerCycle()
-	costFactor := math.Max(kern.TotalInstsPerThread(), memEq)
-	return wasteFactor * costFactor * float64(inv)
+	memEq := kern.GlobalBytes * cores / bytesPerCycle
+	return math.Max(kern.TotalInstsPerThread(), memEq)
 }
 
 // Choice is the result of kernel selection for one GEMM.
@@ -143,13 +152,22 @@ func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 			Kernel: kern,
 		}, nil
 	}
+	// Everything but the register count is fixed per tile, and a
+	// candidate's TLP is the occupancy its spill plan is sized at.
 	var best Choice
 	found := false
 	var buf [16]StairPoint
-	for _, tile := range StandardTiles() {
+	cores, bytesPerCycle := float64(dev.TotalCores()), dev.BytesPerCycle()
+	for _, tile := range standardTiles {
+		base := tileKernel(name, tile, m, n, k)
+		waste := wasteFactor(m, n, tile)
 		for _, cand := range appendCandidates(buf[:0], tile, dev) {
-			kern := Build(name, tile, m, n, k, cand.Regs, dev)
-			score := SKernel(tile, m, n, kern, cand.TLP, dev)
+			kern := base
+			if cand.Regs > 0 && cand.Regs < tile.BaseRegs {
+				kern = withSpill(base, cand.Regs, planSpill(tile, cand.Regs, cand.TLP, k, dev))
+			}
+			inv := NInvocations(base.GridSize, cand.TLP, dev.NumSMs)
+			score := waste * costFactor(kern, cores, bytesPerCycle) * float64(inv)
 			if !found || score < best.Score {
 				best = Choice{
 					Tile:   tile,
