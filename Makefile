@@ -61,7 +61,7 @@ race:
 		./internal/runtimemgr/ \
 		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
-		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels'
+		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
 
 # e2e runs the real-daemon end-to-end suite: N pcnnd-equivalent HTTP
 # daemons on loopback, an outer fleet of HTTPReplicas routing mixed-model
@@ -73,13 +73,18 @@ e2e:
 
 # bench reproduces the numbers recorded in BENCH_gemm.json, then times one
 # cold pass over the simulated side (scenario matrix + fleet soak +
-# six-scheduler evaluation — the repository benchmark's sim_regen op) and
-# the serving data path's unit of work, PlanExecutor.Execute on a batch of
-# 32 at levels 0/3/6/9/12 of the attached table (serve_forward's inner
-# call; host time should fall with the level).
+# six-scheduler evaluation — the repository benchmark's sim_regen op), its
+# two inner loops (the largest launch it simulates, AlexNet CONV1 at batch
+# 256 on TX1, beside a many-wave TitanX launch; and kernel selection over
+# AlexNet's GEMMs), and the serving data path's unit of work,
+# PlanExecutor.Execute on a batch of 32 at levels 0/3/6/9/12 of the
+# attached table (serve_forward's inner call; host time should fall with
+# the level).
 bench:
 	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col' -benchmem ./internal/tensor/ ./internal/nn/
 	$(GO) test -run='^$$' -bench='SimRegenPass' -benchtime=10x .
+	$(GO) test -run='^$$' -bench='SimulateFullGrid|ManyWaves' -benchmem ./internal/gpu/
+	$(GO) test -run='^$$' -bench='Select$$' -benchmem ./internal/kernels/
 	$(GO) test -run='^$$' -bench='ExecuteLevels' -benchtime=500x -cpu 1 .
 
 # profile-sim writes CPU and allocation profiles of that pass to

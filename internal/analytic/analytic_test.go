@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -179,6 +180,37 @@ func TestFitsMemoryTableIIIOOMs(t *testing.T) {
 				if got := FitsMemoryLib(net, lib.RoundBatch(1), dev, lib); got != wantFit {
 					t.Errorf("%s/%s/%s: non-batched fits=%v, want %v", dev.Name, net.Name, lib, got, wantFit)
 				}
+			}
+		}
+	}
+}
+
+// TestMaxFitBatchMatchesDecrementLoop: the closed-form ceiling is the
+// batch the decrement loop it replaced stops at — the largest b that
+// FitsMemory — for every network on the four platforms and on devices so
+// small that the ceiling is 0 or a handful of images, at every b up to
+// 1024.
+func TestMaxFitBatchMatchesDecrementLoop(t *testing.T) {
+	devs := gpu.AllPlatforms()
+	for _, mib := range []int64{1, 64, 200, 600} {
+		d := gpu.TX1()
+		d.Name, d.GlobalMemBytes, d.UsableMemFrac = fmt.Sprintf("TX1-%dMiB", mib), mib<<20, 1
+		devs = append(devs, d)
+	}
+	for _, dev := range devs {
+		for _, net := range nn.AllNetShapes() {
+			fit := MaxFitBatch(net, dev)
+			for b := 1; b <= MaxSearchBatch; b++ {
+				if FitsMemory(net, b, dev) != (b <= fit) {
+					t.Fatalf("%s on %s: MaxFitBatch %d, FitsMemory(%d) = %v", net.Name, dev.Name, fit, b, FitsMemory(net, b, dev))
+				}
+			}
+			loop := MaxSearchBatch
+			for loop > 0 && !FitsMemory(net, loop, dev) {
+				loop--
+			}
+			if min(fit, MaxSearchBatch) != loop {
+				t.Fatalf("%s on %s: MaxFitBatch %d, decrement loop from %d stops at %d", net.Name, dev.Name, fit, MaxSearchBatch, loop)
 			}
 		}
 	}

@@ -58,15 +58,8 @@ func OptimalBackgroundBatch(net *nn.NetShape, dev *gpu.Device) (int, bool, error
 	}
 	knee := KneeBatch(curve, 0.93)
 
-	best := 1
-	for b := 1; b <= MaxSearchBatch; b++ {
-		if !FitsMemory(net, b, dev) {
-			return best, false, nil
-		}
-		best = b
-		if b < knee {
-			continue
-		}
+	limit := min(MaxSearchBatch, MaxFitBatch(net, dev))
+	for b := max(knee, 1); b <= limit; b++ {
 		g, err := lastConvGEMM(net, b)
 		if err != nil {
 			return 0, false, err
@@ -79,7 +72,7 @@ func OptimalBackgroundBatch(net *nn.NetShape, dev *gpu.Device) (int, bool, error
 			return b, true, nil
 		}
 	}
-	return best, false, nil
+	return max(limit, 1), false, nil
 }
 
 // ThroughputPoint is one sample of the Fig 8 batch sweep.

@@ -119,6 +119,21 @@ func FitsMemory(net *nn.NetShape, batch int, dev *gpu.Device) bool {
 	return net.MemoryFootprintBytes(batch) <= dev.UsableMemBytes()
 }
 
+// MaxFitBatch returns the largest batch that FitsMemory, 0 when not even
+// one image fits. The footprint W + 2b·A + I is linear in the batch b, so
+// the ceiling is one division.
+func MaxFitBatch(net *nn.NetShape, dev *gpu.Device) int {
+	free := dev.UsableMemBytes() - net.WeightBytes() - net.Im2ColWorkspaceBytesPerImage()
+	perImage := 2 * net.MaxLayerActivationBytesPerImage()
+	switch {
+	case free < 0:
+		return 0
+	case perImage == 0:
+		return math.MaxInt
+	}
+	return int(free / perImage)
+}
+
 // LayerGEMM is one layer's GEMM work at a chosen batch size.
 type LayerGEMM struct {
 	Name    string

@@ -88,13 +88,7 @@ func Compile(net *nn.NetShape, dev *gpu.Device, task satisfaction.Task) (*Plan, 
 		if !math.IsInf(budget, 1) {
 			b = int(task.DataRateHz * budget / 1000)
 		}
-		if b < 1 {
-			b = 1
-		}
-		for b > 1 && !analytic.FitsMemory(net, b, dev) {
-			b--
-		}
-		p.Batch = b
+		p.Batch = max(1, min(b, analytic.MaxFitBatch(net, dev)))
 	}
 
 	// 2–3. Kernel optimization + resource model, then 4. global decision:
@@ -131,12 +125,7 @@ func CompileAtBatch(net *nn.NetShape, dev *gpu.Device, task satisfaction.Task, b
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	for batch > 1 && !analytic.FitsMemory(net, batch, dev) {
-		batch--
-	}
+	batch = max(1, min(batch, analytic.MaxFitBatch(net, dev)))
 	p := &Plan{Net: net, Dev: dev, Task: task, Batch: batch}
 	if err := p.planLayers(); err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
-// Package par runs independent units of work on the host's cores. It has
-// one entry point, Each: the tuner's per-layer trials, the scenario
-// matrix's rows and the fleet soak's compiles and grid rows all fan out
-// through it. Units write their results by index, so output order is the
-// caller's, never the schedule's.
+// Package par runs independent units of work on the host's cores. Each
+// fans units out: the tuner's per-layer trials, the scenario matrix's rows
+// and the fleet soak's compiles and grid rows all go through it. Units
+// write their results by index, so output order is the caller's, never
+// the schedule's. OnceMap is what units that share work meet at: the
+// scenario engine's plan, executor and co-run caches and a serving
+// executor's plan, simulation and prediction caches compute each key once.
 package par
 
 import (

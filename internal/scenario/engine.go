@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"pcnn/internal/compile"
@@ -50,43 +49,14 @@ type Engine struct {
 	// be called concurrently.
 	ExecutorFor func(sp Spec, st StreamSpec, plan *compile.Plan) (serve.Executor, error)
 
-	plans onceMap[*compile.Plan]
-	execs onceMap[serve.Executor]
-	corun onceMap[corunFactor]
-}
-
-// onceMap caches one value per planKey, computed exactly once: the first
-// caller of a key runs compute while later callers of that key wait for its
-// result (error included), and callers of other keys proceed.
-type onceMap[V any] struct {
-	mu sync.Mutex
-	m  map[planKey]*onceEntry[V]
-}
-
-type onceEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-func (c *onceMap[V]) get(key planKey, compute func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[planKey]*onceEntry[V]{}
-	}
-	e := c.m[key]
-	if e == nil {
-		e = &onceEntry[V]{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = compute() })
-	return e.v, e.err
+	plans par.OnceMap[planKey, *compile.Plan]
+	execs par.OnceMap[planKey, serve.Executor]
+	corun par.OnceMap[planKey, corunFactor]
 }
 
 // planFor compiles (caching) the deployment for one stream's task.
 func (e *Engine) planFor(key planKey, dev *gpu.Device, net *nn.NetShape, task satisfaction.Task) (*compile.Plan, error) {
-	return e.plans.get(key, func() (*compile.Plan, error) {
+	return e.plans.Get(key, func() (*compile.Plan, error) {
 		p, err := compile.Compile(net, dev, task)
 		if err != nil {
 			return nil, err
@@ -105,7 +75,7 @@ func (e *Engine) planFor(key planKey, dev *gpu.Device, net *nn.NetShape, task sa
 // SMs, and the plan's shared-vs-alone aggregate ratio becomes the
 // stream's execution-cost multiplier.
 func (e *Engine) corunFor(key planKey, plan *compile.Plan, dev *gpu.Device) (corunFactor, error) {
-	return e.corun.get(key, func() (corunFactor, error) {
+	return e.corun.Get(key, func() (corunFactor, error) {
 		bgKey := planKey{platform: key.platform, net: "GoogLeNet", task: "tagging"}
 		bg, err := e.planFor(bgKey, dev, nn.GoogLeNetShape(), satisfaction.ImageTagging())
 		if err != nil {
@@ -190,7 +160,7 @@ func (e *Engine) executorFor(sp Spec, st StreamSpec, task satisfaction.Task) (se
 		}
 	} else {
 		var err error
-		ex, err = e.execs.get(key, func() (serve.Executor, error) {
+		ex, err = e.execs.Get(key, func() (serve.Executor, error) {
 			return serve.NewPlanExecutor(plan, nil, nil, nil)
 		})
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"pcnn/internal/analytic"
 	"pcnn/internal/compile"
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
@@ -89,22 +90,16 @@ func finish(name string, sc Scenario, batch int, timeMS, energyJ, entropy float6
 // batch 1 on a device that cannot hold the network at all.
 var ErrNoFitBatch = errors.New("sched: no batch size fits device memory")
 
-// fitBatch shrinks a desired batch until the buffer-reusing footprint fits
-// device memory. It fails with ErrNoFitBatch when even batch 1 exceeds the
-// usable memory.
+// fitBatch shrinks a desired batch to the largest whose buffer-reusing
+// footprint fits device memory. It fails with ErrNoFitBatch when even
+// batch 1 exceeds the usable memory.
 func fitBatch(net *nn.NetShape, dev *gpu.Device, batch int) (int, error) {
-	b := batch
-	if b < 1 {
-		b = 1
-	}
-	for b > 1 && net.MemoryFootprintBytes(b) > dev.UsableMemBytes() {
-		b--
-	}
-	if net.MemoryFootprintBytes(b) > dev.UsableMemBytes() {
+	fit := analytic.MaxFitBatch(net, dev)
+	if fit < 1 {
 		return 0, fmt.Errorf("sched: %s on %s (%d MiB usable): %w",
 			net.Name, dev.Name, dev.UsableMemBytes()>>20, ErrNoFitBatch)
 	}
-	return b, nil
+	return min(max(batch, 1), fit), nil
 }
 
 // Evaluate runs the scheduler suite on one scenario and returns its

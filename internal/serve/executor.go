@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
+	"pcnn/internal/analytic"
 	"pcnn/internal/compile"
 	"pcnn/internal/entropy"
 	"pcnn/internal/gpu"
 	"pcnn/internal/nn"
+	"pcnn/internal/par"
 	"pcnn/internal/perforate"
 	"pcnn/internal/runtimemgr"
 	"pcnn/internal/satisfaction"
@@ -96,12 +99,35 @@ func SyntheticPath(net *nn.NetShape, task satisfaction.Task, levels int) []compi
 	return path
 }
 
-// levelBatch keys the per-(level, batch) simulation cache.
+// levelBatch keys the per-(level, batch) simulation and prediction caches.
 type levelBatch struct{ level, batch int }
 
-// planLimitProbe bounds the memory-ceiling search; far above any batch
-// the roadmap's platforms compile.
+// simulated is one (level, batch) cell: the batch's simulated aggregate
+// and its per-layer profile.
+type simulated struct {
+	agg     gpu.Aggregate
+	profile []compile.LayerProfile
+}
+
+// planLimitProbe bounds the memory ceiling; far above any batch the
+// roadmap's platforms compile.
 const planLimitProbe = 256
+
+// The executor's two costly calls. They are variables so the package's
+// tests can count them.
+var (
+	compileAtBatch = compile.CompileAtBatch
+	simulatePlan   = func(p *compile.Plan, keeps map[string]float64) ([]gpu.Result, gpu.Aggregate, error) {
+		if len(keeps) == 0 {
+			return p.Simulate(true)
+		}
+		launches, err := p.PerforatedLaunches(keeps, true)
+		if err != nil {
+			return nil, gpu.Aggregate{}, err
+		}
+		return p.Device().Run(launches)
+	}
+)
 
 // PlanExecutor implements Executor on top of a compiled plan, a
 // degradation path, and (optionally) the trained scaled analogue whose
@@ -117,21 +143,25 @@ const planLimitProbe = 256
 // implementation compiled a fresh plan per distinct batch and — when
 // device memory could not fit it — silently shrank the plan while still
 // executing the full batch, mispricing every partial flush (the
-// demotion-to-singleton path behind the mean_batch collapse). Simulated aggregates, profiles and predictions are cached
-// per (level, batch), so steady-state serving costs one map lookup per
-// flush. The caches only memoize: every answer is the same whichever
-// caller warms them first, so concurrent servers may share one executor.
+// demotion-to-singleton path behind the mean_batch collapse). Anchor
+// plans, simulated aggregates with their profiles, and predictions are
+// each computed once per key — concurrent callers of a key wait for the
+// first — so steady-state serving costs one map lookup per flush. The
+// caches only memoize: every answer is the same whichever caller warms
+// them first, so concurrent servers may share one executor.
 type PlanExecutor struct {
 	plan   *compile.Plan
 	path   []compile.TuningPoint
 	scaled *nn.Sequential
 	limit  int // memory batch ceiling, probed at construction
+	maxFit int // the largest batch device memory holds (analytic.MaxFitBatch)
 
-	mu       sync.Mutex
-	plans    map[int]*compile.Plan
-	aggs     map[levelBatch]gpu.Aggregate
-	profiles map[levelBatch][]compile.LayerProfile
-	preds    map[levelBatch]float64
+	mu    sync.Mutex
+	plans map[int]*compile.Plan // every plan compiled so far, by batch
+
+	compiles par.OnceMap[int, *compile.Plan]
+	sims     par.OnceMap[levelBatch, simulated]
+	preds    par.OnceMap[levelBatch, float64]
 
 	// opts[level] is the operating point a batch runs the scaled network
 	// at: the tuning-table row's resolved masks on the package-default
@@ -158,13 +188,11 @@ func NewPlanExecutor(plan *compile.Plan, path []compile.TuningPoint, scaled *nn.
 		path = SyntheticPath(plan.Net, plan.Task, DefaultSyntheticLevels)
 	}
 	e := &PlanExecutor{
-		plan:     plan,
-		path:     path,
-		scaled:   scaled,
-		plans:    map[int]*compile.Plan{plan.Batch: plan},
-		aggs:     map[levelBatch]gpu.Aggregate{},
-		profiles: map[levelBatch][]compile.LayerProfile{},
-		preds:    map[levelBatch]float64{},
+		plan:   plan,
+		path:   path,
+		scaled: scaled,
+		maxFit: analytic.MaxFitBatch(plan.Net, plan.Device()),
+		plans:  map[int]*compile.Plan{plan.Batch: plan},
 	}
 	if scaled != nil {
 		e.opts = table.ForwardOpts(scaled)
@@ -220,23 +248,27 @@ func (e *PlanExecutor) clamp(level int) int {
 // memory can hold, probed at construction.
 func (e *PlanExecutor) BatchLimit() int { return e.limit }
 
-// probeLimit records the memory ceiling and caches its plan. It runs at
+// fitted is the batch CompileAtBatch compiles when asked for batch: the
+// batch itself, shrunk to the memory ceiling when the device cannot hold
+// it.
+func (e *PlanExecutor) fitted(batch int) int { return max(1, min(batch, e.maxFit)) }
+
+// probeLimit records the memory ceiling and holds its plan. It runs at
 // construction, before any caller can price the ceiling batch: were its
 // plan compiled later, PredictMS and Execute at that batch would answer
 // by Eq 12 from a smaller anchor before and exactly after, so answers
-// would depend on which caller asked first. CompileAtBatch decrements
-// from the probe ceiling until the analytic memory model fits, so one
-// compilation answers the global ceiling.
+// would depend on which caller asked first.
 func (e *PlanExecutor) probeLimit() {
-	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, planLimitProbe)
+	e.limit = e.fitted(planLimitProbe)
+	if e.limit == e.plan.Batch {
+		return
+	}
+	p, err := compileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, e.limit)
 	if err != nil {
 		e.limit = e.plan.Batch // pessimistic: at least the deployed plan fits
 		return
 	}
-	e.limit = p.Batch
-	if _, ok := e.plans[p.Batch]; !ok {
-		e.plans[p.Batch] = p
-	}
+	e.plans[p.Batch] = p
 }
 
 // anchorFor maps a batch onto its power-of-two anchor: the geometrically
@@ -260,42 +292,38 @@ func anchorFor(batch int) int {
 	return hi
 }
 
-// planNear returns (caching) the nearest exactly-compiled plan for a
-// batch: the batch's own plan on a cache hit, otherwise its power-of-two
+// planNear returns the nearest exactly-compiled plan for a batch: the
+// batch's own plan when one has been compiled, otherwise its power-of-two
 // anchor, compiled once and shared by every nearby batch size. When
 // device memory cannot hold the anchor, the compiler's largest fitting
-// batch — the memory ceiling, whose plan is cached from construction —
+// batch — the memory ceiling, whose plan is held from construction —
 // becomes the anchor: callers interpolate from it instead of silently
 // executing a shrunken plan.
 func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
-	if batch < 1 {
-		batch = 1
-	}
+	batch = max(batch, 1)
 	e.mu.Lock()
 	p, ok := e.plans[batch]
 	e.mu.Unlock()
 	if ok {
 		return p, nil
 	}
-	anchor := anchorFor(batch)
-	e.mu.Lock()
-	p, ok = e.plans[anchor]
-	e.mu.Unlock()
-	if ok {
+	anchor := e.fitted(anchorFor(batch))
+	return e.compiles.Get(anchor, func() (*compile.Plan, error) {
+		e.mu.Lock()
+		p, ok := e.plans[anchor]
+		e.mu.Unlock()
+		if ok {
+			return p, nil
+		}
+		p, err := compileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, anchor)
+		if err != nil {
+			return nil, err
+		}
+		e.mu.Lock()
+		e.plans[anchor] = p
+		e.mu.Unlock()
 		return p, nil
-	}
-	p, err := compile.CompileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, anchor)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if prev, ok := e.plans[p.Batch]; ok {
-		p = prev // lost a race or anchor shrank onto a cached batch
-	} else {
-		e.plans[p.Batch] = p
-	}
-	e.mu.Unlock()
-	return p, nil
+	})
 }
 
 // predictExact sums a plan's tuned per-layer predictions at its own
@@ -320,105 +348,72 @@ func predictExact(p *compile.Plan, keeps map[string]float64) float64 {
 // re-deriving the nearest anchor plan's design at the requested batch —
 // every batch size is priced without an exact (level, batch) cache hit.
 func (e *PlanExecutor) PredictMS(level, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	level = e.clamp(level)
-	key := levelBatch{level, batch}
-	e.mu.Lock()
-	ms, ok := e.preds[key]
-	e.mu.Unlock()
-	if ok {
-		return ms
-	}
-	keeps := e.path[level].Keeps
-	p, err := e.planNear(batch)
-	if err != nil {
-		// No compilable neighbour: rescale the deployed plan's design
-		// point; Execute will surface the error.
-		return compile.PredictMS(e.plan, batch, keeps)
-	}
-	if p.Batch == batch {
-		ms = predictExact(p, keeps)
-	} else {
-		ms = compile.PredictMS(p, batch, keeps)
-	}
-	e.mu.Lock()
-	e.preds[key] = ms
-	e.mu.Unlock()
+	batch, level = max(batch, 1), e.clamp(level)
+	ms, _ := e.preds.Get(levelBatch{level, batch}, func() (float64, error) {
+		keeps := e.path[level].Keeps
+		p, err := e.planNear(batch)
+		switch {
+		case err != nil:
+			// No compilable neighbour: rescale the deployed plan's design
+			// point; Execute will surface the error.
+			return compile.PredictMS(e.plan, batch, keeps), nil
+		case p.Batch == batch:
+			return predictExact(p, keeps), nil
+		default:
+			return compile.PredictMS(p, batch, keeps), nil
+		}
+	})
 	return ms
 }
 
-// aggFor simulates (caching) one batch at a level on the plan's device.
-// Batches with an exactly-compiled plan simulate for real; any other
-// batch interpolates from its anchor: the anchor's simulated aggregate
-// and profile scaled by the Eq 12 cost ratio between the two batches, so
-// a 3-wide flush is priced between the 2- and 4-wide simulations rather
-// than executing a silently shrunken plan. Alongside the aggregate it
-// keeps the per-layer profile, so Profile answers from cache for any
-// operating point the server has actually run.
-func (e *PlanExecutor) aggFor(level, batch int) (gpu.Aggregate, error) {
-	key := levelBatch{level, batch}
-	e.mu.Lock()
-	agg, ok := e.aggs[key]
-	e.mu.Unlock()
-	if ok {
-		return agg, nil
-	}
-	p, err := e.planNear(batch)
-	if err != nil {
-		return gpu.Aggregate{}, err
-	}
-	keeps := e.path[level].Keeps
-	if p.Batch != batch {
-		// Interpolate: simulate the anchor exactly (recursion bottoms out —
-		// plans[p.Batch] is cached), then scale by the analytic cost ratio.
-		anchorAgg, err := e.aggFor(level, p.Batch)
+// simulate prices one batch at a level on the plan's device. Batches with
+// an exactly-compiled plan simulate for real; any other batch
+// interpolates from its anchor: the anchor's simulated aggregate and
+// profile scaled by the Eq 12 cost ratio between the two batches, so a
+// 3-wide flush is priced between the 2- and 4-wide simulations rather than
+// executing a silently shrunken plan. The per-layer profile rides along,
+// so Profile answers from cache for any operating point the server has
+// actually run.
+func (e *PlanExecutor) simulate(level, batch int) (simulated, error) {
+	return e.sims.Get(levelBatch{level, batch}, func() (simulated, error) {
+		p, err := e.planNear(batch)
 		if err != nil {
-			return gpu.Aggregate{}, err
+			return simulated{}, err
+		}
+		if p.Batch == batch {
+			keeps := e.path[level].Keeps
+			results, agg, err := simulatePlan(p, keeps)
+			if err != nil {
+				return simulated{}, err
+			}
+			return simulated{agg: agg, profile: p.ProfileResults(results, keeps)}, nil
+		}
+		// Interpolate: simulate the anchor exactly (recursion bottoms out —
+		// p is the anchor's own plan), then scale by the analytic cost ratio.
+		anchor, err := e.simulate(level, p.Batch)
+		if err != nil {
+			return simulated{}, err
 		}
 		anchorMS := e.PredictMS(level, p.Batch)
 		ratio := 1.0
 		if anchorMS > 0 {
 			ratio = e.PredictMS(level, batch) / anchorMS
 		}
-		agg = gpu.Aggregate{
-			TimeMS:    anchorAgg.TimeMS * ratio,
-			EnergyJ:   anchorAgg.EnergyJ * ratio,
-			AvgPowerW: anchorAgg.AvgPowerW,
-		}
-		e.mu.Lock()
-		prof := make([]compile.LayerProfile, len(e.profiles[levelBatch{level, p.Batch}]))
-		copy(prof, e.profiles[levelBatch{level, p.Batch}])
+		prof := slices.Clone(anchor.profile)
 		for i := range prof {
 			prof[i].PredictedMS *= ratio
 			prof[i].TimeMS *= ratio
 			prof[i].EnergyJ *= ratio
 		}
-		e.aggs[key] = agg
-		e.profiles[key] = prof
-		e.mu.Unlock()
-		return agg, nil
-	}
-	var results []gpu.Result
-	if len(keeps) == 0 {
-		results, agg, err = p.Simulate(true)
-	} else {
-		var launches []gpu.Launch
-		launches, err = p.PerforatedLaunches(keeps, true)
-		if err != nil {
-			return gpu.Aggregate{}, err
-		}
-		results, agg, err = p.Device().Run(launches)
-	}
-	if err != nil {
-		return gpu.Aggregate{}, err
-	}
-	e.mu.Lock()
-	e.aggs[key] = agg
-	e.profiles[key] = p.ProfileResults(results, keeps)
-	e.mu.Unlock()
-	return agg, nil
+		return simulated{
+			agg: gpu.Aggregate{
+				TimeMS:    anchor.agg.TimeMS * ratio,
+				EnergyJ:   anchor.agg.EnergyJ * ratio,
+				AvgPowerW: anchor.agg.AvgPowerW,
+			},
+			profile: prof,
+		}, nil
+	})
 }
 
 // Profile implements the serve LayerProfiler interface: the per-layer
@@ -426,16 +421,11 @@ func (e *PlanExecutor) aggFor(level, batch int) (gpu.Aggregate, error) {
 // and cached with the aggregate thereafter. The profile's PredictedMS
 // column sums exactly to PredictMS(level, batch).
 func (e *PlanExecutor) Profile(level, batch int) ([]compile.LayerProfile, error) {
-	level = e.clamp(level)
-	if batch < 1 {
-		batch = 1
-	}
-	if _, err := e.aggFor(level, batch); err != nil {
+	s, err := e.simulate(e.clamp(level), max(batch, 1))
+	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]compile.LayerProfile(nil), e.profiles[levelBatch{level, batch}]...), nil
+	return append([]compile.LayerProfile(nil), s.profile...), nil
 }
 
 // Execute implements Executor: the GPU simulator supplies the batch's time
@@ -448,11 +438,11 @@ func (e *PlanExecutor) Execute(level, batch int, inputs *tensor.Tensor) (BatchRe
 		return BatchResult{}, fmt.Errorf("serve: execute batch %d", batch)
 	}
 	level = e.clamp(level)
-	agg, err := e.aggFor(level, batch)
+	s, err := e.simulate(level, batch)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	res := BatchResult{TimeMS: agg.TimeMS, EnergyJ: agg.EnergyJ, Entropy: e.path[level].Entropy}
+	res := BatchResult{TimeMS: s.agg.TimeMS, EnergyJ: s.agg.EnergyJ, Entropy: e.path[level].Entropy}
 	if e.scaled != nil && inputs != nil && inputs.Dim(0) > 0 {
 		res.Probs = e.scaled.PredictWith(inputs, e.opts[min(level, len(e.opts)-1)])
 		res.Entropy = entropy.Mean(res.Probs)

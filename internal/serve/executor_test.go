@@ -386,6 +386,96 @@ func TestPlanExecutorInterpolation(t *testing.T) {
 	}
 }
 
+// simKey names one simulation: a plan batch and a level's keep set.
+func simKey(batch int, keeps map[string]float64) string {
+	return fmt.Sprintf("b%d %v", batch, keeps)
+}
+
+// TestPlanExecutorComputesEachKeyOnce: eight goroutines racing over one
+// fresh executor — every level × batch 1–24 through Execute, PredictMS and
+// Profile, each goroutine in its own order — compile each anchor once and
+// simulate each (level, exact batch) once, and answer bit for bit what a
+// serially warmed executor answers.
+func TestPlanExecutorComputesEachKeyOnce(t *testing.T) {
+	plan := compilePlan(t, "AlexNet", "TX1", satisfaction.AgeDetection())
+	serial, err := NewPlanExecutor(plan, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBatch, goroutines = 24, 8
+	type cell struct{ level, batch int }
+	var cells []cell
+	for level := 0; level < serial.Levels(); level++ {
+		for b := 1; b <= maxBatch; b++ {
+			cells = append(cells, cell{level, b})
+		}
+	}
+	answer := func(ex *PlanExecutor, c cell) string {
+		r, err := ex.Execute(c.level, c.batch, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		prof, err := ex.Profile(c.level, c.batch)
+		if err != nil {
+			t.Error(err)
+		}
+		return fmt.Sprintf("%x %x %x %v", math.Float64bits(ex.PredictMS(c.level, c.batch)),
+			math.Float64bits(r.TimeMS), math.Float64bits(r.EnergyJ), prof)
+	}
+	want := make([]string, len(cells))
+	for i, c := range cells {
+		want[i] = answer(serial, c)
+	}
+
+	calls := countExecutorCalls(t)
+	ex, err := NewPlanExecutor(plan, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]string, len(cells))
+			for _, j := range rand.New(rand.NewSource(int64(g))).Perm(len(cells)) {
+				got[g][j] = answer(ex, cells[j])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, c := range cells {
+		for g := range got {
+			if got[g][i] != want[i] {
+				t.Fatalf("goroutine %d, level %d batch %d: %s, serial %s", g, c.level, c.batch, got[g][i], want[i])
+			}
+		}
+	}
+
+	wantCompiles := map[int]int{}
+	if lim := ex.BatchLimit(); lim != plan.Batch {
+		wantCompiles[lim] = 1 // the ceiling, probed at construction
+	}
+	wantSims := map[string]int{}
+	for _, c := range cells {
+		p, err := ex.planNear(c.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Batch != plan.Batch && p.Batch != ex.BatchLimit() {
+			wantCompiles[p.Batch] = 1
+		}
+		wantSims[simKey(p.Batch, ex.path[c.level].Keeps)] = 1
+	}
+	if !reflect.DeepEqual(calls.compiles, wantCompiles) {
+		t.Errorf("compiles by batch %v, want one per anchor %v", calls.compiles, wantCompiles)
+	}
+	if !reflect.DeepEqual(calls.sims, wantSims) {
+		t.Errorf("simulations %v, want one per (level, exact batch) %v", calls.sims, wantSims)
+	}
+}
+
 // TestPlanExecutorBatchLimit: the probed memory ceiling is at least the
 // compiled batch and stable across calls.
 func TestPlanExecutorBatchLimit(t *testing.T) {
