@@ -12,8 +12,8 @@ import (
 
 // selectReference is Select before its per-tile invariants were hoisted:
 // every candidate is built from scratch, its spill plan re-derives the
-// occupancy, and S_kernel is evaluated in full. TestSelectMatchesReference
-// holds Select to it bit for bit.
+// occupancy, and S_kernel (then the exported SKernel) is evaluated in
+// full. TestSelectMatchesReference holds Select to it bit for bit.
 func selectReference(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 	if n < GEMVThreshold {
 		kern := BuildGEMV(name, m, n, k, dev)
@@ -78,7 +78,7 @@ func buildReference(name string, tile TileConfig, m, n, k, regs int, dev *gpu.De
 	return kern
 }
 
-// sKernelReference is SKernel computed in one piece.
+// sKernelReference is S_kernel computed in one piece.
 func sKernelReference(tile TileConfig, m, n int, kern gpu.Kernel, tlp int, dev *gpu.Device) float64 {
 	inv := NInvocations(GridSize(m, n, tile), tlp, dev.NumSMs)
 	wasteFactor := math.Max(1-REC(m, n, tile), recFloor)
@@ -89,8 +89,8 @@ func sKernelReference(tile TileConfig, m, n int, kern gpu.Kernel, tlp int, dev *
 
 // TestSelectMatchesReference: hoisting changes no field of any Choice —
 // Score to the bit — for every conv and FC GEMM of the three networks on
-// the four platforms at power-of-two batches 1 to 256, and Build and
-// SKernel still agree with their one-piece forms at every candidate.
+// the four platforms at power-of-two batches 1 to 256, and Build still
+// agrees with its one-piece form at every candidate.
 func TestSelectMatchesReference(t *testing.T) {
 	for _, net := range nn.AllNetShapes() {
 		for _, dev := range gpu.AllPlatforms() {
@@ -118,10 +118,6 @@ func TestSelectMatchesReference(t *testing.T) {
 							kern := Build("g", tile, m, n, k, cand.Regs, dev)
 							if ref := buildReference("g", tile, m, n, k, cand.Regs, dev); kern != ref {
 								t.Fatalf("%s r%d %dx%dx%d on %s: Build %+v, reference %+v", tile, cand.Regs, m, n, k, dev.Name, kern, ref)
-							}
-							s, ref := SKernel(tile, m, n, kern, cand.TLP, dev), sKernelReference(tile, m, n, kern, cand.TLP, dev)
-							if math.Float64bits(s) != math.Float64bits(ref) {
-								t.Fatalf("%s r%d %dx%dx%d on %s: SKernel %v, reference %v", tile, cand.Regs, m, n, k, dev.Name, s, ref)
 							}
 						}
 					}

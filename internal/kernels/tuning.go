@@ -87,36 +87,27 @@ func NInvocations(gridSize, tlp, nSMs int) int {
 // such design point. See EXPERIMENTS.md for this documented deviation.
 const recFloor = 0.05
 
-// SKernel returns the paper's analytical ranking metric (Eq 10),
+// sKernel returns the paper's analytical ranking metric (Eq 10),
 //
 //	S_kernel = (1 − rEC) × Spill_cost × nInvocations,
 //
-// for the design point whose built kernel is kern and whose occupancy is
-// tlp, regularized and roofline-extended so every design point ranks
-// meaningfully: the waste factor is floored at recFloor, and the cost
-// term is the per-thread work — the larger of issued instructions
-// (including Eq 7's spill cost) and the thread's DRAM traffic expressed
-// in issue-slot equivalents. The memory term is what stops the tuner from
+// for the design point whose built kernel is kern, on a device with cores
+// cores moving bytesPerCycle bytes per cycle. waste is the tile's 1 − rEC
+// floored at recFloor, and inv its nInvocations at the point's occupancy.
+// The metric is regularized and roofline-extended so every design point
+// ranks meaningfully: the waste factor is floored, and the cost term is
+// the per-thread work — the larger of issued instructions (including Eq
+// 7's spill cost) and the thread's DRAM traffic expressed in issue-slot
+// equivalents. The memory term is what stops the tuner from
 // trading registers for TLP on bandwidth-starved parts like the TX1,
 // where every spilled-to-global access is worth tens of instructions.
-func SKernel(tile TileConfig, m, n int, kern gpu.Kernel, tlp int, dev *gpu.Device) float64 {
-	inv := NInvocations(GridSize(m, n, tile), tlp, dev.NumSMs)
-	return wasteFactor(m, n, tile) * costFactor(kern, float64(dev.TotalCores()), dev.BytesPerCycle()) * float64(inv)
-}
-
-// wasteFactor is S_kernel's 1 − rEC, floored at recFloor.
-func wasteFactor(m, n int, tile TileConfig) float64 {
-	return math.Max(1-REC(m, n, tile), recFloor)
-}
-
-// costFactor is S_kernel's per-thread work on a device with cores cores
-// moving bytesPerCycle bytes per cycle.
-func costFactor(kern gpu.Kernel, cores, bytesPerCycle float64) float64 {
+func sKernel(kern gpu.Kernel, waste float64, inv int, cores, bytesPerCycle float64) float64 {
 	// Issue-slot equivalents of one thread's DRAM traffic: the chip
 	// issues TotalCores instructions in the time one byte-per-cycle of
 	// bandwidth moves one byte.
 	memEq := kern.GlobalBytes * cores / bytesPerCycle
-	return math.Max(kern.TotalInstsPerThread(), memEq)
+	costFactor := math.Max(kern.TotalInstsPerThread(), memEq)
+	return waste * costFactor * float64(inv)
 }
 
 // Choice is the result of kernel selection for one GEMM.
@@ -160,14 +151,14 @@ func Select(name string, m, n, k int, dev *gpu.Device) (Choice, error) {
 	cores, bytesPerCycle := float64(dev.TotalCores()), dev.BytesPerCycle()
 	for _, tile := range standardTiles {
 		base := tileKernel(name, tile, m, n, k)
-		waste := wasteFactor(m, n, tile)
+		waste := math.Max(1-REC(m, n, tile), recFloor)
 		for _, cand := range appendCandidates(buf[:0], tile, dev) {
 			kern := base
 			if cand.Regs > 0 && cand.Regs < tile.BaseRegs {
 				kern = withSpill(base, cand.Regs, planSpill(tile, cand.Regs, cand.TLP, k, dev))
 			}
 			inv := NInvocations(base.GridSize, cand.TLP, dev.NumSMs)
-			score := waste * costFactor(kern, cores, bytesPerCycle) * float64(inv)
+			score := sKernel(kern, waste, inv, cores, bytesPerCycle)
 			if !found || score < best.Score {
 				best = Choice{
 					Tile:   tile,
