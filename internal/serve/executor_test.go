@@ -433,17 +433,20 @@ func TestPlanExecutorComputesEachKeyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([][]string, goroutines)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			got[g] = make([]string, len(cells))
 			for _, j := range rand.New(rand.NewSource(int64(g))).Perm(len(cells)) {
 				got[g][j] = answer(ex, cells[j])
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 	for i, c := range cells {
 		for g := range got {
