@@ -61,7 +61,6 @@ type waveLog struct {
 	events        [waveLogCap]waveEvent
 	n             int  // events logged
 	valid         bool // a boundary is held and every event since it is logged
-	closed        bool // the log holds one whole wave, from the boundary back to it
 }
 
 // newWaveLog carves the log's per-window vectors from ints, which holds
@@ -72,9 +71,12 @@ func newWaveLog(ints []int) waveLog {
 	return waveLog{cursor: part(0), level: part(1), pending: part(2), delta: part(3), last: part(4)}
 }
 
-// boundary is called before a dispatch onto the empty device. It reports
-// whether the boundary repeats the held one, whose wave the log then
-// holds; otherwise it holds this one and starts logging.
+// boundary is called before a dispatch onto the empty device. When the
+// boundary repeats the held one it reports true, and the log holds the
+// wave between the two for replay to use once; otherwise it holds this
+// boundary and starts logging. One replay is all a log can give: it stops
+// when some launch is left with too few pending CTAs to fill another
+// wave, so a later repeat of the same boundary could replay nothing.
 func (w *waveLog) boundary(wins []smWindow) bool {
 	if w.valid {
 		same := true
@@ -82,19 +84,17 @@ func (w *waveLog) boundary(wins []smWindow) bool {
 			same = same && wins[k].cursor == w.cursor[k] && wins[k].level == w.level[k]
 		}
 		if same {
-			if !w.closed {
-				for k := range wins {
-					w.delta[k] = w.pending[k] - wins[k].pending
-				}
-				w.closed = true
+			for k := range wins {
+				w.delta[k] = w.pending[k] - wins[k].pending
 			}
+			w.valid = false
 			return true
 		}
 	}
 	for k := range wins {
 		w.cursor[k], w.level[k], w.pending[k], w.last[k] = wins[k].cursor, wins[k].level, wins[k].pending, -1
 	}
-	w.n, w.valid, w.closed = 0, true, false
+	w.n, w.valid = 0, true
 	return false
 }
 
@@ -107,7 +107,7 @@ func (w *waveLog) retired(e *waveEvent, k int) {
 // record logs one event of the current wave; a wave that outgrows the log
 // is dropped.
 func (w *waveLog) record(e waveEvent) {
-	if !w.valid || w.closed {
+	if !w.valid {
 		return
 	}
 	if w.n == waveLogCap {
@@ -124,9 +124,12 @@ func (w *waveLog) record(e waveEvent) {
 // only if each of its dispatches ends, as the logged ones did, with
 // place() finding every SM full; that holds while every launch that
 // dispatched delta CTAs in the wave still has more than delta pending
-// after it (a dispatch stopped by pending reaching zero skips place()'s
-// final failing call, which moves the round-robin cursor). The state after
-// the replay is the one the dispatch left.
+// after it. (With exactly delta left the last dispatch would stop at zero
+// pending and skip place()'s final failing call, which moves the
+// round-robin cursor. No later dispatch reads that cursor, so results
+// would not change, but the strict bound keeps the state after a replay
+// the event loop's own.) The state after the replay is the one the
+// dispatch left.
 func (w *waveLog) replay(acc *integrals, out []Result, wins []smWindow) {
 	n := math.MaxInt
 	for k, delta := range w.delta {
