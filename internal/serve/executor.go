@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"pcnn/internal/analytic"
 	"pcnn/internal/compile"
@@ -156,12 +155,9 @@ type PlanExecutor struct {
 	limit  int // memory batch ceiling, probed at construction
 	maxFit int // the largest batch device memory holds (analytic.MaxFitBatch)
 
-	mu    sync.Mutex
-	plans map[int]*compile.Plan // every plan compiled so far, by batch
-
-	compiles par.OnceMap[int, *compile.Plan]
-	sims     par.OnceMap[levelBatch, simulated]
-	preds    par.OnceMap[levelBatch, float64]
+	plans par.OnceMap[int, *compile.Plan] // exact plans by batch
+	sims  par.OnceMap[levelBatch, simulated]
+	preds par.OnceMap[levelBatch, float64]
 
 	// opts[level] is the operating point a batch runs the scaled network
 	// at: the tuning-table row's resolved masks on the package-default
@@ -192,8 +188,8 @@ func NewPlanExecutor(plan *compile.Plan, path []compile.TuningPoint, scaled *nn.
 		path:   path,
 		scaled: scaled,
 		maxFit: analytic.MaxFitBatch(plan.Net, plan.Device()),
-		plans:  map[int]*compile.Plan{plan.Batch: plan},
 	}
+	e.plans.Get(plan.Batch, func() (*compile.Plan, error) { return plan, nil })
 	if scaled != nil {
 		e.opts = table.ForwardOpts(scaled)
 	}
@@ -260,15 +256,17 @@ func (e *PlanExecutor) fitted(batch int) int { return max(1, min(batch, e.maxFit
 // would depend on which caller asked first.
 func (e *PlanExecutor) probeLimit() {
 	e.limit = e.fitted(planLimitProbe)
-	if e.limit == e.plan.Batch {
-		return
-	}
-	p, err := compileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, e.limit)
-	if err != nil {
+	if _, err := e.compile(e.limit); err != nil {
 		e.limit = e.plan.Batch // pessimistic: at least the deployed plan fits
-		return
 	}
-	e.plans[p.Batch] = p
+}
+
+// compile returns the plan compiled at batch, which must fit device
+// memory, compiling it on first use.
+func (e *PlanExecutor) compile(batch int) (*compile.Plan, error) {
+	return e.plans.Get(batch, func() (*compile.Plan, error) {
+		return compileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, batch)
+	})
 }
 
 // anchorFor maps a batch onto its power-of-two anchor: the geometrically
@@ -293,37 +291,17 @@ func anchorFor(batch int) int {
 }
 
 // planNear returns the nearest exactly-compiled plan for a batch: the
-// batch's own plan when one has been compiled, otherwise its power-of-two
-// anchor, compiled once and shared by every nearby batch size. When
-// device memory cannot hold the anchor, the compiler's largest fitting
-// batch — the memory ceiling, whose plan is held from construction —
-// becomes the anchor: callers interpolate from it instead of silently
-// executing a shrunken plan.
+// deployed plan and the memory ceiling's answer their own batches, any
+// other batch its power-of-two anchor, compiled once and shared by every
+// nearby batch size. When device memory cannot hold the anchor, the
+// compiler's largest fitting batch becomes the anchor: callers
+// interpolate from it instead of silently executing a shrunken plan.
 func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
 	batch = max(batch, 1)
-	e.mu.Lock()
-	p, ok := e.plans[batch]
-	e.mu.Unlock()
-	if ok {
-		return p, nil
+	if batch != e.plan.Batch && batch != e.limit {
+		batch = e.fitted(anchorFor(batch))
 	}
-	anchor := e.fitted(anchorFor(batch))
-	return e.compiles.Get(anchor, func() (*compile.Plan, error) {
-		e.mu.Lock()
-		p, ok := e.plans[anchor]
-		e.mu.Unlock()
-		if ok {
-			return p, nil
-		}
-		p, err := compileAtBatch(e.plan.Net, e.plan.Device(), e.plan.Task, anchor)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plans[anchor] = p
-		e.mu.Unlock()
-		return p, nil
-	})
+	return e.compile(batch)
 }
 
 // predictExact sums a plan's tuned per-layer predictions at its own
