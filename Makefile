@@ -58,8 +58,8 @@ race:
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
 		./internal/fleet/e2e/ ./internal/simdrive/ ./internal/runtimemgr/ ./internal/par/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
-		./internal/runtimemgr/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial'
+		./internal/runtimemgr/ ./internal/tensor/ \
+		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
 
@@ -71,8 +71,10 @@ race:
 e2e:
 	$(GO) test -short -count=1 ./internal/fleet/e2e/
 
-# bench reproduces the numbers recorded in BENCH_gemm.json, then times one
-# cold pass over the simulated side (scenario matrix + fleet soak +
+# bench reproduces the numbers recorded in BENCH_gemm.json and times one
+# sweep of the five full-size AlexNet convolutions at batch 1 on the
+# default engine (BenchmarkConvSweepAlexNet, the conv_fullshape op), then
+# one cold pass over the simulated side (scenario matrix + fleet soak +
 # six-scheduler evaluation — the repository benchmark's sim_regen op), its
 # two inner loops (the largest launch it simulates, AlexNet CONV1 at batch
 # 256 on TX1, beside a many-wave TitanX launch; and kernel selection over
@@ -81,7 +83,7 @@ e2e:
 # attached table (serve_forward's inner call; host time should fall with
 # the level).
 bench:
-	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col' -benchmem ./internal/tensor/ ./internal/nn/
+	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col|ConvSweepAlexNet' -benchmem ./internal/tensor/ ./internal/nn/
 	$(GO) test -run='^$$' -bench='SimRegenPass' -benchtime=10x .
 	$(GO) test -run='^$$' -bench='SimulateFullGrid|ManyWaves' -benchmem ./internal/gpu/
 	$(GO) test -run='^$$' -bench='Select$$' -benchmem ./internal/kernels/

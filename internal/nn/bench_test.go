@@ -22,6 +22,30 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConvSweepAlexNet runs the five full-size AlexNet convolutions
+// in order at batch 1 on the default engine (ungrouped, as nn.Conv runs
+// them). One op is one sweep: the repository benchmark's conv_fullshape
+// op without its harness.
+func BenchmarkConvSweepAlexNet(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	var convs []*Conv
+	var inputs []*tensor.Tensor
+	for _, cs := range AlexNetShape().ConvLayers() {
+		convs = append(convs, NewConv(cs.Name, cs.Nc, cs.Hi, cs.Wi, cs.Nf, cs.Sf, cs.Stride, cs.Pad, rng))
+		x := tensor.New(1, cs.Nc, cs.Hi, cs.Wi)
+		for i := range x.Data {
+			x.Data[i] = rng.Float32()*2 - 1
+		}
+		inputs = append(inputs, x)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, conv := range convs {
+			conv.Forward(inputs[j], false)
+		}
+	}
+}
+
 // BenchmarkConv1x1Forward measures the pointwise-convolution fast path
 // (GoogLeNet-style reduction layer) against the generic im2col lowering
 // of the same geometry.

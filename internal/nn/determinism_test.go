@@ -8,8 +8,8 @@ import (
 )
 
 // Worker-count invariance: the blocked kernels compute every C tile with
-// the same micro-kernel calls in the same order however the work items are
-// sharded, so every quantity the experiments report — training loss
+// the same micro-kernel calls in the same order however the NR panels are
+// striped, so every quantity the experiments report — training loss
 // trajectories, predictions, accuracies — must be bit-for-bit identical
 // whether a GEMM runs on one goroutine or across a pool. This is what keeps
 // `cmd/experiments` summaries identical across hosts with different core

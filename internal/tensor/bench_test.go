@@ -53,9 +53,9 @@ func BenchmarkGEMMBlocked(b *testing.B) {
 }
 
 // BenchmarkGEMMBlockedParallel runs the blocked backend with the shared
-// worker pool, so its jc/ic macro-loops shard (MC block × NR panel group)
-// work items across every core; compare against BenchmarkGEMMBlocked for
-// the macro-loop sharding speedup (recorded in BENCH_gemm.json).
+// worker pool, so its NR panels split into one stripe per core; compare
+// against BenchmarkGEMMBlocked for the sharding speedup (recorded in
+// BENCH_gemm.json).
 func BenchmarkGEMMBlockedParallel(b *testing.B) {
 	eng := NewEngine(Blocked, 0)
 	b.Run(fmt.Sprintf("tile=%s/workers=%d", DefaultTile, eng.Workers()), func(b *testing.B) {

@@ -9,26 +9,30 @@ import (
 // counterpart of the tiled SGEMM the paper lowers every layer to.
 // A is packed into MC×KC row blocks laid out as MR-row panels, B into
 // KC-deep panels of NR columns, and an MR×NR register-accumulating
-// micro-kernel sweeps the packed panels. The loop nest is
+// micro-kernel sweeps the packed panels. The NR panels of B are split
+// into contiguous stripes — one per worker when the GEMM is sharded, a
+// single stripe when it is not — and each stripe runs the whole loop nest
+// on its own:
 //
 //	for pc over K in KC steps:          (sequential — fixes accumulation order)
-//	    pack B[pc:pc+KC, :] into NR panels   (panels sharded across the pool)
-//	    for (ic, jc) work items:        (sharded across the worker pool)
-//	        pack A[ic:ic+MC, pc:pc+KC] into MR panels (per-worker buffer)
-//	        for jr over the item's NR panels:
+//	    pack the stripe's panels of B[pc:pc+KC, :]
+//	    for ic over M in MC steps:
+//	        pack A[ic:ic+MC, pc:pc+KC] into MR panels (per-stripe buffer)
+//	        for jr over the stripe's NR panels:
 //	            for ir over MC in MR steps:
 //	                C[ic+ir.., jr..] ?= micro-kernel(Ap, Bp)
 //
-// The parallel work unit is a flattened (MC block × NR panel group) item,
-// not just an MC block: conv-lowered GEMMs have small M (the filter
-// count) and huge N (the output plane), so sharding the jc dimension is
-// what actually spreads them across cores. Because the K loop is
-// outermost and runs sequentially (a pool barrier per KC step), every
-// output micro-tile receives its KC-panel contributions in ascending pc
-// order — and each C tile is computed by exactly one micro-kernel call
-// per KC step whatever the item grouping — which is what makes
-// blocked-serial and blocked-parallel bit-for-bit identical regardless of
-// worker count.
+// The stripe is a range of NR panels, not of MC blocks: conv-lowered
+// GEMMs have small M (the filter count) and huge N (the output plane), so
+// sharding the jc dimension is what actually spreads them across cores.
+// Stripes share nothing they write — each owns its panels' C columns and
+// its panels' region of the packed-B slab (see slabPanel) — so a
+// sharded GEMM is one fork/join with no barrier inside the K loop, and
+// every stripe walks its K steps at its own pace. Every output
+// micro-tile still receives one micro-kernel call per KC step, in
+// ascending pc, on the same packed bytes whatever the stripe bounds,
+// which is what makes blocked-serial and blocked-parallel bit-for-bit
+// identical regardless of worker count.
 // Relative to the naive kernel the accumulation *tree* differs (per-panel
 // register sums are added to C once per KC step), so naive-vs-blocked
 // agreement is tolerance-based, not exact.
@@ -113,53 +117,83 @@ func getPanel(pool *sync.Pool, n int) *panelBuf {
 // packA packs the mc×kc block of A starting at (ic, pc) into MR-row
 // panels: dst[panel][kk*mr+i] = A[ic+panel*mr+i][pc+kk], zero-padding
 // rows past mc so edge micro-tiles can run the full-width kernel.
-// aTrans selects the K×M storage layout of the TransA variant.
+// aTrans selects the K×M storage layout of the TransA variant. A full
+// eight-row panel of row-major A goes through packA8; partial panels and
+// the transposed layout take the scalar loops, which write the same bytes.
 func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 	for ir := 0; ir < mc; ir += mr {
-		rows := mr
-		if mc-ir < rows {
-			rows = mc - ir
-		}
+		rows := min(mr, mc-ir)
 		panel := dst[(ir/mr)*kc*mr : (ir/mr+1)*kc*mr]
-		if aTrans {
+		switch {
+		case aTrans:
 			// A stored K×M: row kk of the block is contiguous in memory.
 			for kk := 0; kk < kc; kk++ {
 				drow := panel[kk*mr : kk*mr+mr]
 				copy(drow, a[(pc+kk)*lda+ic+ir:][:rows])
-				for i := rows; i < mr; i++ {
-					drow[i] = 0
-				}
+				clear(drow[rows:])
 			}
-		} else {
-			for i := 0; i < rows; i++ {
-				src := a[(ic+ir+i)*lda+pc:][:kc]
-				for kk, v := range src {
-					panel[kk*mr+i] = v
-				}
-			}
-			for i := rows; i < mr; i++ {
-				for kk := 0; kk < kc; kk++ {
-					panel[kk*mr+i] = 0
-				}
-			}
+		case rows == 8 && mr == 8:
+			packA8(panel, a[(ic+ir)*lda+pc:], lda, kc)
+		default:
+			packARows(panel, a[(ic+ir)*lda+pc:], lda, kc, rows, mr)
 		}
 	}
 }
 
+// packARows is packA's scalar loop for one panel of row-major A (a starts
+// at the panel's first element): each of the first rows rows scatters
+// into every mr-th value of the panel, and the rows past it are zeroed.
+func packARows(panel, a []float32, lda, kc, rows, mr int) {
+	for i := 0; i < rows; i++ {
+		for kk, v := range a[i*lda:][:kc] {
+			panel[kk*mr+i] = v
+		}
+	}
+	for i := rows; i < mr; i++ {
+		for kk := 0; kk < kc; kk++ {
+			panel[kk*mr+i] = 0
+		}
+	}
+}
+
+// packA8 packs one full eight-row panel of row-major A (a starts at the
+// panel's first element): the eight row slices are taken once, then each
+// kk's eight values are written as one contiguous group — the shape of
+// packGather8, and the bytes of packARows.
+func packA8(panel, a []float32, lda, kc int) {
+	r0, r1, r2, r3 := a[:kc], a[lda:][:kc], a[2*lda:][:kc], a[3*lda:][:kc]
+	r4, r5, r6, r7 := a[4*lda:][:kc], a[5*lda:][:kc], a[6*lda:][:kc], a[7*lda:][:kc]
+	for kk := range r0 {
+		d := (*[8]float32)(panel[kk*8:])
+		d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+		d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+	}
+}
+
+// slabPanel is NR panel p of a packed-B slab at a K step of depth kc.
+// Panels sit at a fixed stride of slabKC·nr floats, slabKC being the
+// deepest step (min(KC, K)), so a stripe of panels [plo, phi) owns floats
+// [plo·slabKC·nr, phi·slabKC·nr) at every K step. Stripes reach the short
+// last step at different times; an offset taken at that step's depth
+// would move a stripe's panels into its neighbour's region while the
+// neighbour still reads it (TestStripeSlabRegionsDisjoint).
+func slabPanel(bp []float32, p, kc, slabKC, nr int) []float32 {
+	off := p * slabKC * nr
+	return bp[off : off+kc*nr]
+}
+
 // packBRange packs NR-column panels [plo, phi) of the kc×n slab of B
-// starting at row pc: dst[panel][kk*nr+j] = B[pc+kk][panel*nr+j],
-// zero-padding columns past n. bTrans selects the N×K storage layout of
-// the TransB variant. A panel range is the unit the parallel path shards
-// across the pool (panel writes are disjoint, and the packed bytes are a
-// pure function of B, so sharding cannot change them).
-func packBRange(dst, b []float32, ldb, pc, kc, n, nr int, bTrans bool, plo, phi int) {
+// starting at row pc: slabPanel(dst, p, kc, slabKC, nr) holds
+// [kk*nr+j] = B[pc+kk][p*nr+j], zero-padding columns past n. bTrans
+// selects the N×K storage layout of the TransB variant. A panel range is
+// the unit a stripe packs (panel writes are disjoint, and the packed
+// bytes are a pure function of B, so the stripe bounds cannot change
+// them).
+func packBRange(dst, b []float32, ldb, pc, kc, slabKC, n, nr int, bTrans bool, plo, phi int) {
 	for p := plo; p < phi; p++ {
 		jr := p * nr
-		cols := nr
-		if n-jr < cols {
-			cols = n - jr
-		}
-		panel := dst[p*kc*nr : (p+1)*kc*nr]
+		cols := min(nr, n-jr)
+		panel := slabPanel(dst, p, kc, slabKC, nr)
 		if bTrans {
 			// B stored N×K: column j of the slab is contiguous in memory.
 			for j := 0; j < cols; j++ {
@@ -170,118 +204,96 @@ func packBRange(dst, b []float32, ldb, pc, kc, n, nr int, bTrans bool, plo, phi 
 			}
 			if cols < nr {
 				for kk := 0; kk < kc; kk++ {
-					for j := cols; j < nr; j++ {
-						panel[kk*nr+j] = 0
-					}
+					clear(panel[kk*nr+cols : kk*nr+nr])
 				}
 			}
 		} else {
 			for kk := 0; kk < kc; kk++ {
 				drow := panel[kk*nr : kk*nr+nr]
 				copy(drow, b[(pc+kk)*ldb+jr:][:cols])
-				for j := cols; j < nr; j++ {
-					drow[j] = 0
-				}
+				clear(drow[cols:])
 			}
 		}
 	}
 }
 
-// blockedArgs carries one blocked GEMM through the K-panel loop so the
-// per-work-item worker body needs no closure captures beyond one pointer.
-// Headers are pooled (argsPool) because the parallel path binds a method
-// value to the pointer, which would otherwise heap-allocate the struct on
-// every GEMM — including serial ones.
+// blockedArgs carries one blocked GEMM to its stripes so the stripe body
+// needs no closure captures beyond one pointer. Headers are pooled
+// (argsPool) because the parallel path binds a method value to the
+// pointer, which would otherwise heap-allocate the struct on every GEMM —
+// including serial ones.
 type blockedArgs struct {
 	c, a, b, bp []float32
 	lda, ldb    int
 	ldc         int
-	m, n        int
-	pc, kc      int
-	first       bool
+	m, n, k     int
+	slabKC      int // depth of the packed-B slab: min(KC, k)
 	aTrans      bool
 	bTrans      bool
 	tile        TileConfig
 	kern        microKernel
 	apPerBlk    int        // packed-A floats needed per MC block
-	nGroups     int        // NR-panel groups per MC block (work-item minor axis)
-	groupCols   int        // C columns per panel group (multiple of NR)
 	fused       bool       // pack B straight from an image plane
 	geom        Im2colGeom // fused-path geometry (b holds the image)
 }
 
-// packPanels packs NR panels [lo, hi) of the current KC×N slab of B —
-// from the stored matrix, or straight from the image plane on the fused
-// im2col path. It is the unit the parallel path hands to parallelFor so
-// packing overlaps across workers before the compute sweep.
-func (g *blockedArgs) packPanels(lo, hi int) {
+// packPanels packs NR panels [lo, hi) of the kc-deep slab of B at row pc
+// — from the stored matrix, or straight from the image plane on the
+// fused im2col path.
+func (g *blockedArgs) packPanels(pc, kc, lo, hi int) {
 	if g.fused {
-		packBIm2col(g.bp, g.b, g.geom, g.pc, g.kc, g.tile.NR, lo, hi)
+		packBIm2col(g.bp, g.b, g.geom, pc, kc, g.slabKC, g.tile.NR, lo, hi)
 		return
 	}
-	packBRange(g.bp, g.b, g.ldb, g.pc, g.kc, g.n, g.tile.NR, g.bTrans, lo, hi)
+	packBRange(g.bp, g.b, g.ldb, pc, kc, g.slabKC, g.n, g.tile.NR, g.bTrans, lo, hi)
 }
 
-// runItems packs and multiplies flattened (MC block × NR panel group) work
-// items [lo, hi); item = block*nGroups + group. Each invocation owns one
-// pooled packed-A buffer (with the edge-tile staging area at its tail) and
-// packs a block's A panels lazily on first entering the block, so a chunk
-// spanning several blocks packs each once and parallel chunks that split a
-// block pay at most one redundant pack per chunk. The packed-B slab is
-// shared read-only.
-func (g *blockedArgs) runItems(lo, hi int) {
-	mc, mr, nr := g.tile.MC, g.tile.MR, g.tile.NR
+// runStripe runs the whole K loop for the stripe of NR panels [plo, phi):
+// at each KC step it packs its own panels of the B slab, then for each MC
+// block packs A into its pooled buffer (with the edge-tile staging area
+// at its tail) and sweeps the micro-kernel over its panels. It writes
+// only its panels' columns of C and their region of the slab, so stripes
+// never wait on one another.
+func (g *blockedArgs) runStripe(plo, phi int) {
+	t := g.tile
+	mr, nr := t.MR, t.NR
 	apb := getPanel(&packAPool, g.apPerBlk+maxMR*maxNR)
 	ap, stage := apb.data[:g.apPerBlk], apb.data[g.apPerBlk:]
-	lastBlk := -1
-	mcur := 0
-	for item := lo; item < hi; item++ {
-		blk := item / g.nGroups
-		ic := blk * mc
-		if blk != lastBlk {
-			mcur = mc
-			if g.m-ic < mcur {
-				mcur = g.m - ic
-			}
-			packA(ap, g.a, g.lda, ic, mcur, g.pc, g.kc, mr, g.aTrans)
-			lastBlk = blk
-		}
-		jlo := (item % g.nGroups) * g.groupCols
-		jhi := jlo + g.groupCols
-		if jhi > g.n {
-			jhi = g.n
-		}
-		for jr := jlo; jr < jhi; jr += nr {
-			ncur := nr
-			if g.n-jr < ncur {
-				ncur = g.n - jr
-			}
-			bpPanel := g.bp[(jr/nr)*g.kc*nr:]
-			for ir := 0; ir < mcur; ir += mr {
-				mrcur := mr
-				if mcur-ir < mrcur {
-					mrcur = mcur - ir
-				}
-				apPanel := ap[(ir/mr)*g.kc*mr:]
-				cOff := (ic+ir)*g.ldc + jr
-				if mrcur == mr && ncur == nr {
-					g.kern(g.kc, apPanel, bpPanel, g.c[cOff:], g.ldc, g.first)
-					continue
-				}
-				// Edge tile: the panels are zero-padded to full MR×NR groups,
-				// so the register kernel runs at full width into the staging
-				// tile and only the valid corner reaches C — the same
-				// accumulation tree as a full tile (sum a k-panel from zero,
-				// then one store/add into C), at the same speed.
-				g.kern(g.kc, apPanel, bpPanel, stage, nr, true)
-				for i := 0; i < mrcur; i++ {
-					crow, srow := g.c[cOff+i*g.ldc:][:ncur], stage[i*nr:][:ncur]
-					if g.first {
-						copy(crow, srow)
+	for pc := 0; pc < g.k; pc += t.KC {
+		kc := min(t.KC, g.k-pc)
+		first := pc == 0
+		g.packPanels(pc, kc, plo, phi)
+		for ic := 0; ic < g.m; ic += t.MC {
+			mcur := min(t.MC, g.m-ic)
+			packA(ap, g.a, g.lda, ic, mcur, pc, kc, mr, g.aTrans)
+			for p := plo; p < phi; p++ {
+				jr := p * nr
+				ncur := min(nr, g.n-jr)
+				bpPanel := slabPanel(g.bp, p, kc, g.slabKC, nr)
+				for ir := 0; ir < mcur; ir += mr {
+					mrcur := min(mr, mcur-ir)
+					apPanel := ap[(ir/mr)*kc*mr:]
+					cOff := (ic+ir)*g.ldc + jr
+					if mrcur == mr && ncur == nr {
+						g.kern(kc, apPanel, bpPanel, g.c[cOff:], g.ldc, first)
 						continue
 					}
-					for j, v := range srow {
-						crow[j] += v
+					// Edge tile: the panels are zero-padded to full MR×NR
+					// groups, so the register kernel runs at full width into
+					// the staging tile and only the valid corner reaches C —
+					// the same accumulation tree as a full tile (sum a
+					// k-panel from zero, then one store/add into C), at the
+					// same speed.
+					g.kern(kc, apPanel, bpPanel, stage, nr, true)
+					for i := 0; i < mrcur; i++ {
+						crow, srow := g.c[cOff+i*g.ldc:][:ncur], stage[i*nr:][:ncur]
+						if first {
+							copy(crow, srow)
+							continue
+						}
+						for j, v := range srow {
+							crow[j] += v
+						}
 					}
 				}
 			}
@@ -291,10 +303,11 @@ func (g *blockedArgs) runItems(lo, hi int) {
 }
 
 // blockedGEMM runs one cache-blocked GEMM. pool may be nil (serial);
-// parallel shards flattened (MC block × NR panel group) work items across
-// it with a barrier per KC step, which preserves the per-tile accumulation
-// order and hence bit-for-bit serial/parallel equivalence at any worker
-// count. Pack-B is sharded by panel over the same pool (disjoint writes).
+// parallel splits the NR panels into one contiguous stripe per worker
+// and runs the stripes as one parallelFor, each through the whole K loop
+// (see runStripe). Every C tile gets the same micro-kernel calls in the
+// same order either way, so results are bit-for-bit identical at any
+// worker count.
 func blockedGEMM(c, a, b []float32, m, n, k int, aTrans, bTrans bool, t TileConfig, pool *workerPool, parallel bool) {
 	blockedGEMMPack(c, a, b, m, n, k, aTrans, bTrans, false, Im2colGeom{}, t, pool, parallel)
 }
@@ -317,9 +330,7 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 		return
 	}
 	if k == 0 {
-		for i := range c[:m*n] {
-			c[i] = 0
-		}
+		clear(c[:m*n])
 		return
 	}
 	lda, ldb := k, n
@@ -329,74 +340,26 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	if bTrans {
 		ldb = k
 	}
-	kern := kernelFor(t.MR, t.NR)
-
-	kc0 := t.KC
-	if k < kc0 {
-		kc0 = k
-	}
-	mc0 := t.MC
-	if m < mc0 {
-		mc0 = m
-	}
+	slabKC := min(t.KC, k)
 	nPanelsB := (n + t.NR - 1) / t.NR
-	nPanelsA := (mc0 + t.MR - 1) / t.MR
-	nBlocks := (m + t.MC - 1) / t.MC
+	nPanelsA := (min(t.MC, m) + t.MR - 1) / t.MR
 
-	// Work-item grouping: conv-lowered shapes have few MC blocks (M = the
-	// filter count) but hundreds of NR panels, so the panel space is split
-	// into groups until the flattened item count gives every worker a few
-	// items to balance on. The grouping affects scheduling only — each C
-	// tile is computed by exactly one micro-kernel call per KC step either
-	// way — so results are independent of the worker count.
-	nGroups, groupPanels := 1, nPanelsB
-	if parallel && pool != nil {
-		if w := pool.workers(); w > 1 {
-			want := (4*w + nBlocks - 1) / nBlocks // groups so items ≥ 4·workers
-			if want > nPanelsB {
-				want = nPanelsB
-			}
-			if want > 1 {
-				groupPanels = (nPanelsB + want - 1) / want
-				nGroups = (nPanelsB + groupPanels - 1) / groupPanels
-			}
-		}
-	}
-	nItems := nBlocks * nGroups
-
-	bpb := getPanel(&packBPool, kc0*nPanelsB*t.NR)
+	bpb := getPanel(&packBPool, nPanelsB*slabKC*t.NR)
 	g, _ := argsPool.Get().(*blockedArgs)
 	if g == nil {
 		g = &blockedArgs{}
 	}
 	*g = blockedArgs{
 		c: c, a: a, b: b, bp: bpb.data,
-		lda: lda, ldb: ldb, ldc: n, m: m, n: n,
-		aTrans: aTrans, bTrans: bTrans, tile: t, kern: kern,
-		apPerBlk:  kc0 * nPanelsA * t.MR,
-		nGroups:   nGroups,
-		groupCols: groupPanels * t.NR,
-		fused:     fused, geom: geom,
+		lda: lda, ldb: ldb, ldc: n, m: m, n: n, k: k, slabKC: slabKC,
+		aTrans: aTrans, bTrans: bTrans, tile: t, kern: kernelFor(t.MR, t.NR),
+		apPerBlk: slabKC * nPanelsA * t.MR,
+		fused:    fused, geom: geom,
 	}
-	var itemsFn, packFn func(lo, hi int)
-	if parallel && pool != nil && nItems > 1 {
-		itemsFn = g.runItems // one binding for the whole K loop
-		packFn = g.packPanels
-	}
-	for pc := 0; pc < k; pc += t.KC {
-		g.pc = pc
-		g.kc = t.KC
-		if k-pc < g.kc {
-			g.kc = k - pc
-		}
-		g.first = pc == 0
-		if itemsFn != nil {
-			pool.parallelFor(nPanelsB, packFn)
-			pool.parallelFor(nItems, itemsFn)
-		} else {
-			g.packPanels(0, nPanelsB)
-			g.runItems(0, nItems)
-		}
+	if parallel && pool != nil && nPanelsB > 1 {
+		pool.parallelFor(nPanelsB, g.runStripe) // parallelFor's chunks are the stripes
+	} else {
+		g.runStripe(0, nPanelsB)
 	}
 	*g = blockedArgs{} // drop the operand references before pooling
 	argsPool.Put(g)

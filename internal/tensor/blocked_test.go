@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -157,33 +159,225 @@ func TestBlockedRandomShapes(t *testing.T) {
 	}
 }
 
-// TestBlockedParallelWorkerCountInvariance pins the (MC block × NR panel
-// group) sharding contract: the result must be bit-for-bit identical at
-// every worker count — including the conv-lowered regime where M fits in
-// one MC block and all parallelism comes from the panel-group axis, and
-// the M == 1 case where only the N dimension can shard at all.
+// TestBlockedParallelWorkerCountInvariance pins the striped sharding
+// contract: the result must be bit-for-bit identical at every worker
+// count — including the conv-lowered regime where M fits in one MC block
+// and all parallelism comes from the panel stripes, the M == 1 case where
+// only the N dimension can shard at all, and, at the production tile,
+// GEMMs with a short last K step (K = 2·KC + 3) whose panel count no
+// worker count divides, so stripes of unequal length reach that step at
+// different times while their neighbours still read the slab.
 func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
-	shapes := [][3]int{
-		{8, 40, 123}, // one MC block: panel groups are the only shard axis
-		{23, 17, 61}, // several partial blocks × partial panels
-		{1, 50, 90},  // M == 1: N-only parallelism
+	nr := DefaultTile.NR
+	shapes := []struct {
+		m, k, n int
+		tile    TileConfig
+	}{
+		{8, 40, 123, testTile}, // one MC block: panel stripes are the only shard axis
+		{23, 17, 61, testTile}, // several partial blocks × partial panels
+		{1, 50, 90, testTile},  // M == 1: N-only parallelism
+		// 13 panels (prime): no worker count below divides them.
+		{DefaultTile.MC + 9, 2*DefaultTile.KC + 3, 12*nr + 3, DefaultTile},
+		{DefaultTile.MR + 3, 2*DefaultTile.KC + 3, 12*nr + 1, DefaultTile},
 	}
+	workers := []int{2, 3, 4, 7}
 	for si, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
 		rng := rand.New(rand.NewSource(int64(900 + si)))
-		a, b := randTensor(rng, m, k), randTensor(rng, k, n)
-		ref := New(m, n)
-		runBlocked(1, testTile, ref, a, b, m, n, k, false, false)
-		for _, w := range []int{2, 3, 4, 7} {
-			got := New(m, n)
+		a, b := randTensor(rng, s.m, s.k), randTensor(rng, s.k, s.n)
+		ref := New(s.m, s.n)
+		runBlocked(1, s.tile, ref, a, b, s.m, s.n, s.k, false, false)
+		for _, w := range workers {
+			got := New(s.m, s.n)
 			for i := range got.Data {
 				got.Data[i] = -1
 			}
-			runBlocked(w, testTile, got, a, b, m, n, k, false, false)
+			runBlocked(w, s.tile, got, a, b, s.m, s.n, s.k, false, false)
 			if !bitIdentical(got, ref) {
-				t.Fatalf("%dx%dx%d: %d-worker blocked GEMM diverges bit-for-bit from serial", m, k, n, w)
+				t.Fatalf("%dx%dx%d tile %v: %d-worker blocked GEMM diverges bit-for-bit from serial",
+					s.m, s.k, s.n, s.tile, w)
 			}
 		}
+	}
+
+	// The fused im2col packer at the production tile with K = 30·3·3 =
+	// 270 > KC: two K steps, the second short, over a batch of two padded
+	// 10×10 images (200 columns, 25 panels at NR = 8).
+	g := Im2colGeom{N: 2, C: 30, H: 10, W: 10, K: 3, Stride: 1, Pad: 1, HO: 10, WO: 10}
+	if g.Rows() <= DefaultTile.KC {
+		t.Fatalf("geometry K = %d does not exceed KC = %d", g.Rows(), DefaultTile.KC)
+	}
+	rng := rand.New(rand.NewSource(950))
+	m := 20
+	a := randTensor(rng, m, g.Rows())
+	x := randTensor(rng, g.Images(), g.C, g.H, g.W)
+	ref := New(m, g.Cols())
+	blockedGEMMIm2col(ref.Data, a.Data, x.Data, m, g, DefaultTile, nil, false)
+	for _, w := range workers {
+		got := New(m, g.Cols())
+		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, DefaultTile, newWorkerPool(w), true)
+		if !bitIdentical(got, ref) {
+			t.Fatalf("fused geom %+v m=%d: %d-worker GEMM diverges bit-for-bit from serial", g, m, w)
+		}
+	}
+}
+
+// TestStripeSlabRegionsDisjoint is the packed-B layout guard, in pure
+// offset arithmetic over random shapes, tiles and worker counts. Stripes
+// (parallelFor's chunks of the NR panels, see chunkLen) run their K steps
+// at their own pace, so the slab floats one stripe writes at any K step —
+// the short last one included — must be disjoint from those every other
+// stripe writes at any step, panels of one step must not overlap, and all
+// of them must lie in the slab blockedGEMMPack allocates.
+func TestStripeSlabRegionsDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 3000; trial++ {
+		nr := []int{4, 8}[rng.Intn(2)]
+		kcTile := 1 + rng.Intn(300)
+		n := 1 + rng.Intn(300)
+		k := 1 + rng.Intn(4*kcTile)
+		w := 1 + rng.Intn(9)
+		if trial%3 == 0 {
+			k = 2*kcTile + 1 + rng.Intn(kcTile) // always a short last step
+		}
+		slabKC := min(kcTile, k)
+		nPanels := (n + nr - 1) / nr
+		slab := make([]float32, nPanels*slabKC*nr)
+		// span is the slab range slabPanel hands panel p at depth kc.
+		span := func(p, kc int) (lo, hi int) {
+			sub := slabPanel(slab, p, kc, slabKC, nr)
+			lo = cap(slab) - cap(sub)
+			return lo, lo + len(sub)
+		}
+		var depths []int
+		for pc := 0; pc < k; pc += kcTile {
+			depths = append(depths, min(kcTile, k-pc))
+		}
+		size := chunkLen(nPanels, w)
+		what := func() string {
+			return fmt.Sprintf("n=%d k=%d KC=%d NR=%d workers=%d", n, k, kcTile, nr, w)
+		}
+		// prevHi is the highest float any earlier stripe writes at any step.
+		prevHi := 0
+		for plo := 0; plo < nPanels; plo += size {
+			phi := min(plo+size, nPanels)
+			stripeHi := 0
+			for _, kc := range depths {
+				for p := plo; p < phi; p++ {
+					lo, hi := span(p, kc)
+					if lo < prevHi {
+						t.Fatalf("%s: panel %d at depth %d starts at %d, inside an earlier stripe's writes (to %d)",
+							what(), p, kc, lo, prevHi)
+					}
+					if p+1 < phi {
+						if next, _ := span(p+1, kc); next < hi {
+							t.Fatalf("%s: panels %d and %d overlap at depth %d", what(), p, p+1, kc)
+						}
+					}
+					stripeHi = max(stripeHi, hi)
+				}
+			}
+			prevHi = stripeHi
+		}
+	}
+}
+
+// TestPackAMatchesReference holds packA — the eight-row path for full
+// panels of row-major A, the scalar loops for partial panels and the
+// transposed layout — to the definition dst[panel][kk*mr+i] =
+// A[ic+panel*mr+i][pc+kk] byte for byte, and the eight-row path to the
+// scalar loop on the same panel. The source values include negative zero
+// and a NaN payload, so a path that rounds or canonicalizes differs.
+func TestPackAMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const mr = 8
+	nan := math.Float32frombits(0x7fc01234)
+	bits := func(v []float32) []uint32 {
+		out := make([]uint32, len(v))
+		for i, f := range v {
+			out[i] = math.Float32bits(f)
+		}
+		return out
+	}
+	for trial := 0; trial < 400; trial++ {
+		aTrans := trial%2 == 1
+		rows := 1 + trial%8          // rows of the last panel: 1–8
+		mc := mr*(trial/16%3) + rows // 0–2 full panels, then the partial one
+		kc := 1 + rng.Intn(37)
+		ic, pc := rng.Intn(5), rng.Intn(5) // odd offsets into A
+		m, k := ic+mc+rng.Intn(3), pc+kc+rng.Intn(3)
+		lda := k
+		if aTrans {
+			lda = m
+		}
+		lda += rng.Intn(3) // odd leading dimensions
+		a := make([]float32, lda*max(m, k))
+		for i := range a {
+			a[i] = rng.Float32()*2 - 1
+		}
+		a[rng.Intn(len(a))] = float32(math.Copysign(0, -1))
+		a[rng.Intn(len(a))] = nan
+		at := func(i, kk int) float32 { // A[i][kk] in either layout
+			if aTrans {
+				return a[kk*lda+i]
+			}
+			return a[i*lda+kk]
+		}
+		nPanels := (mc + mr - 1) / mr
+		want := make([]float32, nPanels*kc*mr)
+		for panel := 0; panel < nPanels; panel++ {
+			for kk := 0; kk < kc; kk++ {
+				for i := 0; i < mr; i++ {
+					if r := panel*mr + i; r < mc {
+						want[panel*kc*mr+kk*mr+i] = at(ic+r, pc+kk)
+					}
+				}
+			}
+		}
+		got := make([]float32, len(want))
+		for i := range got {
+			got[i] = -7 // every float must be written
+		}
+		packA(got, a, lda, ic, mc, pc, kc, mr, aTrans)
+		if !slices.Equal(bits(got), bits(want)) {
+			t.Fatalf("trial %d (mc=%d kc=%d ic=%d pc=%d lda=%d aTrans=%v): packA differs from the definition",
+				trial, mc, kc, ic, pc, lda, aTrans)
+		}
+		if aTrans || mc < mr {
+			continue
+		}
+		scalar, eight := make([]float32, kc*mr), make([]float32, kc*mr)
+		packARows(scalar, a[ic*lda+pc:], lda, kc, mr, mr)
+		packA8(eight, a[ic*lda+pc:], lda, kc)
+		if !slices.Equal(bits(eight), bits(scalar)) {
+			t.Fatalf("trial %d (kc=%d ic=%d pc=%d lda=%d): packA8 differs from the scalar loop", trial, kc, ic, pc, lda)
+		}
+	}
+}
+
+// TestShardedGEMMAllocsIndependentOfK pins the striped path's allocation
+// cost: a sharded GEMM is one fork/join whatever its depth, so it
+// allocates the same at K = KC and K = 8·KC — the stripe method value
+// and parallelFor's wait group, no more — with the packing buffers
+// pooled.
+func TestShardedGEMMAllocsIndependentOfK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	pool := newWorkerPool(2)
+	tile := DefaultTile
+	m, n := 40, 20*tile.NR+5
+	allocs := make(map[int]float64)
+	for _, k := range []int{tile.KC, 8 * tile.KC} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		a, b, c := randTensor(rng, m, k), randTensor(rng, k, n), New(m, n)
+		run := func() { blockedGEMM(c.Data, a.Data, b.Data, m, n, k, false, false, tile, pool, true) }
+		run() // warm the panel pools
+		allocs[k] = testing.AllocsPerRun(20, run)
+	}
+	lo, hi := allocs[tile.KC], allocs[8*tile.KC]
+	t.Logf("allocs/op: %.1f at K = KC, %.1f at K = 8·KC", lo, hi)
+	if lo != hi || hi > 2 {
+		t.Fatalf("sharded GEMM allocates %.1f objects/op at K = KC and %.1f at K = 8·KC, want equal and ≤ 2", lo, hi)
 	}
 }
 
@@ -210,7 +404,7 @@ func TestBlockedFullyOverwritesOutput(t *testing.T) {
 // TestBlockedZeroAlloc is the packed-panel pool guard: after warm-up, a
 // serial blocked GEMM (all three variants) must allocate nothing — the
 // panels come from the pooled *panelBuf free list and the micro-tile
-// staging buffer lives on the stack.
+// staging buffer lives in the pooled packed-A buffer's tail.
 func TestBlockedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")

@@ -104,9 +104,10 @@ func padImages(x []float32, g Im2colGeom) ([]float32, Im2colGeom) {
 
 // packBIm2col packs NR-column panels [plo, phi) of rows [pc, pc+kc) of
 // the implicit column matrix straight from the images x — the fused
-// twin of packBRange. Layout and zero-padding match packBRange exactly,
-// so downstream micro-kernels cannot tell the two apart. Columns run on
-// across image boundaries, so a panel may straddle two images. g must be
+// twin of packBRange. Layout (panel p is slabPanel(dst, p, kc, slabKC,
+// nr)) and zero-padding match packBRange exactly, so downstream
+// micro-kernels cannot tell the two apart. Columns run on across image
+// boundaries, so a panel may straddle two images. g must be
 // unpadded (see padImages): a packed value is then x[base+rowoff], base
 // the input offset of its column's window origin and rowoff that of its
 // row's filter tap. The walk is panel-major — one rowoff table per slab,
@@ -115,7 +116,7 @@ func padImages(x []float32, g Im2colGeom) ([]float32, Im2colGeom) {
 // copied run. A panel made of 4-float input runs (half an output row, or
 // a whole one on the 4-wide deep layers) moves run by run; a strided or
 // perforated layer, or a panel straddling rows, gathers column by column.
-func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, nr, plo, phi int) {
+func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, slabKC, nr, plo, phi int) {
 	var tab [512]int // DefaultTile.KC and its planned doubling fit
 	rowoff := tab[:]
 	if kc > len(tab) {
@@ -158,7 +159,7 @@ func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, nr, plo, phi int) {
 				}
 			}
 		}
-		panel := dst[p*kc*nr:][:kc*nr]
+		panel := slabPanel(dst, p, kc, slabKC, nr)
 		switch {
 		case cols == nr && runsOf4(base[:nr]):
 			for h := 0; h < nr; h += 4 {

@@ -328,9 +328,9 @@ func FuzzSampledPackVsTwoStep(f *testing.F) {
 			for i := range got {
 				want[i], got[i] = -7, -9 // every packed float must be written
 			}
-			packBRange(want, cols, n, pc, kc, n, nr, false, 0, panels)
-			packBIm2col(got, xp, gp, pc, kc, nr, mid, panels)
-			packBIm2col(got, xp, gp, pc, kc, nr, 0, mid)
+			packBRange(want, cols, n, pc, kc, kc, n, nr, false, 0, panels)
+			packBIm2col(got, xp, gp, pc, kc, kc, nr, mid, panels)
+			packBIm2col(got, xp, gp, pc, kc, kc, nr, 0, mid)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("geom %+v slab [%d,+%d) nr %d split %d/%d: packed float %d = %g, two-step %g",

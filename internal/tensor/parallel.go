@@ -14,7 +14,7 @@ import (
 // strategy of a lowered SGEMM is itself a tunable dimension of the
 // per-layer kernel choice (Section IV.B) — here the tunable is
 // serial-vs-sharded on the host, selected by a FLOP threshold so that small
-// tuner probes never pay the pool's wake-up and barrier cost.
+// tuner probes never pay the pool's wake-up and fork/join cost.
 //
 // Sharding never changes a result: every C tile is computed by one
 // micro-kernel call per KC step whatever the worker count, so serial and
@@ -26,8 +26,8 @@ type Backend int32
 
 const (
 	// Blocked is the default: the cache-blocked packed-panel kernels
-	// (blocked.go), sharding (MC block × NR panel group) work items across
-	// the pool above the FLOP threshold — the routine the measurements
+	// (blocked.go), sharding stripes of NR panels across the pool above
+	// the FLOP threshold — the routine the measurements
 	// selected (BENCH_gemm.json) is the one that serves traffic.
 	Blocked Backend = iota
 	// Serial runs the naive row kernels on the calling goroutine. It is the
@@ -54,19 +54,22 @@ func GEMMFlops(m, n, k int) int64 {
 }
 
 // DefaultParallelThreshold is the default minimum FLOP count of one sharded
-// step. A blocked GEMM pays two pool barriers (pack B, then the work items)
-// per KC-deep slice, so the quantity thresholded is the slice's
-// 2·M·N·min(K, KC), not the whole GEMM's FLOPs — a deep, narrow product
-// (32×4096×1000) is many cheap slices, not one expensive GEMM. A barrier
+// step. The quantity thresholded is a KC-deep slice's 2·M·N·min(K, KC),
+// not the whole GEMM's FLOPs — a deep, narrow product (32×4096×1000) is
+// many cheap slices, not one expensive GEMM. The value was measured when a
+// sharded blocked GEMM still paid two pool barriers per slice; a barrier
 // that finds its worker parked costs a thread wake-up, which on a
 // virtualized host is an exit to the hypervisor — tens of microseconds or
-// more, twice per slice. Measured on the 2-vCPU reference host, median
-// unsharded → sharded by slice size: 4.2 MFLOP (128³) 112 → 165 µs;
-// 8.2 (32×1024×500) 1.9 → 2.1 ms; 16.4 (32×4096×1000) 10.5 → 18.8 ms;
-// 22.2 (AlexNet conv5, 256×3456×169) 10.1 → 7.5 ms; 33.2 (conv3,
-// 384×2304×169) 9.2 → 6.6 ms; 65.5 (128×1024×1000) 6.6 → 4.2 ms. Sharding
-// loses through 16 MFLOP per slice and wins from 22, so the default sits
-// between them: 2²⁴ is M·N = 32768 at KC = 256, ≈0.35 ms unsharded.
+// more. Measured on the 2-vCPU reference host, median unsharded → sharded
+// by slice size: 4.2 MFLOP (128³) 112 → 165 µs; 8.2 (32×1024×500) 1.9 →
+// 2.1 ms; 16.4 (32×4096×1000) 10.5 → 18.8 ms; 22.2 (AlexNet conv5,
+// 256×3456×169) 10.1 → 7.5 ms; 33.2 (conv3, 384×2304×169) 9.2 → 6.6 ms;
+// 65.5 (128×1024×1000) 6.6 → 4.2 ms. Sharding lost through 16 MFLOP per
+// slice and won from 22, so the default sits between them: 2²⁴ is
+// M·N = 32768 at KC = 256, ≈0.35 ms unsharded. Sharded GEMMs now run as
+// stripes with one fork/join per GEMM (blocked.go), which moves the
+// break-even down; the value is kept unchanged so exactly the same GEMMs
+// shard, and re-deriving it needs a ≥ 4-core host (ROADMAP, Parked).
 const DefaultParallelThreshold = 1 << 24
 
 // poolTask is one index chunk queued on the worker pool.
@@ -116,10 +119,16 @@ func (p *workerPool) workers() int {
 	return p.size
 }
 
-// chunkSize is the length of parallelFor's chunks of [0, n): one chunk per
-// worker, never more chunks than n, and n itself when one chunk remains.
-func (p *workerPool) chunkSize(n int) int {
-	chunks := min(p.workers(), n)
+// chunkSize is the length of parallelFor's chunks of [0, n) on this pool
+// (see chunkLen).
+func (p *workerPool) chunkSize(n int) int { return chunkLen(n, p.workers()) }
+
+// chunkLen is the length of the chunks [0, n) splits into across workers:
+// one chunk per worker, never more chunks than n, and n itself when one
+// chunk remains. A sharded blocked GEMM's stripes are these chunks of its
+// NR panels.
+func chunkLen(n, workers int) int {
+	chunks := min(workers, n)
 	if chunks <= 1 {
 		return n
 	}
@@ -229,17 +238,20 @@ func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) {
 func (e *Engine) usesBlocked(m int) bool { return e.backend != Serial && m != 1 }
 
 // shouldParallel reports whether one sharded step of M×N×K multiply-adds —
-// a whole int8 GEMM, or one KC-deep slice of a blocked GEMM — is worth the
-// pool's barriers. The blocked shard unit is an (MC block × NR panel group)
-// work item rather than a row, so a GEMM can go wide even when M fits one
-// block (the N dimension shards).
+// a whole int8 GEMM, or one KC-deep slice of a blocked GEMM — clears the
+// threshold. The rule and DefaultParallelThreshold's value are unchanged
+// since the stripes replaced the per-slice barriers, so the same GEMMs
+// shard. The blocked shard unit is a stripe of NR panels rather than a
+// row, so a GEMM can go wide even when M fits one block (the N dimension
+// shards).
 func (e *Engine) shouldParallel(m, n, k int) bool {
 	return e.backend != Serial && m*n > 1 &&
 		GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
 }
 
-// blockedInto runs one blocked GEMM at the build's tile, sharding its
-// KC-deep slices across the pool when one slice clears the threshold.
+// blockedInto runs one blocked GEMM at the build's tile, sharding its NR
+// panels into stripes across the pool when one KC-deep slice clears the
+// threshold.
 func (e *Engine) blockedInto(c, a, b []float32, m, n, k int, aTrans, bTrans bool) {
 	parallel := e.shouldParallel(m, n, min(k, DefaultTile.KC))
 	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, DefaultTile, e.pool, parallel)
