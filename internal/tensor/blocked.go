@@ -130,7 +130,9 @@ func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 			for kk := 0; kk < kc; kk++ {
 				drow := panel[kk*mr : kk*mr+mr]
 				copy(drow, a[(pc+kk)*lda+ic+ir:][:rows])
-				clear(drow[rows:])
+				for i := rows; i < mr; i++ {
+					drow[i] = 0
+				}
 			}
 		case rows == 8 && mr == 8:
 			packA8(panel, a[(ic+ir)*lda+pc:], lda, kc)
@@ -192,7 +194,10 @@ func slabPanel(bp []float32, p, kc, slabKC, nr int) []float32 {
 func packBRange(dst, b []float32, ldb, pc, kc, slabKC, n, nr int, bTrans bool, plo, phi int) {
 	for p := plo; p < phi; p++ {
 		jr := p * nr
-		cols := min(nr, n-jr)
+		cols := nr
+		if n-jr < cols {
+			cols = n - jr
+		}
 		panel := slabPanel(dst, p, kc, slabKC, nr)
 		if bTrans {
 			// B stored N×K: column j of the slab is contiguous in memory.
@@ -204,14 +209,18 @@ func packBRange(dst, b []float32, ldb, pc, kc, slabKC, n, nr int, bTrans bool, p
 			}
 			if cols < nr {
 				for kk := 0; kk < kc; kk++ {
-					clear(panel[kk*nr+cols : kk*nr+nr])
+					for j := cols; j < nr; j++ {
+						panel[kk*nr+j] = 0
+					}
 				}
 			}
 		} else {
 			for kk := 0; kk < kc; kk++ {
 				drow := panel[kk*nr : kk*nr+nr]
 				copy(drow, b[(pc+kk)*ldb+jr:][:cols])
-				clear(drow[cols:])
+				for j := cols; j < nr; j++ {
+					drow[j] = 0
+				}
 			}
 		}
 	}
@@ -330,7 +339,9 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 		return
 	}
 	if k == 0 {
-		clear(c[:m*n])
+		for i := range c[:m*n] {
+			c[i] = 0
+		}
 		return
 	}
 	lda, ldb := k, n

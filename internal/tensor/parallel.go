@@ -27,8 +27,8 @@ type Backend int32
 const (
 	// Blocked is the default: the cache-blocked packed-panel kernels
 	// (blocked.go), sharding stripes of NR panels across the pool above
-	// the FLOP threshold — the routine the measurements
-	// selected (BENCH_gemm.json) is the one that serves traffic.
+	// the FLOP threshold — the routine the measurements selected
+	// (BENCH_gemm.json) is the one that serves traffic.
 	Blocked Backend = iota
 	// Serial runs the naive row kernels on the calling goroutine. It is the
 	// oracle the fuzz/equivalence tests and bench/ compare against, not a
