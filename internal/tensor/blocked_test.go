@@ -236,8 +236,8 @@ func TestStripeSlabRegionsDisjoint(t *testing.T) {
 		n := 1 + rng.Intn(300)
 		k := 1 + rng.Intn(4*kcTile)
 		w := 1 + rng.Intn(9)
-		if trial%3 == 0 {
-			k = 2*kcTile + 1 + rng.Intn(kcTile) // always a short last step
+		if trial%3 == 0 && kcTile > 1 {
+			k = 2*kcTile + 1 + rng.Intn(kcTile-1) // a short third step
 		}
 		slabKC := min(kcTile, k)
 		nPanels := (n + nr - 1) / nr
