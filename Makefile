@@ -59,7 +59,7 @@ race:
 		./internal/fleet/e2e/ ./internal/simdrive/ ./internal/runtimemgr/ ./internal/par/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
 		./internal/runtimemgr/ ./internal/tensor/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance'
+		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance|TestDefaultEngineFollowsGOMAXPROCS|TestShardingLeavesNoGoroutines|TestShardNested'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
 

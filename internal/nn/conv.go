@@ -259,7 +259,9 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 // one-sample-at-a-time loop adds them: the first chunk's samples come
 // first, so its shard adds each as soon as it is computed, and every later
 // shard keeps its partials for the caller to add, chunk by chunk, once all
-// shards are done. The result is bit-identical at any worker count.
+// shards are done. A shard's GEMMs run on the layer's engine like any
+// other, so one above the threshold splits its stripes again. The result
+// is bit-identical at any worker count.
 func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	if x == nil {
@@ -272,7 +274,6 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	fanIn := c.inC * c.k * c.k
 	eng := c.engine()
 	c.growShards(eng.Workers(), fanIn, planeOut)
-	inline := eng.Inline()
 	dx := tensor.New(n, c.inC, c.inH, c.inW)
 	wG, bG := c.weight.G.Data, c.bias.G.Data
 	nW := len(wG)
@@ -298,7 +299,7 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			sh.g.Data, sh.dW.Data = gi, pi[:nW]
 			// cols is (inC·k·k) × planeOut, so dW_i = g(outC×planeOut) · colsᵀ.
-			inline.MatMulTransBInto(sh.dW, sh.g, sh.cols)
+			eng.MatMulTransBInto(sh.dW, sh.g, sh.cols)
 			db := pi[nW:]
 			for f := range db {
 				var s float32
@@ -313,7 +314,7 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			// dcols = Wᵀ · g, into the column buffer dW_i is done reading.
 			sh.cols.Data = sh.buf
-			inline.MatMulTransAInto(sh.cols, c.weight.W, sh.g)
+			eng.MatMulTransAInto(sh.cols, c.weight.W, sh.g)
 			col2im(dx.Data[i*planeIn:][:planeIn], sh.buf, c.inC, c.inH, c.inW, c.k, c.stride, c.pad)
 		}
 		sh.g.Data, sh.dW.Data = nil, nil // hold neither this step's gradient nor pooled memory

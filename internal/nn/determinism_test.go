@@ -11,12 +11,12 @@ import (
 // the same micro-kernel calls in the same order however the NR panels are
 // striped, so every quantity the experiments report — training loss
 // trajectories, predictions, accuracies — must be bit-for-bit identical
-// whether a GEMM runs on one goroutine or across a pool. This is what keeps
+// whether a GEMM runs on one goroutine or across several. This is what keeps
 // `cmd/experiments` summaries identical across hosts with different core
 // counts.
 
 // unshardedEngine and shardedEngine are the default (blocked) engine on
-// one goroutine and on a private 4-worker pool with a zero threshold, so
+// one goroutine and split four ways with a zero threshold, so
 // even the tiny test GEMMs shard on a single-CPU host.
 func unshardedEngine() *tensor.Engine { return tensor.NewEngine(tensor.Blocked, 1) }
 

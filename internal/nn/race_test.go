@@ -9,9 +9,9 @@ import (
 )
 
 // Concurrency stress for the sharded GEMM path: independent networks share
-// the process-wide scratch pool and (here) one private 4-worker GEMM pool.
-// Run under -race this guards the worker pool and sync.Pool reuse against
-// data races and buffer aliasing — a pooled im2col or GEMM buffer leaking
+// the process-wide scratch pool and (here) one 4-worker GEMM engine.
+// Run under -race this guards the stripe fork/join and sync.Pool reuse
+// against data races and buffer aliasing — a pooled im2col or GEMM buffer leaking
 // between two in-flight forwards would corrupt outputs.
 
 // referenceLogits computes the expected logits for a fresh tinyNet(seed)
@@ -36,7 +36,7 @@ func TestConcurrentForwardSharedPools(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Each goroutine owns its network (layers cache state), but
-			// all share eng's worker pool and the global scratch pool.
+			// all share eng and the global scratch pool.
 			rng := rand.New(rand.NewSource(7))
 			net := tinyNet(rng)
 			net.SetEngine(eng)

@@ -222,7 +222,7 @@ type trial struct {
 
 // runTrials measures every layer's trial from keeps into trials. The
 // trials are independent pure calls, so they fan out with par.Each: a
-// trial's forward may shard its GEMMs on the engine's pool.
+// trial's forward may shard its GEMMs in turn.
 func (t *Tuner) runTrials(trials []trial, keeps, dims []nn.Keep, timeOf func([]nn.Keep) float64) {
 	_ = par.Each(len(trials), func(i int) error { // a trial cannot fail
 		trials[i] = trial{}

@@ -108,12 +108,12 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 	reg.CounterFunc("pcnn_serve_exec_timeouts_total",
 		"Batch execution attempts cut off by the per-attempt timeout.",
 		s.st.counterFn(func(st *stats) uint64 { return st.timeouts }))
-	// Host GEMM engine state: the default engine's pool and the blocked
-	// tile this build runs (one per ISA, fixed at init), so a deployment
-	// dashboard can tell a SIMD 8×8 host from a scalar 8×4 one.
+	// Host GEMM engine state: the default engine's worker count and the
+	// blocked tile this build runs (one per ISA, fixed at init), so a
+	// deployment dashboard can tell a SIMD 8×8 host from a scalar 8×4 one.
 	eng := tensor.Default()
 	reg.GaugeFunc("pcnn_gemm_workers",
-		"Worker-pool size available to the default GEMM engine.",
+		"Chunks a sharded GEMM on the default engine splits into (GOMAXPROCS).",
 		func() float64 { return float64(eng.Workers()) })
 	tile := tensor.DefaultTile
 	reg.Gauge("pcnn_gemm_tile_mc",

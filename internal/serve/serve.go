@@ -349,12 +349,13 @@ type BatchLimiter interface {
 }
 
 // BatchCap is the serving batch ceiling for a deployment: at least the
-// plan's compiled batch, widened to the largest batch whose Eq 12 base-
-// level prediction still fits inside the task deadline (and inside the
-// executor's memory ceiling when it declares one). The compiler picks its
-// batch from a single stream's data rate — one frame per surveillance
-// period — which is exactly the choice that pinned serving to singleton
-// flushes; batching is bounded by the deadline instead.
+// plan's compiled batch, widened batch by batch while the Eq 12 base-level
+// prediction still fits inside the task deadline (and inside the
+// executor's memory ceiling when it declares one), so every batch up to
+// the cap is predicted to fit. The compiler picks its batch from a single
+// stream's data rate — one frame per surveillance period — which is
+// exactly the choice that pinned serving to singleton flushes; batching is
+// bounded by the deadline instead.
 func BatchCap(ex Executor, task satisfaction.Task) int {
 	cap := ex.MaxBatch()
 	if cap < 1 {
@@ -374,7 +375,11 @@ func BatchCap(ex Executor, task satisfaction.Task) int {
 	best := cap
 	for b := cap + 1; b <= limit; b++ {
 		if ex.PredictMS(base, b) > deadline {
-			break // Eq 12 is monotone in batch; nothing larger fits either
+			// The first miss ends the widening. The prediction is not
+			// monotone in batch — it steps down where the nearest anchor
+			// plan changes — so a larger batch may fit again; stopping
+			// here keeps the cap below every batch predicted to miss.
+			break
 		}
 		best = b
 	}

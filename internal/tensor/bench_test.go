@@ -52,8 +52,8 @@ func BenchmarkGEMMBlocked(b *testing.B) {
 	})
 }
 
-// BenchmarkGEMMBlockedParallel runs the blocked backend with the shared
-// worker pool, so its NR panels split into one stripe per core; compare
+// BenchmarkGEMMBlockedParallel runs the blocked backend at GOMAXPROCS
+// workers, so its NR panels split into one stripe per core; compare
 // against BenchmarkGEMMBlocked for the sharding speedup (recorded in
 // BENCH_gemm.json).
 func BenchmarkGEMMBlockedParallel(b *testing.B) {
@@ -82,7 +82,7 @@ func BenchmarkGEMMInt8(b *testing.B) {
 }
 
 // BenchmarkGEMMDefault runs the engine every nn layer gets when nothing is
-// configured — Blocked on the shared pool — which must track
+// configured — Blocked at GOMAXPROCS workers — which must track
 // BenchmarkGEMMBlockedParallel.
 func BenchmarkGEMMDefault(b *testing.B) {
 	eng := NewEngine(Blocked, 0)

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"sync"
+
+	"pcnn/internal/par"
 )
 
 // The blocked backend is a BLIS/Goto-style cache-blocked GEMM, the host
@@ -10,9 +12,9 @@ import (
 // A is packed into MC×KC row blocks laid out as MR-row panels, B into
 // KC-deep panels of NR columns, and an MR×NR register-accumulating
 // micro-kernel sweeps the packed panels. The NR panels of B are split
-// into contiguous stripes — one per worker when the GEMM is sharded, a
-// single stripe when it is not — and each stripe runs the whole loop nest
-// on its own:
+// into contiguous stripes by par.Chunks — one per chunk when the GEMM is
+// sharded, a single stripe on the caller when it is not — and each stripe
+// runs the whole loop nest on its own:
 //
 //	for pc over K in KC steps:          (sequential — fixes accumulation order)
 //	    pack the stripe's panels of B[pc:pc+KC, :]
@@ -27,12 +29,13 @@ import (
 // sharding the jc dimension is what actually spreads them across cores.
 // Stripes share nothing they write — each owns its panels' C columns and
 // its panels' region of the packed-B slab (see slabPanel) — so a
-// sharded GEMM is one fork/join with no barrier inside the K loop, and
-// every stripe walks its K steps at its own pace. Every output
-// micro-tile still receives one micro-kernel call per KC step, in
-// ascending pc, on the same packed bytes whatever the stripe bounds,
-// which is what makes blocked-serial and blocked-parallel bit-for-bit
-// identical regardless of worker count.
+// sharded GEMM is one fork/join with no barrier inside the K loop: the
+// caller runs the first stripe, every other stripe runs on a goroutine
+// that exits when its stripe is done, and every stripe walks its K steps
+// at its own pace. Every output micro-tile still receives one
+// micro-kernel call per KC step, in ascending pc, on the same packed
+// bytes whatever the stripe bounds, which is what makes blocked-serial and
+// blocked-parallel bit-for-bit identical regardless of worker count.
 // Relative to the naive kernel the accumulation *tree* differs (per-panel
 // register sums are added to C once per KC step), so naive-vs-blocked
 // agreement is tolerance-based, not exact.
@@ -228,10 +231,11 @@ func packBRange(dst, b []float32, ldb, pc, kc, slabKC, n, nr int, bTrans bool, p
 
 // blockedArgs carries one blocked GEMM to its stripes so the stripe body
 // needs no closure captures beyond one pointer. Headers are pooled
-// (argsPool) because the parallel path binds a method value to the
-// pointer, which would otherwise heap-allocate the struct on every GEMM —
-// including serial ones.
+// (argsPool), and each keeps its runStripe method value in stripe, bound
+// once when the header is first made: binding it per GEMM would
+// heap-allocate a closure on every sharded call.
 type blockedArgs struct {
+	stripe      func(chunk, plo, phi int) // g.runStripe, kept across reuse
 	c, a, b, bp []float32
 	lda, ldb    int
 	ldc         int
@@ -257,13 +261,14 @@ func (g *blockedArgs) packPanels(pc, kc, lo, hi int) {
 	packBRange(g.bp, g.b, g.ldb, pc, kc, g.slabKC, g.n, g.tile.NR, g.bTrans, lo, hi)
 }
 
-// runStripe runs the whole K loop for the stripe of NR panels [plo, phi):
+// runStripe runs the whole K loop for the stripe of NR panels [plo, phi)
+// (par.Chunks numbers it; the body does not need the number):
 // at each KC step it packs its own panels of the B slab, then for each MC
 // block packs A into its pooled buffer (with the edge-tile staging area
 // at its tail) and sweeps the micro-kernel over its panels. It writes
 // only its panels' columns of C and their region of the slab, so stripes
 // never wait on one another.
-func (g *blockedArgs) runStripe(plo, phi int) {
+func (g *blockedArgs) runStripe(_, plo, phi int) {
 	t := g.tile
 	mr, nr := t.MR, t.NR
 	apb := getPanel(&packAPool, g.apPerBlk+maxMR*maxNR)
@@ -311,14 +316,14 @@ func (g *blockedArgs) runStripe(plo, phi int) {
 	packAPool.Put(apb)
 }
 
-// blockedGEMM runs one cache-blocked GEMM. pool may be nil (serial);
-// parallel splits the NR panels into one contiguous stripe per worker
-// and runs the stripes as one parallelFor, each through the whole K loop
-// (see runStripe). Every C tile gets the same micro-kernel calls in the
-// same order either way, so results are bit-for-bit identical at any
-// worker count.
-func blockedGEMM(c, a, b []float32, m, n, k int, aTrans, bTrans bool, t TileConfig, pool *workerPool, parallel bool) {
-	blockedGEMMPack(c, a, b, m, n, k, aTrans, bTrans, false, Im2colGeom{}, t, pool, parallel)
+// blockedGEMM runs one cache-blocked GEMM with its NR panels split into
+// at most chunks contiguous stripes, one par.Chunks fork/join, each stripe
+// through the whole K loop (see runStripe); chunks ≤ 1 runs it serially on
+// the caller. Every C tile gets the same micro-kernel calls in the same
+// order either way, so results are bit-for-bit identical at any chunk
+// count.
+func blockedGEMM(c, a, b []float32, m, n, k int, aTrans, bTrans bool, t TileConfig, chunks int) {
+	blockedGEMMPack(c, a, b, m, n, k, aTrans, bTrans, false, Im2colGeom{}, t, chunks)
 }
 
 // blockedGEMMIm2col is blockedGEMM with B read through the fused im2col
@@ -326,15 +331,15 @@ func blockedGEMM(c, a, b []float32, m, n, k int, aTrans, bTrans bool, t TileConf
 // their implicit column-matrix geometry. Identical packed bytes →
 // identical results to materializing the column matrix and calling
 // blockedGEMM.
-func blockedGEMMIm2col(c, a, x []float32, m int, geom Im2colGeom, t TileConfig, pool *workerPool, parallel bool) {
+func blockedGEMMIm2col(c, a, x []float32, m int, geom Im2colGeom, t TileConfig, chunks int) {
 	if geom.Pad > 0 {
 		x, geom = padImages(x, geom)
 		defer PutScratch(x)
 	}
-	blockedGEMMPack(c, a, x, m, geom.Cols(), geom.Rows(), false, false, true, geom, t, pool, parallel)
+	blockedGEMMPack(c, a, x, m, geom.Cols(), geom.Rows(), false, false, true, geom, t, chunks)
 }
 
-func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool, geom Im2colGeom, t TileConfig, pool *workerPool, parallel bool) {
+func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool, geom Im2colGeom, t TileConfig, chunks int) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -359,20 +364,17 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	g, _ := argsPool.Get().(*blockedArgs)
 	if g == nil {
 		g = &blockedArgs{}
+		g.stripe = g.runStripe
 	}
 	*g = blockedArgs{
-		c: c, a: a, b: b, bp: bpb.data,
+		stripe: g.stripe, c: c, a: a, b: b, bp: bpb.data,
 		lda: lda, ldb: ldb, ldc: n, m: m, n: n, k: k, slabKC: slabKC,
 		aTrans: aTrans, bTrans: bTrans, tile: t, kern: kernelFor(t.MR, t.NR),
 		apPerBlk: slabKC * nPanelsA * t.MR,
 		fused:    fused, geom: geom,
 	}
-	if parallel && pool != nil && nPanelsB > 1 {
-		pool.parallelFor(nPanelsB, g.runStripe) // parallelFor's chunks are the stripes
-	} else {
-		g.runStripe(0, nPanelsB)
-	}
-	*g = blockedArgs{} // drop the operand references before pooling
+	par.Chunks(nPanelsB, chunks, g.stripe)
+	*g = blockedArgs{stripe: g.stripe} // drop the operand references before pooling
 	argsPool.Put(g)
 	packBPool.Put(bpb)
 }

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pcnn/internal/par"
 )
 
 // Engines under test: the naive serial reference, blocked forced-serial
-// (1-worker private pool), and blocked forced-parallel (4-worker private
-// pool, zero threshold so every GEMM shards its MC blocks).
+// (one worker), and blocked forced-parallel (four workers, zero threshold
+// so every GEMM shards its NR panels).
 func blockedEngines() (naive, blkSerial, blkParallel *Engine) {
 	naive = NewEngine(Serial, 1)
 	blkSerial = NewEngine(Blocked, 1)
@@ -22,9 +24,9 @@ func blockedEngines() (naive, blkSerial, blkParallel *Engine) {
 // runBlocked runs one GEMM straight on the blocked kernels — no engine, so
 // single-row shapes are not rerouted to the matrix–vector path and the
 // kernels' M == 1 edge handling stays covered — unsharded for one worker,
-// otherwise sharded across a private pool of that size.
+// otherwise split into that many stripes.
 func runBlocked(workers int, tile TileConfig, c, a, b *Tensor, m, n, k int, aTrans, bTrans bool) {
-	blockedGEMM(c.Data, a.Data, b.Data, m, n, k, aTrans, bTrans, tile, newWorkerPool(workers), workers > 1)
+	blockedGEMM(c.Data, a.Data, b.Data, m, n, k, aTrans, bTrans, tile, workers)
 }
 
 // testTile is a deliberately small, non-round tiling (MC not a multiple
@@ -211,10 +213,10 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 	a := randTensor(rng, m, g.Rows())
 	x := randTensor(rng, g.Images(), g.C, g.H, g.W)
 	ref := New(m, g.Cols())
-	blockedGEMMIm2col(ref.Data, a.Data, x.Data, m, g, DefaultTile, nil, false)
+	blockedGEMMIm2col(ref.Data, a.Data, x.Data, m, g, DefaultTile, 1)
 	for _, w := range workers {
 		got := New(m, g.Cols())
-		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, DefaultTile, newWorkerPool(w), true)
+		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, DefaultTile, w)
 		if !bitIdentical(got, ref) {
 			t.Fatalf("fused geom %+v m=%d: %d-worker GEMM diverges bit-for-bit from serial", g, m, w)
 		}
@@ -223,7 +225,7 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 
 // TestStripeSlabRegionsDisjoint is the packed-B layout guard, in pure
 // offset arithmetic over random shapes, tiles and worker counts. Stripes
-// (parallelFor's chunks of the NR panels, see chunkLen) run their K steps
+// (par.Chunks's chunks of the NR panels) run their K steps
 // at their own pace, so the slab floats one stripe writes at any K step —
 // the short last one included — must be disjoint from those every other
 // stripe writes at any step, panels of one step must not overlap, and all
@@ -252,14 +254,18 @@ func TestStripeSlabRegionsDisjoint(t *testing.T) {
 		for pc := 0; pc < k; pc += kcTile {
 			depths = append(depths, min(kcTile, k-pc))
 		}
-		size := chunkLen(nPanels, w)
+		stripes := make([][2]int, w) // unused tail entries stay {0, 0}
+		par.Chunks(nPanels, w, func(chunk, lo, hi int) { stripes[chunk] = [2]int{lo, hi} })
 		what := func() string {
 			return fmt.Sprintf("n=%d k=%d KC=%d NR=%d workers=%d", n, k, kcTile, nr, w)
 		}
 		// prevHi is the highest float any earlier stripe writes at any step.
 		prevHi := 0
-		for plo := 0; plo < nPanels; plo += size {
-			phi := min(plo+size, nPanels)
+		for _, st := range stripes {
+			plo, phi := st[0], st[1]
+			if phi == 0 {
+				break // fewer stripes than workers
+			}
 			stripeHi := 0
 			for _, kc := range depths {
 				for p := plo; p < phi; p++ {
@@ -356,21 +362,20 @@ func TestPackAMatchesReference(t *testing.T) {
 
 // TestShardedGEMMAllocsIndependentOfK pins the striped path's allocation
 // cost: a sharded GEMM is one fork/join whatever its depth, so it
-// allocates the same at K = KC and K = 8·KC — the stripe method value
-// and parallelFor's wait group, no more — with the packing buffers
-// pooled.
+// allocates the same at K = KC and K = 8·KC — par.Chunks's wait group
+// and its one goroutine's closure, no more — with the packing buffers
+// and the stripe method value pooled.
 func TestShardedGEMMAllocsIndependentOfK(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	pool := newWorkerPool(2)
 	tile := DefaultTile
 	m, n := 40, 20*tile.NR+5
 	allocs := make(map[int]float64)
 	for _, k := range []int{tile.KC, 8 * tile.KC} {
 		rng := rand.New(rand.NewSource(int64(k)))
 		a, b, c := randTensor(rng, m, k), randTensor(rng, k, n), New(m, n)
-		run := func() { blockedGEMM(c.Data, a.Data, b.Data, m, n, k, false, false, tile, pool, true) }
+		run := func() { blockedGEMM(c.Data, a.Data, b.Data, m, n, k, false, false, tile, 2) }
 		run() // warm the panel pools
 		allocs[k] = testing.AllocsPerRun(20, run)
 	}

@@ -281,8 +281,7 @@ func (e *Engine) MatMulIm2colInto(c, a *Tensor, x []float32, g Im2colGeom) {
 	// Reduced precision materializes and delegates: the fused packer is
 	// fp32-only, and the quantized paths need the dense operand anyway.
 	if e.usesBlocked(m) && e.Precision() == FP32 {
-		parallel := e.shouldParallel(m, n, min(k, DefaultTile.KC))
-		blockedGEMMIm2col(c.Data, a.Data, x, m, g, DefaultTile, e.pool, parallel)
+		blockedGEMMIm2col(c.Data, a.Data, x, m, g, DefaultTile, e.chunks(m, n, min(k, DefaultTile.KC)))
 		return
 	}
 	cols := GetScratch(k * n)

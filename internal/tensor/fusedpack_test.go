@@ -29,7 +29,7 @@ func geomFrom(c8, hw8, k8, s8, p8 uint8) (Im2colGeom, bool) {
 }
 
 // checkFusedShape runs one (geometry, filter count) case through the
-// fused kernel, unsharded and sharded across a 4-worker pool, and asserts
+// fused kernel, unsharded and sharded into four stripes, and asserts
 // both are bit-identical to the two-step im2col + blocked GEMM reference.
 // It drives the kernels directly (see runBlocked) so a single-filter case
 // still exercises the fused packer.
@@ -53,7 +53,7 @@ func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileCon
 		for i := range got.Data {
 			got.Data[i] = -999
 		}
-		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, tile, newWorkerPool(workers), workers > 1)
+		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, tile, workers)
 		if !bitIdentical(got, want) {
 			t.Fatalf("fused %d-worker geom %+v m=%d tile %v: diverges bit-for-bit from two-step im2col+packBRange",
 				workers, g, m, tile)
@@ -70,7 +70,7 @@ func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileCon
 	per, img := one.Cols(), g.C*g.H*g.W
 	got := New(m, per)
 	for s := 0; s < g.Images(); s++ {
-		blockedGEMMIm2col(got.Data, a.Data, x.Data[s*img:(s+1)*img], m, one, tile, newWorkerPool(1), false)
+		blockedGEMMIm2col(got.Data, a.Data, x.Data[s*img:(s+1)*img], m, one, tile, 1)
 		for i := 0; i < m; i++ {
 			for j := 0; j < per; j++ {
 				if got.Data[i*per+j] != want.Data[i*n+s*per+j] {

@@ -29,9 +29,9 @@ func TestKern8x8NEONMatchesPortable(t *testing.T) {
 		want := New(m, n)
 		got := New(m, n)
 		useNEON8x8 = false
-		blockedGEMM(want.Data, a.Data, b.Data, m, n, k, false, false, tile, nil, false)
+		blockedGEMM(want.Data, a.Data, b.Data, m, n, k, false, false, tile, 1)
 		useNEON8x8 = true
-		blockedGEMM(got.Data, a.Data, b.Data, m, n, k, false, false, tile, nil, false)
+		blockedGEMM(got.Data, a.Data, b.Data, m, n, k, false, false, tile, 1)
 		for i := range got.Data {
 			if !relClose(got.Data[i], want.Data[i], 1e-5) {
 				t.Fatalf("m=%d k=%d n=%d: elem %d: neon %g, portable %g", m, k, n, i, got.Data[i], want.Data[i])

@@ -3,18 +3,21 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"pcnn/internal/par"
 )
 
-// This file is the host-side compute backend: a persistent worker pool and
-// an Engine that runs every GEMM on the cache-blocked packed-panel kernels
-// (blocked.go), serially below a FLOP threshold and sharded across the pool
-// above it. The split mirrors the paper's view that the parallelization
-// strategy of a lowered SGEMM is itself a tunable dimension of the
-// per-layer kernel choice (Section IV.B) — here the tunable is
-// serial-vs-sharded on the host, selected by a FLOP threshold so that small
-// tuner probes never pay the pool's wake-up and fork/join cost.
+// This file is the host-side compute backend: an Engine that runs every
+// GEMM on the cache-blocked packed-panel kernels (blocked.go), serially
+// below a FLOP threshold and sharded above it. A sharded step is one
+// par.Chunks fork/join: the caller runs the first chunk and each other
+// chunk runs on a goroutine that exits when it is done, so there is no
+// pool to start, size or stop. The split mirrors the paper's view that
+// the parallelization strategy of a lowered SGEMM is itself a tunable
+// dimension of the per-layer kernel choice (Section IV.B) — here the
+// tunable is serial-vs-sharded on the host, selected by a FLOP threshold
+// so that small tuner probes never pay a goroutine wake-up and fork/join.
 //
 // Sharding never changes a result: every C tile is computed by one
 // micro-kernel call per KC step whatever the worker count, so serial and
@@ -26,7 +29,7 @@ type Backend int32
 
 const (
 	// Blocked is the default: the cache-blocked packed-panel kernels
-	// (blocked.go), sharding stripes of NR panels across the pool above
+	// (blocked.go), sharding stripes of NR panels across goroutines above
 	// the FLOP threshold — the routine the measurements selected
 	// (BENCH_gemm.json) is the one that serves traffic.
 	Blocked Backend = iota
@@ -57,8 +60,8 @@ func GEMMFlops(m, n, k int) int64 {
 // step. The quantity thresholded is a KC-deep slice's 2·M·N·min(K, KC),
 // not the whole GEMM's FLOPs — a deep, narrow product (32×4096×1000) is
 // many cheap slices, not one expensive GEMM. The value was measured when a
-// sharded blocked GEMM still paid two pool barriers per slice; a barrier
-// that finds its worker parked costs a thread wake-up, which on a
+// sharded blocked GEMM still paid two worker-pool barriers per slice; a
+// barrier that finds its worker parked costs a thread wake-up, which on a
 // virtualized host is an exit to the hypervisor — tens of microseconds or
 // more. Measured on the 2-vCPU reference host, median unsharded → sharded
 // by slice size: 4.2 MFLOP (128³) 112 → 165 µs; 8.2 (32×1024×500) 1.9 →
@@ -72,131 +75,30 @@ func GEMMFlops(m, n, k int) int64 {
 // shard, and re-deriving it needs a ≥ 4-core host (ROADMAP, Parked).
 const DefaultParallelThreshold = 1 << 24
 
-// poolTask is one index chunk queued on the worker pool.
-type poolTask struct {
-	fn     func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
-}
-
-// workerPool is a persistent set of goroutines consuming index chunks. It
-// starts lazily on first use so that importing the package (or running
-// below the threshold) never spawns goroutines.
-type workerPool struct {
-	once  sync.Once
-	size  int // requested; resolved to GOMAXPROCS at start when <= 0
-	tasks chan poolTask
-}
-
-func newWorkerPool(size int) *workerPool { return &workerPool{size: size} }
-
-// sharedPool is the process-wide pool engines use unless given a private
-// size; independent networks therefore share one set of workers.
-var sharedPool = newWorkerPool(0)
-
-func (p *workerPool) start() {
-	if p.size <= 0 {
-		p.size = runtime.GOMAXPROCS(0)
-	}
-	p.tasks = make(chan poolTask, 4*p.size)
-	for i := 0; i < p.size; i++ {
-		go func() {
-			for t := range p.tasks {
-				t.fn(t.lo, t.hi)
-				t.wg.Done()
-			}
-		}()
-	}
-}
-
-// workers returns the pool size, starting the pool if needed. A nil pool
-// is an engine's inline twin (see Engine.Inline): one worker, the caller.
-func (p *workerPool) workers() int {
-	if p == nil {
-		return 1
-	}
-	p.once.Do(p.start)
-	return p.size
-}
-
-// chunkSize is the length of parallelFor's chunks of [0, n) on this pool
-// (see chunkLen).
-func (p *workerPool) chunkSize(n int) int { return chunkLen(n, p.workers()) }
-
-// chunkLen is the length of the chunks [0, n) splits into across workers:
-// one chunk per worker, never more chunks than n, and n itself when one
-// chunk remains. A sharded blocked GEMM's stripes are these chunks of its
-// NR panels.
-func chunkLen(n, workers int) int {
-	chunks := min(workers, n)
-	if chunks <= 1 {
-		return n
-	}
-	return (n + chunks - 1) / chunks
-}
-
-// parallelFor splits [0, n) into one chunk per worker and runs fn over the
-// chunks, executing the first chunk on the calling goroutine. Chunks are
-// disjoint, so the only synchronization is the final wait. Tasks never
-// block inside fn, so queueing from several concurrent callers is safe.
-func (p *workerPool) parallelFor(n int, fn func(lo, hi int)) {
-	size := p.chunkSize(n)
-	if size >= n {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for lo := size; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		p.tasks <- poolTask{fn: fn, lo: lo, hi: hi, wg: &wg}
-	}
-	fn(0, size)
-	wg.Wait()
-}
-
 // Engine executes the package's GEMM kernels under the backend it was
 // constructed with. The threshold may be changed concurrently with use;
 // the zero value is not usable — construct engines with NewEngine.
 type Engine struct {
-	*engineConfig
-	pool   *workerPool // nil: every GEMM runs on the calling goroutine
-	inline *Engine     // the same configuration with no pool, see Inline
-}
-
-// engineConfig is an engine's configuration, shared with its inline twin
-// so a setting reaches both.
-type engineConfig struct {
 	backend   Backend // fixed at construction
+	workers   int     // > 0: fixed; otherwise GOMAXPROCS at each call
 	threshold atomic.Int64
 	precision atomic.Int32
 }
 
-// NewEngine creates an engine with the given backend. workers <= 0 shares
-// the process-wide pool (sized by GOMAXPROCS); a positive count gives the
-// engine a private pool of that size, which tests use to exercise sharding
-// regardless of host CPUs.
+// NewEngine creates an engine with the given backend. workers <= 0 follows
+// GOMAXPROCS, read whenever a GEMM clears the threshold; a positive count
+// fixes how many chunks a sharded step splits into, which tests use to
+// exercise sharding regardless of host CPUs.
 func NewEngine(b Backend, workers int) *Engine {
-	cfg := &engineConfig{backend: b}
-	cfg.threshold.Store(DefaultParallelThreshold)
-	e := &Engine{engineConfig: cfg, pool: sharedPool}
-	if workers > 0 {
-		e.pool = newWorkerPool(workers)
-	}
-	e.inline = &Engine{engineConfig: cfg}
-	e.inline.inline = e.inline
+	e := &Engine{backend: b, workers: workers}
+	e.threshold.Store(DefaultParallelThreshold)
 	return e
 }
 
 // defaultEngine serves every package-level MatMul* call: the blocked
-// kernels on the shared pool at fp32. Callers that want the Serial oracle
-// build their own engine with NewEngine; another precision is set through
-// Default().SetPrecision (cmd/experiments' -precision flag).
+// kernels, sharded across GOMAXPROCS, at fp32. Callers that want the
+// Serial oracle build their own engine with NewEngine; another precision
+// is set through Default().SetPrecision (cmd/experiments' -precision flag).
 var defaultEngine = NewEngine(Blocked, 0)
 
 // Default returns the engine behind the package-level MatMul* functions.
@@ -209,24 +111,21 @@ func (e *Engine) SetParallelThreshold(flops int64) { e.threshold.Store(flops) }
 // ParallelThreshold returns the sharding FLOP threshold.
 func (e *Engine) ParallelThreshold() int64 { return e.threshold.Load() }
 
-// Workers returns the size of the engine's worker pool (1 for Inline).
-func (e *Engine) Workers() int { return e.pool.workers() }
-
-// Inline returns the engine's twin that never shards: the same backend,
-// threshold and precision (a setting on either reaches both), every GEMM
-// on the calling goroutine. It is the engine for GEMMs inside a Shard.
-func (e *Engine) Inline() *Engine { return e.inline }
+// Workers returns how many chunks a sharded step splits into: the count
+// the engine was built with, or the current GOMAXPROCS.
+func (e *Engine) Workers() int {
+	if e.workers > 0 {
+		return e.workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // Shard runs fn over [0, n) split into at most Workers() contiguous
-// chunks, one per pool worker with the first on the calling goroutine, and
-// returns when every chunk is done; shard numbers the chunk from 0 so fn
-// can index per-shard state. A chunk runs as a pool task, so its GEMMs
-// must go through Inline() and it must not call Shard itself: either
-// would queue work on, and wait for, the pool that is running it.
-func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) {
-	size := e.pool.chunkSize(n)
-	e.pool.parallelFor(n, func(lo, hi int) { fn(lo/size, lo, hi) })
-}
+// chunks, the first on the calling goroutine and each other on a
+// short-lived goroutine of its own (par.Chunks), and returns when every
+// chunk is done; shard numbers the chunk from 0 so fn can index per-shard
+// state. A chunk may run sharded GEMMs and call Shard itself.
+func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) { par.Chunks(n, e.Workers(), fn) }
 
 // usesBlocked reports whether a GEMM with M output rows runs on the
 // blocked kernels. The Serial oracle never does, and neither does M == 1:
@@ -237,22 +136,23 @@ func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) {
 // parity or better.
 func (e *Engine) usesBlocked(m int) bool { return e.backend != Serial && m != 1 }
 
-// shouldParallel reports whether one sharded step of M×N×K multiply-adds —
-// a whole int8 GEMM, or one KC-deep slice of a blocked GEMM — clears the
-// threshold. The rule and DefaultParallelThreshold's value are unchanged
-// since the stripes replaced the per-slice barriers, so the same GEMMs
-// shard. The blocked shard unit is a stripe of NR panels rather than a
-// row, so a GEMM can go wide even when M fits one block (the N dimension
-// shards).
-func (e *Engine) shouldParallel(m, n, k int) bool {
-	return e.backend != Serial && m*n > 1 &&
-		GEMMFlops(m, n, k) >= e.ParallelThreshold() && e.pool.workers() > 1
+// chunks returns how many chunks one sharded step of M×N×K multiply-adds
+// — a whole int8 GEMM, or one KC-deep slice of a blocked GEMM — splits
+// into: Workers() when it clears the threshold, else 1. The rule and
+// DefaultParallelThreshold's value are unchanged since the stripes
+// replaced the per-slice barriers, so the same GEMMs shard. The blocked
+// shard unit is a stripe of NR panels rather than a row, so a GEMM can go
+// wide even when M fits one block (the N dimension shards). Workers() is
+// read last, so a GEMM below the threshold never asks for GOMAXPROCS.
+func (e *Engine) chunks(m, n, k int) int {
+	if e.backend == Serial || m*n <= 1 || GEMMFlops(m, n, k) < e.ParallelThreshold() {
+		return 1
+	}
+	return e.Workers()
 }
 
 // blockedInto runs one blocked GEMM at the build's tile, sharding its NR
-// panels into stripes across the pool when one KC-deep slice clears the
-// threshold.
+// panels into stripes when one KC-deep slice clears the threshold.
 func (e *Engine) blockedInto(c, a, b []float32, m, n, k int, aTrans, bTrans bool) {
-	parallel := e.shouldParallel(m, n, min(k, DefaultTile.KC))
-	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, DefaultTile, e.pool, parallel)
+	blockedGEMM(c, a, b, m, n, k, aTrans, bTrans, DefaultTile, e.chunks(m, n, min(k, DefaultTile.KC)))
 }

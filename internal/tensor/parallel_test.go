@@ -3,13 +3,16 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// Engines under test: a blocked one with a private 4-worker pool and a
-// zero threshold, so every GEMM shards even on a single-CPU host, and the
+// Engines under test: a blocked one with four workers and a zero
+// threshold, so every GEMM shards even on a single-CPU host, and the
 // unsharded blocked reference.
 func testEngines() (sharded, unsharded *Engine) {
 	sharded = NewEngine(Blocked, 4)
@@ -136,31 +139,29 @@ func TestEngineKnobs(t *testing.T) {
 		t.Fatalf("ParallelThreshold = %d, want the default %d", e.ParallelThreshold(), DefaultParallelThreshold)
 	}
 	e.SetParallelThreshold(GEMMFlops(64, 64, 64) + 1)
-	if e.shouldParallel(64, 64, 64) {
+	if e.chunks(64, 64, 64) != 1 {
 		t.Fatal("a GEMM below the threshold shards")
 	}
 	e.SetParallelThreshold(GEMMFlops(64, 64, 64))
-	if !e.shouldParallel(64, 64, 64) {
+	if e.chunks(64, 64, 64) != 4 {
 		t.Fatal("a GEMM at the threshold does not shard")
 	}
-	if !e.shouldParallel(1, 64*64, 64) {
+	if e.chunks(1, 64*64, 64) != 4 {
 		t.Fatal("a single-row GEMM cannot shard along N")
 	}
 	ser := NewEngine(Serial, 4)
 	ser.SetParallelThreshold(0)
-	if ser.shouldParallel(64, 64, 64) {
+	if ser.chunks(64, 64, 64) != 1 {
 		t.Fatal("the serial oracle shards")
 	}
-	if NewEngine(Blocked, 1).shouldParallel(512, 512, 512) {
+	if NewEngine(Blocked, 1).chunks(512, 512, 512) != 1 {
 		t.Fatal("a one-worker engine shards")
 	}
 }
 
-// TestShardAndInline: Shard visits every index of [0, n) exactly once in
-// at most Workers() contiguous chunks numbered from 0, and an engine's
-// Inline twin never shards, follows the engine's settings, and is its own
-// twin.
-func TestShardAndInline(t *testing.T) {
+// TestShardChunks: Shard visits every index of [0, n) exactly once in at
+// most Workers() contiguous chunks numbered from 0.
+func TestShardChunks(t *testing.T) {
 	e := NewEngine(Blocked, 3)
 	for _, n := range []int{0, 1, 2, 5, 16} {
 		seen := make([]int, n)
@@ -191,16 +192,86 @@ func TestShardAndInline(t *testing.T) {
 			t.Fatalf("n=%d: %d shards on %d workers", n, len(shards), e.Workers())
 		}
 	}
-	in := e.Inline()
-	if in.Workers() != 1 || in.Inline() != in {
-		t.Fatalf("inline twin: %d workers, own twin %v", in.Workers(), in.Inline() == in)
+}
+
+// TestShardNested: a Shard chunk may call Shard itself and run sharded
+// GEMMs on the same engine — chunks are goroutines that exit when done,
+// not tasks of a pool the chunk would wait on — and every index of both
+// levels is visited exactly once with the sharded products bit-identical
+// to the unsharded ones. make race runs it at -cpu 1,2.
+func TestShardNested(t *testing.T) {
+	e, ref := testEngines()
+	const outer, inner = 7, 5
+	rng := rand.New(rand.NewSource(12))
+	a, b := randTensor(rng, 24, 40), randTensor(rng, 40, 72)
+	want := ref.MatMul(a, b)
+	var seen [outer][inner]atomic.Int32
+	var bad atomic.Int32
+	e.Shard(outer, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e.Shard(inner, func(_, ilo, ihi int) {
+				for j := ilo; j < ihi; j++ {
+					seen[i][j].Add(1)
+				}
+				if !bitIdentical(e.MatMul(a, b), want) {
+					bad.Add(1)
+				}
+			})
+		}
+	})
+	for i := range seen {
+		for j := range seen[i] {
+			if c := seen[i][j].Load(); c != 1 {
+				t.Fatalf("index (%d, %d) visited %d times", i, j, c)
+			}
+		}
 	}
-	e.SetParallelThreshold(0)
-	if in.ParallelThreshold() != 0 {
-		t.Fatal("a setting on the engine did not reach its inline twin")
+	if n := bad.Load(); n > 0 {
+		t.Fatalf("%d nested sharded GEMMs diverge from the unsharded product", n)
 	}
-	if in.shouldParallel(512, 512, 512) {
-		t.Fatal("the inline twin shards")
+}
+
+// TestDefaultEngineFollowsGOMAXPROCS: the default engine's worker count is
+// the current GOMAXPROCS, not the one it first ran under, so raising
+// GOMAXPROCS after a GEMM lets the next GEMM above the threshold shard.
+func TestDefaultEngineFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := Default()
+	const m, n, k = 128, 512, 512 // one KC slice clears the default threshold
+	rng := rand.New(rand.NewSource(13))
+	a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+	want := e.MatMul(a, b)
+	runtime.GOMAXPROCS(2)
+	if w := e.Workers(); w != 2 {
+		t.Fatalf("Default().Workers() = %d after GOMAXPROCS(2), want 2", w)
+	}
+	if c := e.chunks(m, n, min(k, DefaultTile.KC)); c != 2 {
+		t.Fatalf("a %dx%dx%d GEMM splits into %d stripes at GOMAXPROCS 2, want 2", m, n, k, c)
+	}
+	if !bitIdentical(e.MatMul(a, b), want) {
+		t.Fatal("the sharded GEMM diverges from the one run at GOMAXPROCS 1")
+	}
+}
+
+// TestShardingLeavesNoGoroutines: sharded GEMMs and Shard calls on
+// engines with their own worker counts start no goroutine that outlives
+// the call, so building engines leaks nothing.
+func TestShardingLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(14))
+	a, b := randTensor(rng, 16, 24), randTensor(rng, 24, 40)
+	for i := 0; i < 10; i++ {
+		e := NewEngine(Blocked, 4)
+		e.SetParallelThreshold(0)
+		e.MatMul(a, b)
+		e.Shard(8, func(_, _, _ int) {})
+	}
+	// A chunk's goroutine has signalled the wait group just before it
+	// exits, so give the scheduler a moment to retire it.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the sharded calls returned, %d before", runtime.NumGoroutine(), baseline)
+		}
 	}
 }
 
@@ -281,7 +352,7 @@ func TestIntoFormsWriteCallerBuffer(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelGEMM stress-tests the shared worker pool: many
+// TestConcurrentParallelGEMM stress-tests concurrent sharding: many
 // goroutines issuing sharded GEMMs at once must neither race nor corrupt
 // each other's outputs. Run under -race in CI.
 func TestConcurrentParallelGEMM(t *testing.T) {

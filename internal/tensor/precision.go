@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"sync"
+
+	"pcnn/internal/par"
 )
 
 // The Precision axis: forward GEMMs can trade accuracy for arithmetic
@@ -267,8 +269,8 @@ func grow32(s []float32, n int) []float32 {
 }
 
 // matMulInt8 computes C = A·B in symmetric int8: quantize, accumulate
-// exactly in int32 row kernels (rows sharded across the pool when the
-// whole product clears the sharding threshold — integer sums are
+// exactly in int32 row kernels (rows split by par.Chunks when the whole
+// product clears the sharding threshold — integer sums are
 // order-independent, so sharding cannot change them), dequantize with
 // sa[i]·sb[j] on store.
 func (e *Engine) matMulInt8(cd, ad, bd []float32, m, k, n int) {
@@ -280,7 +282,7 @@ func (e *Engine) matMulInt8(cd, ad, bd []float32, m, k, n int) {
 	quantizeRowsInt8(buf.a8, buf.sa, ad, m, k)
 	quantizeColsInt8(buf.b8, buf.sb, bd, k, n)
 	a8, b8, sa, sb := buf.a8, buf.b8, buf.sa, buf.sb
-	rows := func(lo, hi int) {
+	rows := func(_, lo, hi int) {
 		acc := make([]int32, n)
 		for i := lo; i < hi; i++ {
 			for j := range acc {
@@ -304,10 +306,6 @@ func (e *Engine) matMulInt8(cd, ad, bd []float32, m, k, n int) {
 			}
 		}
 	}
-	if e.shouldParallel(m, n, k) {
-		e.pool.parallelFor(m, rows)
-	} else {
-		rows(0, m)
-	}
+	par.Chunks(m, e.chunks(m, n, k), rows)
 	int8Scratch.Put(buf)
 }

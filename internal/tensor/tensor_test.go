@@ -217,6 +217,37 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMatMulNaiveMatchesOneColumnLoop holds the four-column naive kernel
+// to the one-column loop it replaced, bit for bit: every C element starts
+// at zero and takes A[i][k]·B[k][j] in ascending k, skipping zero A
+// values, whatever N mod 4 is.
+func TestMatMulNaiveMatchesOneColumnLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 60; trial++ {
+		m, k, n := 1+rng.Intn(5), 1+rng.Intn(9), 1+rng.Intn(13)
+		a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+		a.Data[rng.Intn(len(a.Data))] = 0
+		got := make([]float32, m*n)
+		for i := range got {
+			got[i] = -7 // every element must be written
+		}
+		matMulNaive(got, a.Data, b.Data, m, k, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var want float32
+				for kk := 0; kk < k; kk++ {
+					if av := a.Data[i*k+kk]; av != 0 {
+						want += av * b.Data[kk*n+j]
+					}
+				}
+				if got[i*n+j] != want {
+					t.Fatalf("trial %d (%dx%dx%d): C[%d][%d] = %g, want %g", trial, m, k, n, i, j, got[i*n+j], want)
+				}
+			}
+		}
+	}
+}
+
 func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
