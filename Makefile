@@ -25,15 +25,17 @@ build:
 
 # build-arm64 cross-compiles the whole module for linux/arm64. It is the
 # only gate exercising internal/tensor/kern8x8_arm64.{go,s} (the NEON 8x8
-# micro-kernel) on an amd64 host — assembly errors there would otherwise
-# surface only on real arm64 hardware.
+# micro-kernel; amd64 runs the AVX2+FMA 6x16 in kern6x16_amd64.s) on an
+# amd64 host — assembly errors there would otherwise surface only on real
+# arm64 hardware.
 build-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 # build-portable cross-compiles and vets the configuration with no SIMD
-# 8x8 kernel (kern8x8_other.go, `!amd64 && !arm64`): the scalar 8x4
-# DefaultTile is the only blocked path there and the reason kern8x4 is
-# kept, and no other gate parses it. Only amd64 has assembly for the
+# micro-kernel (kern8x8_other.go, `!amd64 && !arm64`: the 8x8 and 6x16
+# tiles run the portable kernTile loop): the scalar 8x4 DefaultTile is the
+# only blocked path there and the reason kern8x4 is kept, and no other
+# gate parses it. Only amd64 has assembly for the
 # elementwise kernels (vec_amd64.s); arm64 and riscv64 both run their
 # portable Go twins (vec_other.go, `!amd64`), which build-arm64 and this
 # target compile.
@@ -71,7 +73,8 @@ race:
 e2e:
 	$(GO) test -short -count=1 ./internal/fleet/e2e/
 
-# bench reproduces the numbers recorded in BENCH_gemm.json and times one
+# bench reproduces the numbers recorded in BENCH_gemm.json (the GEMM
+# backends and each register tile's L1-resident rate) and times one
 # sweep of the five full-size AlexNet convolutions at batch 1 on the
 # default engine (BenchmarkConvSweepAlexNet, the conv_fullshape op), then
 # one cold pass over the simulated side (scenario matrix + fleet soak +
@@ -83,7 +86,7 @@ e2e:
 # attached table (serve_forward's inner call; host time should fall with
 # the level).
 bench:
-	$(GO) test -run='^$$' -bench='GEMM|Backend|Conv1x1|Im2col|ConvSweepAlexNet' -benchmem ./internal/tensor/ ./internal/nn/
+	$(GO) test -run='^$$' -bench='GEMM|MicroKernel|Backend|Conv1x1|Im2col|ConvSweepAlexNet' -benchmem ./internal/tensor/ ./internal/nn/
 	$(GO) test -run='^$$' -bench='SimRegenPass' -benchtime=10x .
 	$(GO) test -run='^$$' -bench='SimulateFullGrid|ManyWaves' -benchmem ./internal/gpu/
 	$(GO) test -run='^$$' -bench='Select$$' -benchmem ./internal/kernels/
@@ -101,11 +104,13 @@ profile-sim:
 # pool-sharded blocked backend, the default engine (the same path under
 # its other name), the int8 forward path, the batch-folded vs per-sample
 # AlexNet-S conv GEMMs (sub-millisecond, hence their own iteration count),
-# and the fused im2col→pack conv comparison.
+# the fused im2col→pack conv comparison and each register tile's
+# L1-resident GFLOP/s (BenchmarkMicroKernel).
 bench-gemm:
 	$(GO) test -run='^$$' -bench='GEMMSerial|GEMMBlocked|GEMMBlockedParallel|GEMMDefault|GEMMInt8' -benchmem -benchtime=5x ./internal/tensor/
 	$(GO) test -run='^$$' -bench='GEMMFolded' -benchtime=200x -count=5 -cpu 1 ./internal/tensor/
 	$(GO) test -run='^$$' -bench='ConvFusedPack' -benchmem -benchtime=5x ./internal/nn/
+	$(GO) test -run='^$$' -bench='MicroKernel' -count=5 -cpu 1 ./internal/tensor/
 
 # profile-serve is profile-sim for the host data path: CPU and allocation
 # profiles of Execute at the served base level 9, batch 32.

@@ -65,6 +65,28 @@ func BenchmarkGEMMBlockedParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkMicroKernel times each built-in register tile alone — the
+// scalar 8×4, the 8×8 and the 6×16, through kernelFor, so on the SIMD
+// path where this build has one — on L1-resident packed panels at the
+// production depth KC = 256: the kernel's own rate, with no packing and
+// no cache misses, reported as GFLOP/s (recorded in BENCH_gemm.json).
+func BenchmarkMicroKernel(b *testing.B) {
+	const kc = 256
+	for _, mk := range [][2]int{{8, 4}, {8, 8}, {6, 16}} {
+		mr, nr := mk[0], mk[1]
+		b.Run(fmt.Sprintf("%dx%d", mr, nr), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			ap, bp := randTensor(rng, kc, mr).Data, randTensor(rng, kc, nr).Data
+			c := make([]float32, mr*nr)
+			kern := kernelFor(mr, nr)
+			for i := 0; i < b.N; i++ {
+				kern(kc, ap, bp, c, nr, i == 0)
+			}
+			b.ReportMetric(float64(b.N)*float64(GEMMFlops(mr, nr, kc))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 // BenchmarkGEMMInt8 runs the int8 forward path (per-row/per-column
 // symmetric quantization around the scalar int32 row kernel) on the
 // recorded shapes. It measures the host cost of quantized numerics, not

@@ -54,7 +54,7 @@ type TileConfig struct {
 // buffer is sized by them.
 const (
 	maxMR = 8
-	maxNR = 8
+	maxNR = 16
 )
 
 // DefaultTile is the tile every blocked GEMM of this build runs: one per
@@ -62,10 +62,11 @@ const (
 // sweeping cache/register blockings on the recorded BENCH_gemm layer
 // shapes: MC×KC = 128×256 (128 KiB of packed A) sits in L2 on both hosts
 // probed, 8×4 is the widest tile whose scalar accumulators stay in
-// registers, and hosts with a SIMD 8×8 kernel switch to that tile at init
-// (kern8x8_amd64.go: AVX2+FMA; kern8x8_arm64.go: NEON). The one measured
-// improvement still open, KC = 512, re-rounds training and is recorded in
-// ROADMAP.md beside the Fig 16 recalibration it has to land with.
+// registers, and hosts with a SIMD kernel switch to its tile at init
+// (kern6x16_amd64.go: AVX2+FMA 6×16 at MC = 120; kern8x8_arm64.go: NEON
+// 8×8). The one measured improvement still open, KC = 512, re-rounds
+// training and is recorded in ROADMAP.md beside the Fig 16 recalibration
+// it has to land with.
 var DefaultTile = TileConfig{MC: 128, KC: 256, MR: 8, NR: 4}
 
 // String renders the tile as MCxKCxMRxNR, the form the benchmark
@@ -81,14 +82,18 @@ func (t TileConfig) String() string {
 type microKernel func(kc int, ap, bp, c []float32, ldc int, first bool)
 
 // kernelFor returns the micro-kernel for an MR×NR register tile, or nil:
-// the scalar 8×4 (the blocked path of every build without a SIMD 8×8) and
-// the 8×8 the amd64/arm64 assembly kernels implement.
+// the scalar 8×4 (the blocked path of every build without a SIMD kernel),
+// the 8×8 the arm64 NEON kernel implements and the 6×16 the amd64 AVX2+FMA
+// kernel implements. Each SIMD tile runs the portable kernTile loop where
+// its assembly is absent or switched off.
 func kernelFor(mr, nr int) microKernel {
 	switch {
 	case mr == 8 && nr == 4:
 		return kern8x4
 	case mr == 8 && nr == 8:
 		return kern8x8
+	case mr == 6 && nr == 16:
+		return kern6x16
 	}
 	return nil
 }
@@ -121,8 +126,9 @@ func getPanel(pool *sync.Pool, n int) *panelBuf {
 // panels: dst[panel][kk*mr+i] = A[ic+panel*mr+i][pc+kk], zero-padding
 // rows past mc so edge micro-tiles can run the full-width kernel.
 // aTrans selects the K×M storage layout of the TransA variant. A full
-// eight-row panel of row-major A goes through packA8; partial panels and
-// the transposed layout take the scalar loops, which write the same bytes.
+// eight- or six-row panel of row-major A goes through packA8 or packA6;
+// partial panels and the transposed layout take the scalar loops, which
+// write the same bytes.
 func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
@@ -139,6 +145,8 @@ func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 			}
 		case rows == 8 && mr == 8:
 			packA8(panel, a[(ic+ir)*lda+pc:], lda, kc)
+		case rows == 6 && mr == 6:
+			packA6(panel, a[(ic+ir)*lda+pc:], lda, kc)
 		default:
 			packARows(panel, a[(ic+ir)*lda+pc:], lda, kc, rows, mr)
 		}
@@ -172,6 +180,17 @@ func packA8(panel, a []float32, lda, kc int) {
 		d := (*[8]float32)(panel[kk*8:])
 		d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
 		d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+	}
+}
+
+// packA6 is packA8 for a full six-row panel.
+func packA6(panel, a []float32, lda, kc int) {
+	r0, r1, r2 := a[:kc], a[lda:][:kc], a[2*lda:][:kc]
+	r3, r4, r5 := a[3*lda:][:kc], a[4*lda:][:kc], a[5*lda:][:kc]
+	for kk := range r0 {
+		d := (*[6]float32)(panel[kk*6:])
+		d[0], d[1], d[2] = r0[kk], r1[kk], r2[kk]
+		d[3], d[4], d[5] = r3[kk], r4[kk], r5[kk]
 	}
 }
 
@@ -495,17 +514,18 @@ func kern8x4(kc int, ap, bp, c []float32, ldc int, first bool) {
 	r7[3] += c73
 }
 
-// kern8x8go is the portable 8×8 path: 64 scalar accumulators exceed the
-// register file, so it sums one C element at a time — the identical
-// accumulation tree, a k-panel from zero then one store/add into C. The
-// SIMD build (kern8x8_amd64.s) replaces it wherever AVX2+FMA is available.
-func kern8x8go(kc int, ap, bp, c []float32, ldc int, first bool) {
-	for i := 0; i < 8; i++ {
-		crow := c[i*ldc : i*ldc+8]
+// kernTile is the portable path of the SIMD-sized tiles (8×8, 6×16):
+// their scalar accumulators exceed the register file, so it sums one C
+// element at a time — the identical accumulation tree, a k-panel from
+// zero then one store/add into C. The assembly kernels replace it
+// wherever the host has them.
+func kernTile(mr, nr, kc int, ap, bp, c []float32, ldc int, first bool) {
+	for i := 0; i < mr; i++ {
+		crow := c[i*ldc : i*ldc+nr]
 		for j := range crow {
 			var s float32
 			for kk := 0; kk < kc; kk++ {
-				s += ap[kk*8+i] * bp[kk*8+j]
+				s += ap[kk*mr+i] * bp[kk*nr+j]
 			}
 			if first {
 				crow[j] = s

@@ -128,11 +128,11 @@ func TestBlockedDegenerateShapes(t *testing.T) {
 }
 
 // TestBlockedAllMicroKernels runs the boundary check once per built-in
-// MR×NR register tile — the scalar 8×4 and the 8×8 (SIMD where the host
-// has it; kern8x8_*_test.go compares it against the portable kern8x8go) —
-// so every kernel's edge handling is exercised.
+// MR×NR register tile — the scalar 8×4, the 8×8 and the 6×16 (SIMD where
+// the host has them; kern*_test.go compares each against the portable
+// kernTile loop) — so every kernel's edge handling is exercised.
 func TestBlockedAllMicroKernels(t *testing.T) {
-	for i, mk := range [][2]int{{8, 4}, {8, 8}} {
+	for i, mk := range [][2]int{{8, 4}, {8, 8}, {6, 16}} {
 		tile := TileConfig{MC: 3*mk[0] + 1, KC: 7, MR: mk[0], NR: mk[1]}
 		checkBlockedShape(t, 2*tile.MC+3, 2*tile.KC+1, 3*tile.NR+2, int64(300+i), tile)
 	}
@@ -203,7 +203,7 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 
 	// The fused im2col packer at the production tile with K = 30·3·3 =
 	// 270 > KC: two K steps, the second short, over a batch of two padded
-	// 10×10 images (200 columns, 25 panels at NR = 8).
+	// 10×10 images (200 columns: 13 panels at NR = 16, 25 at NR = 8).
 	g := Im2colGeom{N: 2, C: 30, H: 10, W: 10, K: 3, Stride: 1, Pad: 1, HO: 10, WO: 10}
 	if g.Rows() <= DefaultTile.KC {
 		t.Fatalf("geometry K = %d does not exceed KC = %d", g.Rows(), DefaultTile.KC)
@@ -233,7 +233,7 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 func TestStripeSlabRegionsDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for trial := 0; trial < 3000; trial++ {
-		nr := []int{4, 8}[rng.Intn(2)]
+		nr := []int{4, 8, 16}[rng.Intn(3)]
 		kcTile := 1 + rng.Intn(300)
 		n := 1 + rng.Intn(300)
 		k := 1 + rng.Intn(4*kcTile)
@@ -287,15 +287,14 @@ func TestStripeSlabRegionsDisjoint(t *testing.T) {
 	}
 }
 
-// TestPackAMatchesReference holds packA — the eight-row path for full
-// panels of row-major A, the scalar loops for partial panels and the
-// transposed layout — to the definition dst[panel][kk*mr+i] =
-// A[ic+panel*mr+i][pc+kk] byte for byte, and the eight-row path to the
+// TestPackAMatchesReference holds packA — the eight- and six-row paths
+// for full panels of row-major A, the scalar loops for partial panels and
+// the transposed layout — to the definition dst[panel][kk*mr+i] =
+// A[ic+panel*mr+i][pc+kk] byte for byte, and each full-panel path to the
 // scalar loop on the same panel. The source values include negative zero
 // and a NaN payload, so a path that rounds or canonicalizes differs.
 func TestPackAMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const mr = 8
 	nan := math.Float32frombits(0x7fc01234)
 	bits := func(v []float32) []uint32 {
 		out := make([]uint32, len(v))
@@ -304,9 +303,11 @@ func TestPackAMatchesReference(t *testing.T) {
 		}
 		return out
 	}
-	for trial := 0; trial < 400; trial++ {
+	fullPanel := map[int]func(panel, a []float32, lda, kc int){8: packA8, 6: packA6}
+	for trial := 0; trial < 800; trial++ {
+		mr := []int{8, 6}[trial/400]
 		aTrans := trial%2 == 1
-		rows := 1 + trial%8          // rows of the last panel: 1–8
+		rows := 1 + trial%mr         // rows of the last panel: 1–mr
 		mc := mr*(trial/16%3) + rows // 0–2 full panels, then the partial one
 		kc := 1 + rng.Intn(37)
 		ic, pc := rng.Intn(5), rng.Intn(5) // odd offsets into A
@@ -345,17 +346,17 @@ func TestPackAMatchesReference(t *testing.T) {
 		}
 		packA(got, a, lda, ic, mc, pc, kc, mr, aTrans)
 		if !slices.Equal(bits(got), bits(want)) {
-			t.Fatalf("trial %d (mc=%d kc=%d ic=%d pc=%d lda=%d aTrans=%v): packA differs from the definition",
-				trial, mc, kc, ic, pc, lda, aTrans)
+			t.Fatalf("trial %d (mr=%d mc=%d kc=%d ic=%d pc=%d lda=%d aTrans=%v): packA differs from the definition",
+				trial, mr, mc, kc, ic, pc, lda, aTrans)
 		}
 		if aTrans || mc < mr {
 			continue
 		}
-		scalar, eight := make([]float32, kc*mr), make([]float32, kc*mr)
+		scalar, full := make([]float32, kc*mr), make([]float32, kc*mr)
 		packARows(scalar, a[ic*lda+pc:], lda, kc, mr, mr)
-		packA8(eight, a[ic*lda+pc:], lda, kc)
-		if !slices.Equal(bits(eight), bits(scalar)) {
-			t.Fatalf("trial %d (kc=%d ic=%d pc=%d lda=%d): packA8 differs from the scalar loop", trial, kc, ic, pc, lda)
+		fullPanel[mr](full, a[ic*lda+pc:], lda, kc)
+		if !slices.Equal(bits(full), bits(scalar)) {
+			t.Fatalf("trial %d (kc=%d ic=%d pc=%d lda=%d): packA%d differs from the scalar loop", trial, kc, ic, pc, lda, mr)
 		}
 	}
 }

@@ -166,7 +166,9 @@ func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, slabKC, nr, plo, phi in
 				packRun4(panel[h:], x[base[h]:], rowoff, nr)
 			}
 		case cols == 8 && nr == 8:
-			packGather8(panel, x, &base, rowoff)
+			packGather8(panel, x, (*[8]int)(base[:]), rowoff, 8)
+		case cols == 16 && nr == 16:
+			packGather16(panel, x, &base, rowoff)
 		default:
 			packGather(panel, x, base[:cols], rowoff, nr)
 		}
@@ -197,14 +199,22 @@ func packRun4(panel, src []float32, rowoff []int, nr int) {
 	}
 }
 
-// packGather8 fills a full 8-wide panel column by column.
-func packGather8(panel, x []float32, base *[maxNR]int, rowoff []int) {
+// packGather8 fills eight columns of a panel of nr column by column: a
+// whole 8-wide panel, or one half of a 16-wide one.
+func packGather8(panel, x []float32, base *[8]int, rowoff []int, nr int) {
 	b0, b1, b2, b3, b4, b5, b6, b7 := base[0], base[1], base[2], base[3], base[4], base[5], base[6], base[7]
 	for kk, off := range rowoff {
-		d := (*[8]float32)(panel[kk*8:])
+		d := (*[8]float32)(panel[kk*nr:])
 		d[0], d[1], d[2], d[3] = x[b0+off], x[b1+off], x[b2+off], x[b3+off]
 		d[4], d[5], d[6], d[7] = x[b4+off], x[b5+off], x[b6+off], x[b7+off]
 	}
+}
+
+// packGather16 fills a full 16-wide panel as two 8-column halves: one
+// 16-wide row loop keeps more column bases live than there are registers.
+func packGather16(panel, x []float32, base *[maxNR]int, rowoff []int) {
+	packGather8(panel, x, (*[8]int)(base[:8]), rowoff, 16)
+	packGather8(panel[8:], x, (*[8]int)(base[8:]), rowoff, 16)
 }
 
 // packGather fills any panel column by column, zeroing past the edge.

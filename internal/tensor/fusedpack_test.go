@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -225,6 +226,51 @@ func TestFusedPackZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPackGatherFullPanelsMatchGeneric holds the unrolled full-panel
+// gathers — packGather16's two 8-column halves and packGather8 — to the
+// generic packGather loop bit for bit, on scattered column bases (no
+// 4-float runs, so packBIm2col would take these paths) over inputs that
+// hold negative zero and a NaN payload.
+func TestPackGatherFullPanelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	x := make([]float32, 4096)
+	for i := range x {
+		x[i] = rng.Float32()*2 - 1
+	}
+	x[17], x[99] = float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc01234)
+	bits := func(v []float32) []uint32 {
+		out := make([]uint32, len(v))
+		for i, f := range v {
+			out[i] = math.Float32bits(f)
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		nr := []int{16, 8}[trial%2]
+		rowoff := make([]int, 1+rng.Intn(40))
+		for kk := range rowoff {
+			rowoff[kk] = rng.Intn(2048)
+		}
+		var base [maxNR]int
+		for j := range base[:nr] {
+			base[j] = rng.Intn(2048)
+		}
+		want, got := make([]float32, len(rowoff)*nr), make([]float32, len(rowoff)*nr)
+		for i := range got {
+			got[i] = -7 // every packed float must be written
+		}
+		packGather(want, x, base[:nr], rowoff, nr)
+		if nr == 16 {
+			packGather16(got, x, &base, rowoff)
+		} else {
+			packGather8(got, x, (*[8]int)(base[:]), rowoff, 8)
+		}
+		if !slices.Equal(bits(got), bits(want)) {
+			t.Fatalf("trial %d (nr=%d kc=%d): unrolled gather differs from packGather", trial, nr, len(rowoff))
+		}
+	}
+}
+
 // FuzzFusedPackVsTwoStep fuzzes the fused im2col→pack-B path: any valid
 // (geometry, filter count) must be bit-for-bit identical to materializing
 // the column matrix and running the same blocked GEMM, on both the serial
@@ -290,7 +336,7 @@ func keptFrom(mask uint32, n int) []int {
 // rows, n = 1–4 images, a random KC slab [pc, pc+kc) and the panel range
 // packed as two random shards must produce, byte for byte, the panels of
 // materializing the sampled column matrix and running packBRange over it
-// — at NR = 8 and NR = 4 — and the whole GEMM must then match the two-step
+// — at NR = 16, 8 and 4 — and the whole GEMM must then match the two-step
 // product and the batch-1 oracle. The seeds are the three perforated
 // layers of the served level 9 (7×7 of 16×16, 5×5 of 8×8, 3×3 of 4×4).
 func FuzzSampledPackVsTwoStep(f *testing.F) {
@@ -321,7 +367,7 @@ func FuzzSampledPackVsTwoStep(f *testing.F) {
 		defer PutScratch(xp)
 		pc := int(pc8) % k
 		kc := 1 + int(kc8)%(k-pc)
-		for _, nr := range []int{8, 4} {
+		for _, nr := range []int{16, 8, 4} {
 			panels := (n + nr - 1) / nr
 			mid := int(split8) % (panels + 1)
 			want, got := make([]float32, kc*panels*nr), make([]float32, kc*panels*nr)

@@ -7,28 +7,28 @@ import (
 	"testing"
 )
 
-// TestKern8x8SIMDMatchesPortable runs identical blocked GEMMs through the
-// AVX2+FMA kernel and the portable kern8x8go and compares elementwise.
+// TestKern6x16SIMDMatchesPortable runs identical blocked GEMMs through the
+// AVX2+FMA kernel and the portable kernTile loop and compares elementwise.
 // FMA rounds each multiply-add once, so agreement is tolerance-level;
 // the shapes span multiple KC panels to cover both the store (first) and
 // accumulate epilogues, plus M/N edge tiles.
-func TestKern8x8SIMDMatchesPortable(t *testing.T) {
-	if !useFMA8x8 {
+func TestKern6x16SIMDMatchesPortable(t *testing.T) {
+	if !useAVX2FMA {
 		t.Skip("host lacks AVX2+FMA")
 	}
-	defer func() { useFMA8x8 = true }()
+	defer func() { useAVX2FMA = true }()
 
 	rng := rand.New(rand.NewSource(7))
-	tile := TileConfig{MC: 32, KC: 24, MR: 8, NR: 8}
-	for _, d := range [][3]int{{8, 24, 8}, {17, 50, 23}, {64, 100, 70}} {
+	tile := TileConfig{MC: 30, KC: 24, MR: 6, NR: 16}
+	for _, d := range [][3]int{{6, 24, 16}, {17, 50, 23}, {64, 100, 70}} {
 		m, k, n := d[0], d[1], d[2]
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
 		want := New(m, n)
 		got := New(m, n)
-		useFMA8x8 = false
+		useAVX2FMA = false
 		blockedGEMM(want.Data, a.Data, b.Data, m, n, k, false, false, tile, 1)
-		useFMA8x8 = true
+		useAVX2FMA = true
 		blockedGEMM(got.Data, a.Data, b.Data, m, n, k, false, false, tile, 1)
 		for i := range got.Data {
 			if !relClose(got.Data[i], want.Data[i], 1e-5) {

@@ -6,7 +6,7 @@ package tensor
 // per C-tile row) hold the whole 8×8 tile, so ARMv8 hosts run the
 // assembly kernel in kern8x8_arm64.s. Advanced SIMD is architecturally
 // mandatory on AArch64, so unlike the amd64 CPUID probe there is nothing
-// to detect at init; useNEON8x8 exists as the same test seam useFMA8x8
+// to detect at init; useNEON8x8 exists as the same test seam useAVX2FMA
 // provides, letting tests compare the SIMD and portable kernels on one
 // host.
 
@@ -29,8 +29,7 @@ func SetSIMD(on bool) (was bool) {
 
 func init() {
 	if useNEON8x8 {
-		// Two quad registers per C-tile row mirror the amd64 YMM layout,
-		// so SIMD hosts default to the same 8×8 tile.
+		// Two quad registers per C-tile row hold the whole 8×8 tile.
 		DefaultTile = TileConfig{MC: 128, KC: 256, MR: 8, NR: 8}
 	}
 }
@@ -41,5 +40,10 @@ func kern8x8(kc int, ap, bp, c []float32, ldc int, first bool) {
 		kern8x8neon(kc, &ap[0], &bp[0], &c[0], ldc, first)
 		return
 	}
-	kern8x8go(kc, ap, bp, c, ldc, first)
+	kernTile(8, 8, kc, ap, bp, c, ldc, first)
+}
+
+// kern6x16 has no arm64 assembly: the 6×16 tile runs the portable loop.
+func kern6x16(kc int, ap, bp, c []float32, ldc int, first bool) {
+	kernTile(6, 16, kc, ap, bp, c, ldc, first)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestKern8x8NEONMatchesPortable runs identical blocked GEMMs through the
-// NEON kernel and the portable kern8x8go and compares elementwise. FMLA
+// NEON kernel and the portable kernTile loop and compares elementwise. FMLA
 // rounds each multiply-add once, so agreement is tolerance-level; the
 // shapes span multiple KC panels to cover both the store (first) and
 // accumulate epilogues, plus M/N edge tiles. (The CI host is amd64, so

@@ -2,10 +2,15 @@
 
 package tensor
 
-// kern8x8 runs the 8×8 tile; without an assembly kernel for this
-// architecture it is the portable scalar path.
+// Without an assembly kernel for this architecture both SIMD-sized tiles
+// run the portable loop.
+
 func kern8x8(kc int, ap, bp, c []float32, ldc int, first bool) {
-	kern8x8go(kc, ap, bp, c, ldc, first)
+	kernTile(8, 8, kc, ap, bp, c, ldc, first)
+}
+
+func kern6x16(kc int, ap, bp, c []float32, ldc int, first bool) {
+	kernTile(6, 16, kc, ap, bp, c, ldc, first)
 }
 
 // SetSIMD reports that no assembly kernel runs here; there is nothing to

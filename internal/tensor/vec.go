@@ -7,7 +7,7 @@ import (
 
 // The elementwise kernels of the inference forward's non-GEMM tail: ReLU,
 // max-pooling and the perforation fill. Each runs on the host's SIMD path
-// where one exists (vec_amd64.s, gated like the 8×8 micro-kernel) and
+// where one exists (vec_amd64.s, gated like the 6×16 micro-kernel) and
 // leaves what that path does not cover — a row's last n%4 elements — to
 // its portable Go twin below, which is also the whole kernel on every
 // other target and the tests' reference. Every SIMD path computes the

@@ -3,7 +3,7 @@
 package tensor
 
 // The AVX2 elementwise kernels in vec_amd64.s, behind the same CPUID gate
-// as the 8×8 micro-kernel (useFMA8x8; they use AVX2 but no FMA). Each
+// as the 6×16 micro-kernel (useAVX2FMA; they use AVX2 but no FMA). Each
 // covers the first n&^3 elements of a row — 8-wide steps, then one 4-wide
 // step — and the wrappers below report that count, leaving the rest to
 // the portable twin.
@@ -24,7 +24,7 @@ func acrossAVX2(dst, src *float32, rows, n, w int, lo, hi *int32, wa, wb *float3
 func downAVX2(dst, src *float32, rows, w int, lo, hi *int32, wa, wb *float32)
 
 func reluSIMD(dst, src []float32) int {
-	if !useFMA8x8 || len(src) < 4 {
+	if !useAVX2FMA || len(src) < 4 {
 		return 0
 	}
 	reluAVX2(&dst[0], &src[0], len(src))
@@ -32,7 +32,7 @@ func reluSIMD(dst, src []float32) int {
 }
 
 func maxRowsSIMD(dst, src []float32, rows, w, size, stride int) int {
-	if !useFMA8x8 || w < 4 {
+	if !useAVX2FMA || w < 4 {
 		return 0
 	}
 	maxRowsAVX2(&dst[0], &src[0], rows, w, size, stride)
@@ -40,7 +40,7 @@ func maxRowsSIMD(dst, src []float32, rows, w, size, stride int) int {
 }
 
 func pairMaxSIMD(dst, src []float32) int {
-	if !useFMA8x8 || len(dst) < 4 {
+	if !useAVX2FMA || len(dst) < 4 {
 		return 0
 	}
 	pairMaxAVX2(&dst[0], &src[0], len(dst))
@@ -49,7 +49,7 @@ func pairMaxSIMD(dst, src []float32) int {
 
 func acrossSIMD(dst, src []float32, rows, n int, p *Lerp) int {
 	w := len(p.lo)
-	if !useFMA8x8 || w < 4 || rows == 0 {
+	if !useAVX2FMA || w < 4 || rows == 0 {
 		return 0
 	}
 	acrossAVX2(&dst[0], &src[0], rows, n, w, &p.lo[0], &p.hi[0], &p.wa[0], &p.wb[0])
@@ -57,7 +57,7 @@ func acrossSIMD(dst, src []float32, rows, n int, p *Lerp) int {
 }
 
 func downSIMD(dst, src []float32, w int, p *Lerp) int {
-	if !useFMA8x8 || w < 4 || len(p.lo) == 0 {
+	if !useAVX2FMA || w < 4 || len(p.lo) == 0 {
 		return 0
 	}
 	downAVX2(&dst[0], &src[0], len(p.lo), w, &p.lo[0], &p.hi[0], &p.wa[0], &p.wb[0])

@@ -19,16 +19,16 @@ import (
 // lerp picks the Lerp plans' brackets and weights.
 func checkTailKernels(t *testing.T, src []float32, w int, lerp *rand.Rand) {
 	t.Helper()
-	if !useFMA8x8 {
+	if !useAVX2FMA {
 		t.Skip("host lacks AVX2+FMA")
 	}
-	defer func() { useFMA8x8 = true }()
+	defer func() { useAVX2FMA = true }()
 	run := func(kernel string, n int, f func(dst []float32)) {
 		t.Helper()
 		got, want := make([]float32, n), make([]float32, n)
-		useFMA8x8 = true
+		useAVX2FMA = true
 		f(got)
-		useFMA8x8 = false
+		useAVX2FMA = false
 		f(want)
 		for i := range want {
 			g, e := got[i], want[i]
