@@ -35,10 +35,9 @@ build-arm64:
 # micro-kernel (kern8x8_other.go, `!amd64 && !arm64`: the 8x8 and 6x16
 # tiles run the portable kernTile loop): the scalar 8x4 DefaultTile is the
 # only blocked path there and the reason kern8x4 is kept, and no other
-# gate parses it. Only amd64 has assembly for the
-# elementwise kernels (vec_amd64.s); arm64 and riscv64 both run their
-# portable Go twins (vec_other.go, `!amd64`), which build-arm64 and this
-# target compile.
+# gate parses it. Only amd64 has assembly for the elementwise kernels
+# (vec_amd64.s); arm64 and riscv64 both run their portable Go twins
+# (vec_other.go, `!amd64`), which build-arm64 and this target compile.
 build-portable:
 	GOOS=linux GOARCH=riscv64 $(GO) build ./... && GOOS=linux GOARCH=riscv64 $(GO) vet ./internal/tensor/
 
