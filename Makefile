@@ -25,15 +25,17 @@ build:
 
 # build-arm64 cross-compiles the whole module for linux/arm64. It is the
 # only gate exercising internal/tensor/kern8x8_arm64.{go,s} (the NEON 8x8
-# micro-kernel; amd64 runs the AVX2+FMA 6x16 in kern6x16_amd64.s) on an
-# amd64 host — assembly errors there would otherwise surface only on real
-# arm64 hardware.
+# micro-kernel; amd64 runs the AVX-512F 12x32 in kern12x32_amd64.s or the
+# AVX2+FMA 6x16 in kern6x16_amd64.s) on an amd64 host — assembly errors
+# there would otherwise surface only on real arm64 hardware. It compiles
+# the kernel but no gate executes it: train.golden's rounding-class
+# header pins its bits the first time an arm64 host runs tier-1.
 build-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 # build-portable cross-compiles and vets the configuration with no SIMD
-# micro-kernel (kern8x8_other.go, `!amd64 && !arm64`: the 8x8 and 6x16
-# tiles run the portable kernTile loop): the scalar 8x4 DefaultTile is the
+# micro-kernel (kern8x8_other.go, `!amd64 && !arm64`: the 8x8, 6x16 and
+# 12x32 tiles run the portable kernTile loop): the scalar 8x4 DefaultTile is the
 # only blocked path there and the reason kern8x4 is kept, and no other
 # gate parses it. Only amd64 has assembly for the elementwise kernels
 # (vec_amd64.s); arm64 and riscv64 both run their portable Go twins
@@ -60,7 +62,7 @@ race:
 		./internal/fleet/e2e/ ./internal/simdrive/ ./internal/runtimemgr/ ./internal/par/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
 		./internal/runtimemgr/ ./internal/tensor/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance|TestDefaultEngineFollowsGOMAXPROCS|TestShardingLeavesNoGoroutines|TestShardNested'
+		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance|TestAVX512TileMatches6x16|TestDefaultEngineFollowsGOMAXPROCS|TestShardingLeavesNoGoroutines|TestShardNested'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
 

@@ -254,11 +254,16 @@ func TestZeroGradClearsAll(t *testing.T) {
 // trainingRecord trains each scaled network for two epochs (batch 16) over
 // one seeded 32-sample set and prints, per epoch, the mean loss and an
 // FNV-64a over every parameter's float32 bits, both as exact bit patterns.
-// Its first line names the build: the bits are the default engine's, whose
-// rounding is fixed per ISA (tensor.DefaultTile).
+// Its first line names the rounding class of the build, not its tile:
+// every blocked-GEMM output is one multiply-add chain from zero per KC
+// step whatever MR, NR and MC are, so the bits depend only on KC, on
+// whether the default engine's micro-kernel fuses its multiply-add
+// (roundingClass) and on GOARCH — Go fuses x*y+z in plain Go code on
+// arm64 but not on amd64 (below GOAMD64=v3), and the rest of the layers
+// are plain Go.
 func trainingRecord() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "# %s %v\n", runtime.GOARCH, tensor.DefaultTile)
+	fmt.Fprintf(&b, "# %s %s kc%d\n", runtime.GOARCH, roundingClass(), tensor.DefaultTile.KC)
 	for i, build := range []func(*rand.Rand) *Sequential{AlexNetS, VGGS, GoogLeNetS} {
 		net := build(rand.New(rand.NewSource(int64(70 + i))))
 		rng := rand.New(rand.NewSource(80))
@@ -289,14 +294,55 @@ func trainingRecord() []byte {
 	return b.Bytes()
 }
 
+// roundingClass probes how the default engine's micro-kernel rounds a
+// multiply-add: a 2×2, K = 2 GEMM whose C[0][0] is 1·1 + a·b with
+// a = (2²³+2896)·2⁻³⁵ and b = (2²³−2895)·2⁻³⁵, so a·b = 2⁻²⁴ + 4688·2⁻⁷⁰.
+// Rounding the product first leaves 1 + 2⁻²⁴, a tie that rounds to even,
+// 1; a fused multiply-add keeps the tail and rounds up to 1 + 2⁻²³.
+func roundingClass() string {
+	a := float32(math.Ldexp(1<<23+2896, -35))
+	b := float32(math.Ldexp(1<<23-2895, -35))
+	x := tensor.FromSlice([]float32{1, a, 0, 0}, 2, 2)
+	y := tensor.FromSlice([]float32{1, 0, b, 0}, 2, 2)
+	switch c := tensor.Default().MatMul(x, y).Data[0]; c {
+	case 1:
+		return "mul-add"
+	case 1 + 0x1p-23:
+		return "fma"
+	default:
+		return fmt.Sprintf("unknown-%08x", math.Float32bits(c))
+	}
+}
+
 // TestTrainingGolden pins training to the bit: every accuracy, entropy and
 // tuning number the experiments report comes from a network trained this
 // way, so a rewrite of any layer's forward or backward must leave these
 // losses and weights unchanged. -update rewrites testdata/train.golden and
 // is for a deliberate re-rounding only. A build whose default engine
-// rounds differently (another ISA's tile) skips.
+// rounds differently (another GOARCH, rounding class or KC) skips.
 func TestTrainingGolden(t *testing.T) {
-	got := trainingRecord()
+	checkTrainingGolden(t, trainingRecord())
+}
+
+// TestTrainingGoldenAt6x16 reruns the record with the blocked GEMM forced
+// to the AVX2 tile, 120×256×6×16, and holds it to the same golden: a host
+// whose default is the AVX-512 12×32 then shows that one golden holds for
+// both tiles.
+func TestTrainingGoldenAt6x16(t *testing.T) {
+	at6x16 := tensor.TileConfig{MC: 120, KC: 256, MR: 6, NR: 16}
+	if tensor.DefaultTile == at6x16 {
+		t.Skip("the default tile is the 6×16: TestTrainingGolden runs it")
+	}
+	defer func(was tensor.TileConfig) { tensor.DefaultTile = was }(tensor.DefaultTile)
+	tensor.DefaultTile = at6x16
+	checkTrainingGolden(t, trainingRecord())
+}
+
+// checkTrainingGolden compares a training record with testdata/train.golden
+// (or rewrites the golden under -update), skipping when the golden was
+// recorded under another rounding class.
+func checkTrainingGolden(t *testing.T, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", "train.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

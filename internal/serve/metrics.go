@@ -109,9 +109,9 @@ func newMetrics(reg *obs.Registry, s *Server) *serveMetrics {
 		"Batch execution attempts cut off by the per-attempt timeout.",
 		s.st.counterFn(func(st *stats) uint64 { return st.timeouts }))
 	// Host GEMM engine state: the default engine's worker count and the
-	// blocked tile this build runs (one per ISA, fixed at init), so a
-	// deployment dashboard can tell an AVX2 6×16 or NEON 8×8 host from a
-	// scalar 8×4 one.
+	// blocked tile this host runs (one per ISA level, fixed at init), so a
+	// deployment dashboard can tell an AVX-512 12×32, AVX2 6×16 or NEON
+	// 8×8 host from a scalar 8×4 one.
 	eng := tensor.Default()
 	reg.GaugeFunc("pcnn_gemm_workers",
 		"Chunks a sharded GEMM on the default engine splits into (GOMAXPROCS).",

@@ -66,13 +66,14 @@ func BenchmarkGEMMBlockedParallel(b *testing.B) {
 }
 
 // BenchmarkMicroKernel times each built-in register tile alone — the
-// scalar 8×4, the 8×8 and the 6×16, through kernelFor, so on the SIMD
-// path where this build has one — on L1-resident packed panels at the
-// production depth KC = 256: the kernel's own rate, with no packing and
-// no cache misses, reported as GFLOP/s (recorded in BENCH_gemm.json).
+// scalar 8×4, the 8×8, the 6×16 and the 12×32, through kernelFor, so on
+// the SIMD path where this build has one — on L1-resident packed panels
+// at the production depth KC = 256: the kernel's own rate, with no
+// packing and no cache misses, reported as GFLOP/s (recorded in
+// BENCH_gemm.json).
 func BenchmarkMicroKernel(b *testing.B) {
 	const kc = 256
-	for _, mk := range [][2]int{{8, 4}, {8, 8}, {6, 16}} {
+	for _, mk := range [][2]int{{8, 4}, {8, 8}, {6, 16}, {12, 32}} {
 		mr, nr := mk[0], mk[1]
 		b.Run(fmt.Sprintf("%dx%d", mr, nr), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))

@@ -36,6 +36,9 @@ import (
 // micro-kernel call per KC step, in ascending pc, on the same packed
 // bytes whatever the stripe bounds, which is what makes blocked-serial and
 // blocked-parallel bit-for-bit identical regardless of worker count.
+// Nor do MR, NR or MC enter the rounding, only KC and whether the kernel
+// fuses its multiply-add: the amd64 12×32 and 6×16 agree bit for bit, and
+// nn's training golden is keyed by that rounding class, not by the tile.
 // Relative to the naive kernel the accumulation *tree* differs (per-panel
 // register sums are added to C once per KC step), so naive-vs-blocked
 // agreement is tolerance-based, not exact.
@@ -51,22 +54,22 @@ type TileConfig struct {
 }
 
 // maxMR/maxNR bound the micro-kernel register tile; the edge-tile scratch
-// buffer is sized by them.
+// buffer, fused-packer column bases and kernTile's row are sized by them.
 const (
-	maxMR = 8
-	maxNR = 16
+	maxMR = 12
+	maxNR = 32
 )
 
 // DefaultTile is the tile every blocked GEMM of this build runs: one per
-// ISA, fixed at init, with nothing at run time to override it. Chosen by
+// ISA level, fixed at init, with nothing at run time to override it. Chosen by
 // sweeping cache/register blockings on the recorded BENCH_gemm layer
 // shapes: MC×KC = 128×256 (128 KiB of packed A) sits in L2 on both hosts
 // probed, 8×4 is the widest tile whose scalar accumulators stay in
 // registers, and hosts with a SIMD kernel switch to its tile at init
-// (kern6x16_amd64.go: AVX2+FMA 6×16 at MC = 120; kern8x8_arm64.go: NEON
-// 8×8). The one measured improvement still open, KC = 512, re-rounds
-// training and is recorded in ROADMAP.md beside the Fig 16 recalibration
-// it has to land with.
+// (kern6x16_amd64.go: AVX-512F 12×32, else AVX2+FMA 6×16, both at
+// MC = 120; kern8x8_arm64.go: NEON 8×8). The one measured improvement
+// still open, KC = 512, re-rounds training and is recorded in ROADMAP.md
+// beside the Fig 16 recalibration it has to land with.
 var DefaultTile = TileConfig{MC: 128, KC: 256, MR: 8, NR: 4}
 
 // String renders the tile as MCxKCxMRxNR, the form the benchmark
@@ -83,9 +86,9 @@ type microKernel func(kc int, ap, bp, c []float32, ldc int, first bool)
 
 // kernelFor returns the micro-kernel for an MR×NR register tile, or nil:
 // the scalar 8×4 (the blocked path of every build without a SIMD kernel),
-// the 8×8 the arm64 NEON kernel implements and the 6×16 the amd64 AVX2+FMA
-// kernel implements. Each SIMD tile runs the portable kernTile loop where
-// its assembly is absent or switched off.
+// the 8×8 of arm64 NEON, the 6×16 of amd64 AVX2+FMA and the 12×32 of amd64
+// AVX-512F. Each SIMD tile runs the portable kernTile loop where its
+// assembly is absent or switched off.
 func kernelFor(mr, nr int) microKernel {
 	switch {
 	case mr == 8 && nr == 4:
@@ -94,6 +97,8 @@ func kernelFor(mr, nr int) microKernel {
 		return kern8x8
 	case mr == 6 && nr == 16:
 		return kern6x16
+	case mr == 12 && nr == 32:
+		return kern12x32
 	}
 	return nil
 }
@@ -126,9 +131,9 @@ func getPanel(pool *sync.Pool, n int) *panelBuf {
 // panels: dst[panel][kk*mr+i] = A[ic+panel*mr+i][pc+kk], zero-padding
 // rows past mc so edge micro-tiles can run the full-width kernel.
 // aTrans selects the K×M storage layout of the TransA variant. A full
-// eight- or six-row panel of row-major A goes through packA8 or packA6;
-// partial panels and the transposed layout take the scalar loops, which
-// write the same bytes.
+// 8-, 6- or 12-row panel of row-major A goes through packA8, packA6 or
+// packA12; partial panels and the transposed layout take the scalar
+// loops, which write the same bytes.
 func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
@@ -147,6 +152,8 @@ func packA(dst, a []float32, lda, ic, mc, pc, kc, mr int, aTrans bool) {
 			packA8(panel, a[(ic+ir)*lda+pc:], lda, kc)
 		case rows == 6 && mr == 6:
 			packA6(panel, a[(ic+ir)*lda+pc:], lda, kc)
+		case rows == 12 && mr == 12:
+			packA12(panel, a[(ic+ir)*lda+pc:], lda, kc)
 		default:
 			packARows(panel, a[(ic+ir)*lda+pc:], lda, kc, rows, mr)
 		}
@@ -191,6 +198,19 @@ func packA6(panel, a []float32, lda, kc int) {
 		d := (*[6]float32)(panel[kk*6:])
 		d[0], d[1], d[2] = r0[kk], r1[kk], r2[kk]
 		d[3], d[4], d[5] = r3[kk], r4[kk], r5[kk]
+	}
+}
+
+// packA12 is packA8 for a full twelve-row panel.
+func packA12(panel, a []float32, lda, kc int) {
+	r0, r1, r2, r3 := a[:kc], a[lda:][:kc], a[2*lda:][:kc], a[3*lda:][:kc]
+	r4, r5, r6, r7 := a[4*lda:][:kc], a[5*lda:][:kc], a[6*lda:][:kc], a[7*lda:][:kc]
+	r8, r9, r10, r11 := a[8*lda:][:kc], a[9*lda:][:kc], a[10*lda:][:kc], a[11*lda:][:kc]
+	for kk := range r0 {
+		d := (*[12]float32)(panel[kk*12:])
+		d[0], d[1], d[2], d[3] = r0[kk], r1[kk], r2[kk], r3[kk]
+		d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+		d[8], d[9], d[10], d[11] = r8[kk], r9[kk], r10[kk], r11[kk]
 	}
 }
 
@@ -514,24 +534,30 @@ func kern8x4(kc int, ap, bp, c []float32, ldc int, first bool) {
 	r7[3] += c73
 }
 
-// kernTile is the portable path of the SIMD-sized tiles (8×8, 6×16):
-// their scalar accumulators exceed the register file, so it sums one C
-// element at a time — the identical accumulation tree, a k-panel from
-// zero then one store/add into C. The assembly kernels replace it
+// kernTile is the portable path of the SIMD-sized tiles (8×8, 6×16,
+// 12×32), whose accumulators exceed the register file: one C row at a
+// time, k outer over a row of NR accumulators — the identical tree, each
+// element a k-panel from zero in ascending k then one store/add into C.
+// The assembly kernels replace it
 // wherever the host has them.
 func kernTile(mr, nr, kc int, ap, bp, c []float32, ldc int, first bool) {
+	var row [maxNR]float32
 	for i := 0; i < mr; i++ {
+		acc := row[:nr]
+		clear(acc)
+		for kk := 0; kk < kc; kk++ {
+			a := ap[kk*mr+i]
+			for j, b := range bp[kk*nr : kk*nr+nr] {
+				acc[j] += a * b
+			}
+		}
 		crow := c[i*ldc : i*ldc+nr]
-		for j := range crow {
-			var s float32
-			for kk := 0; kk < kc; kk++ {
-				s += ap[kk*mr+i] * bp[kk*nr+j]
-			}
-			if first {
-				crow[j] = s
-			} else {
-				crow[j] += s
-			}
+		if first {
+			copy(crow, acc)
+			continue
+		}
+		for j, v := range acc {
+			crow[j] += v
 		}
 	}
 }

@@ -128,11 +128,12 @@ func TestBlockedDegenerateShapes(t *testing.T) {
 }
 
 // TestBlockedAllMicroKernels runs the boundary check once per built-in
-// MR×NR register tile — the scalar 8×4, the 8×8 and the 6×16 (SIMD where
-// the host has them; kern*_test.go compares each against the portable
-// kernTile loop) — so every kernel's edge handling is exercised.
+// MR×NR register tile — the scalar 8×4, the 8×8, the 6×16 and the 12×32
+// (SIMD where the host has them; kern*_test.go compares the SIMD tiles
+// with the portable kernTile loop or with each other) — so every
+// kernel's edge handling is exercised.
 func TestBlockedAllMicroKernels(t *testing.T) {
-	for i, mk := range [][2]int{{8, 4}, {8, 8}, {6, 16}} {
+	for i, mk := range [][2]int{{8, 4}, {8, 8}, {6, 16}, {12, 32}} {
 		tile := TileConfig{MC: 3*mk[0] + 1, KC: 7, MR: mk[0], NR: mk[1]}
 		checkBlockedShape(t, 2*tile.MC+3, 2*tile.KC+1, 3*tile.NR+2, int64(300+i), tile)
 	}
@@ -233,7 +234,7 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 func TestStripeSlabRegionsDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for trial := 0; trial < 3000; trial++ {
-		nr := []int{4, 8, 16}[rng.Intn(3)]
+		nr := []int{4, 8, 16, 32}[rng.Intn(4)]
 		kcTile := 1 + rng.Intn(300)
 		n := 1 + rng.Intn(300)
 		k := 1 + rng.Intn(4*kcTile)
@@ -287,10 +288,10 @@ func TestStripeSlabRegionsDisjoint(t *testing.T) {
 	}
 }
 
-// TestPackAMatchesReference holds packA — the eight- and six-row paths
-// for full panels of row-major A, the scalar loops for partial panels and
-// the transposed layout — to the definition dst[panel][kk*mr+i] =
-// A[ic+panel*mr+i][pc+kk] byte for byte, and each full-panel path to the
+// TestPackAMatchesReference holds packA — the eight-, six- and twelve-row
+// paths for full panels of row-major A, the scalar loops for partial
+// panels and the transposed layout — to the definition dst[panel][kk*mr+i]
+// = A[ic+panel*mr+i][pc+kk] byte for byte, and each full-panel path to the
 // scalar loop on the same panel. The source values include negative zero
 // and a NaN payload, so a path that rounds or canonicalizes differs.
 func TestPackAMatchesReference(t *testing.T) {
@@ -303,9 +304,9 @@ func TestPackAMatchesReference(t *testing.T) {
 		}
 		return out
 	}
-	fullPanel := map[int]func(panel, a []float32, lda, kc int){8: packA8, 6: packA6}
-	for trial := 0; trial < 800; trial++ {
-		mr := []int{8, 6}[trial/400]
+	fullPanel := map[int]func(panel, a []float32, lda, kc int){8: packA8, 6: packA6, 12: packA12}
+	for trial := 0; trial < 1200; trial++ {
+		mr := []int{8, 6, 12}[trial/400]
 		aTrans := trial%2 == 1
 		rows := 1 + trial%mr         // rows of the last panel: 1–mr
 		mc := mr*(trial/16%3) + rows // 0–2 full panels, then the partial one
@@ -554,4 +555,43 @@ func FuzzBlockedVsNaive(f *testing.F) {
 		m, k, n := int(m8)%40, int(k8)%40, int(n8)%40
 		checkBlockedShape(t, m, k, n, seed, testTile)
 	})
+}
+
+// probeFused is what fmaProbe returns from a fused multiply-add.
+const probeFused = 1 + 0x1p-23
+
+// fmaProbe runs the rounding-class probe GEMM at a tile: 2×2, K = 2, with
+// C[0][0] = 1·1 + a·b for a = (2²³+2896)·2⁻³⁵ and b = (2²³−2895)·2⁻³⁵, so
+// a·b = 2⁻²⁴ + 4688·2⁻⁷⁰. A kernel that rounds the product first gets
+// 1 + 2⁻²⁴, a tie that rounds to even, 1; a fused multiply-add keeps the
+// tail and returns probeFused. The nn package's training golden keys its
+// header on the same probe.
+func fmaProbe(tile TileConfig) float32 {
+	a, b := probeOperands()
+	c := make([]float32, 4)
+	blockedGEMM(c, []float32{1, a, 0, 0}, []float32{1, 0, b, 0}, 2, 2, 2, false, false, tile, 1)
+	return c[0]
+}
+
+func probeOperands() (a, b float32) {
+	return float32(math.Ldexp(1<<23+2896, -35)), float32(math.Ldexp(1<<23-2895, -35))
+}
+
+// TestFMAProbeSeparatesClasses checks the probe can tell the classes
+// apart — a product rounded before the add returns 1, one fused returns
+// probeFused — and records why the portable kernel is not math.FMA: in
+// float64 the fused sum 1 + 2⁻²⁴ + 4688·2⁻⁷⁰ rounds to 1 + 2⁻²⁴, and the
+// conversion to float32 then rounds that tie to 1. Rounding twice lands
+// in neither class.
+func TestFMAProbeSeparatesClasses(t *testing.T) {
+	a, b := probeOperands()
+	if p := float32(a * b); 1+p != 1 {
+		t.Fatalf("rounded product: 1 + a·b = %g, want 1", 1+p)
+	}
+	if exact := float64(a) * float64(b); exact <= 0x1p-24 { // 48 bits: exact in float64
+		t.Fatalf("a·b = %g does not exceed 2⁻²⁴: a fused sum would tie", exact)
+	}
+	if got := float32(math.FMA(float64(a), float64(b), 1)); got != 1 {
+		t.Fatalf("float32(math.FMA(a, b, 1)) = %g, want the double-rounded 1", got)
+	}
 }

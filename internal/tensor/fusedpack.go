@@ -169,6 +169,8 @@ func packBIm2col(dst, x []float32, g Im2colGeom, pc, kc, slabKC, nr, plo, phi in
 			packGather8(panel, x, (*[8]int)(base[:]), rowoff, 8)
 		case cols == 16 && nr == 16:
 			packGather16(panel, x, &base, rowoff)
+		case cols == 32 && nr == 32:
+			packGather32(panel, x, &base, rowoff)
 		default:
 			packGather(panel, x, base[:cols], rowoff, nr)
 		}
@@ -215,6 +217,13 @@ func packGather8(panel, x []float32, base *[8]int, rowoff []int, nr int) {
 func packGather16(panel, x []float32, base *[maxNR]int, rowoff []int) {
 	packGather8(panel, x, (*[8]int)(base[:8]), rowoff, 16)
 	packGather8(panel[8:], x, (*[8]int)(base[8:]), rowoff, 16)
+}
+
+// packGather32 fills a full 32-wide panel as four 8-column quarters.
+func packGather32(panel, x []float32, base *[maxNR]int, rowoff []int) {
+	for h := 0; h < 32; h += 8 {
+		packGather8(panel[h:], x, (*[8]int)(base[h:]), rowoff, 32)
+	}
 }
 
 // packGather fills any panel column by column, zeroing past the edge.

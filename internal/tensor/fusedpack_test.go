@@ -227,7 +227,8 @@ func TestFusedPackZeroAlloc(t *testing.T) {
 }
 
 // TestPackGatherFullPanelsMatchGeneric holds the unrolled full-panel
-// gathers — packGather16's two 8-column halves and packGather8 — to the
+// gathers — packGather32's four 8-column quarters, packGather16's two
+// halves and packGather8 — to the
 // generic packGather loop bit for bit, on scattered column bases (no
 // 4-float runs, so packBIm2col would take these paths) over inputs that
 // hold negative zero and a NaN payload.
@@ -245,8 +246,8 @@ func TestPackGatherFullPanelsMatchGeneric(t *testing.T) {
 		}
 		return out
 	}
-	for trial := 0; trial < 200; trial++ {
-		nr := []int{16, 8}[trial%2]
+	for trial := 0; trial < 300; trial++ {
+		nr := []int{32, 16, 8}[trial%3]
 		rowoff := make([]int, 1+rng.Intn(40))
 		for kk := range rowoff {
 			rowoff[kk] = rng.Intn(2048)
@@ -260,9 +261,12 @@ func TestPackGatherFullPanelsMatchGeneric(t *testing.T) {
 			got[i] = -7 // every packed float must be written
 		}
 		packGather(want, x, base[:nr], rowoff, nr)
-		if nr == 16 {
+		switch nr {
+		case 32:
+			packGather32(got, x, &base, rowoff)
+		case 16:
 			packGather16(got, x, &base, rowoff)
-		} else {
+		default:
 			packGather8(got, x, (*[8]int)(base[:]), rowoff, 8)
 		}
 		if !slices.Equal(bits(got), bits(want)) {
@@ -336,7 +340,7 @@ func keptFrom(mask uint32, n int) []int {
 // rows, n = 1–4 images, a random KC slab [pc, pc+kc) and the panel range
 // packed as two random shards must produce, byte for byte, the panels of
 // materializing the sampled column matrix and running packBRange over it
-// — at NR = 16, 8 and 4 — and the whole GEMM must then match the two-step
+// — at NR = 32, 16, 8 and 4 — and the whole GEMM must then match the two-step
 // product and the batch-1 oracle. The seeds are the three perforated
 // layers of the served level 9 (7×7 of 16×16, 5×5 of 8×8, 3×3 of 4×4).
 func FuzzSampledPackVsTwoStep(f *testing.F) {
@@ -367,7 +371,7 @@ func FuzzSampledPackVsTwoStep(f *testing.F) {
 		defer PutScratch(xp)
 		pc := int(pc8) % k
 		kc := 1 + int(kc8)%(k-pc)
-		for _, nr := range []int{16, 8, 4} {
+		for _, nr := range []int{32, 16, 8, 4} {
 			panels := (n + nr - 1) / nr
 			mid := int(split8) % (panels + 1)
 			want, got := make([]float32, kc*panels*nr), make([]float32, kc*panels*nr)

@@ -2,29 +2,36 @@
 
 package tensor
 
-// The 6×16 micro-kernel is the amd64 SIMD register tile: twelve 8-float
-// YMM accumulators hold the whole C tile, twelve independent FMA chains
-// where an 8×8 tile keeps eight, so on hosts with AVX2+FMA it runs the
-// assembly kernel in kern6x16_amd64.s. Detection is done once at init
-// via CPUID/XGETBV (FMA, AVX, AVX2, and OS-saved YMM state); anything
-// missing falls back to the portable kernTile loop.
+// The amd64 SIMD register tiles: on hosts with AVX2+FMA the 6×16 runs
+// kern6x16_amd64.s (twelve 8-float YMM accumulators hold the whole C
+// tile), and on hosts that also have AVX-512F the 12×32 runs
+// kern12x32_amd64.s (twenty-four 16-float ZMM accumulators). Detection is
+// done once via CPUID/XGETBV; anything missing falls back to the portable
+// kernTile loop.
 
 // kern6x16fma is the AVX2+FMA kernel in kern6x16_amd64.s. kc must be >= 1.
 //
 //go:noescape
 func kern6x16fma(kc int, ap, bp, c *float32, ldc int, first bool)
 
+// kern12x32avx512 is the AVX-512F kernel in kern12x32_amd64.s. kc >= 1.
+//
+//go:noescape
+func kern12x32avx512(kc int, ap, bp, c *float32, ldc int, first bool)
+
 // cpuidex and xgetbv0 (kern6x16_amd64.s) expose the CPUID leaf and
 // extended-control-register reads the feature probe needs.
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// hasAVX2FMA records the probe; useAVX2FMA gates the assembly paths — the
-// 6×16 micro-kernel and the elementwise kernels of vec_amd64.s — and tests
-// flip it to compare the SIMD and portable kernels on the same host.
+// hasAVX2FMA/hasAVX512 record the probes; useAVX2FMA gates the 6×16 and
+// vec_amd64.s, useAVX512 the 12×32, and tests flip them to compare the
+// SIMD and portable kernels on the same host.
 var (
 	hasAVX2FMA = detectFMA()
+	hasAVX512  = hasAVX2FMA && detectAVX512()
 	useAVX2FMA = hasAVX2FMA
+	useAVX512  = hasAVX512
 )
 
 // SetSIMD turns the assembly kernels on (where the host has them) or off
@@ -32,15 +39,19 @@ var (
 // their layers on the portable kernels too. It is not safe to call while
 // any kernel runs.
 func SetSIMD(on bool) (was bool) {
-	was, useAVX2FMA = useAVX2FMA, on && hasAVX2FMA
+	was, useAVX2FMA, useAVX512 = useAVX2FMA, on && hasAVX2FMA, on && hasAVX512
 	return was
 }
 
+// init is the one place the amd64 tile is chosen: the widest the host
+// runs (the 12×32 reads ≈ 1.7× the 6×16's L1-resident rate,
+// BENCH_gemm.json). MC = 120 is the multiple of 6 and 12 nearest 128; KC,
+// and so every output's rounding, is the same under both tiles.
 func init() {
-	if useAVX2FMA {
-		// Two YMM registers per C-tile row: twelve FMA chains cover the
-		// latency eight leave exposed (≈ 1.3× the 8×8 tile's L1-resident
-		// rate, BENCH_gemm.json). MC is the multiple of 6 nearest 128.
+	switch {
+	case useAVX512:
+		DefaultTile = TileConfig{MC: 120, KC: 256, MR: 12, NR: 32}
+	case useAVX2FMA:
 		DefaultTile = TileConfig{MC: 120, KC: 256, MR: 6, NR: 16}
 	}
 }
@@ -68,6 +79,14 @@ func detectFMA() bool {
 	return b7&avx2Bit != 0
 }
 
+// detectAVX512 reports AVX-512F (CPUID.7.0:EBX bit 16) and OS-saved XMM,
+// YMM, opmask and ZMM state (XCR0 0xE6), after detectFMA's checks.
+func detectAVX512() bool {
+	_, b7, _, _ := cpuidex(7, 0)
+	xlo, _ := xgetbv0()
+	return b7&(1<<16) != 0 && xlo&0xE6 == 0xE6
+}
+
 // kern6x16 runs the 6×16 tile on the fastest available path.
 func kern6x16(kc int, ap, bp, c []float32, ldc int, first bool) {
 	if useAVX2FMA && kc > 0 {
@@ -75,6 +94,15 @@ func kern6x16(kc int, ap, bp, c []float32, ldc int, first bool) {
 		return
 	}
 	kernTile(6, 16, kc, ap, bp, c, ldc, first)
+}
+
+// kern12x32 runs the 12×32 tile on the fastest available path.
+func kern12x32(kc int, ap, bp, c []float32, ldc int, first bool) {
+	if useAVX512 && kc > 0 {
+		kern12x32avx512(kc, &ap[0], &bp[0], &c[0], ldc, first)
+		return
+	}
+	kernTile(12, 32, kc, ap, bp, c, ldc, first)
 }
 
 // kern8x8 has no amd64 assembly: the 8×8 tile runs the portable loop.

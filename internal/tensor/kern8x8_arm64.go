@@ -43,7 +43,12 @@ func kern8x8(kc int, ap, bp, c []float32, ldc int, first bool) {
 	kernTile(8, 8, kc, ap, bp, c, ldc, first)
 }
 
-// kern6x16 has no arm64 assembly: the 6×16 tile runs the portable loop.
+// kern6x16 and kern12x32 have no arm64 assembly: those tiles run the
+// portable loop.
 func kern6x16(kc int, ap, bp, c []float32, ldc int, first bool) {
 	kernTile(6, 16, kc, ap, bp, c, ldc, first)
+}
+
+func kern12x32(kc int, ap, bp, c []float32, ldc int, first bool) {
+	kernTile(12, 32, kc, ap, bp, c, ldc, first)
 }

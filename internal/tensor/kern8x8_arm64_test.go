@@ -39,3 +39,15 @@ func TestKern8x8NEONMatchesPortable(t *testing.T) {
 		}
 	}
 }
+
+// TestKern8x8NEONFusesMultiplyAdd pins the rounding-class probe on the
+// NEON tile: FMLA is fused, so the training golden's class header reads
+// fma here as on the amd64 SIMD tiles.
+func TestKern8x8NEONFusesMultiplyAdd(t *testing.T) {
+	if !useNEON8x8 {
+		t.Skip("NEON kernel disabled")
+	}
+	if got := fmaProbe(TileConfig{MC: 128, KC: 256, MR: 8, NR: 8}); got != probeFused {
+		t.Fatalf("NEON 8×8: probe returns %g, want the fused 1+2⁻²³", got)
+	}
+}
