@@ -61,8 +61,8 @@ race:
 		./internal/fault/ ./internal/scenario/ ./internal/workload/ ./internal/fleet/ \
 		./internal/fleet/e2e/ ./internal/simdrive/ ./internal/runtimemgr/ ./internal/par/
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/scenario/ ./internal/fleet/ ./internal/nn/ \
-		./internal/runtimemgr/ ./internal/tensor/ \
-		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance|TestAVX512TileMatches6x16|TestDefaultEngineFollowsGOMAXPROCS|TestShardingLeavesNoGoroutines|TestShardNested'
+		./internal/runtimemgr/ ./internal/tensor/ ./internal/par/ \
+		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance|TestAVX512TileMatches6x16|TestDefaultEngineFollowsGOMAXPROCS|TestShardingLeavesNoGoroutines|TestChunksNested'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
 		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
 

@@ -15,22 +15,11 @@ import (
 	"pcnn/internal/serve"
 )
 
-// fleetModelTask maps each fleet-served model to its archetype task — the
-// same mixed AlexNet+VGG+GoogLeNet surface the BENCH_fleet.json soak
-// exercises.
-func fleetModelTask() map[string]pcnn.Task {
-	return map[string]pcnn.Task{
-		"AlexNet":   pcnn.VideoSurveillance(30),
-		"VGGNet":    pcnn.AgeDetection(),
-		"GoogLeNet": pcnn.ImageTagging(),
-	}
-}
-
 // newFleet builds the fleet the daemon serves. -fleet N compiles the
-// three-model surface for the platform pool and joins N nodes round-robin
-// over it; without it the daemon is the N = 1 case, -net under -task on
-// one node on -platform. Either way every node builds its servers from
-// the one serveConfig.
+// soak's three-model surface (fleet.MixedModels) for the platform pool and
+// joins N nodes round-robin over it; without it the daemon is the N = 1
+// case, -net under -task on one node on -platform. Either way every node
+// builds its servers from the one serveConfig.
 func newFleet(o *options) (*pcnn.Fleet, error) {
 	policy, err := parseFleetPolicy(o.fleetPol)
 	if err != nil {
@@ -57,8 +46,8 @@ func newFleet(o *options) (*pcnn.Fleet, error) {
 		if nodes < len(pool) {
 			pool = pool[:nodes]
 		}
-		for model, task := range fleetModelTask() {
-			d, err := pcnn.CompileFleetDeployment(model, task, pool, false)
+		for _, m := range fleet.MixedModels() {
+			d, err := pcnn.CompileFleetDeployment(m.Name, m.Task, pool, false)
 			if err != nil {
 				return nil, err
 			}

@@ -64,11 +64,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pcnn"
+	"pcnn/internal/fleet"
 	"pcnn/internal/satisfaction"
 	"pcnn/internal/workload"
 )
@@ -133,7 +135,7 @@ func parseFlags(args []string) *options {
 
 	fs.IntVar(&o.fleetN, "fleet", 0,
 		"daemon mode: N in-process replicas spread over -fleet-platforms, serving all three models (0 = one replica on -platform serving -net under -task)")
-	fs.StringVar(&o.fleetPlatforms, "fleet-platforms", "TitanX,K20c,GTX970m,TX1",
+	fs.StringVar(&o.fleetPlatforms, "fleet-platforms", strings.Join(fleet.MixedPlatforms, ","),
 		"comma-separated platform pool the fleet replicas cycle through")
 	fs.StringVar(&o.fleetPol, "fleet-policy", "ring", "fleet fallback policy: ring or least-slack")
 	fs.BoolVar(&o.hedge, "hedge", false,

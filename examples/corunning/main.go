@@ -45,7 +45,7 @@ func main() {
 
 	// 2. DVFS: the 100ms interactive budget dwarfs the ~2.5ms inference;
 	// the imperceptible region has no reward for finishing early.
-	frac, err := fg.ApplyDVFS(pcnn.FreqLevels())
+	frac, err := fg.ApplyDVFS()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,13 +27,12 @@ func (p *Plan) Device() *gpu.Device {
 
 // ApplyDVFS implements Fig 3's imperceptible-region rule: there is no
 // satisfaction to gain by finishing before T_i, so pick the lowest
-// frequency level whose re-predicted time still fits the budget and bank
-// the (≈cubic) dynamic-power saving. Levels are core-clock fractions,
-// highest first. Background tasks and plans already over budget are left
-// at full clock. The chosen fraction is returned and recorded in
-// p.FreqFrac; per-layer plans and PredictedMS are recomputed for the
-// scaled device.
-func (p *Plan) ApplyDVFS(levels []float64) (float64, error) {
+// frequency level of gpu.DefaultFreqLevels whose re-predicted time still
+// fits the budget and bank the (≈cubic) dynamic-power saving. Background
+// tasks and plans already over budget are left at full clock. The chosen
+// fraction is returned and recorded in p.FreqFrac; per-layer plans and
+// PredictedMS are recomputed for the scaled device.
+func (p *Plan) ApplyDVFS() (float64, error) {
 	p.FreqFrac = 1
 	p.EffDev = nil
 	if p.Task.Class == satisfaction.Background {
@@ -45,8 +44,8 @@ func (p *Plan) ApplyDVFS(levels []float64) (float64, error) {
 	}
 	bestFrac := 1.0
 	var bestDev *gpu.Device
-	for _, f := range levels {
-		if f <= 0 || f > 1 || f >= bestFrac && bestDev != nil {
+	for _, f := range gpu.DefaultFreqLevels {
+		if f >= bestFrac {
 			continue
 		}
 		scaled, err := p.Dev.AtFrequency(f)
@@ -57,7 +56,7 @@ func (p *Plan) ApplyDVFS(levels []float64) (float64, error) {
 		if err := trial.planLayers(); err != nil {
 			return 0, err
 		}
-		if trial.PredictedMS <= budget && f < bestFrac {
+		if trial.PredictedMS <= budget {
 			bestFrac = f
 			bestDev = scaled
 			p.Layers = trial.Layers

@@ -19,7 +19,7 @@ func TestApplyDVFSUsesSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := p.ApplyDVFS(gpu.DefaultFreqLevels)
+	frac, err := p.ApplyDVFS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestApplyDVFSNoSlackKeepsFullClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := p.ApplyDVFS(gpu.DefaultFreqLevels)
+	frac, err := p.ApplyDVFS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestApplyDVFSBackgroundNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := p.ApplyDVFS(gpu.DefaultFreqLevels)
+	frac, err := p.ApplyDVFS()
 	if err != nil {
 		t.Fatal(err)
 	}

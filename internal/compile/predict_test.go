@@ -65,7 +65,7 @@ func TestPredictMSAnchor(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", net.Name, dev.Name, err)
 				}
-				if _, err := p.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+				if _, err := p.ApplyDVFS(); err != nil {
 					t.Fatal(err)
 				}
 				if got := PredictMS(p, p.Batch, nil); got != p.PredictedMS {

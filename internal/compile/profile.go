@@ -24,31 +24,35 @@ func (p *Plan) LayerNames() []string {
 	return out
 }
 
-// ProfileResults folds per-launch simulator results into a named
-// per-layer breakdown. keep holds perforation keep fractions scaling each
-// conv layer's prediction exactly the way the serving executor's
-// PredictMS does (nil or missing entries mean the full layer), so the
-// profile's predicted column sums to the prediction the batcher used.
-// results must come from simulating this plan's launches (one per layer,
-// in order); a shorter slice profiles the prefix.
-func (p *Plan) ProfileResults(results []gpu.Result, keep map[string]float64) []LayerProfile {
-	n := len(p.Layers)
-	if len(results) < n {
-		n = len(results)
-	}
-	out := make([]LayerProfile, 0, n)
-	for i := 0; i < n; i++ {
-		l := p.Layers[i]
-		frac := 1.0
-		if l.GEMM.IsConv {
-			if f, ok := keep[l.Name]; ok && f < 1 {
-				frac = f
-			}
+// KeptMS is the layer's tuned prediction with a conv layer scaled
+// linearly by its perforation keep fraction (nil or missing entries mean
+// the full layer; perforation shrinks the GEMM N dimension
+// proportionally). It is the one owner of that linear-keep time: the
+// serving executor sums it over a plan compiled at exactly the requested
+// batch, and ProfileResults reports it per layer, so the profile's
+// predicted column sums to the prediction the batcher used.
+func (l *LayerPlan) KeptMS(keep map[string]float64) float64 {
+	frac := 1.0
+	if l.GEMM.IsConv {
+		if f, ok := keep[l.Name]; ok && f < 1 {
+			frac = f
 		}
-		r := results[i]
+	}
+	return l.PredictedMS * frac
+}
+
+// ProfileResults folds per-launch simulator results into a named
+// per-layer breakdown whose predicted column is each layer's KeptMS under
+// keep. results must come from simulating this plan's launches (one per
+// layer, in order); a shorter slice profiles the prefix.
+func (p *Plan) ProfileResults(results []gpu.Result, keep map[string]float64) []LayerProfile {
+	n := min(len(results), len(p.Layers))
+	out := make([]LayerProfile, 0, n)
+	for i, r := range results[:n] {
+		l := &p.Layers[i]
 		out = append(out, LayerProfile{
 			Name:        l.Name,
-			PredictedMS: l.PredictedMS * frac,
+			PredictedMS: l.KeptMS(keep),
 			TimeMS:      r.TimeMS,
 			EnergyJ:     r.EnergyJ,
 			IssueUtil:   r.IssueUtil,

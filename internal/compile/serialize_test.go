@@ -15,7 +15,7 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+	if _, err := p.ApplyDVFS(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -142,7 +142,7 @@ func compileExecutor(net *nn.NetShape, task satisfaction.Task, platform string, 
 		return nil, fmt.Errorf("fleet: compile %s on %s: %w", net.Name, platform, err)
 	}
 	if dvfs {
-		if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+		if _, err := plan.ApplyDVFS(); err != nil {
 			return nil, fmt.Errorf("fleet: DVFS %s on %s: %w", net.Name, platform, err)
 		}
 	}

@@ -62,25 +62,28 @@ const (
 	soakBurstDutyFrac = 0.2
 )
 
-// soakPlatforms is the heterogeneous pool; replica i serves on
-// soakPlatforms[i % len].
-var soakPlatforms = []string{"TitanX", "K20c", "GTX970m", "TX1"}
+// MixedPlatforms is the mixed fleet's heterogeneous platform pool — the
+// soak's and pcnnd -fleet's default; replica i serves on
+// MixedPlatforms[i % len].
+var MixedPlatforms = []string{"TitanX", "K20c", "GTX970m", "TX1"}
 
-// soakModel is one model in the soak's fixed mixed-archetype deployment
-// set: the Section V.C pairing of networks to application archetypes.
-type soakModel struct {
-	name string
-	task satisfaction.Task
+// MixedModel is one model of the mixed fleet's fixed mixed-archetype
+// deployment set: the Section V.C pairing of networks to application
+// archetypes.
+type MixedModel struct {
+	Name string
+	Task satisfaction.Task
 }
 
-// soakModels returns the fleet's serving mix: AlexNet frames a 30 FPS
-// surveillance camera (real-time), VGGNet answers age-detection selfies
-// (interactive), GoogLeNet chews the photo-tagging backlog (background).
-func soakModels() []soakModel {
-	return []soakModel{
-		{name: "AlexNet", task: satisfaction.VideoSurveillance(30)},
-		{name: "VGGNet", task: satisfaction.AgeDetection()},
-		{name: "GoogLeNet", task: satisfaction.ImageTagging()},
+// MixedModels returns the mixed fleet's serving mix, the one the soak
+// drives and pcnnd -fleet serves: AlexNet frames a 30 FPS surveillance
+// camera (real-time), VGGNet answers age-detection selfies (interactive),
+// GoogLeNet chews the photo-tagging backlog (background).
+func MixedModels() []MixedModel {
+	return []MixedModel{
+		{Name: "AlexNet", Task: satisfaction.VideoSurveillance(30)},
+		{Name: "VGGNet", Task: satisfaction.AgeDetection()},
+		{Name: "GoogLeNet", Task: satisfaction.ImageTagging()},
 	}
 }
 
@@ -217,7 +220,7 @@ func (r SoakReport) Check() error {
 // byte.
 func RunSoak(spec SoakSpec) (SoakReport, error) {
 	spec = spec.withDefaults()
-	models := soakModels()
+	models := MixedModels()
 
 	// Compile one executor set per model (plus AlexNet's DVFS-scaled v2)
 	// across the whole platform pool, one unit per (set, platform); the
@@ -225,18 +228,18 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	// Deployments over them.
 	nets := make([]*nn.NetShape, len(models))
 	for i, m := range models {
-		nets[i] = nn.NetShapeByName(m.name)
+		nets[i] = nn.NetShapeByName(m.Name)
 	}
-	nP := len(soakPlatforms)
+	nP := len(MixedPlatforms)
 	exs := make([]serve.Executor, (len(models)+1)*nP)
 	err := par.Each(len(exs), func(u int) error {
-		set, platform := u/nP, soakPlatforms[u%nP]
+		set, platform := u/nP, MixedPlatforms[u%nP]
 		i, dvfs := 0, true // the last set is AlexNet's v2
 		if set < len(models) {
 			i, dvfs = set, false
 		}
 		var err error
-		exs[u], err = compileExecutor(nets[i], models[i].task, platform, dvfs)
+		exs[u], err = compileExecutor(nets[i], models[i].Task, platform, dvfs)
 		return err
 	})
 	if err != nil {
@@ -244,7 +247,7 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	}
 	execSet := func(set int) map[string]serve.Executor {
 		ex := make(map[string]serve.Executor, nP)
-		for i, p := range soakPlatforms {
+		for i, p := range MixedPlatforms {
 			ex[p] = exs[set*nP+i]
 		}
 		return ex
@@ -261,8 +264,8 @@ func RunSoak(spec SoakSpec) (SoakReport, error) {
 	for i, m := range models {
 		cap := 0.0
 		for r := 0; r < soakReferenceN; r++ {
-			ex := exV1[i][soakPlatforms[r%nP]]
-			cap += serve.CapacityRPS(ex, m.task, ex.MaxBatch())
+			ex := exV1[i][MixedPlatforms[r%nP]]
+			cap += serve.CapacityRPS(ex, m.Task, ex.MaxBatch())
 		}
 		offered[i] = soakLoad * cap
 	}
@@ -305,7 +308,7 @@ func soakArrivals(per float64, seed int64) workload.Arrivals {
 // Every row draws the identical trace because the seeds are fixed; the
 // processes are consumed lazily by ScheduleStream so the trace is never
 // materialized.
-func soakStreams(spec SoakSpec, models []soakModel, offered []float64) ([]workload.Arrivals, []int) {
+func soakStreams(spec SoakSpec, models []MixedModel, offered []float64) ([]workload.Arrivals, []int) {
 	var arrs []workload.Arrivals
 	var counts []int
 	for i := range models {
@@ -335,7 +338,7 @@ type pendingReq struct {
 }
 
 // runSoakRow serves the shared schedule on one fleet configuration.
-func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Executor,
+func runSoakRow(spec SoakSpec, models []MixedModel, exV1 []map[string]serve.Executor,
 	exV2 map[string]serve.Executor, offered []float64,
 	n int, hedge bool) (SoakRow, error) {
 
@@ -346,7 +349,7 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	clk := workload.NewVirtualClock(workload.Epoch())
 	reg := NewRegistry()
 	for i, m := range models {
-		d, err := NewDeployment(m.name, m.task, exV1[i])
+		d, err := NewDeployment(m.Name, m.Task, exV1[i])
 		if err != nil {
 			return SoakRow{}, err
 		}
@@ -360,7 +363,7 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	nodes := map[string]*Node{}
 	var nodeIDs []string
 	for i := 0; i < n; i++ {
-		platform := soakPlatforms[i%len(soakPlatforms)]
+		platform := MixedPlatforms[i%len(MixedPlatforms)]
 		id := fmt.Sprintf("r%d-%s", i, platform)
 		// Slack-aware early rejection stays off: admission pricing at the
 		// escalation ceiling caps each queue below the backlog a deadline
@@ -407,7 +410,7 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 			// Hot-swap AlexNet's v2 (DVFS-scaled) deployment in mid-trace;
 			// v1 servers retire copy-on-write as each node next touches
 			// the model.
-			d2, err := NewDeployment(models[0].name, models[0].task, exV2)
+			d2, err := NewDeployment(models[0].Name, models[0].Task, exV2)
 			if err != nil {
 				return nil, err
 			}
@@ -418,7 +421,7 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 		arrived++
 		lastAt = ev.At
 		mIdx := ev.Stream / soakClientsPerModel
-		ff, err := fl.Submit(models[mIdx].name, fmt.Sprintf("client-%d", ev.Stream%soakClientsPerModel))
+		ff, err := fl.Submit(models[mIdx].Name, fmt.Sprintf("client-%d", ev.Stream%soakClientsPerModel))
 		if err != nil {
 			row.Shed++
 			return nil, nil
@@ -533,7 +536,7 @@ func runSoakRow(spec SoakSpec, models []soakModel, exV1 []map[string]serve.Execu
 	for m := range models {
 		ma := &rowAgg.perModel[m]
 		mr := SoakModelRow{
-			Model:    models[m].name,
+			Model:    models[m].Name,
 			Requests: ma.requests,
 			Served:   ma.served,
 			P50MS:    ma.hist.Percentile(0.50),

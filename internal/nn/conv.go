@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"pcnn/internal/par"
 	"pcnn/internal/perforate"
 	"pcnn/internal/tensor"
 )
@@ -251,10 +252,11 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 
 // Backward implements Layer. Every sample's column matrix, dW_i = g_i·colsᵀ,
 // db_i, Wᵀ·g_i and col2im are independent of the other samples, so the
-// samples are sharded across the engine's workers in contiguous chunks,
-// each shard rebuilding columns from the kept input into its own buffer (a
-// 1×1 stride-1 unpadded convolution's column matrix IS the input plane, so
-// that path reads an input-aliasing view instead). The gradients still
+// samples are sharded across the engine's workers in contiguous chunks
+// (par.Chunks, split by the one read of Workers() that also sizes the
+// shard state), each shard rebuilding columns from the kept input into
+// its own buffer (a 1×1 stride-1 unpadded convolution's column matrix IS
+// the input plane, so that path reads an input-aliasing view instead). The gradients still
 // take dW_i and db_i in sample order, element by element, as a
 // one-sample-at-a-time loop adds them: the first chunk's samples come
 // first, so its shard adds each as soon as it is computed, and every later
@@ -273,12 +275,13 @@ func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	planeIn := c.inC * c.inH * c.inW
 	fanIn := c.inC * c.k * c.k
 	eng := c.engine()
-	c.growShards(eng.Workers(), fanIn, planeOut)
+	workers := eng.Workers()
+	c.growShards(workers, fanIn, planeOut)
 	dx := tensor.New(n, c.inC, c.inH, c.inW)
 	wG, bG := c.weight.G.Data, c.bias.G.Data
 	nW := len(wG)
 	stride := nW + len(bG) // one sample's dW_i then db_i
-	eng.Shard(n, func(shard, lo, hi int) {
+	par.Chunks(n, workers, func(shard, lo, hi int) {
 		sh := &c.shards[shard]
 		if shard > 0 {
 			sh.kept = hi - lo

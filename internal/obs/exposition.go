@@ -11,7 +11,8 @@ import (
 // document, stamping every series from a part with that part's extra
 // labels. The fleet uses it to export N replicas' existing pcnn_serve_*
 // metric sets side by side under replica/model labels, with each family's
-// HELP/TYPE header emitted exactly once.
+// HELP/TYPE header emitted exactly once; Registry.WritePrometheus is the
+// exposition of one registry with no extra labels.
 type Exposition struct {
 	parts []expoPart
 }

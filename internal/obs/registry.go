@@ -186,38 +186,11 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return m.(*Histogram)
 }
 
-// WritePrometheus renders every metric in text exposition format (0.0.4),
-// families sorted by name and series by label signature, so output is
-// deterministic for golden tests.
+// WritePrometheus renders every metric in text exposition format (0.0.4):
+// the exposition of this registry alone, so output is deterministic for
+// golden tests.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
-	}
-	r.mu.Unlock()
-
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		ss := append([]*series(nil), f.series...)
-		sort.Slice(ss, func(i, j int) bool { return ss[i].labels < ss[j].labels })
-		for _, s := range ss {
-			writeSeries(bw, f.name, s)
-		}
-	}
-	return bw.Flush()
+	return NewExposition().Add(r).WritePrometheus(w)
 }
 
 func writeSeries(w *bufio.Writer, name string, s *series) {

@@ -62,7 +62,7 @@ func (e *Engine) planFor(key planKey, dev *gpu.Device, net *nn.NetShape, task sa
 			return nil, err
 		}
 		if key.dvfs {
-			if _, err := p.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+			if _, err := p.ApplyDVFS(); err != nil {
 				return nil, err
 			}
 		}

@@ -145,7 +145,7 @@ func Evaluate(sc Scenario) ([]Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: QPE: %w", err)
 	}
-	if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+	if _, err := plan.ApplyDVFS(); err != nil {
 		return nil, fmt.Errorf("sched: QPE: %w", err)
 	}
 	_, agg, err := plan.Simulate(false)

@@ -207,7 +207,7 @@ func (e *PlanExecutor) Recompile(dvfs bool) (*PlanExecutor, error) {
 		return nil, err
 	}
 	if dvfs {
-		if _, err := plan.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+		if _, err := plan.ApplyDVFS(); err != nil {
 			return nil, err
 		}
 	}
@@ -305,18 +305,13 @@ func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
 }
 
 // predictExact sums a plan's tuned per-layer predictions at its own
-// compiled batch, with conv layers scaled by the level's keep fraction
-// (perforation shrinks the GEMM N dimension proportionally).
+// compiled batch, each conv layer scaled by the level's keep fraction
+// (compile.LayerPlan.KeptMS, the time the profile's predicted column
+// reports).
 func predictExact(p *compile.Plan, keeps map[string]float64) float64 {
 	var ms float64
-	for _, l := range p.Layers {
-		frac := 1.0
-		if l.GEMM.IsConv {
-			if f, ok := keeps[l.Name]; ok && f < 1 {
-				frac = f
-			}
-		}
-		ms += l.PredictedMS * frac
+	for i := range p.Layers {
+		ms += p.Layers[i].KeptMS(keeps)
 	}
 	return ms
 }

@@ -611,7 +611,7 @@ func TestDVFSExecutorPricesOnScaledClock(t *testing.T) {
 		for _, task := range satisfaction.EvaluationTasks() {
 			nominal := compilePlan(t, "AlexNet", dev.Name, task)
 			dvfs := compilePlan(t, "AlexNet", dev.Name, task)
-			if _, err := dvfs.ApplyDVFS(gpu.DefaultFreqLevels); err != nil {
+			if _, err := dvfs.ApplyDVFS(); err != nil {
 				t.Fatal(err)
 			}
 			if dvfs.FreqFrac >= 1 {

@@ -103,30 +103,6 @@ func kernelFor(mr, nr int) microKernel {
 	return nil
 }
 
-// panelBuf is a pooled packing buffer. Pooling the struct pointer (not the
-// slice) keeps Put allocation-free, so steady-state blocked GEMMs do zero
-// allocations — guarded by TestBlockedZeroAlloc.
-type panelBuf struct{ data []float32 }
-
-// Packed-A blocks (MC×KC, ≤128 KB at the default tile, one per worker
-// chunk) and packed-B slabs (KC×N, megabytes for a conv-lowered GEMM, one
-// per GEMM) come from separate pools: getPanel grows a too-small buffer to
-// the request, so in one shared pool every A buffer would converge on the
-// largest B slab ever seen.
-var packAPool, packBPool sync.Pool
-
-func getPanel(pool *sync.Pool, n int) *panelBuf {
-	pb, _ := pool.Get().(*panelBuf)
-	if pb == nil {
-		pb = &panelBuf{}
-	}
-	if cap(pb.data) < n {
-		pb.data = make([]float32, n)
-	}
-	pb.data = pb.data[:n]
-	return pb
-}
-
 // packA packs the mc×kc block of A starting at (ic, pc) into MR-row
 // panels: dst[panel][kk*mr+i] = A[ic+panel*mr+i][pc+kk], zero-padding
 // rows past mc so edge micro-tiles can run the full-width kernel.
@@ -303,15 +279,15 @@ func (g *blockedArgs) packPanels(pc, kc, lo, hi int) {
 // runStripe runs the whole K loop for the stripe of NR panels [plo, phi)
 // (par.Chunks numbers it; the body does not need the number):
 // at each KC step it packs its own panels of the B slab, then for each MC
-// block packs A into its pooled buffer (with the edge-tile staging area
+// block packs A into its scratch buffer (with the edge-tile staging area
 // at its tail) and sweeps the micro-kernel over its panels. It writes
 // only its panels' columns of C and their region of the slab, so stripes
 // never wait on one another.
 func (g *blockedArgs) runStripe(_, plo, phi int) {
 	t := g.tile
 	mr, nr := t.MR, t.NR
-	apb := getPanel(&packAPool, g.apPerBlk+maxMR*maxNR)
-	ap, stage := apb.data[:g.apPerBlk], apb.data[g.apPerBlk:]
+	buf := GetScratch(g.apPerBlk + maxMR*maxNR)
+	ap, stage := buf[:g.apPerBlk], buf[g.apPerBlk:]
 	for pc := 0; pc < g.k; pc += t.KC {
 		kc := min(t.KC, g.k-pc)
 		first := pc == 0
@@ -352,7 +328,7 @@ func (g *blockedArgs) runStripe(_, plo, phi int) {
 			}
 		}
 	}
-	packAPool.Put(apb)
+	PutScratch(buf)
 }
 
 // blockedGEMM runs one cache-blocked GEMM with its NR panels split into
@@ -399,14 +375,14 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	nPanelsB := (n + t.NR - 1) / t.NR
 	nPanelsA := (min(t.MC, m) + t.MR - 1) / t.MR
 
-	bpb := getPanel(&packBPool, nPanelsB*slabKC*t.NR)
+	bp := GetScratch(nPanelsB * slabKC * t.NR)
 	g, _ := argsPool.Get().(*blockedArgs)
 	if g == nil {
 		g = &blockedArgs{}
 		g.stripe = g.runStripe
 	}
 	*g = blockedArgs{
-		stripe: g.stripe, c: c, a: a, b: b, bp: bpb.data,
+		stripe: g.stripe, c: c, a: a, b: b, bp: bp,
 		lda: lda, ldb: ldb, ldc: n, m: m, n: n, k: k, slabKC: slabKC,
 		aTrans: aTrans, bTrans: bTrans, tile: t, kern: kernelFor(t.MR, t.NR),
 		apPerBlk: slabKC * nPanelsA * t.MR,
@@ -415,7 +391,7 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	par.Chunks(nPanelsB, chunks, g.stripe)
 	*g = blockedArgs{stripe: g.stripe} // drop the operand references before pooling
 	argsPool.Put(g)
-	packBPool.Put(bpb)
+	PutScratch(bp)
 }
 
 var argsPool sync.Pool

@@ -410,7 +410,7 @@ func TestBlockedFullyOverwritesOutput(t *testing.T) {
 
 // TestBlockedZeroAlloc is the packed-panel pool guard: after warm-up, a
 // serial blocked GEMM (all three variants) must allocate nothing — the
-// panels come from the pooled *panelBuf free list and the micro-tile
+// panels come from the scratch pool (GetScratch) and the micro-tile
 // staging buffer lives in the pooled packed-A buffer's tail.
 func TestBlockedZeroAlloc(t *testing.T) {
 	if raceEnabled {

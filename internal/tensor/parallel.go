@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-
-	"pcnn/internal/par"
 )
 
 // This file is the host-side compute backend: an Engine that runs every
@@ -119,13 +117,6 @@ func (e *Engine) Workers() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// Shard runs fn over [0, n) split into at most Workers() contiguous
-// chunks, the first on the calling goroutine and each other on a
-// short-lived goroutine of its own (par.Chunks), and returns when every
-// chunk is done; shard numbers the chunk from 0 so fn can index per-shard
-// state. A chunk may run sharded GEMMs and call Shard itself.
-func (e *Engine) Shard(n int, fn func(shard, lo, hi int)) { par.Chunks(n, e.Workers(), fn) }
 
 // usesBlocked reports whether a GEMM with M output rows runs on the
 // blocked kernels. The Serial oracle never does, and neither does M == 1:

@@ -6,9 +6,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"pcnn/internal/par"
 )
 
 // Engines under test: a blocked one with four workers and a zero
@@ -159,78 +160,6 @@ func TestEngineKnobs(t *testing.T) {
 	}
 }
 
-// TestShardChunks: Shard visits every index of [0, n) exactly once in at
-// most Workers() contiguous chunks numbered from 0.
-func TestShardChunks(t *testing.T) {
-	e := NewEngine(Blocked, 3)
-	for _, n := range []int{0, 1, 2, 5, 16} {
-		seen := make([]int, n)
-		var mu sync.Mutex
-		shards := map[int][2]int{}
-		e.Shard(n, func(shard, lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			shards[shard] = [2]int{lo, hi}
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-		next := 0
-		for k := 0; k < len(shards); k++ {
-			r, ok := shards[k]
-			if !ok || r[0] != next || r[1] <= r[0] {
-				t.Fatalf("n=%d: shards %v are not contiguous chunks numbered from 0", n, shards)
-			}
-			next = r[1]
-		}
-		if len(shards) > e.Workers() {
-			t.Fatalf("n=%d: %d shards on %d workers", n, len(shards), e.Workers())
-		}
-	}
-}
-
-// TestShardNested: a Shard chunk may call Shard itself and run sharded
-// GEMMs on the same engine — chunks are goroutines that exit when done,
-// not tasks of a pool the chunk would wait on — and every index of both
-// levels is visited exactly once with the sharded products bit-identical
-// to the unsharded ones. make race runs it at -cpu 1,2.
-func TestShardNested(t *testing.T) {
-	e, ref := testEngines()
-	const outer, inner = 7, 5
-	rng := rand.New(rand.NewSource(12))
-	a, b := randTensor(rng, 24, 40), randTensor(rng, 40, 72)
-	want := ref.MatMul(a, b)
-	var seen [outer][inner]atomic.Int32
-	var bad atomic.Int32
-	e.Shard(outer, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.Shard(inner, func(_, ilo, ihi int) {
-				for j := ilo; j < ihi; j++ {
-					seen[i][j].Add(1)
-				}
-				if !bitIdentical(e.MatMul(a, b), want) {
-					bad.Add(1)
-				}
-			})
-		}
-	})
-	for i := range seen {
-		for j := range seen[i] {
-			if c := seen[i][j].Load(); c != 1 {
-				t.Fatalf("index (%d, %d) visited %d times", i, j, c)
-			}
-		}
-	}
-	if n := bad.Load(); n > 0 {
-		t.Fatalf("%d nested sharded GEMMs diverge from the unsharded product", n)
-	}
-}
-
 // TestDefaultEngineFollowsGOMAXPROCS: the default engine's worker count is
 // the current GOMAXPROCS, not the one it first ran under, so raising
 // GOMAXPROCS after a GEMM lets the next GEMM above the threshold shard.
@@ -253,9 +182,9 @@ func TestDefaultEngineFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestShardingLeavesNoGoroutines: sharded GEMMs and Shard calls on
-// engines with their own worker counts start no goroutine that outlives
-// the call, so building engines leaks nothing.
+// TestShardingLeavesNoGoroutines: sharded GEMMs on engines with their own
+// worker counts, and par.Chunks fan-outs at those counts, start no
+// goroutine that outlives the call, so building engines leaks nothing.
 func TestShardingLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(14))
@@ -264,7 +193,7 @@ func TestShardingLeavesNoGoroutines(t *testing.T) {
 		e := NewEngine(Blocked, 4)
 		e.SetParallelThreshold(0)
 		e.MatMul(a, b)
-		e.Shard(8, func(_, _, _ int) {})
+		par.Chunks(8, e.Workers(), func(_, _, _ int) {})
 	}
 	// A chunk's goroutine has signalled the wait group just before it
 	// exits, so give the scheduler a moment to retire it.

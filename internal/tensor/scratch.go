@@ -5,11 +5,16 @@ import (
 	"sync"
 )
 
-// Pooled scratch buffers for the hot path: im2col column matrices and GEMM
-// outputs are rebuilt every forward pass, and without reuse they dominate
-// allocation. Buffers are pooled in power-of-two size classes so a request
-// is always satisfied by a buffer of at most 2× its size and a returned
-// buffer never serves a request it cannot hold.
+// Pooled scratch buffers for the hot path: im2col column matrices, GEMM
+// outputs and the blocked GEMM's packed-A blocks and packed-B slabs are
+// rebuilt every forward pass, and without reuse they dominate allocation.
+// Buffers are pooled in power-of-two size classes so a request is always
+// satisfied by a buffer of at most 2× its size and a returned buffer never
+// serves a request it cannot hold. The classes also keep small requests (a
+// packed-A block, MC·KC ≈ 32 K floats plus a staging tile) off the large
+// buffers (a conv layer's packed-B slab, megabytes). A request over 2^24
+// floats is allocated per call and dropped on release; the largest slab
+// any benchmark workload packs, VGG CONV2_1's, is ≈ 3.2 M floats.
 
 const (
 	// scratchMinBits is the smallest pooled capacity (2^6 floats);

@@ -287,12 +287,6 @@ func NewLab(seed int64) *Lab { return core.NewLab(seed) }
 // SharedResult reports a spatial-multitasking co-run (Plan.SimulateShared).
 type SharedResult = compile.SharedResult
 
-// FreqLevels returns the selectable DVFS core-clock fractions, highest
-// first, for Plan.ApplyDVFS.
-func FreqLevels() []float64 {
-	return append([]float64(nil), gpu.DefaultFreqLevels...)
-}
-
 // LoadPlan reads a plan previously written with Plan.Save.
 func LoadPlan(r io.Reader) (*Plan, error) { return compile.LoadPlan(r) }
 
