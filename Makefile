@@ -64,7 +64,7 @@ race:
 		./internal/runtimemgr/ ./internal/tensor/ ./internal/par/ \
 		-run 'TestMatrixSameSeedByteIdentical|TestRunMatrixMatchesSerialRuns|TestSoakGolden|TestTrainingGolden|TestConvBackwardShardedBitIdentical|TestCol2imRunsMatchGeneric|TestTunerTrialsMatchSerial|TestStripeSlabRegionsDisjoint|TestBlockedParallelWorkerCountInvariance|TestAVX512TileMatches6x16|TestDefaultEngineFollowsGOMAXPROCS|TestShardingLeavesNoGoroutines|TestChunksNested'
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/nn/ ./internal/serve/ \
-		-run 'TestConcurrentInferenceSharedNet|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
+		-run 'TestConcurrentInferenceSharedNet|TestConcurrentFirstInference|TestPlanExecutorConcurrentLevels|TestPlanExecutorComputesEachKeyOnce'
 
 # e2e runs the real-daemon end-to-end suite: N pcnnd-equivalent HTTP
 # daemons on loopback, an outer fleet of HTTPReplicas routing mixed-model

@@ -132,15 +132,15 @@ func checkConvBackward(t *testing.T, conv *Conv, n, workers int, ref *tensor.Eng
 	ho, wo := conv.OutDims()
 	x := random(n, conv.inC, conv.inH, conv.inW)
 	grad := random(n, conv.outC, ho, wo)
-	w0, b0 := random(conv.weight.G.Shape()...), random(conv.bias.G.Shape()...)
+	w0, b0 := random(conv.weight.W.Shape()...), random(conv.bias.W.Shape()...)
 
 	eng := tensor.NewEngine(tensor.Blocked, workers)
 	eng.SetParallelThreshold(0)
 	conv.SetEngine(eng)
 	defer conv.SetEngine(nil)
+	conv.Forward(x, true) // allocates the gradients on a fresh layer
 	copy(conv.weight.G.Data, w0.Data)
 	copy(conv.bias.G.Data, b0.Data)
-	conv.Forward(x, true)
 	dx := conv.Backward(grad)
 	gotW := append([]float32(nil), conv.weight.G.Data...)
 	gotB := append([]float32(nil), conv.bias.G.Data...)

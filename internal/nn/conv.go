@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"pcnn/internal/par"
 	"pcnn/internal/perforate"
@@ -36,6 +37,8 @@ type Conv struct {
 
 	masks sync.Map // Keep → *perforate.Mask, see maskFor
 
+	pack atomic.Pointer[convPack] // the weights packed for inference, see packed
+
 	lastInput *tensor.Tensor // the training forward's input, for Backward
 
 	// shards is Backward's per-shard state, one per engine worker, reused
@@ -54,6 +57,13 @@ type convShard struct {
 	cols, g, dW *tensor.Tensor
 }
 
+// convPack is a conv's weights packed at a tile, and the weight generation
+// they were packed from.
+type convPack struct {
+	gen uint64
+	a   *tensor.PackedA
+}
+
 // conv1x1Fast gates the 1×1 stride-1 unpadded fast path (see pointwise);
 // tests flip it to prove the path is bit-identical to the generic
 // im2col lowering.
@@ -69,12 +79,8 @@ func NewConv(name string, inC, inH, inW, outC, k, stride, pad int, rng *rand.Ran
 		panic(fmt.Sprintf("nn: conv %s produces empty output", name))
 	}
 	fanIn := inC * k * k
-	c.weight = &Param{
-		Name: name + ".weight",
-		W:    tensor.New(outC, fanIn),
-		G:    tensor.New(outC, fanIn),
-	}
-	c.bias = &Param{Name: name + ".bias", W: tensor.New(outC), G: tensor.New(outC)}
+	c.weight = &Param{Name: name + ".weight", W: tensor.New(outC, fanIn)}
+	c.bias = &Param{Name: name + ".bias", W: tensor.New(outC)}
 	initWeights(c.weight.W, fanIn, rng)
 	return c
 }
@@ -150,13 +156,30 @@ const foldBudget = 1 << 19
 
 // Forward implements Layer. A training forward is infer on the full grid —
 // never the layer's own SetPerforation mask — on the layer's engine, and
-// keeps x for Backward.
+// keeps x for Backward (allocating the gradients on the first one).
 func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	o := &c.own
-	if train {
-		o, c.lastInput = nil, x
+	if !train {
+		return forwardAlone(c, x, inferCtx{opts: &c.own})
 	}
-	return forwardAlone(c, x, o)
+	c.lastInput = x
+	c.weight.needGrad()
+	c.bias.needGrad()
+	return forwardAlone(c, x, inferCtx{train: true})
+}
+
+// packed returns the weights packed at tensor.DefaultTile, packing them
+// on the first inference after a weight change (Param.Changed) or a tile
+// change. The pack is the layer's, swapped in whole through an atomic
+// pointer: concurrent first calls may each pack, and each reads a complete
+// pack of the current weights.
+func (c *Conv) packed() *tensor.PackedA {
+	gen := c.weight.gen.Load()
+	if p := c.pack.Load(); p != nil && p.gen == gen && p.a.Tile() == tensor.DefaultTile {
+		return p.a
+	}
+	p := &convPack{gen: gen, a: tensor.PackA(c.weight.W)}
+	c.pack.Store(p)
+	return p.a
 }
 
 func (c *Conv) checkInput(ch, h, w int) {
@@ -172,27 +195,17 @@ func (c *Conv) pointwise() bool {
 	return conv1x1Fast && c.k == 1 && c.stride == 1 && c.pad == 0
 }
 
-// addBias writes one sample's planes: dst[f] = res[f][off : off+nPos] + bias[f],
-// where res is an outC × ld GEMM result.
-func (c *Conv) addBias(dst, res []float32, ld, off, nPos int) {
-	for f := 0; f < c.outC; f++ {
-		row := res[f*ld+off:][:nPos]
-		b := c.bias.W.Data[f]
-		d := dst[f*nPos:][:nPos]
-		for j, v := range row {
-			d[j] = v + b
-		}
-	}
-}
-
 // infer implements Layer: a batch of n lowers to one GEMM per sample
-// chunk with N = samples·nPos, through Engine.MatMulIm2colInto — the
-// blocked kernels pack GEMM panels straight from the input images, and a
-// perforated layer is the same call with the mask's kept columns and rows
-// in the geometry, which shrinks nPos to Wo′·Ho′. The bias pass then
-// writes NCHW, under a mask filling each plane from its kept values. A
-// column's K order does not depend on its neighbours, so every output
-// element is bit-identical to a batch-1 call's.
+// chunk with N = samples·nPos, through Engine.MatMulIm2colPackedInto on
+// the layer's packed weights (a training forward passes them unpacked) —
+// the blocked kernels pack GEMM panels straight from the input images, and
+// a perforated layer is the same call with the mask's kept columns and
+// rows in the geometry, which shrinks nPos to Wo′·Ho′. The bias pass then
+// writes NCHW, under a mask filling each plane from its kept values; an
+// unmasked one-sample chunk's outC × nPos result already is the sample's
+// planes, so the GEMM writes them in place. A column's K order does not
+// depend on its neighbours, so every output element is bit-identical to a
+// batch-1 call's.
 func (c *Conv) infer(x act, ctx inferCtx) act {
 	c.checkInput(x.c, x.h, x.w)
 	eng := ctx.engine(c.own.engine)
@@ -222,28 +235,49 @@ func (c *Conv) infer(x act, ctx inferCtx) act {
 		geom.H, geom.W, geom.HO, geom.WO = 1, c.inH*c.inW, 1, planeOut
 	}
 
+	var pa *tensor.PackedA
+	if !ctx.train {
+		pa = c.packed()
+	}
 	chunk := min(max(foldBudget/((fanIn+c.outC)*nPos), 1), x.n)
-	res := tensor.GetScratch(c.outC * chunk * nPos)
-	defer tensor.PutScratch(res)
+	direct := chunk == 1 && m == nil
+	var res []float32
+	if !direct {
+		res = tensor.GetScratch(c.outC * chunk * nPos)
+		defer tensor.PutScratch(res)
+	}
 	for s0 := 0; s0 < x.n; s0 += chunk {
 		ns := min(chunk, x.n-s0)
 		ld := ns * nPos
 		geom.N = ns
-		eng.MatMulIm2colInto(tensor.FromSlice(res[:c.outC*ld], c.outC, ld), c.weight.W,
-			x.data[s0*planeIn:(s0+ns)*planeIn], geom)
+		xs := x.data[s0*planeIn : (s0+ns)*planeIn]
+		if direct {
+			res = out.data[s0*c.outC*planeOut:][:c.outC*planeOut]
+		}
+		if r := tensor.FromSlice(res[:c.outC*ld], c.outC, ld); pa != nil {
+			eng.MatMulIm2colPackedInto(r, pa, xs, geom)
+		} else {
+			eng.MatMulIm2colInto(r, c.weight.W, xs, geom)
+		}
 		for s := 0; s < ns; s++ {
 			oi := out.data[(s0+s)*c.outC*planeOut:][:c.outC*planeOut]
-			if m == nil {
-				c.addBias(oi, res, ld, s*nPos, nPos)
-				continue
-			}
 			for f := 0; f < c.outC; f++ {
 				row := res[f*ld+s*nPos:][:nPos]
 				b := c.bias.W.Data[f]
+				if !direct && m == nil {
+					d := oi[f*nPos:][:nPos]
+					for j, v := range row {
+						d[j] = v + b
+					}
+					continue
+				}
+				// In place: the output plane itself when direct.
 				for j := range row {
 					row[j] += b
 				}
-				m.Interpolate(oi[f*planeOut:][:planeOut], row)
+				if m != nil {
+					m.Interpolate(oi[f*planeOut:][:planeOut], row)
+				}
 			}
 		}
 	}

@@ -26,8 +26,8 @@ type FC struct {
 // NewFC creates a fully-connected layer with He-initialized weights.
 func NewFC(name string, in, out int, rng *rand.Rand) *FC {
 	f := &FC{name: name, in: in, out: out}
-	f.weight = &Param{Name: name + ".weight", W: tensor.New(out, in), G: tensor.New(out, in)}
-	f.bias = &Param{Name: name + ".bias", W: tensor.New(out), G: tensor.New(out)}
+	f.weight = &Param{Name: name + ".weight", W: tensor.New(out, in)}
+	f.bias = &Param{Name: name + ".bias", W: tensor.New(out)}
 	initWeights(f.weight.W, in, rng)
 	return f
 }
@@ -53,12 +53,14 @@ func (f *FC) Params() []*Param { return []*Param{f.weight, f.bias} }
 func (f *FC) Shape() FCShape { return FCShape{Name: f.name, In: f.in, Out: f.out} }
 
 // Forward implements Layer. A training forward is infer, keeping x for
-// Backward.
+// Backward (and allocating the gradients on the first one).
 func (f *FC) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		f.lastInput = x
+		f.weight.needGrad()
+		f.bias.needGrad()
 	}
-	return forwardAlone(f, x, nil)
+	return forwardAlone(f, x, inferCtx{})
 }
 
 // infer implements Layer: out = flat · Wᵀ + b, one row per sample — one

@@ -53,7 +53,7 @@ func (inc *Inception) Params() []*Param {
 // so concurrent inference on a shared module writes nothing.
 func (inc *Inception) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
-		return forwardAlone(inc, x, nil)
+		return forwardAlone(inc, x, inferCtx{})
 	}
 	outs := make([]act, len(inc.Branches))
 	inc.lastChans = make([]int, len(inc.Branches))

@@ -90,6 +90,10 @@ func actOf(x *tensor.Tensor) act {
 type inferCtx struct {
 	opts   *ForwardOpts // nil: every layer full, on its own SetEngine engine
 	pooled bool
+	// train marks a training forward: an optimizer step follows it, so a
+	// conv reads its weights unpacked rather than packing them for one
+	// call (see Conv.packed).
+	train bool
 }
 
 // alloc returns an n×c×h×w output activation with arbitrary contents;
@@ -128,10 +132,11 @@ func inferChain(layers []Layer, x act, ctx inferCtx) act {
 	return x
 }
 
-// forwardAlone is Layer.Forward for one layer on its own: the options o
-// (a Conv's own under Forward(x, false), nil otherwise), a freshly
-// allocated output the caller keeps.
-func forwardAlone(l Layer, x *tensor.Tensor, o *ForwardOpts) *tensor.Tensor {
-	y := l.infer(actOf(x), inferCtx{opts: o})
+// forwardAlone is Layer.Forward for one layer on its own: the call's
+// context (a Conv's own options under Forward(x, false), the training
+// mark under Forward(x, true)), a freshly allocated output the caller
+// keeps.
+func forwardAlone(l Layer, x *tensor.Tensor, ctx inferCtx) *tensor.Tensor {
+	y := l.infer(actOf(x), ctx)
 	return tensor.FromSlice(y.data, y.n, y.c, y.h, y.w)
 }

@@ -3,15 +3,31 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"pcnn/internal/tensor"
 )
 
-// Param is one trainable parameter with its gradient accumulator.
+// Param is one trainable parameter with its gradient accumulator. G is
+// nil until the parameter's first training forward: a network that only
+// serves never holds a gradient. Every write to W.Data must be followed by
+// Changed, which SGD.Step calls, so that what a layer derives from W (a
+// Conv's packed weights) is rebuilt rather than read stale.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
 	G    *tensor.Tensor
+	gen  atomic.Uint64 // W's generation, bumped by Changed
+}
+
+// Changed records a write to W.Data.
+func (p *Param) Changed() { p.gen.Add(1) }
+
+// needGrad allocates G, zeroed, on the first training forward.
+func (p *Param) needGrad() {
+	if p.G == nil {
+		p.G = tensor.New(p.W.Shape()...)
+	}
 }
 
 // Layer is one stage of an executable network. Inputs and outputs are

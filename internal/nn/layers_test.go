@@ -112,15 +112,20 @@ func gradCheck(t *testing.T, layer Layer, inShape []int, seed int64, tol float64
 	dx := layer.Backward(grad)
 
 	const eps = 1e-2
-	check := func(name string, data []float32, analytic []float32, n int) {
+	// changed follows every write to data: a parameter's Changed, so that a
+	// conv's packed weights are rebuilt from the perturbed value.
+	check := func(name string, data []float32, changed func(), analytic []float32, n int) {
 		for trial := 0; trial < n; trial++ {
 			i := rng.Intn(len(data))
 			orig := data[i]
 			data[i] = orig + eps
+			changed()
 			up := loss(layer.Forward(x, false))
 			data[i] = orig - eps
+			changed()
 			down := loss(layer.Forward(x, false))
 			data[i] = orig
+			changed()
 			numeric := (up - down) / (2 * eps)
 			got := float64(analytic[i])
 			scale := math.Max(math.Abs(numeric), math.Abs(got))
@@ -132,9 +137,9 @@ func gradCheck(t *testing.T, layer Layer, inShape []int, seed int64, tol float64
 			}
 		}
 	}
-	check("dx", x.Data, dx.Data, 12)
+	check("dx", x.Data, func() {}, dx.Data, 12)
 	for _, p := range layer.Params() {
-		check(p.Name, p.W.Data, p.G.Data, 12)
+		check(p.Name, p.W.Data, p.Changed, p.G.Data, 12)
 	}
 }
 

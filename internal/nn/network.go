@@ -173,10 +173,13 @@ func (s *Sequential) Backward(grad *tensor.Tensor) {
 	}
 }
 
-// ZeroGrad clears all parameter gradients.
+// ZeroGrad clears all parameter gradients (a gradient not yet allocated
+// is zero when it is).
 func (s *Sequential) ZeroGrad() {
 	for _, p := range s.Params() {
-		p.G.Zero()
+		if p.G != nil {
+			p.G.Zero()
+		}
 	}
 }
 

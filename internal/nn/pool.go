@@ -90,7 +90,7 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		p.lastInput = x
 	}
-	return forwardAlone(p, x, nil)
+	return forwardAlone(p, x, inferCtx{})
 }
 
 // Backward implements Layer: the gradient routes to each window's argmax
@@ -159,7 +159,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		r.lastInput = x
 	}
-	return forwardAlone(r, x, nil).Reshape(x.Shape()...)
+	return forwardAlone(r, x, inferCtx{}).Reshape(x.Shape()...)
 }
 
 // Backward implements Layer: the gradient passes where the kept input was

@@ -22,9 +22,13 @@ func NewSGD(lr, momentum float64) *SGD {
 }
 
 // Step applies one update to every parameter and leaves gradients intact
-// (callers zero them per batch).
+// (callers zero them per batch). A parameter without a gradient never ran
+// a training forward and is left as it is.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
+		if p.G == nil {
+			continue
+		}
 		v, ok := s.velocity[p]
 		if !ok {
 			v = tensor.New(p.W.Shape()...)
@@ -34,6 +38,7 @@ func (s *SGD) Step(params []*Param) {
 			v.Data[i] = float32(s.Momentum)*v.Data[i] - float32(s.LR)*p.G.Data[i]
 			p.W.Data[i] += v.Data[i]
 		}
+		p.Changed()
 	}
 }
 

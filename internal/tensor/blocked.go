@@ -19,10 +19,15 @@ import (
 //	for pc over K in KC steps:          (sequential — fixes accumulation order)
 //	    pack the stripe's panels of B[pc:pc+KC, :]
 //	    for ic over M in MC steps:
-//	        pack A[ic:ic+MC, pc:pc+KC] into MR panels (per-stripe buffer)
+//	        Ap = A[ic:ic+MC, pc:pc+KC] in MR panels: the (pc, ic) block of
+//	             a PackedA, or packed here into the stripe's own buffer
 //	        for jr over the stripe's NR panels:
 //	            for ir over MC in MR steps:
 //	                C[ic+ir.., jr..] ?= micro-kernel(Ap, Bp)
+//
+// A conv layer's A is its weights, constant between optimizer steps, so
+// the layer packs them once (PackA) and every stripe of every inference
+// call reads those blocks; other GEMMs pack A per stripe per call.
 //
 // The stripe is a range of NR panels, not of MC blocks: conv-lowered
 // GEMMs have small M (the filter count) and huge N (the output plane), so
@@ -190,6 +195,49 @@ func packA12(panel, a []float32, lda, kc int) {
 	}
 }
 
+// PackedA is a GEMM's A operand packed once at a tile: the MC×KC blocks
+// of MR-row panels that runStripe would pack, back to back in the order it
+// reads them (pc outer, ic inner), so a stripe reads a block where it would
+// otherwise pack one. It is a snapshot: a write to the source's data makes
+// it stale, and its owner must pack again (nn keys it to a weight
+// generation). The blocked kernels read it only at the tile it was packed
+// at; see MatMulIm2colPackedInto.
+type PackedA struct {
+	src  *Tensor
+	tile TileConfig
+	blk  int // rows of a full MC block, rounded up to whole MR panels
+	mPad int // rows of one K step: every MC block so rounded
+	data []float32
+}
+
+// PackA packs the M×K matrix a at DefaultTile.
+func PackA(a *Tensor) *PackedA {
+	if a.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: PackA requires a rank-2 operand, got %v", a.Shape()))
+	}
+	t := DefaultTile
+	m, k := a.Dim(0), a.Dim(1)
+	blk := (t.MC + t.MR - 1) / t.MR * t.MR
+	p := &PackedA{src: a, tile: t, blk: blk, mPad: m/t.MC*blk + (m%t.MC+t.MR-1)/t.MR*t.MR}
+	p.data = make([]float32, p.mPad*k)
+	for pc := 0; pc < k; pc += t.KC {
+		kc := min(t.KC, k-pc)
+		for ic := 0; ic < m; ic += t.MC {
+			packA(p.block(pc, ic, kc), a.Data, k, ic, min(t.MC, m-ic), pc, kc, t.MR, false)
+		}
+	}
+	return p
+}
+
+// Tile returns the tile the matrix was packed at.
+func (p *PackedA) Tile() TileConfig { return p.tile }
+
+// block returns the (pc, ic) block, kc deep: every K step before pc is a
+// full KC deep, and every MC block before ic a full MC rows.
+func (p *PackedA) block(pc, ic, kc int) []float32 {
+	return p.data[pc*p.mPad+ic/p.tile.MC*p.blk*kc:]
+}
+
 // slabPanel is NR panel p of a packed-B slab at a K step of depth kc.
 // Panels sit at a fixed stride of slabKC·nr floats, slabKC being the
 // deepest step (min(KC, K)), so a stripe of panels [plo, phi) owns floats
@@ -252,6 +300,7 @@ func packBRange(dst, b []float32, ldb, pc, kc, slabKC, n, nr int, bTrans bool, p
 type blockedArgs struct {
 	stripe      func(chunk, plo, phi int) // g.runStripe, kept across reuse
 	c, a, b, bp []float32
+	pa          *PackedA // A packed at tile, or nil to pack it per stripe
 	lda, ldb    int
 	ldc         int
 	m, n, k     int
@@ -260,7 +309,7 @@ type blockedArgs struct {
 	bTrans      bool
 	tile        TileConfig
 	kern        microKernel
-	apPerBlk    int        // packed-A floats needed per MC block
+	apPerBlk    int        // packed-A floats a stripe packs per MC block (0 when pa is set)
 	fused       bool       // pack B straight from an image plane
 	geom        Im2colGeom // fused-path geometry (b holds the image)
 }
@@ -279,8 +328,9 @@ func (g *blockedArgs) packPanels(pc, kc, lo, hi int) {
 // runStripe runs the whole K loop for the stripe of NR panels [plo, phi)
 // (par.Chunks numbers it; the body does not need the number):
 // at each KC step it packs its own panels of the B slab, then for each MC
-// block packs A into its scratch buffer (with the edge-tile staging area
-// at its tail) and sweeps the micro-kernel over its panels. It writes
+// block reads A's block from g.pa or packs it into its scratch buffer
+// (the edge-tile staging area sits at the buffer's tail, the whole buffer
+// when A is prepacked) and sweeps the micro-kernel over its panels. It writes
 // only its panels' columns of C and their region of the slab, so stripes
 // never wait on one another.
 func (g *blockedArgs) runStripe(_, plo, phi int) {
@@ -294,7 +344,11 @@ func (g *blockedArgs) runStripe(_, plo, phi int) {
 		g.packPanels(pc, kc, plo, phi)
 		for ic := 0; ic < g.m; ic += t.MC {
 			mcur := min(t.MC, g.m-ic)
-			packA(ap, g.a, g.lda, ic, mcur, pc, kc, mr, g.aTrans)
+			if g.pa != nil {
+				ap = g.pa.block(pc, ic, kc)
+			} else {
+				packA(ap, g.a, g.lda, ic, mcur, pc, kc, mr, g.aTrans)
+			}
 			for p := plo; p < phi; p++ {
 				jr := p * nr
 				ncur := min(nr, g.n-jr)
@@ -338,23 +392,23 @@ func (g *blockedArgs) runStripe(_, plo, phi int) {
 // order either way, so results are bit-for-bit identical at any chunk
 // count.
 func blockedGEMM(c, a, b []float32, m, n, k int, aTrans, bTrans bool, t TileConfig, chunks int) {
-	blockedGEMMPack(c, a, b, m, n, k, aTrans, bTrans, false, Im2colGeom{}, t, chunks)
+	blockedGEMMPack(c, a, nil, b, m, n, k, aTrans, bTrans, false, Im2colGeom{}, t, chunks)
 }
 
 // blockedGEMMIm2col is blockedGEMM with B read through the fused im2col
 // packer: x holds the geometry's C×H×W images back to back and geom is
 // their implicit column-matrix geometry. Identical packed bytes →
 // identical results to materializing the column matrix and calling
-// blockedGEMM.
-func blockedGEMMIm2col(c, a, x []float32, m int, geom Im2colGeom, t TileConfig, chunks int) {
+// blockedGEMM. A non-nil pa is A packed at t, read in place of a.
+func blockedGEMMIm2col(c, a []float32, pa *PackedA, x []float32, m int, geom Im2colGeom, t TileConfig, chunks int) {
 	if geom.Pad > 0 {
 		x, geom = padImages(x, geom)
 		defer PutScratch(x)
 	}
-	blockedGEMMPack(c, a, x, m, geom.Cols(), geom.Rows(), false, false, true, geom, t, chunks)
+	blockedGEMMPack(c, a, pa, x, m, geom.Cols(), geom.Rows(), false, false, true, geom, t, chunks)
 }
 
-func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool, geom Im2colGeom, t TileConfig, chunks int) {
+func blockedGEMMPack(c, a []float32, pa *PackedA, b []float32, m, n, k int, aTrans, bTrans, fused bool, geom Im2colGeom, t TileConfig, chunks int) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -373,7 +427,10 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 	}
 	slabKC := min(t.KC, k)
 	nPanelsB := (n + t.NR - 1) / t.NR
-	nPanelsA := (min(t.MC, m) + t.MR - 1) / t.MR
+	apPerBlk := 0
+	if pa == nil {
+		apPerBlk = slabKC * ((min(t.MC, m) + t.MR - 1) / t.MR) * t.MR
+	}
 
 	bp := GetScratch(nPanelsB * slabKC * t.NR)
 	g, _ := argsPool.Get().(*blockedArgs)
@@ -382,10 +439,10 @@ func blockedGEMMPack(c, a, b []float32, m, n, k int, aTrans, bTrans, fused bool,
 		g.stripe = g.runStripe
 	}
 	*g = blockedArgs{
-		stripe: g.stripe, c: c, a: a, b: b, bp: bp,
+		stripe: g.stripe, c: c, a: a, b: b, bp: bp, pa: pa,
 		lda: lda, ldb: ldb, ldc: n, m: m, n: n, k: k, slabKC: slabKC,
 		aTrans: aTrans, bTrans: bTrans, tile: t, kern: kernelFor(t.MR, t.NR),
-		apPerBlk: slabKC * nPanelsA * t.MR,
+		apPerBlk: apPerBlk,
 		fused:    fused, geom: geom,
 	}
 	par.Chunks(nPanelsB, chunks, g.stripe)

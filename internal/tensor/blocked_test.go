@@ -214,10 +214,10 @@ func TestBlockedParallelWorkerCountInvariance(t *testing.T) {
 	a := randTensor(rng, m, g.Rows())
 	x := randTensor(rng, g.Images(), g.C, g.H, g.W)
 	ref := New(m, g.Cols())
-	blockedGEMMIm2col(ref.Data, a.Data, x.Data, m, g, DefaultTile, 1)
+	blockedGEMMIm2col(ref.Data, a.Data, nil, x.Data, m, g, DefaultTile, 1)
 	for _, w := range workers {
 		got := New(m, g.Cols())
-		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, DefaultTile, w)
+		blockedGEMMIm2col(got.Data, a.Data, nil, x.Data, m, g, DefaultTile, w)
 		if !bitIdentical(got, ref) {
 			t.Fatalf("fused geom %+v m=%d: %d-worker GEMM diverges bit-for-bit from serial", g, m, w)
 		}

@@ -286,25 +286,42 @@ func im2colGeomInto(dst, x []float32, g Im2colGeom) {
 // lists. Each output element's K order does not depend on the batch, so a
 // folded call is bit-identical, column for column, to one call per image.
 func (e *Engine) MatMulIm2colInto(c, a *Tensor, x []float32, g Im2colGeom) {
+	e.matMulIm2colInto("MatMulIm2colInto", c, a, nil, x, g)
+}
+
+// MatMulIm2colPackedInto is MatMulIm2colInto with A read from its packed
+// form: the blocked kernels' stripes read pa's blocks instead of packing
+// A on every call, with the same result bit for bit. Where the packed path
+// does not apply — the serial oracle, M = 1, reduced precision, or pa
+// packed at a tile other than today's DefaultTile — it is
+// MatMulIm2colInto on pa's source matrix.
+func (e *Engine) MatMulIm2colPackedInto(c *Tensor, pa *PackedA, x []float32, g Im2colGeom) {
+	e.matMulIm2colInto("MatMulIm2colPackedInto", c, pa.src, pa, x, g)
+}
+
+func (e *Engine) matMulIm2colInto(op string, c, a *Tensor, pa *PackedA, x []float32, g Im2colGeom) {
 	if err := g.Validate(); err != nil {
 		panic(err.Error())
 	}
 	if a.Rank() != 2 || a.Dim(1) != g.Rows() {
-		panic(fmt.Sprintf("tensor: MatMulIm2colInto A shape %v, want [M %d]", a.Shape(), g.Rows()))
+		panic(fmt.Sprintf("tensor: %s A shape %v, want [M %d]", op, a.Shape(), g.Rows()))
 	}
 	if want := g.Images() * g.C * g.H * g.W; len(x) < want {
-		panic(fmt.Sprintf("tensor: MatMulIm2colInto input has %d values, want %d", len(x), want))
+		panic(fmt.Sprintf("tensor: %s input has %d values, want %d", op, len(x), want))
 	}
 	m, k, n := a.Dim(0), g.Rows(), g.Cols()
-	requireOut("MatMulIm2colInto", c, m, n)
+	requireOut(op, c, m, n)
 	// Reduced precision materializes and delegates: the fused packer is
 	// fp32-only, and the quantized paths need the dense operand anyway.
 	if e.usesBlocked(m) && e.Precision() == FP32 {
-		blockedGEMMIm2col(c.Data, a.Data, x, m, g, DefaultTile, e.chunks(m, n, min(k, DefaultTile.KC)))
+		if pa != nil && pa.tile != DefaultTile {
+			pa = nil
+		}
+		blockedGEMMIm2col(c.Data, a.Data, pa, x, m, g, DefaultTile, e.chunks(m, n, min(k, DefaultTile.KC)))
 		return
 	}
 	cols := GetScratch(k * n)
 	defer PutScratch(cols)
 	im2colGeomInto(cols, x, g)
-	e.matMulInto("MatMulIm2colInto", c, a, FromSlice(cols, k, n))
+	e.matMulInto(op, c, a, FromSlice(cols, k, n))
 }

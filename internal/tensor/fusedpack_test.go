@@ -54,7 +54,7 @@ func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileCon
 		for i := range got.Data {
 			got.Data[i] = -999
 		}
-		blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, tile, workers)
+		blockedGEMMIm2col(got.Data, a.Data, nil, x.Data, m, g, tile, workers)
 		if !bitIdentical(got, want) {
 			t.Fatalf("fused %d-worker geom %+v m=%d tile %v: diverges bit-for-bit from two-step im2col+packBRange",
 				workers, g, m, tile)
@@ -71,7 +71,7 @@ func checkFusedShape(t *testing.T, g Im2colGeom, m int, seed int64, tile TileCon
 	per, img := one.Cols(), g.C*g.H*g.W
 	got := New(m, per)
 	for s := 0; s < g.Images(); s++ {
-		blockedGEMMIm2col(got.Data, a.Data, x.Data[s*img:(s+1)*img], m, one, tile, 1)
+		blockedGEMMIm2col(got.Data, a.Data, nil, x.Data[s*img:(s+1)*img], m, one, tile, 1)
 		for i := 0; i < m; i++ {
 			for j := 0; j < per; j++ {
 				if got.Data[i*per+j] != want.Data[i*n+s*per+j] {
@@ -390,4 +390,103 @@ func FuzzSampledPackVsTwoStep(f *testing.F) {
 		}
 		checkFusedShape(t, g, 1+int(m8)%24, seed, testTile)
 	})
+}
+
+// TestPackedIm2colMatchesUnpacked holds MatMulIm2colPackedInto to
+// MatMulIm2colInto bit for bit: stripes reading a PackedA's blocks must see
+// exactly the bytes they would have packed. Random filter counts put the M
+// edge inside and past one MC block; every geometry has K = C·k·k over two
+// or three KC steps and a column count no NR divides: full, perforated and
+// pointwise (a flattened 1×1, as nn lowers one), at batch 1 and 3. Each
+// runs unsharded and as two and three stripes, at the 12×32 and 6×16
+// tiles and the build's own, with the SIMD kernels on and off. A pack made
+// at another tile, the serial oracle, M = 1 and fp16 take the unpacked
+// call.
+func TestPackedIm2colMatchesUnpacked(t *testing.T) {
+	defer func(was TileConfig) { DefaultTile = was }(DefaultTile)
+	defer SetSIMD(SetSIMD(true))
+	full := Im2colGeom{C: 33, H: 11, W: 9, K: 3, Stride: 1, Pad: 1, HO: 11, WO: 9}
+	perf := full
+	perf.SX, perf.SY = []int{0, 3, 4, 8}, []int{1, 2, 6, 7, 10}
+	point := Im2colGeom{C: 530, H: 1, W: 37, K: 1, Stride: 1, Pad: 0, HO: 1, WO: 37}
+	engines := make([]*Engine, 3)
+	for i := range engines {
+		engines[i] = NewEngine(Blocked, i+1)
+		engines[i].SetParallelThreshold(0)
+	}
+	rng := rand.New(rand.NewSource(44))
+	tiles := []TileConfig{{MC: 120, KC: 256, MR: 12, NR: 32}, {MC: 120, KC: 256, MR: 6, NR: 16}, DefaultTile}
+	for _, tile := range tiles {
+		for _, simd := range []bool{true, false} {
+			DefaultTile = tile
+			SetSIMD(simd)
+			for gi, g := range []Im2colGeom{full, perf, point} {
+				for _, n := range []int{1, 3} {
+					g.N = n
+					m := 2 + rng.Intn(2*tile.MC)
+					a := randTensor(rng, m, g.Rows())
+					x := randTensor(rng, g.Images(), g.C, g.H, g.W)
+					pa := PackA(a)
+					for w, e := range engines {
+						want, got := New(m, g.Cols()), New(m, g.Cols())
+						for i := range got.Data {
+							got.Data[i] = -999
+						}
+						e.MatMulIm2colInto(want, a, x.Data, g)
+						e.MatMulIm2colPackedInto(got, pa, x.Data, g)
+						if !bitIdentical(got, want) {
+							t.Fatalf("tile %v simd %v geom %d n=%d m=%d, %d stripes: packed A differs from unpacked",
+								tile, simd, gi, n, m, w+1)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The fallbacks: each must be the unpacked call on the pack's source.
+	DefaultTile = tiles[2]
+	g := full
+	g.N = 2
+	a := randTensor(rng, 1, g.Rows())
+	x := randTensor(rng, g.Images(), g.C, g.H, g.W)
+	fp16 := NewEngine(Blocked, 1)
+	fp16.SetPrecision(FP16)
+	other := tiles[0]
+	if other == DefaultTile {
+		other = tiles[1]
+	}
+	for name, c := range map[string]struct {
+		a   *Tensor
+		pa  func(*Tensor) *PackedA
+		eng *Engine
+	}{
+		"M=1":        {a, PackA, engines[1]},
+		"serial":     {randTensor(rng, 7, g.Rows()), PackA, NewEngine(Serial, 1)},
+		"fp16":       {randTensor(rng, 7, g.Rows()), PackA, fp16},
+		"stale tile": {randTensor(rng, 7, g.Rows()), packAt(other), engines[1]},
+	} {
+		want, got := New(c.a.Dim(0), g.Cols()), New(c.a.Dim(0), g.Cols())
+		c.eng.MatMulIm2colInto(want, c.a, x.Data, g)
+		c.eng.MatMulIm2colPackedInto(got, c.pa(c.a), x.Data, g)
+		if !bitIdentical(got, want) {
+			t.Fatalf("%s: packed call differs from the unpacked one", name)
+		}
+	}
+
+	// The packed entry keeps MatMulIm2colInto's checks.
+	pa := PackA(randTensor(rng, 7, g.Rows()+1))
+	mustPanic(t, "A shape", func() { engines[0].MatMulIm2colPackedInto(New(7, g.Cols()), pa, x.Data, g) })
+	pa = PackA(randTensor(rng, 7, g.Rows()))
+	mustPanic(t, "short input", func() { engines[0].MatMulIm2colPackedInto(New(7, g.Cols()), pa, x.Data[1:], g) })
+	mustPanic(t, "output shape", func() { engines[0].MatMulIm2colPackedInto(New(6, g.Cols()), pa, x.Data, g) })
+}
+
+// packAt returns PackA at tile t, whatever DefaultTile is.
+func packAt(t TileConfig) func(*Tensor) *PackedA {
+	return func(a *Tensor) *PackedA {
+		defer func(was TileConfig) { DefaultTile = was }(DefaultTile)
+		DefaultTile = t
+		return PackA(a)
+	}
 }

@@ -59,8 +59,8 @@ func TestAVX512TileMatches6x16(t *testing.T) {
 		x := randTensor(rng, g.Images(), g.C, g.H, g.W)
 		for _, chunks := range []int{1, 2} {
 			want, got := New(m, g.Cols()), New(m, g.Cols())
-			blockedGEMMIm2col(want.Data, a.Data, x.Data, m, g, t6, chunks)
-			blockedGEMMIm2col(got.Data, a.Data, x.Data, m, g, t12, chunks)
+			blockedGEMMIm2col(want.Data, a.Data, nil, x.Data, m, g, t6, chunks)
+			blockedGEMMIm2col(got.Data, a.Data, nil, x.Data, m, g, t12, chunks)
 			if !bitIdentical(got, want) {
 				t.Fatalf("fused geom %+v at %d chunks: 12×32 differs from 6×16", g, chunks)
 			}
