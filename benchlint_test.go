@@ -148,7 +148,8 @@ func TestBenchLint(t *testing.T) {
 
 	// The serve grid's smoke gate (pcnnd -grid serve -smoke) holds on the
 	// committed rows — 0.5x, 1x, 2x of one worker's capacity, in order:
-	// batching engages at 1x and the 2x miss rate stays under 50%.
+	// batching engages at 1x and the 2x miss rate stays under 50%. More
+	// load never lowers the miss rate or the rejected count.
 	if serve := matrices["BENCH_serve.json"].Rows; len(serve) != 3 {
 		t.Errorf("BENCH_serve.json has %d rows, want 3 (0.5x, 1x, 2x)", len(serve))
 	} else {
@@ -156,5 +157,12 @@ func TestBenchLint(t *testing.T) {
 			"mean batch %v at capacity, want > 1", serve[1].MeanBatch)
 		check(serve[2].MissRate < 0.5, "BENCH_serve.json", serve[2].Name,
 			"miss rate %v at 2x, want < 0.5", serve[2].MissRate)
+		for i := 1; i < len(serve); i++ {
+			lo, hi := serve[i-1], serve[i]
+			check(hi.MissRate >= lo.MissRate, "BENCH_serve.json", hi.Name,
+				"miss rate %v below %v at the lighter load %s", hi.MissRate, lo.MissRate, lo.Name)
+			check(hi.Rejected >= lo.Rejected, "BENCH_serve.json", hi.Name,
+				"rejected %d below %d at the lighter load %s", hi.Rejected, lo.Rejected, lo.Name)
+		}
 	}
 }

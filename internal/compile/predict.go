@@ -14,7 +14,8 @@ import (
 // layers' N scaled by their keep fraction, the PerforatedLaunches
 // convention). optSM is re-derived per grid, exactly as planLayers does,
 // on the device the plan executes on (Device: the DVFS-scaled clone after
-// ApplyDVFS).
+// ApplyDVFS). It is the one price of a (plan, batch, keep): the sum, in
+// plan order, of LayerPredictMS's per-layer terms.
 //
 // Holding the design point fixed is what makes the model monotone: the
 // grid never shrinks when the batch grows, dispatch rounds and DRAM
@@ -28,17 +29,24 @@ import (
 // (nil or missing entries mean the full layer). A shorter p.Layers slice
 // than the network's layer list predicts that prefix.
 func PredictMS(p *Plan, batch int, keep map[string]float64) float64 {
+	var ms float64
+	for _, t := range LayerPredictMS(p, batch, keep) {
+		ms += t
+	}
+	return ms
+}
+
+// LayerPredictMS returns PredictMS's per-layer terms in plan order; added
+// in that order from zero they are PredictMS(p, batch, keep) bit for bit.
+func LayerPredictMS(p *Plan, batch int, keep map[string]float64) []float64 {
 	if batch < 1 {
 		batch = 1
 	}
 	gemms := analytic.NetworkGEMMs(p.Net, batch)
 	dev := p.Device()
-	var ms float64
-	for i, l := range p.Layers {
-		if i >= len(gemms) {
-			break
-		}
-		g := gemms[i]
+	terms := make([]float64, min(len(p.Layers), len(gemms)))
+	for i := range terms {
+		l, g := &p.Layers[i], gemms[i]
 		n := g.N
 		if g.IsConv {
 			if frac, ok := keep[l.Name]; ok && frac > 0 && frac < 1 {
@@ -52,7 +60,7 @@ func PredictMS(p *Plan, batch int, keep map[string]float64) float64 {
 		c.Grid = kernels.GridSize(g.M, n, c.Tile) * g.Groups
 		c.Kernel.GridSize = c.Grid
 		optSM := analytic.OptSM(c.Grid, c.TLP, dev.NumSMs)
-		ms += analytic.PredictTimeMS(c, optSM, dev)
+		terms[i] = analytic.PredictTimeMS(c, optSM, dev)
 	}
-	return ms
+	return terms
 }

@@ -128,7 +128,9 @@ func TestPredictMSPerforation(t *testing.T) {
 //   - PredictMS is positive and finite,
 //   - monotone non-decreasing in batch size,
 //   - monotone non-decreasing in layer count (longer prefixes of the
-//     same plan cost at least as much), and
+//     same plan cost at least as much),
+//   - the sum of its per-layer terms (LayerPredictMS) in plan order, bit
+//     for bit, and
 //   - anchored to the plan (PredictMS(p, p.Batch, nil) == p.PredictedMS).
 func FuzzPredictMS(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(1), uint16(8), uint8(100), uint8(3))
@@ -151,6 +153,14 @@ func FuzzPredictMS(f *testing.F) {
 			if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
 				t.Fatalf("PredictMS(%s/%s, b=%d, keep=%.2f) = %v",
 					p.Net.Name, p.Dev.Name, b, frac, v)
+			}
+			var sum float64
+			for _, term := range LayerPredictMS(p, b, keep) {
+				sum += term
+			}
+			if sum != v {
+				t.Errorf("PredictMS(%s/%s, b=%d, keep=%.2f) = %v, its layer terms sum to %v",
+					p.Net.Name, p.Dev.Name, b, frac, v, sum)
 			}
 		}
 		// The per-layer terms are individually monotone in the grid; one

@@ -24,35 +24,20 @@ func (p *Plan) LayerNames() []string {
 	return out
 }
 
-// KeptMS is the layer's tuned prediction with a conv layer scaled
-// linearly by its perforation keep fraction (nil or missing entries mean
-// the full layer; perforation shrinks the GEMM N dimension
-// proportionally). It is the one owner of that linear-keep time: the
-// serving executor sums it over a plan compiled at exactly the requested
-// batch, and ProfileResults reports it per layer, so the profile's
-// predicted column sums to the prediction the batcher used.
-func (l *LayerPlan) KeptMS(keep map[string]float64) float64 {
-	frac := 1.0
-	if l.GEMM.IsConv {
-		if f, ok := keep[l.Name]; ok && f < 1 {
-			frac = f
-		}
-	}
-	return l.PredictedMS * frac
-}
-
 // ProfileResults folds per-launch simulator results into a named
-// per-layer breakdown whose predicted column is each layer's KeptMS under
-// keep. results must come from simulating this plan's launches (one per
-// layer, in order); a shorter slice profiles the prefix.
+// per-layer breakdown whose predicted column is PredictMS's per-layer
+// terms at the plan's batch under keep (LayerPredictMS), so the column
+// sums to PredictMS(p, p.Batch, keep). results must come from simulating
+// this plan's launches (one per layer, in order); a shorter slice
+// profiles the prefix.
 func (p *Plan) ProfileResults(results []gpu.Result, keep map[string]float64) []LayerProfile {
-	n := min(len(results), len(p.Layers))
+	pred := LayerPredictMS(p, p.Batch, keep)
+	n := min(len(results), len(pred))
 	out := make([]LayerProfile, 0, n)
 	for i, r := range results[:n] {
-		l := &p.Layers[i]
 		out = append(out, LayerProfile{
-			Name:        l.Name,
-			PredictedMS: l.KeptMS(keep),
+			Name:        p.Layers[i].Name,
+			PredictedMS: pred[i],
 			TimeMS:      r.TimeMS,
 			EnergyJ:     r.EnergyJ,
 			IssueUtil:   r.IssueUtil,

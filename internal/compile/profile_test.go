@@ -48,8 +48,10 @@ func TestSimulateProfiled(t *testing.T) {
 	}
 }
 
-// TestProfileResultsKeepScaling: conv predictions scale by the keep
-// fraction; non-conv layers do not.
+// TestProfileResultsKeepScaling: the profile's predicted column is
+// PredictMS's per-layer terms (LayerPredictMS) and sums to
+// PredictMS(p, p.Batch, keep); a perforated conv layer's term is at most
+// its full term, and every other layer's term is unchanged.
 func TestProfileResultsKeepScaling(t *testing.T) {
 	plan, err := CompileAtBatch(nn.AlexNetShape(), gpu.PlatformByName("K20c"), satisfaction.ImageTagging(), 4)
 	if err != nil {
@@ -72,14 +74,27 @@ func TestProfileResultsKeepScaling(t *testing.T) {
 	keep := map[string]float64{convName: 0.5}
 	full := plan.ProfileResults(results, nil)
 	scaled := plan.ProfileResults(results, keep)
-	for i := range full {
-		want := full[i].PredictedMS
-		if full[i].Name == convName {
-			want *= 0.5
+	terms := LayerPredictMS(plan, plan.Batch, keep)
+	if len(scaled) != len(terms) || len(full) != len(terms) {
+		t.Fatalf("%d and %d profile entries for %d terms", len(full), len(scaled), len(terms))
+	}
+	var sum float64
+	for i := range scaled {
+		if scaled[i].PredictedMS != terms[i] {
+			t.Errorf("layer %s predicted %v, want its term %v", scaled[i].Name, scaled[i].PredictedMS, terms[i])
 		}
-		if math.Abs(scaled[i].PredictedMS-want) > 1e-12 {
-			t.Errorf("layer %s predicted %v, want %v", full[i].Name, scaled[i].PredictedMS, want)
+		sum += scaled[i].PredictedMS
+		if scaled[i].Name == convName {
+			if scaled[i].PredictedMS > full[i].PredictedMS {
+				t.Errorf("perforated layer %s predicted %v above its full %v",
+					convName, scaled[i].PredictedMS, full[i].PredictedMS)
+			}
+		} else if scaled[i].PredictedMS != full[i].PredictedMS {
+			t.Errorf("unperforated layer %s predicted %v, full %v", scaled[i].Name, scaled[i].PredictedMS, full[i].PredictedMS)
 		}
+	}
+	if want := PredictMS(plan, plan.Batch, keep); sum != want {
+		t.Errorf("predicted column sums to %v, PredictMS %v", sum, want)
 	}
 }
 

@@ -148,21 +148,28 @@ func TestChaosDisabledEqualsClean(t *testing.T) {
 	}
 }
 
-// TestBacklogGrowsTheBatch: one surveillance stream at half of one
-// worker's capacity (the serve grid's first row) must batch and mostly
-// meet its deadlines. It is the window that waits for its busy worker
-// that makes it so: a window closing while the worker is busy executes
-// singleton batches that each cost more per image than a full one, so
-// the half-capacity stream backs up and missed 99 % at mean batch 1.
+// TestBacklogGrowsTheBatch: one surveillance stream on the serve grid's
+// first two rows. At half of one worker's capacity it mostly meets its
+// deadlines; at full capacity the backlog grows the batch. It is the
+// window that waits for its busy worker that makes it so: a window
+// closing while the worker is busy executes singleton batches that each
+// cost more per image than a full one, so the half-capacity stream
+// backed up and missed 99 % at mean batch 1.
 func TestBacklogGrowsTheBatch(t *testing.T) {
-	sp := ServeMatrix("TX1", "AlexNet", StreamSpec{Task: "surveillance", Requests: 300}, 42)[0]
-	if sp.Streams[0].Load != 0.5 {
-		t.Fatalf("serve grid row 0 runs at load %v, want 0.5", sp.Streams[0].Load)
+	specs := ServeMatrix("TX1", "AlexNet", StreamSpec{Task: "surveillance", Requests: 300}, 42)[:2]
+	for i, load := range []float64{0.5, 1} {
+		if got := specs[i].Streams[0].Load; got != load {
+			t.Fatalf("serve grid row %d runs at load %v, want %v", i, got, load)
+		}
 	}
-	st := runMatrix(t, []Spec{sp}).Rows[0].Streams[0]
-	if !(st.MissRate < 0.5) || !(st.MeanBatch > 1) {
-		t.Errorf("half-capacity stream: miss rate %.3f at mean batch %.2f, want < 0.5 at > 1",
-			st.MissRate, st.MeanBatch)
+	rows := runMatrix(t, specs).Rows
+	if half := rows[0].Streams[0]; !(half.MissRate < 0.5) {
+		t.Errorf("half-capacity stream: miss rate %.3f at mean batch %.2f, want < 0.5",
+			half.MissRate, half.MeanBatch)
+	}
+	if full := rows[1].Streams[0]; !(full.MeanBatch > 1) {
+		t.Errorf("full-capacity stream: mean batch %.2f (miss rate %.3f), want > 1",
+			full.MeanBatch, full.MissRate)
 	}
 }
 

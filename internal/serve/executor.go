@@ -48,7 +48,9 @@ type Executor interface {
 	// its base operating point.
 	Entropy(level int) float64
 	// PredictMS is the Eq 12 time-model estimate for executing a batch at
-	// a level. It must be cheap: the batcher calls it on every flush.
+	// a level — for a PlanExecutor, compile.PredictMS at every batch, the
+	// deployed one included. It must be cheap: the batcher calls it on
+	// every flush.
 	PredictMS(level, batch int) float64
 	// Execute runs one batch. inputs is an N×C×H×W tensor when every
 	// request carried a sample and the pipeline has an executable network;
@@ -304,37 +306,18 @@ func (e *PlanExecutor) planNear(batch int) (*compile.Plan, error) {
 	return e.compile(batch)
 }
 
-// predictExact sums a plan's tuned per-layer predictions at its own
-// compiled batch, each conv layer scaled by the level's keep fraction
-// (compile.LayerPlan.KeptMS, the time the profile's predicted column
-// reports).
-func predictExact(p *compile.Plan, keeps map[string]float64) float64 {
-	var ms float64
-	for i := range p.Layers {
-		ms += p.Layers[i].KeptMS(keeps)
-	}
-	return ms
-}
-
-// PredictMS implements Executor: the tuned per-layer sum when a plan
-// compiled at exactly this batch is cached, otherwise the Eq 12 evaluator
-// re-deriving the nearest anchor plan's design at the requested batch —
-// every batch size is priced without an exact (level, batch) cache hit.
+// PredictMS implements Executor: compile.PredictMS on planNear(batch),
+// the plan Execute simulates or interpolates from, at every batch.
 func (e *PlanExecutor) PredictMS(level, batch int) float64 {
 	batch, level = max(batch, 1), e.clamp(level)
 	ms, _ := e.preds.Get(levelBatch{level, batch}, func() (float64, error) {
-		keeps := e.path[level].Keeps
 		p, err := e.planNear(batch)
-		switch {
-		case err != nil:
+		if err != nil {
 			// No compilable neighbour: rescale the deployed plan's design
 			// point; Execute will surface the error.
-			return compile.PredictMS(e.plan, batch, keeps), nil
-		case p.Batch == batch:
-			return predictExact(p, keeps), nil
-		default:
-			return compile.PredictMS(p, batch, keeps), nil
+			p = e.plan
 		}
+		return compile.PredictMS(p, batch, e.path[level].Keeps), nil
 	})
 	return ms
 }
@@ -353,8 +336,8 @@ func (e *PlanExecutor) simulate(level, batch int) (simulated, error) {
 		if err != nil {
 			return simulated{}, err
 		}
+		keeps := e.path[level].Keeps
 		if p.Batch == batch {
-			keeps := e.path[level].Keeps
 			results, agg, err := simulatePlan(p, keeps)
 			if err != nil {
 				return simulated{}, err
@@ -362,7 +345,8 @@ func (e *PlanExecutor) simulate(level, batch int) (simulated, error) {
 			return simulated{agg: agg, profile: p.ProfileResults(results, keeps)}, nil
 		}
 		// Interpolate: simulate the anchor exactly (recursion bottoms out —
-		// p is the anchor's own plan), then scale by the analytic cost ratio.
+		// p is the anchor's own plan), then scale by the analytic cost
+		// ratio; the predicted column is the Eq 12 terms at this batch.
 		anchor, err := e.simulate(level, p.Batch)
 		if err != nil {
 			return simulated{}, err
@@ -372,9 +356,10 @@ func (e *PlanExecutor) simulate(level, batch int) (simulated, error) {
 		if anchorMS > 0 {
 			ratio = e.PredictMS(level, batch) / anchorMS
 		}
+		pred := compile.LayerPredictMS(p, batch, keeps)
 		prof := slices.Clone(anchor.profile)
 		for i := range prof {
-			prof[i].PredictedMS *= ratio
+			prof[i].PredictedMS = pred[i]
 			prof[i].TimeMS *= ratio
 			prof[i].EnergyJ *= ratio
 		}

@@ -305,6 +305,29 @@ func TestPlanExecutorProfile(t *testing.T) {
 	}
 }
 
+// TestPredictionTracksSimulation: one time model prices every batch, the
+// deployed one included, so the batcher's prediction stays within 2 % of
+// the simulated time for TX1 AlexNet surveillance at 30 FPS, every
+// synthetic level, batches 1–4. Summing the plan's per-layer predictions
+// with conv layers scaled linearly by their keep fraction read up to
+// 4.98 % low here (level 5, batch 2).
+func TestPredictionTracksSimulation(t *testing.T) {
+	plan := compilePlan(t, "AlexNet", "TX1", satisfaction.VideoSurveillance(30))
+	ex, err := NewPlanExecutor(plan, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for level := 0; level < ex.Levels(); level++ {
+		for b := 1; b <= 4; b++ {
+			pred, sim := ex.PredictMS(level, b), execute(t, ex, level, b).TimeMS
+			if dev := pred/sim - 1; math.Abs(dev) > 0.02 {
+				t.Errorf("level %d batch %d: PredictMS %.4f ms, simulated %.4f ms (%+.2f %%)",
+					level, b, pred, sim, 100*dev)
+			}
+		}
+	}
+}
+
 // TestAnchorFor pins the geometric-nearest power-of-two anchor choice the
 // interpolation path rides on.
 func TestAnchorFor(t *testing.T) {
